@@ -1,6 +1,6 @@
-// Branching: a workflow the linear pipeline engine could not express — one
-// corpus scan feeding both word-count and TF/IDF, with the TF/IDF result
-// fanning out to K-Means clustering and an ARFF archive at the same time.
+// Branching: a workflow that is a DAG, not a chain — one corpus scan
+// feeding both word-count and TF/IDF, with the TF/IDF result fanning out to
+// K-Means clustering and an ARFF archive at the same time.
 //
 // The example builds the plan with two separate scan nodes (the natural way
 // to write two discrete jobs), then lets the rewrite rules optimize it:

@@ -71,7 +71,7 @@ func main() {
 			label, res.Iterations, perIter, res.Counts)
 	}
 
-	ref := run(0) // bulk: monolithic K-Means, chunk-parallel Step
+	ref := run(0) // bulk: one K-Means node, Step over one document range per worker
 	report("bulk:", ref)
 	for _, shards := range []int{1, 4, 7} {
 		rep := run(shards)

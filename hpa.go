@@ -61,9 +61,9 @@
 //
 // # Branching plans
 //
-// Plans express workflows the linear Pipeline could not: one corpus scan
-// feeding several operators, results fanning out to multiple sinks. Build
-// the graph, validate, optionally rewrite, run:
+// Plans express workflows as DAGs: one corpus scan feeding several
+// operators, results fanning out to multiple sinks. Build the graph,
+// validate, optionally rewrite, run:
 //
 //	plan := hpa.NewPlan().
 //	    Add("scan", &hpa.SourceOp{Src: corpus.Source(nil)}).
@@ -336,9 +336,6 @@ type (
 	PlanEdge = workflow.Edge
 	// Rewriter is a declarative plan-to-plan transformation rule.
 	Rewriter = workflow.Rewriter
-	// Pipeline is a linear operator chain, kept as a thin adapter that
-	// compiles to a single-chain Plan.
-	Pipeline = workflow.Pipeline
 	// Operator is one workflow stage.
 	Operator = workflow.Operator
 	// TypedOperator is an Operator that declares its input/output port
@@ -397,8 +394,7 @@ const (
 	Merged   = workflow.Merged
 )
 
-// Built-in operators, for assembling custom plans with NewPlan (or linear
-// chains with NewPipeline).
+// Built-in operators, for assembling custom plans with NewPlan.
 type (
 	// SourceOp injects a document source into a plan as a scan node.
 	SourceOp = workflow.SourceOp
@@ -472,9 +468,6 @@ func PartitionRule(shards int) Rewriter { return workflow.PartitionRule(shards) 
 // sizes. Results are bit-identical to count-balanced sharding.
 func WeightedPartitionRule(shards int) Rewriter { return workflow.WeightedPartitionRule(shards) }
 
-// NewPipeline builds a pipeline from operators in execution order.
-func NewPipeline(ops ...Operator) *Pipeline { return workflow.NewPipeline(ops...) }
-
 // Stopwords returns the built-in English stopword set for TFIDFOptions.
 func Stopwords() *text.StopwordSet { return text.English() }
 
@@ -508,15 +501,6 @@ func AnnotateBackend(p *Plan, b Backend) *Plan { return workflow.AnnotateBackend
 func RunTFIDFKMeans(src Source, ctx *WorkflowContext, cfg TFKMConfig) (*TFKMReport, error) {
 	return workflow.RunTFKM(src, ctx, cfg)
 }
-
-// FusePipeline removes materialize/load operator pairs from a linear chain
-// — the paper's workflow-fusion optimization, applied through FuseRule on
-// the pipeline's compiled plan.
-func FusePipeline(p *Pipeline) *Pipeline { return workflow.Fuse(p) }
-
-// NewTFKMPipeline constructs the TF/IDF→K-Means pipeline for the config;
-// Merged mode returns the fused plan.
-func NewTFKMPipeline(cfg TFKMConfig) *Pipeline { return workflow.TFKMPipeline(cfg) }
 
 // NewTFKMPlan constructs the TF/IDF→K-Means workflow over src as a Plan;
 // Merged mode returns the discrete plan with FuseRule applied.

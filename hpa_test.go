@@ -175,10 +175,10 @@ func TestPublicPlanValidateCatchesBadEdge(t *testing.T) {
 }
 
 func TestPublicFusePipeline(t *testing.T) {
-	p := hpa.NewTFKMPipeline(hpa.TFKMConfig{Mode: hpa.Discrete})
-	fused := hpa.FusePipeline(p)
-	if len(fused.Ops) >= len(p.Ops) {
-		t.Fatalf("fusion removed nothing: %d -> %d ops", len(p.Ops), len(fused.Ops))
+	p := hpa.NewTFKMPlan(nil, hpa.TFKMConfig{Mode: hpa.Discrete})
+	fused := p.Apply(hpa.FuseRule())
+	if len(fused.Nodes()) >= len(p.Nodes()) {
+		t.Fatalf("fusion removed nothing: %d -> %d nodes", len(p.Nodes()), len(fused.Nodes()))
 	}
 }
 

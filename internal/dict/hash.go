@@ -204,7 +204,3 @@ func bytesEqualString(b []byte, s string) bool {
 	}
 	return true
 }
-
-// HashString exposes the table's string hash for callers that need
-// consistent external sharding (the TF/IDF global dictionary).
-func HashString(s string) uint64 { return fnv1aString(s) }

@@ -19,38 +19,36 @@
 // # Codec versions
 //
 // Every flat payload carries a codec version byte immediately after its
-// magic, so layouts can evolve without breaking deployed decoders:
+// magic. Each payload has exactly one live version, and its decoder
+// rejects every other byte with ErrMalformed: coordinator and workers are
+// one binary and no payload is ever stored, so there is no older encoding
+// to stay compatible with.
 //
-//	version         index blocks (sorted u32)   f64 value blocks
-//	CodecRaw   (1)  raw fixed-width             raw fixed-width
-//	CodecDelta (2)  delta-coded varints         raw fixed-width
-//	CodecXor   (3)  delta-coded varints         XOR-with-previous runs
+//	payload                              version       index blocks          f64 value blocks
+//	VectorShard, AccumWire, WireGlobal   CodecXor (3)  delta-coded varints   XOR-with-previous runs
+//	WireShardCounts                      CodecRaw (1)  — (unsorted counts)   —
 //
-// CodecRaw (1) is the original layout: sorted u32 index arrays and f64
-// value arrays as raw fixed-width blocks.
+// CodecXor stores each sorted u32 index array delta-coded as unsigned
+// varints (AppendDeltaU32s): ascending indexes make the deltas small, so
+// most entries shrink from four bytes to one. The delta chain restarts for
+// every sub-array (per document, per cluster), keeping windows
+// independently decodable. f64 value blocks are compressed losslessly
+// (AppendF64sXor): each value's IEEE 754 bits are XORed with the previous
+// value's, and the result is stored as a control byte (leading/trailing
+// zero-byte counts of the XOR word) plus only its meaningful middle bytes
+// — an exact-equality run costs one byte per value, and values sharing
+// sign, exponent and high mantissa bits shed their common prefix. Every
+// block starts with a one-byte form marker; an encoder that would not
+// shrink a block stores it raw behind the marker, so a block never grows
+// by more than one byte. Bit patterns round-trip exactly: compatible with
+// the engine's bit-identity contract.
 //
-// CodecDelta (2) stores each sorted u32 index array delta-coded as
-// unsigned varints (AppendDeltaU32s): ascending indexes make the deltas
-// small, so most entries shrink from four bytes to one. The delta chain
-// restarts for every sub-array (per document, per cluster), keeping
-// windows independently decodable.
-//
-// CodecXor (3) keeps version 2's index coding and additionally compresses
-// f64 value blocks losslessly (AppendF64sXor): each value's IEEE 754 bits
-// are XORed with the previous value's, and the result is stored as a
-// control byte (leading/trailing zero-byte counts of the XOR word) plus
-// only its meaningful middle bytes — an exact-equality run costs one byte
-// per value, and values sharing sign, exponent and high mantissa bits
-// shed their common prefix. Every block starts with a one-byte form
-// marker; an encoder that would not shrink a block stores it raw behind
-// the marker, so a block never grows by more than one byte. Bit patterns
-// round-trip exactly: compatible with the engine's bit-identity contract.
-//
-// The compatibility rule: encoders emit the newest version; decoders
-// accept every version, dispatching on the byte — so a coordinator can
-// roll forward before its workers. Signed and unsigned fixed-width scalar
-// blocks (counts, assignments) stay raw in every version: they are small
-// next to the index/value payload and decode allocation-free.
+// CodecRaw is plain fixed-width blocks; WireShardCounts carries no sorted
+// index or f64 block, so it never had another version. Signed and unsigned
+// fixed-width scalar blocks (counts, assignments) are raw in every payload:
+// they are small next to the index/value payload and decode
+// allocation-free. Version 2 (CodecDelta: delta-coded indexes, raw values)
+// is retired; its number stays reserved so it is never reused.
 package flatwire
 
 import (
@@ -67,14 +65,13 @@ var ErrMalformed = errors.New("flatwire: malformed buffer")
 // Codec layout versions (the byte after every payload magic — see the
 // package comment).
 const (
-	// CodecRaw is layout version 1: sorted u32 index arrays as raw
-	// fixed-width blocks.
+	// CodecRaw is layout version 1: raw fixed-width blocks throughout —
+	// WireShardCounts' only version.
 	CodecRaw byte = 1
-	// CodecDelta is layout version 2: sorted u32 index arrays delta-coded
-	// as unsigned varints, restarting per sub-array.
+	// CodecDelta is the retired layout version 2; no decoder accepts it.
 	CodecDelta byte = 2
-	// CodecXor is layout version 3: version 2's index coding plus
-	// losslessly compressed f64 value blocks (AppendF64sXor).
+	// CodecXor is layout version 3: delta-coded sorted u32 index arrays
+	// plus losslessly compressed f64 value blocks (AppendF64sXor).
 	CodecXor byte = 3
 )
 

@@ -33,12 +33,10 @@ func sparseMix(n, dim int, seed uint64) []sparse.Vector {
 	return docs
 }
 
-// shardedRun drives the clusterer through the deterministic iterative path
-// (fixed shard→Accum mapping, ordered EndIteration) — the workflow engine's
-// execution shape, and the one with the bit-for-bit repeatability guarantee.
-// (Bulk Run's chunk→view mapping is scheduling-dependent, so its float sums
-// are only reproducible up to reduction order; see
-// TestShardKernelIsDeterministic.)
+// shardedRun drives the clusterer by hand through the iterative path (fixed
+// shard→Accum mapping, ordered EndIteration) — the workflow engine's
+// execution shape, and what bulk Run does with one shard per pool worker
+// (TestBulkRunRepeatable).
 func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shards int) *Result {
 	t.Helper()
 	p := par.NewPool(1)

@@ -25,14 +25,11 @@ import (
 //	idx                    (all clusters' indices, concatenated)
 //	val    f64 × totalNNZ  (all clusters' values, concatenated)
 //
-// The codec byte selects the block forms: flatwire.CodecRaw ships raw
-// u32 × totalNNZ indices and raw f64 values; flatwire.CodecDelta
-// delta-codes each cluster's ascending indices as varints, restarting per
-// cluster, with raw values; flatwire.CodecXor (what EncodeFlat emits)
-// keeps the delta-coded indices and additionally XOR-compresses each
-// cluster's value block (flatwire.AppendF64sXor), restarting the XOR
-// chain per cluster so clusters stay independently decodable. Decoders
-// accept all three.
+// The codec byte is the layout version. flatwire.CodecXor is the only one:
+// each cluster's ascending indices are delta-coded as varints, restarting
+// per cluster, and each cluster's value block is XOR-compressed
+// (flatwire.AppendF64sXor), restarting the XOR chain per cluster so
+// clusters stay independently decodable. Any other version is malformed.
 
 // accumWireMagic identifies a flat AccumWire buffer.
 const accumWireMagic uint32 = 0x48504157 // "HPAW"
@@ -91,7 +88,7 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
+	if codec != flatwire.CodecXor {
 		return nil, fmt.Errorf("kmeans: decode accum: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	sum := 0
@@ -103,20 +100,15 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
-	if codec == flatwire.CodecRaw {
-		r.U32sInto(idx)
-	} else {
-		off := 0
-		for _, c := range nnz {
-			r.DeltaU32sInto(idx[off : off+int(c)])
-			off += int(c)
-		}
+	off := 0
+	for _, c := range nnz {
+		r.DeltaU32sInto(idx[off : off+int(c)])
+		off += int(c)
 	}
 	if r.Err() == nil {
 		// Every cluster's indices must be strictly ascending — the sparse
-		// accumulator invariant. The raw codec could otherwise smuggle in
-		// arbitrary orderings (the delta codec, duplicates) and corrupt the
-		// ordered reduce.
+		// accumulator invariant. A zero delta would otherwise smuggle in
+		// duplicates and corrupt the ordered reduce.
 		off := 0
 		for j, c := range nnz {
 			for e := 1; e < int(c); e++ {
@@ -127,21 +119,17 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 			off += int(c)
 		}
 	}
-	if codec == flatwire.CodecXor {
-		off := 0
-		for _, c := range nnz {
-			r.F64sXorInto(val[off : off+int(c)])
-			off += int(c)
-		}
-	} else {
-		r.F64sInto(val)
+	off = 0
+	for _, c := range nnz {
+		r.F64sXorInto(val[off : off+int(c)])
+		off += int(c)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
 	w.Idx = make([][]uint32, k)
 	w.Val = make([][]float64, k)
-	off := 0
+	off = 0
 	for j, c := range nnz {
 		w.Idx[j] = idx[off : off+int(c) : off+int(c)]
 		w.Val[j] = val[off : off+int(c) : off+int(c)]

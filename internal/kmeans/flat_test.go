@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -104,10 +105,17 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 	bad := append([]byte{}, good...)
 	bad[4+1+4+8+8+8+24]++
 	cases["nnz sum mismatch"] = bad
-	// An unrecognized codec version byte must be rejected, not guessed at.
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
-	cases["unknown codec"] = badCodec
+	// Every codec version byte but the one EncodeFlat writes must be
+	// rejected, not guessed at — the retired versions 1 and 2 included.
+	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+		badCodec := append([]byte{}, good...)
+		badCodec[4] = v
+		cases[fmt.Sprintf("codec version %d", v)] = badCodec
+	}
+	// A zero delta encodes a duplicate index; entries must strictly ascend.
+	dup := flatTestAccum()
+	dup.Idx[0][1] = dup.Idx[0][0]
+	cases["duplicate index"] = dup.EncodeFlat(nil)
 
 	for name, b := range cases {
 		w, err := DecodeFlatAccumWire(b)
@@ -121,9 +129,8 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 	}
 }
 
-// TestAccumWireFlatDeltaShrinks: the delta-varint idx block (CodecDelta)
-// must undercut what the raw u32 block (the PR 7 layout) would have
-// occupied — the byte win the codec version bump exists for.
+// TestAccumWireFlatDeltaShrinks: the delta-varint idx block must undercut
+// what a raw u32 block would occupy.
 func TestAccumWireFlatDeltaShrinks(t *testing.T) {
 	w := &AccumWire{
 		Idx:    make([][]uint32, 4),

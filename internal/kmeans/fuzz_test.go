@@ -1,79 +1,23 @@
 package kmeans
 
 import (
-	"math"
 	"testing"
 
 	"hpa/internal/flatwire"
 )
 
-// encodeFlatAccumLegacy re-creates the codec version 1 (raw blocks) and
-// version 2 (delta-varint index) accumulator encodings older coordinators
-// emitted — current encoders only write version 3, but the decoder must
-// keep accepting every version (compatibility tests and fuzz seeds).
-func encodeFlatAccumLegacy(w *AccumWire, codec byte) []byte {
-	k := len(w.Idx)
-	total := 0
-	for j := range w.Idx {
-		total += len(w.Idx[j])
-	}
-	b := flatwire.AppendU32(nil, accumWireMagic)
-	b = flatwire.AppendU8(b, codec)
-	b = flatwire.AppendU32(b, uint32(k))
-	b = flatwire.AppendF64(b, w.Inertia)
-	b = flatwire.AppendI64(b, int64(w.Changed))
-	b = flatwire.AppendI64(b, w.Skipped)
-	b = flatwire.AppendI64s(b, w.Counts)
-	for j := range w.Idx {
-		b = flatwire.AppendU32(b, uint32(len(w.Idx[j])))
-	}
-	b = flatwire.AppendU64(b, uint64(total))
-	for j := range w.Idx {
-		if codec == flatwire.CodecRaw {
-			b = flatwire.AppendU32s(b, w.Idx[j])
-		} else {
-			b = flatwire.AppendDeltaU32s(b, w.Idx[j])
-		}
-	}
-	for j := range w.Val {
-		b = flatwire.AppendF64s(b, w.Val[j])
-	}
-	return b
-}
-
-// TestAccumWireFlatLegacyCodecsDecode: version 1 and 2 buffers must keep
-// decoding bit-identically now that EncodeFlat emits version 3.
-func TestAccumWireFlatLegacyCodecsDecode(t *testing.T) {
-	w := flatTestAccum()
-	for _, codec := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} {
-		dec, err := DecodeFlatAccumWire(encodeFlatAccumLegacy(w, codec))
-		if err != nil {
-			t.Fatalf("codec %d: %v", codec, err)
-		}
-		if math.Float64bits(dec.Inertia) != math.Float64bits(w.Inertia) ||
-			dec.Changed != w.Changed || dec.Skipped != w.Skipped {
-			t.Errorf("codec %d: header fields differ: %+v", codec, dec)
-		}
-		for j := range w.Idx {
-			for e := range w.Idx[j] {
-				if dec.Idx[j][e] != w.Idx[j][e] ||
-					math.Float64bits(dec.Val[j][e]) != math.Float64bits(w.Val[j][e]) {
-					t.Errorf("codec %d: cluster %d entry %d differs", codec, j, e)
-				}
-			}
-		}
-	}
-}
-
 // FuzzDecodeFlatAccumWire: the decoder must reject arbitrary input with an
-// error — never a panic — across every codec version; inputs that do
-// decode must survive a re-encode/re-decode cycle.
+// error — never a panic; inputs that do decode must survive a
+// re-encode/re-decode cycle.
 func FuzzDecodeFlatAccumWire(f *testing.F) {
 	w := flatTestAccum()
 	good := w.EncodeFlat(nil)
 	f.Add(good)
-	f.Add(encodeFlatAccumLegacy(w, flatwire.CodecRaw))
-	f.Add(encodeFlatAccumLegacy(w, flatwire.CodecDelta))
+	for _, v := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} { // retired versions
+		old := append([]byte{}, good...)
+		old[4] = v
+		f.Add(old)
+	}
 	f.Add(good[:len(good)-3]) // truncated mid-value-block
 	f.Add(good[:7])           // truncated mid-header
 	f.Add([]byte{})

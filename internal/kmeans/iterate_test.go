@@ -3,6 +3,7 @@ package kmeans
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"hpa/internal/par"
@@ -134,6 +135,32 @@ func TestShardKernelIsDeterministic(t *testing.T) {
 			if math.Float64bits(a.Centroids[j][d]) != math.Float64bits(b.Centroids[j][d]) {
 				t.Fatalf("centroid %d[%d] not bit-identical across runs", j, d)
 			}
+		}
+	}
+}
+
+// TestBulkRunRepeatable: bulk Run on a 4-worker pool is its shard kernels
+// over one contiguous range per worker, merged in range order — so ten runs
+// agree on every bit of the inertia history, centroids and assignments, and
+// equal the same ranges driven by hand, however the ranges were scheduled.
+func TestBulkRunRepeatable(t *testing.T) {
+	const dim = 40
+	docs := sparseMix(3000, dim, 11)
+	opts := Options{K: 8, Seed: 5, MaxIter: 12}
+	want := *shardedRun(t, docs, dim, opts, 4)
+	want.SeedWall = 0 // wall-clock timing, the one field allowed to differ
+	p := par.NewPool(4)
+	defer p.Close()
+	for run := 0; run < 10; run++ {
+		res, err := Run(docs, dim, p, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := *res
+		got.SeedWall = 0
+		if !reflect.DeepEqual(&got, &want) {
+			t.Fatalf("run %d differs from the same ranges driven by hand:\n  run:     iters=%d inertia=%x\n  by hand: iters=%d inertia=%x",
+				run, got.Iterations, math.Float64bits(got.Inertia), want.Iterations, math.Float64bits(want.Inertia))
 		}
 	}
 }

@@ -46,10 +46,12 @@
 // the chosen seeds are bit-identical to serial seeding at any shard
 // count and on any backend.
 //
-// Step and Run are thin drivers over the same kernels: Step claims Accums
-// through a par.Reducer and runs AssignShard per chunk on the pool, so the
-// bulk operator and the workflow engine's iterative shard loop execute
-// identical per-document code.
+// Step and Run are thin drivers over the same kernels: Step carves the
+// documents into one fixed contiguous range per pool worker, runs
+// AssignShard over each range into that range's recycled Accum, and merges
+// the ranges in index order through EndIteration — so the bulk operator and
+// the workflow engine's iterative shard loop execute identical code, and a
+// bulk run is bit-repeatable on a given pool size.
 //
 // # Assignment pruning
 //
@@ -295,7 +297,7 @@ type Clusterer struct {
 	counts    []int64
 	assign    []int32
 	dists     []float64 // per-doc distance to assigned centroid (ReseedFarthest only)
-	views     *par.Reducer[*Accum]
+	ranges    []*Accum  // Step's accumulators, one per document range
 	history   []float64
 	inertia   float64
 	iter      int
@@ -430,7 +432,6 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 	if opts.Empty == ReseedFarthest {
 		c.dists = make([]float64, len(docs))
 	}
-	c.views = par.NewReducer(c.NewAccum, (*Accum).Reset)
 	return c, nil
 }
 
@@ -825,20 +826,29 @@ func (c *Clusterer) Iterations() int { return c.iter }
 func (c *Clusterer) PruneStats() PruneStats { return c.pruneStats }
 
 // Step runs one K-Means iteration: parallel assignment and accumulation
-// over document chunks (each chunk claiming a recycled Accum through the
-// reducer), then the serial ordered reduction and centroid update. It
+// over one contiguous document range per pool worker, then the serial
+// ordered reduction and centroid update. Range boundaries depend only on
+// the document and worker counts, and the ranges merge in index order, so
+// repeated runs produce identical bits however the ranges were scheduled.
+// Each range is walked in ChunkSize chunks, one recorder task per chunk. It
 // returns the new inertia and the number of documents whose assignment
-// changed. Step allocates nothing once the reducer views exist.
+// changed. Step allocates nothing after its first call.
 func (c *Clusterer) Step() (float64, int) {
-	c.views.ResetAll()
-	c.pool.ForChunks(len(c.docs), c.opts.ChunkSize, func(_, lo, hi int) {
-		a := c.views.Claim()
-		c.AssignShard(lo, hi, a)
-		c.views.Release(a)
+	for len(c.ranges) < c.pool.Workers() {
+		c.ranges = append(c.ranges, c.NewAccum())
+	}
+	n, nr, chunk := len(c.docs), len(c.ranges), c.opts.ChunkSize
+	c.pool.For(0, nr, 1, func(r int) {
+		a := c.ranges[r]
+		a.Reset()
+		hi := n * (r + 1) / nr
+		for lo := n * r / nr; lo < hi; lo += chunk {
+			c.AssignShard(lo, min(lo+chunk, hi), a)
+		}
 	})
 	// Serial reduction and centroid update (the non-parallel section that
 	// bounds scalability in Figure 1's smaller dataset).
-	return c.EndIteration(c.views.Views())
+	return c.EndIteration(c.ranges)
 }
 
 // reseedEmpty moves empty cluster j's centroid onto the document farthest

@@ -32,11 +32,14 @@ const stragglerFactor = 0.25
 // uniform shards pay some scheduling jitter.
 const stragglerMin = 0.02
 
-// bulkContentionFactor is the surcharge of the monolithic operators'
-// shared state under parallelism: in bulk TF/IDF every worker bumps the
-// same lock-striped global dictionary and the term table finalizes
-// serially, where the sharded dataflow uses contention-free shard
-// dictionaries and a parallel tree-merge.
+// bulkContentionFactor is the surcharge of the unpartitioned operators
+// under parallelism. Bulk execution is the shard kernels over one
+// contiguous shard per worker, so what it still prices is coarse static
+// decomposition: the slowest worker's shard gates each phase, with no
+// smaller shards for work stealing to rebalance. Measured on 2 CPUs
+// (BENCH_partitioned.json, BENCH_iterative.json) bulk/auto is 0.93 for
+// TF/IDF alone and 1.01 end to end, so 0.15 overstates it there; the value
+// predates that measurement and is kept so plan choices do not change.
 const bulkContentionFactor = 0.15
 
 // BackendProfile describes the execution backend to the shard-count
@@ -496,10 +499,10 @@ func (r *rule) parallelWork(p *workflow.Plan) float64 {
 // multiplier of one extra shard.
 const shardStages = 3
 
-// estimateBulk prices the monolithic operator: its phases are
+// estimateBulk prices the unpartitioned operator: its phases are
 // document-parallel over all P workers already (parallel input, parallel
-// transform), plus the contention surcharge of the shared global
-// dictionary when several workers actually race on it.
+// transform), plus the coarse-decomposition surcharge when there are
+// several workers to balance.
 func estimateBulk(work float64, procs int) float64 {
 	est := work / float64(procs)
 	if procs > 1 {

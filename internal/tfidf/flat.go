@@ -26,14 +26,11 @@ import (
 //	norms f64 × nDocs
 //	names (u32 len + bytes) × nDocs
 //
-// The codec byte selects the block forms: flatwire.CodecRaw ships raw
-// u32 × totalNNZ indices and raw f64 values; flatwire.CodecDelta
-// delta-codes each vector's ascending indices as varints, restarting per
-// document, with raw values; flatwire.CodecXor (what EncodeFlat emits)
-// keeps the delta-coded indices and additionally XOR-compresses the f64
-// value and norm blocks (flatwire.AppendF64sXor) — the XOR chain restarts
-// per document, keeping documents independently decodable. Decoders
-// accept all three.
+// The codec byte is the layout version. flatwire.CodecXor is the only one:
+// each vector's ascending indices are delta-coded as varints, restarting
+// per document, and the f64 value and norm blocks are XOR-compressed
+// (flatwire.AppendF64sXor) — the XOR chain restarts per document, keeping
+// documents independently decodable. Any other version is malformed.
 
 // vectorShardMagic identifies a flat VectorShard buffer.
 const vectorShardMagic uint32 = 0x48505653 // "HPVS"
@@ -108,7 +105,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
+	if codec != flatwire.CodecXor {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	sum := 0
@@ -120,20 +117,16 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
-	if codec == flatwire.CodecRaw {
-		r.U32sInto(idx)
-	} else {
-		off := 0
-		for _, c := range nnz {
-			r.DeltaU32sInto(idx[off : off+int(c)])
-			off += int(c)
-		}
+	off := 0
+	for _, c := range nnz {
+		r.DeltaU32sInto(idx[off : off+int(c)])
+		off += int(c)
 	}
 	if r.Err() == nil {
 		// Every document's indices must be strictly ascending — the
-		// sparse.Vector invariant. The raw codec could otherwise smuggle in
-		// arbitrary orderings (the delta codec, duplicates) and break every
-		// kernel that binary-searches or merges the vectors.
+		// sparse.Vector invariant. A zero delta would otherwise smuggle in
+		// duplicates and break every kernel that binary-searches or merges
+		// the vectors.
 		off := 0
 		for i, c := range nnz {
 			for e := 1; e < int(c); e++ {
@@ -144,17 +137,13 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 			off += int(c)
 		}
 	}
-	if codec == flatwire.CodecXor {
-		off := 0
-		for _, c := range nnz {
-			r.F64sXorInto(val[off : off+int(c)])
-			off += int(c)
-		}
-	} else {
-		r.F64sInto(val)
+	off = 0
+	for _, c := range nnz {
+		r.F64sXorInto(val[off : off+int(c)])
+		off += int(c)
 	}
 	vs.Vectors = make([]sparse.Vector, n)
-	off := 0
+	off = 0
 	for i, c := range nnz {
 		vs.Vectors[i] = sparse.Vector{
 			Idx: idx[off : off+int(c) : off+int(c)],
@@ -162,11 +151,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 		}
 		off += int(c)
 	}
-	if codec == flatwire.CodecXor {
-		vs.Norms = r.F64sXor(n)
-	} else {
-		vs.Norms = r.F64s(n)
-	}
+	vs.Norms = r.F64sXor(n)
 	vs.DocNames = make([]string, n)
 	for i := range vs.DocNames {
 		vs.DocNames[i] = r.String()
@@ -306,15 +291,12 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 // Layout (little-endian):
 //
 //	magic u32 | codec u8 | numDocs u64 | nTerms u32
-//	df    u32 × nTerms  (CodecRaw) | uvarint × nTerms (CodecXor)
+//	df    uvarint × nTerms
 //	terms (u32 len + bytes) × nTerms
 //
-// The codec byte selects the DF block form: flatwire.CodecRaw ships raw
-// u32s; flatwire.CodecXor (what EncodeFlat emits) varint-codes them —
-// document frequencies follow a Zipfian tail of small counts, so most
-// entries shrink from four bytes to one. (There are no sorted index
-// arrays here, so version 2 was never emitted for this payload; the
-// decoder accepts it as raw for uniformity.)
+// The codec byte is flatwire.CodecXor, the only version: document
+// frequencies are varint-coded — they follow a Zipfian tail of small
+// counts, so most entries take one byte instead of four.
 func (w *WireGlobal) EncodeFlat(dst []byte) []byte {
 	b := flatwire.AppendU32(dst, wireGlobalMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
@@ -340,20 +322,16 @@ func DecodeFlatWireGlobal(b []byte) (*WireGlobal, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode global table: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
+	if codec != flatwire.CodecXor {
 		return nil, fmt.Errorf("tfidf: decode global table: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	w.DF = make([]uint32, n)
-	if codec == flatwire.CodecXor {
-		for i := range w.DF {
-			v := r.Uvarint()
-			if v > 0xffffffff {
-				return nil, fmt.Errorf("tfidf: decode global table: %w: DF %d overflows uint32", flatwire.ErrMalformed, v)
-			}
-			w.DF[i] = uint32(v)
+	for i := range w.DF {
+		v := r.Uvarint()
+		if v > 0xffffffff {
+			return nil, fmt.Errorf("tfidf: decode global table: %w: DF %d overflows uint32", flatwire.ErrMalformed, v)
 		}
-	} else {
-		r.U32sInto(w.DF)
+		w.DF[i] = uint32(v)
 	}
 	w.Terms = make([]string, n)
 	for i := range w.Terms {

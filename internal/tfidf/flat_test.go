@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -100,10 +101,17 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 	bad := append([]byte{}, good...)
 	bad[4+1+24+8+4+8]++
 	cases["nnz sum mismatch"] = bad
-	// An unrecognized codec version byte must be rejected, not guessed at.
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
-	cases["unknown codec"] = badCodec
+	// Every codec version byte but the one EncodeFlat writes must be
+	// rejected, not guessed at — the retired versions 1 and 2 included.
+	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+		badCodec := append([]byte{}, good...)
+		badCodec[4] = v
+		cases[fmt.Sprintf("codec version %d", v)] = badCodec
+	}
+	// A zero delta encodes a duplicate index; entries must strictly ascend.
+	dup := flatTestShard()
+	dup.Vectors[0].Idx[1] = dup.Vectors[0].Idx[0]
+	cases["duplicate index"] = dup.EncodeFlat(nil)
 
 	for name, b := range cases {
 		vs, err := DecodeFlatVectorShard(b)
@@ -258,15 +266,17 @@ func TestWireGlobalFlatRoundTrip(t *testing.T) {
 // TestWireGlobalFlatMalformed: structural corruption fails with an error.
 func TestWireGlobalFlatMalformed(t *testing.T) {
 	good := (&WireGlobal{Terms: []string{"a", "b"}, DF: []uint32{1, 2}, NumDocs: 2}).EncodeFlat(nil)
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
 	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte{5, 6, 7, 8}, good[4:]...),
-		"truncated":     good[:len(good)-2],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"short header":  good[:7],
-		"unknown codec": badCodec,
+		"empty":        {},
+		"bad magic":    append([]byte{5, 6, 7, 8}, good[4:]...),
+		"truncated":    good[:len(good)-2],
+		"trailing":     append(append([]byte{}, good...), 0),
+		"short header": good[:7],
+	}
+	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+		badCodec := append([]byte{}, good...)
+		badCodec[4] = v
+		cases[fmt.Sprintf("codec version %d", v)] = badCodec
 	}
 	for name, b := range cases {
 		w, err := DecodeFlatWireGlobal(b)

@@ -1,113 +1,22 @@
 package tfidf
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"hpa/internal/flatwire"
-	"hpa/internal/sparse"
 )
 
-// encodeFlatShardLegacy re-creates the codec version 1 (raw blocks) and
-// version 2 (delta-varint index) vector-shard encodings older workers
-// emitted — current encoders only write version 3, but the decoder must
-// keep accepting every version (compatibility tests and fuzz seeds).
-func encodeFlatShardLegacy(vs *VectorShard, codec byte) []byte {
-	total := 0
-	for i := range vs.Vectors {
-		total += vs.Vectors[i].NNZ()
-	}
-	n := len(vs.Vectors)
-	b := flatwire.AppendU32(nil, vectorShardMagic)
-	b = flatwire.AppendU8(b, codec)
-	b = flatwire.AppendU64(b, uint64(vs.Lo))
-	b = flatwire.AppendU64(b, uint64(vs.Hi))
-	b = flatwire.AppendU64(b, uint64(vs.Dim))
-	b = flatwire.AppendI64(b, vs.DictFootprint)
-	b = flatwire.AppendU32(b, uint32(n))
-	b = flatwire.AppendU64(b, uint64(total))
-	for i := range vs.Vectors {
-		b = flatwire.AppendU32(b, uint32(vs.Vectors[i].NNZ()))
-	}
-	for i := range vs.Vectors {
-		if codec == flatwire.CodecRaw {
-			b = flatwire.AppendU32s(b, vs.Vectors[i].Idx)
-		} else {
-			b = flatwire.AppendDeltaU32s(b, vs.Vectors[i].Idx)
-		}
-	}
-	for i := range vs.Vectors {
-		b = flatwire.AppendF64s(b, vs.Vectors[i].Val)
-	}
-	b = flatwire.AppendF64s(b, vs.Norms)
-	for _, name := range vs.DocNames {
-		b = flatwire.AppendString(b, name)
-	}
-	return b
-}
-
-// encodeFlatGlobalRaw re-creates the codec version 1 global-table encoding
-// (raw u32 document frequencies instead of varints).
-func encodeFlatGlobalRaw(w *WireGlobal) []byte {
-	b := flatwire.AppendU32(nil, wireGlobalMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecRaw)
-	b = flatwire.AppendU64(b, uint64(w.NumDocs))
-	b = flatwire.AppendU32(b, uint32(len(w.Terms)))
-	b = flatwire.AppendU32s(b, w.DF)
-	for _, term := range w.Terms {
-		b = flatwire.AppendString(b, term)
-	}
-	return b
-}
-
-// TestVectorShardFlatLegacyCodecsDecode: version 1 and 2 buffers must keep
-// decoding bit-identically now that EncodeFlat emits version 3.
-func TestVectorShardFlatLegacyCodecsDecode(t *testing.T) {
-	vs := flatTestShard()
-	for _, codec := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} {
-		dec, err := DecodeFlatVectorShard(encodeFlatShardLegacy(vs, codec))
-		if err != nil {
-			t.Fatalf("codec %d: %v", codec, err)
-		}
-		for i := range vs.Vectors {
-			if !sparse.Equal(&dec.Vectors[i], &vs.Vectors[i]) {
-				t.Errorf("codec %d: vector %d differs", codec, i)
-			}
-		}
-		for i := range vs.Norms {
-			if math.Float64bits(dec.Norms[i]) != math.Float64bits(vs.Norms[i]) {
-				t.Errorf("codec %d: norm %d bits differ", codec, i)
-			}
-		}
-		if !reflect.DeepEqual(dec.DocNames, vs.DocNames) {
-			t.Errorf("codec %d: names %v", codec, dec.DocNames)
-		}
-	}
-}
-
-// TestWireGlobalFlatLegacyCodecDecodes: a raw-DF (version 1) global table
-// must keep decoding now that EncodeFlat varint-codes the DF block.
-func TestWireGlobalFlatLegacyCodecDecodes(t *testing.T) {
-	w := &WireGlobal{NumDocs: 900, Terms: []string{"alpha", "beta", ""}, DF: []uint32{512, 3, 0xffffffff}}
-	dec, err := DecodeFlatWireGlobal(encodeFlatGlobalRaw(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumDocs != w.NumDocs || !reflect.DeepEqual(dec.Terms, w.Terms) || !reflect.DeepEqual(dec.DF, w.DF) {
-		t.Fatalf("legacy decode: %+v, want %+v", dec, w)
-	}
-}
-
-// FuzzDecodeFlatVectorShard: arbitrary input must error — never panic —
-// across every codec version; accepted inputs must survive a
-// re-encode/re-decode cycle.
+// FuzzDecodeFlatVectorShard: arbitrary input must error — never panic;
+// accepted inputs must survive a re-encode/re-decode cycle.
 func FuzzDecodeFlatVectorShard(f *testing.F) {
 	vs := flatTestShard()
 	good := vs.EncodeFlat(nil)
 	f.Add(good)
-	f.Add(encodeFlatShardLegacy(vs, flatwire.CodecRaw))
-	f.Add(encodeFlatShardLegacy(vs, flatwire.CodecDelta))
+	for _, v := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} { // retired versions
+		old := append([]byte{}, good...)
+		old[4] = v
+		f.Add(old)
+	}
 	f.Add(good[:len(good)-4]) // truncated mid-names
 	f.Add(good[:9])           // truncated mid-header
 	f.Add([]byte{})
@@ -132,7 +41,9 @@ func FuzzDecodeFlatWireGlobal(f *testing.F) {
 	w := &WireGlobal{NumDocs: 12, Terms: []string{"a", "bb"}, DF: []uint32{7, 1}}
 	good := w.EncodeFlat(nil)
 	f.Add(good)
-	f.Add(encodeFlatGlobalRaw(w))
+	retired := append([]byte{}, good...)
+	retired[4] = flatwire.CodecRaw
+	f.Add(retired)
 	f.Add(good[:len(good)-1])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -14,13 +14,14 @@ import (
 	"hpa/internal/text"
 )
 
-// This file decomposes the monolithic Run into the per-shard kernels of the
-// partitioned dataflow: CountShard is the phase-1 map over one corpus
-// shard, MergeShards is the tree-merge reduction producing the global term
-// table (the workflow's only serial point besides output), TransformShard
-// is the phase-2 map, and NewResultShell/AbsorbShard assemble the final
-// Result as vector shards arrive. For a fixed document set the assembled
-// scores are bit-identical to Run's, at any shard count: document
+// This file holds the TF/IDF kernels — the operator's only implementation.
+// CountShard is the phase-1 map over one corpus shard, MergeShards is the
+// tree-merge reduction producing the global term table (the workflow's only
+// serial point besides output), TransformShard is the phase-2 map, and
+// NewResultShell/AbsorbShard assemble the final Result as vector shards
+// arrive. Run drives them over one shard per pool worker; a partitioned
+// plan schedules them as (node, shard) tasks. For a fixed document set the
+// assembled scores are bit-identical at any shard count: document
 // frequencies are commutative integer sums, term IDs are assigned in
 // lexicographic word order regardless of merge shape, and the per-document
 // score expression is the same code.
@@ -165,10 +166,15 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 
 // MergeShards reduces the shard DF dictionaries into the global term table:
 // a parallel tree-merge (par.TreeReduce) whose shape depends only on shard
-// indices, followed by lexicographic ID assignment — the same ordering rule
-// as the monolithic Run, so IDs are independent of the shard count. The
-// shard dictionaries are consumed by the merge.
+// indices, followed by lexicographic ID assignment, so IDs are independent
+// of the shard count. The shard dictionaries are consumed by the merge. It
+// is TF/IDF's serial section, and reports itself as such to opts.Recorder.
 func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
+	rec := opts.Recorder
+	var start time.Time
+	if rec.Enabled() {
+		start = time.Now()
+	}
 	g := &Global{}
 	dicts := make([]dict.Map[TermInfo], 0, len(shards))
 	for _, sc := range shards {
@@ -215,22 +221,23 @@ func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
 	g.Lookup = merged
 	g.Stats = merged.Stats()
 	g.Footprint = merged.Footprint()
+	if rec.Enabled() {
+		rec.Serial(time.Since(start), 0, 0)
+	}
 	return g
 }
 
 // scoreDoc builds one document's TF/IDF vector from its term-frequency
-// dictionary: every word resolved through lookup, scored tf*ln(N/df)
-// (words present in every document score zero and drop out), built sorted
-// by term ID via the distinct fast path — dictionaries iterating in key
-// order (the tree kinds) arrive pre-sorted and skip sorting entirely. The
-// monolithic Run and the shard kernels share this code, so the
-// bit-identical guarantee across execution modes is structural rather than
-// a matter of keeping copies in sync.
-func scoreDoc(d dict.Map[uint32], lookup func(word string) (TermInfo, bool),
+// dictionary: every word resolved through the global table, scored
+// tf*ln(N/df) (words present in every document score zero and drop out),
+// built sorted by term ID via the distinct fast path — dictionaries
+// iterating in key order (the tree kinds) arrive pre-sorted and skip
+// sorting entirely.
+func scoreDoc(d dict.Map[uint32], global dict.Map[TermInfo],
 	logN float64, normalize bool, b *sparse.Builder, out *sparse.Vector) {
 	b.Reset()
 	d.Range(func(word string, tf *uint32) bool {
-		info, ok := lookup(word)
+		info, ok := global.Get(word)
 		if !ok {
 			panic("tfidf: word vanished from global dictionary")
 		}
@@ -248,10 +255,8 @@ func scoreDoc(d dict.Map[uint32], lookup func(word string) (TermInfo, bool),
 
 // TransformShard runs phase 2 over one shard: every document's words are
 // resolved against the global table and its sparse score vector is built,
-// sorted by term ID. The scoring code is shared with Run (scoreDoc), so
-// shard-assembled results are bit-identical to monolithic ones. The
-// shard's per-document dictionaries are released afterwards; their summed
-// footprint is recorded first.
+// sorted by term ID. The shard's per-document dictionaries are released
+// afterwards; their summed footprint is recorded first.
 func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *VectorShard {
 	n := len(sc.DocDicts)
 	vs := &VectorShard{
@@ -266,14 +271,13 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} },
 		func(b *sparse.Builder) { b.Reset() })
 	logN := math.Log(float64(g.NumDocs))
-	lookup := g.Lookup.Get
 	pool.For(0, n, 0, func(i int) {
 		var start time.Time
 		if rec.Enabled() {
 			start = time.Now()
 		}
 		b := builders.Claim()
-		scoreDoc(sc.DocDicts[i], lookup, logN, opts.Normalize, b, &vs.Vectors[i])
+		scoreDoc(sc.DocDicts[i], g.Lookup, logN, opts.Normalize, b, &vs.Vectors[i])
 		vs.Norms[i] = vs.Vectors[i].NormSq()
 		builders.Release(b)
 		if rec.Enabled() {
@@ -285,7 +289,7 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 		fp += d.Footprint()
 	}
 	vs.DictFootprint = fp
-	sc.DocDicts = nil // shard dictionaries die here, as in Run's phase-2 exit
+	sc.DocDicts = nil // shard dictionaries die here
 	return vs
 }
 

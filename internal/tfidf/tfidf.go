@@ -20,11 +20,6 @@ package tfidf
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"time"
 
 	"hpa/internal/dict"
 	"hpa/internal/metrics"
@@ -56,10 +51,6 @@ type Options struct {
 	// Figure 4 hash configuration uses 4096 here too, which is what makes
 	// one retained table per document balloon to gigabytes.
 	DocPresize int
-	// Shards is the number of lock striped shards of the global dictionary
-	// (0 selects 64). Sharding is the Go analogue of whatever concurrent
-	// merging the Cilk code performs; it does not change results.
-	Shards int
 	// Stopwords optionally filters tokens.
 	Stopwords *text.StopwordSet
 	// MinWordLen drops shorter tokens.
@@ -112,228 +103,50 @@ type Result struct {
 	// vector. The partitioned gather stage fills it shard-by-shard so
 	// K-Means can skip its own norm pass (kmeans.Options.DocNorms).
 	Norms []float64
-	// GlobalStats carries the global dictionary's internal counters
-	// (rehashes for Hash, rotations for Tree), summed over shards.
+	// GlobalStats carries the merged global dictionary's internal counters
+	// (rehashes for Hash, rotations for Tree).
 	GlobalStats dict.Stats
 }
 
 // Dim returns the vocabulary size (vector dimensionality).
 func (r *Result) Dim() int { return len(r.Terms) }
 
-// shardedDict is the global word → TermInfo dictionary: lock-striped
-// shards, each an independent dictionary of the configured kind.
-//
-// Shards are selected by the HIGH bits of the word hash. The hash-table
-// dictionary inside each shard indexes buckets with the LOW bits of the
-// same hash function; sharding on low bits would leave every key in a
-// shard agreeing on those bits, collapsing the shard's table to 1/shards
-// of its buckets and multiplying chain lengths by the shard count.
-type shardedDict struct {
-	shards    []shard
-	shardBits uint
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  dict.Map[TermInfo]
-	_  [40]byte // pad to a cache line to avoid false sharing between shards
-}
-
-func newShardedDict(kind dict.Kind, shardCount, presize int) *shardedDict {
-	n := 1
-	bits := uint(0)
-	for n < shardCount {
-		n <<= 1
-		bits++
-	}
-	sd := &shardedDict{shards: make([]shard, n), shardBits: bits}
-	per := presize / n
-	for i := range sd.shards {
-		sd.shards[i].m = dict.New[TermInfo](kind, dict.Options{Presize: per})
-	}
-	return sd
-}
-
-// shardOf selects a shard from the hash's high bits (see type comment).
-func (sd *shardedDict) shardOf(word string) *shard {
-	if sd.shardBits == 0 {
-		return &sd.shards[0]
-	}
-	return &sd.shards[dict.HashString(word)>>(64-sd.shardBits)]
-}
-
-// bumpDF increments the document frequency of word, inserting it if new.
-// The key string is shared with the caller's dictionary storage.
-func (sd *shardedDict) bumpDF(word string) {
-	s := sd.shardOf(word)
-	s.mu.Lock()
-	s.m.Ref(word).DF++
-	s.mu.Unlock()
-}
-
-// get is a read-only lookup, safe without locks once mutation has ceased.
-func (sd *shardedDict) get(word string) (TermInfo, bool) {
-	return sd.shardOf(word).m.Get(word)
-}
-
-func (sd *shardedDict) len() int {
-	n := 0
-	for i := range sd.shards {
-		n += sd.shards[i].m.Len()
-	}
-	return n
-}
-
-func (sd *shardedDict) footprint() int64 {
-	var f int64
-	for i := range sd.shards {
-		f += sd.shards[i].m.Footprint()
-	}
-	return f
-}
-
-func (sd *shardedDict) stats() dict.Stats {
-	var st dict.Stats
-	for i := range sd.shards {
-		s := sd.shards[i].m.Stats()
-		st.Rehashes += s.Rehashes
-		st.Rotations += s.Rotations
-		st.Capacity += s.Capacity
-	}
-	return st
-}
-
-// Run executes the TF/IDF operator over src using the pool's workers for
-// both parallel input and parallel transformation. Phase durations are
-// accumulated into bd (which may be nil).
+// Run executes the TF/IDF operator over src on the pool's workers. It is a
+// driver over the shard kernels (shard.go) — the same code a partitioned
+// plan schedules, so there is one TF/IDF implementation: the corpus is
+// carved into one contiguous shard per worker, every shard is counted
+// concurrently (CountShard), the shard tables are merged into the global
+// term table (MergeShards, the serial section), and every shard is
+// transformed on the whole pool (TransformShard) and installed in its slot
+// of the result. Phase durations are accumulated into bd (which may be nil).
 func Run(src pario.Source, pool *par.Pool, opts Options, bd *metrics.Breakdown) (*Result, error) {
 	if bd == nil {
 		bd = metrics.NewBreakdown()
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 64
-	}
-	if opts.GlobalPresize <= 0 {
-		opts.GlobalPresize = defaultGlobalPresize
-	}
-	n := src.Len()
-	res := &Result{NumDocs: n}
-
-	docDicts := make([]dict.Map[uint32], n)
-	global := newShardedDict(opts.DictKind, opts.Shards, opts.GlobalPresize)
-
-	// Phase 1: parallel input + word count.
 	rec := opts.Recorder
-	var phase1Err error
+	shards := pool.Workers()
+	counts := make([]*ShardCounts, shards)
+	errs := make([]error, shards)
 	bd.Time(PhaseInputWC, func() {
 		rec.BeginPhase(PhaseInputWC)
-		strands := par.NewReducer(func() *text.Tokenizer {
-			return &text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem}
-		}, nil)
-		read := func(handler func(i int, content []byte) error) error {
-			if opts.Ctx != nil {
-				return pario.ReadAllContext(opts.Ctx, src, pool.Workers(), handler)
-			}
-			return pario.ReadAll(src, pool.Workers(), handler)
-		}
-		phase1Err = read(func(i int, content []byte) error {
-			var start time.Time
-			if rec.Enabled() {
-				start = time.Now()
-			}
-			tk := strands.Claim()
-			d := dict.New[uint32](opts.DictKind, dict.Options{Presize: opts.DocPresize})
-			tk.Tokens(content, func(tok []byte) {
-				*d.RefBytes(tok)++
-			})
-			// One DF bump per distinct word of this document. The key
-			// string is shared with the per-document dictionary.
-			d.Range(func(word string, _ *uint32) bool {
-				global.bumpDF(word)
-				return true
-			})
-			docDicts[i] = d
-			strands.Release(tk)
-			if rec.Enabled() {
-				rec.Task(time.Since(start), int64(len(content)), true)
-			}
-			return nil
+		pool.For(0, shards, 1, func(p int) {
+			counts[p], errs[p] = CountShard(pario.Partition(src, shards, p), 1, opts)
 		})
 	})
-	if phase1Err != nil {
-		return nil, fmt.Errorf("tfidf: %w", phase1Err)
-	}
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tfidf: %w", err)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Phase 2: term table finalization (serial) + parallel transform.
+	var res *Result
 	bd.Time(PhaseTransform, func() {
 		rec.BeginPhase(PhaseTransform)
-		var serialStart time.Time
-		if rec.Enabled() {
-			serialStart = time.Now()
+		g := MergeShards(counts, pool, opts)
+		res = NewResultShell(g)
+		for _, sc := range counts {
+			res.AbsorbShard(TransformShard(g, sc, pool, opts))
 		}
-		res.finalizeTerms(global)
-		if rec.Enabled() {
-			rec.Serial(time.Since(serialStart), 0, 0)
-		}
-
-		res.Vectors = make([]sparse.Vector, n)
-		res.DocNames = make([]string, n)
-		builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} },
-			func(b *sparse.Builder) { b.Reset() })
-		logN := math.Log(float64(n))
-		lookup := global.get
-		pool.For(0, n, 0, func(i int) {
-			var start time.Time
-			if rec.Enabled() {
-				start = time.Now()
-			}
-			b := builders.Claim()
-			scoreDoc(docDicts[i], lookup, logN, opts.Normalize, b, &res.Vectors[i])
-			res.DocNames[i] = src.Name(i)
-			builders.Release(b)
-			if rec.Enabled() {
-				rec.Task(time.Since(start), 0, false)
-			}
-		})
-
-		// Peak dictionary memory: every per-document table plus the global
-		// table is alive here.
-		var fp int64
-		for _, d := range docDicts {
-			fp += d.Footprint()
-		}
-		res.DictFootprint = fp + global.footprint()
-		res.GlobalStats = global.stats()
 	})
 	return res, nil
-}
-
-// finalizeTerms assigns term IDs in lexicographic word order and fills
-// Terms/DF. IDs are written back into the global dictionary so that the
-// transform phase can resolve (word → ID, DF) with a single lookup.
-func (r *Result) finalizeTerms(global *shardedDict) {
-	type entry struct {
-		word string
-		info *TermInfo
-	}
-	entries := make([]entry, 0, global.len())
-	for i := range global.shards {
-		global.shards[i].m.Range(func(word string, v *TermInfo) bool {
-			entries = append(entries, entry{word, v})
-			return true
-		})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].word < entries[j].word })
-	r.Terms = make([]string, len(entries))
-	r.DF = make([]uint32, len(entries))
-	for i, e := range entries {
-		e.info.ID = uint32(i)
-		r.Terms[i] = e.word
-		r.DF[i] = e.info.DF
-	}
 }

@@ -3,8 +3,10 @@ package tfidf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -123,6 +125,77 @@ func TestThreadCountInvariance(t *testing.T) {
 		for i := range res.Vectors {
 			if !sparse.Equal(&res.Vectors[i], &base.Vectors[i]) {
 				t.Fatalf("workers=%d: vector %d differs", workers, i)
+			}
+		}
+	}
+}
+
+// shardKernelRun assembles a Result by driving the shard kernels by hand
+// over a fixed shard count on a 1-worker pool — the reference Run must
+// match at every pool size.
+func shardKernelRun(t *testing.T, src pario.Source, shards int, opts Options) *Result {
+	t.Helper()
+	p := par.NewPool(1)
+	defer p.Close()
+	counts := make([]*ShardCounts, shards)
+	for i := range counts {
+		sc, err := CountShard(pario.Partition(src, shards, i), 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = sc
+	}
+	g := MergeShards(counts, p, opts)
+	res := NewResultShell(g)
+	for _, sc := range counts {
+		res.AbsorbShard(TransformShard(g, sc, p, opts))
+	}
+	return res
+}
+
+// sameResult fails unless the two results agree on the term table,
+// document names and every score.
+func sameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.NumDocs != want.NumDocs || !reflect.DeepEqual(got.Terms, want.Terms) ||
+		!reflect.DeepEqual(got.DF, want.DF) || !reflect.DeepEqual(got.DocNames, want.DocNames) {
+		t.Fatalf("%s: term table or document names differ (%d docs, %d terms; want %d, %d)",
+			label, got.NumDocs, got.Dim(), want.NumDocs, want.Dim())
+	}
+	if len(got.Vectors) != len(want.Vectors) {
+		t.Fatalf("%s: %d vectors, want %d", label, len(got.Vectors), len(want.Vectors))
+	}
+	for i := range want.Vectors {
+		if !sparse.Equal(&got.Vectors[i], &want.Vectors[i]) {
+			t.Fatalf("%s: vector %d differs", label, i)
+		}
+	}
+}
+
+// TestRunBitIdenticalAcrossWorkerCounts: Run is the shard kernels over one
+// shard per pool worker, so its output is bit-identical at every pool size
+// and equal to the kernels driven by hand at any shard count — for every
+// dictionary kind, on the empty corpus and on a corpus with fewer
+// documents than workers (empty shards).
+func TestRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	corpora := map[string]pario.Source{
+		"mix":   corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil),
+		"empty": tinySource(),
+		"tiny":  tinySource("apple banana apple", "banana cherry", "cherry cherry date"),
+	}
+	for name, src := range corpora {
+		for _, kind := range dict.Kinds() {
+			opts := Options{DictKind: kind, Normalize: true}
+			want := shardKernelRun(t, src, 1, opts)
+			sameResult(t, fmt.Sprintf("%s/%v/kernels shards=3", name, kind), want, shardKernelRun(t, src, 3, opts))
+			for _, workers := range []int{1, 2, 4} {
+				p := par.NewPool(workers)
+				got, err := Run(src, p, opts, nil)
+				p.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s/%v/workers=%d", name, kind, workers), want, got)
 			}
 		}
 	}

@@ -24,7 +24,6 @@ type WireOptions struct {
 	DictKind      dict.Kind
 	GlobalPresize int
 	DocPresize    int
-	Shards        int
 	MinWordLen    int
 	Stem          bool
 	Normalize     bool
@@ -42,7 +41,6 @@ func (o Options) Wire() (WireOptions, bool) {
 		DictKind:      o.DictKind,
 		GlobalPresize: o.GlobalPresize,
 		DocPresize:    o.DocPresize,
-		Shards:        o.Shards,
 		MinWordLen:    o.MinWordLen,
 		Stem:          o.Stem,
 		Normalize:     o.Normalize,
@@ -55,7 +53,6 @@ func (w WireOptions) Options() Options {
 		DictKind:      w.DictKind,
 		GlobalPresize: w.GlobalPresize,
 		DocPresize:    w.DocPresize,
-		Shards:        w.Shards,
 		MinWordLen:    w.MinWordLen,
 		Stem:          w.Stem,
 		Normalize:     w.Normalize,

@@ -143,7 +143,7 @@ func TestVectorShardGobRoundTrip(t *testing.T) {
 // TestWireOptions: the serializable subset round-trips; stopword-bearing
 // options refuse to ship.
 func TestWireOptions(t *testing.T) {
-	o := Options{DictKind: dict.Hash, GlobalPresize: 9, DocPresize: 7, Shards: 3,
+	o := Options{DictKind: dict.Hash, GlobalPresize: 9, DocPresize: 7,
 		MinWordLen: 2, Stem: true, Normalize: true}
 	w, ok := o.Wire()
 	if !ok {
@@ -151,7 +151,7 @@ func TestWireOptions(t *testing.T) {
 	}
 	back := w.Options()
 	if back.DictKind != o.DictKind || back.GlobalPresize != o.GlobalPresize ||
-		back.DocPresize != o.DocPresize || back.Shards != o.Shards ||
+		back.DocPresize != o.DocPresize ||
 		back.MinWordLen != o.MinWordLen || back.Stem != o.Stem || back.Normalize != o.Normalize {
 		t.Errorf("options differ after wire round trip: %+v vs %+v", back, o)
 	}

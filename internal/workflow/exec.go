@@ -583,9 +583,7 @@ func (p *Plan) Run(ctx *Context) (map[string]Value, error) {
 			v = st.outParts[0]
 		}
 		if ctx.Observe != nil {
-			if _, hidden := n.op.(synthetic); !hidden {
-				ctx.Observe(n.op, v)
-			}
+			ctx.Observe(n.op, v)
 		}
 		if len(consumers[i]) == 0 {
 			sinks[n.name] = v

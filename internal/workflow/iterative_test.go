@@ -226,20 +226,26 @@ func TestWeightedPartitionRuleBitIdentical(t *testing.T) {
 	sameScores(t, "byte-weighted shards=5", ref, rep)
 }
 
-// TestKMAssignRunFallback: the serial Run fallback (linear pipelines,
-// direct calls) drives the same loop inline and matches the executor path.
+// TestKMAssignRunFallback: the assignment loop has one driver, the plan
+// executor — a plan holding only the loop node matches the full workflow,
+// and a direct Run call is an error rather than a second inline driver.
 func TestKMAssignRunFallback(t *testing.T) {
 	cfg := baseCfg(Merged)
 	ref := refTFKM(t, cfg)
 	ctx := testCtx(t, 2)
-	// TF/IDF result via the monolithic operator, then the loop via Run.
 	tfOut, err := (&TFIDFOp{Opts: cfg.TFIDF}).Run(ctx, testCorpus().Source(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&KMAssignOp{Opts: cfg.KMeans, Shards: 3}).Run(ctx, tfOut)
+	assign := &KMAssignOp{Opts: cfg.KMeans, Shards: 3}
+	if _, err := assign.Run(ctx, tfOut); err == nil {
+		t.Fatal("direct Run of the loop operator succeeded")
+	}
+	feed := &fnOp{name: "feed", out: tfidfResultType,
+		fn: func(*Context, []Value) (Value, error) { return tfOut, nil }}
+	outs, err := NewPlan().Add("feed", feed).Add("assign", assign).Connect("feed", "assign").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameClustering(t, "run-fallback", ref.Clustering.Result, out.(*kmeans.Result))
+	sameClustering(t, "loop-node plan", ref.Clustering.Result, outs["assign"].(*kmeans.Result))
 }

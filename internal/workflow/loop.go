@@ -174,8 +174,9 @@ type kmLoopState struct {
 // kmLoopSeq makes loop session prefixes process-unique.
 var kmLoopSeq atomic.Uint64
 
-// kmInput unpacks the assignment input into documents, dimensionality and
-// (when precomputed) per-document norms.
+// kmInput unpacks a K-Means input — of the unpartitioned operator or of
+// the assignment loop — into documents, dimensionality and (when
+// precomputed) per-document norms.
 func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err error) {
 	switch v := in.(type) {
 	case *tfidf.Result:
@@ -187,7 +188,7 @@ func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err erro
 		for _, part := range v.Parts {
 			vs, ok := part.(*tfidf.VectorShard)
 			if !ok {
-				return nil, 0, nil, fmt.Errorf("%w: km-assign wants *tfidf.VectorShard shards, got %T", ErrType, part)
+				return nil, 0, nil, fmt.Errorf("%w: kmeans wants *tfidf.VectorShard shards, got %T", ErrType, part)
 			}
 			if vs.Hi > n {
 				n = vs.Hi
@@ -205,7 +206,7 @@ func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err erro
 		}
 		return docs, dim, norms, nil
 	default:
-		return nil, 0, nil, fmt.Errorf("%w: km-assign wants *tfidf.Result, *Matrix or vector shards, got %T", ErrType, in)
+		return nil, 0, nil, fmt.Errorf("%w: kmeans wants *tfidf.Result, *Matrix or vector shards, got %T", ErrType, in)
 	}
 }
 
@@ -486,43 +487,10 @@ func (s *kmLoopState) Finish(ctx *Context) (Value, error) {
 	return res, nil
 }
 
-// Run implements Operator: the serial fallback drives the same loop inline
-// (one shard wave at a time, preparation rounds included), for linear
-// Pipelines and direct calls.
+// Run implements Operator; a loop node is always scheduled through
+// BeginLoop, never dispatched through Run.
 func (o *KMAssignOp) Run(ctx *Context, in Value) (Value, error) {
-	shards := o.LoopShards()
-	state, err := o.BeginLoop(ctx, []Value{in}, shards)
-	if err != nil {
-		return nil, err
-	}
-	if pl, ok := state.(PreparedLoop); ok {
-		rounds := pl.PrepareRounds()
-		for r := 0; r < rounds; r++ {
-			for q := 0; q < shards; q++ {
-				if err := pl.PrepareShard(ctx, r, q, shards); err != nil {
-					return nil, err
-				}
-			}
-			if err := pl.EndPrepare(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	partials := make([]any, shards)
-	for {
-		for q := 0; q < shards; q++ {
-			if partials[q], err = state.RunShard(ctx, q, shards); err != nil {
-				return nil, err
-			}
-		}
-		done, err := state.EndIteration(ctx, partials)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return state.Finish(ctx)
-		}
-	}
+	return nil, fmt.Errorf("workflow: km-assign runs only as a plan's loop node")
 }
 
 // KMReduceOp closes the iterative K-Means stage: the loop's clustering

@@ -202,36 +202,24 @@ func (o *KMeansOp) Inputs() []reflect.Type { return []reflect.Type{vectorizedTyp
 // Output implements TypedOperator.
 func (o *KMeansOp) Output() reflect.Type { return clusteringType }
 
-// Run implements Operator: *tfidf.Result | *Matrix -> *Clustering.
+// Run implements Operator: *tfidf.Result | *Matrix -> *Clustering. It
+// unpacks its input and joins its output exactly as the expanded loop
+// stages do (kmInput, KMReduceOp); only the driver differs.
 func (o *KMeansOp) Run(ctx *Context, in Value) (Value, error) {
-	var (
-		vectors []sparse.Vector
-		dim     int
-		names   []string
-		norms   []float64
-		up      *tfidf.Result
-	)
-	switch v := in.(type) {
-	case *tfidf.Result:
-		vectors, dim, names, norms, up = v.Vectors, v.Dim(), v.DocNames, v.Norms, v
-	case *Matrix:
-		vectors, dim, names = v.Vectors, v.Dim(), v.DocNames
-	default:
-		return nil, fmt.Errorf("%w: kmeans wants *tfidf.Result or *Matrix, got %T", ErrType, in)
+	docs, dim, norms, err := kmInput(in)
+	if err != nil {
+		return nil, err
 	}
 	opts := o.Opts
 	opts.Recorder = ctx.Recorder
 	if opts.DocNorms == nil {
 		opts.DocNorms = norms
 	}
-	res, err := kmeans.Run(vectors, dim, ctx.Pool, opts, ctx.Breakdown)
+	res, err := kmeans.Run(docs, dim, ctx.Pool, opts, ctx.Breakdown)
 	if err != nil {
 		return nil, err
 	}
-	if names == nil {
-		names = synthDocNames(len(vectors))
-	}
-	return &Clustering{Result: res, DocNames: names, TFIDF: up}, nil
+	return (&KMReduceOp{}).RunAll(ctx, []Value{res, in})
 }
 
 // synthDocNames labels documents of a nameless matrix, identically in the

@@ -7,27 +7,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hpa/internal/pario"
 	"hpa/internal/tfidf"
 )
-
-// nowIfRecording timestamps serial sections only when a recorder is
-// attached, keeping the hot path free of clock reads.
-func nowIfRecording(ctx *Context) time.Time {
-	if ctx.Recorder.Enabled() {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// recordSerialSince reports a serial section to the recorder, if any.
-func recordSerialSince(ctx *Context, start time.Time) {
-	if ctx.Recorder.Enabled() {
-		ctx.Recorder.Serial(time.Since(start), 0, 0)
-	}
-}
 
 // This file defines the partitioned dataset contract and the sharded
 // operators of the streaming executor. A dataset may flow through a plan as
@@ -449,12 +432,12 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 	default:
 		return nil, fmt.Errorf("%w: df-reduce wants *Partitions or *tfidf.ShardCounts, got %T", ErrType, in)
 	}
+	opts := o.Opts
+	opts.Recorder = ctx.Recorder
 	var g *tfidf.Global
 	ctx.Breakdown.Time(tfidf.PhaseTransform, func() {
 		ctx.Recorder.BeginPhase(tfidf.PhaseTransform)
-		start := nowIfRecording(ctx)
-		g = tfidf.MergeShards(shards, ctx.Pool, o.Opts)
-		recordSerialSince(ctx, start)
+		g = tfidf.MergeShards(shards, ctx.Pool, opts)
 	})
 	return g, nil
 }

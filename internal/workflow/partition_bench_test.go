@@ -12,28 +12,13 @@ import (
 	"hpa/internal/tfidf"
 )
 
-// BenchmarkPlanPartitioned compares the scan→tfidf dataflow under the
-// bulk-synchronous executor (one monolithic operator node) against
-// partitioned streaming execution at 1 and N shards. On GOMAXPROCS>1 the
-// partitioned plan wins on the phase-1 path: shard-local document-frequency
-// dictionaries replace the lock-striped global table and the final merge
-// runs as a parallel tree (par.TreeReduce) instead of a serial
-// finalization; on a single processor the same merge is pure overhead, so
-// the 1-shard and bulk variants bound it. Run with
-//
-//	go test ./internal/workflow -run '^$' -bench PlanPartitioned -benchtime 5x
-//
-// and record the output as the BENCH_*.json baseline for regression
-// comparisons.
-// BenchmarkPlanIterative compares the full TF/IDF→K-Means dataflow with
-// the bulk K-Means operator against the partitioned iterative loop at the
-// automatic shard count: per-shard assignment tasks behind a
-// per-iteration reduction barrier versus the monolithic chunk-parallel
-// Step. On GOMAXPROCS>1 the loop overlaps assignment shards across the
-// pool with a deterministic ordered reduce; on a single processor the
-// auto count resolves to one shard, so the bulk-vs-loop gap bounds the
-// loop machinery overhead (begin/barrier/finish tasks per iteration).
-// Run with
+// BenchmarkPlanIterative compares two drivers of the same kernels over the
+// full TF/IDF→K-Means dataflow: the unpartitioned plan (tfidf.Run and
+// Clusterer.Step, one contiguous shard/range per pool worker) against the
+// partitioned plan at the automatic shard counts (per-shard tasks on the
+// executor, one reduction-barrier task per K-Means iteration). The gap
+// prices the executor's loop machinery (begin/barrier/finish tasks per
+// iteration) against its finer shards. Run with
 //
 //	go test ./internal/workflow -run '^$' -bench PlanIterative -benchtime 5x
 //
@@ -77,6 +62,17 @@ func BenchmarkPlanIterative(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanPartitioned runs the scan→tfidf dataflow three ways over the
+// same shard kernels: unpartitioned (tfidf.Run inside one operator node —
+// one contiguous shard per pool worker, one reader each), and partitioned
+// by the executor at 1 shard and at the automatic count (2×GOMAXPROCS,
+// over-decomposed so work stealing rebalances straggler shards). The
+// bulk-vs-auto gap prices the splitter/gather machinery against the finer
+// shards. Run with
+//
+//	go test ./internal/workflow -run '^$' -bench PlanPartitioned -benchtime 5x
+//
+// and record the output as BENCH_partitioned.json.
 func BenchmarkPlanPartitioned(b *testing.B) {
 	c := corpus.Generate(corpus.Mix().Scaled(0.05), nil)
 	auto := (&PartitionOp{}).PartitionCount()

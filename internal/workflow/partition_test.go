@@ -225,15 +225,6 @@ func TestExplainRendersAnnotations(t *testing.T) {
 	}
 }
 
-// TestPipelineStringMarksPartitions: the linear renderer marks shard
-// sections the same way.
-func TestPipelineStringMarksPartitions(t *testing.T) {
-	p := NewPipeline(&PartitionOp{Shards: 3}, &TFMapOp{}, &DFReduceOp{})
-	if got, want := p.String(), "partition -[x3]-> tf-map =[x3]=> df-reduce"; got != want {
-		t.Fatalf("Pipeline.String() = %q, want %q", got, want)
-	}
-}
-
 // TestPartitionedWordCountMatchesMonolithic: the sharded word count is a
 // second instantiation of the map/reduce decomposition and must agree with
 // the monolithic operator exactly.

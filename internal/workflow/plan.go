@@ -17,8 +17,7 @@ import (
 //
 // Operators that do not implement TypedOperator are treated as having a
 // single dynamically-typed input and a dynamically-typed output; their edges
-// always validate and mismatches surface at run time, as in the original
-// linear Pipeline.
+// always validate and mismatches surface at run time.
 type TypedOperator interface {
 	Operator
 	Inputs() []reflect.Type
@@ -38,10 +37,6 @@ type MultiOperator interface {
 // dataset exposing its term dimensionality. Both *tfidf.Result (the fused
 // in-memory intermediate) and *Matrix (loaded back from ARFF) implement it.
 type Vectorized interface{ Dim() int }
-
-// synthetic marks operators the engine inserts on its own (the literal
-// input node the Pipeline adapter prepends). They are invisible to Observe.
-type synthetic interface{ isSynthetic() }
 
 // scanner is implemented by source operators whose work can be shared: two
 // zero-input nodes with equal ScanKey read the same underlying data, so the
@@ -78,21 +73,6 @@ func (o *SourceOp) Output() reflect.Type { return sourceType }
 // ScanKey implements scanner: scans of the same Source are interchangeable.
 func (o *SourceOp) ScanKey() any { return o.Src }
 
-// literalOp feeds the external input value of a Pipeline run into its
-// compiled plan. It is synthetic: Observe does not see it.
-type literalOp struct{ v Value }
-
-func (o *literalOp) Name() string                       { return "input" }
-func (o *literalOp) Run(*Context, Value) (Value, error) { return o.v, nil }
-func (o *literalOp) Inputs() []reflect.Type             { return nil }
-func (o *literalOp) isSynthetic()                       {}
-func (o *literalOp) Output() reflect.Type {
-	if o.v == nil {
-		return anyType
-	}
-	return reflect.TypeOf(o.v)
-}
-
 // Edge connects the output of node From to input port Port of node To.
 type Edge struct {
 	From, To string
@@ -111,8 +91,7 @@ func (n *Node) Name() string { return n.name }
 // Op returns the operator the node wraps.
 func (n *Node) Op() Operator { return n.op }
 
-// Plan is a directed acyclic graph of named operator nodes — the
-// generalization of the linear Pipeline to real workflows: one corpus scan
+// Plan is a directed acyclic graph of named operator nodes: one corpus scan
 // can feed both word-count and TF/IDF, a TF/IDF result can fan out to
 // K-Means and an ARFF archive at once.
 //
@@ -267,8 +246,7 @@ func portAssignable(from, to reflect.Type) bool {
 	return from.AssignableTo(to)
 }
 
-// Validate type-checks the plan before anything runs, replacing the linear
-// engine's scattered runtime ErrType failures. It rejects, in order of
+// Validate type-checks the plan before anything runs. It rejects, in order of
 // detection: builder errors (duplicate or empty names, nil operators),
 // edges referencing unknown nodes, ports out of range, input ports that are
 // unconnected or connected twice, cycles, multi-port nodes whose operator
@@ -416,9 +394,8 @@ func materializationArrow(from, to Operator) string {
 }
 
 // Explain renders the plan one edge per line in topological order, marking
-// materialize/load edges the way Pipeline.String marks materialization
-// boundaries, and partition boundaries the way the executor schedules
-// them: an edge carrying shards to a per-shard consumer renders as
+// materialize/load edges =[arff]=> and partition boundaries the way the
+// executor schedules them: an edge carrying shards to a per-shard consumer renders as
 // -[xN]->, an edge gathering N shards back into one dataset (a reduction
 // barrier) renders as =[xN]=>, and the output of an iterative loop node
 // (per-iteration shard tasks behind a reduction barrier) renders as

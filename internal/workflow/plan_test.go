@@ -403,9 +403,8 @@ func TestRecorderSerializesBranches(t *testing.T) {
 }
 
 func TestPlanRunNestedInsidePoolTask(t *testing.T) {
-	// The old Pipeline.Run executed operators inline on the caller, so it
-	// was safe to call from within a pool task. The plan scheduler must
-	// keep that property via its helping join, even on a 1-worker pool.
+	// Plan.Run must be safe to call from within a pool task: the scheduler
+	// joins by helping, even on a 1-worker pool.
 	p := par.NewPool(1)
 	t.Cleanup(p.Close)
 	ctx := NewContext(p)
@@ -479,9 +478,10 @@ func TestExplainMarksMaterializationEdges(t *testing.T) {
 	}
 }
 
-// TestPipelineAdapterPhaseRegression pins the adapter to the seed engine's
-// behavior: a Pipeline run must produce exactly the phase keys, in exactly
-// the first-recorded order, that the original sequential loop produced.
+// TestPipelineAdapterPhaseRegression pins RunTFKM to the seed engine's
+// behavior: a run of the TF/IDF→K-Means pipeline must produce exactly the
+// phase keys, in exactly the first-recorded order, that the original
+// sequential loop produced.
 func TestPipelineAdapterPhaseRegression(t *testing.T) {
 	c := testCorpus()
 	want := map[Mode][]string{
@@ -490,53 +490,12 @@ func TestPipelineAdapterPhaseRegression(t *testing.T) {
 	}
 	for _, mode := range []Mode{Discrete, Merged} {
 		ctx := testCtx(t, 2)
-		pipe := TFKMPipeline(baseCfg(mode))
-		out, err := pipe.Run(ctx, pario.Source(c.Source(nil)))
-		if err != nil {
+		if _, err := RunTFKM(c.Source(nil), ctx, baseCfg(mode)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := out.(*Clustering); !ok {
-			t.Fatalf("%v: pipeline produced %T", mode, out)
-		}
-		got := ctx.Breakdown.Phases()
-		if len(got) != len(want[mode]) {
+		if got := ctx.Breakdown.Phases(); !reflect.DeepEqual(got, want[mode]) {
 			t.Fatalf("%v: phases %v, want %v", mode, got, want[mode])
 		}
-		for i := range got {
-			if got[i] != want[mode][i] {
-				t.Fatalf("%v: phases %v, want %v", mode, got, want[mode])
-			}
-		}
-		// The plan-based TFKM runner must agree with the adapter.
-		ctx2 := testCtx(t, 2)
-		if _, err := RunTFKM(c.Source(nil), ctx2, baseCfg(mode)); err != nil {
-			t.Fatal(err)
-		}
-		got2 := ctx2.Breakdown.Phases()
-		if len(got2) != len(got) {
-			t.Fatalf("%v: plan phases %v != adapter phases %v", mode, got2, got)
-		}
-		for i := range got2 {
-			if got2[i] != got[i] {
-				t.Fatalf("%v: plan phases %v != adapter phases %v", mode, got2, got)
-			}
-		}
-	}
-}
-
-func TestPipelineToPlanUniquifiesNames(t *testing.T) {
-	p := NewPipeline(&WriteAssignments{}, &WriteAssignments{})
-	plan := p.ToPlan()
-	names := plan.Nodes()
-	if len(names) != 2 || names[0] != "output" || names[1] != "output#2" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestEmptyPipelineReturnsInput(t *testing.T) {
-	out, err := NewPipeline().Run(testCtx(t, 1), "hello")
-	if err != nil || out != "hello" {
-		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 

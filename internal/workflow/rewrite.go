@@ -37,8 +37,7 @@ func (p *Plan) Apply(rules ...Rewriter) *Plan {
 // anywhere in the graph is canceled, reconnecting the materializer's
 // producer directly to the loader's consumers so the intermediate dataset
 // stays in memory. This is the paper's fusion of discrete operators into
-// "single binaries that encapsulate a complex workflow", generalized from
-// the linear engine's adjacent-pair scan to arbitrary DAGs.
+// "single binaries that encapsulate a complex workflow", on arbitrary DAGs.
 //
 // A materializer kept alive by other consumers (for example an ARFF archive
 // that is also a sink) survives; only the loader and, when nothing else

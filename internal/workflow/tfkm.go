@@ -58,23 +58,6 @@ type TFKMConfig struct {
 	Backend Backend
 }
 
-// TFKMPipeline constructs the workflow as a linear chain. The discrete
-// pipeline contains the materialize/load pair; Merged is exactly
-// Fuse(discrete).
-func TFKMPipeline(cfg TFKMConfig) *Pipeline {
-	p := NewPipeline(
-		&TFIDFOp{Opts: cfg.TFIDF},
-		&MaterializeARFF{},
-		&LoadARFF{},
-		&KMeansOp{Opts: cfg.KMeans},
-		&WriteAssignments{},
-	)
-	if cfg.Mode == Merged {
-		return Fuse(p)
-	}
-	return p
-}
-
 // TFKMPlan constructs the workflow over src as a Plan. The discrete plan
 // contains the materialize/load pair; Merged is exactly the discrete plan
 // with the fusion rule applied. With cfg.Shards != 0, PartitionRule then

@@ -66,62 +66,23 @@ func (o *WordCountOp) Inputs() []reflect.Type { return []reflect.Type{sourceType
 // Output implements TypedOperator.
 func (o *WordCountOp) Output() reflect.Type { return wordCountsType }
 
-// Run implements Operator: pario.Source -> *WordCounts.
+// Run implements Operator: pario.Source -> *WordCounts. The unpartitioned
+// operator is its own map and reduce kernels over the whole source as one
+// shard, so there is one word-count implementation.
 func (o *WordCountOp) Run(ctx *Context, in Value) (Value, error) {
-	src, ok := in.(pario.Source)
-	if !ok {
-		return nil, fmt.Errorf("%w: wordcount wants pario.Source, got %T", ErrType, in)
-	}
-	type strand struct {
-		tk *text.Tokenizer
-		m  dict.Map[uint64]
-		n  uint64
-	}
-	strands := par.NewReducer(func() *strand {
-		return &strand{
-			tk: &text.Tokenizer{MinLen: o.MinWordLen, Stopwords: o.Stopwords, Stem: o.Stem},
-			m:  dict.New[uint64](o.DictKind, dict.Options{}),
-		}
-	}, nil)
-
-	var out *WordCounts
-	err := ctx.Breakdown.TimeErr(tfidfPhaseInputWC, func() error {
-		read := func(h func(int, []byte) error) error {
-			if ctx.Ctx != nil {
-				return pario.ReadAllContext(ctx.Ctx, src, ctx.Pool.Workers(), h)
-			}
-			return pario.ReadAll(src, ctx.Pool.Workers(), h)
-		}
-		if err := read(func(i int, content []byte) error {
-			s := strands.Claim()
-			s.tk.Tokens(content, func(tok []byte) {
-				*s.m.RefBytes(tok)++
-				s.n++
-			})
-			strands.Release(s)
-			return nil
-		}); err != nil {
-			return err
-		}
-
-		// Merge per-strand dictionaries (serial: strand count is the peak
-		// concurrency, not the corpus size).
-		merged := dict.New[uint64](o.DictKind, dict.Options{})
-		var total uint64
-		for _, s := range strands.Views() {
-			total += s.n
-			s.m.Range(func(word string, c *uint64) bool {
-				*merged.Ref(word) += *c
-				return true
-			})
-		}
-		out = buildWordCounts(merged, total)
-		return nil
-	})
+	shard, err := o.mapOp().RunPartition(ctx, []Value{in}, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return (&WordCountReduceOp{DictKind: o.DictKind}).Run(ctx, shard)
+}
+
+// mapOp builds the operator's map kernel.
+func (o *WordCountOp) mapOp() *WordCountMapOp {
+	return &WordCountMapOp{
+		DictKind: o.DictKind, Stopwords: o.Stopwords,
+		MinWordLen: o.MinWordLen, Stem: o.Stem,
+	}
 }
 
 // tfidfPhaseInputWC mirrors tfidf.PhaseInputWC without an import cycle.
@@ -132,10 +93,7 @@ const tfidfPhaseInputWC = "input+wc"
 func (o *WordCountOp) partitionFragment() fragment {
 	return fragment{
 		nodes: []fragNode{
-			{suffix: "map", op: &WordCountMapOp{
-				DictKind: o.DictKind, Stopwords: o.Stopwords,
-				MinWordLen: o.MinWordLen, Stem: o.Stem,
-			}},
+			{suffix: "map", op: o.mapOp()},
 			{suffix: "reduce", op: &WordCountReduceOp{DictKind: o.DictKind}},
 		},
 		edges: []Edge{{From: "map", To: "reduce", Port: 0}},

@@ -19,17 +19,25 @@ func wcSource(docs ...string) *pario.MemSource {
 	return m
 }
 
-func TestWordCountHandComputed(t *testing.T) {
-	ctx := testCtx(t, 2)
-	p := NewPipeline(&WordCountOp{DictKind: dict.Tree})
-	out, err := p.Run(ctx, pario.Source(wcSource(
-		"the cat sat on the mat",
-		"the dog",
-	)))
+// runWordCount runs the plan scan -> wordcount and returns the counts.
+func runWordCount(t *testing.T, ctx *Context, src pario.Source, op *WordCountOp) *WordCounts {
+	t.Helper()
+	outs, err := NewPlan().
+		Add("scan", &SourceOp{Src: src}).
+		Add("wordcount", op).
+		Connect("scan", "wordcount").
+		Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := out.(*WordCounts)
+	return outs["wordcount"].(*WordCounts)
+}
+
+func TestWordCountHandComputed(t *testing.T) {
+	wc := runWordCount(t, testCtx(t, 2), wcSource(
+		"the cat sat on the mat",
+		"the dog",
+	), &WordCountOp{DictKind: dict.Tree})
 	if wc.TotalTokens != 8 {
 		t.Fatalf("total tokens %d, want 8", wc.TotalTokens)
 	}
@@ -58,12 +66,7 @@ func TestWordCountMatchesBruteForceAcrossKindsAndWorkers(t *testing.T) {
 	}
 	for _, kind := range []dict.Kind{dict.Tree, dict.Hash, dict.NodeTree} {
 		for _, workers := range []int{1, 4} {
-			ctx := testCtx(t, workers)
-			out, err := NewPipeline(&WordCountOp{DictKind: kind}).Run(ctx, pario.Source(c.Source(nil)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc := out.(*WordCounts)
+			wc := runWordCount(t, testCtx(t, workers), c.Source(nil), &WordCountOp{DictKind: kind})
 			if wc.TotalTokens != wantTotal {
 				t.Fatalf("%v/%d: total %d want %d", kind, workers, wc.TotalTokens, wantTotal)
 			}
@@ -80,12 +83,7 @@ func TestWordCountMatchesBruteForceAcrossKindsAndWorkers(t *testing.T) {
 }
 
 func TestWordCountSortedDescending(t *testing.T) {
-	ctx := testCtx(t, 2)
-	out, err := NewPipeline(&WordCountOp{DictKind: dict.Hash}).Run(ctx, pario.Source(testCorpus().Source(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := out.(*WordCounts)
+	wc := runWordCount(t, testCtx(t, 2), testCorpus().Source(nil), &WordCountOp{DictKind: dict.Hash})
 	for i := 1; i < len(wc.Counts); i++ {
 		if wc.Counts[i] > wc.Counts[i-1] {
 			t.Fatalf("counts not descending at %d", i)
@@ -98,11 +96,13 @@ func TestWordCountSortedDescending(t *testing.T) {
 
 func TestWordCountPipelineWithOutput(t *testing.T) {
 	ctx := testCtx(t, 2)
-	p := NewPipeline(
-		&WordCountOp{DictKind: dict.Tree, Stopwords: text.English()},
-		&WriteWordCounts{Limit: 10},
-	)
-	if _, err := p.Run(ctx, pario.Source(testCorpus().Source(nil))); err != nil {
+	p := NewPlan().
+		Add("scan", &SourceOp{Src: testCorpus().Source(nil)}).
+		Add("wordcount", &WordCountOp{DictKind: dict.Tree, Stopwords: text.English()}).
+		Add("output", &WriteWordCounts{Limit: 10}).
+		Connect("scan", "wordcount").
+		Connect("wordcount", "output")
+	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(ctx.ScratchDir, "wordcounts.tsv"))

@@ -124,17 +124,11 @@
 // them. Running the original plan and the fused plan therefore measures
 // exactly the cost the paper attributes to intermediate I/O — the operators
 // on either side are the same code.
-//
-// The linear Pipeline of earlier versions survives as a thin adapter that
-// compiles to a single-chain Plan, so existing callers keep working
-// unchanged.
 package workflow
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 
 	"hpa/internal/metrics"
 	"hpa/internal/obs"
@@ -204,135 +198,11 @@ type Operator interface {
 	Run(ctx *Context, in Value) (Value, error)
 }
 
-// Pipeline is a linear operator chain — the original workflow API, kept as
-// a thin adapter that compiles to a single-chain Plan.
-type Pipeline struct {
-	Ops []Operator
-}
-
-// NewPipeline builds a pipeline from operators in execution order.
-func NewPipeline(ops ...Operator) *Pipeline { return &Pipeline{Ops: ops} }
-
-// ToPlan compiles the pipeline to an equivalent single-chain Plan. Node
-// names are the operator names, suffixed #2, #3, ... on collision.
-func (p *Pipeline) ToPlan() *Plan {
-	plan, _ := p.compile()
-	return plan
-}
-
-// compile builds the chain plan and returns it with the node names in
-// chain order.
-func (p *Pipeline) compile() (*Plan, []string) {
-	plan := NewPlan()
-	names := make([]string, 0, len(p.Ops))
-	used := make(map[string]int, len(p.Ops))
-	for _, op := range p.Ops {
-		name := op.Name()
-		used[name]++
-		if n := used[name]; n > 1 {
-			name = fmt.Sprintf("%s#%d", name, n)
-		}
-		plan.Add(name, op)
-		names = append(names, name)
-	}
-	for i := 1; i < len(names); i++ {
-		plan.Connect(names[i-1], names[i])
-	}
-	return plan, names
-}
-
-// Run threads the input through every operator by compiling the chain to a
-// Plan (with a synthetic node feeding in) and executing it. Validation runs
-// first, so type mismatches between stages are reported before any operator
-// does work.
-func (p *Pipeline) Run(ctx *Context, in Value) (Value, error) {
-	if ctx.Breakdown == nil {
-		ctx.Breakdown = metrics.NewBreakdown()
-	}
-	if len(p.Ops) == 0 {
-		return in, nil
-	}
-	plan, names := p.compile()
-	const inputNode = "#input"
-	plan.Add(inputNode, &literalOp{v: in})
-	plan.Connect(inputNode, names[0])
-	outs, err := plan.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return outs[names[len(names)-1]], nil
-}
-
-// String renders the plan, marking materialization and partition
-// boundaries: an adjacent materialize/load pair — the boundary Fuse
-// cancels — is collapsed into a =[arff]=> arrow between its neighbors, so
-// the discrete TF/IDF→K-Means chain renders as "tfidf =[arff]=> kmeans ->
-// output" while the fused chain is "tfidf -> kmeans -> output". Downstream
-// of a Splitter, edges into per-shard kernels render -[xN]-> and the edge
-// gathering the shards back renders =[xN]=>, mirroring Plan.Explain:
-// "partition -[x4]-> tf-map =[x4]=> reduce".
-func (p *Pipeline) String() string {
-	var sb strings.Builder
-	arrow := " -> "
-	nparts := 0 // shard count while inside a partitioned section
-	printed := false
-	i := 0
-	for i < len(p.Ops) {
-		if i+1 < len(p.Ops) {
-			_, isM := p.Ops[i].(materializer)
-			_, isL := p.Ops[i+1].(loader)
-			if isM && isL {
-				arrow = " =[arff]=> "
-				i += 2
-				continue
-			}
-		}
-		if printed {
-			sb.WriteString(arrow)
-		}
-		sb.WriteString(p.Ops[i].Name())
-		printed = true
-		arrow = " -> "
-		if s, ok := p.Ops[i].(Splitter); ok {
-			nparts = s.PartitionCount()
-		}
-		if nparts > 0 && i+1 < len(p.Ops) {
-			if _, kernel := p.Ops[i+1].(PartitionKernel); kernel {
-				arrow = fmt.Sprintf(" -[x%d]-> ", nparts)
-			} else {
-				arrow = fmt.Sprintf(" =[x%d]=> ", nparts)
-				nparts = 0
-			}
-		}
-		i++
-	}
-	return sb.String()
-}
-
 // materializer is implemented by operators that write their input to disk
 // for a later loader; loader by operators that read it back. FuseRule
 // cancels materialize -> load edges.
 type materializer interface{ isMaterializer() }
 type loader interface{ isLoader() }
-
-// Fuse returns a copy of the pipeline with every materialize/load pair
-// removed — the paper's fusion of discrete operators into "single binaries
-// that encapsulate a complex workflow". It compiles the chain to a Plan,
-// applies FuseRule and linearizes the result; the input pipeline is
-// unchanged.
-func Fuse(p *Pipeline) *Pipeline {
-	plan := p.ToPlan().Apply(FuseRule())
-	order, err := plan.topoOrder()
-	if err != nil {
-		// A pipeline chain cannot cycle; defensive fallback.
-		return NewPipeline(p.Ops...)
-	}
-	out := &Pipeline{}
-	for _, n := range order {
-		out.Ops = append(out.Ops, n.op)
-	}
-	return out
-}
 
 // ErrType reports a dataset type mismatch between workflow stages, whether
 // detected by Plan.Validate at build time or by an operator at run time.

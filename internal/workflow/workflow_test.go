@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,36 +39,45 @@ func baseCfg(mode Mode) TFKMConfig {
 }
 
 func TestPipelinePlanShapes(t *testing.T) {
-	d := TFKMPipeline(baseCfg(Discrete))
-	m := TFKMPipeline(baseCfg(Merged))
-	// The materialize/load pair renders as a marked materialization
-	// boundary; the fused chain has no boundary left.
-	if got := d.String(); got != "tfidf =[arff]=> kmeans -> output" {
-		t.Fatalf("discrete plan: %s", got)
+	// The discrete workflow carries the materialize/load pair; the merged
+	// one is the same chain with the pair fused away.
+	d := TFKMPlan(nil, baseCfg(Discrete)).Nodes()
+	if want := []string{"scan", "tfidf", "materialize-arff", "load-arff", "kmeans", "output"}; !reflect.DeepEqual(d, want) {
+		t.Fatalf("discrete plan: %v", d)
 	}
-	if got := m.String(); got != "tfidf -> kmeans -> output" {
-		t.Fatalf("merged plan: %s", got)
+	m := TFKMPlan(nil, baseCfg(Merged)).Nodes()
+	if want := []string{"scan", "tfidf", "kmeans", "output"}; !reflect.DeepEqual(m, want) {
+		t.Fatalf("merged plan: %v", m)
 	}
 }
 
 func TestFuseRemovesOnlyAdjacentPairs(t *testing.T) {
-	p := NewPipeline(&TFIDFOp{}, &MaterializeARFF{}, &KMeansOp{}) // no loader after materializer
-	f := Fuse(p)
-	if len(f.Ops) != 3 {
-		t.Fatalf("fuse removed a non-pair: %s", f)
+	p := NewPlan().
+		Add("tfidf", &TFIDFOp{}).
+		Add("m", &MaterializeARFF{}).
+		Add("kmeans", &KMeansOp{}). // no loader after the materializer
+		Connect("tfidf", "m").
+		Connect("m", "kmeans")
+	if f := p.Apply(FuseRule()); len(f.Nodes()) != 3 {
+		t.Fatalf("fuse removed a non-pair:\n%s", f.Explain())
 	}
-	p2 := NewPipeline(&MaterializeARFF{}, &LoadARFF{}, &MaterializeARFF{}, &LoadARFF{})
-	if f2 := Fuse(p2); len(f2.Ops) != 0 {
-		t.Fatalf("fuse left %d ops", len(f2.Ops))
+	p2 := NewPlan().
+		Add("m1", &MaterializeARFF{}).Add("l1", &LoadARFF{}).
+		Add("m2", &MaterializeARFF{}).Add("l2", &LoadARFF{}).
+		Connect("m1", "l1").Connect("l1", "m2").Connect("m2", "l2")
+	if f2 := p2.Apply(FuseRule()); len(f2.Nodes()) != 0 {
+		t.Fatalf("fuse left nodes %v", f2.Nodes())
 	}
 }
 
 func TestFuseDoesNotMutateOriginal(t *testing.T) {
-	p := TFKMPipeline(baseCfg(Discrete))
-	n := len(p.Ops)
-	Fuse(p)
-	if len(p.Ops) != n {
-		t.Fatal("Fuse mutated its input")
+	p := TFKMPlan(nil, baseCfg(Discrete))
+	nodes, edges := p.Nodes(), p.Edges()
+	if fused := p.Apply(FuseRule()); len(fused.Nodes()) == len(nodes) {
+		t.Fatal("FuseRule did not apply")
+	}
+	if !reflect.DeepEqual(p.Nodes(), nodes) || !reflect.DeepEqual(p.Edges(), edges) {
+		t.Fatal("FuseRule mutated its input")
 	}
 }
 
@@ -180,10 +190,12 @@ func TestTypeMismatchErrors(t *testing.T) {
 }
 
 func TestPipelineErrorIdentifiesOperator(t *testing.T) {
-	ctx := testCtx(t, 1)
-	p := NewPipeline(&LoadARFF{})
-	_, err := p.Run(ctx, "bogus")
-	if err == nil || !strings.Contains(err.Error(), "load-arff") {
+	// A dynamically typed producer passes validation, so the mismatch
+	// surfaces from the operator at run time.
+	bogus := &fnOp{name: "bogus", out: anyType,
+		fn: func(*Context, []Value) (Value, error) { return "bogus", nil }}
+	_, err := NewPlan().Add("in", bogus).Add("load", &LoadARFF{}).Connect("in", "load").Run(testCtx(t, 1))
+	if !errors.Is(err, ErrType) || !strings.Contains(err.Error(), "load-arff") {
 		t.Fatalf("err = %v", err)
 	}
 }
