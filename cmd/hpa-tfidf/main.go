@@ -32,7 +32,7 @@ func main() {
 		in           = flag.String("in", "", "corpus directory (required)")
 		out          = flag.String("out", "", "output ARFF path (required)")
 		threads      = flag.Int("threads", runtime.NumCPU(), "worker threads")
-		dictKind     = flag.String("dict", "map-arena", "dictionary: map, u-map, map-arena")
+		dictKind     = flag.String("dict", dict.Kind(0).String(), "dictionary: map, u-map, map-arena")
 		presize      = flag.Int("presize", 0, "per-document dictionary presize (paper's Figure 4 uses 4096)")
 		globalPre    = flag.Int("global-presize", 4096, "global dictionary presize")
 		normalize    = flag.Bool("normalize", true, "unit-normalize output vectors")
@@ -45,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hpa-tfidf: -in and -out are required")
 		os.Exit(2)
 	}
-	kind, err := parseKind(*dictKind)
+	kind, err := dict.ParseKind(*dictKind)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpa-tfidf: %v\n", err)
 		os.Exit(2)
@@ -85,18 +85,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%d documents, %d terms, %s ARFF\n", res.NumDocs, res.Dim(), metrics.FormatBytes(n))
 	fmt.Fprintf(os.Stderr, "dictionary footprint: %s (%s)\n", metrics.FormatBytes(res.DictFootprint), kind)
 	fmt.Fprintf(os.Stderr, "phases: %s\n", bd)
-}
-
-func parseKind(s string) (dict.Kind, error) {
-	switch s {
-	case "map":
-		return dict.NodeTree, nil
-	case "u-map", "umap":
-		return dict.Hash, nil
-	case "map-arena", "arena":
-		return dict.Tree, nil
-	}
-	return 0, fmt.Errorf("unknown dictionary kind %q (want map, u-map or map-arena)", s)
 }
 
 func fatal(err error) {

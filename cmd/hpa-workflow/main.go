@@ -43,7 +43,7 @@
 // for bulk) pins the shard count. Only flags at their defaults are
 // optimized; pinned decisions are annotated in -explain output as
 // "pinned by explicit override". Passing a flag explicitly at its
-// default value (e.g. -dict map-arena) also pins — explicitness, not the
+// default value (e.g. -dict u-map) also pins — explicitness, not the
 // value, is what's detected.
 //
 // -worker ADDR turns the binary into a task worker: it listens on ADDR
@@ -134,7 +134,7 @@ func main() {
 		mode     = flag.String("mode", "merged", "workflow mode: merged or discrete")
 		threads  = flag.Int("threads", runtime.NumCPU(), "worker threads")
 		shards   = flag.Int("shards", 0, "corpus shards for partitioned execution (0 = auto; -1 = bulk-synchronous; with -optimize, explicit values pin the optimizer's choice)")
-		dictKind = flag.String("dict", "map-arena", "dictionary: map, u-map, map-arena")
+		dictKind = flag.String("dict", dict.Kind(0).String(), "dictionary: map, u-map, map-arena")
 		presize  = flag.Int("presize", 0, "per-document dictionary presize")
 		k        = flag.Int("k", 8, "number of clusters")
 		seed     = flag.Uint64("seed", 1, "seeding RNG")

@@ -48,8 +48,7 @@ func main() {
 	report, err := hpa.RunTFIDFKMeans(corpus.Source(nil), ctx, hpa.TFKMConfig{
 		Mode: hpa.Merged,
 		TFIDF: hpa.TFIDFOptions{
-			DictKind:  hpa.TreeDict, // the library-default arena red-black tree
-			Normalize: true,         // unit vectors, as the paper clusters them
+			Normalize: true, // unit vectors, as the paper clusters them
 		},
 		KMeans: hpa.KMeansOptions{K: 8, Seed: 42},
 	})

@@ -255,14 +255,16 @@ func HDD2016() *DiskSim { return pario.HDD2016() }
 // DictKind selects a dictionary implementation for TF/IDF.
 type DictKind = dict.Kind
 
-// Dictionary kinds. TreeDict is the library default: a red-black tree over
-// an arena (fast, compact). HashDict is the chained hash table analogous to
-// the paper's std::unordered_map. NodeTreeDict is the node-per-allocation
-// red-black tree matching std::map's cost profile, kept for the Figure 4
-// experiment and as an ablation point.
+// Dictionary kinds. HashDict, the chained hash table analogous to the
+// paper's std::unordered_map, is the zero value and so the library default
+// (it is what the calibrated cost model picks for the paper workflow).
+// TreeDict is a red-black tree over an arena (ordered, compact).
+// NodeTreeDict is the node-per-allocation red-black tree matching
+// std::map's cost profile, kept for the Figure 4 experiment and as an
+// ablation point.
 const (
-	TreeDict     = dict.Tree
 	HashDict     = dict.Hash
+	TreeDict     = dict.Tree
 	NodeTreeDict = dict.NodeTree
 )
 

@@ -24,14 +24,16 @@ import (
 type Kind int
 
 const (
-	// Tree is the arena-allocated red-black tree dictionary: the same
-	// algorithm as std::map over contiguous storage. It is the library
-	// default and an ablation point against NodeTree. Iteration order is
-	// ascending by key.
-	Tree Kind = iota
 	// Hash is the chained hash table dictionary, the analogue of
-	// std::unordered_map. Iteration order is unspecified.
-	Hash
+	// std::unordered_map. It is the zero value and therefore the library
+	// default: the kind the calibrated cost model picks for the paper
+	// workflow (optimizer.TestZeroValueKindIsWhatTheModelPicks). Iteration
+	// order is insertion order and bears no relation to key order.
+	Hash Kind = iota
+	// Tree is the arena-allocated red-black tree dictionary: the same
+	// algorithm as std::map over contiguous storage, an ablation point
+	// against NodeTree. Iteration order is ascending by key.
+	Tree
 	// NodeTree is the node-per-allocation red-black tree, the faithful
 	// analogue of the paper's std::map (every insert allocates, lookups
 	// chase pointers through scattered heap memory). Iteration order is
@@ -39,15 +41,16 @@ const (
 	NodeTree
 )
 
-// String returns the paper's label for the kind ("map" / "u-map" as in
+// String returns the paper's label for the kind ("u-map" / "map" as in
 // Figure 4); the arena tree, which the paper does not have, is labelled
-// "map-arena".
+// "map-arena". The labels, not the constant values, are what command-line
+// flags and the cost-model cache carry.
 func (k Kind) String() string {
 	switch k {
-	case Tree:
-		return "map-arena"
 	case Hash:
 		return "u-map"
+	case Tree:
+		return "map-arena"
 	case NodeTree:
 		return "map"
 	default:
@@ -67,12 +70,13 @@ func ParseKind(s string) (Kind, error) {
 	case "map-arena", "arena":
 		return Tree, nil
 	default:
-		return Tree, fmt.Errorf("dict: unknown kind %q (want map, u-map or map-arena)", s)
+		return Hash, fmt.Errorf("dict: unknown kind %q (want map, u-map or map-arena)", s)
 	}
 }
 
-// Kinds returns every dictionary kind, in declaration order.
-func Kinds() []Kind { return []Kind{Tree, Hash, NodeTree} }
+// Kinds returns every dictionary kind, in declaration order (the default
+// first).
+func Kinds() []Kind { return []Kind{Hash, Tree, NodeTree} }
 
 // Map is a string-keyed dictionary. Both implementations satisfy it.
 type Map[V any] interface {
@@ -88,6 +92,13 @@ type Map[V any] interface {
 	// only when an insertion actually happens, so counting loops do not
 	// allocate for words already present.
 	RefBytes(key []byte) *V
+	// RefBytesFunc is RefBytes with the inserted key supplied by the
+	// caller: when key is absent, newKey(key) is called once and must
+	// return a string equal to key, which the dictionary stores instead of
+	// allocating its own copy. A caller that already holds the word as a
+	// string (TF/IDF's shard vocabulary) thereby inserts without
+	// allocating. newKey must not touch this dictionary.
+	RefBytesFunc(key []byte, newKey func(key []byte) string) *V
 	// Delete removes key, reporting whether it was present. Pointers
 	// previously returned by Ref/RefBytes are invalidated (the arena kinds
 	// compact storage).
@@ -129,10 +140,10 @@ type Options struct {
 // New constructs a dictionary of the given kind.
 func New[V any](kind Kind, opt Options) Map[V] {
 	switch kind {
-	case Tree:
-		return NewTreeMap[V](opt)
 	case Hash:
 		return NewHashMap[V](opt)
+	case Tree:
+		return NewTreeMap[V](opt)
 	case NodeTree:
 		return NewNodeTreeMap[V](opt)
 	default:

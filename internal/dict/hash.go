@@ -85,7 +85,10 @@ func (h *HashMap[V]) Ref(key string) *V {
 
 // RefBytes is Ref for a byte-slice key; the key is copied to a string only
 // when an insertion happens.
-func (h *HashMap[V]) RefBytes(key []byte) *V {
+func (h *HashMap[V]) RefBytes(key []byte) *V { return h.RefBytesFunc(key, copyKey) }
+
+// RefBytesFunc is RefBytes storing newKey(key) when an insertion happens.
+func (h *HashMap[V]) RefBytesFunc(key []byte, newKey func([]byte) string) *V {
 	hv := fnv1aBytes(key)
 	b := hv & uint64(len(h.buckets)-1)
 	for n := h.buckets[b]; n != nilNode; n = h.entries[n].next {
@@ -93,8 +96,11 @@ func (h *HashMap[V]) RefBytes(key []byte) *V {
 			return &h.entries[n].val
 		}
 	}
-	return h.insert(hv, string(key))
+	return h.insert(hv, newKey(key))
 }
+
+// copyKey is the newKey of plain RefBytes: the dictionary's own copy.
+func copyKey(key []byte) string { return string(key) }
 
 func (h *HashMap[V]) insert(hv uint64, key string) *V {
 	if len(h.entries) >= len(h.buckets) {

@@ -5,9 +5,9 @@ package dict
 // allocates one node and lookups chase pointers through scattered heap
 // memory. TreeMap (the arena variant) implements the same algorithm over
 // contiguous storage and is measurably faster; both are provided so the
-// Figure 4 experiment can use the paper's actual data structure while the
-// library default benefits from the better layout. The ablation benchmarks
-// quantify the difference.
+// Figure 4 experiment can use the paper's actual data structure and the
+// ablation benchmarks can quantify what the layout alone is worth. Neither
+// tree is the library default — the zero-value Kind is Hash.
 type NodeTreeMap[V any] struct {
 	root      *treeNodePtr[V]
 	count     int
@@ -72,16 +72,21 @@ func (t *NodeTreeMap[V]) GetBytes(key []byte) (V, bool) {
 // life of the map (nodes never move), matching std::map's reference
 // stability.
 func (t *NodeTreeMap[V]) Ref(key string) *V {
-	return t.ref(key, nil)
+	return t.ref(key, nil, nil)
 }
 
 // RefBytes is Ref for a byte-slice key; the key is copied into a string
 // only on insertion.
 func (t *NodeTreeMap[V]) RefBytes(key []byte) *V {
-	return t.ref("", key)
+	return t.ref("", key, copyKey)
 }
 
-func (t *NodeTreeMap[V]) ref(skey string, bkey []byte) *V {
+// RefBytesFunc is RefBytes storing newKey(key) on insertion.
+func (t *NodeTreeMap[V]) RefBytesFunc(key []byte, newKey func([]byte) string) *V {
+	return t.ref("", key, newKey)
+}
+
+func (t *NodeTreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) string) *V {
 	var parent *treeNodePtr[V]
 	n := t.root
 	lastCmp := 0
@@ -104,7 +109,7 @@ func (t *NodeTreeMap[V]) ref(skey string, bkey []byte) *V {
 		}
 	}
 	if bkey != nil {
-		skey = string(bkey)
+		skey = newKey(bkey)
 	}
 	node := &treeNodePtr[V]{key: skey, parent: parent, red: true} // one allocation per insert
 	t.count++

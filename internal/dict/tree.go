@@ -83,17 +83,23 @@ func (t *TreeMap[V]) find(key string) int32 {
 // absent. The pointer is invalidated by the next insertion (the arena may
 // move).
 func (t *TreeMap[V]) Ref(key string) *V {
-	return t.ref(key, nil)
+	return t.ref(key, nil, nil)
 }
 
 // RefBytes is Ref for a byte-slice key; the key is only copied into a
 // string when a new node is inserted.
 func (t *TreeMap[V]) RefBytes(key []byte) *V {
-	return t.ref("", key)
+	return t.ref("", key, copyKey)
 }
 
-// ref walks with either a string or a bytes key (exactly one is used).
-func (t *TreeMap[V]) ref(skey string, bkey []byte) *V {
+// RefBytesFunc is RefBytes storing newKey(key) when a node is inserted.
+func (t *TreeMap[V]) RefBytesFunc(key []byte, newKey func([]byte) string) *V {
+	return t.ref("", key, newKey)
+}
+
+// ref walks with either a string or a bytes key (exactly one is used); a
+// bytes key becomes newKey(bkey) on insertion.
+func (t *TreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) string) *V {
 	parent := nilNode
 	n := t.root
 	lastCmp := 0
@@ -117,7 +123,7 @@ func (t *TreeMap[V]) ref(skey string, bkey []byte) *V {
 	}
 	// Insert new red node under parent.
 	if bkey != nil {
-		skey = string(bkey)
+		skey = newKey(bkey)
 	}
 	idx := int32(len(t.nodes))
 	t.nodes = append(t.nodes, treeNode[V]{

@@ -24,9 +24,9 @@
 // one binary and no payload is ever stored, so there is no older encoding
 // to stay compatible with.
 //
-//	payload                              version       index blocks          f64 value blocks
-//	VectorShard, AccumWire, WireGlobal   CodecXor (3)  delta-coded varints   XOR-with-previous runs
-//	WireShardCounts                      CodecRaw (1)  — (unsorted counts)   —
+//	payload                              version         index blocks          f64 value blocks
+//	VectorShard, AccumWire, WireGlobal   CodecXor (3)    delta-coded varints   XOR-with-previous runs
+//	WireShardCounts                      CodecVocab (4)  — (raw u32 blocks)    —
 //
 // CodecXor stores each sorted u32 index array delta-coded as unsigned
 // varints (AppendDeltaU32s): ascending indexes make the deltas small, so
@@ -43,12 +43,15 @@
 // by more than one byte. Bit patterns round-trip exactly: compatible with
 // the engine's bit-identity contract.
 //
-// CodecRaw is plain fixed-width blocks; WireShardCounts carries no sorted
-// index or f64 block, so it never had another version. Signed and unsigned
-// fixed-width scalar blocks (counts, assignments) are raw in every payload:
-// they are small next to the index/value payload and decode
-// allocation-free. Version 2 (CodecDelta: delta-coded indexes, raw values)
-// is retired; its number stays reserved so it is never reused.
+// CodecVocab is WireShardCounts' layout: the shard vocabulary once, then
+// every document as fixed-width (vocabulary index, count) u32 blocks — the
+// per-document entries are unsorted, so there is no index block to
+// delta-code. Signed and unsigned fixed-width scalar blocks (counts,
+// assignments) are raw in every payload: they are small next to the
+// index/value payload and decode allocation-free. Versions 1 (CodecRaw:
+// raw blocks throughout; WireShardCounts with every document's words as
+// strings) and 2 (CodecDelta: delta-coded indexes, raw values) are retired;
+// their numbers stay reserved so they are never reused.
 package flatwire
 
 import (
@@ -65,14 +68,16 @@ var ErrMalformed = errors.New("flatwire: malformed buffer")
 // Codec layout versions (the byte after every payload magic — see the
 // package comment).
 const (
-	// CodecRaw is layout version 1: raw fixed-width blocks throughout —
-	// WireShardCounts' only version.
+	// CodecRaw is the retired layout version 1; no decoder accepts it.
 	CodecRaw byte = 1
 	// CodecDelta is the retired layout version 2; no decoder accepts it.
 	CodecDelta byte = 2
 	// CodecXor is layout version 3: delta-coded sorted u32 index arrays
 	// plus losslessly compressed f64 value blocks (AppendF64sXor).
 	CodecXor byte = 3
+	// CodecVocab is layout version 4, WireShardCounts' only version: one
+	// vocabulary block plus per-document (vocabulary index, count) blocks.
+	CodecVocab byte = 4
 )
 
 // AppendU8 appends one byte.

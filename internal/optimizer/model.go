@@ -46,9 +46,12 @@ import (
 // cost); v5 added KMeansAssignElkanNS (the per-centroid-bound variant's
 // rate); v6 added the skip rates the bounded calibrations observed
 // (KMeansPrunedSkipRate, KMeansElkanSkipRate — what the measured-skip
-// feedback loop needs to decompose the bounded rates), so earlier caches
-// self-invalidate and re-measure.
-const ModelVersion = 6
+// feedback loop needs to decompose the bounded rates); v7 re-derived the
+// TF/IDF terms for the term-ID kernels (shard-vocabulary lookups in phase
+// 1, one remap lookup per vocabulary word in phase 2) — the probes are
+// unchanged, the version moves so that a recorded prediction names the
+// formula that made it. Earlier caches self-invalidate and re-measure.
+const ModelVersion = 7
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

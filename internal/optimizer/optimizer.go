@@ -274,22 +274,31 @@ func (r *rule) docCard() int {
 //
 //   - phase 1 (input+wc): every token is an insert-or-find in a
 //     per-document dictionary (mostly hits, priced as lookups at the
-//     per-document cardinality, plus the distinct-term inserts), and every
-//     distinct (document, term) pair bumps the global dictionary — the
-//     regime of the paper's Figure 2;
-//   - phase 2 (transform): every distinct (document, term) pair resolves
-//     against the final global table — pure lookups at full vocabulary
-//     cardinality, the paper's Figure 1.
+//     per-document cardinality, plus the distinct-term inserts); the first
+//     occurrence of a word in a document finds it in the shard vocabulary
+//     (a lookup at vocabulary cardinality — the regime of the paper's
+//     Figure 2), and every vocabulary word is inserted there once;
+//   - phase 2 (transform): the global lookup table is built (one insert per
+//     term) and every shard resolves its vocabulary against it once (one
+//     lookup per vocabulary word — the paper's Figure 1 regime, but per
+//     word, not per (document, term) pair). Scoring itself is array
+//     indexing and is not dictionary-dependent.
+//
+// A shard's vocabulary is priced at the full vocabulary's cardinality: the
+// shard count is decided after the kind, and Heaps' law keeps a shard's
+// vocabulary within a small factor of the corpus's.
 func (r *rule) tfidfCost(kind dict.Kind) (phase1, phase2 float64) {
 	docs := float64(r.st.Docs)
 	tokens := float64(r.st.TotalTokens)
 	dc := r.docCard()
 	pairs := docs * r.st.AvgDocDistinct // distinct (doc, term) pairs
 	gc := r.st.DistinctTerms
+	vocab := float64(gc)
 	phase1 = tokens*r.m.DictLookupNS(kind, dc) +
 		pairs*r.m.DictInsertNS(kind, dc) +
-		pairs*r.m.DictInsertNS(kind, gc)
-	phase2 = pairs * r.m.DictLookupNS(kind, gc)
+		pairs*r.m.DictLookupNS(kind, gc) +
+		vocab*r.m.DictInsertNS(kind, gc)
+	phase2 = vocab * (r.m.DictInsertNS(kind, gc) + r.m.DictLookupNS(kind, gc))
 	return phase1, phase2
 }
 

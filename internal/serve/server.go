@@ -147,8 +147,9 @@ type PlanRequest struct {
 	// Mode is "merged" (default) or "discrete"; ignored under Optimize
 	// unless PinMode is set.
 	Mode string `json:"mode,omitempty"`
-	// Dict is the dictionary kind ("map", "u-map", "map-arena"); default
-	// map-arena. Under Optimize it pins the choice only with PinDict.
+	// Dict is the dictionary kind ("map", "u-map", "map-arena"); empty is
+	// the library default, the zero-value dict.Kind. Under Optimize it pins
+	// the choice only with PinDict.
 	Dict string `json:"dict,omitempty"`
 	// Shards: 0 auto, -1 bulk, N pins the shard count.
 	Shards int `json:"shards,omitempty"`
@@ -475,7 +476,7 @@ func planConfig(req *PlanRequest) (workflow.TFKMConfig, workflow.Mode, dict.Kind
 	default:
 		return workflow.TFKMConfig{}, 0, 0, fmt.Errorf("unknown mode %q (want merged or discrete)", req.Mode)
 	}
-	kind := dict.Tree
+	var kind dict.Kind // zero value: the library default
 	if req.Dict != "" {
 		var err error
 		if kind, err = dict.ParseKind(req.Dict); err != nil {

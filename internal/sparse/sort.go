@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // pairSort sorts parallel (idx, val) slices by idx using an inlined
 // median-of-three quicksort with insertion sort for small ranges. It avoids
 // sort.Interface's per-comparison indirect calls, which dominate the cost
@@ -91,6 +93,10 @@ func (b *Builder) BuildDistinct(dst *Vector) {
 	if !isSortedStrict(b.idx) {
 		pairSort(b.idx, b.val)
 	}
+	// One allocation per array, not a doubling chain: the pending count
+	// bounds the result.
+	dst.Idx = slices.Grow(dst.Idx, len(b.idx))
+	dst.Val = slices.Grow(dst.Val, len(b.idx))
 	var prev uint32
 	for i, id := range b.idx {
 		if i > 0 && id == prev {

@@ -167,31 +167,33 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 //
 // Layout (little-endian):
 //
-//	magic u32 | codec u8 | lo u64 | hi u64 | nDocs u32
-//	nWords u32 × nDocs              (per-document term counts)
-//	words  (u32 len + bytes) × Σ    (all documents' words, concatenated)
-//	counts u32 × Σ                  (all documents' frequencies)
-//	names marker u32                (0 = nil, 1 = present)
+//	magic u32 | codec u8 | lo u64 | hi u64 | nWords u32 | nDocs u32
+//	words  (u32 len + bytes) × nWords   (shard vocabulary, strictly ascending)
+//	nTerms u32 × nDocs                  (per-document entry counts)
+//	locals u32 × Σ                      (all documents' vocabulary indexes)
+//	counts u32 × Σ                      (all documents' frequencies)
+//	names marker u32                    (0 = nil, 1 = present)
 //	[names (u32 len + bytes) × nDocs]
-//	df marker u32                   (0 = omitted, 1 = present)
-//	[nDF u32 | dfWords (u32 len + bytes) × nDF | dfCounts u32 × nDF]
+//	df marker u32                       (0 = omitted, 1 = present)
+//	[df u32 × nWords]
 //
-// Term frequencies are unsorted, so the codec byte is always
-// flatwire.CodecRaw here; it exists for the same versioning discipline as
-// the index-carrying payloads.
+// The codec byte is flatwire.CodecVocab, the only version: a word crosses
+// the wire once per shard, not once per document containing it.
 func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
 	b := flatwire.AppendU32(dst, wireShardCountsMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecRaw)
+	b = flatwire.AppendU8(b, flatwire.CodecVocab)
 	b = flatwire.AppendU64(b, uint64(w.Lo))
 	b = flatwire.AppendU64(b, uint64(w.Hi))
+	b = flatwire.AppendU32(b, uint32(len(w.Words)))
 	b = flatwire.AppendU32(b, uint32(len(w.Docs)))
-	for i := range w.Docs {
-		b = flatwire.AppendU32(b, uint32(len(w.Docs[i].Words)))
+	for _, word := range w.Words {
+		b = flatwire.AppendString(b, word)
 	}
 	for i := range w.Docs {
-		for _, word := range w.Docs[i].Words {
-			b = flatwire.AppendString(b, word)
-		}
+		b = flatwire.AppendU32(b, uint32(len(w.Docs[i].Locals)))
+	}
+	for i := range w.Docs {
+		b = flatwire.AppendU32s(b, w.Docs[i].Locals)
 	}
 	for i := range w.Docs {
 		b = flatwire.AppendU32s(b, w.Docs[i].Counts)
@@ -204,22 +206,24 @@ func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
 			b = flatwire.AppendString(b, name)
 		}
 	}
-	if w.DFWords == nil {
+	if w.DF == nil {
 		b = flatwire.AppendU32(b, 0)
 	} else {
 		b = flatwire.AppendU32(b, 1)
-		b = flatwire.AppendU32(b, uint32(len(w.DFWords)))
-		for _, word := range w.DFWords {
-			b = flatwire.AppendString(b, word)
-		}
-		b = flatwire.AppendU32s(b, w.DFCounts)
+		b = flatwire.AppendU32s(b, w.DF)
 	}
 	return b
 }
 
 // DecodeFlatWireShardCounts decodes a flat count reply, validating the
-// layout (magic, codec, counts, truncation, trailing bytes).
+// layout (magic, codec, counts, truncation, trailing bytes) and what
+// ShardCounts and the kernels rely on: the vocabulary strictly ascending
+// (so no word appears twice), every local inside it, and no local twice in
+// one document.
 func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
+	malformed := func(format string, args ...any) (*WireShardCounts, error) {
+		return nil, fmt.Errorf("tfidf: decode shard counts: %w: %s", flatwire.ErrMalformed, fmt.Sprintf(format, args...))
+	}
 	r := flatwire.NewReader(b)
 	r.Magic(wireShardCountsMagic, "tfidf shard counts")
 	codec := r.U8()
@@ -227,30 +231,44 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 		Lo: int(r.U64()),
 		Hi: int(r.U64()),
 	}
+	nw := r.Count(4)
 	n := r.Count(4)
-	nwords := r.U32s(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
 	}
-	if codec != flatwire.CodecRaw {
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
+	if codec != flatwire.CodecVocab {
+		return malformed("unknown codec version %d", codec)
 	}
+	w.Words = make([]string, nw)
+	for i := range w.Words {
+		w.Words[i] = r.String()
+	}
+	nterms := r.U32s(n)
 	w.Docs = make([]WireDocCounts, n)
-	for i := range w.Docs {
-		c := int(nwords[i])
-		if c > 0 {
-			w.Docs[i].Words = make([]string, c)
+	for i := range nterms {
+		w.Docs[i].Locals = r.U32s(int(nterms[i]))
+	}
+	for i := range nterms {
+		w.Docs[i].Counts = r.U32s(int(nterms[i]))
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
+	}
+	for i := 1; i < nw; i++ {
+		if w.Words[i] <= w.Words[i-1] {
+			return malformed("vocabulary not strictly ascending at word %d", i)
 		}
 	}
+	seenIn := make([]int, nw) // 1 + the last document each word was seen in
 	for i := range w.Docs {
-		for k := range w.Docs[i].Words {
-			w.Docs[i].Words[k] = r.String()
-		}
-	}
-	for i := range w.Docs {
-		if c := int(nwords[i]); c > 0 {
-			w.Docs[i].Counts = make([]uint32, c)
-			r.U32sInto(w.Docs[i].Counts)
+		for _, local := range w.Docs[i].Locals {
+			if int(local) >= nw {
+				return malformed("document %d references word %d of %d", i, local, nw)
+			}
+			if seenIn[local] == i+1 {
+				return malformed("document %d lists word %d twice", i, local)
+			}
+			seenIn[local] = i + 1
 		}
 	}
 	switch r.U32() {
@@ -261,23 +279,14 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 			w.DocNames[i] = r.String()
 		}
 	default:
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w: bad names marker", flatwire.ErrMalformed)
+		return malformed("bad names marker")
 	}
 	switch r.U32() {
 	case 0:
 	case 1:
-		nd := r.Count(4)
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
-		}
-		w.DFWords = make([]string, nd)
-		for i := range w.DFWords {
-			w.DFWords[i] = r.String()
-		}
-		w.DFCounts = make([]uint32, nd)
-		r.U32sInto(w.DFCounts)
+		w.DF = r.U32s(nw)
 	default:
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w: bad DF marker", flatwire.ErrMalformed)
+		return malformed("bad DF marker")
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)

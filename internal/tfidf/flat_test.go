@@ -126,21 +126,21 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 }
 
 // flatTestCounts builds a count reply with the shapes its codec must
-// handle: an empty document, repeated words across documents, and the DF
-// block a count reply carries.
+// handle: an empty document, a word shared across documents, entries out
+// of vocabulary order, and the DF block a count reply carries.
 func flatTestCounts(withDF bool) *WireShardCounts {
 	w := &WireShardCounts{
 		Lo: 2, Hi: 5,
+		Words: []string{"alpha", "beta", "gamma"},
 		Docs: []WireDocCounts{
-			{Words: []string{"alpha", "beta"}, Counts: []uint32{3, 1}},
+			{Locals: []uint32{1, 0}, Counts: []uint32{3, 1}},
 			{},
-			{Words: []string{"beta"}, Counts: []uint32{7}},
+			{Locals: []uint32{1, 2}, Counts: []uint32{7, 2}},
 		},
 		DocNames: []string{"a.txt", "", "c.txt"},
 	}
 	if withDF {
-		w.DFWords = []string{"alpha", "beta"}
-		w.DFCounts = []uint32{1, 2}
+		w.DF = []uint32{1, 2, 1}
 	}
 	return w
 }
@@ -169,11 +169,14 @@ func TestWireShardCountsFlatRoundTrip(t *testing.T) {
 			if dec.Lo != w.Lo || dec.Hi != w.Hi {
 				t.Errorf("withDF=%v %s: range [%d,%d), want [%d,%d)", withDF, name, dec.Lo, dec.Hi, w.Lo, w.Hi)
 			}
+			if !reflect.DeepEqual(dec.Words, w.Words) {
+				t.Errorf("withDF=%v %s: vocabulary %v", withDF, name, dec.Words)
+			}
 			if len(dec.Docs) != len(w.Docs) {
 				t.Fatalf("withDF=%v %s: %d docs, want %d", withDF, name, len(dec.Docs), len(w.Docs))
 			}
 			for i := range w.Docs {
-				if !reflect.DeepEqual(dec.Docs[i].Words, w.Docs[i].Words) ||
+				if !reflect.DeepEqual(dec.Docs[i].Locals, w.Docs[i].Locals) ||
 					!reflect.DeepEqual(dec.Docs[i].Counts, w.Docs[i].Counts) {
 					t.Errorf("withDF=%v %s: doc %d differs: %+v", withDF, name, i, dec.Docs[i])
 				}
@@ -181,7 +184,7 @@ func TestWireShardCountsFlatRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(dec.DocNames, w.DocNames) {
 				t.Errorf("withDF=%v %s: names %v", withDF, name, dec.DocNames)
 			}
-			if !reflect.DeepEqual(dec.DFWords, w.DFWords) || !reflect.DeepEqual(dec.DFCounts, w.DFCounts) {
+			if !reflect.DeepEqual(dec.DF, w.DF) {
 				t.Errorf("withDF=%v %s: DF block differs", withDF, name)
 			}
 		}
@@ -193,30 +196,47 @@ func TestWireShardCountsFlatRoundTrip(t *testing.T) {
 		if flatSC.Lo != gobSC.Lo || flatSC.Hi != gobSC.Hi || len(flatSC.DocDicts) != len(gobSC.DocDicts) {
 			t.Errorf("withDF=%v: rebuilt shards differ structurally", withDF)
 		}
+		if e, ok := flatSC.DocDicts[2].Get("gamma"); !ok || e != (DocTerm{TF: 2, Local: 2}) {
+			t.Errorf("withDF=%v: rebuilt dictionary holds %+v for gamma", withDF, e)
+		}
 	}
 }
 
 // TestWireShardCountsFlatMalformed: structural corruption fails with an
-// error, never a panic or a silently wrong count set.
+// error, never a panic or a silently wrong count set — including the
+// invariants the kernels index by: every local inside the vocabulary, no
+// local twice in a document, no word twice in the vocabulary.
 func TestWireShardCountsFlatMalformed(t *testing.T) {
 	good := flatTestCounts(true).EncodeFlat(nil)
 	badCodec := append([]byte{}, good...)
 	badCodec[4] = 99
+	retiredCodec := append([]byte{}, good...)
+	retiredCodec[4] = flatwire.CodecRaw
 	// A bogus names marker: re-encode the nameless variant (marker 0 directly
-	// follows the counts block) and flip its marker to an undefined value.
+	// precedes the DF block) and flip its marker to an undefined value.
 	badMarker := flatTestCounts(true)
 	badMarker.DocNames = nil
 	badMarkerBuf := badMarker.EncodeFlat(nil)
-	dfLen := 4 + 4 + flatwire.SizeString("alpha") + flatwire.SizeString("beta") + 2*4
+	dfLen := 4 + 3*4
 	badMarkerBuf[len(badMarkerBuf)-dfLen-4] = 9 // names marker, little-endian low byte
+	mutate := func(fn func(w *WireShardCounts)) []byte {
+		w := flatTestCounts(true)
+		fn(w)
+		return w.EncodeFlat(nil)
+	}
 	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte{1, 2, 3, 4}, good[4:]...),
-		"truncated":     good[:len(good)-3],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"short header":  good[:9],
-		"unknown codec": badCodec,
-		"bad marker":    badMarkerBuf,
+		"empty":           {},
+		"bad magic":       append([]byte{1, 2, 3, 4}, good[4:]...),
+		"truncated":       good[:len(good)-3],
+		"trailing":        append(append([]byte{}, good...), 0),
+		"short header":    good[:9],
+		"unknown codec":   badCodec,
+		"retired codec":   retiredCodec,
+		"bad marker":      badMarkerBuf,
+		"local past end":  mutate(func(w *WireShardCounts) { w.Docs[2].Locals[1] = 3 }),
+		"duplicate local": mutate(func(w *WireShardCounts) { w.Docs[0].Locals[1] = 1 }),
+		"duplicate word":  mutate(func(w *WireShardCounts) { w.Words[2] = "beta" }),
+		"unsorted words":  mutate(func(w *WireShardCounts) { w.Words[0], w.Words[1] = w.Words[1], w.Words[0] }),
 	}
 	for name, b := range cases {
 		w, err := DecodeFlatWireShardCounts(b)

@@ -57,17 +57,32 @@ func FuzzDecodeFlatWireGlobal(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFlatWireShardCounts: arbitrary input must error — never panic.
+// FuzzDecodeFlatWireShardCounts: arbitrary input must error — never panic;
+// an accepted payload must satisfy the invariants the kernels index by, so
+// rebuilding live dictionaries from it cannot panic either.
 func FuzzDecodeFlatWireShardCounts(f *testing.F) {
 	w := flatTestCounts(true)
 	good := w.EncodeFlat(nil)
 	f.Add(good)
 	f.Add(good[:len(good)-2])
 	f.Add([]byte{})
+	f.Add(flatTestCounts(false).EncodeFlat(nil))
+	retired := append([]byte{}, good...)
+	retired[4] = flatwire.CodecRaw
+	f.Add(retired)
+	w.Docs[0].Locals[1] = 1 // the same word twice in one document
+	f.Add(w.EncodeFlat(nil))
+	w.Docs[0].Locals[1] = 9 // a word outside the vocabulary
+	f.Add(w.EncodeFlat(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeFlatWireShardCounts(data)
 		if err != nil {
 			return
+		}
+		for i, d := range dec.ShardCounts(Options{}).DocDicts {
+			if d.Len() != len(dec.Docs[i].Locals) {
+				t.Fatalf("document %d rebuilt with %d entries from %d", i, d.Len(), len(dec.Docs[i].Locals))
+			}
 		}
 		if _, err := DecodeFlatWireShardCounts(dec.EncodeFlat(nil)); err != nil {
 			t.Fatalf("re-encoding an accepted payload failed to decode: %v", err)

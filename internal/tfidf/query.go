@@ -2,16 +2,15 @@ package tfidf
 
 import (
 	"fmt"
-	"math"
 
 	"hpa/internal/sparse"
 	"hpa/internal/text"
 )
 
 // QueryVocab is the resident query-side view of a TF/IDF Result: the term
-// table (word → ID, DF) flattened into one read-only map plus the corpus
-// constants scoring needs (document count, IDF base) and the tokenizer
-// configuration the corpus was vectorized with. It is immutable after
+// table (word → ID, DF) flattened into one read-only map plus what scoring
+// needs (document count, the per-term IDF table corpus scoring reads) and
+// the tokenizer configuration the corpus was vectorized with. It is immutable after
 // construction and safe for concurrent lookups from any number of
 // goroutines — the serving hot path reads it without locks.
 //
@@ -19,14 +18,13 @@ import (
 // re-running the corpus: "what vector would this query text have received
 // had it been a document?" — tokens pass through the same tokenizer
 // (stopwords, minimum length, stemming), resolve against the same term IDs
-// and are weighted with the same tf·idf formula as scoreDoc, so a query
-// equal to a corpus document vectorizes bit-identically to that document's
-// corpus vector.
+// and are weighted tf·idf from a table built by the same idfTable as
+// scoreDoc's, so a query equal to a corpus document vectorizes
+// bit-identically to that document's corpus vector.
 type QueryVocab struct {
 	terms     map[string]TermInfo
-	df        []uint32
+	idf       []float64
 	numDocs   int
-	logN      float64
 	dim       int
 	normalize bool
 	// tokenizer template; vectorizers copy it so the scratch buffer is
@@ -50,9 +48,8 @@ func NewQueryVocab(r *Result, opts Options) (*QueryVocab, error) {
 	}
 	v := &QueryVocab{
 		terms:     make(map[string]TermInfo, len(r.Terms)),
-		df:        r.DF,
+		idf:       idfTable(r.DF, r.NumDocs),
 		numDocs:   r.NumDocs,
-		logN:      math.Log(float64(r.NumDocs)),
 		dim:       len(r.Terms),
 		normalize: opts.Normalize,
 		tk: text.Tokenizer{
@@ -98,9 +95,9 @@ type QueryVectorizer struct {
 
 // Vectorize tokenizes query text through the vocabulary's tokenizer,
 // resolves each token against the resident term table (unknown words
-// contribute nothing) and fills out with tf·idf weights — the same
-// idf = log N − log DF weighting as corpus scoring, unit-normalized when
-// the corpus was. The result is bit-identical to the corpus vector the
+// contribute nothing) and fills out with tf·idf weights — idf read from
+// the same per-term table as corpus scoring, unit-normalized when the
+// corpus was. The result is bit-identical to the corpus vector the
 // same text would have produced as a document.
 func (q *QueryVectorizer) Vectorize(query []byte, out *sparse.Vector) {
 	q.b.Reset()
@@ -114,8 +111,7 @@ func (q *QueryVectorizer) Vectorize(query []byte, out *sparse.Vector) {
 	q.b.Build(&q.tfs)
 	out.Reset()
 	for i, id := range q.tfs.Idx {
-		idf := q.v.logN - math.Log(float64(q.v.df[id]))
-		if w := q.tfs.Val[i] * idf; w != 0 {
+		if w := q.tfs.Val[i] * q.v.idf[id]; w != 0 {
 			out.Append(id, w)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hpa/internal/corpus"
 	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/sparse"
@@ -39,25 +40,30 @@ func queryTestSource() *pario.MemSource {
 // that document's corpus vector: same tokenizer, same term IDs, same
 // tf·idf arithmetic, same normalization.
 func TestQueryVectorizeMatchesCorpusVectors(t *testing.T) {
-	for _, normalize := range []bool{false, true} {
-		opts := Options{Normalize: normalize}
-		src := queryTestSource()
-		res, err := Run(src, queryTestPool(t), opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vocab, err := NewQueryVocab(res, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qv := vocab.NewVectorizer()
-		var got sparse.Vector
-		for i := 0; i < src.Len(); i++ {
-			content, _ := src.Read(i)
-			qv.Vectorize(content, &got)
-			if !reflect.DeepEqual(got, res.Vectors[i]) {
-				t.Fatalf("normalize=%v: query vector for %s differs from corpus vector:\n got %v\nwant %v",
-					normalize, src.Name(i), got, res.Vectors[i])
+	sources := []*pario.MemSource{
+		queryTestSource(),
+		corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil),
+	}
+	for _, src := range sources {
+		for _, normalize := range []bool{false, true} {
+			opts := Options{Normalize: normalize}
+			res, err := Run(src, queryTestPool(t), opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vocab, err := NewQueryVocab(res, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qv := vocab.NewVectorizer()
+			var got sparse.Vector
+			for i := 0; i < src.Len(); i++ {
+				content, _ := src.Read(i)
+				qv.Vectorize(content, &got)
+				if !reflect.DeepEqual(got, res.Vectors[i]) {
+					t.Fatalf("normalize=%v: query vector for %s differs from corpus vector:\n got %v\nwant %v",
+						normalize, src.Name(i), got, res.Vectors[i])
+				}
 			}
 		}
 	}
@@ -87,7 +93,7 @@ func TestQueryVectorizeUnknownAndEmpty(t *testing.T) {
 	// must be dropped, exactly as corpus scoring drops it.
 	qv.Vectorize([]byte("alpha beta"), &out)
 	for i, id := range out.Idx {
-		if vocab.df[id] == uint32(res.NumDocs) && out.Val[i] != 0 {
+		if res.DF[id] == uint32(res.NumDocs) && out.Val[i] != 0 {
 			t.Fatalf("term %d present in all documents kept weight %v", id, out.Val[i])
 		}
 	}

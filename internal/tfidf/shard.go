@@ -3,7 +3,8 @@ package tfidf
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,15 +17,33 @@ import (
 
 // This file holds the TF/IDF kernels — the operator's only implementation.
 // CountShard is the phase-1 map over one corpus shard, MergeShards is the
-// tree-merge reduction producing the global term table (the workflow's only
-// serial point besides output), TransformShard is the phase-2 map, and
-// NewResultShell/AbsorbShard assemble the final Result as vector shards
-// arrive. Run drives them over one shard per pool worker; a partitioned
-// plan schedules them as (node, shard) tasks. For a fixed document set the
-// assembled scores are bit-identical at any shard count: document
-// frequencies are commutative integer sums, term IDs are assigned in
-// lexicographic word order regardless of merge shape, and the per-document
-// score expression is the same code.
+// reduction of the shards' sorted vocabularies into the global term table
+// (the workflow's only serial point besides output), TransformShard is the
+// phase-2 map, and NewResultShell/AbsorbShard assemble the final Result as
+// vector shards arrive. Run drives them over one shard per pool worker; a
+// partitioned plan schedules them as (node, shard) tasks.
+//
+// Words are strings only while they are being counted. CountShard gives
+// every word of its shard a shard-local term ID and the per-document
+// dictionaries record that ID beside the term frequency, so phase 2 never
+// touches a string per (document, word): TransformShard resolves the
+// shard's vocabulary against the global table once — |shard vocabulary|
+// lookups — into a local → global remap, and scoring a word is
+// remap[local] and one read of the per-term IDF table on Global.
+//
+// For a fixed document set the assembled scores are bit-identical at any
+// shard count: document frequencies are commutative integer sums, term IDs
+// are assigned in lexicographic word order regardless of merge shape, and
+// the per-document score expression is the same code over the same IDF
+// table.
+
+// DocTerm is the per-document dictionary value: how often the word occurs
+// in the document, and the word's shard-local term ID (its index in
+// ShardCounts.Words).
+type DocTerm struct {
+	TF    uint32
+	Local uint32
+}
 
 // ShardCounts is the phase-1 ("input+wc") output of one corpus shard.
 type ShardCounts struct {
@@ -33,37 +52,70 @@ type ShardCounts struct {
 	Lo, Hi int
 	// DocDicts holds the per-document term-frequency dictionaries of the
 	// shard, indexed by document position within the shard.
-	DocDicts []dict.Map[uint32]
-	// DF is the shard-local document-frequency dictionary: for every word,
-	// in how many of the shard's documents it appears. IDs are zero until
-	// the global merge assigns them.
-	DF dict.Map[TermInfo]
+	DocDicts []dict.Map[DocTerm]
+	// Words is the shard's vocabulary in ascending word order; a word's
+	// index is its shard-local term ID (DocTerm.Local).
+	Words []string
+	// DF maps shard-local term ID to the number of the shard's documents
+	// containing the word.
+	DF []uint32
 	// DocNames holds the shard's document names in document order.
 	DocNames []string
 }
 
-// Global is the merged term table: the reduction of every shard's DF
-// dictionary, with term IDs assigned in lexicographic word order.
+// Global is the merged term table: the reduction of every shard's
+// vocabulary, with term IDs assigned in lexicographic word order.
 type Global struct {
 	// Terms maps term ID to word; sorted, as in Result.
 	Terms []string
 	// DF maps term ID to corpus-wide document frequency.
 	DF []uint32
+	// IDF maps term ID to the word's inverse document frequency (idfTable):
+	// the one evaluation of the weighting every document score multiplies
+	// by.
+	IDF []float64
 	// NumDocs is the corpus-wide document count (the N of ln(N/df)).
 	NumDocs int
-	// Lookup resolves word -> (ID, DF) during the transform phase. Its
-	// dictionary kind is the run's configured kind, so Figure 4's
-	// lookup-cost comparison carries over to partitioned execution.
+	// Lookup resolves word -> (ID, DF) when a shard's vocabulary is
+	// remapped for the transform phase. Its dictionary kind is the run's
+	// configured kind, so Figure 4's lookup-cost comparison carries over —
+	// at |shard vocabulary| lookups per shard.
 	Lookup dict.Map[TermInfo]
-	// Stats accumulates the merged dictionary's counters.
+	// Stats accumulates the lookup dictionary's counters.
 	Stats dict.Stats
-	// Footprint is the merged dictionary's resident size.
+	// Footprint is the lookup dictionary's resident size.
 	Footprint int64
 
 	// hashOnce/hash cache the content digest (ContentHash); the table is
 	// immutable once built.
 	hashOnce sync.Once
 	hash     uint64
+}
+
+// idfTable evaluates the inverse document frequency ln(N/df), as
+// log N − log df, once per term. It is the only place the weighting is
+// computed: corpus scoring (Global.IDF) and query vectorization
+// (QueryVocab) both read a table built here, so the two cannot drift.
+func idfTable(df []uint32, numDocs int) []float64 {
+	logN := math.Log(float64(numDocs))
+	idf := make([]float64, len(df))
+	for id, n := range df {
+		idf[id] = logN - math.Log(float64(n))
+	}
+	return idf
+}
+
+// newGlobal builds the term table over sorted terms: the IDF table and a
+// lookup dictionary of the given kind holding every term's (ID, DF).
+func newGlobal(terms []string, df []uint32, numDocs int, kind dict.Kind, presize int) *Global {
+	g := &Global{Terms: terms, DF: df, IDF: idfTable(df, numDocs), NumDocs: numDocs}
+	g.Lookup = dict.New[TermInfo](kind, dict.Options{Presize: presize})
+	for id, word := range terms {
+		*g.Lookup.Ref(word) = TermInfo{ID: uint32(id), DF: df[id]}
+	}
+	g.Stats = g.Lookup.Stats()
+	g.Footprint = g.Lookup.Footprint()
+	return g
 }
 
 // VectorShard is the phase-2 ("transform") output of one shard: the score
@@ -89,11 +141,13 @@ type VectorShard struct {
 }
 
 // CountShard runs phase 1 over one shard: every document is read and
-// tokenized, per-document term frequencies are collected in dedicated
-// dictionaries, and the shard-local DF dictionary accumulates, per word,
-// the number of shard documents containing it. No cross-shard state is
-// touched — the map side of the paper's "first phase can be executed in
-// parallel for each of the documents".
+// tokenized, its term frequencies are collected in a dedicated dictionary,
+// and a shard dictionary accumulates, per word, the number of shard
+// documents containing it and hands out the word's shard-local term ID. No
+// cross-shard state is touched — the map side of the paper's "first phase
+// can be executed in parallel for each of the documents". The tail sorts
+// the shard's vocabulary, which is what lets MergeShards be a merge of
+// sorted lists.
 //
 // readers bounds the shard's concurrent document reads (at least 1); the
 // partitioned executor divides the pool's workers among concurrently
@@ -108,18 +162,26 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 	n := src.Len()
 	sc := &ShardCounts{
 		Hi:       n,
-		DocDicts: make([]dict.Map[uint32], n),
-		DF:       dict.New[TermInfo](opts.DictKind, dict.Options{Presize: opts.GlobalPresize}),
+		DocDicts: make([]dict.Map[DocTerm], n),
 		DocNames: make([]string, n),
 	}
 	if sub, ok := src.(*pario.SubSource); ok {
 		sc.Lo, sc.Hi = sub.Lo, sub.Hi
 	}
+	// vocab is the shard dictionary: word -> (shard DF, provisional local
+	// ID in first-occurrence order, indexing words).
+	vocab := dict.New[TermInfo](opts.DictKind, dict.Options{Presize: opts.GlobalPresize})
+	var words []string
+	newWord := func(tok []byte) string {
+		w := string(tok)
+		words = append(words, w)
+		return w
+	}
 	rec := opts.Recorder
 	strands := par.NewReducer(func() *text.Tokenizer {
 		return &text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem}
 	}, nil)
-	var dfMu sync.Mutex
+	var vocabMu sync.Mutex
 	read := func(handler func(i int, content []byte) error) error {
 		if opts.Ctx != nil {
 			return pario.ReadAllContext(opts.Ctx, src, readers, handler)
@@ -132,19 +194,49 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 			start = time.Now()
 		}
 		tk := strands.Claim()
-		d := dict.New[uint32](opts.DictKind, dict.Options{Presize: opts.DocPresize})
-		tk.Tokens(content, func(tok []byte) {
-			*d.RefBytes(tok)++
-		})
-		// One DF bump per distinct word of this document. With a single
-		// reader the lock is uncontended; with several it is held once per
-		// document, not once per word.
-		dfMu.Lock()
-		d.Range(func(word string, _ *uint32) bool {
-			sc.DF.Ref(word).DF++
-			return true
-		})
-		dfMu.Unlock()
+		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: opts.DocPresize})
+		if readers == 1 {
+			// The shard dictionary is this strand's alone: a word's first
+			// occurrence in the document bumps its DF there and then, and
+			// the document dictionary stores the shard's key string — one
+			// string per shard word, none per (document, word).
+			var local uint32
+			firstInDoc := func(tok []byte) string {
+				info := vocab.RefBytesFunc(tok, newWord)
+				if info.DF == 0 {
+					info.ID = uint32(len(words) - 1)
+				}
+				info.DF++
+				local = info.ID
+				return words[local]
+			}
+			tk.Tokens(content, func(tok []byte) {
+				e := d.RefBytesFunc(tok, firstInDoc)
+				if e.TF == 0 {
+					e.Local = local
+				}
+				e.TF++
+			})
+		} else {
+			// Several readers share the shard dictionary: count privately,
+			// then bump DFs under a lock held once per document, not once
+			// per word.
+			tk.Tokens(content, func(tok []byte) {
+				d.RefBytes(tok).TF++
+			})
+			vocabMu.Lock()
+			d.Range(func(word string, e *DocTerm) bool {
+				info := vocab.Ref(word)
+				if info.DF == 0 {
+					info.ID = uint32(len(words))
+					words = append(words, word)
+				}
+				info.DF++
+				e.Local = info.ID
+				return true
+			})
+			vocabMu.Unlock()
+		}
 		sc.DocDicts[i] = d
 		sc.DocNames[i] = src.Name(i)
 		strands.Release(tk)
@@ -161,66 +253,96 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 			return nil, fmt.Errorf("tfidf: %w", err)
 		}
 	}
+	sc.sortVocabulary(words, vocab)
 	return sc, nil
 }
 
-// MergeShards reduces the shard DF dictionaries into the global term table:
-// a parallel tree-merge (par.TreeReduce) whose shape depends only on shard
-// indices, followed by lexicographic ID assignment, so IDs are independent
-// of the shard count. The shard dictionaries are consumed by the merge. It
-// is TF/IDF's serial section, and reports itself as such to opts.Recorder.
+// sortVocabulary renumbers the shard's provisional term IDs (indexes into
+// words, in first-occurrence order) to ranks in ascending word order,
+// filling Words and DF and rewriting every document dictionary's Local.
+func (sc *ShardCounts) sortVocabulary(words []string, vocab dict.Map[TermInfo]) {
+	order := make([]uint32, len(words))
+	for id := range order {
+		order[id] = uint32(id)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(words[a], words[b]) })
+	rank := make([]uint32, len(words))
+	sc.Words = make([]string, len(words))
+	for r, id := range order {
+		rank[id] = uint32(r)
+		sc.Words[r] = words[id]
+	}
+	sc.DF = make([]uint32, len(words))
+	vocab.Range(func(_ string, info *TermInfo) bool {
+		sc.DF[rank[info.ID]] = info.DF
+		return true
+	})
+	for _, d := range sc.DocDicts {
+		d.Range(func(_ string, e *DocTerm) bool {
+			e.Local = rank[e.Local]
+			return true
+		})
+	}
+}
+
+// termList is a sorted vocabulary with per-word document frequencies — one
+// shard's, or the merge of several.
+type termList struct {
+	words []string
+	df    []uint32
+}
+
+// mergeTermLists merges two sorted term lists into a new one, summing the
+// document frequencies of words present in both. The inputs are not
+// modified.
+func mergeTermLists(a, b termList) termList {
+	out := termList{
+		words: make([]string, 0, len(a.words)+len(b.words)),
+		df:    make([]uint32, 0, len(a.words)+len(b.words)),
+	}
+	i, j := 0, 0
+	for i < len(a.words) && j < len(b.words) {
+		switch c := strings.Compare(a.words[i], b.words[j]); {
+		case c < 0:
+			out.words, out.df = append(out.words, a.words[i]), append(out.df, a.df[i])
+			i++
+		case c > 0:
+			out.words, out.df = append(out.words, b.words[j]), append(out.df, b.df[j])
+			j++
+		default:
+			out.words, out.df = append(out.words, a.words[i]), append(out.df, a.df[i]+b.df[j])
+			i++
+			j++
+		}
+	}
+	out.words, out.df = append(out.words, a.words[i:]...), append(out.df, a.df[i:]...)
+	out.words, out.df = append(out.words, b.words[j:]...), append(out.df, b.df[j:]...)
+	return out
+}
+
+// MergeShards reduces the shards' sorted vocabularies into the global term
+// table: a parallel tree of pairwise sorted-list merges (par.TreeReduce)
+// whose shape depends only on shard indices. The merged list is already in
+// lexicographic order, so a term's position is its ID, independent of the
+// shard count. The shards are not modified. It is TF/IDF's serial section,
+// and reports itself as such to opts.Recorder.
 func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
+	if opts.GlobalPresize <= 0 {
+		opts.GlobalPresize = defaultGlobalPresize
+	}
 	rec := opts.Recorder
 	var start time.Time
 	if rec.Enabled() {
 		start = time.Now()
 	}
-	g := &Global{}
-	dicts := make([]dict.Map[TermInfo], 0, len(shards))
-	for _, sc := range shards {
-		g.NumDocs += len(sc.DocDicts)
-		dicts = append(dicts, sc.DF)
+	numDocs := 0
+	lists := make([]termList, len(shards))
+	for i, sc := range shards {
+		numDocs += len(sc.DocNames)
+		lists[i] = termList{sc.Words, sc.DF}
 	}
-	var merged dict.Map[TermInfo]
-	if len(dicts) == 0 {
-		merged = dict.New[TermInfo](opts.DictKind, dict.Options{})
-	} else {
-		merged = par.TreeReduce(pool, dicts, func(a, b dict.Map[TermInfo]) dict.Map[TermInfo] {
-			// Merge the smaller side into the larger: both orders sum the
-			// same DF counts, and sizes are shard-count-deterministic.
-			if a.Len() < b.Len() {
-				a, b = b, a
-			}
-			b.Range(func(word string, v *TermInfo) bool {
-				a.Ref(word).DF += v.DF
-				return true
-			})
-			return a
-		})
-	}
-	// Assign IDs in lexicographic word order, written back through the
-	// dictionary so the transform phase resolves (word -> ID, DF) with one
-	// lookup.
-	type entry struct {
-		word string
-		info *TermInfo
-	}
-	entries := make([]entry, 0, merged.Len())
-	merged.Range(func(word string, v *TermInfo) bool {
-		entries = append(entries, entry{word, v})
-		return true
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].word < entries[j].word })
-	g.Terms = make([]string, len(entries))
-	g.DF = make([]uint32, len(entries))
-	for i, e := range entries {
-		e.info.ID = uint32(i)
-		g.Terms[i] = e.word
-		g.DF[i] = e.info.DF
-	}
-	g.Lookup = merged
-	g.Stats = merged.Stats()
-	g.Footprint = merged.Footprint()
+	merged := par.TreeReduce(pool, lists, mergeTermLists)
+	g := newGlobal(merged.words, merged.df, numDocs, opts.DictKind, opts.GlobalPresize)
 	if rec.Enabled() {
 		rec.Serial(time.Since(start), 0, 0)
 	}
@@ -228,22 +350,19 @@ func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
 }
 
 // scoreDoc builds one document's TF/IDF vector from its term-frequency
-// dictionary: every word resolved through the global table, scored
-// tf*ln(N/df) (words present in every document score zero and drop out),
-// built sorted by term ID via the distinct fast path — dictionaries
-// iterating in key order (the tree kinds) arrive pre-sorted and skip
-// sorting entirely.
-func scoreDoc(d dict.Map[uint32], global dict.Map[TermInfo],
-	logN float64, normalize bool, b *sparse.Builder, out *sparse.Vector) {
+// dictionary: every entry's shard-local term ID is remapped to the global
+// ID and scored tf*idf (words present in every document score zero and
+// drop out), built sorted by term ID via the distinct fast path —
+// dictionaries iterating in key order (the tree kinds) arrive pre-sorted
+// and skip sorting entirely, because local and global IDs both ascend with
+// the word.
+func scoreDoc(d dict.Map[DocTerm], remap []uint32, idf []float64,
+	normalize bool, b *sparse.Builder, out *sparse.Vector) {
 	b.Reset()
-	d.Range(func(word string, tf *uint32) bool {
-		info, ok := global.Get(word)
-		if !ok {
-			panic("tfidf: word vanished from global dictionary")
-		}
-		idf := logN - math.Log(float64(info.DF))
-		if score := float64(*tf) * idf; score != 0 {
-			b.Add(info.ID, score)
+	d.Range(func(_ string, e *DocTerm) bool {
+		id := remap[e.Local]
+		if score := float64(e.TF) * idf[id]; score != 0 {
+			b.Add(id, score)
 		}
 		return true
 	})
@@ -253,8 +372,9 @@ func scoreDoc(d dict.Map[uint32], global dict.Map[TermInfo],
 	}
 }
 
-// TransformShard runs phase 2 over one shard: every document's words are
-// resolved against the global table and its sparse score vector is built,
+// TransformShard runs phase 2 over one shard: the shard's vocabulary is
+// resolved against the global table once, into a local → global term-ID
+// remap, and every document's sparse score vector is built through it,
 // sorted by term ID. The shard's per-document dictionaries are released
 // afterwards; their summed footprint is recorded first.
 func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *VectorShard {
@@ -267,17 +387,24 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 		DocNames: sc.DocNames,
 		Norms:    make([]float64, n),
 	}
+	remap := make([]uint32, len(sc.Words))
+	for local, word := range sc.Words {
+		info, ok := g.Lookup.Get(word)
+		if !ok {
+			panic("tfidf: shard word missing from the global term table")
+		}
+		remap[local] = info.ID
+	}
 	rec := opts.Recorder
 	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} },
 		func(b *sparse.Builder) { b.Reset() })
-	logN := math.Log(float64(g.NumDocs))
 	pool.For(0, n, 0, func(i int) {
 		var start time.Time
 		if rec.Enabled() {
 			start = time.Now()
 		}
 		b := builders.Claim()
-		scoreDoc(sc.DocDicts[i], g.Lookup, logN, opts.Normalize, b, &vs.Vectors[i])
+		scoreDoc(sc.DocDicts[i], remap, g.IDF, opts.Normalize, b, &vs.Vectors[i])
 		vs.Norms[i] = vs.Vectors[i].NormSq()
 		builders.Release(b)
 		if rec.Enabled() {

@@ -1,0 +1,203 @@
+package tfidf
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"hpa/internal/corpus"
+	"hpa/internal/dict"
+	"hpa/internal/par"
+	"hpa/internal/pario"
+	"hpa/internal/sparse"
+	"hpa/internal/text"
+)
+
+// oracleScoreDoc is the string-space scoring kernel the term-ID kernels
+// replaced, kept as the reference they are differentially tested against:
+// every word of the document resolved by string against the global
+// dictionary, its IDF recomputed per (document, word).
+func oracleScoreDoc(d dict.Map[uint32], global dict.Map[TermInfo],
+	logN float64, normalize bool, b *sparse.Builder, out *sparse.Vector) {
+	b.Reset()
+	d.Range(func(word string, tf *uint32) bool {
+		info, ok := global.Get(word)
+		if !ok {
+			panic("tfidf: word vanished from global dictionary")
+		}
+		idf := logN - math.Log(float64(info.DF))
+		if score := float64(*tf) * idf; score != 0 {
+			b.Add(info.ID, score)
+		}
+		return true
+	})
+	b.BuildDistinct(out)
+	if normalize {
+		out.Normalize()
+	}
+}
+
+// oracleVectors computes every document's vector without any kernel of
+// this package: documents tokenized into string-keyed dictionaries, the
+// term table from a brute-force word → DF map sorted by word, and
+// oracleScoreDoc over them.
+func oracleVectors(t *testing.T, src pario.Source, kind dict.Kind, opts Options) []sparse.Vector {
+	t.Helper()
+	tk := &text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem}
+	docs := make([]dict.Map[uint32], src.Len())
+	df := map[string]uint32{}
+	for i := range docs {
+		content, err := src.Read(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = dict.New[uint32](kind, dict.Options{})
+		tk.Tokens(content, func(tok []byte) { *docs[i].RefBytes(tok)++ })
+		docs[i].Range(func(word string, _ *uint32) bool { df[word]++; return true })
+	}
+	words := make([]string, 0, len(df))
+	for w := range df {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	global := dict.New[TermInfo](kind, dict.Options{})
+	for id, w := range words {
+		*global.Ref(w) = TermInfo{ID: uint32(id), DF: df[w]}
+	}
+	logN := math.Log(float64(src.Len()))
+	out := make([]sparse.Vector, src.Len())
+	var b sparse.Builder
+	for i, d := range docs {
+		oracleScoreDoc(d, global, logN, opts.Normalize, &b, &out[i])
+	}
+	return out
+}
+
+// sameBits fails unless got matches want index for index and bit for bit,
+// and norm is the bit pattern of want's squared norm.
+func sameBits(t *testing.T, label string, want, got *sparse.Vector, norm float64) {
+	t.Helper()
+	if len(got.Idx) != len(want.Idx) {
+		t.Fatalf("%s: %d entries, want %d", label, len(got.Idx), len(want.Idx))
+	}
+	for e := range want.Idx {
+		if got.Idx[e] != want.Idx[e] || math.Float64bits(got.Val[e]) != math.Float64bits(want.Val[e]) {
+			t.Fatalf("%s: entry %d is (%d, %x), want (%d, %x)", label, e,
+				got.Idx[e], math.Float64bits(got.Val[e]), want.Idx[e], math.Float64bits(want.Val[e]))
+		}
+	}
+	if math.Float64bits(norm) != math.Float64bits(want.NormSq()) {
+		t.Fatalf("%s: norm %x, want %x", label, math.Float64bits(norm), math.Float64bits(want.NormSq()))
+	}
+}
+
+// TestTransformMatchesStringOracle: the term-ID transform equals the
+// string-lookup kernel it replaced, bit for bit, for every dictionary kind
+// at shard counts that divide the corpus evenly and unevenly, from live
+// shard counts and from counts that crossed the wire, whether a shard was
+// counted by one reader (words interned as they are first seen) or by
+// several (documents counted privately, then folded in under the lock).
+func TestTransformMatchesStringOracle(t *testing.T) {
+	src := corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, kind := range dict.Kinds() {
+		opts := Options{DictKind: kind, Normalize: true}
+		want := oracleVectors(t, src, kind, opts)
+		for _, shards := range []int{1, 2, 4, 7} {
+			for _, wire := range []bool{false, true} {
+				readers := 1
+				if wire {
+					readers = 3
+				}
+				counts := make([]*ShardCounts, shards)
+				for p := range counts {
+					sc, err := CountShard(pario.Partition(src, shards, p), readers, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					counts[p] = sc
+				}
+				g := MergeShards(counts, pool, opts)
+				for _, sc := range counts {
+					if wire {
+						sc = sc.Wire(false).ShardCounts(opts)
+					}
+					vs := TransformShard(g, sc, pool, opts)
+					for i := range vs.Vectors {
+						label := fmt.Sprintf("%v shards=%d wire=%v doc %d", kind, shards, wire, vs.Lo+i)
+						sameBits(t, label, &want[vs.Lo+i], &vs.Vectors[i], vs.Norms[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTermIDEdgeCases: the corners of the ID-space kernels — a document
+// with no words, a word in every document (IDF 0, dropped), a corpus of one
+// document (log N = 0, everything dropped) and more shards than documents
+// (empty shards with empty vocabularies) — all equal the string oracle.
+func TestTermIDEdgeCases(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	cases := map[string]*pario.MemSource{
+		"empty document":   tinySource("apple pear", "", "pear plum"),
+		"word everywhere":  tinySource("the apple", "the pear", "the the plum"),
+		"single document":  tinySource("apple pear apple"),
+		"only empty":       tinySource("", ""),
+		"shards over docs": tinySource("apple banana", "banana cherry"),
+	}
+	for name, src := range cases {
+		for _, kind := range dict.Kinds() {
+			opts := Options{DictKind: kind, Normalize: true}
+			want := oracleVectors(t, src, kind, opts)
+			for _, shards := range []int{1, 5} {
+				got := shardKernelRun(t, src, shards, opts)
+				if got.NumDocs != src.Len() {
+					t.Fatalf("%s/%v shards=%d: %d documents, want %d", name, kind, shards, got.NumDocs, src.Len())
+				}
+				for i := range want {
+					label := fmt.Sprintf("%s/%v shards=%d doc %d", name, kind, shards, i)
+					sameBits(t, label, &want[i], &got.Vectors[i], got.Vectors[i].NormSq())
+				}
+			}
+		}
+	}
+	// The dropped components are really gone, not stored as zeros.
+	res := shardKernelRun(t, cases["word everywhere"], 2, Options{})
+	for i, v := range res.Vectors {
+		if v.NNZ() != 1 {
+			t.Errorf("word everywhere: doc %d has %d components, want 1 (\"the\" dropped)", i, v.NNZ())
+		}
+	}
+	if v := shardKernelRun(t, cases["single document"], 1, Options{}).Vectors[0]; v.NNZ() != 0 {
+		t.Errorf("single document: %d components survive log N = 0", v.NNZ())
+	}
+}
+
+// TestCountShardAllocations: phase 1 allocates per shard word and per
+// document, never per (document, word) — a document's first sight of a word
+// takes the shard vocabulary's string.
+func TestCountShardAllocations(t *testing.T) {
+	src := corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil)
+	opts := Options{}
+	sc, err := CountShard(src, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for _, d := range sc.DocDicts {
+		pairs += d.Len()
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := CountShard(src, 1, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPair := allocs / float64(pairs); perPair > 0.35 {
+		t.Fatalf("CountShard: %.0f allocations for %d distinct (doc, word) pairs = %.2f per pair, want <= 0.35",
+			allocs, pairs, perPair)
+	}
+}

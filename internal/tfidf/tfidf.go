@@ -6,16 +6,23 @@
 //
 //   - Phase 1 ("input+wc"): documents are read and tokenized in parallel;
 //     per-document term frequencies are collected in dedicated dictionaries,
-//     and a global dictionary accumulates, per word, the number of
-//     documents containing it. "The first phase can be executed in parallel
-//     for each of the documents."
-//   - Phase 2 ("transform"): for each document, a sparse TF/IDF score
-//     vector sorted by term ID is built by looking up every word of the
-//     document in the global dictionary. This phase performs only lookups.
+//     and a shard dictionary accumulates, per word, the number of documents
+//     containing it and hands the word a shard-local term ID that the
+//     per-document dictionaries record. "The first phase can be executed in
+//     parallel for each of the documents."
+//   - Phase 2 ("transform"): the shard vocabularies are merged into the
+//     global term table (IDs in lexicographic word order, one IDF per
+//     term); each shard looks its vocabulary up in the global dictionary
+//     once, and every document's sparse TF/IDF score vector, sorted by
+//     term ID, is built from its dictionary through that local → global
+//     remap and the IDF table — array indexing, no string per
+//     (document, word). The dictionary work of this phase is only lookups.
 //
-// The dictionary implementation (red-black tree vs hash table) is selected
-// per run — the variable of the paper's Figure 4 — and the resulting scores
-// are bit-identical across dictionary kinds and thread counts.
+// The dictionary implementation (hash table vs red-black tree) is selected
+// per run — the variable of the paper's Figure 4; the zero value is the
+// hash table, which is what the calibrated cost model picks for this
+// workflow — and the resulting scores are bit-identical across dictionary
+// kinds and thread counts.
 package tfidf
 
 import (
@@ -39,13 +46,14 @@ const (
 
 // Options configures a TF/IDF run.
 type Options struct {
-	// DictKind selects the dictionary implementation for both the
-	// per-document tables and the global table (Figure 4's variable).
+	// DictKind selects the dictionary implementation for the per-document
+	// tables, the shard vocabularies and the global table (Figure 4's
+	// variable). The zero value is dict.Hash.
 	DictKind dict.Kind
-	// GlobalPresize pre-sizes the global dictionary. The paper pre-sizes
-	// its unordered map "to hold 4K items", far below the final vocabulary,
-	// so the hash table rehashes several times as it grows; 0 keeps that
-	// default.
+	// GlobalPresize pre-sizes the shard vocabulary dictionaries and the
+	// merged global dictionary. The paper pre-sizes its unordered map "to
+	// hold 4K items", far below the final vocabulary, so the hash table
+	// rehashes several times as it grows; 0 keeps that default.
 	GlobalPresize int
 	// DocPresize pre-sizes each per-document dictionary. The paper's
 	// Figure 4 hash configuration uses 4096 here too, which is what makes
@@ -73,9 +81,10 @@ type Options struct {
 
 const defaultGlobalPresize = 4096
 
-// TermInfo is the global dictionary value: how many documents contain the
-// word, and the term's final ID (assigned after phase 1 in lexicographic
-// word order).
+// TermInfo is the term dictionaries' value: how many documents contain the
+// word, and the term's ID — in Global.Lookup the final ID (assigned after
+// phase 1 in lexicographic word order), in CountShard's shard vocabulary
+// the shard-local one.
 type TermInfo struct {
 	DF uint32
 	ID uint32

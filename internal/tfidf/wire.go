@@ -8,12 +8,13 @@ import (
 // kernels: gob-encodable forms of the option subset, the phase-1 shard
 // counts and the global term table, so CountShard and TransformShard tasks
 // can ship to worker processes. Dictionaries do not serialize as data
-// structures — they serialize as their (word, count) contents and are
+// structures — a shard ships its vocabulary once and every document as
+// (shard-local term ID, count) pairs, and the per-document dictionaries are
 // rebuilt on the receiving side with the run's dictionary kind. That is
 // result-preserving by the same arguments that make sharding
 // result-preserving: document frequencies are commutative integer sums,
 // term IDs are assigned in lexicographic word order, and per-document
-// scoring reads each word exactly once, so dictionary iteration order (the
+// scoring reads each entry exactly once, so dictionary iteration order (the
 // only thing a rebuild can change) never reaches the output.
 // (VectorShard needs no wire form: all its fields are exported and
 // gob-encodable as-is.)
@@ -59,82 +60,72 @@ func (w WireOptions) Options() Options {
 	}
 }
 
-// WireDocCounts is one document's term frequencies as parallel slices.
+// WireDocCounts is one document's term frequencies as parallel slices:
+// Locals index the shard vocabulary (WireShardCounts.Words).
 type WireDocCounts struct {
-	Words  []string
+	Locals []uint32
 	Counts []uint32
 }
 
-// WireShardCounts is the gob-encodable form of ShardCounts: dictionaries
-// flattened to their contents. DFWords/DFCounts are present only when the
-// shard's DF dictionary was included (a count task's reply needs it; a
-// transform task's argument does not — by then the reduction has consumed
-// the DF dictionaries).
+// WireShardCounts is the gob-encodable form of ShardCounts: the shard
+// vocabulary once, in ascending word order, and every document dictionary
+// flattened to (local, count) pairs. DF is present only when the shard's
+// document frequencies were included (a count task's reply needs them; a
+// transform task's argument does not).
 type WireShardCounts struct {
 	Lo, Hi   int
+	Words    []string
 	Docs     []WireDocCounts
 	DocNames []string
-	DFWords  []string
-	DFCounts []uint32
+	DF       []uint32
 }
 
 // Wire flattens the shard counts for the wire. With withDF unset the
-// shard-local DF dictionary is omitted (and not read — safe after the
-// global merge consumed it). The receiver is not modified.
+// shard's document frequencies are omitted. The receiver is not modified.
 func (sc *ShardCounts) Wire(withDF bool) *WireShardCounts {
 	w := &WireShardCounts{
 		Lo:       sc.Lo,
 		Hi:       sc.Hi,
+		Words:    sc.Words,
 		Docs:     make([]WireDocCounts, len(sc.DocDicts)),
 		DocNames: sc.DocNames,
 	}
 	for i, d := range sc.DocDicts {
 		dc := WireDocCounts{
-			Words:  make([]string, 0, d.Len()),
+			Locals: make([]uint32, 0, d.Len()),
 			Counts: make([]uint32, 0, d.Len()),
 		}
-		d.Range(func(word string, tf *uint32) bool {
-			dc.Words = append(dc.Words, word)
-			dc.Counts = append(dc.Counts, *tf)
+		d.Range(func(_ string, e *DocTerm) bool {
+			dc.Locals = append(dc.Locals, e.Local)
+			dc.Counts = append(dc.Counts, e.TF)
 			return true
 		})
 		w.Docs[i] = dc
 	}
 	if withDF {
-		w.DFWords = make([]string, 0, sc.DF.Len())
-		w.DFCounts = make([]uint32, 0, sc.DF.Len())
-		sc.DF.Range(func(word string, v *TermInfo) bool {
-			w.DFWords = append(w.DFWords, word)
-			w.DFCounts = append(w.DFCounts, v.DF)
-			return true
-		})
+		w.DF = sc.DF
 	}
 	return w
 }
 
-// ShardCounts rebuilds the shard with live dictionaries of the configured
-// kind — the inverse of Wire up to dictionary internals, which never
-// affect results.
+// ShardCounts rebuilds the shard with live per-document dictionaries of
+// the configured kind, keyed by the vocabulary's own strings — the inverse
+// of Wire up to dictionary internals, which never affect results.
 func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
-	if opts.GlobalPresize <= 0 {
-		opts.GlobalPresize = defaultGlobalPresize
-	}
 	sc := &ShardCounts{
 		Lo:       w.Lo,
 		Hi:       w.Hi,
-		DocDicts: make([]dict.Map[uint32], len(w.Docs)),
-		DF:       dict.New[TermInfo](opts.DictKind, dict.Options{Presize: opts.GlobalPresize}),
+		DocDicts: make([]dict.Map[DocTerm], len(w.Docs)),
+		Words:    w.Words,
+		DF:       w.DF,
 		DocNames: w.DocNames,
 	}
 	for i, dc := range w.Docs {
-		d := dict.New[uint32](opts.DictKind, dict.Options{Presize: opts.DocPresize})
-		for k, word := range dc.Words {
-			*d.Ref(word) = dc.Counts[k]
+		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: opts.DocPresize})
+		for k, local := range dc.Locals {
+			*d.Ref(w.Words[local]) = DocTerm{TF: dc.Counts[k], Local: local}
 		}
 		sc.DocDicts[i] = d
-	}
-	for k, word := range w.DFWords {
-		sc.DF.Ref(word).DF = w.DFCounts[k]
 	}
 	return sc
 }
@@ -197,12 +188,5 @@ func (g *Global) ContentHash() uint64 {
 // coordinator already performed — so lookups resolve identically to the
 // original dictionary's.
 func (w *WireGlobal) Global(kind dict.Kind) *Global {
-	g := &Global{Terms: w.Terms, DF: w.DF, NumDocs: w.NumDocs}
-	g.Lookup = dict.New[TermInfo](kind, dict.Options{Presize: len(w.Terms)})
-	for i, word := range w.Terms {
-		*g.Lookup.Ref(word) = TermInfo{ID: uint32(i), DF: w.DF[i]}
-	}
-	g.Stats = g.Lookup.Stats()
-	g.Footprint = g.Lookup.Footprint()
-	return g
+	return newGlobal(w.Terms, w.DF, w.NumDocs, kind, len(w.Terms))
 }

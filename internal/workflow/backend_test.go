@@ -224,7 +224,8 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 	tr := TransformTaskArgs{
 		Counts: &tfidf.WireShardCounts{
 			Lo: 1, Hi: 3,
-			Docs:     []tfidf.WireDocCounts{{Words: []string{"a", "b"}, Counts: []uint32{2, 1}}, {}},
+			Words:    []string{"a", "b"},
+			Docs:     []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{2, 1}}, {}},
 			DocNames: []string{"d1", "d2"},
 		},
 		CountsSession: "tf-9-1-0",
@@ -233,6 +234,7 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 	}
 	got := gobRoundTrip(t, tr)
 	if !reflect.DeepEqual(got.GlobalFlat, tr.GlobalFlat) || got.Counts.Lo != tr.Counts.Lo ||
+		!reflect.DeepEqual(got.Counts.Words, tr.Counts.Words) ||
 		!reflect.DeepEqual(got.Counts.Docs[0], tr.Counts.Docs[0]) ||
 		got.CountsSession != tr.CountsSession || got.GlobalHash != tr.GlobalHash {
 		t.Errorf("TransformTaskArgs round trip mismatch")

@@ -93,9 +93,8 @@ func runCountKernel(a *CountTaskArgs) (*tfidf.WireShardCounts, error) {
 	sc.Lo, sc.Hi = a.Shard.Lo, a.Shard.Hi
 	w := sc.Wire(true)
 	if a.Session != "" {
-		// Cache after Wire copied the contents: the reply still carries
-		// everything the coordinator's DF merge needs, while the live
-		// dictionaries stay here for the transform task.
+		// The reply carries everything the coordinator's DF merge needs;
+		// the live dictionaries stay here for the transform task.
 		cacheCounts(a.Session, sc)
 	}
 	return w, nil
@@ -118,9 +117,9 @@ func runCountKernelFlat(body []byte) ([]byte, error) {
 
 // TransformTaskArgs are the tfidf.transform kernel arguments.
 type TransformTaskArgs struct {
-	// Counts is the shard's phase-1 output inlined (DF omitted — the global
-	// merge consumed it). Nil when CountsSession names the worker's cached
-	// live shard instead; a resend after a session miss inlines it.
+	// Counts is the shard's phase-1 output inlined (DF omitted — only the
+	// global merge reads it). Nil when CountsSession names the worker's
+	// cached live shard instead; a resend after a session miss inlines it.
 	Counts *tfidf.WireShardCounts
 	// CountsSession, when non-empty, keys the count kernel's cached
 	// ShardCounts on the worker the shared affinity routed both tasks to.

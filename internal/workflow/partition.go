@@ -346,8 +346,9 @@ func (p *tfShipPair) globalShipCount() int {
 
 // TFMapOp is the phase-1 map kernel of the partitioned TF/IDF operator:
 // one corpus shard in, that shard's per-document term frequencies and
-// shard-local document-frequency dictionary out. All shards run
-// independently — the embarrassingly parallel part of the paper's TF/IDF.
+// sorted vocabulary with shard-local document frequencies out. All shards
+// run independently — the embarrassingly parallel part of the paper's
+// TF/IDF.
 type TFMapOp struct {
 	// Opts configures tokenization and dictionaries, as in TFIDFOp.
 	Opts tfidf.Options
@@ -395,8 +396,8 @@ func (o *TFMapOp) Run(ctx *Context, in Value) (Value, error) {
 }
 
 // DFReduceOp is the reduction of the partitioned TF/IDF operator: every
-// shard's document-frequency dictionary is tree-merged (par.TreeReduce)
-// into the global term table with lexicographically assigned IDs — the
+// shard's sorted vocabulary is tree-merged (par.TreeReduce) into the
+// global term table, a term's position in the merged order its ID — the
 // workflow's serial point, in the paper's sense that only reductions and
 // output are serial.
 type DFReduceOp struct {
