@@ -10,7 +10,7 @@
 //	             [-k 8] [-seed 1] [-scratch DIR] [-disksim off|hdd]
 //	             [-sweep 1,4,8,12,16] [-explain] [-optimize]
 //	             [-workers addr,addr] [-trace out.json]
-//	             [-measured-ship=true] [-measured-skip=true]
+//	             [-measured-ship=true]
 //	hpa-workflow -worker ADDR
 //
 // -shards selects partitioned streaming execution: the corpus scan is
@@ -85,14 +85,6 @@
 // feedback only survives across runs when -scratch points at a persistent
 // directory.
 //
-// Runs with assignment pruning active persist the measured skip rate the
-// same way (hpa-skip-ewma.json, keyed by bound variant and cluster-count
-// bucket), and later -optimize runs price the bounded K-Means kernels
-// with the skip rate real corpora achieve instead of the calibration
-// loop's synthetic one; -explain labels the source as "skip=measured" vs
-// "skip=calibrated". Pass -measured-skip=false to ignore the persisted
-// file and keep calibrated skip pricing.
-//
 // With -sweep, the workflow runs once per thread count and prints a
 // Figure 3-style table. With -explain, the validated plan DAG is printed
 // (materialize/load edges marked =[arff]=>, shard edges -[xN]->, optimizer
@@ -147,7 +139,6 @@ func main() {
 		workers  = flag.String("workers", "", "comma-separated worker addresses to ship shard tasks to (started with -worker)")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto); also prints a per-node table and a predicted-vs-measured plan autopsy to stderr")
 		shipEWMA = flag.Bool("measured-ship", true, "price remote plans with the persisted measured ship EWMA when available (false: always use the calibrated loopback bound)")
-		skipEWMA = flag.Bool("measured-skip", true, "price bounded K-Means kernels with the persisted measured skip-rate EWMA when available (false: always use the calibration loop's skip rate)")
 	)
 	flag.Parse()
 	// Explicitly-set flags pin optimizer decisions (see the precedence
@@ -285,11 +276,7 @@ func main() {
 			}
 			profile = optimizer.RPCProfileFrom(workerCount, model, shipDir)
 		}
-		skipDir := ""
-		if *skipEWMA {
-			skipDir = scratchDir
-		}
-		opts := optimizer.Options{Procs: procs, Shards: pin, Backend: profile, Skip: optimizer.SkipFrom(skipDir)}
+		opts := optimizer.Options{Procs: procs, Shards: pin, Backend: profile}
 		if explicit["dict"] {
 			opts.Dict = optimizer.PinDict(kind)
 		}
@@ -402,23 +389,6 @@ func main() {
 			if sw := rep.Clustering.Result.SeedWall; sw > 0 {
 				fmt.Fprintf(os.Stderr, "kmeans seeding: %s wall (K-Means++ scan rounds run as shard tasks)\n",
 					sw.Round(time.Microsecond))
-			}
-			if ps := rep.Clustering.Result.Prune; ps.Enabled {
-				fmt.Fprintf(os.Stderr, "kmeans pruning: %s bounds, skipped %d of %d document-iterations (%.1f%% of k-way scans avoided)\n",
-					ps.Variant, ps.Skipped, ps.DocIterations, 100*ps.SkipRate())
-				// Persist the measured skip rate so the next -optimize run
-				// prices the bounded kernel with what this corpus actually
-				// achieves (skip=measured in -explain). Loading is what
-				// -measured-skip=false disables; recording is always on,
-				// like the ship EWMA and the cost-model cache.
-				if ps.DocIterations > 0 {
-					path := optimizer.SkipEWMAFile(scratchDir)
-					prev, _ := optimizer.LoadSkipEWMA(path)
-					prev.Observe(optimizer.SkipRegime(ps.Variant, *k), ps.SkipRate(), ps.DocIterations)
-					if err := prev.Save(path); err != nil {
-						fmt.Fprintf(os.Stderr, "hpa-workflow: persist skip EWMA: %v\n", err)
-					}
-				}
 			}
 		}
 		if tracer != nil {

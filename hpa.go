@@ -17,12 +17,12 @@
 //     same shard task set re-dispatched every iteration behind a
 //     deterministic reduction barrier) — and executed with independent
 //     branches and shards running concurrently on the pool;
-//   - a cost-based plan optimizer: CalibrateCostModel measures the
+//   - a cost-based plan optimizer: LoadOrCalibrateCostModel measures the
 //     machine once (dictionary insert/lookup costs, tokenizer throughput,
 //     ARFF bandwidth, per-shard task overhead, the K-Means assignment
-//     kernel; cached as JSON keyed by GOMAXPROCS), CollectStats samples
-//     the input (including a pilot clustering that estimates the K-Means
-//     iteration count), and Optimize rewrites a plan to the winning
+//     kernel; cached as JSON keyed by GOMAXPROCS), CollectCorpusStats
+//     samples the input (including a pilot clustering that estimates the
+//     K-Means iteration count), and Optimize rewrites a plan to the winning
 //     physical configuration — dictionary kind per operator, fusion vs.
 //     materialization, map shard count, and the K-Means loop shard count
 //     (priced by iterations × assignment work, independently of the map
@@ -89,22 +89,18 @@
 // calibrated cost model and input statistics:
 //
 //	model, _ := hpa.LoadOrCalibrateCostModel(cacheDir, hpa.CalibrationOptions{})
-//	stats, _ := hpa.CollectStats(corpus.Source(nil), 0)
+//	stats, _ := hpa.CollectCorpusStats(corpus, 0)
 //	plan = hpa.Optimize(plan, stats, model)
 //	fmt.Println(plan.Explain()) // decisions and estimates as "#" lines
 //
 // The model is cached under cacheDir as JSON, keyed by GOMAXPROCS and a
 // model version (delete the hpa-costmodel-*.json file, or set
 // CalibrationOptions.Force, to re-measure). Optimize overrides the
-// dictionary kind and shard count the plan was built with; to pin a shard
-// count against it, apply the pass via OptimizeRule with
-// OptimizerOptions.Shards set instead: plan.Apply(hpa.OptimizeRule(stats,
-// model, hpa.OptimizerOptions{Shards: 8})). Optimized plans produce
-// bit-identical results to unoptimized ones — every decision is
-// result-invariant. Individual decisions pin the same way: OptimizerOptions
-// .Dict (via PinDictKind) forces the dictionary kind for every operator and
-// .Fusion (FusionFuse / FusionMaterialize) forces the fusion decision, each
-// annotated in Explain output as "pinned by explicit override".
+// dictionary kind, fusion decision and shard count the plan was built
+// with. Optimized plans produce bit-identical results to unoptimized ones
+// — every decision is result-invariant. Individual decisions can be pinned
+// against the model (cmd/hpa-workflow -optimize with an explicit -shards,
+// -dict or -mode); Explain marks them "pinned by explicit override".
 //
 // # Serving
 //
@@ -117,14 +113,11 @@
 //     storage model, scratch space, backend) from per-run state; NewRun
 //     mints a private context per request so concurrent runs never share
 //     mutable state.
-//   - Planner packages the cost model with cached per-corpus statistics,
-//     so repeated submissions over the same corpus skip the sampling
-//     pre-pass.
 //   - NewQueryVocab freezes a TF/IDF result's term table and IDF weights
-//     into an immutable query-side vocabulary; QueryVectorizer turns query
+//     into an immutable query-side vocabulary whose vectorizer turns query
 //     text into a vector bit-identical to what the corpus run would have
 //     produced for the same text.
-//   - IndexRegistry stores named, versioned IndexArtifact values with
+//   - The server's registry stores named, versioned index artifacts with
 //     atomic publish and lock-free reads: queries in flight keep the
 //     version they loaded while a new one swaps in.
 //   - NewServer wires these behind HTTP (see cmd/hpa-serve): plan
@@ -136,23 +129,23 @@
 //
 // A run can be traced at task granularity: attach NewTracer() to
 // WorkflowContext.Tracer (or WorkflowEnv.Tracer, so every run of a
-// resident service is traced) and each scheduled task records a TaskSpan —
+// resident service is traced) and each scheduled task records a span —
 // node, operator, task kind, shard, loop iteration, backend, worker lane,
 // queue wait and run time, wire bytes and codec — alongside wire events
 // (global-table re-ships, affinity-session hits) and K-Means loop events
-// (per-iteration moved counts, pruning skips). A nil tracer costs one
+// (per-iteration moved counts and inertia). A nil tracer costs one
 // pointer compare per recording site, well under 1% on the iterative
 // benchmark, so the field can stay wired in production code.
 //
 // Tracer.Snapshot freezes a run's spans; WriteChromeTrace exports them as
 // Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev), with the
-// coordinator and every RPC worker on separate lanes; TraceNodeTable
-// renders a per-node text summary; PlanAutopsy re-renders a plan's Explain
-// text with measured wall-clock printed next to each optimizer prediction
-// ("# autopsy node: predicted 120ms / measured 96ms (0.80×)"). The CLIs
-// expose the same machinery: hpa-workflow -trace out.json writes the JSON
-// and prints the table and autopsy, and hpa-serve exports service counters
-// and latency histograms at GET /metrics in Prometheus text form.
+// coordinator and every RPC worker on separate lanes. The CLIs add a
+// per-node text summary and a plan autopsy — a plan's Explain text with
+// measured wall-clock printed next to each optimizer prediction
+// ("# autopsy node: predicted 120ms / measured 96ms (0.80×)"):
+// hpa-workflow -trace out.json writes the JSON and prints both, and
+// hpa-serve exports service counters and latency histograms at GET
+// /metrics in Prometheus text form.
 //
 // The subpackages under internal/ implement the pieces; this package is the
 // supported surface.
@@ -196,9 +189,6 @@ type Corpus = corpus.Corpus
 // CorpusSpec describes a synthetic corpus to generate.
 type CorpusSpec = corpus.Spec
 
-// CorpusStats summarizes a corpus (Table 1's columns).
-type CorpusStats = corpus.Stats
-
 // MixSpec returns the paper's "Mix" dataset specification (23,432
 // documents, 62.8 MB, 184,743 distinct words).
 func MixSpec() CorpusSpec { return corpus.Mix() }
@@ -236,16 +226,6 @@ type FileSource = pario.FileSource
 // MemSource serves documents from memory.
 type MemSource = pario.MemSource
 
-// SubSource is a contiguous document range of a Source — one shard of a
-// partitioned corpus scan.
-type SubSource = pario.SubSource
-
-// PartitionSource returns shard p (of shards) of src, with deterministic
-// contiguous boundaries.
-func PartitionSource(src Source, shards, p int) *SubSource {
-	return pario.Partition(src, shards, p)
-}
-
 // DiskSim models a storage device (throughput cap + per-open latency).
 type DiskSim = pario.DiskSim
 
@@ -259,13 +239,9 @@ type DictKind = dict.Kind
 // paper's std::unordered_map, is the zero value and so the library default
 // (it is what the calibrated cost model picks for the paper workflow).
 // TreeDict is a red-black tree over an arena (ordered, compact).
-// NodeTreeDict is the node-per-allocation red-black tree matching
-// std::map's cost profile, kept for the Figure 4 experiment and as an
-// ablation point.
 const (
-	HashDict     = dict.Hash
-	TreeDict     = dict.Tree
-	NodeTreeDict = dict.NodeTree
+	HashDict = dict.Hash
+	TreeDict = dict.Tree
 )
 
 // TFIDFOptions configures the TF/IDF operator.
@@ -300,26 +276,6 @@ func KMeans(docs []Vector, dim int, pool *Pool, opts KMeansOptions) (*KMeansResu
 	return kmeans.Run(docs, dim, pool, opts, nil)
 }
 
-// PruneMode selects whether (and with which bound structure) the K-Means
-// assignment kernel uses triangle-inequality pruning
-// (KMeansOptions.Prune). Results are bit-identical across every mode.
-type PruneMode = kmeans.PruneMode
-
-// Prune modes for KMeansOptions.Prune: PruneAuto resolves by cluster
-// count (off below k=4, Hamerly bounds to k=15, Elkan per-centroid
-// bounds from k=16), PruneOn forces Hamerly, PruneElkan forces the
-// per-centroid bounds, PruneOff disables pruning.
-const (
-	PruneAuto  = kmeans.PruneAuto
-	PruneOn    = kmeans.PruneOn
-	PruneOff   = kmeans.PruneOff
-	PruneElkan = kmeans.PruneElkan
-)
-
-// PruneStats reports what assignment pruning did during a clustering run
-// (KMeansResult.Prune).
-type PruneStats = kmeans.PruneStats
-
 // SimpleKMeans is the WEKA-analogue dense, single-threaded baseline.
 type SimpleKMeans = kmeans.SimpleKMeans
 
@@ -334,36 +290,8 @@ type (
 	// Plan is a typed DAG of named operator nodes: validate with
 	// Plan.Validate, transform with Plan.Apply, execute with Plan.Run.
 	Plan = workflow.Plan
-	// PlanEdge connects a node's output to another node's input port.
-	PlanEdge = workflow.Edge
 	// Rewriter is a declarative plan-to-plan transformation rule.
 	Rewriter = workflow.Rewriter
-	// Operator is one workflow stage.
-	Operator = workflow.Operator
-	// TypedOperator is an Operator that declares its input/output port
-	// types for build-time validation.
-	TypedOperator = workflow.TypedOperator
-	// MultiOperator is an Operator with more than one input port.
-	MultiOperator = workflow.MultiOperator
-	// Partitioned is the sharded dataset contract (partition count plus
-	// per-partition payloads in deterministic index order).
-	Partitioned = workflow.Partitioned
-	// Partitions is the gathered form of a partitioned dataset.
-	Partitions = workflow.Partitions
-	// Splitter is an Operator that shards its input (one Split per shard).
-	Splitter = workflow.Splitter
-	// PartitionKernel is a map Operator run once per shard.
-	PartitionKernel = workflow.PartitionKernel
-	// StreamReducer is a reduction Operator absorbing shards as they
-	// complete.
-	StreamReducer = workflow.StreamReducer
-	// IterativeOp is an Operator the executor drives as an iterative
-	// loop: the same shard task set dispatched every iteration with a
-	// deterministic reduction barrier between iterations (partitioned
-	// K-Means runs on this contract).
-	IterativeOp = workflow.IterativeOp
-	// LoopState carries one IterativeOp node through its iterations.
-	LoopState = workflow.LoopState
 	// Backend decides where the executor's shard tasks run: in-process
 	// (LocalBackend, the default) or shipped to worker processes
 	// (RPCBackend). Results are bit-identical across backends.
@@ -375,11 +303,6 @@ type (
 	// net/rpc + gob; non-serializable tasks (reductions, seeding, splits)
 	// stay on the coordinator.
 	RPCBackend = workflow.RPCBackend
-	// WorkerRemoteTask is the serializable shard-task descriptor custom
-	// Remotable operators return.
-	WorkerRemoteTask = workflow.RemoteTask
-	// Vectorized is the matrix-shaped dataset contract KMeansOp accepts.
-	Vectorized = workflow.Vectorized
 	// TFKMConfig configures the TF/IDF→K-Means workflow.
 	TFKMConfig = workflow.TFKMConfig
 	// TFKMReport is the workflow outcome with its phase breakdown.
@@ -416,30 +339,9 @@ type (
 	WordCounts = workflow.WordCounts
 	// WriteWordCounts writes word frequencies as TSV.
 	WriteWordCounts = workflow.WriteWordCounts
-	// Matrix is the in-memory term-document dataset between operators.
-	Matrix = workflow.Matrix
-	// PartitionOp shards a document source into contiguous SubSources.
-	PartitionOp = workflow.PartitionOp
-	// TFMapOp is the per-shard phase-1 (input+wc) kernel of TF/IDF.
-	TFMapOp = workflow.TFMapOp
-	// DFReduceOp tree-merges shard document frequencies into the global
-	// term table.
-	DFReduceOp = workflow.DFReduceOp
-	// TransformOp is the per-shard phase-2 (transform) kernel of TF/IDF.
-	TransformOp = workflow.TransformOp
-	// GatherOp streams vector shards into the final TF/IDF result.
-	GatherOp = workflow.GatherOp
 	// KMAssignOp is the iterative K-Means assignment loop (per-shard
 	// assignment tasks with an ordered per-iteration reduce).
 	KMAssignOp = workflow.KMAssignOp
-	// KMReduceOp joins the loop's clustering with the upstream dataset.
-	KMReduceOp = workflow.KMReduceOp
-	// WordCountMapOp counts words within one corpus shard.
-	WordCountMapOp = workflow.WordCountMapOp
-	// WordCountReduceOp tree-merges shard word counts.
-	WordCountReduceOp = workflow.WordCountReduceOp
-	// WCShard is one shard's word counts.
-	WCShard = workflow.WCShard
 )
 
 // NewPlan returns an empty plan; chain Add and Connect to build the DAG.
@@ -454,27 +356,8 @@ func FuseRule() Rewriter { return workflow.FuseRule() }
 // the same Source collapse into one node so the corpus is read once.
 func SharedScanRule() Rewriter { return workflow.SharedScanRule() }
 
-// PartitionRule returns the sharding rewriter: operators fed by a document
-// scan expand into per-shard map kernels plus explicit reductions, with a
-// PartitionOp carving the corpus into the given number of shards (0 =
-// auto, 2×GOMAXPROCS so work stealing can rebalance straggler shards),
-// and K-Means expands into the iterative loop stages (per-shard
-// assignment tasks behind a per-iteration reduction barrier). The
-// executor then schedules partition tasks, so one shard can be several
-// stages ahead of another; results stay bit-identical at any shard count.
-func PartitionRule(shards int) Rewriter { return workflow.PartitionRule(shards) }
-
-// WeightedPartitionRule is PartitionRule with byte-balanced shard
-// boundaries: every shard holds close to equal byte volume (within one
-// document), flattening the straggler tail on heavy-tailed document
-// sizes. Results are bit-identical to count-balanced sharding.
-func WeightedPartitionRule(shards int) Rewriter { return workflow.WeightedPartitionRule(shards) }
-
 // Stopwords returns the built-in English stopword set for TFIDFOptions.
 func Stopwords() *text.StopwordSet { return text.English() }
-
-// PorterStem stems a lowercase word in place (see internal/text).
-func PorterStem(word []byte) []byte { return text.PorterStem(word) }
 
 // NewWorkflowContext returns a context with an empty breakdown.
 func NewWorkflowContext(pool *Pool) *WorkflowContext { return workflow.NewContext(pool) }
@@ -519,23 +402,7 @@ type (
 	// WorkflowStats summarizes a workflow input for the optimizer (doc
 	// count, bytes, estimated distinct-term cardinality).
 	WorkflowStats = optimizer.Stats
-	// OptimizerOptions tunes the optimization pass (parallelism, pinned
-	// shard count, fusion memory budget, backend profile).
-	OptimizerOptions = optimizer.Options
-	// BackendProfile describes an execution backend to the optimizer's
-	// shard-count decisions (remote worker count, per-task ship cost).
-	BackendProfile = optimizer.BackendProfile
 )
-
-// RPCBackendProfile prices an RPC backend of n workers with the model's
-// calibrated per-task ship cost, for OptimizerOptions.Backend.
-func RPCBackendProfile(n int, m *CostModel) BackendProfile { return optimizer.RPCProfile(n, m) }
-
-// CalibrateCostModel measures this machine with short microbenchmarks and
-// returns a fresh cost model (about a second at default options).
-func CalibrateCostModel(opts CalibrationOptions) (*CostModel, error) {
-	return optimizer.Calibrate(opts)
-}
 
 // LoadOrCalibrateCostModel returns the model cached under dir (keyed by
 // GOMAXPROCS and the model version), calibrating and caching a fresh one
@@ -548,12 +415,6 @@ func LoadOrCalibrateCostModel(dir string, opts CalibrationOptions) (*CostModel, 
 // QuickCalibration returns coarse calibration options (~50 ms) for tests
 // and interactive use.
 func QuickCalibration() CalibrationOptions { return optimizer.Quick() }
-
-// CollectStats summarizes src with a cheap sampling pre-pass reading about
-// sampleDocs documents (0 selects the default budget).
-func CollectStats(src Source, sampleDocs int) (*WorkflowStats, error) {
-	return optimizer.Collect(src, sampleDocs)
-}
 
 // CollectCorpusStats summarizes an in-memory corpus: exact document and
 // byte counts, sampled token statistics.
@@ -568,13 +429,6 @@ func CollectCorpusStats(c *Corpus, sampleDocs int) (*WorkflowStats, error) {
 // input plan is not mutated.
 func Optimize(plan *Plan, st *WorkflowStats, m *CostModel) *Plan {
 	return optimizer.Optimize(plan, st, m)
-}
-
-// OptimizeRule returns the optimization pass as a rewrite rule, for
-// composing with FuseRule, SharedScanRule and PartitionRule in a single
-// Plan.Apply chain, with explicit options.
-func OptimizeRule(st *WorkflowStats, m *CostModel, opts OptimizerOptions) Rewriter {
-	return optimizer.Rule(st, m, opts)
 }
 
 // CalibrationCorpusSpec returns the fixed small corpus specification the
@@ -620,29 +474,15 @@ type (
 	// configuration, everything needed to vectorize query text exactly as
 	// the corpus run did.
 	QueryVocab = tfidf.QueryVocab
-	// QueryVectorizer turns query text into a sparse vector through a
-	// QueryVocab. One per goroutine; scratch is reused across calls.
-	QueryVectorizer = tfidf.QueryVectorizer
 	// WorkflowEnv is the resident half of a workflow context: pool, disk
 	// model, scratch space and backend, shared across runs. NewRun mints
 	// the per-run WorkflowContext.
 	WorkflowEnv = workflow.Env
-	// Planner packages a cost model with cached per-corpus statistics for
-	// repeated optimized plan construction.
-	Planner = optimizer.Planner
-	// FusionPin pins the optimizer's fusion decision (FusionAuto lets the
-	// cost model choose).
-	FusionPin = optimizer.FusionPin
 	// ServeConfig configures an analytics Server.
 	ServeConfig = serve.Config
 	// Server is the resident multi-tenant analytics service; mount
 	// Server.Handler on any http.Server.
 	Server = serve.Server
-	// IndexRegistry stores named, versioned resident index artifacts with
-	// atomic publish and lock-free reads.
-	IndexRegistry = serve.Registry
-	// IndexArtifact is one published, immutable resident index version.
-	IndexArtifact = serve.IndexArtifact
 	// ServePlanRequest / ServePlanResponse are the wire forms of plan
 	// submission; ServeQueryRequest / ServeQueryResponse of the top-k
 	// query path.
@@ -652,21 +492,7 @@ type (
 	ServeQueryResponse = serve.QueryResponse
 	// ServeIndexInfo describes one registry entry on the wire.
 	ServeIndexInfo = serve.IndexInfo
-	// ServeOverloadError is returned when admission sheds a request; its
-	// RetryAfter estimates when capacity frees up.
-	ServeOverloadError = serve.OverloadError
 )
-
-// Fusion pins for OptimizerOptions.Fusion.
-const (
-	FusionAuto        = optimizer.FusionAuto
-	FusionFuse        = optimizer.FusionFuse
-	FusionMaterialize = optimizer.FusionMaterialize
-)
-
-// PinDictKind returns a dictionary-kind pin for OptimizerOptions.Dict: the
-// optimizer applies k to every operator instead of choosing by cost.
-func PinDictKind(k DictKind) *DictKind { return optimizer.PinDict(k) }
 
 // NewQueryVocab freezes a TF/IDF result into an immutable query-side
 // vocabulary. opts must be the options the result was produced with (the
@@ -681,30 +507,17 @@ func NewQueryVocab(r *TFIDFResult, opts TFIDFOptions) (*QueryVocab, error) {
 // with Env.NewRun.
 func NewWorkflowEnv(pool *Pool) *WorkflowEnv { return workflow.NewEnv(pool) }
 
-// NewPlanner returns a planner over a calibrated cost model. StatsFor
-// caches per-corpus statistics; PlanTFKM builds optimized plans reusing
-// both residents.
-func NewPlanner(m *CostModel, opts OptimizerOptions) *Planner {
-	return optimizer.NewPlanner(m, opts)
-}
-
-// NewIndexRegistry returns an empty resident index registry.
-func NewIndexRegistry() *IndexRegistry { return serve.NewRegistry() }
-
 // NewServer wires a resident analytics service from the config; serve its
 // Handler with net/http. See cmd/hpa-serve for the curl walkthrough.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // Observability surface (see the Observability section of the package doc).
 type (
-	// Tracer collects one TaskSpan per scheduled task plus wire and loop
+	// Tracer collects one span per scheduled task plus wire and loop
 	// events. Attach to WorkflowContext.Tracer (one run) or
 	// WorkflowEnv.Tracer (every run of a resident service); a nil tracer
 	// is free.
 	Tracer = obs.Tracer
-	// TaskSpan is one task's recorded execution: node, kind, shard, loop
-	// iteration, backend, worker lane, queue wait and run time, wire bytes.
-	TaskSpan = obs.Span
 	// TraceSnapshot is an immutable snapshot of a tracer's spans and
 	// events, taken with Tracer.Snapshot.
 	TraceSnapshot = obs.Trace
@@ -718,18 +531,4 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // coordinator and every RPC worker get their own process lanes.
 func WriteChromeTrace(w io.Writer, tr *TraceSnapshot) error {
 	return obs.WriteChromeTrace(w, tr)
-}
-
-// TraceNodeTable renders a per-node summary of the trace: task and
-// iteration counts, wall-clock, queue wait, run time, shipped bytes and
-// the worker lanes each node ran on.
-func TraceNodeTable(tr *TraceSnapshot) string { return obs.NodeTable(tr) }
-
-// PlanAutopsy re-renders a plan's Explain text with measured reality next
-// to each optimizer prediction: per-node predicted vs measured wall-clock
-// with their ratio, task counts and shipped bytes from the trace, and a
-// cost-model term comparison from the phase breakdown. bd may be nil (the
-// term comparison is skipped).
-func PlanAutopsy(plan *Plan, tr *TraceSnapshot, bd *Breakdown) string {
-	return obs.Autopsy(plan, tr, bd)
 }

@@ -99,10 +99,6 @@ type Map[V any] interface {
 	// string (TF/IDF's shard vocabulary) thereby inserts without
 	// allocating. newKey must not touch this dictionary.
 	RefBytesFunc(key []byte, newKey func(key []byte) string) *V
-	// Delete removes key, reporting whether it was present. Pointers
-	// previously returned by Ref/RefBytes are invalidated (the arena kinds
-	// compact storage).
-	Delete(key string) bool
 	// Len returns the number of stored keys.
 	Len() int
 	// Range calls fn for every (key, value) pair until fn returns false.

@@ -164,11 +164,6 @@ func (h *HashMap[V]) Stats() Stats {
 	return Stats{Rehashes: h.rehashes, Capacity: len(h.buckets)}
 }
 
-// LoadFactor returns entries per bucket.
-func (h *HashMap[V]) LoadFactor() float64 {
-	return float64(len(h.entries)) / float64(len(h.buckets))
-}
-
 func ceilPow2(n int) int {
 	p := 1
 	for p < n {

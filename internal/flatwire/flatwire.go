@@ -48,10 +48,10 @@
 // per-document entries are unsorted, so there is no index block to
 // delta-code. Signed and unsigned fixed-width scalar blocks (counts,
 // assignments) are raw in every payload: they are small next to the
-// index/value payload and decode allocation-free. Versions 1 (CodecRaw:
-// raw blocks throughout; WireShardCounts with every document's words as
-// strings) and 2 (CodecDelta: delta-coded indexes, raw values) are retired;
-// their numbers stay reserved so they are never reused.
+// index/value payload and decode allocation-free. Versions 1 (raw blocks
+// throughout; WireShardCounts with every document's words as strings) and
+// 2 (delta-coded indexes, raw values) are retired; their numbers stay
+// reserved so they are never reused.
 package flatwire
 
 import (
@@ -68,10 +68,6 @@ var ErrMalformed = errors.New("flatwire: malformed buffer")
 // Codec layout versions (the byte after every payload magic — see the
 // package comment).
 const (
-	// CodecRaw is the retired layout version 1; no decoder accepts it.
-	CodecRaw byte = 1
-	// CodecDelta is the retired layout version 2; no decoder accepts it.
-	CodecDelta byte = 2
 	// CodecXor is layout version 3: delta-coded sorted u32 index arrays
 	// plus losslessly compressed f64 value blocks (AppendF64sXor).
 	CodecXor byte = 3
@@ -302,17 +298,6 @@ func (r *Reader) F64sInto(dst []float64) {
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[8*i:]))
-	}
-}
-
-// U32sInto consumes raw values into dst (which must have length n).
-func (r *Reader) U32sInto(dst []uint32) {
-	s := r.take(4 * len(dst))
-	if s == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(s[4*i:])
 	}
 }
 

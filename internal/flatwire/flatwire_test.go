@@ -73,9 +73,8 @@ func TestIntoForms(t *testing.T) {
 	b := AppendU32s(nil, []uint32{9, 8, 7})
 	b = AppendF64s(b, []float64{1.25, -2.5})
 	r := NewReader(b)
-	u := make([]uint32, 3)
+	u := r.U32s(3)
 	f := make([]float64, 2)
-	r.U32sInto(u)
 	r.F64sInto(f)
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)

@@ -109,12 +109,6 @@ func AppendF64sXor(b []byte, vs []float64) []byte {
 	return b
 }
 
-// SizeF64sXor bounds the encoded size of a CodecXor value block for
-// preallocation: the form marker plus at most nine bytes per value
-// (control byte + full word). The raw fallback keeps actual blocks at or
-// under 1 + 8·n, but capacity bounds use the stream's worst case.
-func SizeF64sXor(n int) int { return 1 + 9*n }
-
 // F64sXorInto consumes one CodecXor value block of len(dst) values,
 // reconstructing the exact bit patterns. Truncated streams and malformed
 // control bytes fail the reader, never panic.

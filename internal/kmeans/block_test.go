@@ -1,16 +1,67 @@
 package kmeans
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"hpa/internal/par"
+	"hpa/internal/pario"
 	"hpa/internal/sparse"
+	"hpa/internal/zipf"
 )
 
+// sparseMix generates documents with varying sparsity patterns — closer to
+// TF/IDF vectors than the dense blobs: overlapping and unnormalized.
+func sparseMix(n, dim int, seed uint64) []sparse.Vector {
+	rng := zipf.NewRNG(seed)
+	docs := make([]sparse.Vector, n)
+	for i := range docs {
+		var v sparse.Vector
+		for d := 0; d < dim; d++ {
+			if rng.Float64() < 0.3 {
+				v.Append(uint32(d), rng.Float64()*float64(1+i%5))
+			}
+		}
+		if v.NNZ() == 0 {
+			v.Append(uint32(i%dim), 1)
+		}
+		docs[i] = v
+	}
+	return docs
+}
+
+// shardedRun drives the clusterer by hand through the iterative path (fixed
+// shard→Accum mapping, ordered EndIteration) — the workflow engine's
+// execution shape, and what bulk Run does with one shard per pool worker
+// (TestBulkRunRepeatable).
+func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shards int) *Result {
+	t.Helper()
+	p := par.NewPool(1)
+	defer p.Close()
+	c, err := New(docs, dim, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs := make([]*Accum, shards)
+	for q := range accs {
+		accs[q] = c.NewAccum()
+	}
+	for !c.Done() {
+		for q := range accs {
+			accs[q].Reset()
+			lo, hi := pario.PartitionRange(len(docs), shards, q)
+			c.AssignShard(lo, hi, accs[q])
+		}
+		c.EndIteration(accs)
+	}
+	return c.Finalize()
+}
+
 // TestBlockSizeResolution pins the Block knob resolver: negative pins the
-// scalar kernel, 0 resolves by k, positive values pin that width.
+// scalar kernel, 0 resolves by k, 4 and 8 pin that width, and validation
+// rejects every other width.
 func TestBlockSizeResolution(t *testing.T) {
 	for _, tc := range []struct{ block, k, want int }{
 		{-1, 64, 0},
@@ -19,7 +70,7 @@ func TestBlockSizeResolution(t *testing.T) {
 		{0, 7, 4},
 		{0, 8, 8},
 		{0, 64, 8},
-		{2, 64, 2},
+		{4, 64, 4},
 		{8, 3, 8},
 	} {
 		if got := BlockSize(tc.block, tc.k); got != tc.want {
@@ -33,7 +84,7 @@ func TestBlockSizeResolution(t *testing.T) {
 		{-1, 8, 0},
 		{0, 8, 8},
 		{0, 5, 4},
-		{2, 8, 2},
+		{4, 8, 4},
 	} {
 		c, err := New(docs, 16, p, Options{K: tc.k, Seed: 1, Block: tc.block})
 		if err != nil {
@@ -43,8 +94,10 @@ func TestBlockSizeResolution(t *testing.T) {
 			t.Errorf("Block=%d k=%d: BlockWidth() = %d, want %d", tc.block, tc.k, got, tc.want)
 		}
 	}
-	if _, err := New(docs, 16, p, Options{K: 4, Block: 9}); err == nil {
-		t.Errorf("Block=9 validated; widths above 8 must be rejected")
+	for _, block := range []int{1, 2, 3, 5, 6, 7, 9, 16} {
+		if _, err := New(docs, 16, p, Options{K: 4, Block: block}); !errors.Is(err, ErrOptions) {
+			t.Errorf("Block=%d: err = %v, want ErrOptions", block, err)
+		}
 	}
 }
 
@@ -53,8 +106,7 @@ func TestBlockSizeResolution(t *testing.T) {
 // pinned scalar kernel — assignments, centroids, counts, inertia history
 // and convergence — on a corpus that includes genuinely empty (zero-nnz)
 // documents, at cluster counts that are not multiples of any width (the
-// ragged tail block), with and without bound pruning in front of the
-// full-scan fallback.
+// ragged tail block), under both empty-cluster policies.
 func TestBlockedAssignBitIdentical(t *testing.T) {
 	docs := sparseMix(300, 32, 13)
 	empties := 0
@@ -71,14 +123,14 @@ func TestBlockedAssignBitIdentical(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"k5-off", Options{K: 5, Seed: 2, Prune: PruneOff}},
-		{"k13-elkan-reseed", Options{K: 13, Seed: 4, Prune: PruneElkan, Empty: ReseedFarthest}},
+		{"k5", Options{K: 5, Seed: 2}},
+		{"k13-reseed", Options{K: 13, Seed: 4, Empty: ReseedFarthest}},
 	}
 	for _, tc := range cases {
 		scalarOpts := tc.opts
 		scalarOpts.Block = -1
 		scalar := shardedRun(t, docs, 32, scalarOpts, 4)
-		for _, block := range []int{0, 1, 2, 4, 8} {
+		for _, block := range []int{0, 4, 8} {
 			t.Run(fmt.Sprintf("%s/block=%d", tc.name, block), func(t *testing.T) {
 				opts := tc.opts
 				opts.Block = block

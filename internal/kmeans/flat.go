@@ -18,10 +18,10 @@ import (
 // Layout (little-endian):
 //
 //	magic u32 | codec u8 | k u32
-//	inertia f64 | changed i64 | skipped i64
+//	inertia f64 | changed i64
 //	counts i64 × k         (cluster member counts)
 //	nnz    u32 × k         (per-cluster entry counts)
-//	totalNNZ u64
+//	totalNNZ u32           (their sum; bounds the decoder's allocation)
 //	idx                    (all clusters' indices, concatenated)
 //	val    f64 × totalNNZ  (all clusters' values, concatenated)
 //
@@ -44,7 +44,7 @@ func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	}
 	// Capacity bound: a varint-coded index is at most 5 bytes, an
 	// XOR-coded value block at most 1 + 9 bytes per value.
-	size := 4 + 1 + 4 + 8 + 8 + 8 + 8*k + 4*k + 8 + 5*total + k + 9*total
+	size := 4 + 1 + 4 + 8 + 8 + 8*k + 4*k + 4 + 5*total + k + 9*total
 	if dst == nil {
 		dst = make([]byte, 0, size)
 	}
@@ -53,12 +53,11 @@ func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	b = flatwire.AppendU32(b, uint32(k))
 	b = flatwire.AppendF64(b, w.Inertia)
 	b = flatwire.AppendI64(b, int64(w.Changed))
-	b = flatwire.AppendI64(b, w.Skipped)
 	b = flatwire.AppendI64s(b, w.Counts)
 	for j := range w.Idx {
 		b = flatwire.AppendU32(b, uint32(len(w.Idx[j])))
 	}
-	b = flatwire.AppendU64(b, uint64(total))
+	b = flatwire.AppendU32(b, uint32(total))
 	for j := range w.Idx {
 		b = flatwire.AppendDeltaU32s(b, w.Idx[j])
 	}
@@ -80,11 +79,13 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	w := &AccumWire{
 		Inertia: r.F64(),
 		Changed: int(r.I64()),
-		Skipped: r.I64(),
 		Counts:  r.I64s(k),
 	}
 	nnz := r.U32s(k)
-	total := int(r.U64())
+	// Every entry occupies at least two of the bytes that follow (a varint
+	// index delta and a value control byte), so a count the buffer cannot
+	// hold is rejected here, before the backing arrays are sized from it.
+	total := r.Count(2)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // flatTestAccum builds a wire accumulator with the shapes the codec must
-// handle: an empty cluster, awkward floats, skip/changed tallies.
+// handle: an empty cluster, awkward floats, a moved-assignment tally.
 func flatTestAccum() *AccumWire {
 	return &AccumWire{
 		Idx:     [][]uint32{{0, 3, 7}, {}, {1}},
@@ -21,7 +21,6 @@ func flatTestAccum() *AccumWire {
 		Counts:  []int64{5, 0, 2},
 		Inertia: 42.00000000000001,
 		Changed: 3,
-		Skipped: 17,
 	}
 }
 
@@ -47,8 +46,8 @@ func TestAccumWireFlatRoundTrip(t *testing.T) {
 		if math.Float64bits(dec.Inertia) != math.Float64bits(w.Inertia) {
 			t.Errorf("%s: inertia bits differ", name)
 		}
-		if dec.Changed != w.Changed || dec.Skipped != w.Skipped {
-			t.Errorf("%s: tallies %d/%d, want %d/%d", name, dec.Changed, dec.Skipped, w.Changed, w.Skipped)
+		if dec.Changed != w.Changed {
+			t.Errorf("%s: changed %d, want %d", name, dec.Changed, w.Changed)
 		}
 		if !reflect.DeepEqual(dec.Counts, w.Counts) {
 			t.Errorf("%s: counts %v", name, dec.Counts)
@@ -101,17 +100,27 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 		"short head": good[:6],
 	}
 	// Corrupt a per-cluster entry count: nnz block starts after
-	// magic(4)+codec(1)+k(4)+inertia(8)+changed(8)+skipped(8)+counts(8×3).
+	// magic(4)+codec(1)+k(4)+inertia(8)+changed(8)+counts(8×3).
 	bad := append([]byte{}, good...)
-	bad[4+1+4+8+8+8+24]++
+	bad[4+1+4+8+8+24]++
 	cases["nnz sum mismatch"] = bad
 	// Every codec version byte but the one EncodeFlat writes must be
 	// rejected, not guessed at — the retired versions 1 and 2 included.
-	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+	for _, v := range []byte{0, 1, 2, 99} {
 		badCodec := append([]byte{}, good...)
 		badCodec[4] = v
 		cases[fmt.Sprintf("codec version %d", v)] = badCodec
 	}
+	// Entry counts the buffer cannot hold must fail before anything is
+	// sized from them (fuzz-found: two clusters of 2^31 entries each).
+	huge := append([]byte{}, good[:4+1]...)
+	huge = flatwire.AppendU32(huge, 1)     // k
+	huge = flatwire.AppendF64(huge, 0)     // inertia
+	huge = flatwire.AppendI64(huge, 0)     // changed
+	huge = flatwire.AppendI64(huge, 1)     // counts
+	huge = flatwire.AppendU32(huge, 1<<30) // nnz
+	huge = flatwire.AppendU32(huge, 1<<30) // total
+	cases["entry count past the buffer"] = huge
 	// A zero delta encodes a duplicate index; entries must strictly ascend.
 	dup := flatTestAccum()
 	dup.Idx[0][1] = dup.Idx[0][0]

@@ -1,10 +1,6 @@
 package kmeans
 
-import (
-	"testing"
-
-	"hpa/internal/flatwire"
-)
+import "testing"
 
 // FuzzDecodeFlatAccumWire: the decoder must reject arbitrary input with an
 // error — never a panic; inputs that do decode must survive a
@@ -13,7 +9,7 @@ func FuzzDecodeFlatAccumWire(f *testing.F) {
 	w := flatTestAccum()
 	good := w.EncodeFlat(nil)
 	f.Add(good)
-	for _, v := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} { // retired versions
+	for _, v := range []byte{1, 2} { // retired codec versions
 		old := append([]byte{}, good...)
 		old[4] = v
 		f.Add(old)

@@ -53,52 +53,17 @@
 // the workflow engine's iterative shard loop execute identical code, and a
 // bulk run is bit-repeatable on a given pool size.
 //
-// # Assignment pruning
-//
-// The assignment kernel optionally carries triangle-inequality bounds
-// (bounds.go) that let a document skip the k-way centroid scan when its
-// exact upper bound to the assigned centroid is provably below a
-// conservative lower bound on every other centroid. Two bound structures
-// form a hierarchy:
-//
-//   - Hamerly (VariantHamerly): one lower bound per document — the
-//     minimum over all non-assigned centroids — decayed each iteration
-//     by the largest centroid drift. O(1) memory per document; one big
-//     drift anywhere collapses every document's bound.
-//   - Elkan (VariantElkan): k lower bounds per document, one per
-//     centroid, each decayed only by its own centroid's drift. k× the
-//     memory, but bounds survive iterations where only a few centroids
-//     move, so the skip rate dominates Hamerly's — the win grows with k,
-//     which is why PruneAuto selects Elkan from k >= 16 (Hamerly from
-//     k >= 4, off below).
-//
-// Options.Prune selects the structure (PruneAuto by cluster count as
-// above; PruneOn pins Hamerly, PruneElkan pins per-centroid bounds;
-// PruneMode.Variant is the resolution rule). Both variants are
-// result-invariant by construction: a scan is skipped only when the
-// skipped outcome — assignment, distance, inertia contribution — is
-// proven identical to the full scan's, so clusterings are bit-identical
-// across every mode, at any shard count and on any backend (asserted by
-// TestPruneBitIdentical, TestElkanBitIdentical and the workflow engine's
-// matrix test). Bounds state is a pure per-document function — it lives
-// beside the assignments in per-shard slices, travels with loop
-// sessions, and the per-iteration drift that decays lower bounds is
-// computed in the deterministic EndIteration reduce — so skip counts
-// themselves are reproducible. Result.Prune reports what pruning did
-// (document-iterations skipped vs scanned, and which variant ran);
-// BENCH_pruned.json records the kernel savings per variant.
-//
 // # Blocked distance kernel
 //
-// The full k-way scans inside AssignRange (the unpruned kernel and the
-// full-scan fallbacks of both bound variants) optionally run on a
-// transposed, block-major centroid layout (sparse.BlockLayout): one sweep
-// of a document's nonzeros accumulates dot products to B centroids in B
+// AssignRange scans all k centroids for every document on a transposed,
+// block-major centroid layout (sparse.BlockLayout): one sweep of a
+// document's nonzeros accumulates dot products to B centroids in B
 // register-resident accumulators, instead of re-walking the Idx/Val
 // arrays once per centroid. Options.Block selects the width (0 resolves
-// by k: 8 lanes from k >= 8, 4 from k >= 4, scalar below; negative pins
-// the scalar kernel). The layout is re-transposed once per iteration —
-// O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
+// by k: 8 lanes from k >= 8, 4 from k >= 4, scalar below; 4 and 8 pin a
+// width; negative pins the scalar kernel, the reference the equality
+// tests compare against). The layout is re-transposed once per iteration
+// — O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
 //
 // Blocking is bit-identical by construction, not by tolerance: each
 // lane's accumulator performs exactly the float operations DotDense
@@ -107,9 +72,15 @@
 // only which centroid's accumulation advances first differs, which no
 // float result depends on. Assignments, inertia history, centroids and
 // convergence are therefore identical at every block size, shard count
-// and backend (the matrix test cycles block sizes to assert it), so the
-// block width never ships on the wire: coordinator and workers may even
-// pick different widths.
+// and backend (the matrix test cycles block sizes to assert it), so
+// coordinator and workers may even pick different widths.
+//
+// There are no triangle-inequality distance bounds to skip scans with:
+// with the blocked kernel a full k-way scan costs about what the
+// mandatory own-centroid distance plus bound upkeep cost, and normalized
+// TF/IDF distances concentrate so few scans can be skipped — the full
+// scan won every measured workload up to k = 64, and the question reopens
+// only around k >= 128 on well-separated data.
 //
 // K-Means++ seeding scans are NOT blocked, deliberately: each of the k−1
 // seed rounds scans against the single most recently drawn seed, and the
@@ -170,17 +141,10 @@ type Options struct {
 	DocNorms []float64
 	// Empty selects how clusters that lose all members are handled.
 	Empty EmptyPolicy
-	// Prune selects triangle-inequality assignment pruning (bounds.go):
-	// per-document distance bounds let most documents skip the k-way
-	// distance scan after the first iterations. Results are bit-identical
-	// with pruning on or off — assignments, inertia history, centroids and
-	// convergence are unchanged; only the work to compute them shrinks.
-	// PruneAuto (the default) enables it when k is large enough to pay.
-	Prune PruneMode
 	// Block selects the blocked distance kernel's lane width (see the
-	// package comment): 0 resolves automatically by k, a negative value
-	// pins the scalar kernel, and 1..8 pin that width. Results are
-	// bit-identical at every width; values above 8 are rejected.
+	// package comment): 0 resolves automatically by k, 4 and 8 pin that
+	// width, and a negative value pins the scalar kernel. Results are
+	// bit-identical at every width; any other value is rejected.
 	Block int
 }
 
@@ -222,8 +186,8 @@ func (o *Options) validate(docs int) error {
 		return fmt.Errorf("%w: DocNorms has %d entries for %d documents",
 			ErrOptions, len(o.DocNorms), docs)
 	}
-	if o.Block > 8 {
-		return fmt.Errorf("%w: Block=%d, want at most 8", ErrOptions, o.Block)
+	if b := o.Block; b > 0 && b != 4 && b != 8 {
+		return fmt.Errorf("%w: Block=%d, want 4, 8, 0 (auto) or negative (scalar)", ErrOptions, b)
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 100
@@ -275,11 +239,22 @@ type Result struct {
 	// SeedWall is the wall time K-Means++ seeding took, whether the scan
 	// rounds ran serially or as sharded tasks.
 	SeedWall time.Duration
-	// Prune reports how much assignment work triangle-inequality pruning
-	// skipped, and which bound variant ran (Variant is "off" when pruning
-	// was off; the counters are then zero).
+	// Prune is always zero; see PruneStats.
 	Prune PruneStats
 }
+
+// PruneStats is the vestige of the deleted triangle-inequality assignment
+// pruning: every document-iteration runs the full k-way scan, so both
+// members report zero. It survives only because bench/layers.go reads
+// Result.Prune.Skipped and Result.Prune.SkipRate() and bench/ is frozen
+// outside benchmark PRs; the benchmark PR that drops the kmeans.skip_rate
+// layer metric deletes this type and Result.Prune with it.
+type PruneStats struct {
+	Skipped int64
+}
+
+// SkipRate returns 0: no k-way scan is ever skipped.
+func (PruneStats) SkipRate() float64 { return 0 }
 
 // Clusterer holds all state for the optimized operator. Every buffer is
 // allocated in New; iterations perform no per-document allocation (the
@@ -308,28 +283,17 @@ type Clusterer struct {
 	prev      float64 // previous iteration's inertia (+Inf before the first)
 	done      bool
 	converged bool
-
-	// Pruning state (nil/empty when pruning is off): per-document bounds,
-	// the previous iteration's centroids and norms for drift computation,
-	// and the padded drifts remote shards ship each iteration.
-	bp         *BoundsPass
-	prevCents  [][]float64
-	prevCNorms []float64
-	drift      []float64
-	pruneStats PruneStats
 }
 
 // Accum is one strand's (or loop shard's) per-iteration accumulator set:
-// per-cluster running sums and counts, the local inertia contribution, the
-// number of documents whose assignment changed and the number of k-way
-// scans pruning skipped. Accums are allocated once (NewAccum) and recycled
-// across iterations via Reset.
+// per-cluster running sums and counts, the local inertia contribution and
+// the number of documents whose assignment changed. Accums are allocated
+// once (NewAccum) and recycled across iterations via Reset.
 type Accum struct {
 	accs    []*sparse.Accumulator
 	dots    []float64 // blocked-kernel scratch: one dot per (padded) centroid
 	inertia float64
 	changed int
-	skipped int64
 }
 
 // Reset clears the accumulator set for the next iteration, retaining every
@@ -340,7 +304,6 @@ func (a *Accum) Reset() {
 	}
 	a.inertia = 0
 	a.changed = 0
-	a.skipped = 0
 }
 
 // NewAccum allocates an accumulator set sized for the clusterer (k dense
@@ -391,7 +354,7 @@ func NewDeferredSeed(docs []sparse.Vector, dim int, pool *par.Pool, opts Options
 }
 
 // newClusterer validates and allocates everything except the seed
-// centroids and the seed-dependent pruning state (postSeed).
+// centroids (Seeding.Finish).
 func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (*Clusterer, error) {
 	if err := opts.validate(len(docs)); err != nil {
 		return nil, err
@@ -447,32 +410,6 @@ func (c *Clusterer) seed() {
 	s.Finish()
 }
 
-// postSeed installs the seed-dependent state once the seed centroids
-// exist: the resolved pruning variant's bounds and its drift baseline
-// (which copies the seeded centroids). Called exactly once, by
-// Seeding.Finish.
-func (c *Clusterer) postSeed() {
-	if c.layout != nil {
-		c.layout.Fill(c.centroids)
-	}
-	v := c.opts.Prune.Variant(c.opts.K)
-	c.pruneStats.Variant = v.String()
-	if v == VariantOff {
-		return
-	}
-	c.bp = NewBoundsPass(len(c.docs), c.dim)
-	if v == VariantElkan {
-		c.bp.EnableElkan(c.opts.K)
-	}
-	c.prevCents = make([][]float64, c.opts.K)
-	for j := range c.prevCents {
-		c.prevCents[j] = append([]float64(nil), c.centroids[j]...)
-	}
-	c.prevCNorms = append([]float64(nil), c.cnorms...)
-	c.drift = make([]float64, c.opts.K)
-	c.pruneStats.Enabled = true
-}
-
 func copyInto(dst []float64, v *sparse.Vector, dim int) {
 	for i := range dst {
 		dst[i] = 0
@@ -501,7 +438,7 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 	if rec.Enabled() {
 		start = time.Now()
 	}
-	AssignRange(lo, hi, c.opts.K, c.docs, c.docNorms, c.centroids, c.cnorms, c.layout, c.assign, c.dists, c.bp, a)
+	AssignRange(lo, hi, c.opts.K, c.docs, c.docNorms, c.centroids, c.cnorms, c.layout, c.assign, c.dists, a)
 	if rec.Enabled() {
 		rec.Task(time.Since(start), 0, false)
 	}
@@ -516,187 +453,39 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 // non-nil) — all indexed by absolute document position — are updated in
 // place. AssignRange allocates nothing.
 //
-// A non-nil bp activates triangle-inequality pruning: a document whose
-// (exact) distance to its assigned centroid provably beats a conservative
-// lower bound on every other distance skips the k-way scan and contributes
-// the identical distance, assignment and accumulation the scan would have —
-// see bounds.go for the invariance argument. bp is indexed like assign.
-//
-// A non-nil layout routes the full k-way scans through the blocked
-// distance kernel (sparse.BlockLayout.DotsInto): one sweep of the
-// document's nonzeros yields all k dots, and the per-centroid distance
-// expression and argmin comparisons run unchanged over them — bit-identical
-// to the scalar path at every block size (see the package comment). The
-// layout must hold the same centroids the centroids slice does; the
-// pruned single-distance path stays scalar (one distTo is cheaper than a
-// block sweep).
+// A non-nil layout routes the k-way scan through the blocked distance
+// kernel (sparse.BlockLayout.DotsInto): one sweep of the document's
+// nonzeros yields all k dots, and the per-centroid distance expression and
+// argmin comparisons run unchanged over them — bit-identical to the scalar
+// path (nil layout) at every block size (see the package comment). The
+// layout must hold the same centroids the centroids slice does.
 func AssignRange(lo, hi, k int, docs []sparse.Vector, docNorms []float64,
 	centroids [][]float64, cnorms []float64, layout *sparse.BlockLayout,
-	assign []int32, dists []float64, bp *BoundsPass, a *Accum) {
-	if bp == nil {
-		for i := lo; i < hi; i++ {
-			v := &docs[i]
-			best, bestD := int32(0), math.Inf(1)
-			if layout != nil {
-				layout.DotsInto(v, a.dots)
-				dn := docNorms[i]
-				for j := 0; j < k; j++ {
-					d := cnorms[j] - 2*a.dots[j] + dn
-					if d < bestD {
-						bestD = d
-						best = int32(j)
-					}
-				}
-			} else {
-				for j := 0; j < k; j++ {
-					d := distTo(v, centroids[j], cnorms[j], docNorms[i])
-					if d < bestD {
-						bestD = d
-						best = int32(j)
-					}
-				}
-			}
-			if bestD < 0 {
-				bestD = 0
-			}
-			if assign[i] != best {
-				assign[i] = best
-				a.changed++
-			}
-			if dists != nil {
-				dists[i] = bestD
-			}
-			a.accs[best].Accumulate(v)
-			a.inertia += bestD
-		}
-		return
-	}
-	cnMax := maxCNorm(cnorms)
-	elkan := bp.LowerK != nil
+	assign []int32, dists []float64, a *Accum) {
 	for i := lo; i < hi; i++ {
 		v := &docs[i]
-		if cur := assign[i]; cur >= 0 {
-			// The distance to the assigned centroid is mandatory either way
-			// (it feeds inertia), so the upper bound is exact, not estimated.
-			d := distTo(v, centroids[cur], cnorms[cur], docNorms[i])
-			cd := d
-			if cd < 0 {
-				cd = 0
-			}
-			m := bp.eps(docNorms[i], cnMax)
-			u := math.Sqrt(cd)
-			bp.Upper[i] = u
-			var l float64
-			if elkan {
-				// Decay each centroid's bound by its own padded drift (a
-				// fresh session has no drift yet: bounds are −Inf and the
-				// full scan below runs anyway) and consume the minimum over
-				// j ≠ cur.
-				row := bp.LowerK[i*k : i*k+k]
-				l = math.Inf(1)
-				m2 := 2 * m
-				for j := 0; j < k; j++ {
-					lj := row[j] - m2
-					if bp.Drift != nil {
-						lj -= bp.Drift[j]
-					}
-					row[j] = lj
-					if int32(j) != cur && lj < l {
-						l = lj
-					}
-				}
-			} else {
-				l = bp.Lower[i] - bp.maxDriftOther(cur) - 2*m
-				bp.Lower[i] = l
-			}
-			if u < l {
-				// Provably still the argmin: the scan would keep cur with
-				// this exact distance. Contribute identically and move on.
-				if dists != nil {
-					dists[i] = cd
-				}
-				a.accs[cur].Accumulate(v)
-				a.inertia += cd
-				a.skipped++
-				continue
-			}
-		}
-		var best int32
-		var bestD float64
+		best, bestD := int32(0), math.Inf(1)
 		if layout != nil {
 			layout.DotsInto(v, a.dots)
-		}
-		if elkan {
-			// Full scan seeding every per-centroid bound with its exact
-			// distance — no shave at seed time: the per-iteration decay
-			// above charges the rounding margin before a bound is consumed.
-			row := bp.LowerK[i*k : i*k+k]
-			best, bestD = int32(0), math.Inf(1)
-			if layout != nil {
-				dn := docNorms[i]
-				for j := 0; j < k; j++ {
-					d := cnorms[j] - 2*a.dots[j] + dn
-					cd := d
-					if cd < 0 {
-						cd = 0
-					}
-					row[j] = math.Sqrt(cd)
-					if d < bestD {
-						bestD, best = d, int32(j)
-					}
-				}
-			} else {
-				for j := 0; j < k; j++ {
-					d := distTo(v, centroids[j], cnorms[j], docNorms[i])
-					cd := d
-					if cd < 0 {
-						cd = 0
-					}
-					row[j] = math.Sqrt(cd)
-					if d < bestD {
-						bestD, best = d, int32(j)
-					}
+			dn := docNorms[i]
+			for j := 0; j < k; j++ {
+				d := cnorms[j] - 2*a.dots[j] + dn
+				if d < bestD {
+					bestD = d
+					best = int32(j)
 				}
 			}
-			if bestD < 0 {
-				bestD = 0
-			}
-			bp.Upper[i] = math.Sqrt(bestD)
 		} else {
-			var secD float64
-			best, bestD, secD = int32(0), math.Inf(1), math.Inf(1)
-			if layout != nil {
-				dn := docNorms[i]
-				for j := 0; j < k; j++ {
-					d := cnorms[j] - 2*a.dots[j] + dn
-					if d < bestD {
-						secD = bestD
-						bestD, best = d, int32(j)
-					} else if d < secD {
-						secD = d
-					}
-				}
-			} else {
-				for j := 0; j < k; j++ {
-					d := distTo(v, centroids[j], cnorms[j], docNorms[i])
-					if d < bestD {
-						secD = bestD
-						bestD, best = d, int32(j)
-					} else if d < secD {
-						secD = d
-					}
+			for j := 0; j < k; j++ {
+				d := cnorms[j] - 2*sparse.DotDense(v, centroids[j]) + docNorms[i]
+				if d < bestD {
+					bestD = d
+					best = int32(j)
 				}
 			}
-			if bestD < 0 {
-				bestD = 0
-			}
-			if secD < 0 {
-				secD = 0
-			}
-			bp.Upper[i] = math.Sqrt(bestD)
-			// No shave at seed time: the per-iteration decay above charges
-			// the rounding margin before the bound is ever consumed.
-			bp.Lower[i] = math.Sqrt(secD)
+		}
+		if bestD < 0 {
+			bestD = 0
 		}
 		if assign[i] != best {
 			assign[i] = best
@@ -774,23 +563,6 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 		// lands in the layout too.
 		c.layout.Fill(c.centroids)
 	}
-	if c.bp != nil {
-		// Drift is measured after the empty-cluster policy ran, so a
-		// reseeded (teleported) centroid charges its full jump. Each drift
-		// is padded by the rounding margin of its own computation, making
-		// padded drift ≥ true drift in exact arithmetic.
-		for j := range c.centroids {
-			c.drift[j] = padDrift(distDrift(c.centroids[j], c.prevCents[j]),
-				c.prevCNorms[j], c.cnorms[j], c.bp.epsBase)
-			copy(c.prevCents[j], c.centroids[j])
-		}
-		copy(c.prevCNorms, c.cnorms)
-		c.bp.SetDrift(c.drift)
-		for _, a := range accs {
-			c.pruneStats.Skipped += a.skipped
-		}
-		c.pruneStats.DocIterations += int64(len(c.docs))
-	}
 	c.iter++
 	c.inertia = inertia
 	c.history = append(c.history, inertia)
@@ -819,11 +591,6 @@ func (c *Clusterer) Done() bool { return c.done }
 
 // Iterations returns the number of iterations executed so far.
 func (c *Clusterer) Iterations() int { return c.iter }
-
-// PruneStats returns the pruning counters accumulated so far (zero value
-// when pruning is off) — mid-loop observability for tracing; Finalize
-// publishes the same counters on the Result.
-func (c *Clusterer) PruneStats() PruneStats { return c.pruneStats }
 
 // Step runs one K-Means iteration: parallel assignment and accumulation
 // over one contiguous document range per pool worker, then the serial
@@ -899,7 +666,6 @@ func (c *Clusterer) Finalize() *Result {
 		Converged:  c.converged,
 		Seeds:      append([]int(nil), c.seeds...),
 		SeedWall:   c.seedWall,
-		Prune:      c.pruneStats,
 	}
 	for j := range r.Centroids {
 		r.Centroids[j] = append([]float64(nil), c.centroids[j]...)

@@ -303,7 +303,7 @@ func TestRecorderTrace(t *testing.T) {
 	if len(ps) != 1 || ps[0].Name != PhaseKMeans {
 		t.Fatalf("phases: %+v", ps)
 	}
-	wantTasks := res.Iterations * par.Chunks(512, 64)
+	wantTasks := res.Iterations * (512 / 64) // one task per ChunkSize chunk
 	if len(ps[0].Tasks) != wantTasks {
 		t.Fatalf("%d tasks recorded, want %d", len(ps[0].Tasks), wantTasks)
 	}

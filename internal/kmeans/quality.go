@@ -1,7 +1,6 @@
 package kmeans
 
 import (
-	"fmt"
 	"math"
 
 	"hpa/internal/sparse"
@@ -24,80 +23,6 @@ func (r *Result) Predict(v *sparse.Vector) int32 {
 		}
 	}
 	return best
-}
-
-// DaviesBouldin computes the Davies-Bouldin index of a clustering over the
-// documents it was trained on: the average, over clusters, of the worst
-// ratio of intra-cluster scatter to inter-centroid separation. Lower is
-// better; it is the standard internal quality measure for K-Means output
-// and lets the examples and tests assert that the optimized operator and
-// the baseline produce clusterings of equal quality, not merely equal
-// inertia.
-func DaviesBouldin(docs []sparse.Vector, r *Result) (float64, error) {
-	k := len(r.Centroids)
-	if k == 0 || len(docs) != len(r.Assign) {
-		return 0, fmt.Errorf("kmeans: quality: %d docs, %d assignments, %d centroids",
-			len(docs), len(r.Assign), k)
-	}
-	// Scatter: mean distance of members to their centroid.
-	scatter := make([]float64, k)
-	counts := make([]int64, k)
-	cnorms := make([]float64, k)
-	for j, c := range r.Centroids {
-		for _, x := range c {
-			cnorms[j] += x * x
-		}
-	}
-	for i := range docs {
-		j := r.Assign[i]
-		d := cnorms[j] - 2*sparse.DotDense(&docs[i], r.Centroids[j]) + docs[i].NormSq()
-		if d < 0 {
-			d = 0
-		}
-		scatter[j] += math.Sqrt(d)
-		counts[j]++
-	}
-	for j := range scatter {
-		if counts[j] > 0 {
-			scatter[j] /= float64(counts[j])
-		}
-	}
-	// Separation and the DB ratio.
-	db := 0.0
-	active := 0
-	for i := 0; i < k; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		worst := 0.0
-		for j := 0; j < k; j++ {
-			if j == i || counts[j] == 0 {
-				continue
-			}
-			sep := centroidDist(r.Centroids[i], r.Centroids[j])
-			if sep == 0 {
-				continue
-			}
-			if ratio := (scatter[i] + scatter[j]) / sep; ratio > worst {
-				worst = ratio
-			}
-		}
-		db += worst
-		active++
-	}
-	if active == 0 {
-		return 0, nil
-	}
-	return db / float64(active), nil
-}
-
-func centroidDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // TopTerms returns, for each cluster, the indices of the w heaviest

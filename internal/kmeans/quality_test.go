@@ -44,49 +44,6 @@ func TestPredictUnseenPoint(t *testing.T) {
 	}
 }
 
-func TestDaviesBouldinSeparatedBeatsOverlapping(t *testing.T) {
-	p := par.NewPool(2)
-	defer p.Close()
-	// Well separated blobs: DB near zero.
-	sep, _ := blobs(300, 3, 8, 1)
-	resSep, err := Run(sep, 8, p, Options{K: 3, Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbSep, err := DaviesBouldin(sep, resSep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overlapping: same blob centers collapsed (scale noise way up).
-	overlap := make([]sparse.Vector, len(sep))
-	for i := range sep {
-		overlap[i] = sep[i].Clone()
-		for k := range overlap[i].Val {
-			overlap[i].Val[k] = math.Mod(overlap[i].Val[k]*7.3, 5) // scramble
-		}
-	}
-	resOv, err := Run(overlap, 8, p, Options{K: 3, Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbOv, err := DaviesBouldin(overlap, resOv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dbSep >= dbOv {
-		t.Fatalf("DB(separated)=%v not better than DB(overlapping)=%v", dbSep, dbOv)
-	}
-	if dbSep > 0.2 {
-		t.Fatalf("DB on trivially separated blobs = %v, want near 0", dbSep)
-	}
-}
-
-func TestDaviesBouldinErrors(t *testing.T) {
-	if _, err := DaviesBouldin(nil, &Result{Assign: []int32{0}}); err == nil {
-		t.Fatal("mismatched sizes accepted")
-	}
-}
-
 func TestTopTermsOrderingAndBounds(t *testing.T) {
 	res := &Result{Centroids: [][]float64{
 		{0.1, 0.9, 0, 0.5, 0.7},

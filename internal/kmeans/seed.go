@@ -136,15 +136,17 @@ func (s *Seeding) EndRound() {
 	s.chosen = append(s.chosen, pick)
 }
 
-// Finish installs the chosen documents as the initial centroids, sets up
-// the seed-dependent pruning state and records the seeding wall time.
-// Must be called exactly once, after the final EndRound.
+// Finish installs the chosen documents as the initial centroids (and their
+// blocked-kernel transpose) and records the seeding wall time. Must be
+// called exactly once, after the final EndRound.
 func (s *Seeding) Finish() {
 	for j, idx := range s.chosen {
 		copyInto(s.c.centroids[j], &s.c.docs[idx], s.c.dim)
 		s.c.cnorms[j] = normSq(s.c.centroids[j])
 	}
 	s.c.seeds = s.chosen
-	s.c.postSeed()
+	if s.c.layout != nil {
+		s.c.layout.Fill(s.c.centroids)
+	}
 	s.c.seedWall = time.Since(s.start)
 }

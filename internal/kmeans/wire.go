@@ -27,9 +27,6 @@ type AccumWire struct {
 	Inertia float64
 	// Changed is the shard's moved-assignment count.
 	Changed int
-	// Skipped is the shard's count of documents whose k-way distance scan
-	// triangle-inequality pruning skipped this iteration (bounds.go).
-	Skipped int64
 }
 
 // Wire returns the accumulator set in serializable form. The receiver is
@@ -41,7 +38,6 @@ func (a *Accum) Wire() *AccumWire {
 		Counts:  make([]int64, len(a.accs)),
 		Inertia: a.inertia,
 		Changed: a.changed,
-		Skipped: a.skipped,
 	}
 	for j, acc := range a.accs {
 		w.Idx[j], w.Val[j] = acc.Sparse()
@@ -77,7 +73,6 @@ func (a *Accum) FromWire(w *AccumWire) error {
 	}
 	a.inertia = w.Inertia
 	a.changed = w.Changed
-	a.skipped = w.Skipped
 	return nil
 }
 
@@ -110,22 +105,6 @@ func (c *Clusterer) K() int { return c.opts.K }
 // ship distances back for ApplyShardAssignments.
 func (c *Clusterer) TracksDists() bool { return c.dists != nil }
 
-// PruneEnabled reports whether the run maintains assignment-pruning bounds
-// (bounds.go). Remote shards then keep their own shard-local BoundsPass and
-// need the padded per-centroid drifts shipped each iteration. Resolved from
-// the options so it is valid before seeding finishes — a remote seeding
-// task's session init must already declare the variant the assignment
-// iterations will run.
-func (c *Clusterer) PruneEnabled() bool { return c.opts.Prune.Active(c.opts.K) }
-
-// PruneElkan reports whether the pruning bounds include the Elkan
-// per-centroid lower bounds (bounds.go); remote shards must mirror the
-// variant so their skip decisions — and therefore their float arithmetic —
-// match the coordinator's exactly. Valid before seeding, like PruneEnabled.
-func (c *Clusterer) PruneElkan() bool {
-	return c.opts.Prune.Variant(c.opts.K) == VariantElkan
-}
-
 // BlockWidth returns the resolved blocked-kernel lane width (0 = scalar
 // kernel) — shipped in a remote shard's session init so workers run the
 // width the coordinator resolved. Any width produces bit-identical
@@ -136,17 +115,6 @@ func (c *Clusterer) BlockWidth() int {
 		return 0
 	}
 	return c.layout.BlockSize()
-}
-
-// Drift returns the padded per-centroid drifts of the last EndIteration —
-// what a remote shard's BoundsPass decays its bounds by. Nil before the
-// first iteration (remote bounds start at −Inf and scan fully, so no decay
-// is needed) and when pruning is off. Read-only; rewritten by EndIteration.
-func (c *Clusterer) Drift() []float64 {
-	if c.bp == nil || c.iter == 0 {
-		return nil
-	}
-	return c.drift
 }
 
 // ApplyShardAssignments installs a remotely computed shard's assignments

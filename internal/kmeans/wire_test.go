@@ -147,7 +147,7 @@ func TestAssignRangeShardLocalMatchesAbsolute(t *testing.T) {
 		assignAbs[i] = -1
 	}
 	accAbs := NewAccumFor(k, dim)
-	AssignRange(lo, hi, k, docs, norms, centroids, cnorms, nil, assignAbs, nil, nil, accAbs)
+	AssignRange(lo, hi, k, docs, norms, centroids, cnorms, nil, assignAbs, nil, accAbs)
 
 	// Shard-local indexing over subslices, as the worker kernel runs it.
 	assignLoc := make([]int32, hi-lo)
@@ -155,7 +155,7 @@ func TestAssignRangeShardLocalMatchesAbsolute(t *testing.T) {
 		assignLoc[i] = -1
 	}
 	accLoc := NewAccumFor(k, dim)
-	AssignRange(0, hi-lo, k, docs[lo:hi], norms[lo:hi], centroids, cnorms, nil, assignLoc, nil, nil, accLoc)
+	AssignRange(0, hi-lo, k, docs[lo:hi], norms[lo:hi], centroids, cnorms, nil, assignLoc, nil, accLoc)
 
 	if !reflect.DeepEqual(assignAbs[lo:hi], assignLoc) {
 		t.Errorf("assignments differ between absolute and shard-local invocation")

@@ -127,7 +127,7 @@ func TestPredictedParsing(t *testing.T) {
 	}{
 		{"dict=u-map (est input+wc 205.16ms + transform 22.5ms = 227.66ms; map-arena 945.46ms)", 227660 * time.Microsecond, true},
 		{"shards=4 (est 85.82ms vs bulk 243.12ms; merge est 1ms)", 85820 * time.Microsecond, true},
-		{"loop shards=4 (est 41.43ms); prune=on", 41430 * time.Microsecond, true},
+		{"loop shards=4 (est 41.43ms); backend=rpc×2 (+1.2ms ship/task)", 41430 * time.Microsecond, true},
 		{"kmeans: bulk est 120ms (chunk-parallel)", 120 * time.Millisecond, true},
 		{"pinned by explicit override", 0, false},
 		{"", 0, false},

@@ -1,16 +1,6 @@
 package optimizer
 
-import (
-	"runtime"
-	"testing"
-
-	"hpa/internal/corpus"
-	"hpa/internal/dict"
-	"hpa/internal/kmeans"
-	"hpa/internal/par"
-	"hpa/internal/tfidf"
-	"hpa/internal/workflow"
-)
+import "testing"
 
 // BenchmarkCalibration measures the cost of measuring: a full Calibrate
 // pass at default budgets. It doubles as the bit-rot guard for the
@@ -24,67 +14,5 @@ func BenchmarkCalibration(b *testing.B) {
 		if m.TokenizeNSPerByte <= 0 {
 			b.Fatal("implausible model")
 		}
-	}
-}
-
-// BenchmarkOptimizedVsDefault compares the end-to-end TF/IDF→K-Means
-// workflow on the calibration corpus under the default configuration
-// (Merged mode, auto shards, TreeDict) against the plan the optimizer
-// derives from a calibrated cost model. Run with
-//
-//	go test ./internal/optimizer -run '^$' -bench OptimizedVsDefault -benchtime 5x
-//
-// and record the output as BENCH_optimizer.json. The optimized plan must
-// be no slower than the default within noise (the acceptance criterion);
-// on multi-processor machines it should win outright via the shard-count
-// and dictionary decisions.
-func BenchmarkOptimizedVsDefault(b *testing.B) {
-	c := corpus.Generate(corpus.Calibration(), nil)
-	m, err := Calibrate(CalibrationOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := FromCorpus(c, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	procs := runtime.GOMAXPROCS(0)
-
-	defaultPlan := func() *workflow.Plan {
-		return workflow.TFKMPlan(c.Source(nil), workflow.TFKMConfig{
-			Mode:   workflow.Merged,
-			Shards: -1, // auto
-			TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
-			KMeans: kmeans.Options{K: 8, Seed: 42},
-		})
-	}
-	optimizedPlan := func() *workflow.Plan {
-		return Optimize(workflow.TFKMPlan(c.Source(nil), workflow.TFKMConfig{
-			Mode:   workflow.Discrete,
-			TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
-			KMeans: kmeans.Options{K: 8, Seed: 42},
-		}), st, m)
-	}
-
-	for _, bc := range []struct {
-		name string
-		plan func() *workflow.Plan
-	}{
-		{"default", defaultPlan},
-		{"optimized", optimizedPlan},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			pool := par.NewPool(procs)
-			defer pool.Close()
-			b.SetBytes(c.Bytes())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx := workflow.NewContext(pool)
-				ctx.ScratchDir = b.TempDir()
-				if _, err := workflow.RunTFKMPlan(bc.plan(), ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

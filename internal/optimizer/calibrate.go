@@ -129,8 +129,6 @@ func Calibrate(opts CalibrationOptions) (*CostModel, error) {
 	m.ARFFWriteBPS, m.ARFFReadBPS = w, r
 	m.ShardTaskNS = calibrateShardOverhead(opts.ShardTasks)
 	m.KMeansAssignNS = calibrateKMeansAssign(opts)
-	m.KMeansAssignPrunedNS, m.KMeansPrunedSkipRate = calibrateKMeansAssignPruned(opts, kmeans.PruneOn)
-	m.KMeansAssignElkanNS, m.KMeansElkanSkipRate = calibrateKMeansAssignPruned(opts, kmeans.PruneElkan)
 	m.RPCShipNS = calibrateRPCShip(opts.RPCTasks)
 	return m, nil
 }
@@ -284,8 +282,8 @@ func (*calReduce) FinishReduce(_ *workflow.Context, state any) (workflow.Value, 
 	return *state.(*int), nil
 }
 
-// calKMeansMatrix synthesizes the sparse matrix both assignment-kernel
-// calibrations run over (deterministic, so the two rates are comparable).
+// calKMeansMatrix synthesizes the (deterministic) sparse matrix the
+// assignment-kernel calibration runs over.
 func calKMeansMatrix(opts CalibrationOptions) ([]sparse.Vector, int) {
 	docs := opts.KMeansDocs
 	nnz := opts.KMeansTermsPerDoc
@@ -315,7 +313,7 @@ func calibrateKMeansAssign(opts CalibrationOptions) float64 {
 	vecs, dim := calKMeansMatrix(opts)
 	pool := par.NewPool(1)
 	defer pool.Close()
-	c, err := kmeans.New(vecs, dim, pool, kmeans.Options{K: k, Seed: 1, Prune: kmeans.PruneOff})
+	c, err := kmeans.New(vecs, dim, pool, kmeans.Options{K: k, Seed: 1})
 	if err != nil {
 		// Cannot happen with the synthetic matrix; conservative fallback.
 		return 1.5
@@ -333,46 +331,6 @@ func calibrateKMeansAssign(opts CalibrationOptions) float64 {
 	}
 	ops *= passes
 	return float64(time.Since(start).Nanoseconds()) / float64(ops)
-}
-
-// calibrateKMeansAssignPruned measures a bounded assignment kernel over
-// the same matrix, driven as a short real loop (assign, then the centroid
-// update that sets the drifts) so bounds warm up and decay exactly as they
-// do in production. The mode selects the bound structure: kmeans.PruneOn
-// measures the Hamerly variant (one lower bound per document),
-// kmeans.PruneElkan the per-(document, centroid) variant. Only the
-// assignment passes are timed; the returned rate divides the same
-// iterations × nnz × k unit count as the full-scan calibration, so the
-// rates differ exactly by what each bound structure saves net of its
-// maintenance cost. The second return is the skip rate the loop observed
-// (kmeans.PruneStats.SkipRate) — what the rate's saving comes from, and
-// what the measured-skip feedback needs to re-price it.
-func calibrateKMeansAssignPruned(opts CalibrationOptions, mode kmeans.PruneMode) (float64, float64) {
-	const k = 8
-	vecs, dim := calKMeansMatrix(opts)
-	pool := par.NewPool(1)
-	defer pool.Close()
-	c, err := kmeans.New(vecs, dim, pool, kmeans.Options{K: k, Seed: 1, Prune: mode})
-	if err != nil {
-		return 1.5, 0 // cannot happen with the synthetic matrix
-	}
-	acc := c.NewAccum()
-	accs := []*kmeans.Accum{acc}
-	const passes = 3
-	var assignNS int64
-	for p := 0; p < passes; p++ {
-		acc.Reset()
-		start := time.Now()
-		c.AssignShard(0, len(vecs), acc)
-		assignNS += time.Since(start).Nanoseconds()
-		c.EndIteration(accs)
-	}
-	var ops int64
-	for i := range vecs {
-		ops += int64(len(vecs[i].Idx)) * k
-	}
-	ops *= passes
-	return float64(assignNS) / float64(ops), c.PruneStats().SkipRate()
 }
 
 // calibrateShardOverhead times a plan of empty partition tasks (split ->

@@ -41,17 +41,15 @@ import (
 // ModelVersion identifies the cost-model schema and the calibration
 // procedure. Cached models with a different version are recalibrated.
 // v2 added KMeansAssignNS (the K-Means assignment kernel cost); v3 added
-// RPCShipNS (the per-task ship cost of the RPC execution backend); v4
-// added KMeansAssignPrunedNS (the bounded assignment kernel's effective
-// cost); v5 added KMeansAssignElkanNS (the per-centroid-bound variant's
-// rate); v6 added the skip rates the bounded calibrations observed
-// (KMeansPrunedSkipRate, KMeansElkanSkipRate — what the measured-skip
-// feedback loop needs to decompose the bounded rates); v7 re-derived the
-// TF/IDF terms for the term-ID kernels (shard-vocabulary lookups in phase
-// 1, one remap lookup per vocabulary word in phase 2) — the probes are
-// unchanged, the version moves so that a recorded prediction names the
-// formula that made it. Earlier caches self-invalidate and re-measure.
-const ModelVersion = 7
+// RPCShipNS (the per-task ship cost of the RPC execution backend); v4–v6
+// added rates and skip rates for bounded assignment kernels that v8
+// dropped with the kernels they priced — K-Means is priced at
+// KMeansAssignNS, which is what runs; v7 re-derived the TF/IDF terms for
+// the term-ID kernels (shard-vocabulary lookups in phase 1, one remap
+// lookup per vocabulary word in phase 2) — the probes are unchanged, the
+// version moves so that a recorded prediction names the formula that made
+// it. Earlier caches self-invalidate and re-measure.
+const ModelVersion = 8
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to
@@ -136,34 +134,6 @@ type CostModel struct {
 	// k, which is what the optimizer could not price before the iterative
 	// phase was decomposed into shard kernels.
 	KMeansAssignNS float64 `json:"kmeans_assign_ns"`
-	// KMeansAssignPrunedNS is the effective cost of the bounded (pruned)
-	// assignment kernel per (non-zero component × cluster), measured across
-	// a short converging loop so it amortizes bounds maintenance and bakes
-	// in the skip rate the bounds actually achieve. It is the rate the
-	// K-Means stage estimate uses instead of KMeansAssignNS when the
-	// operator's Prune mode resolves to on; after the first iterations most
-	// documents skip the k-way scan, so this rate is well below the
-	// full-scan rate on clusterable data.
-	KMeansAssignPrunedNS float64 `json:"kmeans_assign_pruned_ns"`
-	// KMeansAssignElkanNS is the effective cost of the Elkan-bounded
-	// assignment kernel per (non-zero component × cluster), measured the
-	// same way as KMeansAssignPrunedNS (a short converging loop, so bounds
-	// maintenance and the achieved skip rate are baked in) but with the
-	// per-(document, centroid) lower-bound structure. It prices the third
-	// assignment kernel variant: under PruneAuto the K-Means pricing
-	// compares it against the Hamerly rate and pins whichever is cheaper
-	// on this machine (both variants are result-invariant).
-	KMeansAssignElkanNS float64 `json:"kmeans_assign_elkan_ns"`
-	// KMeansPrunedSkipRate is the fraction of document-iterations whose
-	// k-way scan the Hamerly calibration loop skipped — the skip rate baked
-	// into KMeansAssignPrunedNS. Persisting it lets the measured-skip
-	// feedback loop decompose that rate into surviving full scans plus
-	// bounds-maintenance overhead and re-price the kernel at the skip rate
-	// real runs achieve (see SkipEWMA).
-	KMeansPrunedSkipRate float64 `json:"kmeans_pruned_skip_rate"`
-	// KMeansElkanSkipRate is KMeansPrunedSkipRate for the Elkan-bounded
-	// calibration loop.
-	KMeansElkanSkipRate float64 `json:"kmeans_elkan_skip_rate"`
 	// RPCShipNS is the per-task overhead of shipping one shard task to an
 	// RPC worker and absorbing its reply — gob encode, a loopback net/rpc
 	// round trip with a representative small payload, gob decode — in

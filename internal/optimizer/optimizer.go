@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hpa/internal/dict"
-	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/tfidf"
 	"hpa/internal/workflow"
@@ -173,13 +172,6 @@ type Options struct {
 	// the shard-count decisions price distribution honestly (an expensive
 	// ship can push the decision back toward fewer shards or bulk).
 	Backend BackendProfile
-	// Skip supplies measured skip rates for the bounded K-Means assignment
-	// kernels (see SkipFrom): when the regime a stage resolves to has been
-	// observed, its kernel is priced at the measured skip rate instead of
-	// the calibration loop's, and Explain labels the source skip=measured
-	// vs skip=calibrated. Nil keeps calibrated pricing (the flag-off
-	// escape hatch, like an empty dir for RPCProfileFrom).
-	Skip *SkipEWMA
 }
 
 // Optimize derives the physical configuration of plan from the input
@@ -670,121 +662,18 @@ func (r *rule) kmIters() int {
 	return fallbackIterEstimate(r.st.Docs)
 }
 
-// kmCalibratedRate returns the calibrated per-unit assignment rate for a
-// resolved bound variant together with the skip rate its calibration loop
-// observed, falling back toward the full-scan rate (bounded false) when
-// the model predates the variant's calibration (caches handed in
-// directly).
-func (r *rule) kmCalibratedRate(v kmeans.PruneVariant) (rate, skip float64, bounded bool) {
-	switch {
-	case v == kmeans.VariantElkan && r.m.KMeansAssignElkanNS > 0:
-		return r.m.KMeansAssignElkanNS, r.m.KMeansElkanSkipRate, true
-	case v != kmeans.VariantOff && r.m.KMeansAssignPrunedNS > 0:
-		return r.m.KMeansAssignPrunedNS, r.m.KMeansPrunedSkipRate, true
-	}
-	return r.m.KMeansAssignNS, 0, false
-}
-
-// kmEffectiveRate returns the per-unit rate variant v is priced at for
-// cluster count k, and the skip-rate source behind it: "measured" when
-// Options.Skip carries the (variant, k-bucket) regime, "calibrated"
-// otherwise, "" for the unpruned variant (which has no skip rate).
-//
-// The measured re-pricing decomposes the calibrated bounded rate into the
-// full scans that survived the calibration loop's skip rate plus the
-// bounds-maintenance overhead — overhead = rate − full·(1 − skip_cal),
-// clamped at zero — and re-prices the surviving scans at the measured
-// rate: full·(1 − skip_meas) + overhead. A corpus whose bounds barely
-// skip prices back toward the full-scan rate; one that skips nearly
-// everything prices down toward pure bounds overhead.
-func (r *rule) kmEffectiveRate(v kmeans.PruneVariant, k int) (float64, string) {
-	rate, calSkip, bounded := r.kmCalibratedRate(v)
-	if v == kmeans.VariantOff {
-		return rate, ""
-	}
-	full := r.m.KMeansAssignNS
-	if !bounded || full <= 0 || r.opts.Skip == nil {
-		return rate, "calibrated"
-	}
-	sr, ok := r.opts.Skip.Lookup(SkipRegime(v.String(), k))
-	if !ok || sr.Samples <= 0 {
-		return rate, "calibrated"
-	}
-	overhead := rate - full*(1-calSkip)
-	if overhead < 0 {
-		overhead = 0
-	}
-	return full*(1-sr.Rate) + overhead, "measured"
-}
-
 // kmeansWork estimates the total assignment work of the K-Means stage in
 // nanoseconds: iterations × documents × mean non-zeros × k distance
-// units, each priced at the effective rate of the resolved kernel
-// variant — the full-scan rate, the Hamerly-bounded rate, or the
-// Elkan-bounded rate, each of which bakes in a skip rate (measured when
-// Options.Skip carries the regime, otherwise the one the calibration
-// loop achieved). This is the iteration-count-dependent cost the model
-// could not capture while K-Means was an opaque whole-matrix operator.
-func (r *rule) kmeansWork(k, iters int, v kmeans.PruneVariant) float64 {
+// units at the calibrated full-scan rate (CostModel.KMeansAssignNS) — the
+// kernel every document-iteration runs. This is the
+// iteration-count-dependent cost the model could not capture while
+// K-Means was an opaque whole-matrix operator.
+func (r *rule) kmeansWork(k, iters int) float64 {
 	if k < 1 {
 		k = 8 // the operator's conventional default when unconfigured
 	}
-	rate, _ := r.kmEffectiveRate(v, k)
 	nnz := float64(r.st.Docs) * r.st.AvgDocDistinct
-	return float64(iters) * nnz * float64(k) * rate
-}
-
-// kmPruneResolved resolves a K-Means stage's Prune mode the way the
-// clusterer will (kmeans.PruneMode.Variant at the effective k) and then
-// re-decides it on price where the mode leaves room: under PruneAuto with
-// both bounded rates calibrated, the cheaper of the Hamerly and Elkan
-// kernels wins regardless of the k-threshold heuristic — every variant is
-// result-invariant (the strict provable-skip rule), so the choice is the
-// optimizer's to make. The comparison runs on effective rates, so a
-// measured skip EWMA (Options.Skip) can flip the auto decision; the
-// annotation labels the source as skip=measured vs skip=calibrated. It
-// returns the variant the stage is priced at, the Prune mode to pin on
-// the rewritten operator (equal to opts.Prune when the default resolution
-// already matches), and the annotation fragment describing the decision.
-func (r *rule) kmPruneResolved(opts kmeans.Options) (kmeans.PruneVariant, kmeans.PruneMode, string) {
-	k := opts.K
-	if k < 1 {
-		k = 8
-	}
-	v := opts.Prune.Variant(k)
-	if v == kmeans.VariantOff {
-		return v, opts.Prune, fmt.Sprintf("; prune=off (mode %s at k=%d)", opts.Prune, k)
-	}
-	ham, elk := r.m.KMeansAssignPrunedNS, r.m.KMeansAssignElkanNS
-	if opts.Prune == kmeans.PruneAuto && ham > 0 && elk > 0 {
-		hamEff, hamSrc := r.kmEffectiveRate(kmeans.VariantHamerly, k)
-		elkEff, elkSrc := r.kmEffectiveRate(kmeans.VariantElkan, k)
-		want, pin, src := kmeans.VariantHamerly, kmeans.PruneOn, hamSrc
-		if elkEff < hamEff {
-			want, pin, src = kmeans.VariantElkan, kmeans.PruneElkan, elkSrc
-		}
-		if want != v {
-			return want, pin, fmt.Sprintf(
-				"; prune=%s (auto re-decided on price: elkan %.2g vs hamerly %.2g ns/unit, full %.2g; skip=%s; result-invariant)",
-				want, elkEff, hamEff, r.m.KMeansAssignNS, src)
-		}
-		alt := elkEff
-		if v == kmeans.VariantElkan {
-			alt = hamEff
-		}
-		eff, _ := r.kmEffectiveRate(v, k)
-		return v, opts.Prune, fmt.Sprintf(
-			"; prune=%s (mode %s; priced at %.2g vs alternative %.2g, full %.2g ns/unit; skip=%s)",
-			v, opts.Prune, eff, alt, r.m.KMeansAssignNS, src)
-	}
-	if ham > 0 || (v == kmeans.VariantElkan && elk > 0) {
-		eff, src := r.kmEffectiveRate(v, k)
-		return v, opts.Prune, fmt.Sprintf(
-			"; prune=%s (mode %s; assign priced at %.2g vs full %.2g ns/unit; skip=%s)",
-			v, opts.Prune, eff, r.m.KMeansAssignNS, src)
-	}
-	return v, opts.Prune, fmt.Sprintf(
-		"; prune=%s (mode %s; no calibrated bounded rate, priced at full-scan rate)", v, opts.Prune)
+	return float64(iters) * nnz * float64(k) * r.m.KMeansAssignNS
 }
 
 // loopEstimate prices the iterative K-Means loop at s shards on procs
@@ -829,11 +718,8 @@ func chooseLoopShards(work float64, iters, procs, maxShards int, taskNS, perTask
 // its loop shard count set from the cost model (the loop count is
 // independent of the TF/IDF map shard count and is annotated as such).
 // Explicit Options.Shards pins apply to the loop exactly as they do to
-// the map stages. When kmPruneResolved re-decides the bound variant on
-// price (PruneAuto with both bounded rates calibrated), the winning mode
-// is pinned on the rewritten operator so execution runs the kernel the
-// estimate priced. Models without a calibrated kernel cost (pre-v2
-// caches handed in directly) skip the stage.
+// the map stages. Models without a calibrated kernel cost (pre-v2 caches
+// handed in directly) skip the stage.
 func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 	if r.m.KMeansAssignNS <= 0 {
 		return p
@@ -844,20 +730,13 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 	for _, name := range p.Nodes() {
 		switch op := p.Node(name).Op().(type) {
 		case *workflow.KMeansOp:
-			variant, pin, pruneNote := r.kmPruneResolved(op.Opts)
-			work := r.kmeansWork(op.Opts.K, iters, variant)
-			if pin != op.Opts.Prune {
-				clone := *op
-				clone.Opts.Prune = pin
-				repl[name] = &clone
-			}
+			work := r.kmeansWork(op.Opts.K, iters)
 			notes[name] = fmt.Sprintf(
-				"kmeans: bulk est %s (~%d iterations, %s assign work/iter over %d procs)%s",
+				"kmeans: bulk est %s (~%d iterations, %s assign work/iter over %d procs)",
 				fmtNS(work/float64(r.opts.Procs)), iters,
-				fmtNS(work/float64(iters)), r.opts.Procs, pruneNote)
+				fmtNS(work/float64(iters)), r.opts.Procs)
 		case *workflow.KMAssignOp:
-			variant, pin, pruneNote := r.kmPruneResolved(op.Opts)
-			work := r.kmeansWork(op.Opts.K, iters, variant)
+			work := r.kmeansWork(op.Opts.K, iters)
 			var (
 				s       int
 				why     string
@@ -881,14 +760,11 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 					"loop shards=%d (est %s; ~%d iterations × %s assign/iter; %s/task overhead; may differ from map shard count)",
 					s, fmtNS(est), iters, fmtNS(work/float64(iters)), fmtNS(perTask))
 			}
-			why += pruneNote
 			if bp.Remote {
 				why += "; backend=" + bp.String()
 			}
-			if op.Shards != s || pin != op.Opts.Prune {
-				clone := workflow.KMAssignOp{Opts: op.Opts, Shards: s}
-				clone.Opts.Prune = pin
-				repl[name] = &clone
+			if op.Shards != s {
+				repl[name] = &workflow.KMAssignOp{Opts: op.Opts, Shards: s}
 			}
 			notes[name] = why
 		}

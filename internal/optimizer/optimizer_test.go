@@ -173,12 +173,6 @@ func TestCalibratedModelIsPlausible(t *testing.T) {
 	if m.KMeansAssignNS <= 0 {
 		t.Errorf("kmeans assignment kernel cost %v", m.KMeansAssignNS)
 	}
-	if m.KMeansPrunedSkipRate < 0 || m.KMeansPrunedSkipRate > 1 {
-		t.Errorf("pruned skip rate %v outside [0,1]", m.KMeansPrunedSkipRate)
-	}
-	if m.KMeansElkanSkipRate < 0 || m.KMeansElkanSkipRate > 1 {
-		t.Errorf("elkan skip rate %v outside [0,1]", m.KMeansElkanSkipRate)
-	}
 	for _, kind := range dict.Kinds() {
 		c, ok := m.Dicts[kind.String()]
 		if !ok || len(c.Points) == 0 {

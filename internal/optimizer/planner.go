@@ -18,7 +18,7 @@ import (
 // Statistics are cached under a caller-chosen key (typically the corpus
 // path): sampling reads ~256 documents, which is noise for one batch run
 // but a hot-path tax when thousands of requests target the same resident
-// corpus. Invalidate evicts a key after the underlying corpus changes.
+// corpus.
 //
 // Planner is safe for concurrent use.
 type Planner struct {
@@ -34,9 +34,6 @@ type Planner struct {
 func NewPlanner(model *CostModel, opts Options) *Planner {
 	return &Planner{model: model, opts: opts, stats: make(map[string]*Stats)}
 }
-
-// Model returns the planner's cost model.
-func (p *Planner) Model() *CostModel { return p.model }
 
 // Options returns the planner's default optimizer options.
 func (p *Planner) Options() Options { return p.opts }
@@ -66,25 +63,13 @@ func (p *Planner) StatsFor(key string, src pario.Source) (*Stats, error) {
 	return st, nil
 }
 
-// Invalidate evicts the statistics cached under key (after the corpus
-// behind it changed).
-func (p *Planner) Invalidate(key string) {
-	p.mu.Lock()
-	delete(p.stats, key)
-	p.mu.Unlock()
-}
-
-// PlanTFKM builds the optimized TF/IDF→K-Means plan for src under the
-// planner's default options. The config's Mode and Shards are reset before
-// optimization — the cost model owns the fusion and sharding decisions;
-// pin them through the options (Shards, Dict, Fusion) instead.
-func (p *Planner) PlanTFKM(src pario.Source, cfg workflow.TFKMConfig, st *Stats) *workflow.Plan {
-	return p.PlanTFKMWith(src, cfg, st, p.opts)
-}
-
-// PlanTFKMWith is PlanTFKM with per-request option overrides (for example
-// a request-pinned shard count or dictionary kind) layered over the same
-// resident model and statistics.
+// PlanTFKMWith builds the optimized TF/IDF→K-Means plan for src over the
+// resident model and statistics, under opts — the planner's defaults
+// (Options) with any per-request overrides (for example a request-pinned
+// shard count or dictionary kind) layered on. The config's Mode and Shards
+// are reset before optimization — the cost model owns the fusion and
+// sharding decisions; pin them through the options (Shards, Dict, Fusion)
+// instead.
 func (p *Planner) PlanTFKMWith(src pario.Source, cfg workflow.TFKMConfig, st *Stats, opts Options) *workflow.Plan {
 	base := cfg
 	base.Mode = workflow.Discrete

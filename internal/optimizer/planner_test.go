@@ -125,14 +125,6 @@ func TestPlannerCachesStats(t *testing.T) {
 	if st1 != st2 {
 		t.Fatal("second StatsFor for the same key did not return the cached statistics")
 	}
-	p.Invalidate("corpus-a")
-	st3, err := p.StatsFor("corpus-a", c.Source(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3 == st1 {
-		t.Fatal("Invalidate did not evict the cached statistics")
-	}
 }
 
 // A planner-built plan must match a hand-applied Rule over the same model,
@@ -149,7 +141,7 @@ func TestPlannerMatchesDirectRule(t *testing.T) {
 		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
 		KMeans: kmeans.Options{K: 8, Seed: 42},
 	}
-	got := p.PlanTFKM(c.Source(nil), cfg, st)
+	got := p.PlanTFKMWith(c.Source(nil), cfg, st, p.Options())
 
 	base := cfg
 	base.Mode = workflow.Discrete

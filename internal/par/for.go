@@ -60,35 +60,3 @@ func (p *Pool) ForRange(lo, hi, grain int, body func(lo, hi int)) {
 	split(lo, hi)
 	g.Wait()
 }
-
-// Chunks returns the number of fixed-size chunks ForChunks decomposes n
-// items into at the given grain.
-func Chunks(n, grain int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	return (n + grain - 1) / grain
-}
-
-// ForChunks executes body(chunk, lo, hi) for every fixed-size chunk [lo, hi)
-// of [0, n). Unlike ForRange, chunk boundaries are an arithmetic function of
-// the grain only: chunk c covers [c*grain, min((c+1)*grain, n)). Reductions
-// that store a partial result per chunk index and merge in chunk order are
-// therefore reproducible regardless of worker count.
-func (p *Pool) ForChunks(n, grain int, body func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = p.GrainSize(n)
-	}
-	nc := Chunks(n, grain)
-	p.For(0, nc, 1, func(c int) {
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		body(c, lo, hi)
-	})
-}

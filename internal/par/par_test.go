@@ -76,32 +76,6 @@ func TestForRangeSubrangesPartitionInterval(t *testing.T) {
 	}
 }
 
-func TestForChunksDeterministicBoundaries(t *testing.T) {
-	p1 := NewPool(1)
-	p8 := NewPool(8)
-	defer p1.Close()
-	defer p8.Close()
-	collect := func(p *Pool) map[int][2]int {
-		var mu sync.Mutex
-		m := make(map[int][2]int)
-		p.ForChunks(1234, 100, func(c, lo, hi int) {
-			mu.Lock()
-			m[c] = [2]int{lo, hi}
-			mu.Unlock()
-		})
-		return m
-	}
-	a, b := collect(p1), collect(p8)
-	if len(a) != len(b) || len(a) != Chunks(1234, 100) {
-		t.Fatalf("chunk counts differ: %d vs %d vs %d", len(a), len(b), Chunks(1234, 100))
-	}
-	for c, ra := range a {
-		if rb := b[c]; ra != rb {
-			t.Fatalf("chunk %d bounds differ: %v vs %v", c, ra, rb)
-		}
-	}
-}
-
 func TestParallelSumMatchesSequential(t *testing.T) {
 	p := NewPool(runtime.NumCPU())
 	defer p.Close()
@@ -207,9 +181,11 @@ func TestReducerExclusiveViews(t *testing.T) {
 		inUse atomic.Bool
 		sum   int64
 	}
-	r := NewReducer(func() *view { return &view{} }, func(v *view) { v.sum = 0 })
+	r := NewReducer(func() *view { return &view{} })
 	const n = 100_000
-	ForReduce(p, r, 0, n, 0, func(v *view, lo, hi int) {
+	p.ForRange(0, n, 0, func(lo, hi int) {
+		v := r.Claim()
+		defer r.Release(v)
 		if !v.inUse.CompareAndSwap(false, true) {
 			t.Error("view claimed concurrently by two strands")
 			return
@@ -231,27 +207,6 @@ func TestReducerExclusiveViews(t *testing.T) {
 	}
 }
 
-func TestReducerResetRecyclesViews(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	r := NewReducer(func() *[]int { s := make([]int, 0, 8); return &s },
-		func(v *[]int) { *v = (*v)[:0] })
-	for iter := 0; iter < 3; iter++ {
-		ForReduce(p, r, 0, 64, 4, func(v *[]int, lo, hi int) {
-			*v = append(*v, lo)
-		})
-		created := r.Len()
-		r.ResetAll()
-		ForReduce(p, r, 0, 64, 4, func(v *[]int, lo, hi int) {
-			*v = append(*v, lo)
-		})
-		if r.Len() != created {
-			t.Fatalf("iteration %d allocated new views after reset: %d -> %d", iter, created, r.Len())
-		}
-		r.ResetAll()
-	}
-}
-
 func TestGrainSizeBounds(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -260,17 +215,6 @@ func TestGrainSizeBounds(t *testing.T) {
 	}
 	if g := p.GrainSize(3200); g != 100 {
 		t.Fatalf("GrainSize(3200) = %d, want 100", g)
-	}
-}
-
-func TestChunksArithmetic(t *testing.T) {
-	cases := []struct{ n, grain, want int }{
-		{0, 10, 0}, {1, 10, 1}, {10, 10, 1}, {11, 10, 2}, {100, 3, 34}, {5, 0, 5},
-	}
-	for _, c := range cases {
-		if got := Chunks(c.n, c.grain); got != c.want {
-			t.Errorf("Chunks(%d,%d) = %d, want %d", c.n, c.grain, got, c.want)
-		}
 	}
 }
 

@@ -29,11 +29,3 @@ func TreeReduce[T any](p *Pool, items []T, merge func(a, b T) T) T {
 	g.Wait()
 	return merge(left, right)
 }
-
-// ReduceViews tree-merges every view of a Reducer into a single value with
-// TreeReduce. Like Reducer.Views, it must only be called outside parallel
-// regions (all views released); the reducer's views are consumed by the
-// merge and must not be reused afterwards.
-func ReduceViews[T any](p *Pool, r *Reducer[T], merge func(a, b T) T) T {
-	return TreeReduce(p, r.Views(), merge)
-}

@@ -14,21 +14,15 @@ import "sync"
 // region, not by the iteration count, so per-view state may be large (e.g.
 // a full set of centroid accumulators).
 type Reducer[T any] struct {
-	mu       sync.Mutex
-	free     []T
-	all      []T
-	newView  func() T
-	resetFn  func(T)
-	released int
+	mu      sync.Mutex
+	free    []T
+	all     []T
+	newView func() T
 }
 
-// NewReducer creates a reducer whose views are produced by newView. If
-// reset is non-nil it is applied to recycled views by ResetAll, allowing the
-// same reducer (and its allocated views) to be reused across K-Means
-// iterations — the paper's "recycling data structures throughout the
-// K-means iterations" optimization.
-func NewReducer[T any](newView func() T, reset func(T)) *Reducer[T] {
-	return &Reducer[T]{newView: newView, resetFn: reset}
+// NewReducer creates a reducer whose views are produced by newView.
+func NewReducer[T any](newView func() T) *Reducer[T] {
+	return &Reducer[T]{newView: newView}
 }
 
 // Claim returns a view for exclusive use by the calling strand.
@@ -66,31 +60,9 @@ func (r *Reducer[T]) Views() []T {
 	return r.all
 }
 
-// ResetAll applies the reset function to every view, recycling them for the
-// next parallel region without reallocation.
-func (r *Reducer[T]) ResetAll() {
-	if r.resetFn == nil {
-		return
-	}
-	for _, v := range r.Views() {
-		r.resetFn(v)
-	}
-}
-
 // Len reports how many views have been created so far.
 func (r *Reducer[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.all)
-}
-
-// ForReduce runs body over subranges of [lo, hi) in parallel, handing each
-// invocation an exclusively-claimed reducer view. After it returns, the
-// partial results are available via r.Views for merging.
-func ForReduce[T any](p *Pool, r *Reducer[T], lo, hi, grain int, body func(v T, lo, hi int)) {
-	p.ForRange(lo, hi, grain, func(lo, hi int) {
-		v := r.Claim()
-		body(v, lo, hi)
-		r.Release(v)
-	})
 }

@@ -182,17 +182,6 @@ func Partition(src Source, shards, p int) *SubSource {
 	return &SubSource{Src: src, Lo: lo, Hi: hi}
 }
 
-// Sized is implemented by sources that know each document's size without
-// reading it, enabling byte-weighted shard boundaries.
-type Sized interface {
-	Source
-	// DocBytes returns the size of document i in bytes.
-	DocBytes(i int) int64
-}
-
-// DocBytes implements Sized.
-func (m *MemSource) DocBytes(i int) int64 { return int64(len(m.Docs[i])) }
-
 // WeightedBoundaries returns shard boundaries over len(weights) documents
 // such that every shard carries close to total/shards weight: boundary p is
 // the smallest index whose cumulative weight reaches p/shards of the total.
@@ -200,9 +189,8 @@ func (m *MemSource) DocBytes(i int) int64 { return int64(len(m.Docs[i])) }
 // len(weights)); shard p is [b[p], b[p+1]). Boundaries are contiguous,
 // cover every document exactly once, depend only on (weights, shards), and
 // each shard's weight deviates from the ideal by at most the largest single
-// document — the byte-balanced alternative to PartitionRange's count-
-// balanced split, for corpora with heavy-tailed document sizes (the
-// straggler regime work stealing otherwise has to absorb).
+// document — the weight-balanced alternative to PartitionRange's count-
+// balanced split (the K-Means loop balances shards by nonzero count).
 func WeightedBoundaries(weights []int64, shards int) []int {
 	n := len(weights)
 	if shards < 1 {
@@ -238,25 +226,6 @@ func WeightedBoundaries(weights []int64, shards int) []int {
 	// Boundaries are non-decreasing by construction; shards past the last
 	// document come out empty, exactly like PartitionRange with shards > n.
 	return b
-}
-
-// PartitionWeighted returns shard p of src with byte-weighted boundaries:
-// document sizes are taken from the Sized interface when src implements it
-// and fall back to PartitionRange's count-balanced split otherwise. The
-// boundaries are a pure function of the document sizes and the shard count,
-// so derived computations stay deterministic.
-func PartitionWeighted(src Source, shards, p int) *SubSource {
-	sized, ok := src.(Sized)
-	if !ok {
-		return Partition(src, shards, p)
-	}
-	n := src.Len()
-	weights := make([]int64, n)
-	for i := range weights {
-		weights[i] = sized.DocBytes(i)
-	}
-	b := WeightedBoundaries(weights, shards)
-	return &SubSource{Src: src, Lo: b[p], Hi: b[p+1]}
 }
 
 // SourceSpec is the serializable description of a contiguous document

@@ -341,7 +341,6 @@ func TestWeightedBoundariesBalanceBytes(t *testing.T) {
 		}
 		docs = append(docs, make([]byte, size))
 	}
-	src := &MemSource{Docs: docs}
 	weights := make([]int64, len(docs))
 	var total, maxDoc int64
 	for i := range docs {
@@ -370,36 +369,9 @@ func TestWeightedBoundariesBalanceBytes(t *testing.T) {
 				p, bytes, ideal, skew, maxDoc)
 		}
 	}
-	// PartitionWeighted agrees with the boundaries and covers every doc
-	// exactly once.
-	covered := 0
-	for p := 0; p < shards; p++ {
-		sub := PartitionWeighted(src, shards, p)
-		if sub.Lo != b[p] || sub.Hi != b[p+1] {
-			t.Fatalf("shard %d: [%d,%d), want [%d,%d)", p, sub.Lo, sub.Hi, b[p], b[p+1])
-		}
-		covered += sub.Len()
-	}
-	if covered != len(docs) {
-		t.Fatalf("shards cover %d of %d docs", covered, len(docs))
-	}
-	// A source without sizes falls back to count-balanced boundaries.
-	plain := &sizelessSource{src}
-	sub := PartitionWeighted(plain, shards, 1)
-	lo, hi := PartitionRange(len(docs), shards, 1)
-	if sub.Lo != lo || sub.Hi != hi {
-		t.Fatalf("sizeless fallback [%d,%d), want [%d,%d)", sub.Lo, sub.Hi, lo, hi)
-	}
 	// Degenerate all-empty corpus: count-balanced fallback, full coverage.
 	zb := WeightedBoundaries(make([]int64, 10), 4)
 	if zb[0] != 0 || zb[4] != 10 {
 		t.Fatalf("zero-weight boundaries %v", zb)
 	}
 }
-
-// sizelessSource hides MemSource's DocBytes.
-type sizelessSource struct{ src Source }
-
-func (s *sizelessSource) Len() int                   { return s.src.Len() }
-func (s *sizelessSource) Name(i int) string          { return s.src.Name(i) }
-func (s *sizelessSource) Read(i int) ([]byte, error) { return s.src.Read(i) }

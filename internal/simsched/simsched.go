@@ -22,7 +22,6 @@ package simsched
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hpa/internal/metrics"
@@ -164,13 +163,4 @@ func (p Phase) TotalCPU() time.Duration {
 		d += t.CPU
 	}
 	return d
-}
-
-// SortTasksDescending orders tasks longest-first, which tightens greedy
-// scheduling toward LPT and models a work-stealing runtime that exposes
-// large subtrees to thieves first. The operators' recorded order (document
-// order) is kept by default; benchmarks may opt into LPT to bound
-// imbalance.
-func (p *Phase) SortTasksDescending() {
-	sort.Slice(p.Tasks, func(i, j int) bool { return p.Tasks[i].CPU > p.Tasks[j].CPU })
 }

@@ -177,14 +177,6 @@ func TestTaskWithoutPhaseGoesToDefault(t *testing.T) {
 	}
 }
 
-func TestSortTasksDescending(t *testing.T) {
-	p := Phase{Tasks: []Task{{CPU: 1}, {CPU: 5}, {CPU: 3}}}
-	p.SortTasksDescending()
-	if p.Tasks[0].CPU != 5 || p.Tasks[2].CPU != 1 {
-		t.Fatalf("%+v", p.Tasks)
-	}
-}
-
 func TestZeroWorkersPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -27,11 +27,12 @@ type BlockLayout struct {
 }
 
 // NewBlockLayout allocates a layout for k centroids of the given dense
-// dimensionality, transposed in blocks of b lanes (1 <= b <= 8). The tail
-// block's unused lanes stay zero. Call Fill before the first DotsInto and
-// after every centroid update.
+// dimensionality, transposed in blocks of b lanes (4 or 8 — the widths with
+// a register-resident specialization). The tail block's unused lanes stay
+// zero. Call Fill before the first DotsInto and after every centroid
+// update.
 func NewBlockLayout(k, dim, b int) *BlockLayout {
-	if k < 1 || dim < 0 || b < 1 || b > 8 {
+	if k < 1 || dim < 0 || (b != 4 && b != 8) {
 		panic("sparse: invalid block layout shape")
 	}
 	nb := (k + b - 1) / b
@@ -44,13 +45,6 @@ func NewBlockLayout(k, dim, b int) *BlockLayout {
 
 // BlockSize returns the lane count B.
 func (l *BlockLayout) BlockSize() int { return l.b }
-
-// K returns the centroid count the layout was shaped for.
-func (l *BlockLayout) K() int { return l.k }
-
-// Padded returns k rounded up to a whole number of blocks — the minimum
-// scratch length DotsInto writes.
-func (l *BlockLayout) Padded() int { return len(l.blocks) * l.b }
 
 // Fill re-transposes the current centroids into the layout, reusing the
 // allocation. Rows shorter than dim are zero-extended (DotDense treats the
@@ -83,16 +77,13 @@ func (l *BlockLayout) Fill(centroids [][]float64) {
 
 // DotsInto computes dots[j] = DotDense(v, centroids[j]) for every j < K in
 // one sweep of v per block, bit-identical to the scalar calls (see the
-// type comment). dots must have length >= Padded(); entries past K-1 are
-// scratch. Allocates nothing.
+// type comment). dots must hold k rounded up to a whole number of blocks;
+// entries past k-1 are scratch. Allocates nothing.
 func (l *BlockLayout) DotsInto(v *Vector, dots []float64) {
-	switch l.b {
-	case 8:
+	if l.b == 8 {
 		l.dots8(v, dots)
-	case 4:
+	} else {
 		l.dots4(v, dots)
-	default:
-		l.dotsN(v, dots)
 	}
 }
 
@@ -143,29 +134,5 @@ func (l *BlockLayout) dots4(v *Vector, dots []float64) {
 		}
 		d := dots[bi*4 : bi*4+4]
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-	}
-}
-
-// dotsN is the generic fallback for the remaining block sizes; the lane
-// accumulators live in the dots slice, added to in the same ascending
-// nonzero order, so results stay bit-identical to the specializations.
-func (l *BlockLayout) dotsN(v *Vector, dots []float64) {
-	b := l.b
-	dim := uint32(l.dim)
-	for bi, blk := range l.blocks {
-		d := dots[bi*b : bi*b+b]
-		for lane := range d {
-			d[lane] = 0
-		}
-		for i, idx := range v.Idx {
-			if idx >= dim {
-				break
-			}
-			x := v.Val[i]
-			row := blk[int(idx)*b : int(idx)*b+b]
-			for lane, c := range row {
-				d[lane] += x * c
-			}
-		}
 	}
 }

@@ -91,13 +91,6 @@ func (t *Tokenizer) emitToken(tok []byte, emit func([]byte)) {
 	emit(tok)
 }
 
-// CountTokens returns the number of tokens Tokens would emit.
-func (t *Tokenizer) CountTokens(doc []byte) int {
-	n := 0
-	t.Tokens(doc, func([]byte) { n++ })
-	return n
-}
-
 func isASCIILetter(c byte) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }

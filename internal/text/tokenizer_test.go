@@ -97,18 +97,6 @@ func TestStopwordSetCaseInsensitiveConstruction(t *testing.T) {
 	}
 }
 
-func TestCountTokensMatchesEmission(t *testing.T) {
-	tk := &Tokenizer{}
-	f := func(doc string) bool {
-		n := 0
-		tk.Tokens([]byte(doc), func([]byte) { n++ })
-		return tk.CountTokens([]byte(doc)) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTokensAreLowercaseLetters(t *testing.T) {
 	tk := &Tokenizer{}
 	f := func(doc string) bool {

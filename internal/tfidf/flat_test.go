@@ -103,7 +103,7 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 	cases["nnz sum mismatch"] = bad
 	// Every codec version byte but the one EncodeFlat writes must be
 	// rejected, not guessed at — the retired versions 1 and 2 included.
-	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+	for _, v := range []byte{0, 1, 2, 99} {
 		badCodec := append([]byte{}, good...)
 		badCodec[4] = v
 		cases[fmt.Sprintf("codec version %d", v)] = badCodec
@@ -211,7 +211,7 @@ func TestWireShardCountsFlatMalformed(t *testing.T) {
 	badCodec := append([]byte{}, good...)
 	badCodec[4] = 99
 	retiredCodec := append([]byte{}, good...)
-	retiredCodec[4] = flatwire.CodecRaw
+	retiredCodec[4] = 1 // retired codec version
 	// A bogus names marker: re-encode the nameless variant (marker 0 directly
 	// precedes the DF block) and flip its marker to an undefined value.
 	badMarker := flatTestCounts(true)
@@ -293,7 +293,7 @@ func TestWireGlobalFlatMalformed(t *testing.T) {
 		"trailing":     append(append([]byte{}, good...), 0),
 		"short header": good[:7],
 	}
-	for _, v := range []byte{0, flatwire.CodecRaw, flatwire.CodecDelta, 99} {
+	for _, v := range []byte{0, 1, 2, 99} {
 		badCodec := append([]byte{}, good...)
 		badCodec[4] = v
 		cases[fmt.Sprintf("codec version %d", v)] = badCodec

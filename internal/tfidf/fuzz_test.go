@@ -1,10 +1,6 @@
 package tfidf
 
-import (
-	"testing"
-
-	"hpa/internal/flatwire"
-)
+import "testing"
 
 // FuzzDecodeFlatVectorShard: arbitrary input must error — never panic;
 // accepted inputs must survive a re-encode/re-decode cycle.
@@ -12,7 +8,7 @@ func FuzzDecodeFlatVectorShard(f *testing.F) {
 	vs := flatTestShard()
 	good := vs.EncodeFlat(nil)
 	f.Add(good)
-	for _, v := range []byte{flatwire.CodecRaw, flatwire.CodecDelta} { // retired versions
+	for _, v := range []byte{1, 2} { // retired codec versions
 		old := append([]byte{}, good...)
 		old[4] = v
 		f.Add(old)
@@ -42,7 +38,7 @@ func FuzzDecodeFlatWireGlobal(f *testing.F) {
 	good := w.EncodeFlat(nil)
 	f.Add(good)
 	retired := append([]byte{}, good...)
-	retired[4] = flatwire.CodecRaw
+	retired[4] = 1 // retired codec version
 	f.Add(retired)
 	f.Add(good[:len(good)-1])
 	f.Add([]byte{})
@@ -68,7 +64,7 @@ func FuzzDecodeFlatWireShardCounts(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(flatTestCounts(false).EncodeFlat(nil))
 	retired := append([]byte{}, good...)
-	retired[4] = flatwire.CodecRaw
+	retired[4] = 1 // retired codec version
 	f.Add(retired)
 	w.Docs[0].Locals[1] = 1 // the same word twice in one document
 	f.Add(w.EncodeFlat(nil))

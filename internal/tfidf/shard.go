@@ -180,7 +180,7 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 	rec := opts.Recorder
 	strands := par.NewReducer(func() *text.Tokenizer {
 		return &text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem}
-	}, nil)
+	})
 	var vocabMu sync.Mutex
 	read := func(handler func(i int, content []byte) error) error {
 		if opts.Ctx != nil {
@@ -396,8 +396,7 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 		remap[local] = info.ID
 	}
 	rec := opts.Recorder
-	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} },
-		func(b *sparse.Builder) { b.Reset() })
+	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} })
 	pool.For(0, n, 0, func(i int) {
 		var start time.Time
 		if rec.Enabled() {

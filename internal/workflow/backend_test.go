@@ -247,13 +247,11 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 			Dim:       6,
 			K:         2,
 			WantDists: true,
-			Prune:     true,
-			Elkan:     true,
+			Block:     8,
 		},
 		Centroids: [][]float64{{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}},
 		CNorms:    []float64{1, 1},
 		Assign:    []int32{-1},
-		Drift:     []float64{0.25, 0.5},
 	}
 	if got := gobRoundTrip(t, km); !reflect.DeepEqual(got, km) {
 		t.Errorf("KMAssignTaskArgs round trip: got %+v, want %+v", got, km)

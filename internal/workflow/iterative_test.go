@@ -194,38 +194,6 @@ func TestIterativeKMeansLoopShardsIndependentOfMapShards(t *testing.T) {
 	sameClustering(t, "loop=6 map=4", ref.Clustering.Result, rep.Clustering.Result)
 }
 
-// TestWeightedPartitionRuleBitIdentical: byte-balanced shard boundaries
-// change only the split points, never the results.
-func TestWeightedPartitionRuleBitIdentical(t *testing.T) {
-	cfg := baseCfg(Merged)
-	ref := refTFKM(t, cfg)
-	src := testCorpus().Source(nil)
-	plan := NewPlan().
-		Add("scan", &SourceOp{Src: src}).
-		Add("tfidf", &TFIDFOp{Opts: cfg.TFIDF}).
-		Add("kmeans", &KMeansOp{Opts: cfg.KMeans}).
-		Add("output", &WriteAssignments{}).
-		Connect("scan", "tfidf").
-		Connect("tfidf", "kmeans").
-		Connect("kmeans", "output").
-		Apply(WeightedPartitionRule(5))
-	var part *PartitionOp
-	for _, name := range plan.Nodes() {
-		if po, ok := plan.Node(name).Op().(*PartitionOp); ok {
-			part = po
-		}
-	}
-	if part == nil || !part.ByteWeighted {
-		t.Fatalf("WeightedPartitionRule did not set byte weighting:\n%s", plan.Explain())
-	}
-	ctx := testCtx(t, 4)
-	rep, err := RunTFKMPlan(plan, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameScores(t, "byte-weighted shards=5", ref, rep)
-}
-
 // TestKMAssignRunFallback: the assignment loop has one driver, the plan
 // executor — a plan holding only the loop node matches the full workflow,
 // and a direct Run call is an error rather than a second inline driver.

@@ -325,22 +325,43 @@ type KMShardInit struct {
 	// WantDists makes the worker track and return per-document distances
 	// (the coordinator's ReseedFarthest policy needs them).
 	WantDists bool
-	// Prune makes the worker maintain a shard-local kmeans.BoundsPass, so
-	// assignment pruning works identically whether the shard runs here or
-	// on the coordinator. Bounds never ship: they are advisory state, and
-	// a fresh session (all bounds −Inf) just scans fully, which is always
-	// correct.
-	Prune bool
-	// Elkan selects the per-centroid lower-bound variant of the bounds pass
-	// (kmeans.BoundsPass.EnableElkan). The worker must mirror the
-	// coordinator's variant: the two variants skip different documents, and
-	// a skip changes which float operations run.
-	Elkan bool
 	// Block is the coordinator's resolved blocked-kernel lane width
-	// (kmeans.Clusterer.BlockWidth; 0 = scalar). Unlike Prune/Elkan this
-	// never affects results — any width is bit-identical — it only keeps
-	// the kernel shape consistent across backends.
+	// (kmeans.Clusterer.BlockWidth; 0 = scalar, else 4 or 8). It never
+	// affects results — any width is bit-identical — it only keeps the
+	// kernel shape consistent across backends.
 	Block int
+}
+
+// validate rejects an init the session constructors or the kernels would
+// panic on: a worker serves whatever arrives on its socket, and net/rpc
+// does not recover, so every shape the code below indexes by is checked
+// here once per session. Errors wrap flatwire.ErrMalformed.
+func (in *KMShardInit) validate() error {
+	switch {
+	case in.K < 1:
+		return fmt.Errorf("%w: loop shard init has k=%d", flatwire.ErrMalformed, in.K)
+	case in.Dim < 0:
+		return fmt.Errorf("%w: loop shard init has dimension %d", flatwire.ErrMalformed, in.Dim)
+	case in.Block != 0 && in.Block != 4 && in.Block != 8:
+		return fmt.Errorf("%w: loop shard init has block width %d", flatwire.ErrMalformed, in.Block)
+	case len(in.Norms) != len(in.Vectors):
+		return fmt.Errorf("%w: loop shard init has %d norms for %d documents",
+			flatwire.ErrMalformed, len(in.Norms), len(in.Vectors))
+	}
+	for i := range in.Vectors {
+		v := &in.Vectors[i]
+		if len(v.Idx) != len(v.Val) {
+			return fmt.Errorf("%w: loop shard init document %d has %d indices for %d values",
+				flatwire.ErrMalformed, i, len(v.Idx), len(v.Val))
+		}
+		for _, ix := range v.Idx {
+			if int64(ix) >= int64(in.Dim) {
+				return fmt.Errorf("%w: loop shard init document %d has index %d out of dimension %d",
+					flatwire.ErrMalformed, i, ix, in.Dim)
+			}
+		}
+	}
+	return nil
 }
 
 // KMAssignTaskArgs are the kmeans.assign kernel arguments — one shard's
@@ -356,11 +377,6 @@ type KMAssignTaskArgs struct {
 	// Assign holds the shard's previous assignments (shard-local indexing),
 	// so the moved count stays exact whether or not the session survived.
 	Assign []int32
-	// Drift holds the padded per-centroid drifts of the previous centroid
-	// update (kmeans.Clusterer.Drift) — what the session's bounds decay by
-	// before this iteration's pruned assignment. Nil on the first iteration
-	// and when pruning is off.
-	Drift []float64
 }
 
 // KMAssignReply is the kmeans.assign kernel reply: exactly the state the
@@ -383,7 +399,6 @@ type kmSession struct {
 	k       int
 	acc     *kmeans.Accum
 	dists   []float64
-	bp      *kmeans.BoundsPass
 	layout  *sparse.BlockLayout // blocked-kernel transpose, refilled per call
 	lastUse time.Time
 }
@@ -414,6 +429,9 @@ func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
 		if init == nil {
 			return nil, fmt.Errorf("loop shard session %q lost (worker restarted mid-loop?)", id)
 		}
+		if err := init.validate(); err != nil {
+			return nil, err
+		}
 		s = &kmSession{
 			docs:  init.Vectors,
 			norms: init.Norms,
@@ -422,12 +440,6 @@ func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
 		}
 		if init.WantDists {
 			s.dists = make([]float64, len(init.Vectors))
-		}
-		if init.Prune {
-			s.bp = kmeans.NewBoundsPass(len(init.Vectors), init.Dim)
-			if init.Elkan {
-				s.bp.EnableElkan(init.K)
-			}
 		}
 		if init.Block > 0 {
 			s.layout = sparse.NewBlockLayout(init.K, init.Dim, init.Block)
@@ -450,16 +462,18 @@ func runKMAssignKernel(a *KMAssignTaskArgs) (*KMAssignReply, error) {
 	defer s.mu.Unlock()
 	n := len(s.docs)
 	if len(a.Assign) != n {
-		return nil, fmt.Errorf("loop shard %q: %d previous assignments for %d documents", a.Session, len(a.Assign), n)
+		return nil, fmt.Errorf("%w: loop shard %q: %d previous assignments for %d documents",
+			flatwire.ErrMalformed, a.Session, len(a.Assign), n)
+	}
+	for i, c := range a.Assign {
+		if c < -1 || int(c) >= s.k {
+			return nil, fmt.Errorf("%w: loop shard %q: document %d assigned to cluster %d of %d",
+				flatwire.ErrMalformed, a.Session, i, c, s.k)
+		}
 	}
 	if len(a.Centroids) != s.k || len(a.CNorms) != s.k {
-		return nil, fmt.Errorf("loop shard %q: %d centroids for k=%d", a.Session, len(a.Centroids), s.k)
-	}
-	if s.bp != nil && a.Drift != nil {
-		if len(a.Drift) != s.k {
-			return nil, fmt.Errorf("loop shard %q: %d drifts for k=%d", a.Session, len(a.Drift), s.k)
-		}
-		s.bp.SetDrift(a.Drift)
+		return nil, fmt.Errorf("%w: loop shard %q: %d centroids and %d norms for k=%d",
+			flatwire.ErrMalformed, a.Session, len(a.Centroids), len(a.CNorms), s.k)
 	}
 	s.acc.Reset()
 	if s.layout != nil {
@@ -467,7 +481,7 @@ func runKMAssignKernel(a *KMAssignTaskArgs) (*KMAssignReply, error) {
 		// changes results, so the layout is purely a work-shape choice.
 		s.layout.Fill(a.Centroids)
 	}
-	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, a.Centroids, a.CNorms, s.layout, a.Assign, s.dists, s.bp, s.acc)
+	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, a.Centroids, a.CNorms, s.layout, a.Assign, s.dists, s.acc)
 	return &KMAssignReply{Accum: s.acc.Wire(), Assign: a.Assign, Dists: s.dists}, nil
 }
 
@@ -566,7 +580,12 @@ func runKMSeedKernel(a *KMSeedTaskArgs) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(a.D2) != len(s.docs) {
-		return nil, fmt.Errorf("loop shard %q: %d seed distances for %d documents", a.Session, len(a.D2), len(s.docs))
+		return nil, fmt.Errorf("%w: loop shard %q: %d seed distances for %d documents",
+			flatwire.ErrMalformed, a.Session, len(a.D2), len(s.docs))
+	}
+	if len(a.Last.Idx) != len(a.Last.Val) {
+		return nil, fmt.Errorf("%w: loop shard %q: seed vector has %d indices for %d values",
+			flatwire.ErrMalformed, a.Session, len(a.Last.Idx), len(a.Last.Val))
 	}
 	kmeans.SeedScanRange(s.docs, &a.Last, a.D2)
 	return a.D2, nil
@@ -695,9 +714,6 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 				if flags&needGlobalFlag != 0 {
 					resend.GlobalFlat = g.Wire().EncodeFlat(nil)
 					globalReships.Add(1)
-					if pair != nil {
-						pair.noteGlobalShip()
-					}
 				}
 				if flags&needCountsFlag != 0 {
 					resend.Counts = sc.Wire(false)

@@ -3,6 +3,7 @@ package workflow
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -16,9 +17,9 @@ import (
 	"hpa/internal/tfidf"
 )
 
-// runTFKMPruneOn runs the full plan with an explicit K-Means option set —
-// the prune matrix needs to flip Prune and Empty per run.
-func runTFKMPruneOn(t *testing.T, src pario.Source, shards int, backend Backend, scratch string, km kmeans.Options) *TFKMReport {
+// runTFKMWith runs the full plan with an explicit K-Means option set — the
+// matrix below flips Empty and Block per run.
+func runTFKMWith(t *testing.T, src pario.Source, shards int, backend Backend, scratch string, km kmeans.Options) *TFKMReport {
 	t.Helper()
 	pool := par.NewPool(4)
 	defer pool.Close()
@@ -32,154 +33,97 @@ func runTFKMPruneOn(t *testing.T, src pario.Source, shards int, backend Backend,
 		KMeans: km,
 	})
 	if err != nil {
-		t.Fatalf("RunTFKM(shards=%d, backend=%s, prune=%s): %v", shards, backend.Name(), km.Prune, err)
+		t.Fatalf("RunTFKM(shards=%d, backend=%s, block=%d): %v", shards, backend.Name(), km.Block, err)
 	}
 	return rep
 }
 
-// TestPrunedAssignMatchesBulk is the pruning and sharded-seeding
-// acceptance suite. Two baselines anchor the matrix:
+// TestPrunedAssignMatchesBulk is the sharded-seeding and blocked-kernel
+// acceptance suite (the name predates the deletion of assignment pruning;
+// CI selects it by -run MatchesBulk). Two baselines anchor the matrix:
 //
-//   - the bulk-synchronous plan (Shards: 0) — serial K-Means++ seeding,
-//     full-scan assignment. Every sharded cell must reproduce its seed
-//     picks, assignments, cluster counts and iteration count exactly
-//     (seed picks are the tentpole's bit-identity claim: the decomposed
-//     scan rounds replay the serial RNG draw-for-draw), and its centroids
-//     up to reduction-order rounding — the same contract sameClustering
-//     asserts for the unpruned loop;
-//   - the sharded PruneOff run at the same shard count. Within one shard
-//     count, {off, hamerly, elkan} × {local, rpc} must agree
-//     bit-for-bit: inertia, full inertia history, centroids, everything
-//     — pruning and backend choice never touch a float.
-//
-// The bounded cells must also actually skip work, and the per-centroid
-// Elkan bounds must never skip less than Hamerly's single bound over the
-// matrix (strict dominance on a k>=16 case is asserted at the kmeans
-// level, where synthetic data iterates long enough to open a gap — this
-// corpus converges in a couple of iterations).
+//   - the bulk-synchronous plan (Shards: 0) — serial K-Means++ seeding.
+//     Every sharded cell must reproduce its seed picks, assignments,
+//     cluster counts and iteration count exactly (the decomposed scan
+//     rounds replay the serial RNG draw-for-draw), and its centroids up to
+//     reduction-order rounding — the same contract sameClustering asserts;
+//   - the sharded local run at the same shard count. Within one shard
+//     count, {local, rpc} × block widths must agree bit-for-bit: inertia,
+//     full inertia history, centroids, everything — backend and kernel
+//     shape never touch a float.
 //
 // Both baselines pin the scalar distance kernel (Block: -1) while the
-// matrix cells cycle the blocked kernel's lane widths {1, 2, 4, 8}
-// deterministically, so every cell's bit-for-bit comparison doubles as
-// the blocked-kernel equality proof — at k=13, deliberately not a
-// multiple of any width, so the ragged tail lanes are exercised too.
-// Under -short (the CI race run) the matrix shrinks to one shard count
-// and one empty policy — still covering sharded seeding on both backends
-// under the race detector.
+// matrix cells cycle the blocked kernel's lane widths {4, 8}, so every
+// cell's bit-for-bit comparison doubles as the blocked-kernel equality
+// proof — at k=13, deliberately not a multiple of either width, so the
+// ragged tail lanes are exercised too. Under -short (the CI race run) the
+// matrix shrinks to one shard count and one empty policy — still covering
+// sharded seeding on both backends under the race detector.
 func TestPrunedAssignMatchesBulk(t *testing.T) {
 	src := diskCorpus(t)
 	scratch := t.TempDir()
-	// K well above the corpus's natural topic count: the run still converges
-	// fast, but enough centroids sit close together that bound gaps open and
-	// some documents provably skip already in iteration 2 — on this tiny
-	// deterministic corpus that is the window pruning gets. (Long-running
-	// skip-rate behavior is covered at the kmeans level, where synthetic
-	// data iterates longer.)
 	empties := []kmeans.EmptyPolicy{kmeans.KeepCentroid, kmeans.ReseedFarthest}
 	shardCounts := []int{1, 4, 7}
 	if testing.Short() {
 		empties = empties[:1]
 		shardCounts = []int{4}
 	}
-	modes := []struct {
-		mode    kmeans.PruneMode
-		variant string
-	}{
-		{kmeans.PruneOff, "off"},
-		{kmeans.PruneOn, "hamerly"},
-		{kmeans.PruneElkan, "elkan"},
-	}
-	blocks := []int{1, 2, 4, 8}
-	cell := 0
-	for _, empty := range empties {
+	blocks := []int{4, 8}
+	for ei, empty := range empties {
 		// Shards: 0 keeps the single-operator bulk path: seeding scans run
 		// serially inside the clusterer, not as executor prepare tasks.
-		bulk := runTFKMPruneOn(t, src, 0, LocalBackend{}, scratch,
-			kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff, Block: -1})
-		br := bulk.Clustering.Result
-		if br.Prune.Enabled {
-			t.Fatalf("empty=%v: bulk PruneOff run reports bounds enabled", empty)
-		}
-		var hamSkipped, elkSkipped int64
-		for _, shards := range shardCounts {
-			// Per-shard-count bit-exact reference: the unpruned local run.
-			ref := runTFKMPruneOn(t, src, shards, LocalBackend{}, scratch,
-				kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff, Block: -1}).Clustering.Result
+		br := runTFKMWith(t, src, 0, LocalBackend{}, scratch,
+			kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: -1}).Clustering.Result
+		for si, shards := range shardCounts {
+			// Per-shard-count bit-exact reference: the scalar local run.
+			ref := runTFKMWith(t, src, shards, LocalBackend{}, scratch,
+				kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: -1}).Clustering.Result
 			backends := []struct {
 				name string
 				b    Backend
 			}{{"local", LocalBackend{}}, {"rpc", pipeBackend(t, 2)}}
-			for _, bk := range backends {
-				for _, m := range modes {
-					block := blocks[cell%len(blocks)]
-					cell++
-					rep := runTFKMPruneOn(t, src, shards, bk.b, scratch,
-						kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: m.mode, Block: block})
-					pr := rep.Clustering.Result
-					tag := fmt.Sprintf("empty=%v shards=%d backend=%s prune=%s block=%d", empty, shards, bk.name, m.variant, block)
+			for bi, bk := range backends {
+				// Both widths meet both backends across the matrix.
+				block := blocks[(ei+si+bi)%len(blocks)]
+				pr := runTFKMWith(t, src, shards, bk.b, scratch,
+					kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: block}).Clustering.Result
+				tag := fmt.Sprintf("empty=%v shards=%d backend=%s block=%d", empty, shards, bk.name, block)
 
-					// Against the serial-seeded bulk baseline: discrete
-					// outcomes exact, centroids up to reduction order.
-					if !reflect.DeepEqual(pr.Seeds, br.Seeds) {
-						t.Errorf("%s: seed picks: got %v, bulk serial %v", tag, pr.Seeds, br.Seeds)
-					}
-					if pr.Iterations != br.Iterations {
-						t.Errorf("%s: iterations: got %d, bulk %d", tag, pr.Iterations, br.Iterations)
-					}
-					if !reflect.DeepEqual(pr.Assign, br.Assign) {
-						t.Errorf("%s: assignments differ from bulk", tag)
-					}
-					if !reflect.DeepEqual(pr.Counts, br.Counts) {
-						t.Errorf("%s: cluster counts differ from bulk", tag)
-					}
-					for j := range br.Centroids {
-						for d := range br.Centroids[j] {
-							w, g := br.Centroids[j][d], pr.Centroids[j][d]
-							if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
-								t.Fatalf("%s: centroid %d[%d] %v vs bulk %v", tag, j, d, g, w)
-							}
-						}
-					}
-
-					// Against the same-shard-count unpruned reference:
-					// bit-for-bit, floats included.
-					if math.Float64bits(pr.Inertia) != math.Float64bits(ref.Inertia) {
-						t.Errorf("%s: inertia: got %v, unpruned ref %v", tag, pr.Inertia, ref.Inertia)
-					}
-					if !reflect.DeepEqual(pr.History, ref.History) {
-						t.Errorf("%s: inertia history differs from unpruned ref", tag)
-					}
-					if !reflect.DeepEqual(pr.Centroids, ref.Centroids) {
-						t.Errorf("%s: centroids differ bitwise from unpruned ref", tag)
-					}
-
-					if pr.Prune.Variant != m.variant {
-						t.Errorf("%s: variant %q, want %q", tag, pr.Prune.Variant, m.variant)
-					}
-					switch m.mode {
-					case kmeans.PruneOff:
-						if pr.Prune.Enabled {
-							t.Errorf("%s: PruneOff run reports bounds enabled", tag)
-						}
-					default:
-						if !pr.Prune.Enabled {
-							t.Errorf("%s: bounded run reports bounds disabled", tag)
-						}
-						if pr.Prune.Skipped == 0 {
-							t.Errorf("%s: pruning skipped nothing over %d document-iterations", tag, pr.Prune.DocIterations)
-						}
-						if m.mode == kmeans.PruneOn {
-							hamSkipped += pr.Prune.Skipped
-						} else {
-							elkSkipped += pr.Prune.Skipped
+				// Against the serial-seeded bulk baseline: discrete
+				// outcomes exact, centroids up to reduction order.
+				if !reflect.DeepEqual(pr.Seeds, br.Seeds) {
+					t.Errorf("%s: seed picks: got %v, bulk serial %v", tag, pr.Seeds, br.Seeds)
+				}
+				if pr.Iterations != br.Iterations {
+					t.Errorf("%s: iterations: got %d, bulk %d", tag, pr.Iterations, br.Iterations)
+				}
+				if !reflect.DeepEqual(pr.Assign, br.Assign) {
+					t.Errorf("%s: assignments differ from bulk", tag)
+				}
+				if !reflect.DeepEqual(pr.Counts, br.Counts) {
+					t.Errorf("%s: cluster counts differ from bulk", tag)
+				}
+				for j := range br.Centroids {
+					for d := range br.Centroids[j] {
+						w, g := br.Centroids[j][d], pr.Centroids[j][d]
+						if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
+							t.Fatalf("%s: centroid %d[%d] %v vs bulk %v", tag, j, d, g, w)
 						}
 					}
 				}
+
+				// Against the same-shard-count scalar reference:
+				// bit-for-bit, floats included.
+				if math.Float64bits(pr.Inertia) != math.Float64bits(ref.Inertia) {
+					t.Errorf("%s: inertia: got %v, scalar ref %v", tag, pr.Inertia, ref.Inertia)
+				}
+				if !reflect.DeepEqual(pr.History, ref.History) {
+					t.Errorf("%s: inertia history differs from scalar ref", tag)
+				}
+				if !reflect.DeepEqual(pr.Centroids, ref.Centroids) {
+					t.Errorf("%s: centroids differ bitwise from scalar ref", tag)
+				}
 			}
-		}
-		if elkSkipped < hamSkipped {
-			t.Errorf("empty=%v: elkan skipped %d < hamerly %d at k=13; per-centroid bounds must dominate",
-				empty, elkSkipped, hamSkipped)
 		}
 	}
 }
@@ -388,7 +332,6 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		Counts:  []int64{3, 0},
 		Inertia: 7.5,
 		Changed: 2,
-		Skipped: 4,
 	}
 	for _, rep := range []*KMAssignReply{
 		{Accum: acc, Assign: []int32{0, 1, 0}, Dists: []float64{0.5, 1.5, 2.5}},
@@ -403,7 +346,7 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Accum.Counts, acc.Counts) ||
 			math.Float64bits(got.Accum.Inertia) != math.Float64bits(acc.Inertia) ||
-			got.Accum.Changed != acc.Changed || got.Accum.Skipped != acc.Skipped {
+			got.Accum.Changed != acc.Changed {
 			t.Errorf("accum round trip: got %+v", got.Accum)
 		}
 	}
@@ -421,5 +364,98 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		if rep, err := DecodeFlatKMAssignReply(b); err == nil {
 			t.Errorf("%s: decoded without error: %+v", name, rep)
 		}
+	}
+}
+
+// TestKMKernelsRejectMalformedRequests: a worker serves whatever arrives on
+// its socket and net/rpc does not recover, so every shape the K-Means
+// kernels index by must come back as an error wrapping
+// flatwire.ErrMalformed — a panic here is a dead worker process. A healthy
+// request on the same worker still succeeds afterwards.
+func TestKMKernelsRejectMalformedRequests(t *testing.T) {
+	docs := []sparse.Vector{
+		{Idx: []uint32{0, 2}, Val: []float64{1, 2}},
+		{Idx: []uint32{1}, Val: []float64{3}},
+	}
+	goodInit := func() *KMShardInit {
+		return &KMShardInit{Vectors: docs, Norms: []float64{5, 9}, Dim: 3, K: 2, Block: 4}
+	}
+	goodAssign := func(session string) KMAssignTaskArgs {
+		return KMAssignTaskArgs{
+			Session:   session,
+			Init:      goodInit(),
+			Centroids: [][]float64{{1, 0, 2}, {0, 3, 0}},
+			CNorms:    []float64{5, 9},
+			Assign:    []int32{-1, -1},
+		}
+	}
+	goodSeed := func(session string) KMSeedTaskArgs {
+		return KMSeedTaskArgs{Session: session, Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
+	}
+	inits := map[string]func(*KMShardInit){
+		"k=0":              func(in *KMShardInit) { in.K = 0 },
+		"k<0":              func(in *KMShardInit) { in.K = -3 },
+		"dim<0":            func(in *KMShardInit) { in.Dim = -1 },
+		"block=3":          func(in *KMShardInit) { in.Block = 3 },
+		"block=16":         func(in *KMShardInit) { in.Block = 16 },
+		"block<0":          func(in *KMShardInit) { in.Block = -1 },
+		"short norms":      func(in *KMShardInit) { in.Norms = in.Norms[:1] },
+		"idx/val mismatch": func(in *KMShardInit) { in.Vectors = []sparse.Vector{{Idx: []uint32{0, 1}, Val: []float64{1}}, docs[1]} },
+		"index past dim":   func(in *KMShardInit) { in.Vectors = []sparse.Vector{{Idx: []uint32{7}, Val: []float64{1}}, docs[1]} },
+	}
+	type request struct {
+		op   string
+		args any
+	}
+	cases := map[string]request{}
+	for name, mutate := range inits {
+		a, s := goodAssign("hostile-assign-"+name), goodSeed("hostile-seed-"+name)
+		mutate(a.Init)
+		mutate(s.Init)
+		cases["assign init "+name] = request{"kmeans.assign", a}
+		cases["seed init "+name] = request{"kmeans.seed", s}
+	}
+	for name, mutate := range map[string]func(*KMAssignTaskArgs){
+		"short assign":     func(a *KMAssignTaskArgs) { a.Assign = a.Assign[:1] },
+		"assign >= k":      func(a *KMAssignTaskArgs) { a.Assign[1] = 2 },
+		"assign < -1":      func(a *KMAssignTaskArgs) { a.Assign[0] = -2 },
+		"missing centroid": func(a *KMAssignTaskArgs) { a.Centroids = a.Centroids[:1] },
+		"missing norm":     func(a *KMAssignTaskArgs) { a.CNorms = nil },
+	} {
+		a := goodAssign("hostile-assign-args-" + name)
+		mutate(&a)
+		cases["assign args "+name] = request{"kmeans.assign", a}
+	}
+	for name, mutate := range map[string]func(*KMSeedTaskArgs){
+		"short d2":              func(s *KMSeedTaskArgs) { s.D2 = s.D2[:1] },
+		"seed idx/val mismatch": func(s *KMSeedTaskArgs) { s.Last = sparse.Vector{Idx: []uint32{0, 1}, Val: []float64{1}} },
+	} {
+		s := goodSeed("hostile-seed-args-" + name)
+		mutate(&s)
+		cases["seed args "+name] = request{"kmeans.seed", s}
+	}
+	for name, rq := range cases {
+		var resp RPCResponse
+		err := Worker{}.Run(&RPCRequest{Op: rq.op, Body: gobBody(t, rq.args)}, &resp)
+		if !errors.Is(err, flatwire.ErrMalformed) {
+			t.Errorf("%s: error %v, want one wrapping flatwire.ErrMalformed", name, err)
+		}
+	}
+
+	var resp RPCResponse
+	if err := (Worker{}).Run(&RPCRequest{Op: "kmeans.seed", Body: gobBody(t, goodSeed("healthy"))}, &resp); err != nil {
+		t.Fatalf("healthy seed request after the hostile ones: %v", err)
+	}
+	if d2, err := DecodeFlatKMSeedReply(resp.Body); err != nil || len(d2) != 2 || d2[1] != 0 {
+		t.Fatalf("healthy seed reply: %v, %v", d2, err)
+	}
+	healthy := goodAssign("healthy")
+	healthy.Init = nil // the seed request above created the session
+	if err := (Worker{}).Run(&RPCRequest{Op: "kmeans.assign", Body: gobBody(t, healthy)}, &resp); err != nil {
+		t.Fatalf("healthy assign request after the hostile ones: %v", err)
+	}
+	rep, err := DecodeFlatKMAssignReply(resp.Body)
+	if err != nil || !reflect.DeepEqual(rep.Assign, []int32{0, 1}) {
+		t.Fatalf("healthy assign reply: %+v, %v", rep, err)
 	}
 }

@@ -337,8 +337,6 @@ func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, boo
 			Dim:       s.dim,
 			K:         s.c.K(),
 			WantDists: s.c.TracksDists(),
-			Prune:     s.c.PruneEnabled(),
-			Elkan:     s.c.PruneElkan(),
 			Block:     s.c.BlockWidth(),
 		}
 	}
@@ -398,7 +396,6 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 		Centroids: s.c.Centroids(),
 		CNorms:    s.c.CentroidNorms(),
 		Assign:    s.c.Assignments()[lo:hi],
-		Drift:     s.c.Drift(),
 	}
 	if !s.shipped[idx] {
 		args.Init = &KMShardInit{
@@ -407,8 +404,6 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 			Dim:       s.dim,
 			K:         s.c.K(),
 			WantDists: s.c.TracksDists(),
-			Prune:     s.c.PruneEnabled(),
-			Elkan:     s.c.PruneElkan(),
 			Block:     s.c.BlockWidth(),
 		}
 	}
@@ -458,12 +453,9 @@ func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
 		inertia, moved = s.c.EndIteration(s.ordered)
 	})
 	if ctx.Tracer.Enabled() {
-		// One event per iteration: the moved count is the value, inertia and
-		// (when pruning) the cumulative skip count ride the label.
+		// One event per iteration: the moved count is the value, inertia
+		// rides the label.
 		label := fmt.Sprintf("iter=%d inertia=%.6g", s.c.Iterations(), inertia)
-		if ps := s.c.PruneStats(); ps.Enabled {
-			label += fmt.Sprintf(" prune-skips=%d", ps.Skipped)
-		}
 		ctx.Tracer.Emit("kmeans", "iteration", label, int64(moved))
 	}
 	return s.c.Done(), nil

@@ -196,20 +196,9 @@ type PartitionOp struct {
 	// the slowest shard gates every reduction). Resolved once, so the
 	// count is stable for the plan's lifetime.
 	Shards int
-	// ByteWeighted selects byte-balanced shard boundaries instead of
-	// count-balanced ones: when the source knows its document sizes
-	// (pario.Sized), boundaries are carved so every shard holds close to
-	// total/shards bytes (within one document), which flattens the
-	// straggler tail on heavy-tailed document sizes. Sources without sizes
-	// fall back to count balance. Boundaries remain a pure function of the
-	// corpus and shard count, so results stay bit-identical.
-	ByteWeighted bool
 
 	once     sync.Once
 	resolved int
-
-	wonce  sync.Once
-	bounds []int // byte-weighted boundaries, resolved on first Split
 }
 
 // Name implements Operator.
@@ -243,18 +232,6 @@ func (o *PartitionOp) Split(ctx *Context, ins []Value, idx, total int) (Value, e
 	src, ok := ins[0].(pario.Source)
 	if !ok {
 		return nil, fmt.Errorf("%w: partition wants pario.Source, got %T", ErrType, ins[0])
-	}
-	if o.ByteWeighted {
-		if sized, isSized := src.(pario.Sized); isSized {
-			o.wonce.Do(func() {
-				weights := make([]int64, src.Len())
-				for i := range weights {
-					weights[i] = sized.DocBytes(i)
-				}
-				o.bounds = pario.WeightedBoundaries(weights, total)
-			})
-			return &pario.SubSource{Src: src, Lo: o.bounds[idx], Hi: o.bounds[idx+1]}, nil
-		}
 	}
 	return pario.Partition(src, total, idx), nil
 }
@@ -290,16 +267,11 @@ var tfPairSeq atomic.Uint64
 // function of (pair id, shard index) and shard contents are deterministic,
 // so re-running a plan simply overwrites worker cache entries with
 // identical content.
-//
-// The pair also counts how many times the global term table actually
-// shipped inline (cache misses answered with a resend) — the observable
-// behind the "at most one global ship per (worker, corpus hash)" contract.
 type tfShipPair struct {
 	id string
 
-	mu          sync.Mutex
-	counted     map[int]bool
-	globalShips int
+	mu      sync.Mutex
+	counted map[int]bool
 }
 
 // newTFShipPair allocates the shared state of one map+transform pair.
@@ -327,21 +299,6 @@ func (p *tfShipPair) wasCounted(idx int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.counted[idx]
-}
-
-// noteGlobalShip counts one inlined global-table ship (a resend after a
-// worker's content-hash cache miss).
-func (p *tfShipPair) noteGlobalShip() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.globalShips++
-}
-
-// globalShipCount returns how many times the global table shipped inline.
-func (p *tfShipPair) globalShipCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.globalShips
 }
 
 // TFMapOp is the phase-1 map kernel of the partitioned TF/IDF operator:

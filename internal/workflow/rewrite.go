@@ -178,19 +178,7 @@ type partitionable interface {
 // unpartitioned plan at any shard count.
 func PartitionRule(shards int) Rewriter { return &partitionRule{shards: shards} }
 
-// WeightedPartitionRule is PartitionRule with byte-balanced shard
-// boundaries: the inserted PartitionOp carves shards holding close to
-// equal byte volume (within one document) instead of equal document
-// counts, flattening the straggler tail on heavy-tailed document sizes.
-// Results are bit-identical either way.
-func WeightedPartitionRule(shards int) Rewriter {
-	return &partitionRule{shards: shards, byteWeighted: true}
-}
-
-type partitionRule struct {
-	shards       int
-	byteWeighted bool
-}
+type partitionRule struct{ shards int }
 
 func (*partitionRule) Name() string { return "partition" }
 
@@ -287,7 +275,7 @@ func (r *partitionRule) expand(p *Plan, name string, frag fragment, prod Edge) *
 		next.Add(nm, p.nodes[nm].op)
 	}
 	if newPart {
-		next.Add(partName, &PartitionOp{Shards: r.shards, ByteWeighted: r.byteWeighted})
+		next.Add(partName, &PartitionOp{Shards: r.shards})
 	}
 	for _, e := range p.edges {
 		switch {

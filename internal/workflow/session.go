@@ -7,7 +7,6 @@ import (
 	"hpa/internal/obs"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 )
 
 // Env is the resident, request-independent half of what Context used to
@@ -54,12 +53,4 @@ func (e *Env) NewRun(ctx context.Context) *Context {
 		Backend:    e.Backend,
 		Tracer:     e.Tracer,
 	}
-}
-
-// NewRecordedRun is NewRun with a simsched recorder attached, for runs
-// whose trace should be captured.
-func (e *Env) NewRecordedRun(ctx context.Context, rec *simsched.Recorder) *Context {
-	c := e.NewRun(ctx)
-	c.Recorder = rec
-	return c
 }

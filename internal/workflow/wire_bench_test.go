@@ -49,7 +49,6 @@ func benchAccumWire() *kmeans.AccumWire {
 		Counts:  make([]int64, k),
 		Inertia: 12345.678,
 		Changed: 42,
-		Skipped: 17,
 	}
 	for j := 0; j < k; j++ {
 		idx := make([]uint32, nnz)
@@ -91,8 +90,6 @@ func benchVectorShardQuantized() *tfidf.VectorShard {
 // dense-rational corpus and the quantized repeated-value corpus. Run with
 //
 //	go test ./internal/workflow -run '^$' -bench WirePayloads -benchtime 100x
-//
-// (results folded into BENCH_pruned.json).
 func BenchmarkWirePayloads(b *testing.B) {
 	vs := benchVectorShard()
 	qs := benchVectorShardQuantized()

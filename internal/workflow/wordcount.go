@@ -165,7 +165,7 @@ func (o *WordCountMapOp) RunPartition(ctx *Context, ins []Value, idx, total int)
 			tk: &text.Tokenizer{MinLen: o.MinWordLen, Stopwords: o.Stopwords, Stem: o.Stem},
 			m:  dict.New[uint64](o.DictKind, dict.Options{}),
 		}
-	}, nil)
+	})
 	readers := shardReaders(ctx, total)
 	var out *WCShard
 	err := ctx.Breakdown.TimeSpanErr(tfidfPhaseInputWC, func() error {

@@ -22,10 +22,9 @@
 //     SharedScanRule deduplicates identical source scans, and
 //     PartitionRule expands fusable operators (TFIDFOp, WordCountOp) into
 //     per-shard map kernels around explicit reduce nodes, inserting a
-//     PartitionOp that carves the corpus scan into contiguous shards
-//     (count-balanced, or byte-balanced under WeightedPartitionRule), and
-//     expands KMeansOp into the iterative loop stages kmeans.assign and
-//     kmeans.reduce;
+//     PartitionOp that carves the corpus scan into contiguous
+//     count-balanced shards, and expands KMeansOp into the iterative loop
+//     stages kmeans.assign and kmeans.reduce;
 //   - execution: Plan.Run schedules partition tasks — (node, shard)
 //     pairs, not whole nodes — on the context's pool with a helping join.
 //     A shard moves to the next map stage the moment its own data is
@@ -91,33 +90,22 @@
 // sources, disk-simulated sources, stopword-bearing options) quietly
 // fall back to the local path.
 //
-// # Pruning and the wire
+// # The wire
 //
-// Two hot-path optimizations ride the remotable tasks (kernels.go):
-//
-//   - The K-Means assignment tasks run a bounded kernel (Hamerly's
-//     single bound or Elkan's per-centroid bounds, per Options.Prune) when
-//     pruning is active — bounds live in the worker-side loop session next
-//     to the shipped documents, drift rides the per-iteration task args,
-//     and results stay bit-identical to the unpruned kernel (see the
-//     kmeans package doc); the optimizer prices each bounded kernel
-//     separately (CostModel.KMeansAssignPrunedNS / KMeansAssignElkanNS)
-//     and under PruneAuto pins whichever variant is cheaper.
-//   - Task payloads avoid redundant and slow serialization. The global
-//     term table is content-addressed: transform args carry only its hash,
-//     workers cache table bodies (keyed by hash and dictionary kind, with
-//     a lazy TTL), and a cache miss answers with a need-resend flag that
-//     makes the coordinator re-ship inline exactly once per (worker, hash)
-//     — steady-state iterations ship no table at all. A shard's term
-//     counts never leave the worker that counted them: count tasks park
-//     their output in the worker session under a per-run scope
-//     (count→transform affinity), the paired transform task names the
-//     session, and the scope's pins are released when the run ends. And
-//     the bulk payloads — tfidf.VectorShard, kmeans.AccumWire, assignment
-//     replies — travel as flat length-prefixed buffers (internal/flatwire)
-//     instead of gob, ~8x faster to encode+decode with orders of magnitude
-//     fewer allocations (BENCH_pruned.json); gob remains the envelope for
-//     descriptors and everything cold.
+// Task payloads avoid redundant and slow serialization (kernels.go). The
+// global term table is content-addressed: transform args carry only its
+// hash, workers cache table bodies (keyed by hash and dictionary kind,
+// with a lazy TTL), and a cache miss answers with a need-resend flag that
+// makes the coordinator re-ship inline exactly once per (worker, hash) —
+// steady-state iterations ship no table at all. A shard's term counts
+// never leave the worker that counted them: count tasks park their output
+// in the worker session under a per-run scope (count→transform affinity),
+// the paired transform task names the session, and the scope's pins are
+// released when the run ends. And the bulk payloads — tfidf.VectorShard,
+// kmeans.AccumWire, assignment replies — travel as flat length-prefixed
+// buffers (internal/flatwire) instead of gob, ~8x faster to encode+decode
+// with orders of magnitude fewer allocations (BenchmarkWirePayloads); gob
+// remains the envelope for descriptors and everything cold.
 //
 // Fusion is a graph rewrite: a plan containing an explicit materialize/load
 // operator pair around an edge is rewritten by FuseRule into one without
