@@ -49,8 +49,9 @@
 // -worker ADDR turns the binary into a task worker: it listens on ADDR
 // (e.g. ":7070", or ":0" to pick a free port — the bound address is
 // printed as "worker listening on HOST:PORT"), serves the kernel registry
-// (TF/IDF count and transform shards, K-Means assignment iterations) over
-// net/rpc + gob, and never runs a workflow itself. Workers read corpus
+// (TF/IDF count and transform shards, K-Means seeding scans and assignment
+// iterations) as length-prefixed flat frames (internal/workflow/rpc.go), and
+// never runs a workflow itself. Workers read corpus
 // shards by path, so they need the same filesystem view as the
 // coordinator.
 //
@@ -67,7 +68,7 @@
 // run.
 //
 // -trace FILE records one span per scheduled task (queue wait, run time,
-// backend, worker lane, wire bytes and codec) plus wire and K-Means loop
+// backend, worker lane, wire bytes, worker run time) plus wire and K-Means loop
 // events, and writes them as Chrome trace-event JSON loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing: pid 1 is the coordinator, each RPC
 // worker gets its own pid lane. A per-node summary table and a plan autopsy

@@ -99,7 +99,7 @@ func main() {
 	}
 	fmt.Printf("\nbit-identical across backends: %d documents, %d iterations, inertia %.6f\n",
 		len(lr.Assign), lr.Iterations, lr.Inertia)
-	fmt.Printf("rpc overhead on this machine: %+.1f%% (expected: every task pays the gob+rpc ship cost;\n"+
+	fmt.Printf("rpc overhead on this machine: %+.1f%% (expected: every task pays the frame ship cost;\n"+
 		"the win appears when workers add real cores on other machines)\n",
 		100*(remoteTime.Seconds()/localTime.Seconds()-1))
 

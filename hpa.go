@@ -30,8 +30,8 @@
 //     chosen and why;
 //   - pluggable execution backends behind a serializable worker contract:
 //     shard tasks run in-process by default (LocalBackend) or ship to
-//     worker processes over net/rpc + gob (RPCBackend + the hpa-workflow
-//     -worker mode) — TF/IDF count and transform shards and the K-Means
+//     worker processes as length-prefixed flat frames (RPCBackend + the
+//     hpa-workflow -worker mode) — TF/IDF count and transform shards and the K-Means
 //     assignment loop's per-iteration shard tasks and the K-Means++
 //     seeding scan rounds can leave the process, while splits,
 //     reductions, seed draws and output stay on the coordinator, whose
@@ -299,9 +299,9 @@ type (
 	// LocalBackend runs every task in-process on the pool — the zero-copy
 	// default.
 	LocalBackend = workflow.LocalBackend
-	// RPCBackend ships serializable shard tasks to worker processes over
-	// net/rpc + gob; non-serializable tasks (reductions, seeding, splits)
-	// stay on the coordinator.
+	// RPCBackend ships serializable shard tasks to worker processes as
+	// length-prefixed flat frames; non-serializable tasks (reductions,
+	// seeding, splits) stay on the coordinator.
 	RPCBackend = workflow.RPCBackend
 	// TFKMConfig configures the TF/IDF→K-Means workflow.
 	TFKMConfig = workflow.TFKMConfig

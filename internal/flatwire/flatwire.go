@@ -2,12 +2,12 @@
 // codecs: explicit little-endian append/consume of fixed-width scalars and
 // contiguous scalar blocks over plain []byte buffers.
 //
-// The hot task payloads (tfidf.VectorShard score vectors, kmeans.AccumWire
-// accumulator state) originally shipped through encoding/gob, whose
-// reflective walk and per-slice framing dominate encode cost and allocate
-// per field. A flat codec writes one preallocated buffer with a fixed
-// layout — magic header, scalar counts, then raw value blocks — so encoding
-// is a handful of copies and decoding is bounds-checked slicing. Every
+// Everything the RPC backend puts on the wire — frames, kernel arguments,
+// tfidf.VectorShard score vectors, kmeans.AccumWire accumulator state — is
+// a flat codec: one buffer with a fixed layout (magic header, scalar
+// counts, then value blocks), so encoding is a handful of copies and
+// decoding is bounds-checked slicing, with no reflection and no per-field
+// allocation. Every
 // codec built on this package validates structurally on decode (magic,
 // lengths, truncation, trailing bytes) and returns errors, never panics: a
 // malformed worker reply must fail the task, not the coordinator.
@@ -177,8 +177,10 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // Err returns the first consume failure, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// fail records the first error.
-func (r *Reader) fail(format string, args ...any) {
+// Fail records a failure (kept only if it is the first) wrapping
+// ErrMalformed — the reader's own consumes use it, and so do decoders for
+// what they validate beyond structure, keeping their layouts linear.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
 	}
@@ -190,7 +192,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
-		r.fail("need %d bytes at offset %d of %d", n, r.off, len(r.b))
+		r.Fail("need %d bytes at offset %d of %d", n, r.off, len(r.b))
 		return nil
 	}
 	s := r.b[r.off : r.off+n]
@@ -231,7 +233,7 @@ func (r *Reader) Count(elemSize int) int {
 		return 0
 	}
 	if n < 0 || elemSize > 0 && n > (len(r.b)-r.off)/elemSize {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
+		r.Fail("count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
 		return 0
 	}
 	return n
@@ -319,13 +321,13 @@ func (r *Reader) Uvarint() uint64 {
 	var v uint64
 	for shift := 0; ; shift += 7 {
 		if r.off >= len(r.b) {
-			r.fail("truncated varint at offset %d", r.off)
+			r.Fail("truncated varint at offset %d", r.off)
 			return 0
 		}
 		c := r.b[r.off]
 		r.off++
 		if shift == 63 && c > 1 {
-			r.fail("varint overflows uint64")
+			r.Fail("varint overflows uint64")
 			return 0
 		}
 		v |= uint64(c&0x7f) << shift
@@ -333,7 +335,7 @@ func (r *Reader) Uvarint() uint64 {
 			return v
 		}
 		if shift == 63 {
-			r.fail("varint overflows uint64")
+			r.Fail("varint overflows uint64")
 			return 0
 		}
 	}
@@ -351,7 +353,7 @@ func (r *Reader) DeltaU32sInto(dst []uint32) {
 			return
 		}
 		if acc > math.MaxUint32 {
-			r.fail("delta-coded value %d overflows uint32", acc)
+			r.Fail("delta-coded value %d overflows uint32", acc)
 			return
 		}
 		dst[i] = uint32(acc)
@@ -368,11 +370,16 @@ func (r *Reader) String() string {
 	return string(s)
 }
 
+// Rest consumes and returns every remaining byte (nil after a failure) as
+// a subslice of the buffer — the trailing body of a composite layout whose
+// own decoder validates it.
+func (r *Reader) Rest() []byte { return r.take(len(r.b) - r.off) }
+
 // Magic consumes a u32 and checks it against want.
 func (r *Reader) Magic(want uint32, what string) {
 	got := r.U32()
 	if r.err == nil && got != want {
-		r.fail("%s: magic %#x, want %#x", what, got, want)
+		r.Fail("%s: magic %#x, want %#x", what, got, want)
 	}
 }
 
@@ -383,7 +390,7 @@ func (r *Reader) Done() error {
 		return r.err
 	}
 	if r.off != len(r.b) {
-		r.fail("%d trailing bytes", len(r.b)-r.off)
+		r.Fail("%d trailing bytes", len(r.b)-r.off)
 	}
 	return r.err
 }

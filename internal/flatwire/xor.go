@@ -127,7 +127,7 @@ func (r *Reader) F64sXorInto(dst []float64) {
 			if c != xorZeroMarker {
 				l, t := int(c>>4), int(c&0x0f)
 				if l+t > 7 {
-					r.fail("xor control byte %#x: %d+%d zero bytes", c, l, t)
+					r.Fail("xor control byte %#x: %d+%d zero bytes", c, l, t)
 					return
 				}
 				s := r.take(8 - l - t)
@@ -144,7 +144,7 @@ func (r *Reader) F64sXorInto(dst []float64) {
 		}
 	default:
 		if r.err == nil {
-			r.fail("unknown value-block form %d", form)
+			r.Fail("unknown value-block form %d", form)
 		}
 		return
 	}

@@ -2,8 +2,10 @@ package kmeans
 
 import (
 	"fmt"
+	"slices"
 
 	"hpa/internal/flatwire"
+	"hpa/internal/sparse"
 )
 
 // This file is the flat wire codec of AccumWire — the per-iteration
@@ -11,7 +13,7 @@ import (
 // per shard per iteration. The flat layout concatenates every cluster's
 // sparse centroid-sum entries into two contiguous blocks and decodes them
 // into two shared backing arrays, so absorbing a shard's accumulator is a
-// few allocations instead of gob's per-cluster reflective walk. Floats
+// few allocations. Floats
 // travel as IEEE 754 bit patterns: the decoded accumulator state is
 // bit-identical, which the deterministic ordered reduce requires.
 //
@@ -20,33 +22,45 @@ import (
 //	magic u32 | codec u8 | k u32
 //	inertia f64 | changed i64
 //	counts i64 × k         (cluster member counts)
-//	nnz    u32 × k         (per-cluster entry counts)
-//	totalNNZ u32           (their sum; bounds the decoder's allocation)
-//	idx                    (all clusters' indices, concatenated)
-//	val    f64 × totalNNZ  (all clusters' values, concatenated)
+//	rows                   (the k clusters' entries, sparse.AppendFlatVectors:
+//	                        nnz u32 × k | total u32 | idx deltas | XOR values)
 //
-// The codec byte is the layout version. flatwire.CodecXor is the only one:
-// each cluster's ascending indices are delta-coded as varints, restarting
-// per cluster, and each cluster's value block is XOR-compressed
-// (flatwire.AppendF64sXor), restarting the XOR chain per cluster so
-// clusters stay independently decodable. Any other version is malformed.
+// The codec byte is the layout version. flatwire.CodecXor is the only one;
+// any other version is malformed.
+//
+// The centroid block — the coordinator→worker payload of the same loop,
+// shipped once per worker per iteration — is the same rows under its own
+// header:
+//
+//	magic u32 | codec u8 | k u32 | cnorms f64 × k | rows
 
 // accumWireMagic identifies a flat AccumWire buffer.
 const accumWireMagic uint32 = 0x48504157 // "HPAW"
+
+// centroidsMagic identifies a flat centroid block.
+const centroidsMagic uint32 = 0x4850434e // "HPCN"
+
+// rowViews pairs per-cluster index and value slices as sparse rows.
+func rowViews(idx [][]uint32, val [][]float64) []sparse.Vector {
+	rows := make([]sparse.Vector, len(idx))
+	for j := range rows {
+		rows[j] = sparse.Vector{Idx: idx[j], Val: val[j]}
+	}
+	return rows
+}
 
 // EncodeFlat returns the accumulator wire form in flat layout, appended to
 // dst (pass nil to allocate exactly). The receiver is not modified.
 func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	k := len(w.Idx)
-	total := 0
-	for j := range w.Idx {
-		total += len(w.Idx[j])
-	}
-	// Capacity bound: a varint-coded index is at most 5 bytes, an
-	// XOR-coded value block at most 1 + 9 bytes per value.
-	size := 4 + 1 + 4 + 8 + 8 + 8*k + 4*k + 4 + 5*total + k + 9*total
 	if dst == nil {
-		dst = make([]byte, 0, size)
+		total := 0
+		for j := range w.Idx {
+			total += len(w.Idx[j])
+		}
+		// Capacity bound: a varint-coded index is at most 5 bytes, an
+		// XOR-coded value block at most 1 + 9 bytes per value.
+		dst = make([]byte, 0, 4+1+4+8+8+8*k+4*k+4+5*total+k+9*total)
 	}
 	b := flatwire.AppendU32(dst, accumWireMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
@@ -54,87 +68,47 @@ func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	b = flatwire.AppendF64(b, w.Inertia)
 	b = flatwire.AppendI64(b, int64(w.Changed))
 	b = flatwire.AppendI64s(b, w.Counts)
-	for j := range w.Idx {
-		b = flatwire.AppendU32(b, uint32(len(w.Idx[j])))
-	}
-	b = flatwire.AppendU32(b, uint32(total))
-	for j := range w.Idx {
-		b = flatwire.AppendDeltaU32s(b, w.Idx[j])
-	}
-	for j := range w.Val {
-		b = flatwire.AppendF64sXor(b, w.Val[j])
-	}
-	return b
+	return sparse.AppendFlatVectors(b, rowViews(w.Idx, w.Val))
 }
 
-// decodeFlatAccumWire decodes one flat AccumWire from r (which may carry
-// further payload after it — the kmeans.assign reply concatenates the
-// accumulator with assignment and distance blocks). Structural validation
-// only; FromWire still checks cluster count and dimension bounds against
-// the receiving accumulator.
-func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
-	r.Magic(accumWireMagic, "kmeans accum")
+// consumeHeader reads a payload's magic, codec byte and cluster count
+// (perCluster bytes per cluster are known to follow the count).
+func consumeHeader(r *flatwire.Reader, magic uint32, what string, perCluster int) (int, error) {
+	r.Magic(magic, what)
 	codec := r.U8()
-	k := r.Count(12) // ≥ 8 (counts) + 4 (nnz) bytes per cluster follow
+	k := r.Count(perCluster)
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if codec != flatwire.CodecXor {
+		return 0, fmt.Errorf("%w: unknown codec version %d", flatwire.ErrMalformed, codec)
+	}
+	return k, nil
+}
+
+// ConsumeFlatAccumWire decodes one flat AccumWire from the front of r,
+// which may carry further payload after it — the kmeans.assign reply
+// concatenates the accumulator with assignment and distance blocks.
+// Structural validation only; FromWire still checks cluster count and
+// dimension bounds against the receiving accumulator.
+func ConsumeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
+	k, err := consumeHeader(r, accumWireMagic, "kmeans accum", 12) // ≥ 8 (counts) + 4 (nnz) bytes per cluster
+	if err != nil {
+		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
+	}
 	w := &AccumWire{
 		Inertia: r.F64(),
 		Changed: int(r.I64()),
 		Counts:  r.I64s(k),
+		Idx:     make([][]uint32, k),
+		Val:     make([][]float64, k),
 	}
-	nnz := r.U32s(k)
-	// Every entry occupies at least two of the bytes that follow (a varint
-	// index delta and a value control byte), so a count the buffer cannot
-	// hold is rejected here, before the backing arrays are sized from it.
-	total := r.Count(2)
+	rows := sparse.ConsumeFlatVectors(r, k)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
-	if codec != flatwire.CodecXor {
-		return nil, fmt.Errorf("kmeans: decode accum: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
-	sum := 0
-	for _, c := range nnz {
-		sum += int(c)
-	}
-	if sum != total {
-		return nil, fmt.Errorf("kmeans: decode accum: per-cluster entry counts sum to %d, header says %d", sum, total)
-	}
-	idx := make([]uint32, total)
-	val := make([]float64, total)
-	off := 0
-	for _, c := range nnz {
-		r.DeltaU32sInto(idx[off : off+int(c)])
-		off += int(c)
-	}
-	if r.Err() == nil {
-		// Every cluster's indices must be strictly ascending — the sparse
-		// accumulator invariant. A zero delta would otherwise smuggle in
-		// duplicates and corrupt the ordered reduce.
-		off := 0
-		for j, c := range nnz {
-			for e := 1; e < int(c); e++ {
-				if idx[off+e] <= idx[off+e-1] {
-					return nil, fmt.Errorf("kmeans: decode accum: %w: cluster %d indices not strictly ascending", flatwire.ErrMalformed, j)
-				}
-			}
-			off += int(c)
-		}
-	}
-	off = 0
-	for _, c := range nnz {
-		r.F64sXorInto(val[off : off+int(c)])
-		off += int(c)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
-	}
-	w.Idx = make([][]uint32, k)
-	w.Val = make([][]float64, k)
-	off = 0
-	for j, c := range nnz {
-		w.Idx[j] = idx[off : off+int(c) : off+int(c)]
-		w.Val[j] = val[off : off+int(c) : off+int(c)]
-		off += int(c)
+	for j := range rows {
+		w.Idx[j], w.Val[j] = rows[j].Idx, rows[j].Val
 	}
 	return w, nil
 }
@@ -143,7 +117,7 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 // validating magic, counts, truncation and trailing bytes.
 func DecodeFlatAccumWire(b []byte) (*AccumWire, error) {
 	r := flatwire.NewReader(b)
-	w, err := decodeFlatAccumWire(r)
+	w, err := ConsumeFlatAccumWire(r)
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +127,58 @@ func DecodeFlatAccumWire(b []byte) (*AccumWire, error) {
 	return w, nil
 }
 
-// ConsumeFlatAccumWire decodes one flat AccumWire from the front of a
-// larger reply buffer — the composite-codec form.
-func ConsumeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
-	return decodeFlatAccumWire(r)
+// AppendFlatCentroids appends the centroid matrix and its squared norms as
+// one flat centroid block: every row's non-zero entries in index order
+// (±0 entries are dropped — a zero contributes the same bits to every dot
+// product whatever its sign) and the norms as the bits the coordinator
+// computed, so a worker's distances are the coordinator's.
+func AppendFlatCentroids(dst []byte, centroids [][]float64, cnorms []float64) []byte {
+	rows := make([]sparse.Vector, len(centroids))
+	total := 0
+	for j := range rows {
+		rows[j] = sparse.FromDense(centroids[j])
+		total += len(rows[j].Idx)
+	}
+	// The same capacity bound EncodeFlat allocates by.
+	k := len(rows)
+	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+8*k+4*k+4+5*total+k+9*total), centroidsMagic)
+	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU32(b, uint32(len(rows)))
+	b = flatwire.AppendF64s(b, cnorms)
+	return sparse.AppendFlatVectors(b, rows)
+}
+
+// DecodeFlatCentroids decodes a flat centroid block into the caller's
+// recycled dense matrix and norms, overwriting both; the block must carry
+// exactly len(centroids) rows, every index inside its row. A rejected block
+// leaves the destination untouched. Errors wrap flatwire.ErrMalformed.
+func DecodeFlatCentroids(b []byte, centroids [][]float64, cnorms []float64) error {
+	r := flatwire.NewReader(b)
+	k, err := consumeHeader(r, centroidsMagic, "kmeans centroids", 12) // ≥ 8 (norm) + 4 (nnz) bytes per row
+	if err != nil {
+		return fmt.Errorf("kmeans: decode centroids: %w", err)
+	}
+	if k != len(centroids) || k != len(cnorms) {
+		return fmt.Errorf("kmeans: decode centroids: %w: block has %d rows, want %d", flatwire.ErrMalformed, k, len(centroids))
+	}
+	norms := r.F64s(k)
+	rows := sparse.ConsumeFlatVectors(r, k)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("kmeans: decode centroids: %w", err)
+	}
+	for j, row := range rows {
+		if n := len(row.Idx); n > 0 && int64(row.Idx[n-1]) >= int64(len(centroids[j])) {
+			return fmt.Errorf("kmeans: decode centroids: %w: row %d entry %d out of dimension %d",
+				flatwire.ErrMalformed, j, row.Idx[n-1], len(centroids[j]))
+		}
+	}
+	copy(cnorms, norms)
+	for j, row := range rows {
+		cent := centroids[j]
+		clear(cent)
+		for e, ix := range row.Idx {
+			cent[ix] = row.Val[e]
+		}
+	}
+	return nil
 }

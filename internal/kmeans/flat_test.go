@@ -169,3 +169,105 @@ func encodedIdxBytes(w *AccumWire) int {
 	}
 	return n
 }
+
+// flatTestCentroids is a centroid matrix with the shapes the block codec
+// must handle: an all-zero row, a negative zero, awkward floats.
+func flatTestCentroids() ([][]float64, []float64) {
+	return [][]float64{
+		{1.25, 0, 0, -0.1, 0, 0, 0, math.SmallestNonzeroFloat64},
+		make([]float64, 8),
+		{0, math.Pi, math.Copysign(0, -1), 0, 0, 0, 0, 0},
+	}, []float64{1.5725, 0, math.Pi * math.Pi}
+}
+
+// TestCentroidsFlatRoundTrip: a decoded block must give every dot product
+// and distance the bits the coordinator's matrix gives — non-zero entries
+// and norms bit for bit, zeros as zeros of either sign — and overwrite a
+// recycled destination completely.
+func TestCentroidsFlatRoundTrip(t *testing.T) {
+	cents, cnorms := flatTestCentroids()
+	b := AppendFlatCentroids([]byte{0xaa}, cents, cnorms)
+	if b[0] != 0xaa {
+		t.Fatalf("prefix overwritten")
+	}
+	got := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
+	for j := range got {
+		for d := range got[j] {
+			got[j][d] = 99 // stale state from the previous iteration
+		}
+	}
+	gotNorms := []float64{99, 99, 99}
+	if err := DecodeFlatCentroids(b[1:], got, gotNorms); err != nil {
+		t.Fatalf("DecodeFlatCentroids: %v", err)
+	}
+	for j := range cents {
+		if math.Float64bits(gotNorms[j]) != math.Float64bits(cnorms[j]) {
+			t.Errorf("norm %d: %v, want %v", j, gotNorms[j], cnorms[j])
+		}
+		for d, want := range cents[j] {
+			if g := got[j][d]; g != want || want != 0 && math.Float64bits(g) != math.Float64bits(want) {
+				t.Errorf("centroid %d[%d]: %v, want %v", j, d, g, want)
+			}
+		}
+	}
+}
+
+// TestCentroidsFlatMalformed: a rejected block fails with an error wrapping
+// flatwire.ErrMalformed and leaves the destination untouched.
+func TestCentroidsFlatMalformed(t *testing.T) {
+	cents, cnorms := flatTestCentroids()
+	good := AppendFlatCentroids(nil, cents, cnorms)
+	wide := [][]float64{append(cents[0], 0, 7), append(cents[1], 0, 0), append(cents[2], 0, 0)}
+	badCodec := append([]byte{}, good...)
+	badCodec[4] = 2
+	for name, b := range map[string][]byte{
+		"empty":         {},
+		"bad magic":     append([]byte{9, 9, 9, 9}, good[4:]...),
+		"codec version": badCodec,
+		"truncated":     good[:len(good)-5],
+		"trailing":      append(append([]byte{}, good...), 0),
+		"fewer rows":    AppendFlatCentroids(nil, cents[:2], cnorms[:2]),
+		"row past dim":  AppendFlatCentroids(nil, wide, cnorms),
+	} {
+		dst := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
+		dst[0][0] = 42
+		norms := []float64{1, 2, 3}
+		err := DecodeFlatCentroids(b, dst, norms)
+		if !errors.Is(err, flatwire.ErrMalformed) {
+			t.Errorf("%s: error %v does not wrap ErrMalformed", name, err)
+		}
+		if dst[0][0] != 42 || dst[0][3] != 0 || norms[0] != 1 {
+			t.Errorf("%s: rejected block modified the destination", name)
+		}
+	}
+}
+
+// TestWireIntoRecycles: WireInto must produce what Wire produces while
+// reusing the previous iteration's backing arrays.
+func TestWireIntoRecycles(t *testing.T) {
+	docs, _ := blobs(60, 3, 12, 5)
+	a := NewAccumFor(3, 12)
+	for i := range docs {
+		a.accs[i%3].Accumulate(&docs[i])
+	}
+	a.inertia, a.changed = 3.5, 7
+	w := a.WireInto(nil)
+	if !reflect.DeepEqual(w, a.Wire()) {
+		t.Fatalf("WireInto(nil) differs from Wire")
+	}
+	first := &w.Idx[0][0]
+	a.Reset()
+	for i := range docs[:30] {
+		a.accs[i%3].Accumulate(&docs[i])
+	}
+	w2 := a.WireInto(w)
+	if w2 != w || &w2.Idx[0][0] != first {
+		t.Errorf("WireInto did not reuse the wire form it was given")
+	}
+	if !reflect.DeepEqual(w2, a.Wire()) {
+		t.Errorf("recycled wire form differs from a fresh one")
+	}
+	if other := NewAccumFor(5, 12).WireInto(w); len(other.Idx) != 5 {
+		t.Errorf("a wire form of another cluster count was reused")
+	}
+}

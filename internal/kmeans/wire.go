@@ -3,7 +3,7 @@ package kmeans
 import "fmt"
 
 // This file is the serialization boundary of the iterative shard contract:
-// the gob-encodable form of an Accum — exactly the state a remote
+// the wire form of an Accum — exactly the state a remote
 // assignment worker ships back to the coordinator each iteration — plus
 // the Clusterer accessors a coordinator needs to build per-iteration
 // remote task arguments (live centroids and norms out, remotely computed
@@ -13,9 +13,9 @@ import "fmt"
 // to the same centroids and the same convergence decisions as an
 // in-process run.
 
-// AccumWire is the gob-encodable form of an Accum: per-cluster centroid
-// sums in sparse ascending-index order, cluster counts, and the shard's
-// inertia and moved-assignment tally.
+// AccumWire is the wire form of an Accum (flat.go encodes it): per-cluster
+// centroid sums in sparse ascending-index order, cluster counts, and the
+// shard's inertia and moved-assignment tally.
 type AccumWire struct {
 	// Idx and Val hold, per cluster, the non-zero centroid-sum entries in
 	// ascending index order.
@@ -31,16 +31,18 @@ type AccumWire struct {
 
 // Wire returns the accumulator set in serializable form. The receiver is
 // not modified.
-func (a *Accum) Wire() *AccumWire {
-	w := &AccumWire{
-		Idx:     make([][]uint32, len(a.accs)),
-		Val:     make([][]float64, len(a.accs)),
-		Counts:  make([]int64, len(a.accs)),
-		Inertia: a.inertia,
-		Changed: a.changed,
+func (a *Accum) Wire() *AccumWire { return a.WireInto(nil) }
+
+// WireInto is Wire recycling w's backing arrays (nil, or a wire form of
+// another cluster count, allocates a fresh one) — a worker session ships
+// one per iteration and keeps it.
+func (a *Accum) WireInto(w *AccumWire) *AccumWire {
+	if k := len(a.accs); w == nil || len(w.Idx) != k {
+		w = &AccumWire{Idx: make([][]uint32, k), Val: make([][]float64, k), Counts: make([]int64, k)}
 	}
+	w.Inertia, w.Changed = a.inertia, a.changed
 	for j, acc := range a.accs {
-		w.Idx[j], w.Val[j] = acc.Sparse()
+		w.Idx[j], w.Val[j] = acc.AppendSparse(w.Idx[j][:0], w.Val[j][:0])
 		w.Counts[j] = acc.Count
 	}
 	return w
@@ -75,9 +77,6 @@ func (a *Accum) FromWire(w *AccumWire) error {
 	a.changed = w.Changed
 	return nil
 }
-
-// Clusters returns the accumulator set's cluster count.
-func (a *Accum) Clusters() int { return len(a.accs) }
 
 // Centroids returns the live centroid matrix — what a remote assignment
 // shard needs shipped each iteration. The caller must treat it as

@@ -44,7 +44,7 @@ type chromeSpanArgs struct {
 	WaitUS  int64  `json:"queue_wait_us"`
 	Out     int64  `json:"bytes_out,omitempty"`
 	In      int64  `json:"bytes_in,omitempty"`
-	Codec   string `json:"codec,omitempty"`
+	RunUS   int64  `json:"worker_run_us,omitempty"`
 	ValRaw  int64  `json:"value_raw_bytes,omitempty"`
 	ValCod  int64  `json:"value_coded_bytes,omitempty"`
 	Resend  bool   `json:"resend,omitempty"`
@@ -154,7 +154,8 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 				Node: s.Node, Kind: s.Kind, Shard: s.Shard, Iter: s.Iter,
 				Backend: s.Backend, Worker: s.Worker,
 				WaitUS: s.Wait().Microseconds(),
-				Out:    s.BytesOut, In: s.BytesIn, Codec: s.Codec,
+				Out:    s.BytesOut, In: s.BytesIn,
+				RunUS:  s.WorkerRun.Microseconds(),
 				ValRaw: s.ValueRawBytes, ValCod: s.ValueCodedBytes,
 				Resend: s.Resend, Err: s.Err,
 			},

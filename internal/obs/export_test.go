@@ -21,13 +21,13 @@ func fixedTrace() *Trace {
 			{Node: "scan", Op: "source", Kind: "run", Shard: 0, Iter: -1,
 				Backend: "local", Queued: at(5), Start: at(10), End: at(30)},
 			{Node: "tfidf.map", Op: "tfidf.count", Kind: "run", Shard: 0, Iter: -1,
-				Backend: "rpc", Worker: "w1", Codec: "gob", BytesOut: 100, BytesIn: 200,
+				Backend: "rpc", Worker: "w1", BytesOut: 100, BytesIn: 200, WorkerRun: 35 * time.Microsecond,
 				Queued: at(30), Start: at(40), End: at(90)},
 			{Node: "tfidf.map", Op: "tfidf.count", Kind: "run", Shard: 1, Iter: -1,
-				Backend: "rpc", Worker: "w2", Codec: "gob", BytesOut: 150, BytesIn: 250, Resend: true,
+				Backend: "rpc", Worker: "w2", BytesOut: 150, BytesIn: 250, Resend: true,
 				Queued: at(30), Start: at(45), End: at(95)},
 			{Node: "kmeans.assign", Op: "kmeans.assign", Kind: "loop-shard", Shard: 0, Iter: 0,
-				Backend: "rpc", Worker: "w1", Codec: "flat",
+				Backend: "rpc", Worker: "w1",
 				ValueRawBytes: 800, ValueCodedBytes: 620,
 				Queued: at(100), Start: at(110), End: at(150)},
 		},
@@ -54,9 +54,9 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 		`{"name":"process_name","ph":"M","ts":0,"pid":3,"tid":0,"args":{"name":"worker w2"}},`,
 		`{"name":"process_sort_index","ph":"M","ts":0,"pid":3,"tid":0,"args":{"sort_index":2}},`,
 		`{"name":"scan/0","cat":"source","ph":"X","ts":10,"dur":20,"pid":1,"tid":0,"args":{"node":"scan","kind":"run","shard":0,"iter":-1,"backend":"local","queue_wait_us":5}},`,
-		`{"name":"tfidf.map/0","cat":"tfidf.count","ph":"X","ts":40,"dur":50,"pid":2,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":0,"iter":-1,"backend":"rpc","worker":"w1","queue_wait_us":10,"bytes_out":100,"bytes_in":200,"codec":"gob"}},`,
-		`{"name":"tfidf.map/1","cat":"tfidf.count","ph":"X","ts":45,"dur":50,"pid":3,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":1,"iter":-1,"backend":"rpc","worker":"w2","queue_wait_us":15,"bytes_out":150,"bytes_in":250,"codec":"gob","resend":true}},`,
-		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"iter":0,"backend":"rpc","worker":"w1","queue_wait_us":10,"codec":"flat","value_raw_bytes":800,"value_coded_bytes":620}},`,
+		`{"name":"tfidf.map/0","cat":"tfidf.count","ph":"X","ts":40,"dur":50,"pid":2,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":0,"iter":-1,"backend":"rpc","worker":"w1","queue_wait_us":10,"bytes_out":100,"bytes_in":200,"worker_run_us":35}},`,
+		`{"name":"tfidf.map/1","cat":"tfidf.count","ph":"X","ts":45,"dur":50,"pid":3,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":1,"iter":-1,"backend":"rpc","worker":"w2","queue_wait_us":15,"bytes_out":150,"bytes_in":250,"resend":true}},`,
+		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"iter":0,"backend":"rpc","worker":"w1","queue_wait_us":10,"value_raw_bytes":800,"value_coded_bytes":620}},`,
 		`{"name":"iteration","cat":"kmeans","ph":"i","ts":120,"pid":1,"tid":0,"s":"g","args":{"label":"iter=1","value":3}}`,
 		`]`,
 		``,

@@ -25,7 +25,7 @@ import (
 
 // Span records one scheduled task: which plan node and kernel ran, where
 // (backend, worker), which shard and loop iteration, and when (queue wait
-// versus run time). Bytes and codec are filled by remote backends only.
+// versus run time). Bytes are filled by remote backends only.
 type Span struct {
 	// Node is the plan node name the task belongs to.
 	Node string
@@ -47,8 +47,10 @@ type Span struct {
 	Queued, Start, End time.Time
 	// BytesOut and BytesIn count request and reply wire bytes (remote only).
 	BytesOut, BytesIn int64
-	// Codec is the reply encoding for remote tasks: "flat", "gob" or "".
-	Codec string
+	// WorkerRun is the kernel run time the worker reported in its reply
+	// frames (remote only): Dur minus it is what shipping and absorbing
+	// the task cost the coordinator.
+	WorkerRun time.Duration
 	// ValueRawBytes and ValueCodedBytes split the task's XOR-coded f64
 	// value blocks into the size they would occupy fixed-width and what
 	// they took on the wire (see flatwire.ValueBytes). Deltas of

@@ -1,11 +1,8 @@
 package optimizer
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"net"
-	"net/rpc"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -358,21 +355,17 @@ func calibrateShardOverhead(shards int) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(tasks)
 }
 
-// calEchoArgs is the payload of the ship-cost echo kernel: a few KiB, the
-// order of a small shard descriptor or a per-iteration centroid update.
-type calEchoArgs struct {
-	Body []byte
-}
-
 var registerEchoOnce sync.Once
 
 // calibrateRPCShip measures the per-task cost of shipping work to an RPC
-// worker: gob encode, a net/rpc round trip over an in-process pipe to a
-// real worker loop, gob decode. This is the same path RPCBackend tasks
-// take minus the physical network, so the measurement is a machine-local
-// lower bound on the ship cost — which is exactly what the shard-count
-// decision needs: if sharding does not pay at pipe cost, it certainly
-// does not pay over a network.
+// worker: the flat frame protocol over an in-process pipe to a real worker
+// loop, driven through the client RPCBackend tasks go through — frame
+// encode, round trip, reply decode — with a payload of a few KiB, the
+// order of a small shard descriptor. That is the path real tasks take
+// minus the physical network, so the measurement is a machine-local lower
+// bound on the ship cost — which is exactly what the shard-count decision
+// needs: if sharding does not pay at pipe cost, it certainly does not pay
+// over a network.
 func calibrateRPCShip(tasks int) float64 {
 	registerEchoOnce.Do(func() {
 		workflow.RegisterKernel("optimizer.echo", func(args []byte) ([]byte, error) {
@@ -381,8 +374,8 @@ func calibrateRPCShip(tasks int) float64 {
 	})
 	coord, work := net.Pipe()
 	go workflow.ServeWorkerConn(work)
-	client := rpc.NewClient(coord)
-	defer client.Close()
+	backend := workflow.NewRPCBackendConns(coord)
+	defer backend.Close()
 
 	payload := make([]byte, 4096)
 	x := uint64(0xabcdef)
@@ -390,22 +383,20 @@ func calibrateRPCShip(tasks int) float64 {
 		x = xorshift64(x)
 		payload[i] = byte(x)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(calEchoArgs{Body: payload}); err != nil {
-		return 50_000 // cannot happen; conservative fallback
-	}
-	body := buf.Bytes()
-
+	task := &workflow.Task{Remote: &workflow.RemoteTask{
+		Op:   "optimizer.echo",
+		Args: func(dst []byte) []byte { return append(dst, payload...) },
+		Absorb: func(reply []byte) (workflow.Value, error) {
+			if len(reply) != len(payload) {
+				return nil, fmt.Errorf("echo returned %d bytes of %d", len(reply), len(payload))
+			}
+			return nil, nil
+		},
+	}}
 	start := time.Now()
 	for i := 0; i < tasks; i++ {
-		var resp workflow.RPCResponse
-		if err := client.Call("Worker.Run",
-			&workflow.RPCRequest{Op: "optimizer.echo", Body: body}, &resp); err != nil {
+		if _, err := backend.RunTask(nil, task); err != nil {
 			return 50_000 // pipe failure; conservative fallback
-		}
-		var echoed []byte
-		if err := gob.NewDecoder(bytes.NewReader(resp.Body)).Decode(&echoed); err != nil {
-			return 50_000
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(tasks)

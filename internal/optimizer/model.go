@@ -48,8 +48,10 @@ import (
 // the term-ID kernels (shard-vocabulary lookups in phase 1, one remap
 // lookup per vocabulary word in phase 2) — the probes are unchanged, the
 // version moves so that a recorded prediction names the formula that made
-// it. Earlier caches self-invalidate and re-measure.
-const ModelVersion = 8
+// it; v9 measures RPCShipNS on the flat frame protocol that replaced
+// net/rpc + gob, through the backend's own client. Earlier caches
+// self-invalidate and re-measure.
+const ModelVersion = 9
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to
@@ -135,9 +137,9 @@ type CostModel struct {
 	// phase was decomposed into shard kernels.
 	KMeansAssignNS float64 `json:"kmeans_assign_ns"`
 	// RPCShipNS is the per-task overhead of shipping one shard task to an
-	// RPC worker and absorbing its reply — gob encode, a loopback net/rpc
-	// round trip with a representative small payload, gob decode — in
-	// nanoseconds. It is a lower bound (real networks add latency and
+	// RPC worker and absorbing its reply — flat frame encode, a loopback
+	// round trip with a representative small payload through the
+	// RPCBackend's own client, reply decode — in nanoseconds. It is a lower bound (real networks add latency and
 	// payload bandwidth); the shard-count decisions add it to ShardTaskNS
 	// for every task when pricing a remote backend.
 	RPCShipNS float64 `json:"rpc_ship_ns"`

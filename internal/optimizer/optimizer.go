@@ -53,8 +53,9 @@ type BackendProfile struct {
 	// priced as one extra execution slot (a worker's own internal
 	// parallelism is not assumed).
 	Workers int
-	// ShipNS is the per-task ship overhead (gob encode + RPC round trip +
-	// decode), added to the executor task overhead for every shard task.
+	// ShipNS is the per-task ship overhead (frame encode + round trip +
+	// decode, the worker's kernel time excluded), added to the executor
+	// task overhead for every shard task.
 	ShipNS float64
 	// ShipSource labels where ShipNS came from for Explain: "measured"
 	// (persisted EWMA of real worker round trips) or "loopback-bound" (the

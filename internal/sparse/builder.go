@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Builder assembles a sparse vector from components appended in arbitrary
 // index order, possibly with duplicates; Build sorts by index and sums
@@ -122,17 +125,42 @@ func (a *Accumulator) Reset() {
 	a.Count = 0
 }
 
+// sparseScanFactor decides how AppendSparse orders its entries: walk Sum
+// when at least dim/sparseScanFactor entries were touched, sort the dirty
+// list otherwise. Measured at dim 6 368: the scan costs 7–13 µs at any
+// fill; the sort 1.4 µs at 100 touched entries, 7.6 µs at 200 (the
+// crossover, dim/32) and 137 µs at 2 000 — where K-Means accumulators live.
+const sparseScanFactor = 32
+
 // Sparse returns the accumulator's non-zero entries in ascending index
 // order — the compact, deterministic form in which remote shard workers
 // ship centroid sums back to the coordinator. The returned slices are
 // fresh copies.
 func (a *Accumulator) Sparse() (idx []uint32, val []float64) {
-	sorted := append([]uint32(nil), a.dirty...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for k, ix := range sorted {
+	return a.AppendSparse(nil, nil)
+}
+
+// AppendSparse is Sparse appending to idx and val, so a caller that ships
+// every iteration can recycle its buffers. The entries and their order are
+// a function of Sum alone: a long dirty list (against the dimension) is
+// bypassed by scanning Sum, a short one is sorted and walked — either way
+// each non-zero slot is emitted once, in index order.
+func (a *Accumulator) AppendSparse(idx []uint32, val []float64) ([]uint32, []float64) {
+	if len(a.dirty)*sparseScanFactor >= len(a.Sum) {
+		for ix, v := range a.Sum {
+			if v != 0 {
+				idx = append(idx, uint32(ix))
+				val = append(val, v)
+			}
+		}
+		return idx, val
+	}
+	// Sorting dirty in place is safe: Reset and Merge read it as a set.
+	slices.Sort(a.dirty)
+	for k, ix := range a.dirty {
 		// dirty may carry an index twice if a sum canceled to zero and was
 		// re-touched; the sort makes duplicates adjacent.
-		if v := a.Sum[ix]; v != 0 && (k == 0 || sorted[k-1] != ix) {
+		if v := a.Sum[ix]; v != 0 && (k == 0 || a.dirty[k-1] != ix) {
 			idx = append(idx, ix)
 			val = append(val, v)
 		}

@@ -1,0 +1,84 @@
+package sparse
+
+import "hpa/internal/flatwire"
+
+// This file is the flat wire form of a batch of sparse rows — the block
+// every payload that ships sparse vectors shares (a transform reply's score
+// vectors, a loop shard's documents, an accumulator's per-cluster sums, a
+// K-Means iteration's centroids), so one decoder bounds, validates and is
+// fuzzed for all of them.
+//
+// Layout (little-endian), for n rows whose count the enclosing layout
+// carries:
+//
+//	nnz   u32 × n   (per-row entry counts)
+//	total u32       (their sum; bounds the decoder's allocation)
+//	idx             (every row's ascending indices as varint deltas,
+//	                 flatwire.AppendDeltaU32s, the chain restarting per row)
+//	val             (every row's values as one XOR-coded block per row,
+//	                 flatwire.AppendF64sXor — IEEE 754 bits, exact)
+
+// AppendFlatVectors appends the rows in flat form.
+func AppendFlatVectors(b []byte, rows []Vector) []byte {
+	total := 0
+	for i := range rows {
+		b = flatwire.AppendU32(b, uint32(len(rows[i].Idx)))
+		total += len(rows[i].Idx)
+	}
+	b = flatwire.AppendU32(b, uint32(total))
+	for i := range rows {
+		b = flatwire.AppendDeltaU32s(b, rows[i].Idx)
+	}
+	for i := range rows {
+		b = flatwire.AppendF64sXor(b, rows[i].Val)
+	}
+	return b
+}
+
+// ConsumeFlatVectors decodes n rows (n already validated against the
+// buffer by the caller's Count(4) or better) into two shared backing
+// arrays subsliced per row. Every row's indices must ascend strictly — the
+// Vector invariant; a zero delta would otherwise smuggle in duplicates. A
+// failure is recorded on the reader, and nil returned.
+func ConsumeFlatVectors(r *flatwire.Reader, n int) []Vector {
+	nnz := r.U32s(n)
+	// Every entry occupies at least two of the bytes that follow (a varint
+	// index delta and a value control byte), so a total the buffer cannot
+	// hold is rejected here, before the backing arrays are sized from it.
+	total := r.Count(2)
+	sum := 0
+	for _, c := range nnz {
+		sum += int(c)
+	}
+	if r.Err() == nil && sum != total {
+		r.Fail("per-row entry counts sum to %d, header says %d", sum, total)
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	idx := make([]uint32, total)
+	val := make([]float64, total)
+	rows := make([]Vector, n)
+	off := 0
+	for i, c := range nnz {
+		end := off + int(c)
+		rows[i] = Vector{Idx: idx[off:end:end], Val: val[off:end:end]}
+		r.DeltaU32sInto(rows[i].Idx)
+		off = end
+	}
+	for i := range rows {
+		r.F64sXorInto(rows[i].Val)
+	}
+	for i := range rows {
+		ix := rows[i].Idx
+		for e := 1; e < len(ix) && r.Err() == nil; e++ {
+			if ix[e] <= ix[e-1] {
+				r.Fail("row %d indices not strictly ascending", i)
+			}
+		}
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return rows
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -514,5 +515,70 @@ func TestBuildDistinctDropsZeros(t *testing.T) {
 	b.BuildDistinct(&v)
 	if v.NNZ() != 1 || v.Idx[0] != 2 {
 		t.Fatalf("zeros kept: %+v", v)
+	}
+}
+
+// TestAccumulatorSparseMatchesReference: Sparse must return exactly what
+// sorting and deduplicating the touched set returns — same entries, same
+// order, same bits — whichever way it walks them: over random touch
+// orders, on both sides of the scan threshold, including a sum that
+// cancels to zero and is touched again (which lists its index twice in the
+// dirty set) and one that cancels and stays zero.
+func TestAccumulatorSparseMatchesReference(t *testing.T) {
+	const dim = 640 // the sorted walk serves up to dim/sparseScanFactor = 20 touched entries
+	rng := rand.New(rand.NewSource(7))
+	for _, touched := range []int{0, 1, 5, 19, 20, 21, 64, 400} {
+		for trial := 0; trial < 20; trial++ {
+			a := NewAccumulator(dim)
+			perm := rng.Perm(dim)[:touched]
+			for _, ix := range perm {
+				a.Accumulate(&Vector{Idx: []uint32{uint32(ix)}, Val: []float64{rng.NormFloat64()}})
+			}
+			if touched >= 2 {
+				// perm[0] cancels and is re-touched; perm[1] cancels for good.
+				for _, v := range []*Vector{
+					{Idx: []uint32{uint32(perm[0])}, Val: []float64{-a.Sum[perm[0]]}},
+					{Idx: []uint32{uint32(perm[0])}, Val: []float64{2.5}},
+					{Idx: []uint32{uint32(perm[1])}, Val: []float64{-a.Sum[perm[1]]}},
+				} {
+					a.Accumulate(v)
+				}
+			}
+			want := map[uint32]float64{}
+			for _, ix := range a.dirty {
+				if v := a.Sum[ix]; v != 0 {
+					want[ix] = v
+				}
+			}
+			order := make([]uint32, 0, len(want))
+			for ix := range want {
+				order = append(order, ix)
+			}
+			sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+
+			scans := len(a.dirty)*sparseScanFactor >= dim
+			idx, val := a.Sparse()
+			if len(idx) != len(order) || len(val) != len(order) {
+				t.Fatalf("touched=%d scan=%v: %d entries, want %d", touched, scans, len(idx), len(order))
+			}
+			for e, ix := range order {
+				if idx[e] != ix || math.Float64bits(val[e]) != math.Float64bits(want[ix]) {
+					t.Fatalf("touched=%d scan=%v: entry %d is (%d, %v), want (%d, %v)",
+						touched, scans, e, idx[e], val[e], ix, want[ix])
+				}
+			}
+			// Appending after existing entries leaves them alone, and the
+			// accumulator still resets clean.
+			idx2, val2 := a.AppendSparse([]uint32{9}, []float64{9})
+			if idx2[0] != 9 || val2[0] != 9 || !reflect.DeepEqual(idx2[1:], idx) && len(idx) > 0 {
+				t.Fatalf("touched=%d: AppendSparse disturbed its prefix or changed its answer", touched)
+			}
+			a.Reset()
+			for ix, v := range a.Sum {
+				if v != 0 {
+					t.Fatalf("touched=%d: Reset left Sum[%d] = %v", touched, ix, v)
+				}
+			}
+		}
 	}
 }

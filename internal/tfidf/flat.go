@@ -8,29 +8,25 @@ import (
 )
 
 // This file is the flat wire codec of VectorShard — the hottest
-// worker→coordinator payload of the partitioned TF/IDF transform. The gob
-// path walks the shard reflectively and allocates per vector; the flat
-// layout below writes one exactly-sized buffer and decodes into two shared
-// backing arrays (all Idx entries contiguous, all Val entries contiguous),
-// so a shard's score vectors cost a handful of allocations no matter how
-// many documents it carries. Floats travel as their IEEE 754 bit patterns:
-// the decoded shard is bit-identical to the encoded one.
+// worker→coordinator payload of the partitioned TF/IDF transform — and of
+// the count reply and the global term table. The layout below writes one
+// buffer and decodes into two shared backing arrays (all Idx entries
+// contiguous, all Val entries contiguous), so a shard's score vectors cost
+// a handful of allocations no matter how many documents it carries. Floats
+// travel as their IEEE 754 bit patterns: the decoded shard is bit-identical
+// to the encoded one.
 //
 // Layout (little-endian):
 //
 //	magic u32 | codec u8 | lo u64 | hi u64 | dim u64 | dictFootprint i64
-//	nDocs u32 | totalNNZ u64
-//	nnz   u32 × nDocs      (per-document entry counts)
-//	idx                    (all vectors' indices, concatenated)
-//	val   f64 × totalNNZ   (all vectors' values, concatenated)
-//	norms f64 × nDocs
+//	nDocs u32
+//	rows                   (the documents' vectors, sparse.AppendFlatVectors:
+//	                        nnz u32 × nDocs | total u32 | idx deltas | XOR values)
+//	norms f64 × nDocs      (one XOR-coded block)
 //	names (u32 len + bytes) × nDocs
 //
-// The codec byte is the layout version. flatwire.CodecXor is the only one:
-// each vector's ascending indices are delta-coded as varints, restarting
-// per document, and the f64 value and norm blocks are XOR-compressed
-// (flatwire.AppendF64sXor) — the XOR chain restarts per document, keeping
-// documents independently decodable. Any other version is malformed.
+// The codec byte is the layout version. flatwire.CodecXor is the only one;
+// any other version is malformed.
 
 // vectorShardMagic identifies a flat VectorShard buffer.
 const vectorShardMagic uint32 = 0x48505653 // "HPVS"
@@ -46,20 +42,18 @@ const wireGlobalMagic uint32 = 0x48505747 // "HPWG"
 // EncodeFlat returns the shard in flat wire form, appended to dst (pass nil
 // to allocate exactly). The receiver is not modified.
 func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
-	total := 0
-	names := 0
-	for i := range vs.Vectors {
-		total += vs.Vectors[i].NNZ()
-	}
-	for _, name := range vs.DocNames {
-		names += flatwire.SizeString(name)
-	}
 	n := len(vs.Vectors)
-	// Capacity bound: a varint-coded index is at most 5 bytes, an
-	// XOR-coded value block at most 1 + 9 bytes per value.
-	size := 4 + 1 + 4*8 + 4 + 8 + 4*n + 5*total + n + 9*total + 1 + 9*n + names
 	if dst == nil {
-		dst = make([]byte, 0, size)
+		total, names := 0, 0
+		for i := range vs.Vectors {
+			total += vs.Vectors[i].NNZ()
+		}
+		for _, name := range vs.DocNames {
+			names += flatwire.SizeString(name)
+		}
+		// Capacity bound: a varint-coded index is at most 5 bytes, an
+		// XOR-coded value block at most 1 + 9 bytes per value.
+		dst = make([]byte, 0, 4+1+4*8+4+4*n+4+5*total+n+9*total+1+9*n+names)
 	}
 	b := flatwire.AppendU32(dst, vectorShardMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
@@ -68,16 +62,7 @@ func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
 	b = flatwire.AppendU64(b, uint64(vs.Dim))
 	b = flatwire.AppendI64(b, vs.DictFootprint)
 	b = flatwire.AppendU32(b, uint32(n))
-	b = flatwire.AppendU64(b, uint64(total))
-	for i := range vs.Vectors {
-		b = flatwire.AppendU32(b, uint32(vs.Vectors[i].NNZ()))
-	}
-	for i := range vs.Vectors {
-		b = flatwire.AppendDeltaU32s(b, vs.Vectors[i].Idx)
-	}
-	for i := range vs.Vectors {
-		b = flatwire.AppendF64sXor(b, vs.Vectors[i].Val)
-	}
+	b = sparse.AppendFlatVectors(b, vs.Vectors)
 	b = flatwire.AppendF64sXor(b, vs.Norms)
 	for _, name := range vs.DocNames {
 		b = flatwire.AppendString(b, name)
@@ -100,57 +85,13 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	}
 	vs.DictFootprint = r.I64()
 	n := r.Count(4)
-	total := int(r.U64())
-	nnz := r.U32s(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
 	}
 	if codec != flatwire.CodecXor {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
-	sum := 0
-	for _, c := range nnz {
-		sum += int(c)
-	}
-	if sum != total {
-		return nil, fmt.Errorf("tfidf: decode vector shard: per-document entry counts sum to %d, header says %d", sum, total)
-	}
-	idx := make([]uint32, total)
-	val := make([]float64, total)
-	off := 0
-	for _, c := range nnz {
-		r.DeltaU32sInto(idx[off : off+int(c)])
-		off += int(c)
-	}
-	if r.Err() == nil {
-		// Every document's indices must be strictly ascending — the
-		// sparse.Vector invariant. A zero delta would otherwise smuggle in
-		// duplicates and break every kernel that binary-searches or merges
-		// the vectors.
-		off := 0
-		for i, c := range nnz {
-			for e := 1; e < int(c); e++ {
-				if idx[off+e] <= idx[off+e-1] {
-					return nil, fmt.Errorf("tfidf: decode vector shard: %w: document %d indices not strictly ascending", flatwire.ErrMalformed, i)
-				}
-			}
-			off += int(c)
-		}
-	}
-	off = 0
-	for _, c := range nnz {
-		r.F64sXorInto(val[off : off+int(c)])
-		off += int(c)
-	}
-	vs.Vectors = make([]sparse.Vector, n)
-	off = 0
-	for i, c := range nnz {
-		vs.Vectors[i] = sparse.Vector{
-			Idx: idx[off : off+int(c) : off+int(c)],
-			Val: val[off : off+int(c) : off+int(c)],
-		}
-		off += int(c)
-	}
+	vs.Vectors = sparse.ConsumeFlatVectors(r, n)
 	vs.Norms = r.F64sXor(n)
 	vs.DocNames = make([]string, n)
 	for i := range vs.DocNames {

@@ -96,10 +96,10 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 		"short header": good[:10],
 	}
 	// Corrupt the per-document entry counts so their sum disagrees with the
-	// header total: nnz block starts after
-	// magic(4)+codec(1)+3×u64(24)+i64(8)+n(4)+total(8).
+	// total behind them: nnz block starts after
+	// magic(4)+codec(1)+3×u64(24)+i64(8)+n(4).
 	bad := append([]byte{}, good...)
-	bad[4+1+24+8+4+8]++
+	bad[4+1+24+8+4]++
 	cases["nnz sum mismatch"] = bad
 	// Every codec version byte but the one EncodeFlat writes must be
 	// rejected, not guessed at — the retired versions 1 and 2 included.
@@ -108,6 +108,13 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 		badCodec[4] = v
 		cases[fmt.Sprintf("codec version %d", v)] = badCodec
 	}
+	// An entry total the buffer cannot hold must fail before the backing
+	// arrays are sized from it: 49 bytes that would otherwise ask for 12 GiB.
+	huge := append([]byte{}, good[:4+1+24+8]...)
+	huge = flatwire.AppendU32(huge, 1)     // n
+	huge = flatwire.AppendU32(huge, 1<<30) // nnz
+	huge = flatwire.AppendU32(huge, 1<<30) // total
+	cases["entry count past the buffer"] = huge
 	// A zero delta encodes a duplicate index; entries must strictly ascend.
 	dup := flatTestShard()
 	dup.Vectors[0].Idx[1] = dup.Vectors[0].Idx[0]

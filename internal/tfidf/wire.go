@@ -5,9 +5,9 @@ import (
 )
 
 // This file is the serialization boundary of the partitioned TF/IDF
-// kernels: gob-encodable forms of the option subset, the phase-1 shard
-// counts and the global term table, so CountShard and TransformShard tasks
-// can ship to worker processes. Dictionaries do not serialize as data
+// kernels: wire forms (flat.go encodes them) of the option subset, the
+// phase-1 shard counts and the global term table, so CountShard and
+// TransformShard tasks can ship to worker processes. Dictionaries do not serialize as data
 // structures — a shard ships its vocabulary once and every document as
 // (shard-local term ID, count) pairs, and the per-document dictionaries are
 // rebuilt on the receiving side with the run's dictionary kind. That is
@@ -16,8 +16,6 @@ import (
 // term IDs are assigned in lexicographic word order, and per-document
 // scoring reads each entry exactly once, so dictionary iteration order (the
 // only thing a rebuild can change) never reaches the output.
-// (VectorShard needs no wire form: all its fields are exported and
-// gob-encodable as-is.)
 
 // WireOptions is the serializable subset of Options — everything except
 // the per-process fields (Recorder, Ctx) and custom stopword sets.
@@ -67,8 +65,8 @@ type WireDocCounts struct {
 	Counts []uint32
 }
 
-// WireShardCounts is the gob-encodable form of ShardCounts: the shard
-// vocabulary once, in ascending word order, and every document dictionary
+// WireShardCounts is the wire form of ShardCounts: the shard vocabulary
+// once, in ascending word order, and every document dictionary
 // flattened to (local, count) pairs. DF is present only when the shard's
 // document frequencies were included (a count task's reply needs them; a
 // transform task's argument does not).
@@ -130,7 +128,7 @@ func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 	return sc
 }
 
-// WireGlobal is the gob-encodable form of Global: the sorted term table
+// WireGlobal is the wire form of Global: the sorted term table
 // and document count; the lookup dictionary is rebuilt on arrival.
 type WireGlobal struct {
 	Terms   []string

@@ -1,6 +1,9 @@
 package workflow
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file defines the pluggable execution-backend contract: where the
 // executor's (node, shard) tasks actually run. The scheduler (exec.go)
@@ -17,7 +20,8 @@ import "fmt"
 // state (RemotableLoop / RemotablePrepare) can describe a shard's inputs
 // in serializable form — the TF/IDF count and transform kernels (shards of
 // an on-disk corpus, described by pario.SourceSpec), the K-Means assignment
-// loop's per-iteration shard tasks (centroids out, kmeans.Accum back) and
+// loop's per-iteration shard tasks (a centroid block out once per worker,
+// kmeans.Accum back per shard) and
 // its seeding rounds' per-shard min-distance scans (last seed out, distance
 // partials back). What cannot: splits, reductions (DF tree-merge, streaming
 // gather, the loop's per-iteration barrier and per-round seed draw) and
@@ -39,15 +43,16 @@ type Task struct {
 }
 
 // RemoteTask describes one shard task in serializable form: a kernel name
-// resolved through the worker registry (RegisterKernel) plus
-// gob-encodable arguments, and the coordinator-side hook that integrates
+// resolved through the worker registry (RegisterKernel) plus the kernel's
+// flat-encoded arguments, and the coordinator-side hook that integrates
 // the kernel's reply.
 type RemoteTask struct {
 	// Op is the kernel name in the worker registry.
 	Op string
-	// Args is the kernel's argument value; backends gob-encode it. It must
-	// be a concrete gob-encodable type matching what the kernel decodes.
-	Args any
+	// Args appends the kernel's argument body, in the flat layout the
+	// kernel decodes, to dst and returns the extended slice. The backend
+	// calls it once per send.
+	Args func(dst []byte) []byte
 	// Affinity, when non-empty, pins every task sharing the key to one
 	// worker — how loop shards keep their cached documents on the worker
 	// that holds them across iterations.
@@ -62,14 +67,64 @@ type RemoteTask struct {
 	// wall-clock time (ship + compute + reply) is accounted to, so
 	// per-phase figures keep their meaning under remote execution.
 	Phase string
-	// Codec names the kernel's reply encoding ("flat" for length-prefixed
-	// flatwire buffers, "gob" otherwise) — trace metadata only; the wire
-	// protocol is unaffected.
-	Codec string
-	// Absorb decodes the kernel's gob-encoded reply and integrates it into
+	// Absorb decodes the kernel's flat reply and integrates it into
 	// coordinator state, returning the task's output value. It runs on the
 	// coordinator, in the task's goroutine.
 	Absorb func(reply []byte) (Value, error)
+
+	// keyed, when non-nil, is the body the kernel resolves from a
+	// worker-side cache by a key Args names (see keyedBody).
+	keyed *keyedBody
+}
+
+// keyedBody is a request body that travels apart from the tasks needing
+// it: Args name its key, a worker caches it under that key, and the body
+// itself crosses the wire as a store frame — a request to the inline
+// kernel op, written immediately ahead of a task's frame — only when the
+// worker has to be sent it. The global term table ships this way
+// optimistically (content-addressed and long-lived: key only, the body on
+// a worker's first miss), a K-Means iteration's centroid block eagerly
+// (new to every worker each iteration: the first task the backend sends a
+// worker in the wave carries it, its siblings only name it). Either way a
+// kernel that finds no body under the key says so in its reply, Absorb
+// turns that into needResend{Keyed: true}, and the backend re-sends behind
+// a store frame — correctness never depends on arrival order or on what a
+// worker still remembers.
+type keyedBody struct {
+	op     string        // the inline worker kernel that caches the body
+	encode func() []byte // the store kernel's argument, key and body; called at most once
+	eager  bool          // ship with the first task sent to each worker, not on its miss
+
+	once sync.Once
+	body []byte
+
+	mu   sync.Mutex
+	sent map[int]bool // workers the body has been sent to
+}
+
+// bytes returns the encoded store argument.
+func (k *keyedBody) bytes() []byte {
+	k.once.Do(func() { k.body = k.encode() })
+	return k.body
+}
+
+// claim reports whether a task about to be written to the given worker
+// must be preceded by the body's store frame — force (a resend after a
+// miss), or an eager body's first send to that worker — and records the
+// send. Called under the worker connection's write lock, so exactly one
+// task per worker claims an eager body and its frames precede every
+// sibling's.
+func (k *keyedBody) claim(worker int, force bool) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if !force && (!k.eager || k.sent[worker]) {
+		return false
+	}
+	if k.sent == nil {
+		k.sent = make(map[int]bool)
+	}
+	k.sent[worker] = true
+	return true
 }
 
 // Backend dispatches the executor's shard tasks. Implementations must be
@@ -140,14 +195,19 @@ type affinityReleaser interface{ ReleaseAffinity(keys ...string) }
 type scopeReleaser interface{ ReleaseScope(scope string) }
 
 // needResend is the error RemoteTask.Absorb returns when a worker's reply
-// is a cache miss — the worker lacks a body the coordinator optimistically
-// replaced with its key (the global term table by content hash, a shard's
-// counts by session). The backend then re-sends the task with Args to the
-// SAME worker and absorbs the second reply; any other worker would miss
-// again. One resend is allowed per task: a second miss is a hard error.
+// is a cache miss — the worker lacks a body the coordinator replaced with
+// its key (the task's keyed body: the global term table, a centroid block)
+// or with a session name (a shard's counts). The backend then re-sends the
+// task to the SAME worker — any other would miss again — and absorbs the
+// second reply. One resend is allowed per task: a second miss is a hard
+// error.
 type needResend struct {
-	// Args is the full argument value to re-send (missing bodies inlined).
-	Args any
+	// Keyed asks for the task's keyed body to be shipped ahead of the
+	// resend.
+	Keyed bool
+	// Args, when non-nil, replaces the task's arguments on the resend
+	// (missing session state inlined).
+	Args func(dst []byte) []byte
 }
 
 // Error implements error.

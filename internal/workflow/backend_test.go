@@ -1,11 +1,9 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
+	"io"
 	"math"
 	"net"
-	"net/rpc"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -21,16 +19,16 @@ import (
 
 // pipeBackend starts n in-process workers, each serving the worker
 // protocol over one end of a net.Pipe, and returns an RPCBackend over
-// them — real serialization and a real RPC loop, no network dependency.
+// them — real serialization and a real frame loop, no network dependency.
 func pipeBackend(t testing.TB, n int) *RPCBackend {
 	t.Helper()
-	clients := make([]*rpc.Client, n)
-	for i := range clients {
+	conns := make([]io.ReadWriteCloser, n)
+	for i := range conns {
 		coord, work := net.Pipe()
 		go ServeWorkerConn(work)
-		clients[i] = rpc.NewClient(coord)
+		conns[i] = coord
 	}
-	b := NewRPCBackendClients(clients...)
+	b := NewRPCBackendConns(conns...)
 	t.Cleanup(func() { b.Close() })
 	return b
 }
@@ -159,7 +157,7 @@ func TestWorkerCrashFailsRun(t *testing.T) {
 		work.Read(buf)
 		work.Close()
 	}()
-	b := NewRPCBackendClients(rpc.NewClient(coord))
+	b := NewRPCBackendConns(coord)
 	defer b.Close()
 
 	src := diskCorpus(t)
@@ -185,43 +183,29 @@ func TestWorkerCrashFailsRun(t *testing.T) {
 // TestUnknownKernelErrors: a version-skewed worker without the requested
 // kernel reports a clean error.
 func TestUnknownKernelErrors(t *testing.T) {
-	coord, work := net.Pipe()
-	go ServeWorkerConn(work)
-	client := rpc.NewClient(coord)
-	defer client.Close()
-	var resp RPCResponse
-	err := client.Call("Worker.Run", &RPCRequest{Op: "no.such.kernel"}, &resp)
+	b := pipeBackend(t, 1)
+	_, err := b.RunTask(nil, &Task{Remote: &RemoteTask{
+		Op:     "no.such.kernel",
+		Args:   func(dst []byte) []byte { return dst },
+		Absorb: func([]byte) (Value, error) { return nil, nil },
+	}})
 	if err == nil || !strings.Contains(err.Error(), "no kernel") {
 		t.Fatalf("unknown kernel error = %v", err)
 	}
 }
 
-// gobRoundTrip encodes and re-decodes v through gob.
-func gobRoundTrip[T any](t *testing.T, v T) T {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode %T: %v", v, err)
-	}
-	var out T
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("gob decode %T: %v", v, err)
-	}
-	return out
-}
-
-// TestTaskDescriptorsGobRoundTrip covers the wire structs of every
+// TestTaskDescriptorsFlatRoundTrip covers the flat argument codecs of every
 // built-in kernel.
-func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
-	count := CountTaskArgs{
+func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
+	count := &CountTaskArgs{
 		Shard:   pario.SourceSpec{Paths: []string{"/a/doc1.txt", "/a/doc2.txt"}, Lo: 4, Hi: 6},
 		Session: "tf-9-1-0",
 		Opts:    tfidf.WireOptions{DictKind: 1, MinWordLen: 2, Stem: true, Normalize: true},
 	}
-	if got := gobRoundTrip(t, count); !reflect.DeepEqual(got, count) {
-		t.Errorf("CountTaskArgs round trip: got %+v, want %+v", got, count)
+	if got, err := DecodeFlatCountTaskArgs(count.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, count) {
+		t.Errorf("CountTaskArgs round trip: got %+v (%v), want %+v", got, err, count)
 	}
-	tr := TransformTaskArgs{
+	tr := &TransformTaskArgs{
 		Counts: &tfidf.WireShardCounts{
 			Lo: 1, Hi: 3,
 			Words:    []string{"a", "b"},
@@ -229,18 +213,27 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 			DocNames: []string{"d1", "d2"},
 		},
 		CountsSession: "tf-9-1-0",
-		GlobalFlat:    (&tfidf.WireGlobal{Terms: []string{"a", "b"}, DF: []uint32{2, 1}, NumDocs: 3}).EncodeFlat(nil),
 		GlobalHash:    0xdeadbeefcafef00d,
+		Opts:          tfidf.WireOptions{DictKind: 2, GlobalPresize: 1 << 10, DocPresize: 8},
 	}
-	got := gobRoundTrip(t, tr)
-	if !reflect.DeepEqual(got.GlobalFlat, tr.GlobalFlat) || got.Counts.Lo != tr.Counts.Lo ||
+	got, err := DecodeFlatTransformTaskArgs(tr.AppendFlat(nil))
+	if err != nil {
+		t.Fatalf("TransformTaskArgs round trip: %v", err)
+	}
+	if got.Counts.Lo != tr.Counts.Lo || got.Opts != tr.Opts ||
 		!reflect.DeepEqual(got.Counts.Words, tr.Counts.Words) ||
 		!reflect.DeepEqual(got.Counts.Docs[0], tr.Counts.Docs[0]) ||
 		got.CountsSession != tr.CountsSession || got.GlobalHash != tr.GlobalHash {
-		t.Errorf("TransformTaskArgs round trip mismatch")
+		t.Errorf("TransformTaskArgs round trip mismatch: %+v", got)
 	}
-	km := KMAssignTaskArgs{
-		Session: "km-1-2-3",
+	byRef := &TransformTaskArgs{CountsSession: "tf-9-1-0", GlobalHash: 7}
+	if got, err := DecodeFlatTransformTaskArgs(byRef.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, byRef) {
+		t.Errorf("TransformTaskArgs (counts by session) round trip: got %+v (%v)", got, err)
+	}
+	km := &KMAssignTaskArgs{
+		Loop:  "km-1-2",
+		Shard: 3,
+		Iter:  17,
 		Init: &KMShardInit{
 			Vectors:   []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}},
 			Norms:     []float64{7.8125},
@@ -249,20 +242,19 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 			WantDists: true,
 			Block:     8,
 		},
-		Centroids: [][]float64{{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}},
-		CNorms:    []float64{1, 1},
-		Assign:    []int32{-1},
+		Assign: []int32{-1},
 	}
-	if got := gobRoundTrip(t, km); !reflect.DeepEqual(got, km) {
-		t.Errorf("KMAssignTaskArgs round trip: got %+v, want %+v", got, km)
+	if got, err := DecodeFlatKMAssignTaskArgs(km.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, km) {
+		t.Errorf("KMAssignTaskArgs round trip: got %+v (%v), want %+v", got, err, km)
 	}
-	seed := KMSeedTaskArgs{
-		Session: "km-1-2-3",
-		Last:    sparse.Vector{Idx: []uint32{2, 4}, Val: []float64{0.5, -1}},
-		D2:      []float64{math.Inf(1), 0.25},
+	seed := &KMSeedTaskArgs{
+		Loop:  "km-1-2",
+		Shard: 3,
+		Last:  sparse.Vector{Idx: []uint32{2, 4}, Val: []float64{0.5, -1}},
+		D2:    []float64{math.Inf(1), 0.25},
 	}
-	if got := gobRoundTrip(t, seed); !reflect.DeepEqual(got, seed) {
-		t.Errorf("KMSeedTaskArgs round trip: got %+v, want %+v", got, seed)
+	if got, err := DecodeFlatKMSeedTaskArgs(seed.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, seed) {
+		t.Errorf("KMSeedTaskArgs round trip: got %+v (%v), want %+v", got, err, seed)
 	}
 }
 

@@ -1,0 +1,141 @@
+package workflow
+
+import (
+	"bytes"
+	"io"
+	"math"
+	"testing"
+
+	"hpa/internal/flatwire"
+	"hpa/internal/pario"
+	"hpa/internal/sparse"
+	"hpa/internal/tfidf"
+)
+
+// The request decoders face the socket: arbitrary input must come back as
+// an error — never a panic, never an allocation the input cannot pay for —
+// and whatever a decoder accepts must survive a re-encode/re-decode cycle
+// unchanged (compared as encoded bytes: exact, and indifferent to NaNs).
+
+func fuzzInit() *KMShardInit {
+	return &KMShardInit{
+		Vectors: []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}, {}},
+		Norms:   []float64{7.8125, 0},
+		Dim:     6, K: 2, WantDists: true, Block: 8,
+	}
+}
+
+// seedTruncations adds good and a few damaged forms of it to the corpus.
+func seedTruncations(f *testing.F, good []byte) {
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte{}, good...), 0))
+	f.Add([]byte{})
+}
+
+func FuzzDecodeFlatKMAssignTaskArgs(f *testing.F) {
+	seedTruncations(f, (&KMAssignTaskArgs{Loop: "km-1-2", Shard: 3, Iter: 17, Init: fuzzInit(), Assign: []int32{-1, 1}}).AppendFlat(nil))
+	seedTruncations(f, (&KMAssignTaskArgs{Loop: "km-1-2", Assign: []int32{0}}).AppendFlat(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeFlatKMAssignTaskArgs(data)
+		if err != nil {
+			return
+		}
+		enc := a.AppendFlat(nil)
+		if re, err := DecodeFlatKMAssignTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
+			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
+		}
+	})
+}
+
+func FuzzDecodeFlatKMSeedTaskArgs(f *testing.F) {
+	seedTruncations(f, (&KMSeedTaskArgs{
+		Loop: "km-1-2", Shard: 1, Init: fuzzInit(),
+		Last: sparse.Vector{Idx: []uint32{2, 4}, Val: []float64{0.5, -1}}, D2: []float64{math.Inf(1), 0.25},
+	}).AppendFlat(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeFlatKMSeedTaskArgs(data)
+		if err != nil {
+			return
+		}
+		enc := a.AppendFlat(nil)
+		if re, err := DecodeFlatKMSeedTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
+			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
+		}
+	})
+}
+
+func FuzzDecodeFlatCountTaskArgs(f *testing.F) {
+	seedTruncations(f, (&CountTaskArgs{
+		Shard:   pario.SourceSpec{Paths: []string{"/a/doc1.txt", "/a/doc2.txt"}, Lo: 4, Hi: 6},
+		Session: "tf-9-1-0",
+		Opts:    tfidf.WireOptions{DictKind: 1, MinWordLen: 2, Stem: true, Normalize: true},
+	}).AppendFlat(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeFlatCountTaskArgs(data)
+		if err != nil {
+			return
+		}
+		enc := a.AppendFlat(nil)
+		if re, err := DecodeFlatCountTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
+			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
+		}
+	})
+}
+
+func FuzzDecodeFlatTransformTaskArgs(f *testing.F) {
+	seedTruncations(f, (&TransformTaskArgs{
+		Counts: &tfidf.WireShardCounts{
+			Lo: 1, Hi: 3,
+			Words:    []string{"a", "b"},
+			Docs:     []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{2, 1}}, {}},
+			DocNames: []string{"d1", "d2"},
+		},
+		GlobalHash: 0xdeadbeefcafef00d,
+		Opts:       tfidf.WireOptions{DictKind: 2, DocPresize: 8},
+	}).AppendFlat(nil))
+	seedTruncations(f, (&TransformTaskArgs{CountsSession: "tf-9-1-0", GlobalHash: 7}).AppendFlat(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeFlatTransformTaskArgs(data)
+		if err != nil {
+			return
+		}
+		enc := a.AppendFlat(nil)
+		if re, err := DecodeFlatTransformTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
+			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
+		}
+	})
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader and the request
+// header parse behind it: frames come back exactly as long as their prefix
+// says, never longer than the input, and a stream always ends in an error.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(requestFrame(1, "kmeans.assign", []byte("body")))
+	f.Add(append(requestFrame(2, "a", nil), requestFrame(3, "", []byte{1})...))
+	f.Add(flatwire.AppendU32(nil, maxFrameBytes))
+	f.Add(flatwire.AppendU32(nil, maxFrameBytes+1))
+	f.Add([]byte{3, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			frame, err := readFrame(r)
+			if err != nil {
+				if err == io.EOF && r.Len() != 0 {
+					t.Fatalf("bare EOF with %d bytes unread", r.Len())
+				}
+				return
+			}
+			if len(frame) > len(data) {
+				t.Fatalf("a %d-byte input produced a %d-byte frame", len(data), len(frame))
+			}
+			h := flatwire.NewReader(frame)
+			h.U64()
+			op := h.String()
+			if body := h.Rest(); h.Err() == nil && 8+flatwire.SizeString(op)+len(body) != len(frame) {
+				t.Fatalf("header parse lost bytes: op %q, body %d of frame %d", op, len(body), len(frame))
+			}
+		}
+	})
+}

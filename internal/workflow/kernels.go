@@ -1,10 +1,9 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,46 +25,73 @@ import (
 //     shard's term counts (tfidf.WireShardCounts, DF included) back;
 //   - tfidf.transform: a shard's counts plus the global term table in,
 //     the shard's score vectors (*tfidf.VectorShard) back;
-//   - kmeans.assign: one loop shard's assignment iteration — centroids and
-//     previous assignments in, the shard's kmeans.Accum (wire form) and
-//     new assignments back. The shard's documents ship once, on the first
-//     iteration, and are cached in a worker-side session that backend
-//     affinity keeps on one worker;
+//   - kmeans.assign: one loop shard's assignment iteration — the key of the
+//     iteration's centroid block and the shard's previous assignments in,
+//     the shard's kmeans.Accum (wire form) and new assignments back. The
+//     shard's documents ship once, on the first iteration, and are cached
+//     in a worker-side session that backend affinity keeps on one worker;
 //   - kmeans.seed: one K-Means++ seed round's min-distance scan over one
 //     loop shard — the last chosen seed and the shard's current distance
 //     window in, the min-updated window back. It shares the assignment
 //     loop's sessions (same affinity key), so the shard's documents ship
-//     once for seeding and iterations combined.
+//     once for seeding and iterations combined;
+//   - tfidf.global and kmeans.centroids: the inline store kernels of the
+//     two keyed bodies (backend.go, keyedBody) — the global term table,
+//     cached by content hash, and an iteration's centroid block, cached
+//     per loop.
 //
 // Kernels run the same functions the local path runs (tfidf.CountShard,
 // tfidf.TransformShard, kmeans.AssignRange), so remote results are
 // bit-identical to local ones by construction; the wire forms only ever
 // flatten dictionaries and accumulators, never recompute scores.
 //
-// Every kernel reply bypasses gob: the tfidf.count reply (a flat
-// WireShardCounts), the tfidf.transform reply (a flat VectorShard behind a
-// miss-flag header), the kmeans.assign reply (a flat AccumWire plus
-// assignment/distance blocks) and the kmeans.seed reply (a flat distance
-// window). Inlined global term-table bodies travel flat too
-// (tfidf.WireGlobal.EncodeFlat); only the small argument envelopes stay
-// gob. Flat payloads carry floats as IEEE 754 bit patterns, so flat
-// shipping preserves the bit-identity contract. The transform kernel
-// additionally resolves two worker-side caches before computing: the
-// global term table by content hash (shipped as a hash, pulled inline only
-// on the first miss per worker) and the shard's phase-1 counts by session
-// key (cached by the count kernel on the same worker, routed back by
-// affinity).
+// Every argument and every reply is a flat buffer (flatwire): scalars
+// little-endian, floats as IEEE 754 bit patterns, so shipping preserves
+// the bit-identity contract, and every decoder validates what the kernel
+// indexes by and fails with an error wrapping flatwire.ErrMalformed.
 
 func init() {
-	RegisterKernel("tfidf.count", runCountKernelFlat)
-	RegisterKernel("tfidf.transform", runTransformKernelFlat)
-	RegisterKernel("kmeans.assign", runKMAssignKernelFlat)
-	RegisterKernel("kmeans.seed", runKMSeedKernelFlat)
+	registerKernel("tfidf.count", kernel{fn: runCountKernel})
+	registerKernel("tfidf.transform", kernel{fn: runTransformKernel})
+	registerKernel("tfidf.global", kernel{fn: storeGlobalKernel, inline: true})
+	registerKernel("kmeans.assign", kernel{fn: runKMAssignKernel})
+	registerKernel("kmeans.seed", kernel{fn: runKMSeedKernel})
+	registerKernel("kmeans.centroids", kernel{fn: storeCentroidsKernel, inline: true})
 }
 
 // workerPool is the worker process's compute pool, shared by every kernel
 // invocation (kernels may serve several shards concurrently).
 var workerPool = sync.OnceValue(func() *par.Pool { return par.NewPool(runtime.GOMAXPROCS(0)) })
+
+// appendWireOptions appends the TF/IDF option subset.
+func appendWireOptions(b []byte, o tfidf.WireOptions) []byte {
+	b = flatwire.AppendI64s(b, []int64{int64(o.DictKind), int64(o.GlobalPresize), int64(o.DocPresize), int64(o.MinWordLen)})
+	var flags byte
+	if o.Stem {
+		flags |= 1
+	}
+	if o.Normalize {
+		flags |= 2
+	}
+	return flatwire.AppendU8(b, flags)
+}
+
+// consumeWireOptions is appendWireOptions' inverse. An unknown dictionary
+// kind fails the reader: dict.New panics on one.
+func consumeWireOptions(r *flatwire.Reader) tfidf.WireOptions {
+	v := r.I64s(4)
+	flags := r.U8()
+	if r.Err() != nil {
+		return tfidf.WireOptions{}
+	}
+	if !slices.Contains(dict.Kinds(), dict.Kind(v[0])) || flags > 3 {
+		r.Fail("tfidf options: dictionary kind %d, flags %#x", v[0], flags)
+	}
+	return tfidf.WireOptions{
+		DictKind: dict.Kind(v[0]), GlobalPresize: int(v[1]), DocPresize: int(v[2]), MinWordLen: int(v[3]),
+		Stem: flags&1 != 0, Normalize: flags&2 != 0,
+	}
+}
 
 // CountTaskArgs are the tfidf.count kernel arguments.
 type CountTaskArgs struct {
@@ -80,13 +106,51 @@ type CountTaskArgs struct {
 	Opts tfidf.WireOptions
 }
 
-// runCountKernel executes phase 1 over the described shard on the worker.
-func runCountKernel(a *CountTaskArgs) (*tfidf.WireShardCounts, error) {
+// AppendFlat appends the arguments in flat form:
+//
+//	lo u64 | hi u64 | nPaths u32 | paths (u32 len + bytes) × nPaths | session | opts
+func (a *CountTaskArgs) AppendFlat(b []byte) []byte {
+	b = flatwire.AppendU64(b, uint64(a.Shard.Lo))
+	b = flatwire.AppendU64(b, uint64(a.Shard.Hi))
+	b = flatwire.AppendU32(b, uint32(len(a.Shard.Paths)))
+	for _, p := range a.Shard.Paths {
+		b = flatwire.AppendString(b, p)
+	}
+	b = flatwire.AppendString(b, a.Session)
+	return appendWireOptions(b, a.Opts)
+}
+
+// DecodeFlatCountTaskArgs is AppendFlat's inverse.
+func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
+	r := flatwire.NewReader(body)
+	a := &CountTaskArgs{}
+	a.Shard.Lo, a.Shard.Hi = int(r.U64()), int(r.U64())
+	if n := r.Count(4); n > 0 {
+		a.Shard.Paths = make([]string, n)
+		for i := range a.Shard.Paths {
+			a.Shard.Paths[i] = r.String()
+		}
+	}
+	a.Session = r.String()
+	a.Opts = consumeWireOptions(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("decode args: %w", err)
+	}
+	return a, nil
+}
+
+// runCountKernel executes phase 1 over the described shard on the worker;
+// the reply is the shard's full term counts, DF included, in flat form.
+func runCountKernel(body, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatCountTaskArgs(body)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
+	}
 	opts := a.Opts.Options()
 	readers := workerPool().Workers()
 	sc, err := tfidf.CountShard(a.Shard.Open(nil), readers, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
 	}
 	// CountShard derives [Lo, Hi) from SubSources; a spec-opened shard is a
 	// plain FileSource, so restore the global range from the descriptor.
@@ -95,27 +159,14 @@ func runCountKernel(a *CountTaskArgs) (*tfidf.WireShardCounts, error) {
 	if a.Session != "" {
 		// The reply carries everything the coordinator's DF merge needs;
 		// the live dictionaries stay here for the transform task.
-		cacheCounts(a.Session, sc)
+		countCache.put(a.Session, sc)
 	}
-	return w, nil
+	return w.EncodeFlat(dst), nil
 }
 
-// runCountKernelFlat is the registered kernel: gob args in (a shard
-// descriptor — tiny), flat reply out (the shard's full term counts, DF
-// included — a cold path per run but a large body per shard).
-func runCountKernelFlat(body []byte) ([]byte, error) {
-	var a CountTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.count: decode args: %w", err)
-	}
-	w, err := runCountKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
-	}
-	return w.EncodeFlat(nil), nil
-}
-
-// TransformTaskArgs are the tfidf.transform kernel arguments.
+// TransformTaskArgs are the tfidf.transform kernel arguments. The global
+// term table is never among them: GlobalHash names it, and its body
+// travels as the task's keyed body on a worker's first miss.
 type TransformTaskArgs struct {
 	// Counts is the shard's phase-1 output inlined (DF omitted — only the
 	// global merge reads it). Nil when CountsSession names the worker's
@@ -124,11 +175,6 @@ type TransformTaskArgs struct {
 	// CountsSession, when non-empty, keys the count kernel's cached
 	// ShardCounts on the worker the shared affinity routed both tasks to.
 	CountsSession string
-	// GlobalFlat is the merged term table inlined, in flat wire form
-	// (tfidf.WireGlobal.EncodeFlat). Nil on the optimistic first send —
-	// GlobalHash alone identifies it — and populated only on the resend
-	// answering a worker cache miss.
-	GlobalFlat []byte
 	// GlobalHash is the table's content digest (tfidf.Global.ContentHash),
 	// the worker's cache key. Always set.
 	GlobalHash uint64
@@ -136,40 +182,66 @@ type TransformTaskArgs struct {
 	Opts tfidf.WireOptions
 }
 
-// Transform reply framing: a magic header and a miss bitmask, followed by
-// the flat VectorShard payload only when no body was missing.
+// AppendFlat appends the arguments in flat form:
+//
+//	session | hash u64 | opts | hasCounts u8 | [counts (WireShardCounts flat, to the end)]
+func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
+	b = flatwire.AppendString(b, a.CountsSession)
+	b = flatwire.AppendU64(b, a.GlobalHash)
+	b = appendWireOptions(b, a.Opts)
+	if a.Counts == nil {
+		return flatwire.AppendU8(b, 0)
+	}
+	return a.Counts.EncodeFlat(flatwire.AppendU8(b, 1))
+}
+
+// DecodeFlatTransformTaskArgs is AppendFlat's inverse.
+func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
+	r := flatwire.NewReader(body)
+	a := &TransformTaskArgs{CountsSession: r.String(), GlobalHash: r.U64()}
+	a.Opts = consumeWireOptions(r)
+	hasCounts := r.U8()
+	counts := r.Rest()
+	if hasCounts > 1 || hasCounts == 0 && len(counts) > 0 {
+		r.Fail("counts marker %d before %d bytes", hasCounts, len(counts))
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("decode args: %w", err)
+	}
+	if hasCounts == 1 {
+		var err error
+		if a.Counts, err = tfidf.DecodeFlatWireShardCounts(counts); err != nil {
+			return nil, fmt.Errorf("decode args: %w", err)
+		}
+	}
+	return a, nil
+}
+
+// Replies of the kernels that resolve a body from a worker-side cache open
+// with a magic and a miss mask: zero and the payload, or the bodies the
+// worker lacks and nothing else.
 const (
 	transformReplyMagic uint32 = 0x48505452 // "HPTR"
 	// needGlobalFlag reports the worker has no table under GlobalHash.
 	needGlobalFlag uint32 = 1 << 0
 	// needCountsFlag reports the worker has no counts under CountsSession.
 	needCountsFlag uint32 = 1 << 1
+	// needCentroidsFlag reports the worker holds no centroid block for the
+	// iteration a kmeans.assign task named.
+	needCentroidsFlag uint32 = 1 << 2
 )
 
-// runTransformKernelFlat executes phase 2 over one shard on the worker, or
-// replies with a miss bitmask when a keyed body (global table, cached
-// counts) is absent — the coordinator then re-sends the task with the
-// missing bodies inlined.
-func runTransformKernelFlat(body []byte) ([]byte, error) {
-	var a TransformTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.transform: decode args: %w", err)
-	}
-	if a.GlobalFlat != nil {
-		globalInlineShips.Add(1)
+// runTransformKernel executes phase 2 over one shard on the worker, or
+// replies with a miss mask when a body the arguments only name (the global
+// table by hash, the counts by session) is absent — the coordinator then
+// re-sends the task with the table shipped ahead and the counts inlined.
+func runTransformKernel(body, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatTransformTaskArgs(body)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
 	}
 	opts := a.Opts.Options()
-	// Resolve the global table: content-hash cache first, else the inlined
-	// body (cached for every later shard this worker transforms).
-	g := cachedGlobal(a.GlobalHash, opts.DictKind)
-	if g == nil && a.GlobalFlat != nil {
-		wg, err := tfidf.DecodeFlatWireGlobal(a.GlobalFlat)
-		if err != nil {
-			return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
-		}
-		g = wg.Global(opts.DictKind)
-		storeGlobal(a.GlobalHash, opts.DictKind, g)
-	}
+	g, _ := globalCache.get(globalCacheKey{a.GlobalHash, opts.DictKind}, nil)
 	// Resolve the counts: an inlined body wins; otherwise the count
 	// kernel's cached live shard. The cache entry is not consumed yet — a
 	// global miss must leave it in place for the resend.
@@ -178,8 +250,7 @@ func runTransformKernelFlat(body []byte) ([]byte, error) {
 	if a.Counts != nil {
 		sc = a.Counts.ShardCounts(opts)
 	} else if a.CountsSession != "" {
-		sc = peekCounts(a.CountsSession)
-		fromCache = sc != nil
+		sc, fromCache = countCache.get(a.CountsSession, nil)
 	}
 	var flags uint32
 	if g == nil {
@@ -188,39 +259,101 @@ func runTransformKernelFlat(body []byte) ([]byte, error) {
 	if sc == nil {
 		flags |= needCountsFlag
 	}
+	b := flatwire.AppendU32(dst, transformReplyMagic)
+	b = flatwire.AppendU32(b, flags)
 	if flags != 0 {
-		b := flatwire.AppendU32(nil, transformReplyMagic)
-		return flatwire.AppendU32(b, flags), nil
+		return b, nil
 	}
 	vs := tfidf.TransformShard(g, sc, workerPool(), opts)
 	if fromCache {
-		dropCounts(a.CountsSession) // TransformShard consumed the dictionaries
+		countCache.drop(a.CountsSession) // TransformShard consumed the dictionaries
 	}
-	b := flatwire.AppendU32(nil, transformReplyMagic)
-	b = flatwire.AppendU32(b, 0)
 	return vs.EncodeFlat(b), nil
 }
 
+// appendGlobalStore appends the tfidf.global store argument: the cache key
+// (dictionary kind, content hash), then the table in flat form.
+func appendGlobalStore(b []byte, kind dict.Kind, g *tfidf.Global) []byte {
+	b = flatwire.AppendI64(b, int64(kind))
+	b = flatwire.AppendU64(b, g.ContentHash())
+	return g.Wire().EncodeFlat(b)
+}
+
+// storeGlobalKernel caches a shipped global term table, rebuilt with the
+// run's dictionary kind, for every later shard this worker transforms.
+func storeGlobalKernel(body, dst []byte) ([]byte, error) {
+	r := flatwire.NewReader(body)
+	kind, hash := dict.Kind(r.I64()), r.U64()
+	table := r.Rest()
+	if !slices.Contains(dict.Kinds(), kind) {
+		r.Fail("dictionary kind %d", kind)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("workflow: kernel tfidf.global: %w", err)
+	}
+	wg, err := tfidf.DecodeFlatWireGlobal(table)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel tfidf.global: %w", err)
+	}
+	globalInlineShips.Add(1)
+	globalCache.put(globalCacheKey{hash, kind}, wg.Global(kind))
+	return dst, nil
+}
+
 // workerCacheTTL bounds how long an idle worker-side cache entry (global
-// table, shard counts) survives; entries are evicted lazily on the next
-// kernel call, like loop-shard sessions.
+// table, shard counts, K-Means loop) survives, so a long-running worker
+// does not accumulate state from finished runs.
 const workerCacheTTL = 10 * time.Minute
 
-// globalInlineShips counts transform arguments that arrived with the
-// global term table inlined — the resend path after a worker cache miss.
-// In steady state a table body reaches a worker process at most once per
-// (hash, kind); the ship-bound test asserts on this counter.
-var globalInlineShips atomic.Int64
+// workerCache is a worker-side cache whose idle entries expire, evicted
+// lazily on the next get.
+type workerCache[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*workerCacheEntry[V]
+}
 
-// globalReships counts, coordinator-side, how many transform tasks had to
-// re-ship the global term table after a worker cache miss — the same
-// traffic globalInlineShips counts on the worker, observable from the
-// process that scheduled it (hpa-serve exposes it on /metrics).
-var globalReships atomic.Int64
+type workerCacheEntry[V any] struct {
+	v       V
+	lastUse time.Time
+}
 
-// GlobalReships returns the process-wide count of global term-table
-// re-ships this coordinator performed.
-func GlobalReships() int64 { return globalReships.Load() }
+// get returns key's value — made by mk, when non-nil, on a miss — and
+// evicts every other entry idle past the TTL.
+func (c *workerCache[K, V]) get(key K, mk func() V) (v V, ok bool) {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.m {
+		if k != key && now.Sub(e.lastUse) > workerCacheTTL {
+			delete(c.m, k)
+		}
+	}
+	e := c.m[key]
+	if e == nil {
+		if mk == nil {
+			return v, false
+		}
+		e = &workerCacheEntry[V]{v: mk()}
+		if c.m == nil {
+			c.m = make(map[K]*workerCacheEntry[V])
+		}
+		c.m[key] = e
+	}
+	e.lastUse = now
+	return e.v, true
+}
+
+// put stores (or replaces) key's value; drop removes it.
+func (c *workerCache[K, V]) put(key K, v V) {
+	c.drop(key)
+	c.get(key, func() V { return v })
+}
+
+func (c *workerCache[K, V]) drop(key K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.m, key)
+}
 
 // globalCacheKey identifies one cached global term table: the content hash
 // plus the dictionary kind the lookup table was rebuilt with (two runs may
@@ -230,92 +363,39 @@ type globalCacheKey struct {
 	kind dict.Kind
 }
 
-type globalCacheEntry struct {
-	g       *tfidf.Global
-	lastUse time.Time
-}
+var (
+	// globalCache holds rebuilt global term tables.
+	globalCache workerCache[globalCacheKey, *tfidf.Global]
+	// countCache keeps a count kernel's live shard, by session, for the
+	// matching transform task. Re-caching a session overwrites the entry
+	// with identical content (shard counts are a pure function of the shard
+	// and the options); the transform drops it once consumed.
+	countCache workerCache[string, *tfidf.ShardCounts]
+	// kmLoops holds the K-Means loops with state on this worker.
+	kmLoops workerCache[string, *kmLoop]
 
-var globalCache = struct {
-	sync.Mutex
-	m map[globalCacheKey]*globalCacheEntry
-}{m: make(map[globalCacheKey]*globalCacheEntry)}
+	// globalInlineShips counts global term tables that arrived on this
+	// worker — the resend path after a worker cache miss. In steady state
+	// a table body reaches a worker process at most once per (hash, kind);
+	// the ship-bound test asserts on this counter.
+	globalInlineShips atomic.Int64
+	// globalReships counts, coordinator-side, how many transform tasks had
+	// to re-ship the global term table after a worker cache miss — the same
+	// traffic globalInlineShips counts on the worker, observable from the
+	// process that scheduled it (hpa-serve exposes it on /metrics).
+	globalReships atomic.Int64
+	// centroidInlineShips counts centroid blocks that arrived on this
+	// worker: in steady state one per worker connection per iteration,
+	// however many shards the worker holds (the ship-bound test asserts it).
+	centroidInlineShips atomic.Int64
+)
 
-// cachedGlobal returns the cached table for (hash, kind), nil on a miss,
-// evicting expired entries on the way.
-func cachedGlobal(hash uint64, kind dict.Kind) *tfidf.Global {
-	now := time.Now()
-	key := globalCacheKey{hash, kind}
-	globalCache.Lock()
-	defer globalCache.Unlock()
-	for k, e := range globalCache.m {
-		if k != key && now.Sub(e.lastUse) > workerCacheTTL {
-			delete(globalCache.m, k)
-		}
-	}
-	e := globalCache.m[key]
-	if e == nil {
-		return nil
-	}
-	e.lastUse = now
-	return e.g
-}
-
-// storeGlobal caches a rebuilt table under (hash, kind).
-func storeGlobal(hash uint64, kind dict.Kind, g *tfidf.Global) {
-	globalCache.Lock()
-	defer globalCache.Unlock()
-	globalCache.m[globalCacheKey{hash, kind}] = &globalCacheEntry{g: g, lastUse: time.Now()}
-}
-
-type countCacheEntry struct {
-	sc      *tfidf.ShardCounts
-	lastUse time.Time
-}
-
-var countCache = struct {
-	sync.Mutex
-	m map[string]*countCacheEntry
-}{m: make(map[string]*countCacheEntry)}
-
-// cacheCounts keeps a count kernel's live shard for the matching transform
-// task, evicting expired entries on the way. Re-caching a session key
-// overwrites the entry with identical content (shard counts are a pure
-// function of the shard and the options).
-func cacheCounts(session string, sc *tfidf.ShardCounts) {
-	now := time.Now()
-	countCache.Lock()
-	defer countCache.Unlock()
-	for k, e := range countCache.m {
-		if k != session && now.Sub(e.lastUse) > workerCacheTTL {
-			delete(countCache.m, k)
-		}
-	}
-	countCache.m[session] = &countCacheEntry{sc: sc, lastUse: now}
-}
-
-// peekCounts returns the cached shard without consuming the entry (a
-// transform task that misses the global must leave the counts for its
-// resend), nil on a miss.
-func peekCounts(session string) *tfidf.ShardCounts {
-	countCache.Lock()
-	defer countCache.Unlock()
-	e := countCache.m[session]
-	if e == nil {
-		return nil
-	}
-	e.lastUse = time.Now()
-	return e.sc
-}
-
-// dropCounts removes a consumed entry.
-func dropCounts(session string) {
-	countCache.Lock()
-	defer countCache.Unlock()
-	delete(countCache.m, session)
-}
+// GlobalReships returns the process-wide count of global term-table
+// re-ships this coordinator performed.
+func GlobalReships() int64 { return globalReships.Load() }
 
 // KMShardInit carries a loop shard's per-loop constants, shipped once on
-// the shard's first iteration and cached in the worker session.
+// the shard's first contact with a worker and cached in the worker session.
 type KMShardInit struct {
 	// Vectors and Norms are the shard's documents and their squared norms.
 	Vectors []sparse.Vector
@@ -332,56 +412,112 @@ type KMShardInit struct {
 	Block int
 }
 
-// validate rejects an init the session constructors or the kernels would
-// panic on: a worker serves whatever arrives on its socket, and net/rpc
-// does not recover, so every shape the code below indexes by is checked
-// here once per session. Errors wrap flatwire.ErrMalformed.
-func (in *KMShardInit) validate() error {
+// appendFlat appends the init, or its absence, in flat form:
+//
+//	present u8 | [k i64 | dim i64 | block i64 | wantDists u8 | n u32 | norms f64 × n | vectors (sparse.AppendFlatVectors)]
+func (in *KMShardInit) appendFlat(b []byte) []byte {
+	if in == nil {
+		return flatwire.AppendU8(b, 0)
+	}
+	b = flatwire.AppendU8(b, 1)
+	b = flatwire.AppendI64s(b, []int64{int64(in.K), int64(in.Dim), int64(in.Block)})
+	wantDists := byte(0)
+	if in.WantDists {
+		wantDists = 1
+	}
+	b = flatwire.AppendU8(b, wantDists)
+	b = flatwire.AppendU32(b, uint32(len(in.Vectors)))
+	b = flatwire.AppendF64s(b, in.Norms)
+	return sparse.AppendFlatVectors(b, in.Vectors)
+}
+
+// consumeKMShardInit is appendFlat's inverse (nil for an absent init). It
+// rejects what the session constructors or the kernels would panic on — a
+// worker serves whatever arrives on its socket — so every shape they index
+// by is checked here, once per session (the codec itself ties norm, index
+// and value counts to the document count and makes indices ascend).
+func consumeKMShardInit(r *flatwire.Reader) *KMShardInit {
+	present := r.U8()
+	if present > 1 {
+		r.Fail("loop shard init marker %d", present)
+	}
+	if present != 1 || r.Err() != nil {
+		return nil
+	}
+	v := r.I64s(3)
+	wantDists := r.U8()
+	n := r.Count(12) // ≥ 8 (norm) + 4 (nnz) bytes per document follow
+	if r.Err() != nil {
+		return nil
+	}
+	in := &KMShardInit{K: int(v[0]), Dim: int(v[1]), Block: int(v[2]), WantDists: wantDists != 0, Norms: r.F64s(n)}
+	in.Vectors = sparse.ConsumeFlatVectors(r, n)
 	switch {
 	case in.K < 1:
-		return fmt.Errorf("%w: loop shard init has k=%d", flatwire.ErrMalformed, in.K)
+		r.Fail("loop shard init has k=%d", in.K)
 	case in.Dim < 0:
-		return fmt.Errorf("%w: loop shard init has dimension %d", flatwire.ErrMalformed, in.Dim)
+		r.Fail("loop shard init has dimension %d", in.Dim)
 	case in.Block != 0 && in.Block != 4 && in.Block != 8:
-		return fmt.Errorf("%w: loop shard init has block width %d", flatwire.ErrMalformed, in.Block)
-	case len(in.Norms) != len(in.Vectors):
-		return fmt.Errorf("%w: loop shard init has %d norms for %d documents",
-			flatwire.ErrMalformed, len(in.Norms), len(in.Vectors))
+		r.Fail("loop shard init has block width %d", in.Block)
 	}
 	for i := range in.Vectors {
-		v := &in.Vectors[i]
-		if len(v.Idx) != len(v.Val) {
-			return fmt.Errorf("%w: loop shard init document %d has %d indices for %d values",
-				flatwire.ErrMalformed, i, len(v.Idx), len(v.Val))
-		}
-		for _, ix := range v.Idx {
-			if int64(ix) >= int64(in.Dim) {
-				return fmt.Errorf("%w: loop shard init document %d has index %d out of dimension %d",
-					flatwire.ErrMalformed, i, ix, in.Dim)
-			}
+		// Indices ascend, so the last is the largest.
+		if ix := in.Vectors[i].Idx; len(ix) > 0 && int64(ix[len(ix)-1]) >= int64(in.Dim) {
+			r.Fail("loop shard init document %d has index %d out of dimension %d", i, ix[len(ix)-1], in.Dim)
 		}
 	}
-	return nil
+	return in
 }
 
 // KMAssignTaskArgs are the kmeans.assign kernel arguments — one shard's
-// assignment iteration.
+// assignment iteration. The centroids are not among them: (Loop, Iter) is
+// the key of the iteration's centroid block, the task's keyed body.
 type KMAssignTaskArgs struct {
-	// Session identifies the shard's worker-side session (loop + shard).
-	Session string
-	// Init is present on the shard's first iteration only.
+	// Loop names the K-Means loop's worker-side state, Shard the shard's
+	// session within it.
+	Loop  string
+	Shard int
+	// Iter is the iteration whose centroids the shard is assigned against.
+	Iter int
+	// Init is present on the shard's first contact with the worker only.
 	Init *KMShardInit
-	// Centroids and CNorms are the current iteration's centroids.
-	Centroids [][]float64
-	CNorms    []float64
 	// Assign holds the shard's previous assignments (shard-local indexing),
 	// so the moved count stays exact whether or not the session survived.
 	Assign []int32
 }
 
+// AppendFlat appends the arguments in flat form:
+//
+//	loop | shard u32 | iter u64 | n u32 | assign i32 × n | init
+func (a *KMAssignTaskArgs) AppendFlat(b []byte) []byte {
+	b = flatwire.AppendString(b, a.Loop)
+	b = flatwire.AppendU32(b, uint32(a.Shard))
+	b = flatwire.AppendU64(b, uint64(a.Iter))
+	b = flatwire.AppendU32(b, uint32(len(a.Assign)))
+	b = flatwire.AppendI32s(b, a.Assign)
+	return a.Init.appendFlat(b)
+}
+
+// DecodeFlatKMAssignTaskArgs is AppendFlat's inverse; a present init is
+// validated.
+func DecodeFlatKMAssignTaskArgs(body []byte) (*KMAssignTaskArgs, error) {
+	r := flatwire.NewReader(body)
+	a := &KMAssignTaskArgs{Loop: r.String(), Shard: int(r.U32()), Iter: int(r.U64())}
+	a.Assign = r.I32s(r.Count(4))
+	a.Init = consumeKMShardInit(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("decode args: %w", err)
+	}
+	return a, nil
+}
+
 // KMAssignReply is the kmeans.assign kernel reply: exactly the state the
-// coordinator's ordered per-iteration reduce needs.
+// coordinator's ordered per-iteration reduce needs, or the report that the
+// worker holds no centroid block for the iteration.
 type KMAssignReply struct {
+	// NeedCentroids reports a centroid-block miss; the other fields are
+	// then empty.
+	NeedCentroids bool
 	// Accum is the shard's accumulator set in wire form.
 	Accum *kmeans.AccumWire
 	// Assign holds the shard's new assignments.
@@ -390,110 +526,181 @@ type KMAssignReply struct {
 	Dists []float64
 }
 
-// kmSession is a worker-side loop shard: the cached documents plus the
-// recycled accumulator, reused across the loop's iterations.
-type kmSession struct {
-	mu      sync.Mutex
-	docs    []sparse.Vector
-	norms   []float64
-	k       int
-	acc     *kmeans.Accum
-	dists   []float64
-	layout  *sparse.BlockLayout // blocked-kernel transpose, refilled per call
-	lastUse time.Time
+// kmLoop is the worker-side state of one K-Means loop: its shards'
+// sessions, and the one decoded centroid matrix and filled block layout
+// they all assign against.
+type kmLoop struct {
+	mu       sync.Mutex // guards every field; never held across a scan
+	sessions map[int]*kmSession
+	// k, dim and block are the loop's shape, fixed by its first session's
+	// init; every later init must agree.
+	k, dim, block int
+	// raw is the last centroid block a store frame delivered, undecoded
+	// (nil once decoded): only a session's init carries the shape a block
+	// decodes into, and the loop's first block can precede it.
+	raw     []byte
+	rawIter int
+	// cur is the decoded block. A decode installs a fresh one, so scans
+	// read theirs without a lock.
+	cur *kmCentroids
 }
 
-// kmSessionTTL bounds how long an idle loop-shard session survives on a
-// worker; sessions are evicted lazily on the next kernel call, so a
-// long-running worker does not accumulate state from finished loops.
-const kmSessionTTL = 10 * time.Minute
+// kmCentroids is one iteration's decoded centroid block, immutable once
+// installed.
+type kmCentroids struct {
+	iter   int
+	cents  [][]float64
+	cnorms []float64
+	layout *sparse.BlockLayout // nil under the scalar kernel
+}
 
-var kmSessions = struct {
-	sync.Mutex
-	m map[string]*kmSession
-}{m: make(map[string]*kmSession)}
+// kmSession is a worker-side loop shard: the cached documents plus the
+// recycled accumulator and its recycled wire form, reused across the
+// loop's iterations.
+type kmSession struct {
+	mu    sync.Mutex
+	docs  []sparse.Vector
+	norms []float64
+	acc   *kmeans.Accum
+	wire  *kmeans.AccumWire
+	dists []float64
+}
 
-// kmSessionFor returns (creating if init allows) the session for one loop
-// shard, evicting expired sessions on the way.
-func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
-	now := time.Now()
-	kmSessions.Lock()
-	defer kmSessions.Unlock()
-	for key, s := range kmSessions.m {
-		if key != id && now.Sub(s.lastUse) > kmSessionTTL {
-			delete(kmSessions.m, key)
-		}
+// kmLoopFor returns the named loop's state, created on first sight.
+func kmLoopFor(id string) *kmLoop {
+	l, _ := kmLoops.get(id, func() *kmLoop { return &kmLoop{sessions: make(map[int]*kmSession)} })
+	return l
+}
+
+// session returns (creating if init allows) one shard's session.
+func (l *kmLoop) session(loop string, shard int, init *KMShardInit) (*kmSession, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.sessions[shard]
+	if s != nil {
+		return s, nil
 	}
-	s := kmSessions.m[id]
-	if s == nil {
-		if init == nil {
-			return nil, fmt.Errorf("loop shard session %q lost (worker restarted mid-loop?)", id)
-		}
-		if err := init.validate(); err != nil {
-			return nil, err
-		}
-		s = &kmSession{
-			docs:  init.Vectors,
-			norms: init.Norms,
-			k:     init.K,
-			acc:   kmeans.NewAccumFor(init.K, init.Dim),
-		}
-		if init.WantDists {
-			s.dists = make([]float64, len(init.Vectors))
-		}
-		if init.Block > 0 {
-			s.layout = sparse.NewBlockLayout(init.K, init.Dim, init.Block)
-		}
-		kmSessions.m[id] = s
+	switch {
+	case init == nil:
+		return nil, fmt.Errorf("loop %q shard %d session lost (worker restarted mid-loop?)", loop, shard)
+	case len(l.sessions) == 0:
+		l.k, l.dim, l.block = init.K, init.Dim, init.Block
+	case init.K != l.k || init.Dim != l.dim || init.Block != l.block:
+		return nil, fmt.Errorf("%w: loop %q shard %d init has shape k=%d dim=%d block=%d, the loop's is k=%d dim=%d block=%d",
+			flatwire.ErrMalformed, loop, shard, init.K, init.Dim, init.Block, l.k, l.dim, l.block)
 	}
-	s.lastUse = now
+	s = &kmSession{docs: init.Vectors, norms: init.Norms, acc: kmeans.NewAccumFor(init.K, init.Dim)}
+	if init.WantDists {
+		s.dists = make([]float64, len(init.Vectors))
+	}
+	l.sessions[shard] = s
 	return s, nil
+}
+
+// storeCentroidsKernel stashes a shipped centroid block (loop | iter u64 |
+// kmeans.AppendFlatCentroids) for the first assignment task naming it to
+// decode. A second connection's copy of a block already decoded is dropped.
+func storeCentroidsKernel(body, dst []byte) ([]byte, error) {
+	r := flatwire.NewReader(body)
+	loop, iter := r.String(), int(r.U64())
+	raw := r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.centroids: %w", err)
+	}
+	centroidInlineShips.Add(1)
+	l := kmLoopFor(loop)
+	l.mu.Lock()
+	if l.cur == nil || l.cur.iter != iter {
+		l.raw, l.rawIter = raw, iter
+	}
+	l.mu.Unlock()
+	return dst, nil
+}
+
+// centroids returns iteration iter's decoded block, decoding the stashed
+// one if it is that iteration's and nobody has yet — a sibling task of the
+// same wave waits on the lock for the decode instead of repeating it. Nil
+// without an error means the loop holds no block for iter: the caller
+// answers "need centroids".
+func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cur != nil && l.cur.iter == iter {
+		return l.cur, nil
+	}
+	if l.raw == nil || l.rawIter != iter {
+		return nil, nil
+	}
+	c := &kmCentroids{iter: iter, cents: make([][]float64, l.k), cnorms: make([]float64, l.k)}
+	for j := range c.cents {
+		c.cents[j] = make([]float64, l.dim)
+	}
+	raw := l.raw
+	l.raw = nil
+	if err := kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms); err != nil {
+		return nil, err
+	}
+	if l.block > 0 {
+		// Block width never changes results: purely a work-shape choice.
+		c.layout = sparse.NewBlockLayout(l.k, l.dim, l.block)
+		c.layout.Fill(c.cents)
+	}
+	l.cur = c
+	return c, nil
 }
 
 // runKMAssignKernel executes one loop shard's assignment iteration on the
 // worker: the same kmeans.AssignRange the coordinator would run, over the
-// session's cached documents.
-func runKMAssignKernel(a *KMAssignTaskArgs) (*KMAssignReply, error) {
-	s, err := kmSessionFor(a.Session, a.Init)
+// session's cached documents against the loop's decoded centroids.
+func runKMAssignKernel(body, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatKMAssignTaskArgs(body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
+	}
+	l := kmLoopFor(a.Loop)
+	s, err := l.session(a.Loop, a.Shard, a.Init)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.docs)
 	if len(a.Assign) != n {
-		return nil, fmt.Errorf("%w: loop shard %q: %d previous assignments for %d documents",
-			flatwire.ErrMalformed, a.Session, len(a.Assign), n)
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w: loop %q shard %d: %d previous assignments for %d documents",
+			flatwire.ErrMalformed, a.Loop, a.Shard, len(a.Assign), n)
 	}
 	for i, c := range a.Assign {
-		if c < -1 || int(c) >= s.k {
-			return nil, fmt.Errorf("%w: loop shard %q: document %d assigned to cluster %d of %d",
-				flatwire.ErrMalformed, a.Session, i, c, s.k)
+		if c < -1 || int(c) >= l.k {
+			return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w: loop %q shard %d: document %d assigned to cluster %d of %d",
+				flatwire.ErrMalformed, a.Loop, a.Shard, i, c, l.k)
 		}
 	}
-	if len(a.Centroids) != s.k || len(a.CNorms) != s.k {
-		return nil, fmt.Errorf("%w: loop shard %q: %d centroids and %d norms for k=%d",
-			flatwire.ErrMalformed, a.Session, len(a.Centroids), len(a.CNorms), s.k)
+	c, err := l.centroids(a.Iter)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
+	}
+	if c == nil {
+		return (&KMAssignReply{NeedCentroids: true}).AppendFlat(dst), nil
 	}
 	s.acc.Reset()
-	if s.layout != nil {
-		// Re-transpose this iteration's shipped centroids; block width never
-		// changes results, so the layout is purely a work-shape choice.
-		s.layout.Fill(a.Centroids)
-	}
-	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, a.Centroids, a.CNorms, s.layout, a.Assign, s.dists, s.acc)
-	return &KMAssignReply{Accum: s.acc.Wire(), Assign: a.Assign, Dists: s.dists}, nil
+	kmeans.AssignRange(0, n, l.k, s.docs, s.norms, c.cents, c.cnorms, c.layout, a.Assign, s.dists, s.acc)
+	s.wire = s.acc.WireInto(s.wire)
+	return (&KMAssignReply{Accum: s.wire, Assign: a.Assign, Dists: s.dists}).AppendFlat(dst), nil
 }
 
 // kmAssignReplyMagic identifies a flat kmeans.assign reply buffer.
 const kmAssignReplyMagic uint32 = 0x48504b41 // "HPKA"
 
-// EncodeFlat returns the reply in flat layout: magic, the accumulator's
-// flat wire form, then the assignment block and (optionally) the distance
-// block. Floats travel as IEEE 754 bits; the absorbed state is
-// bit-identical to the worker's.
-func (r *KMAssignReply) EncodeFlat() []byte {
-	b := flatwire.AppendU32(nil, kmAssignReplyMagic)
+// AppendFlat appends the reply in flat layout: magic, the miss mask, and —
+// unless that reports a miss — the accumulator's flat wire form, then the
+// assignment block and (optionally) the distance block. Floats travel as
+// IEEE 754 bits; the absorbed state is bit-identical to the worker's.
+func (r *KMAssignReply) AppendFlat(dst []byte) []byte {
+	b := flatwire.AppendU32(dst, kmAssignReplyMagic)
+	if r.NeedCentroids {
+		return flatwire.AppendU32(b, needCentroidsFlag)
+	}
+	b = flatwire.AppendU32(b, 0)
 	b = r.Accum.EncodeFlat(b)
 	b = flatwire.AppendU32(b, uint32(len(r.Assign)))
 	b = flatwire.AppendI32s(b, r.Assign)
@@ -507,10 +714,17 @@ func (r *KMAssignReply) EncodeFlat() []byte {
 }
 
 // DecodeFlatKMAssignReply decodes a flat kmeans.assign reply, validating
-// magic, counts, truncation and trailing bytes.
+// magic, miss mask, counts, truncation and trailing bytes.
 func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	r := flatwire.NewReader(body)
 	r.Magic(kmAssignReplyMagic, "kmeans assign reply")
+	flags := r.U32()
+	if flags&^needCentroidsFlag != 0 {
+		r.Fail("unknown miss flags %#x", flags)
+	}
+	if flags != 0 && r.Done() == nil {
+		return &KMAssignReply{NeedCentroids: true}, nil
+	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}
@@ -526,7 +740,7 @@ func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	case 1:
 		rep.Dists = r.F64s(n)
 	default:
-		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: bad distance marker")
+		r.Fail("bad distance marker")
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
@@ -534,27 +748,13 @@ func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	return rep, nil
 }
 
-// runKMAssignKernelFlat is the registered kernel: gob args in (small —
-// centroids and previous assignments), flat reply out (the hot direction:
-// the accumulator's sparse centroid sums every iteration).
-func runKMAssignKernelFlat(body []byte) ([]byte, error) {
-	var a KMAssignTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.assign: decode args: %w", err)
-	}
-	rep, err := runKMAssignKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
-	}
-	return rep.EncodeFlat(), nil
-}
-
 // KMSeedTaskArgs are the kmeans.seed kernel arguments — one seed round's
 // min-distance scan over one loop shard.
 type KMSeedTaskArgs struct {
-	// Session identifies the shard's worker-side session — the same key the
-	// assignment iterations use, so documents ship once for both.
-	Session string
+	// Loop and Shard identify the shard's worker-side session — the same
+	// one the assignment iterations use, so documents ship once for both.
+	Loop  string
+	Shard int
 	// Init is present on the shard's first contact with the worker only
 	// (usually the first seed round; the assignment tasks then find the
 	// session warm).
@@ -565,46 +765,61 @@ type KMSeedTaskArgs struct {
 	D2 []float64
 }
 
+// AppendFlat appends the arguments in flat form:
+//
+//	loop | shard u32 | last (one sparse row) | n u32 | d2 f64 × n | init
+func (a *KMSeedTaskArgs) AppendFlat(b []byte) []byte {
+	b = flatwire.AppendString(b, a.Loop)
+	b = flatwire.AppendU32(b, uint32(a.Shard))
+	b = sparse.AppendFlatVectors(b, []sparse.Vector{a.Last})
+	b = flatwire.AppendU32(b, uint32(len(a.D2)))
+	b = flatwire.AppendF64s(b, a.D2)
+	return a.Init.appendFlat(b)
+}
+
+// DecodeFlatKMSeedTaskArgs is AppendFlat's inverse; a present init is
+// validated.
+func DecodeFlatKMSeedTaskArgs(body []byte) (*KMSeedTaskArgs, error) {
+	r := flatwire.NewReader(body)
+	a := &KMSeedTaskArgs{Loop: r.String(), Shard: int(r.U32())}
+	if last := sparse.ConsumeFlatVectors(r, 1); last != nil {
+		a.Last = last[0]
+	}
+	a.D2 = r.F64s(r.Count(8))
+	a.Init = consumeKMShardInit(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("decode args: %w", err)
+	}
+	return a, nil
+}
+
 // kmSeedReplyMagic identifies a flat kmeans.seed reply buffer.
 const kmSeedReplyMagic uint32 = 0x48505344 // "HPSD"
 
 // runKMSeedKernel executes one seed round's scan on the worker: the same
 // kmeans.SeedScanRange the coordinator's local path runs, over the
-// session's cached documents — so the returned window is bit-identical to
-// a local scan.
-func runKMSeedKernel(a *KMSeedTaskArgs) ([]float64, error) {
-	s, err := kmSessionFor(a.Session, a.Init)
+// session's cached documents — so the returned window (magic, count, then
+// the min-updated distances as IEEE 754 bits) is bit-identical to a local
+// scan.
+func runKMSeedKernel(body, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatKMSeedTaskArgs(body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
+	}
+	s, err := kmLoopFor(a.Loop).session(a.Loop, a.Shard, a.Init)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(a.D2) != len(s.docs) {
-		return nil, fmt.Errorf("%w: loop shard %q: %d seed distances for %d documents",
-			flatwire.ErrMalformed, a.Session, len(a.D2), len(s.docs))
-	}
-	if len(a.Last.Idx) != len(a.Last.Val) {
-		return nil, fmt.Errorf("%w: loop shard %q: seed vector has %d indices for %d values",
-			flatwire.ErrMalformed, a.Session, len(a.Last.Idx), len(a.Last.Val))
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w: loop %q shard %d: %d seed distances for %d documents",
+			flatwire.ErrMalformed, a.Loop, a.Shard, len(a.D2), len(s.docs))
 	}
 	kmeans.SeedScanRange(s.docs, &a.Last, a.D2)
-	return a.D2, nil
-}
-
-// runKMSeedKernelFlat is the registered kernel: gob args in, flat reply out
-// (magic, count, then the min-updated distance window as IEEE 754 bits).
-func runKMSeedKernelFlat(body []byte) ([]byte, error) {
-	var a KMSeedTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.seed: decode args: %w", err)
-	}
-	d2, err := runKMSeedKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
-	}
-	b := flatwire.AppendU32(nil, kmSeedReplyMagic)
-	b = flatwire.AppendU32(b, uint32(len(d2)))
-	return flatwire.AppendF64s(b, d2), nil
+	b := flatwire.AppendU32(dst, kmSeedReplyMagic)
+	b = flatwire.AppendU32(b, uint32(len(a.D2)))
+	return flatwire.AppendF64s(b, a.D2), nil
 }
 
 // DecodeFlatKMSeedReply decodes a flat kmeans.seed reply, validating magic,
@@ -640,7 +855,7 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	}
 	opts := o.Opts
 	pair := o.pair
-	args := CountTaskArgs{Shard: *spec, Opts: wopts}
+	args := &CountTaskArgs{Shard: *spec, Opts: wopts}
 	affinity := ""
 	if pair != nil {
 		args.Session = pair.countSession(idx)
@@ -648,10 +863,9 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	}
 	return &RemoteTask{
 		Op:       "tfidf.count",
-		Args:     args,
+		Args:     args.AppendFlat,
 		Affinity: affinity,
 		Phase:    tfidf.PhaseInputWC,
-		Codec:    "flat",
 		Absorb: func(body []byte) (Value, error) {
 			w, err := tfidf.DecodeFlatWireShardCounts(body)
 			if err != nil {
@@ -667,10 +881,10 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 
 // RemoteTask implements Remotable: a transform shard ships by reference
 // where it can — the global table always as its content hash (the body is
-// pulled by resend only on the first miss per worker), the counts by
-// session key when the map stage cached them on a worker — and absorbs the
-// flat VectorShard reply. Shards counted locally inline their counts, as
-// before.
+// the task's keyed body, shipped only on the first miss per worker), the
+// counts by session key when the map stage cached them on a worker — and
+// absorbs the flat VectorShard reply. Shards counted locally inline their
+// counts.
 func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	sc, ok := ins[0].(*tfidf.ShardCounts)
 	if !ok {
@@ -685,7 +899,7 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 		return nil, false
 	}
 	pair := o.pair
-	args := TransformTaskArgs{GlobalHash: g.ContentHash(), Opts: wopts}
+	args := &TransformTaskArgs{GlobalHash: g.ContentHash(), Opts: wopts}
 	affinity := ""
 	if pair != nil && pair.wasCounted(idx) {
 		args.CountsSession = pair.countSession(idx)
@@ -695,10 +909,13 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 	}
 	return &RemoteTask{
 		Op:       "tfidf.transform",
-		Args:     args,
+		Args:     args.AppendFlat,
 		Affinity: affinity,
 		Phase:    tfidf.PhaseTransform,
-		Codec:    "flat",
+		keyed: &keyedBody{op: "tfidf.global", encode: func() []byte {
+			globalReships.Add(1)
+			return appendGlobalStore(nil, wopts.DictKind, g)
+		}},
 		Absorb: func(body []byte) (Value, error) {
 			r := flatwire.NewReader(body)
 			r.Magic(transformReplyMagic, "transform reply")
@@ -710,16 +927,13 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: unknown miss flags %#x", flags)
 			}
 			if flags != 0 {
-				resend := args
-				if flags&needGlobalFlag != 0 {
-					resend.GlobalFlat = g.Wire().EncodeFlat(nil)
-					globalReships.Add(1)
-				}
+				nr := &needResend{Keyed: flags&needGlobalFlag != 0}
 				if flags&needCountsFlag != 0 {
-					resend.Counts = sc.Wire(false)
-					resend.CountsSession = ""
+					resend := *args
+					resend.Counts, resend.CountsSession = sc.Wire(false), ""
+					nr.Args = resend.AppendFlat
 				}
-				return nil, &needResend{Args: resend}
+				return nil, nr
 			}
 			vs, err := tfidf.DecodeFlatVectorShard(body[8:])
 			if err != nil {

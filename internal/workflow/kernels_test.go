@@ -1,11 +1,10 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 
@@ -128,32 +127,22 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 	}
 }
 
-// gobBody encodes kernel arguments the way the RPC backend would.
-func gobBody(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode %T: %v", v, err)
-	}
-	return buf.Bytes()
-}
-
 // clearWorkerCaches resets the worker-side transform caches, so cache
 // protocol tests start from a cold worker regardless of test order.
 func clearWorkerCaches() {
-	globalCache.Lock()
-	globalCache.m = make(map[globalCacheKey]*globalCacheEntry)
-	globalCache.Unlock()
-	countCache.Lock()
-	countCache.m = make(map[string]*countCacheEntry)
-	countCache.Unlock()
+	globalCache.mu.Lock()
+	globalCache.m = nil
+	globalCache.mu.Unlock()
+	countCache.mu.Lock()
+	countCache.m = nil
+	countCache.mu.Unlock()
 }
 
 // transformFlags runs the transform kernel and returns the reply's miss
 // bitmask, plus the raw reply for payload decoding.
 func transformFlags(t *testing.T, args TransformTaskArgs) (uint32, []byte) {
 	t.Helper()
-	reply, err := runTransformKernelFlat(gobBody(t, args))
+	reply, err := runTransformKernel(args.AppendFlat(nil), nil)
 	if err != nil {
 		t.Fatalf("transform kernel: %v", err)
 	}
@@ -203,20 +192,21 @@ func TestTransformKernelCacheProtocol(t *testing.T) {
 
 	// 2. Counts cached (as the count kernel would): only the global missing —
 	// and the miss must not consume the cached counts (the resend needs them).
-	cacheCounts("sess-a", count())
+	countCache.put("sess-a", count())
 	flags, _ = transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", GlobalHash: hash, Opts: wopts})
 	if flags != needGlobalFlag {
 		t.Fatalf("counts-cached flags = %#x, want %#x", flags, needGlobalFlag)
 	}
-	if peekCounts("sess-a") == nil {
+	if _, ok := countCache.get("sess-a", nil); !ok {
 		t.Fatalf("global miss consumed the cached counts")
 	}
 
-	// 3. The resend inlines the global body: full reply, cached counts
-	// consumed, table cached for every later shard.
-	flags, reply := transformFlags(t, TransformTaskArgs{
-		CountsSession: "sess-a", GlobalFlat: g.Wire().EncodeFlat(nil), GlobalHash: hash, Opts: wopts,
-	})
+	// 3. The resend ships the global body ahead of the task: full reply,
+	// cached counts consumed, table cached for every later shard.
+	if _, err := storeGlobalKernel(appendGlobalStore(nil, wopts.DictKind, g), nil); err != nil {
+		t.Fatalf("store global: %v", err)
+	}
+	flags, reply := transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", GlobalHash: hash, Opts: wopts})
 	if flags != 0 {
 		t.Fatalf("resend flags = %#x, want 0", flags)
 	}
@@ -225,13 +215,13 @@ func TestTransformKernelCacheProtocol(t *testing.T) {
 		t.Fatalf("decode transform payload: %v", err)
 	}
 	assertShardEqual(t, "resend", vs, expected)
-	if peekCounts("sess-a") != nil {
+	if _, ok := countCache.get("sess-a", nil); ok {
 		t.Errorf("transform left the consumed counts cached")
 	}
 
 	// 4. A later shard on the same worker: the hash alone suffices — no
 	// second body ship is ever requested (the ≤ once per worker bound).
-	cacheCounts("sess-b", count())
+	countCache.put("sess-b", count())
 	flags, reply = transformFlags(t, TransformTaskArgs{CountsSession: "sess-b", GlobalHash: hash, Opts: wopts})
 	if flags != 0 {
 		t.Fatalf("warm-cache flags = %#x: worker requested a second global ship", flags)
@@ -314,9 +304,9 @@ func TestGlobalShipsBounded(t *testing.T) {
 	if n := b.PinnedAffinities(); n != 0 {
 		t.Errorf("%d affinity pins left after the runs (scope release failed)", n)
 	}
-	countCache.Lock()
+	countCache.mu.Lock()
 	left := len(countCache.m)
-	countCache.Unlock()
+	countCache.mu.Unlock()
 	if left != 0 {
 		t.Errorf("%d count-cache sessions left on the worker after the runs", left)
 	}
@@ -337,7 +327,7 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		{Accum: acc, Assign: []int32{0, 1, 0}, Dists: []float64{0.5, 1.5, 2.5}},
 		{Accum: acc, Assign: []int32{1, 1, 0}},
 	} {
-		got, err := DecodeFlatKMAssignReply(rep.EncodeFlat())
+		got, err := DecodeFlatKMAssignReply(rep.AppendFlat(nil))
 		if err != nil {
 			t.Fatalf("DecodeFlatKMAssignReply: %v", err)
 		}
@@ -351,15 +341,24 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		}
 	}
 
-	good := (&KMAssignReply{Accum: acc, Assign: []int32{0, 1}}).EncodeFlat()
+	miss := (&KMAssignReply{NeedCentroids: true}).AppendFlat(nil)
+	if got, err := DecodeFlatKMAssignReply(miss); err != nil || !got.NeedCentroids || got.Accum != nil {
+		t.Errorf("miss round trip: got %+v, %v", got, err)
+	}
+
+	good := (&KMAssignReply{Accum: acc, Assign: []int32{0, 1}}).AppendFlat(nil)
 	badMarker := append([]byte{}, good...)
 	badMarker[len(badMarker)-4] = 7 // distance marker is the trailing u32
+	badFlags := append([]byte{}, good...)
+	badFlags[4] = 0x40 // the miss mask follows the magic
 	for name, b := range map[string][]byte{
-		"empty":      {},
-		"bad magic":  append([]byte{1, 1, 1, 1}, good[4:]...),
-		"truncated":  good[:len(good)-3],
-		"trailing":   append(append([]byte{}, good...), 0xff),
-		"bad marker": badMarker,
+		"empty":         {},
+		"bad magic":     append([]byte{1, 1, 1, 1}, good[4:]...),
+		"truncated":     good[:len(good)-3],
+		"trailing":      append(append([]byte{}, good...), 0xff),
+		"bad marker":    badMarker,
+		"unknown flags": badFlags,
+		"miss + body":   append(append([]byte{}, miss...), good[8:]...),
 	} {
 		if rep, err := DecodeFlatKMAssignReply(b); err == nil {
 			t.Errorf("%s: decoded without error: %+v", name, rep)
@@ -367,11 +366,29 @@ func TestKMAssignReplyFlat(t *testing.T) {
 	}
 }
 
+// pipeWorker serves the worker protocol on one end of a net.Pipe and
+// returns a raw client on the other: kernel calls with hand-built bodies
+// over the real frame loop.
+func pipeWorker(t testing.TB) *wireClient {
+	t.Helper()
+	coord, work := net.Pipe()
+	go ServeWorkerConn(work)
+	c := newWireClient(coord)
+	t.Cleanup(func() { c.close() })
+	return c
+}
+
+// call ships one request and returns the kernel's reply body.
+func (c *wireClient) call(op string, body []byte) ([]byte, error) {
+	rep, _, err := c.roundTrip(op, body, nil, 0, false)
+	return rep.body, err
+}
+
 // TestKMKernelsRejectMalformedRequests: a worker serves whatever arrives on
-// its socket and net/rpc does not recover, so every shape the K-Means
-// kernels index by must come back as an error wrapping
-// flatwire.ErrMalformed — a panic here is a dead worker process. A healthy
-// request on the same worker still succeeds afterwards.
+// its socket, so every shape the K-Means kernels index by must come back as
+// an error wrapping flatwire.ErrMalformed — a panic here used to be a dead
+// worker process. A healthy request on the same worker still succeeds
+// afterwards.
 func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	docs := []sparse.Vector{
 		{Idx: []uint32{0, 2}, Val: []float64{1, 2}},
@@ -380,17 +397,19 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	goodInit := func() *KMShardInit {
 		return &KMShardInit{Vectors: docs, Norms: []float64{5, 9}, Dim: 3, K: 2, Block: 4}
 	}
-	goodAssign := func(session string) KMAssignTaskArgs {
-		return KMAssignTaskArgs{
-			Session:   session,
-			Init:      goodInit(),
-			Centroids: [][]float64{{1, 0, 2}, {0, 3, 0}},
-			CNorms:    []float64{5, 9},
-			Assign:    []int32{-1, -1},
-		}
+	goodAssign := func(loop string) *KMAssignTaskArgs {
+		return &KMAssignTaskArgs{Loop: loop, Init: goodInit(), Assign: []int32{-1, -1}}
 	}
-	goodSeed := func(session string) KMSeedTaskArgs {
-		return KMSeedTaskArgs{Session: session, Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
+	goodSeed := func(loop string) *KMSeedTaskArgs {
+		return &KMSeedTaskArgs{Loop: loop, Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
+	}
+	// block is a store-frame body: the loop's iteration-0 centroids.
+	block := func(loop string, cents [][]float64, cnorms []float64) []byte {
+		b := flatwire.AppendU64(flatwire.AppendString(nil, loop), 0)
+		return kmeans.AppendFlatCentroids(b, cents, cnorms)
+	}
+	goodBlock := func(loop string) []byte {
+		return block(loop, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5, 9})
 	}
 	inits := map[string]func(*KMShardInit){
 		"k=0":              func(in *KMShardInit) { in.K = 0 },
@@ -402,59 +421,90 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 		"short norms":      func(in *KMShardInit) { in.Norms = in.Norms[:1] },
 		"idx/val mismatch": func(in *KMShardInit) { in.Vectors = []sparse.Vector{{Idx: []uint32{0, 1}, Val: []float64{1}}, docs[1]} },
 		"index past dim":   func(in *KMShardInit) { in.Vectors = []sparse.Vector{{Idx: []uint32{7}, Val: []float64{1}}, docs[1]} },
+		"unsorted indices": func(in *KMShardInit) {
+			in.Vectors = []sparse.Vector{{Idx: []uint32{2, 0}, Val: []float64{1, 2}}, docs[1]}
+		},
 	}
 	type request struct {
-		op   string
-		args any
+		op    string
+		body  []byte
+		store []byte // a centroid block shipped ahead of the request, if any
 	}
 	cases := map[string]request{}
 	for name, mutate := range inits {
 		a, s := goodAssign("hostile-assign-"+name), goodSeed("hostile-seed-"+name)
 		mutate(a.Init)
 		mutate(s.Init)
-		cases["assign init "+name] = request{"kmeans.assign", a}
-		cases["seed init "+name] = request{"kmeans.seed", s}
+		cases["assign init "+name] = request{"kmeans.assign", a.AppendFlat(nil), goodBlock(a.Loop)}
+		cases["seed init "+name] = request{"kmeans.seed", s.AppendFlat(nil), nil}
 	}
 	for name, mutate := range map[string]func(*KMAssignTaskArgs){
-		"short assign":     func(a *KMAssignTaskArgs) { a.Assign = a.Assign[:1] },
-		"assign >= k":      func(a *KMAssignTaskArgs) { a.Assign[1] = 2 },
-		"assign < -1":      func(a *KMAssignTaskArgs) { a.Assign[0] = -2 },
-		"missing centroid": func(a *KMAssignTaskArgs) { a.Centroids = a.Centroids[:1] },
-		"missing norm":     func(a *KMAssignTaskArgs) { a.CNorms = nil },
+		"short assign": func(a *KMAssignTaskArgs) { a.Assign = a.Assign[:1] },
+		"assign >= k":  func(a *KMAssignTaskArgs) { a.Assign[1] = 2 },
+		"assign < -1":  func(a *KMAssignTaskArgs) { a.Assign[0] = -2 },
 	} {
 		a := goodAssign("hostile-assign-args-" + name)
-		mutate(&a)
-		cases["assign args "+name] = request{"kmeans.assign", a}
+		mutate(a)
+		cases["assign args "+name] = request{"kmeans.assign", a.AppendFlat(nil), goodBlock(a.Loop)}
+	}
+	for name, blk := range map[string]func(loop string) []byte{
+		"missing centroid": func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2}}, []float64{5}) },
+		"missing norm":     func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5}) },
+		"row past dim":     func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2, 4}, {0, 3, 0}}, []float64{5, 9}) },
+		"truncated":        func(loop string) []byte { b := goodBlock(loop); return b[:len(b)-3] },
+	} {
+		a := goodAssign("hostile-block-" + name)
+		cases["assign block "+name] = request{"kmeans.assign", a.AppendFlat(nil), blk(a.Loop)}
 	}
 	for name, mutate := range map[string]func(*KMSeedTaskArgs){
 		"short d2":              func(s *KMSeedTaskArgs) { s.D2 = s.D2[:1] },
 		"seed idx/val mismatch": func(s *KMSeedTaskArgs) { s.Last = sparse.Vector{Idx: []uint32{0, 1}, Val: []float64{1}} },
 	} {
 		s := goodSeed("hostile-seed-args-" + name)
-		mutate(&s)
-		cases["seed args "+name] = request{"kmeans.seed", s}
+		mutate(s)
+		cases["seed args "+name] = request{"kmeans.seed", s.AppendFlat(nil), nil}
 	}
+	good := goodAssign("hostile-truncated").AppendFlat(nil)
+	cases["assign args truncated"] = request{"kmeans.assign", good[:len(good)-2], nil}
+	cases["assign args trailing"] = request{"kmeans.assign", append(good, 0), nil}
+	cases["seed args empty"] = request{"kmeans.seed", nil, nil}
+	cases["centroid store without a key"] = request{"kmeans.centroids", []byte{1, 2}, nil}
+
+	c := pipeWorker(t)
 	for name, rq := range cases {
-		var resp RPCResponse
-		err := Worker{}.Run(&RPCRequest{Op: rq.op, Body: gobBody(t, rq.args)}, &resp)
-		if !errors.Is(err, flatwire.ErrMalformed) {
+		if rq.store != nil {
+			if _, err := c.call("kmeans.centroids", rq.store); err != nil {
+				t.Errorf("%s: storing the block: %v", name, err)
+			}
+		}
+		if _, err := c.call(rq.op, rq.body); !errors.Is(err, flatwire.ErrMalformed) {
 			t.Errorf("%s: error %v, want one wrapping flatwire.ErrMalformed", name, err)
 		}
 	}
 
-	var resp RPCResponse
-	if err := (Worker{}).Run(&RPCRequest{Op: "kmeans.seed", Body: gobBody(t, goodSeed("healthy"))}, &resp); err != nil {
+	reply, err := c.call("kmeans.seed", goodSeed("healthy").AppendFlat(nil))
+	if err != nil {
 		t.Fatalf("healthy seed request after the hostile ones: %v", err)
 	}
-	if d2, err := DecodeFlatKMSeedReply(resp.Body); err != nil || len(d2) != 2 || d2[1] != 0 {
+	if d2, err := DecodeFlatKMSeedReply(reply); err != nil || len(d2) != 2 || d2[1] != 0 {
 		t.Fatalf("healthy seed reply: %v, %v", d2, err)
 	}
 	healthy := goodAssign("healthy")
 	healthy.Init = nil // the seed request above created the session
-	if err := (Worker{}).Run(&RPCRequest{Op: "kmeans.assign", Body: gobBody(t, healthy)}, &resp); err != nil {
+	// Without the iteration's block the worker asks for it rather than
+	// scanning against stale centroids.
+	reply, err = c.call("kmeans.assign", healthy.AppendFlat(nil))
+	if rep, derr := DecodeFlatKMAssignReply(reply); err != nil || derr != nil || !rep.NeedCentroids {
+		t.Fatalf("assign without a centroid block: %+v, %v, %v", rep, err, derr)
+	}
+	if _, err := c.call("kmeans.centroids", goodBlock("healthy")); err != nil {
+		t.Fatalf("healthy centroid store: %v", err)
+	}
+	reply, err = c.call("kmeans.assign", healthy.AppendFlat(nil))
+	if err != nil {
 		t.Fatalf("healthy assign request after the hostile ones: %v", err)
 	}
-	rep, err := DecodeFlatKMAssignReply(resp.Body)
+	rep, err := DecodeFlatKMAssignReply(reply)
 	if err != nil || !reflect.DeepEqual(rep.Assign, []int32{0, 1}) {
 		t.Fatalf("healthy assign reply: %+v, %v", rep, err)
 	}

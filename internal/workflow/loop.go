@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/pario"
 	"hpa/internal/sparse"
@@ -163,15 +164,21 @@ type kmLoopState struct {
 	ordered []*kmeans.Accum // scratch for the ordered reduce
 
 	// Remote-shard bookkeeping: the documents and norms to ship on a
-	// shard's first remote iteration, a loop-unique session prefix, and
-	// which shards already initialized their worker session.
+	// shard's first remote iteration, the loop's process-unique worker-side
+	// name, and which shards already initialized their worker session.
 	docs    []sparse.Vector
 	norms   []float64
-	loopID  uint64
+	loopKey string
 	shipped []bool
+
+	// block is the current iteration's centroid block, shared by the
+	// wave's shard tasks: encoded once, shipped once per worker.
+	blockMu   sync.Mutex
+	block     *keyedBody
+	blockIter int
 }
 
-// kmLoopSeq makes loop session prefixes process-unique.
+// kmLoopSeq makes loop names process-unique.
 var kmLoopSeq atomic.Uint64
 
 // kmInput unpacks a K-Means input — of the unpartitioned operator or of
@@ -260,7 +267,7 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 		ordered: make([]*kmeans.Accum, 0, shards),
 		docs:    docs,
 		norms:   c.DocNorms(),
-		loopID:  kmLoopSeq.Add(1),
+		loopKey: fmt.Sprintf("km-%d-%d", os.Getpid(), kmLoopSeq.Add(1)),
 		shipped: make([]bool, shards),
 	}
 	for q := range st.accs {
@@ -324,29 +331,19 @@ func (s *kmLoopState) EndPrepare(ctx *Context, round int) error {
 // path runs and returns the updated window, floats as IEEE 754 bits.
 func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
-	session := s.sessionKey(idx)
-	args := KMSeedTaskArgs{
-		Session: session,
-		Last:    *s.seeding.Last(),
-		D2:      s.seeding.D2(lo, hi),
-	}
-	if !s.shipped[idx] {
-		args.Init = &KMShardInit{
-			Vectors:   s.docs[lo:hi],
-			Norms:     s.norms[lo:hi],
-			Dim:       s.dim,
-			K:         s.c.K(),
-			WantDists: s.c.TracksDists(),
-			Block:     s.c.BlockWidth(),
-		}
+	args := &KMSeedTaskArgs{
+		Loop:  s.loopKey,
+		Shard: idx,
+		Init:  s.shardInit(idx),
+		Last:  *s.seeding.Last(),
+		D2:    s.seeding.D2(lo, hi),
 	}
 	seeding := s.seeding
 	return &RemoteTask{
 		Op:       "kmeans.seed",
-		Args:     args,
-		Affinity: session,
+		Args:     args.AppendFlat,
+		Affinity: s.sessionKey(idx),
 		Phase:    kmeans.PhaseKMeans,
-		Codec:    "flat",
 		Absorb: func(body []byte) (Value, error) {
 			d2, err := DecodeFlatKMSeedReply(body)
 			if err != nil {
@@ -374,52 +371,82 @@ func (s *kmLoopState) RunShard(ctx *Context, idx, total int) (any, error) {
 	return a, nil
 }
 
+// sessionKey is one shard's affinity key: what pins the shard's tasks to
+// the worker holding its session, unique per process and loop.
+func (s *kmLoopState) sessionKey(idx int) string {
+	return fmt.Sprintf("%s-%d", s.loopKey, idx)
+}
+
+// shardInit returns the session init a shard's task must carry, nil once a
+// worker holds the session.
+func (s *kmLoopState) shardInit(idx int) *KMShardInit {
+	if s.shipped[idx] {
+		return nil
+	}
+	lo, hi := s.bounds[idx], s.bounds[idx+1]
+	return &KMShardInit{
+		Vectors:   s.docs[lo:hi],
+		Norms:     s.norms[lo:hi],
+		Dim:       s.dim,
+		K:         s.c.K(),
+		WantDists: s.c.TracksDists(),
+		Block:     s.c.BlockWidth(),
+	}
+}
+
+// centroidBlock returns iteration iter's centroid block — centroids and
+// norms as k sparse rows under the key (loop, iter) — created by the
+// wave's first shard task and shared by the rest, so it is encoded once
+// per iteration and, being eager, shipped once per worker.
+func (s *kmLoopState) centroidBlock(iter int) *keyedBody {
+	s.blockMu.Lock()
+	defer s.blockMu.Unlock()
+	if s.block == nil || s.blockIter != iter {
+		s.blockIter = iter
+		s.block = &keyedBody{op: "kmeans.centroids", eager: true, encode: func() []byte {
+			b := flatwire.AppendString(nil, s.loopKey)
+			b = flatwire.AppendU64(b, uint64(iter))
+			return kmeans.AppendFlatCentroids(b, s.c.Centroids(), s.c.CentroidNorms())
+		}}
+	}
+	return s.block
+}
+
 // RemoteShardTask implements RemotableLoop: one iteration of one shard as
 // a kmeans.assign kernel call. The shard's documents and norms ship once
 // (Init) and stay cached in a worker session the affinity key pins; every
-// iteration ships the current centroids and the shard's previous
-// assignments, and absorbs the worker's accumulator wire form into the
-// shard's recycled Accum — the same partial the local path would produce,
-// bit for bit, because the worker runs the same kmeans.AssignRange over
-// the same documents.
-// sessionKey names one shard's worker-side session, unique per process
-// and loop.
-func (s *kmLoopState) sessionKey(idx int) string {
-	return fmt.Sprintf("km-%d-%d-%d", os.Getpid(), s.loopID, idx)
-}
-
+// iteration names the iteration's centroid block (shipped once per worker,
+// see centroidBlock), ships the shard's previous assignments, and absorbs
+// the worker's accumulator wire form into the shard's recycled Accum — the
+// same partial the local path would produce, bit for bit, because the
+// worker runs the same kmeans.AssignRange over the same documents against
+// the same centroid bits.
 func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
-	session := s.sessionKey(idx)
-	args := KMAssignTaskArgs{
-		Session:   session,
-		Centroids: s.c.Centroids(),
-		CNorms:    s.c.CentroidNorms(),
-		Assign:    s.c.Assignments()[lo:hi],
-	}
-	if !s.shipped[idx] {
-		args.Init = &KMShardInit{
-			Vectors:   s.docs[lo:hi],
-			Norms:     s.norms[lo:hi],
-			Dim:       s.dim,
-			K:         s.c.K(),
-			WantDists: s.c.TracksDists(),
-			Block:     s.c.BlockWidth(),
-		}
+	iter := s.c.Iterations()
+	args := &KMAssignTaskArgs{
+		Loop:   s.loopKey,
+		Shard:  idx,
+		Iter:   iter,
+		Init:   s.shardInit(idx),
+		Assign: s.c.Assignments()[lo:hi],
 	}
 	acc := s.accs[idx]
 	return &RemoteTask{
 		Op:       "kmeans.assign",
-		Args:     args,
-		Affinity: session,
+		Args:     args.AppendFlat,
+		Affinity: s.sessionKey(idx),
 		Phase:    kmeans.PhaseKMeans,
-		Codec:    "flat",
+		keyed:    s.centroidBlock(iter),
 		Absorb: func(body []byte) (Value, error) {
 			rep, err := DecodeFlatKMAssignReply(body)
 			if err != nil {
 				return nil, err
 			}
-			if rep.Accum == nil || len(rep.Assign) != hi-lo {
+			if rep.NeedCentroids {
+				return nil, &needResend{Keyed: true}
+			}
+			if len(rep.Assign) != hi-lo {
 				return nil, fmt.Errorf("%w: kmeans.assign reply for shard %d is malformed", ErrType, idx)
 			}
 			if err := acc.FromWire(rep.Accum); err != nil {

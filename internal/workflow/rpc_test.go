@@ -1,0 +1,319 @@
+package workflow
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"hpa/internal/flatwire"
+	"hpa/internal/kmeans"
+	"hpa/internal/sparse"
+)
+
+func init() {
+	RegisterKernel("test.echo", func(args []byte) ([]byte, error) { return args, nil })
+	RegisterKernel("test.sleep", func(args []byte) ([]byte, error) {
+		time.Sleep(20 * time.Millisecond)
+		return args, nil
+	})
+	RegisterKernel("test.panic", func([]byte) ([]byte, error) { panic("kernel bug") })
+}
+
+// requestFrame builds one request frame by hand.
+func requestFrame(id uint64, op string, body []byte) []byte {
+	b := flatwire.AppendU32(nil, uint32(8+flatwire.SizeString(op)+len(body)))
+	b = flatwire.AppendU64(b, id)
+	b = flatwire.AppendString(b, op)
+	return append(b, body...)
+}
+
+// TestWorkerSurvivesHostileFrames: a worker serves whatever arrives on its
+// socket. Every hostile input must end in an error reply — wrapping
+// flatwire.ErrMalformed where the input was at fault — or, when no reply
+// could be addressed, in that one connection closed; never in a dead
+// worker: after each case a healthy request on a fresh connection to the
+// same worker succeeds.
+func TestWorkerSurvivesHostileFrames(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ServeWorker(lis) }()
+	defer func() {
+		lis.Close()
+		<-served
+	}()
+
+	garbage := bytes.Repeat([]byte{0xfe}, 40)
+	cases := []struct {
+		name string
+		raw  []byte
+		// closed: the worker must close the connection without a reply.
+		// Otherwise it must reply with an error; malformed says whether
+		// that error wraps flatwire.ErrMalformed.
+		closed, malformed bool
+		text              string
+	}{
+		{name: "frame over the cap", raw: flatwire.AppendU32(nil, maxFrameBytes+1), closed: true},
+		{name: "length with nothing behind it", raw: flatwire.AppendU32(nil, maxFrameBytes), closed: true},
+		{name: "truncated frame", raw: requestFrame(1, "test.echo", garbage)[:30], closed: true},
+		{name: "header without an op", raw: append(flatwire.AppendU32(nil, 5), 1, 2, 3, 4, 5), closed: true},
+		{name: "op longer than the frame", raw: append(flatwire.AppendU32(nil, 12), append(make([]byte, 8), 0xff, 0xff, 0, 0)...), closed: true},
+		{name: "unknown op", raw: requestFrame(2, "no.such.kernel", nil), malformed: true, text: "no kernel"},
+		{name: "count args", raw: requestFrame(3, "tfidf.count", garbage), malformed: true},
+		{name: "transform args", raw: requestFrame(4, "tfidf.transform", garbage), malformed: true},
+		{name: "global store", raw: requestFrame(5, "tfidf.global", garbage), malformed: true},
+		{name: "assign args", raw: requestFrame(6, "kmeans.assign", garbage), malformed: true},
+		{name: "seed args", raw: requestFrame(7, "kmeans.seed", garbage), malformed: true},
+		{name: "centroid store", raw: requestFrame(8, "kmeans.centroids", garbage[:3]), malformed: true},
+		{name: "empty body", raw: requestFrame(9, "kmeans.assign", nil), malformed: true},
+		{name: "kernel panic", raw: requestFrame(10, "test.panic", nil), text: "panicked"},
+	}
+	for _, tc := range cases {
+		conn, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatalf("%s: dial: %v", tc.name, err)
+		}
+		if tc.closed {
+			if _, err := conn.Write(tc.raw); err != nil {
+				t.Fatalf("%s: write: %v", tc.name, err)
+			}
+			// A frame the worker is still waiting on ends when we hang up
+			// our writing half; the worker must then close, not reply.
+			conn.(*net.TCPConn).CloseWrite()
+			if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
+				t.Errorf("%s: worker sent %d bytes (%v), want the connection closed silently", tc.name, len(rest), err)
+			}
+			conn.Close()
+		} else {
+			c := newWireClient(conn)
+			ch := make(chan wireReply, 1)
+			c.mu.Lock()
+			c.pending[uint64(tc.raw[4])] = ch // ids above fit one byte
+			c.mu.Unlock()
+			if _, err := conn.Write(tc.raw); err != nil {
+				t.Fatalf("%s: write: %v", tc.name, err)
+			}
+			rep := <-ch
+			switch {
+			case rep.err == nil:
+				t.Errorf("%s: worker replied without an error", tc.name)
+			case errors.Is(rep.err, flatwire.ErrMalformed) != tc.malformed:
+				t.Errorf("%s: error %v, wraps ErrMalformed = %v, want %v", tc.name, rep.err, !tc.malformed, tc.malformed)
+			case !strings.Contains(rep.err.Error(), tc.text):
+				t.Errorf("%s: error %v lacks %q", tc.name, rep.err, tc.text)
+			}
+			c.close()
+		}
+
+		healthy, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatalf("%s: dial after: %v", tc.name, err)
+		}
+		c := newWireClient(healthy)
+		if body, err := c.call("test.echo", []byte("still here")); err != nil || string(body) != "still here" {
+			t.Fatalf("%s: healthy request afterwards: %q, %v", tc.name, body, err)
+		}
+		c.close()
+	}
+}
+
+// TestClientRejectsHostileReplies: the coordinator's read loop must turn an
+// unknown status into an error wrapping flatwire.ErrMalformed for the call
+// it answers, and a reply stream it cannot parse into a failed connection
+// for every call waiting on it — never a hang.
+func TestClientRejectsHostileReplies(t *testing.T) {
+	reply := func(id uint64, status byte, body string) []byte {
+		b := flatwire.AppendU32(nil, uint32(8+1+8+len(body)))
+		b = flatwire.AppendU64(b, id)
+		b = flatwire.AppendU8(b, status)
+		b = flatwire.AppendU64(b, 1234)
+		return append(b, body...)
+	}
+	for name, tc := range map[string]struct {
+		raw       []byte
+		malformed bool
+	}{
+		"unknown status":  {reply(1, 9, "?"), true},
+		"malformed":       {reply(1, statusMalformed, "bad body"), true},
+		"kernel error":    {reply(1, statusError, "disk full"), false},
+		"short reply":     {append(flatwire.AppendU32(nil, 3), 1, 2, 3), true},
+		"frame over cap":  {flatwire.AppendU32(nil, maxFrameBytes+1), true},
+		"closed mid-call": {nil, false},
+	} {
+		coord, work := net.Pipe()
+		go func() {
+			readFrame(work) // the request
+			work.Write(tc.raw)
+			work.Close()
+		}()
+		c := newWireClient(coord)
+		_, err := c.call("test.echo", []byte("x"))
+		if err == nil || errors.Is(err, flatwire.ErrMalformed) != tc.malformed {
+			t.Errorf("%s: error %v, want one wrapping ErrMalformed = %v", name, err, tc.malformed)
+		}
+		c.close()
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix with nothing behind
+// it must cost a chunk, not the length it names.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hostile := append(flatwire.AppendU32(nil, maxFrameBytes), 1, 2, 3)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := readFrame(bytes.NewReader(hostile)); err == nil {
+		t.Fatal("truncated frame read without error")
+	}
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4*frameChunk {
+		t.Errorf("a 7-byte input made readFrame allocate %d bytes", grew)
+	}
+	big := make([]byte, 3*frameChunk+17)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	got, err := readFrame(bytes.NewReader(append(flatwire.AppendU32(nil, uint32(len(big))), big...)))
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("multi-chunk frame: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestShipEWMAExcludesWorkerRun: the ship EWMA prices shipping, not the
+// kernel — a kernel that sleeps 20 ms must leave it within a few ms of the
+// echo kernel's.
+func TestShipEWMAExcludesWorkerRun(t *testing.T) {
+	measure := func(op string) float64 {
+		b := pipeBackend(t, 1)
+		payload := bytes.Repeat([]byte{7}, 4096)
+		task := &Task{Remote: &RemoteTask{
+			Op:     op,
+			Args:   func(dst []byte) []byte { return append(dst, payload...) },
+			Absorb: func([]byte) (Value, error) { return nil, nil },
+		}}
+		for i := 0; i < 5; i++ {
+			if _, err := b.RunTask(nil, task); err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		}
+		ns, n := b.MeasuredShipNS()
+		if n != 5 {
+			t.Fatalf("%s: %d ship samples, want 5", op, n)
+		}
+		return ns
+	}
+	echo, sleep := measure("test.echo"), measure("test.sleep")
+	if diff := math.Abs(sleep - echo); diff > 10e6 {
+		t.Errorf("ship EWMA %.2f ms behind a 20 ms kernel vs %.2f ms behind echo: the kernel's run time leaked in",
+			sleep/1e6, echo/1e6)
+	}
+}
+
+// blockLoser is an RPCBackend that, for one wave of the K-Means loop,
+// behaves as if every worker had been sent the wave's centroid block when
+// none was: the workers miss, and the run must recover through the resend.
+type blockLoser struct {
+	*RPCBackend
+	mu   sync.Mutex
+	seen map[*keyedBody]bool
+	lose int // which distinct block (0-based) to lose; -1 for none
+}
+
+func (b *blockLoser) RunTask(ctx *Context, t *Task) (Value, error) {
+	if rt := t.Remote; rt != nil && rt.Op == "kmeans.assign" {
+		b.mu.Lock()
+		if !b.seen[rt.keyed] {
+			if len(b.seen) == b.lose {
+				for w := range b.clients {
+					rt.keyed.claim(w, false)
+				}
+			}
+			b.seen[rt.keyed] = true
+		}
+		b.mu.Unlock()
+	}
+	return b.RPCBackend.RunTask(ctx, t)
+}
+
+// TestCentroidBlockShipsOncePerWorker: 4 loop shards on 2 workers over N
+// iterations must put exactly 2 × N centroid blocks on the wire — one per
+// worker per iteration, whatever the shard count — and a run whose workers
+// lose a wave's block recovers through the need-resend path with the same
+// bits.
+func TestCentroidBlockShipsOncePerWorker(t *testing.T) {
+	// Overlapping topics, so the loop runs more than the two iterations the
+	// zipf corpus converges in.
+	const docs, dim, topics = 400, 48, 6
+	m := &Matrix{Terms: make([]string, dim), Vectors: make([]sparse.Vector, docs)}
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func() float64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return float64(x>>11) / (1 << 53)
+	}
+	for i := range m.Vectors {
+		dense := make([]float64, dim)
+		for d := range dense {
+			if next() < 0.3 {
+				dense[d] = next()
+			}
+		}
+		dense[(i%topics)*dim/topics] += 1.2 * next()
+		m.Vectors[i] = sparse.FromDense(dense)
+	}
+	run := func(backend Backend) *kmeans.Result {
+		ctx := testCtx(t, 4)
+		ctx.Backend = backend
+		outs, err := NewPlan().
+			Add("vectors", &fnOp{name: "vectors", out: reflect.TypeOf(m),
+				fn: func(*Context, []Value) (Value, error) { return m, nil }}).
+			Add("kmeans", &KMeansOp{Opts: kmeans.Options{K: topics, Seed: 1}}).
+			Connect("vectors", "kmeans").
+			Apply(PartitionRule(4)).
+			Run(ctx)
+		if err != nil {
+			t.Fatalf("K-Means plan on %s: %v", backend.Name(), err)
+		}
+		return outs["kmeans.reduce"].(*Clustering).Result
+	}
+	same := func(what string, got, want *kmeans.Result) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Assign, want.Assign) || !reflect.DeepEqual(got.Centroids, want.Centroids) ||
+			!reflect.DeepEqual(got.History, want.History) || got.Iterations != want.Iterations {
+			t.Errorf("%s: clustering differs from the local run", what)
+		}
+	}
+	local := run(LocalBackend{})
+	if local.Iterations < 3 {
+		t.Fatalf("corpus converged in %d iterations; the test needs a few", local.Iterations)
+	}
+
+	ships0 := centroidInlineShips.Load()
+	same("rpc", run(pipeBackend(t, 2)), local)
+	if got, want := centroidInlineShips.Load()-ships0, int64(2*local.Iterations); got != want {
+		t.Errorf("%d centroid blocks shipped over %d iterations on 2 workers, want %d", got, local.Iterations, want)
+	}
+
+	// Lose the third wave's block: every other wave ships its 2, and in the
+	// lost one a task that misses is re-sent behind a block of its own —
+	// at least one of the four does (the pipe workers share this process's
+	// loop state, so the first resend's block can serve all of them), at
+	// most all four.
+	ships0 = centroidInlineShips.Load()
+	loser := &blockLoser{RPCBackend: pipeBackend(t, 2), seen: make(map[*keyedBody]bool), lose: 2}
+	same("rpc after a lost block", run(loser), local)
+	got, rest := centroidInlineShips.Load()-ships0, int64(2*(local.Iterations-1))
+	if got < rest+1 || got > rest+4 {
+		t.Errorf("%d centroid blocks shipped around a lost wave, want %d to %d", got, rest+1, rest+4)
+	}
+}

@@ -1,8 +1,6 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -81,19 +79,46 @@ func benchVectorShardQuantized() *tfidf.VectorShard {
 	return vs
 }
 
-// BenchmarkWirePayloads compares the gob and flat codecs on the two hot
-// worker→coordinator payloads — one encode+decode round trip per op, with
-// the encoded size reported — quantifying what flattening the wire saves
-// in bytes, time and allocations. The flat cases additionally report
-// val%: the XOR-coded f64 value blocks' size as a percentage of their
-// fixed-width form (flatwire.ValueBytes), on both the adversarial
-// dense-rational corpus and the quantized repeated-value corpus. Run with
+// benchCentroids synthesizes a kmeans.centroids-block-sized matrix: 16
+// centroids over 6 368 terms, three in ten entries non-zero — the shape of
+// the benchmark's cluster workloads.
+func benchCentroids() ([][]float64, []float64) {
+	const k, dim = 16, 6368
+	cents := make([][]float64, k)
+	cnorms := make([]float64, k)
+	for j := range cents {
+		cents[j] = make([]float64, dim)
+		for d := range cents[j] {
+			if (d*7+j*3)%10 < 3 {
+				cents[j][d] = float64(j+1) / float64(d+5)
+				cnorms[j] += cents[j][d] * cents[j][d]
+			}
+		}
+	}
+	return cents, cnorms
+}
+
+// BenchmarkWirePayloads prices the flat codecs of the hot payloads — the
+// transform reply (worker→coordinator, once per shard), the accumulator
+// reply (worker→coordinator, per shard per iteration) and the centroid
+// block (coordinator→worker, per worker per iteration) — one encode+decode
+// round trip per op, with the encoded size reported. Each case
+// additionally reports val%: the XOR-coded f64 value blocks' size as a
+// percentage of their fixed-width form (flatwire.ValueBytes), on both the
+// adversarial dense-rational corpus and the quantized repeated-value
+// corpus. Run with
 //
 //	go test ./internal/workflow -run '^$' -bench WirePayloads -benchtime 100x
 func BenchmarkWirePayloads(b *testing.B) {
 	vs := benchVectorShard()
 	qs := benchVectorShardQuantized()
 	aw := benchAccumWire()
+	cents, cnorms := benchCentroids()
+	dst := make([][]float64, len(cents))
+	for j := range dst {
+		dst[j] = make([]float64, len(cents[j]))
+	}
+	dstNorms := make([]float64, len(cnorms))
 
 	// valuePct measures one encode's value-block compression via the
 	// process-wide flatwire counters (encode-side delta only).
@@ -107,91 +132,32 @@ func BenchmarkWirePayloads(b *testing.B) {
 		return 100 * float64(coded1-coded0) / float64(raw1-raw0)
 	}
 
-	b.Run("vectorshard/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(vs); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		encode func() []byte
+		decode func([]byte) error
+	}{
+		{"vectorshard", func() []byte { return vs.EncodeFlat(nil) },
+			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
+		{"vectorshard-quantized", func() []byte { return qs.EncodeFlat(nil) },
+			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
+		{"accum", func() []byte { return aw.EncodeFlat(nil) },
+			func(buf []byte) error { _, err := kmeans.DecodeFlatAccumWire(buf); return err }},
+		{"centroids", func() []byte { return kmeans.AppendFlatCentroids(nil, cents, cnorms) },
+			func(buf []byte) error { return kmeans.DecodeFlatCentroids(buf, dst, dstNorms) }},
+	} {
+		b.Run(bc.name+"/flat", func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				buf := bc.encode()
+				size = len(buf)
+				if err := bc.decode(buf); err != nil {
+					b.Fatal(err)
+				}
 			}
-			size = buf.Len()
-			var out tfidf.VectorShard
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-	})
-	b.Run("vectorshard/flat", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			buf := vs.EncodeFlat(nil)
-			size = len(buf)
-			if _, err := tfidf.DecodeFlatVectorShard(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return vs.EncodeFlat(nil) }), "val%")
-	})
-	b.Run("vectorshard-quantized/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(qs); err != nil {
-				b.Fatal(err)
-			}
-			size = buf.Len()
-			var out tfidf.VectorShard
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-	})
-	b.Run("vectorshard-quantized/flat", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			buf := qs.EncodeFlat(nil)
-			size = len(buf)
-			if _, err := tfidf.DecodeFlatVectorShard(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return qs.EncodeFlat(nil) }), "val%")
-	})
-	b.Run("accum/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(aw); err != nil {
-				b.Fatal(err)
-			}
-			size = buf.Len()
-			var out kmeans.AccumWire
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-	})
-	b.Run("accum/flat", func(b *testing.B) {
-		b.ReportAllocs()
-		var size int
-		for i := 0; i < b.N; i++ {
-			buf := aw.EncodeFlat(nil)
-			size = len(buf)
-			if _, err := kmeans.DecodeFlatAccumWire(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return aw.EncodeFlat(nil) }), "val%")
-	})
+			b.ReportMetric(float64(size), "wire-bytes")
+			b.ReportMetric(valuePct(bc.encode), "val%")
+		})
+	}
 }

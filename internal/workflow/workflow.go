@@ -67,9 +67,9 @@
 // Where the executor's (node, shard) tasks physically run is pluggable
 // (Backend, Context.Backend): LocalBackend — the default — executes every
 // task in-process on the pool, and RPCBackend ships tasks that have a
-// serializable descriptor to worker processes over net/rpc + gob (a
-// worker is this engine's kernel registry served by ServeWorker; see
-// cmd/hpa-workflow -worker). The scheduler never moves: dependency
+// serializable descriptor to worker processes as length-prefixed flat
+// frames (rpc.go; a worker is this engine's kernel registry served by
+// ServeWorker; see cmd/hpa-workflow -worker). The scheduler never moves: dependency
 // tracking, shard ordering and every reduction stay on the coordinator,
 // and remote kernels run the same shard functions the local path runs
 // (tfidf.CountShard, tfidf.TransformShard, kmeans.AssignRange), so
@@ -80,8 +80,9 @@
 // dictionaries as flattened (word, count) wire forms — and the K-Means
 // assignment loop's per-iteration shard tasks, whose documents ship once
 // into a worker-side session (pinned to one worker by backend affinity)
-// and whose per-iteration traffic is centroids out, kmeans.Accum wire
-// forms and assignments back. K-Means++ seeding scan rounds ship as
+// and whose per-iteration traffic is the centroids out — as one sparse
+// block per worker, not per shard — and kmeans.Accum wire forms and
+// assignments back. K-Means++ seeding scan rounds ship as
 // prepare-wave tasks through the same pinned sessions (documents ship
 // once for seeding and iterations combined); the per-round seed draw
 // stays on the coordinator. Splits, the DF tree-merge, the streaming
@@ -92,20 +93,27 @@
 //
 // # The wire
 //
-// Task payloads avoid redundant and slow serialization (kernels.go). The
-// global term table is content-addressed: transform args carry only its
-// hash, workers cache table bodies (keyed by hash and dictionary kind,
-// with a lazy TTL), and a cache miss answers with a need-resend flag that
-// makes the coordinator re-ship inline exactly once per (worker, hash) —
-// steady-state iterations ship no table at all. A shard's term counts
+// Task payloads avoid redundant and slow serialization (kernels.go). Two
+// bodies travel apart from the tasks that need them, as keyed bodies
+// (backend.go): tasks name a key, workers cache the body under it, and a
+// task that finds none answers with a need-resend flag that makes the
+// coordinator ship the body ahead of one resend. The global term table is
+// content-addressed: transform args carry only its hash, workers cache
+// table bodies (keyed by hash and dictionary kind, with a lazy TTL), and
+// the body ships exactly once per (worker, hash) — steady-state runs ship
+// no table at all. A K-Means iteration's centroids are keyed by (loop,
+// iteration) and new to every worker each iteration, so the first task the
+// backend sends a worker in the wave carries the block — k sparse rows —
+// and every shard session of the loop on that worker assigns against the
+// one decoded copy. A shard's term counts
 // never leave the worker that counted them: count tasks park their output
 // in the worker session under a per-run scope (count→transform affinity),
 // the paired transform task names the session, and the scope's pins are
-// released when the run ends. And the bulk payloads — tfidf.VectorShard,
-// kmeans.AccumWire, assignment replies — travel as flat length-prefixed
-// buffers (internal/flatwire) instead of gob, ~8x faster to encode+decode
-// with orders of magnitude fewer allocations (BenchmarkWirePayloads); gob
-// remains the envelope for descriptors and everything cold.
+// released when the run ends. Everything on the wire — frames, kernel
+// arguments, tfidf.VectorShard, kmeans.AccumWire, assignment replies — is
+// a flat buffer (internal/flatwire): fixed layouts, floats as IEEE 754
+// bits, every decoder validating structurally and failing with
+// flatwire.ErrMalformed (BenchmarkWirePayloads prices the codecs).
 //
 // Fusion is a graph rewrite: a plan containing an explicit materialize/load
 // operator pair around an edge is rewritten by FuseRule into one without
