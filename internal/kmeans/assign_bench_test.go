@@ -71,35 +71,51 @@ func BenchmarkAssignBlocked(b *testing.B) {
 // EndRound draw between them) — the prepare-protocol path the workflow
 // engine dispatches, minus scheduling. Seeds are bit-identical in both
 // shapes (the decomposition is an exact refactoring of the serial loop),
-// so the gap is pure parallelizable-scan exposure.
+// so the gap is pure parallelizable-scan exposure. Two corpora: blobs is
+// dim 32 and nearly dense, where a merge over both supports and a gather
+// over the document's cost the same; tfidf is the cluster-local shape (dim
+// 6 000, ≈ 80 nonzeros per document, supports that barely overlap), the
+// one that can see the scan kernel. ns/doc-round is the whole seeding —
+// allocation, scans, draws, centroid install — per (document × scan round).
 func BenchmarkSeeding(b *testing.B) {
 	blobDocs, _ := blobs(2000, 8, 32, 7)
 	const k, shards = 16, 4
 	pool := par.NewPool(1)
 	defer pool.Close()
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := New(blobDocs, 32, pool, Options{K: k, Seed: 3}); err != nil {
-				b.Fatal(err)
-			}
+	for _, ds := range []struct {
+		name string
+		docs []sparse.Vector
+		dim  int
+	}{{"blobs", blobDocs, 32}, {"tfidf", sparseDocs(2000, 6000, 80, 7), 6000}} {
+		perDocRound := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.docs)*(k-1)), "ns/doc-round")
 		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, s, err := NewDeferredSeed(blobDocs, 32, pool, Options{K: k, Seed: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for r := 0; r < s.Rounds(); r++ {
-				for q := 0; q < shards; q++ {
-					lo, hi := pario.PartitionRange(len(blobDocs), shards, q)
-					s.ScanRange(lo, hi)
+		b.Run(ds.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(ds.docs, ds.dim, pool, Options{K: k, Seed: 3}); err != nil {
+					b.Fatal(err)
 				}
-				s.EndRound()
 			}
-			s.Finish()
-		}
-	})
+			perDocRound(b)
+		})
+		b.Run(ds.name+"/sharded", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, s, err := NewDeferredSeed(ds.docs, ds.dim, pool, Options{K: k, Seed: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for r := 0; r < s.Rounds(); r++ {
+					for q := 0; q < shards; q++ {
+						lo, hi := pario.PartitionRange(len(ds.docs), shards, q)
+						s.ScanRange(lo, hi)
+					}
+					s.EndRound()
+				}
+				s.Finish()
+			}
+			perDocRound(b)
+		})
+	}
 }

@@ -141,20 +141,27 @@ func (s *SimpleKMeans) run() *Result {
 }
 
 // seedPlusPlus mirrors Clusterer.seed on dense data with the same RNG
-// stream, so both implementations start from identical centroids.
+// stream and distance expression (seed.go; dense sums only add exact
+// zeros), so both implementations start from identical centroids.
 func (s *SimpleKMeans) seedPlusPlus() [][]float64 {
 	rng := zipf.NewRNG(s.Opts.Seed ^ 0x6b6d65616e73)
 	n := len(s.Instances)
 	d2 := make([]float64, n)
-	for i := range d2 {
+	norms := make([]float64, n)
+	for i, inst := range s.Instances {
 		d2[i] = math.Inf(1)
+		norms[i] = normSq(inst)
 	}
 	chosen := []int{rng.Intn(n)}
 	for len(chosen) < s.Opts.K {
 		last := s.Instances[chosen[len(chosen)-1]]
+		lastNorm := norms[chosen[len(chosen)-1]]
 		total := 0.0
 		for i, inst := range s.Instances {
-			d := denseDistSq(inst, last)
+			d := lastNorm - 2*denseDot(inst, last) + norms[i]
+			if d < 0 {
+				d = 0
+			}
 			if d < d2[i] {
 				d2[i] = d
 			}
@@ -182,6 +189,14 @@ func (s *SimpleKMeans) seedPlusPlus() [][]float64 {
 		out[j] = append([]float64(nil), s.Instances[idx]...)
 	}
 	return out
+}
+
+func denseDot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }
 
 func denseDistSq(a, b []float64) float64 {

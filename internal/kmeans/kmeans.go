@@ -82,11 +82,13 @@
 // scan won every measured workload up to k = 64, and the question reopens
 // only around k >= 128 on well-separated data.
 //
-// K-Means++ seeding scans are NOT blocked, deliberately: each of the k−1
-// seed rounds scans against the single most recently drawn seed, and the
-// next round's scan target depends on the draw the previous round's
-// total funded — there is never more than one centroid to batch a sweep
-// over. The seeding kernel stays SeedScanRange's scalar min-update.
+// K-Means++ seeding runs the same expression on a gather kernel, not the
+// blocked one: each of the k−1 seed rounds scans against the single most
+// recently drawn seed, and the next round's scan target depends on the
+// draw the previous round's total funded — there is never more than one
+// centroid to batch a sweep over. So the round's seed is scattered once
+// into a dense scratch and SeedScanRange lowers d2[i] to one
+// sparse.DistSqDense over the document's own nonzeros (seed.go).
 package kmeans
 
 import (

@@ -16,20 +16,33 @@ import (
 //
 // # Why sharding cannot change the seeds
 //
-// The historical serial scan interleaved, per document in ascending order,
-// a min-update of the running distance array with a running-total add:
+// The serial scan (SimpleKMeans.seedPlusPlus still has this shape)
+// interleaves, per document in ascending order, a min-update of the running
+// distance array with a running-total add:
 //
-//	d := DistSq(doc[i], last); if d < d2[i] { d2[i] = d }; total += d2[i]
+//	d := dist(doc[i], last); if d < d2[i] { d2[i] = d }; total += d2[i]
 //
 // The decomposed form splits this into two passes: ScanRange performs only
 // the per-element min-updates (order-independent — each element depends on
 // nothing but itself), and EndRound then sums the full d2 array in
 // ascending document order. The total is therefore the sum of the same
-// float values in the same order as the historical loop — bit-identical —
+// float values in the same order as the serial loop — bit-identical —
 // and the RNG consumption (one Float64 per non-degenerate round, one Intn
 // per degenerate one) is unchanged. Since ScanRange touches disjoint
 // [lo, hi) windows, any shard decomposition on any backend produces the
 // identical d2 array at the EndRound barrier, hence the identical pick.
+//
+// # The distance is a gather, not a merge
+//
+// dist is the expression assignment uses, max(0, ‖s‖² − 2·x·s + ‖x‖²): the
+// round's seed s is scattered once into a dense scratch of dim floats, so
+// each document costs one sparse·dense dot over its own nonzeros instead
+// of a three-way merge over the union of both supports. ‖x‖² is the
+// document norm the clusterer already holds and ‖s‖² is the seed's
+// Vector.NormSq(), the sum that produced its document norm, so the seed
+// and its exact duplicates score n − 2n + n = 0 exactly. Every execution
+// mode calls the one SeedScanRange, and the dense baseline runs the same
+// expression over dense rows (zeros add exact zeros), so seeds agree.
 
 // Seeding is the decomposed K-Means++ seeding state returned by
 // NewDeferredSeed (and driven internally by New): after BeginSeeding drew
@@ -41,7 +54,12 @@ type Seeding struct {
 	rng    *zipf.RNG
 	d2     []float64 // per-document squared distance to the nearest chosen seed
 	chosen []int
-	start  time.Time
+	// seed is the round's seed — Last() — scattered dense over dim, and
+	// seedNorm its squared norm. It borrows centroid row 0, idle until
+	// Finish (which clears each row before installing its seed).
+	seed     []float64
+	seedNorm float64
+	start    time.Time
 }
 
 // BeginSeeding starts K-Means++ seeding: it draws the uniform first seed
@@ -54,13 +72,28 @@ func (c *Clusterer) BeginSeeding() *Seeding {
 		rng:    zipf.NewRNG(c.opts.Seed ^ 0x6b6d65616e73), // "kmeans"
 		d2:     make([]float64, len(c.docs)),
 		chosen: make([]int, 0, c.opts.K),
+		seed:   c.centroids[0],
 		start:  time.Now(),
 	}
 	for i := range s.d2 {
 		s.d2[i] = math.Inf(1)
 	}
-	s.chosen = append(s.chosen, s.rng.Intn(len(c.docs)))
+	s.choose(s.rng.Intn(len(c.docs)))
 	return s
+}
+
+// choose records document pick as the next seed and makes it the scan
+// target, zeroing the previous seed's components by its own indices.
+func (s *Seeding) choose(pick int) {
+	if len(s.chosen) > 0 {
+		for _, idx := range s.Last().Idx {
+			s.seed[idx] = 0
+		}
+	}
+	s.chosen = append(s.chosen, pick)
+	last := s.Last()
+	sparse.AddInto(s.seed, last, 1)
+	s.seedNorm = last.NormSq()
 }
 
 // Rounds returns the number of distance-scan rounds seeding needs: one per
@@ -89,18 +122,18 @@ func (s *Seeding) SetD2(lo int, d2 []float64) {
 // [lo, hi): a pure per-element min-update against the last chosen seed.
 // Distinct ranges may run concurrently. Allocates nothing.
 func (s *Seeding) ScanRange(lo, hi int) {
-	SeedScanRange(s.c.docs[lo:hi], s.Last(), s.d2[lo:hi])
+	SeedScanRange(s.c.docs[lo:hi], s.c.docNorms[lo:hi], s.seed, s.seedNorm, s.d2[lo:hi])
 }
 
 // SeedScanRange is the seeding scan kernel itself, shared by the serial
 // path, the coordinator's sharded tasks and remote seeding workers so
 // every execution mode runs the exact same per-document code: d2[i] is
-// lowered to DistSq(docs[i], last) where that is smaller. The distance is
-// the exact union-merge expression, bitwise identical to the dense
-// baseline's seeding loop.
-func SeedScanRange(docs []sparse.Vector, last *sparse.Vector, d2 []float64) {
+// lowered to sparse.DistSqDense(docs[i], seed) where that is smaller.
+// seed is the round's seed scattered dense over the loop's dimension,
+// seedNorm its Vector.NormSq(), norms[i] the squared norm of docs[i].
+func SeedScanRange(docs []sparse.Vector, norms, seed []float64, seedNorm float64, d2 []float64) {
 	for i := range docs {
-		d := sparse.DistSq(&docs[i], last)
+		d := sparse.DistSqDense(&docs[i], norms[i], seed, seedNorm)
 		if d < d2[i] {
 			d2[i] = d
 		}
@@ -133,12 +166,13 @@ func (s *Seeding) EndRound() {
 			}
 		}
 	}
-	s.chosen = append(s.chosen, pick)
+	s.choose(pick)
 }
 
 // Finish installs the chosen documents as the initial centroids (and their
-// blocked-kernel transpose) and records the seeding wall time. Must be
-// called exactly once, after the final EndRound.
+// blocked-kernel transpose) — overwriting the borrowed seed scratch — and
+// records the seeding wall time. Must be called exactly once, after the
+// final EndRound.
 func (s *Seeding) Finish() {
 	for j, idx := range s.chosen {
 		copyInto(s.c.centroids[j], &s.c.docs[idx], s.c.dim)

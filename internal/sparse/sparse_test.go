@@ -183,7 +183,7 @@ func TestDistSqDenseMatchesDirect(t *testing.T) {
 			dense[i] = r.NormFloat64()
 			normSq += dense[i] * dense[i]
 		}
-		got := DistSqDense(&v, dense, normSq)
+		got := DistSqDense(&v, v.NormSq(), dense, normSq)
 		want := 0.0
 		dv := v.ToDense(dim)
 		for i := range dense {
@@ -200,7 +200,7 @@ func TestDistSqDenseMatchesDirect(t *testing.T) {
 func TestDistSqDenseClampsNegative(t *testing.T) {
 	v := Vector{Idx: []uint32{0}, Val: []float64{1}}
 	// Deliberately inconsistent normSq to force cancellation below zero.
-	if d := DistSqDense(&v, []float64{1}, 1-1e-9); d < 0 {
+	if d := DistSqDense(&v, 1, []float64{1}, 1-1e-9); d < 0 {
 		t.Fatalf("DistSqDense returned negative %v", d)
 	}
 }

@@ -190,50 +190,17 @@ func AddInto(dense []float64, v *Vector, a float64) {
 }
 
 // DistSqDense returns the squared Euclidean distance between a sparse
-// vector and a dense one, computed as |d|^2 - 2 v·d + |v|^2 given the
-// precomputed squared norm of the dense vector. This is the K-Means
-// assignment kernel: with denseNormSq cached per centroid, cost is O(nnz)
-// instead of O(dim).
-func DistSqDense(v *Vector, dense []float64, denseNormSq float64) float64 {
-	d := denseNormSq - 2*DotDense(v, dense) + v.NormSq()
+// vector and a dense one as |d|^2 - 2 v·d + |v|^2, given both squared
+// norms: O(nnz(v)) instead of O(dim), clamped at zero because cancellation
+// can leave a tiny negative. This is the K-Means++ seeding kernel (the
+// assignment loop inlines the same expression over its blocked dots); a
+// vector against its own scatter scores exactly 0.
+func DistSqDense(v *Vector, vNormSq float64, dense []float64, denseNormSq float64) float64 {
+	d := denseNormSq - 2*DotDense(v, dense) + vNormSq
 	if d < 0 {
-		// Guard against tiny negative results from cancellation.
 		d = 0
 	}
 	return d
-}
-
-// DistSq returns the squared Euclidean distance between two sparse vectors
-// by index-merge over the union of their supports, accumulating (a_i-b_i)^2
-// in ascending index order. Because the skipped indices contribute exact
-// zeros, the result is bitwise identical to the dense two-slice loop over
-// any dimension covering both vectors — the property that lets the sparse
-// operator and the dense baseline seed identically.
-func DistSq(a, b *Vector) float64 {
-	s := 0.0
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			s += a.Val[i] * a.Val[i]
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			s += b.Val[j] * b.Val[j]
-			j++
-		default:
-			d := a.Val[i] - b.Val[j]
-			s += d * d
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.Idx); i++ {
-		s += a.Val[i] * a.Val[i]
-	}
-	for ; j < len(b.Idx); j++ {
-		s += b.Val[j] * b.Val[j]
-	}
-	return s
 }
 
 // Equal reports whether two vectors have identical representations.

@@ -63,6 +63,14 @@ func FuzzDecodeFlatKMSeedTaskArgs(f *testing.F) {
 		if re, err := DecodeFlatKMSeedTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
 			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
 		}
+		// The kernel must answer whatever the decoder accepts — a seed past
+		// the loop's dimension included (testdata/fuzz) — with a reply or an
+		// error, never a panic. Small shapes only: a session allocates
+		// k × dim floats.
+		if a.Init != nil && a.Init.K <= 64 && a.Init.Dim <= 1024 {
+			runKMSeedKernel(data, nil)
+			kmLoops.drop(a.Loop)
+		}
 	})
 }
 

@@ -564,6 +564,7 @@ type kmSession struct {
 	acc   *kmeans.Accum
 	wire  *kmeans.AccumWire
 	dists []float64
+	seed  []float64 // seeding scratch: dim floats, all zero between calls
 }
 
 // kmLoopFor returns the named loop's state, created on first sight.
@@ -798,25 +799,35 @@ const kmSeedReplyMagic uint32 = 0x48505344 // "HPSD"
 
 // runKMSeedKernel executes one seed round's scan on the worker: the same
 // kmeans.SeedScanRange the coordinator's local path runs, over the
-// session's cached documents — so the returned window (magic, count, then
-// the min-updated distances as IEEE 754 bits) is bit-identical to a local
-// scan.
+// session's cached documents against the shipped seed scattered into the
+// session's scratch — so the returned window (magic, count, then the
+// min-updated distances as IEEE 754 bits) is bit-identical to a local
+// scan. The decoder only makes the seed's indices ascend: they are checked
+// against the loop's dimension before the scratch is sized or written.
 func runKMSeedKernel(body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatKMSeedTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
-	s, err := kmLoopFor(a.Loop).session(a.Loop, a.Shard, a.Init)
+	l := kmLoopFor(a.Loop)
+	s, err := l.session(a.Loop, a.Shard, a.Init)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(a.D2) != len(s.docs) {
-		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w: loop %q shard %d: %d seed distances for %d documents",
-			flatwire.ErrMalformed, a.Loop, a.Shard, len(a.D2), len(s.docs))
+	if len(a.D2) != len(s.docs) || len(s.norms) != len(s.docs) || a.Last.Dim() > l.dim {
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w: loop %q shard %d: %d seed distances and %d norms for %d documents, seed dimension %d of %d",
+			flatwire.ErrMalformed, a.Loop, a.Shard, len(a.D2), len(s.norms), len(s.docs), a.Last.Dim(), l.dim)
 	}
-	kmeans.SeedScanRange(s.docs, &a.Last, a.D2)
+	if s.seed == nil {
+		s.seed = make([]float64, l.dim)
+	}
+	sparse.AddInto(s.seed, &a.Last, 1)
+	kmeans.SeedScanRange(s.docs, s.norms, s.seed, a.Last.NormSq(), a.D2)
+	for _, idx := range a.Last.Idx {
+		s.seed[idx] = 0
+	}
 	b := flatwire.AppendU32(dst, kmSeedReplyMagic)
 	b = flatwire.AppendU32(b, uint32(len(a.D2)))
 	return flatwire.AppendF64s(b, a.D2), nil

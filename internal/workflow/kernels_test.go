@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hpa/internal/flatwire"
@@ -459,6 +460,10 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	for name, mutate := range map[string]func(*KMSeedTaskArgs){
 		"short d2":              func(s *KMSeedTaskArgs) { s.D2 = s.D2[:1] },
 		"seed idx/val mismatch": func(s *KMSeedTaskArgs) { s.Last = sparse.Vector{Idx: []uint32{0, 1}, Val: []float64{1}} },
+		// The seed is scattered into a dim-wide scratch: one index at the
+		// loop's dimension, and one that would size a 32 GiB scratch.
+		"seed index = dim":  func(s *KMSeedTaskArgs) { s.Last = sparse.Vector{Idx: []uint32{1, 3}, Val: []float64{1, 1}} },
+		"seed index 2^32-1": func(s *KMSeedTaskArgs) { s.Last = sparse.Vector{Idx: []uint32{math.MaxUint32}, Val: []float64{1}} },
 	} {
 		s := goodSeed("hostile-seed-args-" + name)
 		mutate(s)
@@ -468,6 +473,13 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	cases["assign args truncated"] = request{"kmeans.assign", good[:len(good)-2], nil}
 	cases["assign args trailing"] = request{"kmeans.assign", append(good, 0), nil}
 	cases["seed args empty"] = request{"kmeans.seed", nil, nil}
+	// No init can produce a session whose norms and documents disagree, so
+	// plant one: the scan indexes norms by document.
+	bad := kmLoopFor("hostile-session-norms")
+	bad.dim, bad.sessions[0] = 3, &kmSession{docs: docs, norms: []float64{5}}
+	s := goodSeed("hostile-session-norms")
+	s.Init = nil
+	cases["seed session short norms"] = request{"kmeans.seed", s.AppendFlat(nil), nil}
 	cases["centroid store without a key"] = request{"kmeans.centroids", []byte{1, 2}, nil}
 
 	c := pipeWorker(t)
@@ -507,5 +519,62 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	rep, err := DecodeFlatKMAssignReply(reply)
 	if err != nil || !reflect.DeepEqual(rep.Assign, []int32{0, 1}) {
 		t.Fatalf("healthy assign reply: %+v, %v", rep, err)
+	}
+}
+
+// TestSeedKernelKeepsItsScratch: the seed kernel scatters each shipped seed
+// into one dense scratch the session keeps and zeroes it again by the
+// seed's own indices, so (a) no call after the first allocates anything
+// the size of the loop's dimension and (b) a round's distances never see
+// the previous round's seed.
+func TestSeedKernelKeepsItsScratch(t *testing.T) {
+	const dim = 1 << 16
+	docs := []sparse.Vector{
+		{Idx: []uint32{0, dim - 1}, Val: []float64{1, 2}},
+		{Idx: []uint32{0, 5}, Val: []float64{2, 3}},
+	}
+	norms := []float64{5, 13}
+	request := func(last int, init bool) []byte {
+		a := &KMSeedTaskArgs{Loop: "seed-scratch", Last: docs[last], D2: []float64{math.Inf(1), math.Inf(1)}}
+		if init {
+			a.Init = &KMShardInit{Vectors: docs, Norms: norms, Dim: dim, K: 1}
+		}
+		return a.AppendFlat(nil)
+	}
+	var dst []byte
+	scan := func(body []byte) []float64 {
+		t.Helper()
+		var err error
+		if dst, err = runKMSeedKernel(body, dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := DecodeFlatKMSeedReply(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d2
+	}
+	// ‖a − b‖² = 5 − 2·2 + 13 either way round; a stale scatter of the other
+	// seed would add its own dot to the middle term.
+	for i, last := range []int{0, 1, 0} {
+		want := []float64{0, 14}
+		if last == 1 {
+			want = []float64{14, 0}
+		}
+		if d2 := scan(request(last, i == 0)); !reflect.DeepEqual(d2, want) {
+			t.Fatalf("call %d, seed = document %d: d2 = %v, want %v", i, last, d2, want)
+		}
+	}
+	body := request(1, false)
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		scan(body)
+	}
+	runtime.ReadMemStats(&after)
+	// One scratch is 8·dim bytes; decoding a request is a few hundred.
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > dim {
+		t.Fatalf("kmeans.seed allocates %d bytes per call at dim %d: the scratch is not per session", perCall, dim)
 	}
 }

@@ -54,6 +54,14 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	}()
 
 	garbage := bytes.Repeat([]byte{0xfe}, 40)
+	// A well-formed seed request whose seed names component 2³²−1 of a
+	// 3-dimensional loop: the worker scatters seeds into a dense scratch.
+	hostileSeed := (&KMSeedTaskArgs{
+		Loop: "hostile-frames",
+		Init: &KMShardInit{Vectors: []sparse.Vector{{Idx: []uint32{1}, Val: []float64{3}}}, Norms: []float64{9}, Dim: 3, K: 2},
+		Last: sparse.Vector{Idx: []uint32{math.MaxUint32}, Val: []float64{1}},
+		D2:   []float64{math.Inf(1)},
+	}).AppendFlat(nil)
 	cases := []struct {
 		name string
 		raw  []byte
@@ -77,6 +85,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "centroid store", raw: requestFrame(8, "kmeans.centroids", garbage[:3]), malformed: true},
 		{name: "empty body", raw: requestFrame(9, "kmeans.assign", nil), malformed: true},
 		{name: "kernel panic", raw: requestFrame(10, "test.panic", nil), text: "panicked"},
+		{name: "seed past the loop's dimension", raw: requestFrame(11, "kmeans.seed", hostileSeed), malformed: true, text: "seed dimension 4294967296 of 3"},
 	}
 	for _, tc := range cases {
 		conn, err := net.Dial("tcp", lis.Addr().String())
