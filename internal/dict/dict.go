@@ -4,11 +4,16 @@
 // with configurable pre-sizing (the std::unordered_map, "pre-sized to hold
 // 4K items").
 //
-// Both implementations are arena-based: nodes/entries live in a contiguous
-// slice addressed by int32 indices rather than as individually allocated
-// heap objects. This keeps the per-structure memory footprint precisely
-// accountable (Figure 4's 420 MB vs 12.8 GB observation) and makes Reset
-// recycling cheap.
+// Hash and the arena tree are arena-based: nodes/entries live in a
+// contiguous slice addressed by int32 indices rather than as individually
+// allocated heap objects, and Hash also keeps its key bytes in one byte
+// arena, so a hash table over a pointer-free value type holds no pointers
+// at all — the garbage collector never scans it. This keeps the
+// per-structure memory footprint precisely accountable (Figure 4's 420 MB
+// vs 12.8 GB observation) and makes Reset recycling cheap: the counting
+// loops fill one scratch dictionary per strand, keep an exact-size Clone
+// per document and Reset the scratch. The price is a lifetime rule for
+// keys handed out by Range, stated on Map.
 //
 // The dictionaries are not safe for concurrent mutation; the operators give
 // each parallel strand its own dictionary and merge, or shard a global
@@ -78,7 +83,16 @@ func ParseKind(s string) (Kind, error) {
 // first).
 func Kinds() []Kind { return []Kind{Hash, Tree, NodeTree} }
 
-// Map is a string-keyed dictionary. Both implementations satisfy it.
+// Map is a string-keyed dictionary. All three implementations satisfy it.
+//
+// Key lifetime: a key string handed to Range's callback may alias the
+// dictionary's own storage (Hash keeps key bytes in one arena it recycles).
+// It stays valid while the dictionary only grows and is invalidated by that
+// dictionary's next Reset — a caller that Resets a dictionary must not have
+// retained its keys, and copies them (strings.Clone, or Ref into another
+// dictionary, which copies or retains as it needs) if it wants them longer.
+// Keys passed in are never retained by Hash; the tree kinds keep the string
+// given to Ref.
 type Map[V any] interface {
 	// Get returns the value stored under key.
 	Get(key string) (V, bool)
@@ -88,24 +102,29 @@ type Map[V any] interface {
 	// zero value first if absent. The pointer is invalidated by the next
 	// insertion and must not be retained.
 	Ref(key string) *V
-	// RefBytes is Ref for a byte-slice key; the key is copied to a string
-	// only when an insertion actually happens, so counting loops do not
-	// allocate for words already present.
+	// RefBytes is Ref for a byte-slice key; the key is copied only when an
+	// insertion actually happens, so counting loops do not allocate for
+	// words already present.
 	RefBytes(key []byte) *V
-	// RefBytesFunc is RefBytes with the inserted key supplied by the
-	// caller: when key is absent, newKey(key) is called once and must
-	// return a string equal to key, which the dictionary stores instead of
-	// allocating its own copy. A caller that already holds the word as a
-	// string (TF/IDF's shard vocabulary) thereby inserts without
-	// allocating. newKey must not touch this dictionary.
-	RefBytesFunc(key []byte, newKey func(key []byte) string) *V
+	// RefHash is RefBytes for a caller that already holds hash =
+	// HashBytes(key) — the tokenizer computes it while it scans the token —
+	// so one hash serves every dictionary the token is looked up in. The
+	// tree kinds ignore hash.
+	RefHash(key []byte, hash uint64) *V
 	// Len returns the number of stored keys.
 	Len() int
 	// Range calls fn for every (key, value) pair until fn returns false.
-	// Tree ranges in ascending key order; Hash in unspecified order.
+	// The tree kinds range in ascending key order, Hash in insertion
+	// order. See the key lifetime note above.
 	Range(fn func(key string, v *V) bool)
 	// Reset empties the dictionary, retaining allocated capacity.
 	Reset()
+	// Clone returns an independent dictionary of the same kind and
+	// contents, with capacity reserved for max(Len, presize) items and no
+	// more: a table grown by doubling, or a scratch table sized by an
+	// earlier, larger use, clones to exactly what its contents need.
+	// Later writes to or a Reset of either side do not affect the other.
+	Clone(presize int) Map[V]
 	// Footprint estimates the resident bytes held by the dictionary,
 	// including key storage.
 	Footprint() int64

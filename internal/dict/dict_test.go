@@ -75,50 +75,6 @@ func TestRefBytesMatchesRef(t *testing.T) {
 	}
 }
 
-// TestRefBytesFuncStoresTheGivenKey: newKey runs exactly once, on the
-// insertion, and the dictionary keeps the string it returned rather than
-// allocating a copy — the property TF/IDF's count phase relies on.
-func TestRefBytesFuncStoresTheGivenKey(t *testing.T) {
-	const n = 32
-	keys := make([]string, n)
-	raw := make([][]byte, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("shared-key-%02d", i)
-		raw[i] = []byte(keys[i])
-	}
-	for _, k := range kinds() {
-		m := New[int](k, Options{})
-		calls := 0
-		newKey := func(key []byte) string {
-			calls++
-			return keys[0]
-		}
-		*m.RefBytesFunc(raw[0], newKey)++
-		*m.RefBytesFunc(raw[0], newKey)++
-		*m.RefBytes(raw[0])++
-		if v, _ := m.Get(keys[0]); v != 3 || calls != 1 || m.Len() != 1 {
-			t.Fatalf("%v: value %d after %d newKey calls, Len %d; want 3, 1, 1", k, v, calls, m.Len())
-		}
-		// Filling a fresh dictionary costs exactly one allocation per key
-		// less when the keys are supplied than when they are copied.
-		fill := func(insert func(m Map[int], i int)) float64 {
-			return testing.AllocsPerRun(20, func() {
-				m := New[int](k, Options{Presize: n})
-				for i := range raw {
-					insert(m, i)
-				}
-			})
-		}
-		copied := fill(func(m Map[int], i int) { *m.RefBytes(raw[i])++ })
-		i := 0
-		given := func([]byte) string { return keys[i] }
-		supplied := fill(func(m Map[int], j int) { i = j; *m.RefBytesFunc(raw[j], given)++ })
-		if copied-supplied != n {
-			t.Errorf("%v: %v allocations with copied keys, %v with supplied keys; want %d fewer", k, copied, supplied, n)
-		}
-	}
-}
-
 func TestAgainstReferenceMap(t *testing.T) {
 	for _, k := range kinds() {
 		k := k

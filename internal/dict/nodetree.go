@@ -72,21 +72,21 @@ func (t *NodeTreeMap[V]) GetBytes(key []byte) (V, bool) {
 // life of the map (nodes never move), matching std::map's reference
 // stability.
 func (t *NodeTreeMap[V]) Ref(key string) *V {
-	return t.ref(key, nil, nil)
+	return t.ref(key, nil)
 }
 
 // RefBytes is Ref for a byte-slice key; the key is copied into a string
 // only on insertion.
 func (t *NodeTreeMap[V]) RefBytes(key []byte) *V {
-	return t.ref("", key, copyKey)
+	return t.ref("", key)
 }
 
-// RefBytesFunc is RefBytes storing newKey(key) on insertion.
-func (t *NodeTreeMap[V]) RefBytesFunc(key []byte, newKey func([]byte) string) *V {
-	return t.ref("", key, newKey)
+// RefHash is RefBytes; an ordered tree has no use for the hash.
+func (t *NodeTreeMap[V]) RefHash(key []byte, _ uint64) *V {
+	return t.ref("", key)
 }
 
-func (t *NodeTreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) string) *V {
+func (t *NodeTreeMap[V]) ref(skey string, bkey []byte) *V {
 	var parent *treeNodePtr[V]
 	n := t.root
 	lastCmp := 0
@@ -109,7 +109,7 @@ func (t *NodeTreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) strin
 		}
 	}
 	if bkey != nil {
-		skey = newKey(bkey)
+		skey = string(bkey)
 	}
 	node := &treeNodePtr[V]{key: skey, parent: parent, red: true} // one allocation per insert
 	t.count++
@@ -243,6 +243,24 @@ func (t *NodeTreeMap[V]) Reset() {
 	t.root = nil
 	t.count = 0
 	t.keyBytes = 0
+}
+
+// Clone returns an independent copy: one allocation per node, as copying a
+// std::map costs. There is nothing to reserve, so presize is ignored.
+func (t *NodeTreeMap[V]) Clone(int) Map[V] {
+	c := *t
+	c.root = cloneNodes(t.root, nil)
+	return &c
+}
+
+// cloneNodes copies the subtree under n (a red-black tree: depth O(log n)).
+func cloneNodes[V any](n, parent *treeNodePtr[V]) *treeNodePtr[V] {
+	if n == nil {
+		return nil
+	}
+	c := &treeNodePtr[V]{key: n.key, val: n.val, parent: parent, red: n.red}
+	c.left, c.right = cloneNodes(n.left, c), cloneNodes(n.right, c)
+	return c
 }
 
 // Footprint estimates resident bytes: per-node header + key storage, plus

@@ -83,23 +83,23 @@ func (t *TreeMap[V]) find(key string) int32 {
 // absent. The pointer is invalidated by the next insertion (the arena may
 // move).
 func (t *TreeMap[V]) Ref(key string) *V {
-	return t.ref(key, nil, nil)
+	return t.ref(key, nil)
 }
 
 // RefBytes is Ref for a byte-slice key; the key is only copied into a
 // string when a new node is inserted.
 func (t *TreeMap[V]) RefBytes(key []byte) *V {
-	return t.ref("", key, copyKey)
+	return t.ref("", key)
 }
 
-// RefBytesFunc is RefBytes storing newKey(key) when a node is inserted.
-func (t *TreeMap[V]) RefBytesFunc(key []byte, newKey func([]byte) string) *V {
-	return t.ref("", key, newKey)
+// RefHash is RefBytes; an ordered tree has no use for the hash.
+func (t *TreeMap[V]) RefHash(key []byte, _ uint64) *V {
+	return t.ref("", key)
 }
 
 // ref walks with either a string or a bytes key (exactly one is used); a
-// bytes key becomes newKey(bkey) on insertion.
-func (t *TreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) string) *V {
+// bytes key is copied into a string on insertion.
+func (t *TreeMap[V]) ref(skey string, bkey []byte) *V {
 	parent := nilNode
 	n := t.root
 	lastCmp := 0
@@ -123,7 +123,7 @@ func (t *TreeMap[V]) ref(skey string, bkey []byte, newKey func([]byte) string) *
 	}
 	// Insert new red node under parent.
 	if bkey != nil {
-		skey = newKey(bkey)
+		skey = string(bkey)
 	}
 	idx := int32(len(t.nodes))
 	t.nodes = append(t.nodes, treeNode[V]{
@@ -299,6 +299,15 @@ func (t *TreeMap[V]) Reset() {
 	t.nodes = t.nodes[:0]
 	t.root = nilNode
 	t.keyBytes = 0
+}
+
+// Clone returns an independent copy with the node arena reserved for
+// max(Len, presize) nodes. Links are arena indices, so the nodes copy
+// wholesale; key strings are immutable and shared.
+func (t *TreeMap[V]) Clone(presize int) Map[V] {
+	c := *t
+	c.nodes = append(make([]treeNode[V], 0, max(len(t.nodes), presize)), t.nodes...)
+	return &c
 }
 
 // Footprint estimates resident bytes: the node arena plus key storage.

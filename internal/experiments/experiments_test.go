@@ -45,7 +45,15 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig1ShapeAndRender(t *testing.T) {
-	res, err := RunFig1(tinyConfig())
+	// At this scale one K-Means recording is 2–3 ms of tasks, so a single
+	// descheduling on a loaded box (the package runs beside another under
+	// go test ./...) outweighs the whole trace and used to flip the ordering
+	// below about one run in six. Recordings are cheap next to preparing the
+	// vectors: take the least disturbed of fifteen (least total recorded
+	// time, Config.Repeats) instead of the only one.
+	cfg := tinyConfig()
+	cfg.Repeats = 15
+	res, err := RunFig1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package text
 import (
 	"unicode"
 	"unicode/utf8"
+
+	"hpa/internal/dict"
 )
 
 // Tokenizer splits document bytes into lowercase word tokens. A token is a
@@ -38,25 +40,34 @@ type Tokenizer struct {
 // emit is reused between calls; callers must copy it if they retain it
 // (dictionary RefBytes does exactly that, only on first insertion).
 func (t *Tokenizer) Tokens(doc []byte, emit func(token []byte)) {
-	buf := t.buf[:0]
+	t.TokensHash(doc, func(tok []byte, _ uint64) { emit(tok) })
+}
+
+// TokensHash is Tokens handing emit, beside each token, the token's
+// dictionary hash (dict.HashBytes), computed in the same pass over the
+// document's bytes that builds the token — so counting a token into a hash
+// dictionary (dict.Map.RefHash) never walks its bytes a second time.
+func (t *Tokenizer) TokensHash(doc []byte, emit func(token []byte, hash uint64)) {
+	buf, h := t.buf[:0], dict.HashInit
 	flush := func() {
 		if len(buf) > 0 {
-			t.emitToken(buf, emit)
-			buf = buf[:0]
+			t.emitToken(buf, h, emit)
+			buf, h = buf[:0], dict.HashInit
 		}
 	}
 	for i := 0; i < len(doc); {
 		c := doc[i]
 		switch {
 		case c >= 'a' && c <= 'z':
-			buf = append(buf, c)
+			buf, h = append(buf, c), dict.HashStep(h, c)
 			i++
 		case c >= 'A' && c <= 'Z':
-			buf = append(buf, c+('a'-'A'))
+			c += 'a' - 'A'
+			buf, h = append(buf, c), dict.HashStep(h, c)
 			i++
 		case c == '\'' && len(buf) > 0 && i+1 < len(doc) && isASCIILetter(doc[i+1]):
 			// Intra-word apostrophe: keep "don't" as one token.
-			buf = append(buf, c)
+			buf, h = append(buf, c), dict.HashStep(h, c)
 			i++
 		case c < utf8.RuneSelf:
 			flush()
@@ -64,7 +75,11 @@ func (t *Tokenizer) Tokens(doc []byte, emit func(token []byte)) {
 		default:
 			r, size := utf8.DecodeRune(doc[i:])
 			if unicode.IsLetter(r) {
+				n := len(buf)
 				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				for _, c := range buf[n:] {
+					h = dict.HashStep(h, c)
+				}
 			} else {
 				flush()
 			}
@@ -75,20 +90,27 @@ func (t *Tokenizer) Tokens(doc []byte, emit func(token []byte)) {
 	t.buf = buf[:0]
 }
 
-func (t *Tokenizer) emitToken(tok []byte, emit func([]byte)) {
+// emitToken applies the filters to one scanned token and emits what is
+// left; a filter that rewrites the token (truncation, stemming) re-hashes
+// it.
+func (t *Tokenizer) emitToken(tok []byte, hash uint64, emit func([]byte, uint64)) {
 	if t.MinLen > 0 && len(tok) < t.MinLen {
 		return
 	}
+	rewritten := false
 	if t.MaxLen > 0 && len(tok) > t.MaxLen {
-		tok = tok[:t.MaxLen]
+		tok, rewritten = tok[:t.MaxLen], true
 	}
 	if t.Stopwords != nil && t.Stopwords.Contains(tok) {
 		return
 	}
 	if t.Stem {
-		tok = PorterStem(tok)
+		tok, rewritten = PorterStem(tok), true
 	}
-	emit(tok)
+	if rewritten {
+		hash = dict.HashBytes(tok)
+	}
+	emit(tok, hash)
 }
 
 func isASCIILetter(c byte) bool {

@@ -1,6 +1,8 @@
 package tfidf
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -169,19 +171,32 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 		sc.Lo, sc.Hi = sub.Lo, sub.Hi
 	}
 	// vocab is the shard dictionary: word -> (shard DF, provisional local
-	// ID in first-occurrence order, indexing words).
+	// ID in first-occurrence order).
 	vocab := dict.New[TermInfo](opts.DictKind, dict.Options{Presize: opts.GlobalPresize})
-	var words []string
-	newWord := func(tok []byte) string {
-		w := string(tok)
-		words = append(words, w)
-		return w
-	}
 	rec := opts.Recorder
-	strands := par.NewReducer(func() *text.Tokenizer {
-		return &text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem}
+	// Every strand counts into one scratch dictionary, recycled across its
+	// documents so it grows to the largest of them once; the shard keeps an
+	// exact-size clone per document.
+	type strand struct {
+		tk      text.Tokenizer
+		scratch dict.Map[DocTerm]
+	}
+	strands := par.NewReducer(func() *strand {
+		return &strand{
+			tk:      text.Tokenizer{MinLen: opts.MinWordLen, Stopwords: opts.Stopwords, Stem: opts.Stem},
+			scratch: dict.New[DocTerm](opts.DictKind, dict.Options{Presize: opts.DocPresize}),
+		}
 	})
 	var vocabMu sync.Mutex
+	// firstInDoc records a word's first occurrence in a document: its shard
+	// DF is bumped and the document entry takes its provisional local ID.
+	firstInDoc := func(info *TermInfo, e *DocTerm) {
+		if info.DF == 0 {
+			info.ID = uint32(vocab.Len() - 1)
+		}
+		info.DF++
+		e.Local = info.ID
+	}
 	read := func(handler func(i int, content []byte) error) error {
 		if opts.Ctx != nil {
 			return pario.ReadAllContext(opts.Ctx, src, readers, handler)
@@ -193,53 +208,38 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 		if rec.Enabled() {
 			start = time.Now()
 		}
-		tk := strands.Claim()
-		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: opts.DocPresize})
+		st := strands.Claim()
+		d := st.scratch
 		if readers == 1 {
 			// The shard dictionary is this strand's alone: a word's first
-			// occurrence in the document bumps its DF there and then, and
-			// the document dictionary stores the shard's key string — one
-			// string per shard word, none per (document, word).
-			var local uint32
-			firstInDoc := func(tok []byte) string {
-				info := vocab.RefBytesFunc(tok, newWord)
-				if info.DF == 0 {
-					info.ID = uint32(len(words) - 1)
-				}
-				info.DF++
-				local = info.ID
-				return words[local]
-			}
-			tk.Tokens(content, func(tok []byte) {
-				e := d.RefBytesFunc(tok, firstInDoc)
+			// occurrence in the document bumps its DF there and then, under
+			// the hash the tokenizer computed for the document dictionary.
+			st.tk.TokensHash(content, func(tok []byte, hash uint64) {
+				e := d.RefHash(tok, hash)
 				if e.TF == 0 {
-					e.Local = local
+					firstInDoc(vocab.RefHash(tok, hash), e)
 				}
 				e.TF++
 			})
 		} else {
 			// Several readers share the shard dictionary: count privately,
 			// then bump DFs under a lock held once per document, not once
-			// per word.
-			tk.Tokens(content, func(tok []byte) {
-				d.RefBytes(tok).TF++
+			// per word. vocab.Ref keeps its own copy of the word, which is
+			// about to be recycled with the scratch dictionary.
+			st.tk.TokensHash(content, func(tok []byte, hash uint64) {
+				d.RefHash(tok, hash).TF++
 			})
 			vocabMu.Lock()
 			d.Range(func(word string, e *DocTerm) bool {
-				info := vocab.Ref(word)
-				if info.DF == 0 {
-					info.ID = uint32(len(words))
-					words = append(words, word)
-				}
-				info.DF++
-				e.Local = info.ID
+				firstInDoc(vocab.Ref(word), e)
 				return true
 			})
 			vocabMu.Unlock()
 		}
-		sc.DocDicts[i] = d
+		sc.DocDicts[i] = d.Clone(opts.DocPresize)
+		d.Reset()
 		sc.DocNames[i] = src.Name(i)
-		strands.Release(tk)
+		strands.Release(st)
 		if rec.Enabled() {
 			rec.Task(time.Since(start), int64(len(content)), true)
 		}
@@ -253,36 +253,63 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 			return nil, fmt.Errorf("tfidf: %w", err)
 		}
 	}
-	sc.sortVocabulary(words, vocab)
+	sc.sortVocabulary(vocab)
 	return sc, nil
 }
 
-// sortVocabulary renumbers the shard's provisional term IDs (indexes into
-// words, in first-occurrence order) to ranks in ascending word order,
-// filling Words and DF and rewriting every document dictionary's Local.
-func (sc *ShardCounts) sortVocabulary(words []string, vocab dict.Map[TermInfo]) {
-	order := make([]uint32, len(words))
-	for id := range order {
-		order[id] = uint32(id)
-	}
-	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(words[a], words[b]) })
-	rank := make([]uint32, len(words))
-	sc.Words = make([]string, len(words))
-	for r, id := range order {
-		rank[id] = uint32(r)
-		sc.Words[r] = words[id]
-	}
-	sc.DF = make([]uint32, len(words))
-	vocab.Range(func(_ string, info *TermInfo) bool {
-		sc.DF[rank[info.ID]] = info.DF
+// sortVocabulary renumbers the shard's provisional term IDs (first-
+// occurrence order, held by vocab) to ranks in ascending word order, filling
+// Words and DF and rewriting every document dictionary's Local. Words are
+// vocab's own key strings; vocab is never reset, so they stay valid.
+func (sc *ShardCounts) sortVocabulary(vocab dict.Map[TermInfo]) {
+	words := make([]string, vocab.Len())
+	df := make([]uint32, len(words))
+	vocab.Range(func(word string, info *TermInfo) bool {
+		words[info.ID], df[info.ID] = word, info.DF
 		return true
 	})
+	order := sortedOrder(words)
+	rank := make([]uint32, len(words))
+	sc.Words = make([]string, len(words))
+	sc.DF = make([]uint32, len(words))
+	for r, id := range order {
+		rank[id] = uint32(r)
+		sc.Words[r], sc.DF[r] = words[id], df[id]
+	}
 	for _, d := range sc.DocDicts {
 		d.Range(func(_ string, e *DocTerm) bool {
 			e.Local = rank[e.Local]
 			return true
 		})
 	}
+}
+
+// sortedOrder returns the indices of words in ascending word order. It
+// sorts (first 8 bytes big-endian, index) pairs, so all but the comparisons
+// between words sharing an 8-byte prefix are one integer compare that never
+// touches string memory.
+func sortedOrder(words []string) []uint32 {
+	type keyed struct {
+		prefix uint64
+		id     uint32
+	}
+	keys := make([]keyed, len(words))
+	for id, w := range words {
+		var p [8]byte
+		copy(p[:], w)
+		keys[id] = keyed{binary.BigEndian.Uint64(p[:]), uint32(id)}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		return strings.Compare(words[a.id], words[b.id])
+	})
+	order := make([]uint32, len(words))
+	for r, k := range keys {
+		order[r] = k.id
+	}
+	return order
 }
 
 // termList is a sorted vocabulary with per-word document frequencies — one

@@ -3,6 +3,8 @@ package tfidf
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -177,9 +179,10 @@ func TestTermIDEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCountShardAllocations: phase 1 allocates per shard word and per
-// document, never per (document, word) — a document's first sight of a word
-// takes the shard vocabulary's string.
+// TestCountShardAllocations: phase 1 allocates per document — the retained
+// clone's header, buckets, entries and key bytes — and per growth step of
+// the shard vocabulary, never per (document, word): words are counted in a
+// recycled scratch table and copied out wholesale.
 func TestCountShardAllocations(t *testing.T) {
 	src := corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil)
 	opts := Options{}
@@ -196,8 +199,78 @@ func TestCountShardAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perPair := allocs / float64(pairs); perPair > 0.35 {
-		t.Fatalf("CountShard: %.0f allocations for %d distinct (doc, word) pairs = %.2f per pair, want <= 0.35",
-			allocs, pairs, perPair)
+	t.Logf("CountShard: %.0f allocations for %d documents, %d distinct (doc, word) pairs, %d shard words",
+		allocs, src.Len(), pairs, len(sc.Words))
+	if perDoc := allocs / float64(src.Len()); perDoc > 10 {
+		t.Fatalf("CountShard: %.0f allocations for %d documents = %.1f per document, want <= 10",
+			allocs, src.Len(), perDoc)
+	}
+}
+
+// TestDocTableHoldsNoPointers: the retained per-document hash tables are
+// invisible to the garbage collector's scan only while their entry type is
+// pointer-free — key bytes addressed by offset, not held as strings. A
+// pointer creeping back into the entry (or into DocTerm) puts 511 k
+// entries per text-e2e op back on the collector's work list.
+func TestDocTableHoldsNoPointers(t *testing.T) {
+	table := reflect.TypeOf(dict.NewHashMap[DocTerm](dict.Options{})).Elem()
+	entries, ok := table.FieldByName("entries")
+	if !ok || entries.Type.Kind() != reflect.Slice {
+		t.Fatalf("dict.HashMap has no entries slice to inspect: %v", table)
+	}
+	var pointers func(reflect.Type) bool
+	pointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return pointers(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if pointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		default: // pointer, string, slice, map, chan, func, interface, uintptr-as-pointer
+			return true
+		}
+	}
+	if entry := entries.Type.Elem(); pointers(entry) {
+		t.Fatalf("hash entry type %v holds pointers", entry)
+	}
+}
+
+// TestSortedOrderMatchesStringSort: the prefix-keyed vocabulary sort orders
+// exactly as a plain string sort does, on words that share their first 8
+// bytes, words shorter than 8 bytes (zero-padded prefixes, including a word
+// that ends in the padding byte) and multi-byte UTF-8.
+func TestSortedOrderMatchesStringSort(t *testing.T) {
+	words := []string{
+		"", "a", "ab", "ab\x00", "ab\x00\x00c", "abcdefg", "abcdefgh", "abcdefgh\x00", "abcdefgha", "abcdefghz",
+		"abcdefgi", "abcdefg\xff", "zzzzzzzz", "zzzzzzzzz", "é", "éa", "ééééé", "éééééa", "日本語", "日本語テキスト",
+		"日本語テキスト処理", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ { // few letters, so long shared prefixes are common
+		b := make([]byte, rng.Intn(14))
+		for j := range b {
+			b[j] = "abé"[rng.Intn(4)]
+		}
+		words = append(words, string(b)+fmt.Sprint(i))
+	}
+	rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
+	want := make([]uint32, len(words))
+	for i := range want {
+		want[i] = uint32(i)
+	}
+	sort.Slice(want, func(a, b int) bool { return words[want[a]] < words[want[b]] })
+	got := sortedOrder(words)
+	for r := range want {
+		if got[r] != want[r] {
+			t.Fatalf("rank %d: word %q, want %q", r, words[got[r]], words[want[r]])
+		}
 	}
 }

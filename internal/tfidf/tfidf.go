@@ -5,10 +5,12 @@
 // The implementation follows the paper's two-phase structure exactly:
 //
 //   - Phase 1 ("input+wc"): documents are read and tokenized in parallel;
-//     per-document term frequencies are collected in dedicated dictionaries,
-//     and a shard dictionary accumulates, per word, the number of documents
-//     containing it and hands the word a shard-local term ID that the
-//     per-document dictionaries record. "The first phase can be executed in
+//     per-document term frequencies are collected in dedicated dictionaries
+//     (counted in a recycled scratch table under the hash the tokenizer
+//     computed, kept as an exact-size copy), and a shard dictionary
+//     accumulates, per word, the number of documents containing it and
+//     hands the word a shard-local term ID that the per-document
+//     dictionaries record. "The first phase can be executed in
 //     parallel for each of the documents."
 //   - Phase 2 ("transform"): the shard vocabularies are merged into the
 //     global term table (IDs in lexicographic word order, one IDF per
@@ -55,9 +57,13 @@ type Options struct {
 	// hold 4K items", far below the final vocabulary, so the hash table
 	// rehashes several times as it grows; 0 keeps that default.
 	GlobalPresize int
-	// DocPresize pre-sizes each per-document dictionary. The paper's
-	// Figure 4 hash configuration uses 4096 here too, which is what makes
-	// one retained table per document balloon to gigabytes.
+	// DocPresize reserves each retained per-document dictionary for at
+	// least this many items. The paper's Figure 4 hash configuration uses
+	// 4096 here too, which is what makes one retained table per document
+	// balloon to gigabytes. 0 keeps every table exactly as large as its
+	// document needs: documents are counted in a per-strand scratch
+	// dictionary (itself pre-sized to DocPresize) and the shard keeps a
+	// Clone reserved for max(distinct words, DocPresize).
 	DocPresize int
 	// Stopwords optionally filters tokens.
 	Stopwords *text.StopwordSet

@@ -107,8 +107,9 @@ func (sc *ShardCounts) Wire(withDF bool) *WireShardCounts {
 }
 
 // ShardCounts rebuilds the shard with live per-document dictionaries of
-// the configured kind, keyed by the vocabulary's own strings — the inverse
-// of Wire up to dictionary internals, which never affect results.
+// the configured kind, sized as CountShard's are (for the document or
+// DocPresize, whichever is larger) — the inverse of Wire up to dictionary
+// internals, which never affect results.
 func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 	sc := &ShardCounts{
 		Lo:       w.Lo,
@@ -119,7 +120,7 @@ func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 		DocNames: w.DocNames,
 	}
 	for i, dc := range w.Docs {
-		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: opts.DocPresize})
+		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: max(opts.DocPresize, len(dc.Locals))})
 		for k, local := range dc.Locals {
 			*d.Ref(w.Words[local]) = DocTerm{TF: dc.Counts[k], Local: local}
 		}

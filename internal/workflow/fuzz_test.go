@@ -46,6 +46,11 @@ func FuzzDecodeFlatKMAssignTaskArgs(f *testing.F) {
 		if re, err := DecodeFlatKMAssignTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
 			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
 		}
+		// The kernel sizes the session's accumulators from an accepted init
+		// (testdata/fuzz holds one asking for 2⁸⁰ floats).
+		if in := a.Init; in != nil && in.Dim > 0 && in.K > maxFrameBytes/8/in.Dim {
+			t.Fatalf("accepted an init of k=%d × dimension %d, past the frame cap", in.K, in.Dim)
+		}
 	})
 }
 

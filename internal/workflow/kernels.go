@@ -459,6 +459,10 @@ func consumeKMShardInit(r *flatwire.Reader) *KMShardInit {
 		r.Fail("loop shard init has dimension %d", in.Dim)
 	case in.Block != 0 && in.Block != 4 && in.Block != 8:
 		r.Fail("loop shard init has block width %d", in.Block)
+	case in.Dim > 0 && in.K > maxFrameBytes/8/in.Dim:
+		// The session allocates k × dim accumulator floats and replies with
+		// them; past the frame cap that reply could never be sent.
+		r.Fail("loop shard init has k=%d × dimension %d, more accumulator floats than a %d-byte frame holds", in.K, in.Dim, maxFrameBytes)
 	}
 	for i := range in.Vectors {
 		// Indices ascend, so the last is the largest.

@@ -416,6 +416,8 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 		"k=0":              func(in *KMShardInit) { in.K = 0 },
 		"k<0":              func(in *KMShardInit) { in.K = -3 },
 		"dim<0":            func(in *KMShardInit) { in.Dim = -1 },
+		"k × dim > frame":  func(in *KMShardInit) { in.K, in.Dim = 1<<14+1, 1<<13 },
+		"k × dim overflow": func(in *KMShardInit) { in.K, in.Dim = 1<<40, 1<<40 },
 		"block=3":          func(in *KMShardInit) { in.Block = 3 },
 		"block=16":         func(in *KMShardInit) { in.Block = 16 },
 		"block<0":          func(in *KMShardInit) { in.Block = -1 },

@@ -62,6 +62,12 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		Last: sparse.Vector{Idx: []uint32{math.MaxUint32}, Val: []float64{1}},
 		D2:   []float64{math.Inf(1)},
 	}).AppendFlat(nil)
+	// A 60-byte assign request whose init asks for 2⁸⁰ accumulator floats.
+	hostileInit := (&KMAssignTaskArgs{
+		Loop:   "hostile-frames-init",
+		Init:   &KMShardInit{Vectors: []sparse.Vector{{}}, Norms: []float64{0}, Dim: 1 << 40, K: 1 << 40},
+		Assign: []int32{-1},
+	}).AppendFlat(nil)
 	cases := []struct {
 		name string
 		raw  []byte
@@ -86,6 +92,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "empty body", raw: requestFrame(9, "kmeans.assign", nil), malformed: true},
 		{name: "kernel panic", raw: requestFrame(10, "test.panic", nil), text: "panicked"},
 		{name: "seed past the loop's dimension", raw: requestFrame(11, "kmeans.seed", hostileSeed), malformed: true, text: "seed dimension 4294967296 of 3"},
+		{name: "session past the frame cap", raw: requestFrame(12, "kmeans.assign", hostileInit), malformed: true, text: "more accumulator floats than"},
 	}
 	for _, tc := range cases {
 		conn, err := net.Dial("tcp", lis.Addr().String())
