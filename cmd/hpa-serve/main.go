@@ -83,6 +83,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"hpa/internal/optimizer"
 	"hpa/internal/par"
@@ -163,7 +164,19 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("hpa-serve: listening on %s (data root %s, %d threads)\n", *addr, *data, *threads)
-	fatal(http.ListenAndServe(*addr, srv.Handler()))
+	hs := &http.Server{
+		Addr:    *addr,
+		Handler: srv.Handler(),
+		// A client that trickles its headers or body, or never reads its
+		// answer, cannot hold a connection forever. Request bodies are
+		// capped separately (serve.MaxBodyBytes). A plan answers only
+		// once its run finishes, so the write deadline is generous.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      30 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	fatal(hs.ListenAndServe())
 }
 
 func fatal(err error) {

@@ -17,11 +17,11 @@
 // split into N document shards that flow through per-shard map kernels and
 // explicit reductions, and K-Means runs as an iterative shard loop
 // (per-shard assignment tasks behind a per-iteration reduction barrier;
-// rendered by -explain as kmeans.assign ~[xN]~> kmeans.reduce). 0 = auto;
-// -1 = the bulk-synchronous whole-operator plan; values below -1 are
-// rejected. Without -optimize, auto means 2×GOMAXPROCS shards so work
-// stealing can rebalance stragglers. Results are bit-identical at any
-// shard count. Single runs also report the measured iteration count and
+// rendered by -explain as kmeans.assign ~[xN]~> kmeans.reduce). 0 = auto,
+// N >= 1 pins N shards; negative values are rejected. Without -optimize,
+// auto means 2×GOMAXPROCS shards so work stealing can rebalance
+// stragglers. Scores, seeds and assignments are bit-identical at any shard
+// count. Single runs also report the measured iteration count and
 // the mean assign+reduce span per iteration (the per-shard timings union
 // into the same "kmeans" phase key, so the Figure 3/4 breakdown is
 // unchanged).
@@ -39,10 +39,10 @@
 // dictionary kind per operator and decides fusion itself; an explicit
 // -dict pins the dictionary kind for every operator, an explicit -mode
 // pins the fusion decision (merged pins fused, discrete pins the
-// materialized ARFF hand-off), and an explicit -shards N (N >= 1, or -1
-// for bulk) pins the shard count. Only flags at their defaults are
-// optimized; pinned decisions are annotated in -explain output as
-// "pinned by explicit override". Passing a flag explicitly at its
+// materialized ARFF hand-off), and an explicit -shards N (N >= 1) pins
+// the shard count. Only flags at their defaults are optimized; pinned
+// decisions are annotated in -explain output as "pinned by explicit
+// override". Passing a flag explicitly at its
 // default value (e.g. -dict u-map) also pins — explicitness, not the
 // value, is what's detected.
 //
@@ -126,7 +126,7 @@ func main() {
 		in       = flag.String("in", "", "corpus directory (required)")
 		mode     = flag.String("mode", "merged", "workflow mode: merged or discrete")
 		threads  = flag.Int("threads", runtime.NumCPU(), "worker threads")
-		shards   = flag.Int("shards", 0, "corpus shards for partitioned execution (0 = auto; -1 = bulk-synchronous; with -optimize, explicit values pin the optimizer's choice)")
+		shards   = flag.Int("shards", 0, "corpus shards for partitioned execution (0 = auto, N >= 1 pins N; with -optimize, an explicit N pins the optimizer's choice)")
 		dictKind = flag.String("dict", dict.Kind(0).String(), "dictionary: map, u-map, map-arena")
 		presize  = flag.Int("presize", 0, "per-document dictionary presize")
 		k        = flag.Int("k", 8, "number of clusters")
@@ -181,8 +181,8 @@ func main() {
 		rpcBackend = rb
 		workerCount = rb.Workers()
 	}
-	if *shards < -1 {
-		fmt.Fprintf(os.Stderr, "hpa-workflow: -shards %d is invalid (want N >= 1, 0 for auto, or -1 for bulk-synchronous)\n", *shards)
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "hpa-workflow: -shards %d is invalid (want N >= 1, or 0 for auto)\n", *shards)
 		os.Exit(2)
 	}
 	var wmode workflow.Mode
@@ -211,17 +211,9 @@ func main() {
 		scratchDir = dir
 	}
 
-	cfgShards := 0
-	switch {
-	case *shards == 0:
-		cfgShards = -1 // auto: PartitionOp resolves to 2×GOMAXPROCS
-	case *shards > 0:
-		cfgShards = *shards
-	} // *shards < 0 keeps the bulk-synchronous plan
-
 	cfg := workflow.TFKMConfig{
 		Mode:   wmode,
-		Shards: cfgShards,
+		Shards: *shards,
 		TFIDF: tfidf.Options{
 			DictKind:   kind,
 			DocPresize: *presize,
@@ -233,7 +225,7 @@ func main() {
 	// buildPlan constructs the (possibly optimized) plan for one run at the
 	// given worker parallelism. Under -optimize the corpus statistics and
 	// the calibrated cost model are gathered once and reused; the base plan
-	// is built discrete and bulk so the optimizer owns the fusion and
+	// is the discrete logical plan so the optimizer owns the fusion and
 	// sharding decisions, with an explicit -shards pinning its choice.
 	var (
 		stats *optimizer.Stats
@@ -261,14 +253,6 @@ func main() {
 		}
 		base := cfg
 		base.Mode = workflow.Discrete
-		base.Shards = 0
-		pin := 0
-		switch {
-		case *shards > 0:
-			pin = *shards
-		case *shards == -1:
-			pin = -1
-		}
 		profile := optimizer.LocalProfile()
 		if workerCount > 0 {
 			shipDir := ""
@@ -277,7 +261,7 @@ func main() {
 			}
 			profile = optimizer.RPCProfileFrom(workerCount, model, shipDir)
 		}
-		opts := optimizer.Options{Procs: procs, Shards: pin, Backend: profile}
+		opts := optimizer.Options{Procs: procs, Shards: *shards, Backend: profile}
 		if explicit["dict"] {
 			opts.Dict = optimizer.PinDict(kind)
 		}
@@ -288,7 +272,7 @@ func main() {
 				opts.Fusion = optimizer.FusionMaterialize
 			}
 		}
-		plan := workflow.TFKMPlan(src, base)
+		plan := workflow.LogicalTFKMPlan(src, base)
 		return plan.Apply(optimizer.Rule(stats, model, opts)), nil
 	}
 

@@ -58,10 +58,10 @@ func main() {
 	}
 	fmt.Printf("\nstats: %s\n\n", stats)
 
-	// 3. Optimize: build the discrete, bulk-synchronous base plan — the
-	// optimizer owns the fusion and sharding decisions — and rewrite it.
+	// 3. Optimize: build the discrete logical plan — the optimizer owns the
+	// fusion and sharding decisions — and rewrite it.
 	base := func() *hpa.Plan {
-		return hpa.NewTFKMPlan(corpus.Source(nil), hpa.TFKMConfig{
+		return hpa.NewLogicalTFKMPlan(corpus.Source(nil), hpa.TFKMConfig{
 			Mode:   hpa.Discrete,
 			TFIDF:  hpa.TFIDFOptions{DictKind: hpa.TreeDict, Normalize: true},
 			KMeans: hpa.KMeansOptions{K: 8, Seed: 42},
@@ -87,7 +87,6 @@ func main() {
 	}
 	defPlan := hpa.NewTFKMPlan(corpus.Source(nil), hpa.TFKMConfig{
 		Mode:   hpa.Merged,
-		Shards: -1, // auto
 		TFIDF:  hpa.TFIDFOptions{DictKind: hpa.TreeDict, Normalize: true},
 		KMeans: hpa.KMeansOptions{K: 8, Seed: 42},
 	})

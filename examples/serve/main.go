@@ -68,7 +68,6 @@ func main() {
 	check(err)
 	cfg := hpa.TFKMConfig{
 		Mode:   hpa.Merged,
-		Shards: -1,
 		TFIDF:  hpa.TFIDFOptions{DictKind: hpa.TreeDict, Normalize: true},
 		KMeans: hpa.KMeansOptions{K: 8, Seed: 1},
 	}

@@ -80,24 +80,30 @@
 //
 // The word-count and K-Means branches execute concurrently on the pool, and
 // outs holds one dataset per sink node. Apply rewrite rules with
-// plan.Apply(hpa.FuseRule(), hpa.SharedScanRule()).
+// plan.Apply(hpa.FuseRule(), hpa.SharedScanRule()). The operators above
+// are logical: every plan runs partitioned, and Run expands any operator
+// not yet partitioned at the auto shard count. There is one physical
+// shape, and the shard count is its only knob — TFKMConfig.Shards, 0 =
+// auto, N pins N.
 //
 // # Cost-based optimization
 //
 // Instead of hard-coding the dictionary kind, the fusion decision and the
 // shard count in TFKMConfig, let the optimizer derive them from a
-// calibrated cost model and input statistics:
+// calibrated cost model and input statistics, starting from the logical
+// plan:
 //
 //	model, _ := hpa.LoadOrCalibrateCostModel(cacheDir, hpa.CalibrationOptions{})
 //	stats, _ := hpa.CollectCorpusStats(corpus, 0)
-//	plan = hpa.Optimize(plan, stats, model)
+//	plan := hpa.Optimize(hpa.NewLogicalTFKMPlan(src, cfg), stats, model)
 //	fmt.Println(plan.Explain()) // decisions and estimates as "#" lines
 //
 // The model is cached under cacheDir as JSON, keyed by GOMAXPROCS and a
 // model version (delete the hpa-costmodel-*.json file, or set
 // CalibrationOptions.Force, to re-measure). Optimize overrides the
-// dictionary kind, fusion decision and shard count the plan was built
-// with. Optimized plans produce bit-identical results to unoptimized ones
+// dictionary kind and fusion decision the plan was built with, and picks
+// the shard counts of a logical plan (a plan already partitioned keeps
+// its count). Optimized plans produce bit-identical results to unoptimized ones
 // — every decision is result-invariant. Individual decisions can be pinned
 // against the model (cmd/hpa-workflow -optimize with an explicit -shards,
 // -dict or -mode); Explain marks them "pinned by explicit override".
@@ -387,9 +393,16 @@ func RunTFIDFKMeans(src Source, ctx *WorkflowContext, cfg TFKMConfig) (*TFKMRepo
 	return workflow.RunTFKM(src, ctx, cfg)
 }
 
-// NewTFKMPlan constructs the TF/IDF→K-Means workflow over src as a Plan;
-// Merged mode returns the discrete plan with FuseRule applied.
+// NewTFKMPlan constructs the TF/IDF→K-Means workflow over src as a
+// physical Plan partitioned at cfg.Shards (0 = auto, N pins N shards);
+// Merged mode fuses the discrete plan's ARFF hand-off first.
 func NewTFKMPlan(src Source, cfg TFKMConfig) *Plan { return workflow.TFKMPlan(src, cfg) }
+
+// NewLogicalTFKMPlan constructs the workflow as a logical Plan, one node
+// per operator and no shard decision yet — the input Optimize expects.
+func NewLogicalTFKMPlan(src Source, cfg TFKMConfig) *Plan {
+	return workflow.LogicalTFKMPlan(src, cfg)
+}
 
 // Cost-based plan optimization surface.
 type (

@@ -83,12 +83,14 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		return nil, err
 	}
 	for _, chunk := range []int{16, 64, 128, 512, 2048} {
-		rec := simsched.NewRecorder()
-		if _, err := kmeans.Run(tf.Vectors, tf.Dim(), pool,
-			kmeans.Options{K: cfg.K, Seed: cfg.Seed, ChunkSize: chunk, Recorder: rec}, nil); err != nil {
+		phases, err := cfg.bestTrace(func(rec *simsched.Recorder) error {
+			_, err := kmeans.Run(tf.Vectors, tf.Dim(), pool,
+				kmeans.Options{K: cfg.K, Seed: cfg.Seed, ChunkSize: chunk, Recorder: rec}, nil)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		phases := rec.Phases()
 		_, t1 := simsched.Simulate(simsched.Machine{Workers: 1}, phases)
 		_, t16 := simsched.Simulate(simsched.Machine{Workers: 16}, phases)
 		if t16 > 0 {

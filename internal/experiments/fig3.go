@@ -85,13 +85,17 @@ func RunFig3(cfg Config) (*WorkflowResult, error) {
 		}
 		defer os.RemoveAll(scratch)
 		cfg.logf("fig3: recording discrete workflow trace on %s...", spec.Name)
+		// One shard at one reader: one recorded task per document in both
+		// TF/IDF phases and per assignment chunk in K-Means.
+		recCfg := cfgTFKM
+		recCfg.Shards = 1
 		discretePhases, err := cfg.bestTrace(func(rec *simsched.Recorder) error {
 			pool := par.NewPool(1)
 			defer pool.Close()
 			ctx := workflow.NewContext(pool)
 			ctx.ScratchDir = scratch
 			ctx.Recorder = rec
-			_, err := workflow.RunTFKM(c.Source(nil), ctx, cfgTFKM)
+			_, err := workflow.RunTFKM(c.Source(nil), ctx, recCfg)
 			return err
 		})
 		if err != nil {

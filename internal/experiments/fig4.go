@@ -113,6 +113,12 @@ func runFig4Variant(cfg Config, c *corpus.Corpus, kind dict.Kind) (*DictVariant,
 	}
 
 	runOnce := func(workers int, rec *simsched.Recorder, disk *pario.DiskSim) (*workflow.TFKMReport, error) {
+		wcfg := wcfg
+		if rec.Enabled() {
+			// One shard at one reader: one recorded task per document in
+			// both TF/IDF phases and per assignment chunk in K-Means.
+			wcfg.Shards = 1
+		}
 		scratch, err := os.MkdirTemp("", "hpa-fig4-*")
 		if err != nil {
 			return nil, err

@@ -46,12 +46,12 @@
 // the chosen seeds are bit-identical to serial seeding at any shard
 // count and on any backend.
 //
-// Step and Run are thin drivers over the same kernels: Step carves the
-// documents into one fixed contiguous range per pool worker, runs
+// Step and Run are the library driver over the same kernels: Step carves
+// the documents into one fixed contiguous range per pool worker, runs
 // AssignShard over each range into that range's recycled Accum, and merges
-// the ranges in index order through EndIteration — so the bulk operator and
-// the workflow engine's iterative shard loop execute identical code, and a
-// bulk run is bit-repeatable on a given pool size.
+// the ranges in index order through EndIteration — so the driver and the
+// workflow engine's iterative shard loop execute identical code, and a
+// driver run is bit-repeatable on a given pool size.
 //
 // # Blocked distance kernel
 //
@@ -431,18 +431,22 @@ func normSq(x []float64) float64 {
 // accumulating into a: every document is assigned to its nearest centroid
 // (ties broken by the lowest cluster index, identically in every execution
 // mode), its vector is added to that cluster's running sum, and the shard's
-// inertia and moved-assignment count are collected. Distinct ranges may run
-// concurrently; a single Accum must only be used by one range at a time.
-// AssignShard allocates nothing.
+// inertia and moved-assignment count are collected. The range is walked in
+// ChunkSize chunks, one recorder task per chunk; chunking never changes the
+// accumulation order. Distinct ranges may run concurrently; a single Accum
+// must only be used by one range at a time. AssignShard allocates nothing.
 func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 	rec := c.opts.Recorder
-	var start time.Time
-	if rec.Enabled() {
-		start = time.Now()
-	}
-	AssignRange(lo, hi, c.opts.K, c.docs, c.docNorms, c.centroids, c.cnorms, c.layout, c.assign, c.dists, a)
-	if rec.Enabled() {
-		rec.Task(time.Since(start), 0, false)
+	for ; lo < hi; lo += c.opts.ChunkSize {
+		var start time.Time
+		if rec.Enabled() {
+			start = time.Now()
+		}
+		AssignRange(lo, min(lo+c.opts.ChunkSize, hi), c.opts.K, c.docs, c.docNorms,
+			c.centroids, c.cnorms, c.layout, c.assign, c.dists, a)
+		if rec.Enabled() {
+			rec.Task(time.Since(start), 0, false)
+		}
 	}
 }
 
@@ -595,25 +599,21 @@ func (c *Clusterer) Done() bool { return c.done }
 func (c *Clusterer) Iterations() int { return c.iter }
 
 // Step runs one K-Means iteration: parallel assignment and accumulation
-// over one contiguous document range per pool worker, then the serial
-// ordered reduction and centroid update. Range boundaries depend only on
-// the document and worker counts, and the ranges merge in index order, so
-// repeated runs produce identical bits however the ranges were scheduled.
-// Each range is walked in ChunkSize chunks, one recorder task per chunk. It
-// returns the new inertia and the number of documents whose assignment
-// changed. Step allocates nothing after its first call.
+// over one contiguous document range per pool worker (AssignShard), then
+// the serial ordered reduction and centroid update. Range boundaries
+// depend only on the document and worker counts, and the ranges merge in
+// index order, so repeated runs produce identical bits however the ranges
+// were scheduled. It returns the new inertia and the number of documents
+// whose assignment changed. Step allocates nothing after its first call.
 func (c *Clusterer) Step() (float64, int) {
 	for len(c.ranges) < c.pool.Workers() {
 		c.ranges = append(c.ranges, c.NewAccum())
 	}
-	n, nr, chunk := len(c.docs), len(c.ranges), c.opts.ChunkSize
+	n, nr := len(c.docs), len(c.ranges)
 	c.pool.For(0, nr, 1, func(r int) {
 		a := c.ranges[r]
 		a.Reset()
-		hi := n * (r + 1) / nr
-		for lo := n * r / nr; lo < hi; lo += chunk {
-			c.AssignShard(lo, min(lo+chunk, hi), a)
-		}
+		c.AssignShard(n*r/nr, n*(r+1)/nr, a)
 	})
 	// Serial reduction and centroid update (the non-parallel section that
 	// bounds scalability in Figure 1's smaller dataset).

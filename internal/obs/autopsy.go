@@ -28,10 +28,8 @@ type PlanLike interface {
 var (
 	// "est input+wc 120ms + transform 80ms = 200ms; ..." (tfidf dict note).
 	reTermSum = regexp.MustCompile(`est input\+wc ([^ ]+) \+ transform ([^ ]+) = ([^;)]+)[;)]`)
-	// "(est 120ms vs bulk ..." / "(est 120ms; ..." (shards and loop notes).
+	// "(est 120ms; ..." (shards and loop notes).
 	reEst = regexp.MustCompile(`\(est ([^ ;)]+)[ ;)]`)
-	// "kmeans: bulk est 120ms (..." (bulk kmeans note).
-	reBulkEst = regexp.MustCompile(`bulk est ([^ ]+) `)
 )
 
 func parseDur(tok string) (time.Duration, bool) {
@@ -43,9 +41,6 @@ func parseDur(tok string) (time.Duration, bool) {
 func predicted(note string) (time.Duration, bool) {
 	if m := reTermSum.FindStringSubmatch(note); m != nil {
 		return parseDur(m[3])
-	}
-	if m := reBulkEst.FindStringSubmatch(note); m != nil {
-		return parseDur(m[1])
 	}
 	if m := reEst.FindStringSubmatch(note); m != nil {
 		return parseDur(m[1])
@@ -166,11 +161,7 @@ func costTerms(plan PlanLike, bd *metrics.Breakdown) string {
 				terms = append(terms, term{"transform", d})
 			}
 		}
-		if m := reBulkEst.FindStringSubmatch(note); m != nil {
-			if d, ok := parseDur(m[1]); ok {
-				terms = append(terms, term{"kmeans", d})
-			}
-		} else if strings.Contains(note, "loop shards=") {
+		if strings.Contains(note, "loop shards=") {
 			if m := reEst.FindStringSubmatch(note); m != nil {
 				if d, ok := parseDur(m[1]); ok {
 					terms = append(terms, term{"kmeans", d})

@@ -23,7 +23,7 @@ func (p *fakePlan) Annotation(node string) string { return p.notes[node] }
 func autopsyFixture() (*fakePlan, *Trace) {
 	notes := map[string]string{
 		"tfidf.map":     "dict=u-map (est input+wc 100ms + transform 20ms = 120ms; map-arena 945ms)",
-		"kmeans.assign": "loop shards=4 (est 40ms; ~14 iterations × 2ms assign/iter; bulk 90ms)",
+		"kmeans.assign": "loop shards=4 (est 40ms; ~14 iterations × 2ms assign/iter)",
 	}
 	plan := &fakePlan{
 		nodes: []string{"scan", "tfidf.map", "kmeans.assign"},
@@ -126,9 +126,9 @@ func TestPredictedParsing(t *testing.T) {
 		ok   bool
 	}{
 		{"dict=u-map (est input+wc 205.16ms + transform 22.5ms = 227.66ms; map-arena 945.46ms)", 227660 * time.Microsecond, true},
-		{"shards=4 (est 85.82ms vs bulk 243.12ms; merge est 1ms)", 85820 * time.Microsecond, true},
+		{"shards=4 (est 85.82ms; work 170ms over 2 slots)", 85820 * time.Microsecond, true},
+		{"shards=3 (est 90ms; pinned by explicit override)", 90 * time.Millisecond, true},
 		{"loop shards=4 (est 41.43ms); backend=rpc×2 (+1.2ms ship/task)", 41430 * time.Microsecond, true},
-		{"kmeans: bulk est 120ms (chunk-parallel)", 120 * time.Millisecond, true},
 		{"pinned by explicit override", 0, false},
 		{"", 0, false},
 	}

@@ -49,9 +49,10 @@ import (
 // lookup per vocabulary word in phase 2) — the probes are unchanged, the
 // version moves so that a recorded prediction names the formula that made
 // it; v9 measures RPCShipNS on the flat frame protocol that replaced
-// net/rpc + gob, through the backend's own client. Earlier caches
-// self-invalidate and re-measure.
-const ModelVersion = 9
+// net/rpc + gob, through the backend's own client; v10 drops the
+// unpartitioned plan's estimate, so the shard count is chosen among
+// sharded estimates only. Earlier caches self-invalidate and re-measure.
+const ModelVersion = 10
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

@@ -31,16 +31,6 @@ const stragglerFactor = 0.25
 // uniform shards pay some scheduling jitter.
 const stragglerMin = 0.02
 
-// bulkContentionFactor is the surcharge of the unpartitioned operators
-// under parallelism. Bulk execution is the shard kernels over one
-// contiguous shard per worker, so what it still prices is coarse static
-// decomposition: the slowest worker's shard gates each phase, with no
-// smaller shards for work stealing to rebalance. Measured on 2 CPUs
-// (BENCH_partitioned.json, BENCH_iterative.json) bulk/auto is 0.93 for
-// TF/IDF alone and 1.01 end to end, so 0.15 overstates it there; the value
-// predates that measurement and is kept so plan choices do not change.
-const bulkContentionFactor = 0.15
-
 // BackendProfile describes the execution backend to the shard-count
 // decisions: whether shard tasks leave the process, how many remote
 // workers back the plan, and the per-task ship cost. The zero value is
@@ -153,9 +143,8 @@ type Options struct {
 	// Procs is the worker parallelism the plan will run under (0 selects
 	// runtime.GOMAXPROCS(0)) — the P of the shard-count decision.
 	Procs int
-	// Shards pins the shard-count decision: > 0 forces that count
-	// (an explicit user override), < 0 forces the bulk-synchronous plan,
-	// 0 lets the cost model choose.
+	// Shards pins the shard-count decision: N > 0 forces N map and loop
+	// shards (an explicit user override); 0 lets the cost model choose.
 	Shards int
 	// Dict pins the dictionary kind for every dictionary-bearing operator
 	// (nil lets the cost model choose; see PinDict). The pass still
@@ -171,7 +160,7 @@ type Options struct {
 	// zero value is the local pool. A remote profile adds the per-task
 	// ship cost to every shard task and its workers as execution slots, so
 	// the shard-count decisions price distribution honestly (an expensive
-	// ship can push the decision back toward fewer shards or bulk).
+	// ship can push the decision back toward fewer shards).
 	Backend BackendProfile
 }
 
@@ -346,7 +335,7 @@ func (r *rule) wordCountBestKind() (dict.Kind, string) {
 }
 
 // chooseDicts rewrites every dictionary-bearing operator to the cheapest
-// kind — the monolithic TFIDFOp/WordCountOp and, when the plan was already
+// kind — the logical TFIDFOp/WordCountOp and, when the plan was already
 // partitioned, their expanded shard kernels (which must all agree on one
 // kind) — annotating the choice with both phases' estimates on the
 // operator (or its map kernel).
@@ -501,28 +490,15 @@ func (r *rule) parallelWork(p *workflow.Plan) float64 {
 // multiplier of one extra shard.
 const shardStages = 3
 
-// estimateBulk prices the unpartitioned operator: its phases are
-// document-parallel over all P workers already (parallel input, parallel
-// transform), plus the coarse-decomposition surcharge when there are
-// several workers to balance.
-func estimateBulk(work float64, procs int) float64 {
-	est := work / float64(procs)
-	if procs > 1 {
-		est *= 1 + bulkContentionFactor
-	}
-	return est
-}
-
 // estimateSharded prices partitioned execution of work W over S shards on
-// P workers: per-document work still spreads across every worker (shards
-// divide the pool's readers when S < P), contention-free shard
-// dictionaries avoid the bulk surcharge, the straggler tail is one
-// shard's residual (the straggler fraction, derived from observed size
-// variance or the fallback constant) and shrinks as shards get smaller,
-// and every shard pays the per-task overhead (executor bookkeeping plus,
-// on a remote backend, the ship cost). With one worker there is no
-// parallelism to buy and no tail to hide, so shards are pure overhead on
-// top of the serial work.
+// P workers: per-document work spreads across every worker (shards divide
+// the pool's readers when S < P), the straggler tail is one shard's
+// residual (the straggler fraction, derived from observed size variance or
+// the fallback constant) and shrinks as shards get smaller, and every
+// shard pays the per-task overhead (executor bookkeeping plus, on a remote
+// backend, the ship cost). With one worker there is no parallelism to buy
+// and no tail to hide, so shards are pure overhead on top of the serial
+// work.
 func estimateSharded(work float64, s, procs int, perTaskNS, straggler float64) float64 {
 	est := work/float64(procs) + float64(s)*perTaskNS*shardStages
 	if procs > 1 {
@@ -531,19 +507,15 @@ func estimateSharded(work float64, s, procs int, perTaskNS, straggler float64) f
 	return est
 }
 
-// chooseShardCount compares bulk execution against shard counts up to
-// 4×procs and returns the cheapest configuration and its estimate (1
-// means bulk execution wins). straggler supplies the imbalance allowance
-// at each candidate count. bulkEst is the caller's bulk baseline —
-// computed at the coordinator's own procs, because the monolithic
-// operator cannot ship to remote workers, while procs here may include
-// a remote backend's extra slots.
-func chooseShardCount(work float64, procs, maxShards int, perTaskNS float64, straggler func(int) float64, bulkEst float64) (int, float64) {
+// chooseShardCount prices shard counts 1..4×procs (capped by maxShards,
+// the document count) and returns the cheapest and its estimate.
+// straggler supplies the imbalance allowance at each candidate count.
+func chooseShardCount(work float64, procs, maxShards int, perTaskNS float64, straggler func(int) float64) (int, float64) {
 	limit := 4 * procs
 	if maxShards > 0 && limit > maxShards {
 		limit = maxShards
 	}
-	bestS, bestEst := 1, bulkEst
+	bestS, bestEst := 1, estimateSharded(work, 1, procs, perTaskNS, straggler(1))
 	for s := 2; s <= limit; s++ {
 		if est := estimateSharded(work, s, procs, perTaskNS, straggler(s)); est < bestEst {
 			bestS, bestEst = s, est
@@ -584,10 +556,11 @@ func (r *rule) stragglerAt(s int) float64 {
 
 // chooseShards decides the partitioned-execution degree, replacing the
 // blind 2×GOMAXPROCS default: the measured per-task overhead is weighed
-// against the tail-hiding and contention-avoidance extra shards buy. An
-// explicit Options.Shards pins the count; the decision is annotated
-// either way. A plan that is already partitioned is left alone — the
-// pass prices monolithic operators, not expanded shard kernels.
+// against the tail-hiding extra shards buy. An explicit Options.Shards
+// pins the count; the decision is annotated either way and always applied
+// as PartitionRule(s) — one shard when sharding would not pay. A plan
+// that is already partitioned is left alone — the pass prices logical
+// operators, not expanded shard kernels.
 func (r *rule) chooseShards(p *workflow.Plan) *workflow.Plan {
 	for _, name := range p.Nodes() {
 		if sp, ok := p.Node(name).Op().(workflow.Splitter); ok {
@@ -599,41 +572,29 @@ func (r *rule) chooseShards(p *workflow.Plan) *workflow.Plan {
 	}
 	work := r.parallelWork(p)
 	if work == 0 {
-		return p // nothing partitionable to price
+		// Nothing text-partitionable to price: expand the K-Means loops so
+		// chooseKMeans prices their shard count.
+		return p.Apply(workflow.PartitionRule(r.opts.Shards))
 	}
 	var (
 		s       int
+		est     float64
 		why     string
 		bp      = r.opts.Backend
 		procs   = bp.slots(r.opts.Procs)
 		perTask = bp.perTaskNS(r.m.ShardTaskNS)
-		bulk    = estimateBulk(work, r.opts.Procs) // the monolith cannot ship
 	)
-	switch {
-	case r.opts.Shards > 0:
+	if r.opts.Shards > 0 {
 		s = r.opts.Shards
-		why = fmt.Sprintf("shards=%d (pinned by explicit override; est %s, bulk est %s)",
-			s, fmtNS(estimateSharded(work, s, procs, perTask, r.stragglerAt(s))), fmtNS(bulk))
-	case r.opts.Shards < 0:
-		s = 1
-		why = fmt.Sprintf("bulk execution (pinned by explicit override; est %s)", fmtNS(bulk))
-	default:
-		var est float64
-		s, est = chooseShardCount(work, procs, r.st.Docs, perTask, r.stragglerAt, bulk)
-		if s > 1 {
-			why = fmt.Sprintf("shards=%d (est %s vs bulk %s; work %s over %d slots, %s/task overhead, straggler %.3f)",
-				s, fmtNS(est), fmtNS(bulk), fmtNS(work), procs, fmtNS(perTask), r.stragglerAt(s))
-		} else {
-			why = fmt.Sprintf("bulk execution (sharding would not pay: est work %s on %d slots, %s/task overhead)",
-				fmtNS(work), procs, fmtNS(perTask))
-		}
+		est = estimateSharded(work, s, procs, perTask, r.stragglerAt(s))
+		why = fmt.Sprintf("shards=%d (est %s; pinned by explicit override)", s, fmtNS(est))
+	} else {
+		s, est = chooseShardCount(work, procs, r.st.Docs, perTask, r.stragglerAt)
+		why = fmt.Sprintf("shards=%d (est %s; work %s over %d slots, %s/task overhead, straggler %.3f)",
+			s, fmtNS(est), fmtNS(work), procs, fmtNS(perTask), r.stragglerAt(s))
 	}
 	if bp.Remote {
 		why += "; backend=" + bp.String()
-	}
-	if s <= 1 {
-		p.AnnotatePlan(optimizerNotePrefix + " " + why)
-		return p
 	}
 	next := p.Apply(workflow.PartitionRule(s))
 	annotated := false
@@ -679,7 +640,7 @@ func (r *rule) kmeansWork(k, iters int) float64 {
 
 // loopEstimate prices the iterative K-Means loop at s shards on procs
 // workers: assignment work spreads over min(s, procs) workers — a 1-shard
-// loop is serial, unlike the chunk-parallel bulk operator — every
+// loop is serial — every
 // iteration pays s shard tasks (each at perTaskNS, which includes the
 // backend ship cost when remote) plus the barrier task (always local, so
 // taskNS only), and on several workers the straggler tail is one shard's
@@ -714,13 +675,12 @@ func chooseLoopShards(work float64, iters, procs, maxShards int, taskNS, perTask
 
 // chooseKMeans prices the K-Means stage — the iterative phase the
 // optimizer could not see before the loop was decomposed into shard
-// kernels — and tunes the loop shard count. A monolithic KMeansOp (bulk
-// plan) is annotated with the stage estimate; an expanded KMAssignOp gets
-// its loop shard count set from the cost model (the loop count is
-// independent of the TF/IDF map shard count and is annotated as such).
-// Explicit Options.Shards pins apply to the loop exactly as they do to
-// the map stages. Models without a calibrated kernel cost (pre-v2 caches
-// handed in directly) skip the stage.
+// kernels — and tunes the loop shard count: every KMAssignOp (chooseShards
+// expanded the logical KMeansOp) gets its loop shard count set from the
+// cost model (the loop count is independent of the TF/IDF map shard count
+// and is annotated as such). An explicit Options.Shards pin applies to the
+// loop exactly as it does to the map stages. Models without a calibrated
+// kernel cost (pre-v2 caches handed in directly) skip the stage.
 func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 	if r.m.KMeansAssignNS <= 0 {
 		return p
@@ -729,46 +689,36 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 	repl := make(map[string]workflow.Operator)
 	notes := make(map[string]string)
 	for _, name := range p.Nodes() {
-		switch op := p.Node(name).Op().(type) {
-		case *workflow.KMeansOp:
-			work := r.kmeansWork(op.Opts.K, iters)
-			notes[name] = fmt.Sprintf(
-				"kmeans: bulk est %s (~%d iterations, %s assign work/iter over %d procs)",
-				fmtNS(work/float64(r.opts.Procs)), iters,
-				fmtNS(work/float64(iters)), r.opts.Procs)
-		case *workflow.KMAssignOp:
-			work := r.kmeansWork(op.Opts.K, iters)
-			var (
-				s       int
-				why     string
-				bp      = r.opts.Backend
-				procs   = bp.slots(r.opts.Procs)
-				perTask = bp.perTaskNS(r.m.ShardTaskNS)
-			)
-			switch {
-			case r.opts.Shards > 0:
-				s = r.opts.Shards
-				why = fmt.Sprintf("loop shards=%d (pinned by explicit override; est %s)",
-					s, fmtNS(loopEstimate(work, s, iters, procs, r.m.ShardTaskNS, perTask, r.stragglerAt(s))))
-			case r.opts.Shards < 0:
-				s = 1
-				why = fmt.Sprintf("loop shards=1 (pinned by explicit override; est %s)",
-					fmtNS(loopEstimate(work, 1, iters, procs, r.m.ShardTaskNS, perTask, r.stragglerAt(1))))
-			default:
-				var est float64
-				s, est = chooseLoopShards(work, iters, procs, r.st.Docs, r.m.ShardTaskNS, perTask, r.stragglerAt)
-				why = fmt.Sprintf(
-					"loop shards=%d (est %s; ~%d iterations × %s assign/iter; %s/task overhead; may differ from map shard count)",
-					s, fmtNS(est), iters, fmtNS(work/float64(iters)), fmtNS(perTask))
-			}
-			if bp.Remote {
-				why += "; backend=" + bp.String()
-			}
-			if op.Shards != s {
-				repl[name] = &workflow.KMAssignOp{Opts: op.Opts, Shards: s}
-			}
-			notes[name] = why
+		op, ok := p.Node(name).Op().(*workflow.KMAssignOp)
+		if !ok {
+			continue
 		}
+		work := r.kmeansWork(op.Opts.K, iters)
+		var (
+			s       int
+			why     string
+			bp      = r.opts.Backend
+			procs   = bp.slots(r.opts.Procs)
+			perTask = bp.perTaskNS(r.m.ShardTaskNS)
+		)
+		if r.opts.Shards > 0 {
+			s = r.opts.Shards
+			why = fmt.Sprintf("loop shards=%d (est %s; pinned by explicit override)",
+				s, fmtNS(loopEstimate(work, s, iters, procs, r.m.ShardTaskNS, perTask, r.stragglerAt(s))))
+		} else {
+			var est float64
+			s, est = chooseLoopShards(work, iters, procs, r.st.Docs, r.m.ShardTaskNS, perTask, r.stragglerAt)
+			why = fmt.Sprintf(
+				"loop shards=%d (est %s; ~%d iterations × %s assign/iter; %s/task overhead; may differ from map shard count)",
+				s, fmtNS(est), iters, fmtNS(work/float64(iters)), fmtNS(perTask))
+		}
+		if bp.Remote {
+			why += "; backend=" + bp.String()
+		}
+		if op.Shards != s {
+			repl[name] = &workflow.KMAssignOp{Opts: op.Opts, Shards: s}
+		}
+		notes[name] = why
 	}
 	if len(repl) > 0 {
 		p = clonePlan(p, repl)

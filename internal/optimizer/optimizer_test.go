@@ -61,7 +61,7 @@ func testStats() *Stats {
 }
 
 func testTFKMPlan(c *corpus.Corpus, mode workflow.Mode) *workflow.Plan {
-	return workflow.TFKMPlan(c.Source(nil), workflow.TFKMConfig{
+	return workflow.LogicalTFKMPlan(c.Source(nil), workflow.TFKMConfig{
 		Mode:   mode,
 		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
 		KMeans: kmeans.Options{K: 8, Seed: 42},
@@ -402,22 +402,22 @@ func TestChooseShardCount(t *testing.T) {
 	taskNS := 20_000.0
 	// Big work on many procs: over-decompose past the worker count so work
 	// stealing can smooth stragglers, bounded by 4 waves.
-	s, _ := chooseShardCount(10e9, 8, 1<<20, taskNS, constStraggler, estimateBulk(10e9, 8))
+	s, _ := chooseShardCount(10e9, 8, 1<<20, taskNS, constStraggler)
 	if s < 8 || s > 32 {
 		t.Errorf("big work chose %d shards, want within [8, 32]", s)
 	}
 	// Tiny work: the per-task overhead dominates, sharding must not pay.
-	s, _ = chooseShardCount(50_000, 8, 1<<20, taskNS, constStraggler, estimateBulk(50_000, 8))
+	s, _ = chooseShardCount(50_000, 8, 1<<20, taskNS, constStraggler)
 	if s != 1 {
 		t.Errorf("tiny work chose %d shards, want 1", s)
 	}
-	// One processor: no parallelism to buy, stay bulk no matter the work.
-	s, _ = chooseShardCount(10e9, 1, 1<<20, taskNS, constStraggler, estimateBulk(10e9, 1))
+	// One processor: no parallelism to buy, one shard no matter the work.
+	s, _ = chooseShardCount(10e9, 1, 1<<20, taskNS, constStraggler)
 	if s != 1 {
 		t.Errorf("single proc chose %d shards, want 1", s)
 	}
 	// The document count caps the shard count.
-	s, _ = chooseShardCount(10e9, 8, 3, taskNS, constStraggler, estimateBulk(10e9, 8))
+	s, _ = chooseShardCount(10e9, 8, 3, taskNS, constStraggler)
 	if s > 3 {
 		t.Errorf("3-doc corpus chose %d shards", s)
 	}
@@ -425,32 +425,30 @@ func TestChooseShardCount(t *testing.T) {
 
 func TestBackendProfilePricing(t *testing.T) {
 	taskNS := 20_000.0
-	// A ruinously expensive ship cost must push the decision to bulk even
-	// for work that sharding would otherwise win. The bulk baseline stays
-	// at the coordinator's own procs — the monolith cannot ship.
-	local, _ := chooseShardCount(10e9, 8, 1<<20, taskNS, constStraggler, estimateBulk(10e9, 8))
+	// A ruinously expensive ship cost must push the decision to one shard
+	// even for work that sharding would otherwise win.
+	local, _ := chooseShardCount(10e9, 8, 1<<20, taskNS, constStraggler)
 	if local <= 1 {
-		t.Fatalf("local pricing chose bulk for heavy work")
+		t.Fatalf("local pricing chose one shard for heavy work")
 	}
 	bp := BackendProfile{Remote: true, Workers: 2, ShipNS: 10e9}
-	remote, _ := chooseShardCount(10e9, bp.slots(8), 1<<20, bp.perTaskNS(taskNS), constStraggler, estimateBulk(10e9, 8))
+	remote, _ := chooseShardCount(10e9, bp.slots(8), 1<<20, bp.perTaskNS(taskNS), constStraggler)
 	if remote != 1 {
-		t.Errorf("ruinous ship cost still chose %d shards, want bulk", remote)
+		t.Errorf("ruinous ship cost still chose %d shards, want 1", remote)
 	}
 	// A cheap ship cost with extra workers adds slots: at least as many
 	// shards as the local decision.
 	cheap := BackendProfile{Remote: true, Workers: 8, ShipNS: 1000}
-	s, _ := chooseShardCount(10e9, cheap.slots(8), 1<<20, cheap.perTaskNS(taskNS), constStraggler, estimateBulk(10e9, 8))
+	s, _ := chooseShardCount(10e9, cheap.slots(8), 1<<20, cheap.perTaskNS(taskNS), constStraggler)
 	if s < local {
 		t.Errorf("8 extra workers chose %d shards, local chose %d", s, local)
 	}
 	// Single-proc coordinator with 8 workers and a modest ship cost: the
-	// phantom-slot bug priced bulk as if it too had 9 slots and chose it;
-	// against the honest 1-proc bulk baseline, sharding must win.
+	// workers are slots one shard cannot use, so sharding must win.
 	many := BackendProfile{Remote: true, Workers: 8, ShipNS: 1e6}
-	s, _ = chooseShardCount(1e9, many.slots(1), 1<<20, many.perTaskNS(taskNS), constStraggler, estimateBulk(1e9, 1))
+	s, _ = chooseShardCount(1e9, many.slots(1), 1<<20, many.perTaskNS(taskNS), constStraggler)
 	if s <= 1 {
-		t.Errorf("1 proc + 8 workers chose bulk; sharding onto workers must win against the 1-proc bulk baseline")
+		t.Errorf("1 proc + 8 workers chose one shard; sharding onto workers must win")
 	}
 }
 
@@ -552,35 +550,48 @@ func TestOptimizeShardsOnMultiProcModel(t *testing.T) {
 	}
 }
 
-func TestOptimizePinnedShardsAndBulk(t *testing.T) {
+// TestOptimizeOneProcPlansOneShard: where sharding would not pay, the
+// decision is still applied — as one explicit shard, not a logical plan
+// left for Plan.Run to expand.
+func TestOptimizeOneProcPlansOneShard(t *testing.T) {
+	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
+	opt := testTFKMPlan(c, workflow.Merged).Apply(Rule(testStats(), testModel(), Options{Procs: 1}))
+	for _, name := range opt.Nodes() {
+		if po, ok := opt.Node(name).Op().(*workflow.PartitionOp); ok {
+			if po.Shards != 1 {
+				t.Errorf("one proc chose %d shards, want 1", po.Shards)
+			}
+			return
+		}
+	}
+	t.Fatalf("one-proc plan left unpartitioned:\n%s", opt.Explain())
+}
+
+func TestOptimizePinnedShards(t *testing.T) {
 	st, m := testStats(), testModel()
 	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
-	// Pinned count wins over the model's choice.
+	// Pinned count wins over the model's choice, in the map stages and the
+	// K-Means loop alike.
 	opt := testTFKMPlan(c, workflow.Discrete).Apply(Rule(st, m, Options{Procs: 8, Shards: 3}))
 	found := false
 	for _, name := range opt.Nodes() {
-		if po, ok := opt.Node(name).Op().(*workflow.PartitionOp); ok {
+		switch op := opt.Node(name).Op().(type) {
+		case *workflow.PartitionOp:
 			found = true
-			if po.Shards != 3 {
-				t.Errorf("pinned shards = %d, want 3", po.Shards)
+			if op.Shards != 3 {
+				t.Errorf("pinned shards = %d, want 3", op.Shards)
 			}
 			if !strings.Contains(opt.Annotation(name), "pinned") {
 				t.Errorf("pin not annotated: %q", opt.Annotation(name))
+			}
+		case *workflow.KMAssignOp:
+			if op.Shards != 3 {
+				t.Errorf("pinned loop shards = %d, want 3", op.Shards)
 			}
 		}
 	}
 	if !found {
 		t.Fatalf("pinned plan not partitioned:\n%s", opt.Explain())
-	}
-	// Bulk pin keeps the monolithic operator.
-	opt = testTFKMPlan(c, workflow.Discrete).Apply(Rule(st, m, Options{Procs: 8, Shards: -1}))
-	for _, name := range opt.Nodes() {
-		if _, ok := opt.Node(name).Op().(*workflow.PartitionOp); ok {
-			t.Fatalf("bulk-pinned plan grew a partition node:\n%s", opt.Explain())
-		}
-	}
-	if explain := opt.Explain(); !strings.Contains(explain, "bulk execution (pinned") {
-		t.Errorf("bulk pin not annotated:\n%s", explain)
 	}
 }
 
@@ -664,26 +675,9 @@ func TestOptimizeTunesKMeansLoop(t *testing.T) {
 	}
 }
 
-// TestOptimizeAnnotatesBulkKMeans: with sharding pinned to bulk, the
-// monolithic K-Means operator still gets priced — the stage estimate and
-// iteration count appear as its annotation.
-func TestOptimizeAnnotatesBulkKMeans(t *testing.T) {
-	st, m := testStats(), testModel()
-	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
-	opt := testTFKMPlan(c, workflow.Discrete).Apply(Rule(st, m, Options{Procs: 8, Shards: -1}))
-	found := false
-	for _, name := range opt.Nodes() {
-		if _, ok := opt.Node(name).Op().(*workflow.KMeansOp); ok {
-			found = true
-			note := opt.Annotation(name)
-			if !strings.Contains(note, "kmeans: bulk est") || !strings.Contains(note, "iterations") {
-				t.Errorf("bulk K-Means not priced: %q", note)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("bulk-pinned plan lost the K-Means operator:\n%s", opt.Explain())
-	}
+// TestChooseLoopShards: the loop shard count follows the per-iteration
+// work against the per-task overhead.
+func TestChooseLoopShards(t *testing.T) {
 	// A single processor prices the loop down to one shard: pure overhead,
 	// no parallelism to buy.
 	if s, _ := chooseLoopShards(10e9, 12, 1, 1<<20, 20_000, 20_000, constStraggler); s != 1 {
@@ -722,7 +716,6 @@ func TestOptimizedPlanBitIdenticalAndRuns(t *testing.T) {
 	// Reference configuration: merged mode, auto shards, tree dictionary.
 	def := workflow.TFKMPlan(c.Source(nil), workflow.TFKMConfig{
 		Mode:   workflow.Merged,
-		Shards: -1,
 		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
 		KMeans: kmeans.Options{K: 8, Seed: 42},
 	})

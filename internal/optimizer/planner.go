@@ -66,14 +66,13 @@ func (p *Planner) StatsFor(key string, src pario.Source) (*Stats, error) {
 // PlanTFKMWith builds the optimized TF/IDF→K-Means plan for src over the
 // resident model and statistics, under opts — the planner's defaults
 // (Options) with any per-request overrides (for example a request-pinned
-// shard count or dictionary kind) layered on. The config's Mode and Shards
-// are reset before optimization — the cost model owns the fusion and
-// sharding decisions; pin them through the options (Shards, Dict, Fusion)
-// instead.
+// shard count or dictionary kind) layered on. The optimizer rewrites the
+// discrete logical plan, so cfg.Mode and cfg.Shards do not apply — the cost
+// model owns the fusion and sharding decisions; pin them through the
+// options (Shards, Dict, Fusion) instead.
 func (p *Planner) PlanTFKMWith(src pario.Source, cfg workflow.TFKMConfig, st *Stats, opts Options) *workflow.Plan {
 	base := cfg
 	base.Mode = workflow.Discrete
-	base.Shards = 0
 	base.Backend = nil
-	return workflow.TFKMPlan(src, base).Apply(Rule(st, p.model, opts))
+	return workflow.LogicalTFKMPlan(src, base).Apply(Rule(st, p.model, opts))
 }

@@ -17,10 +17,10 @@ import (
 func TestPinnedDictOverridesCostModel(t *testing.T) {
 	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
 	plan := testTFKMPlan(c, workflow.Discrete).Apply(
-		Rule(testStats(), testModel(), Options{Procs: 1, Shards: -1, Dict: PinDict(dict.NodeTree)}))
+		Rule(testStats(), testModel(), Options{Procs: 1, Shards: 1, Dict: PinDict(dict.NodeTree)}))
 	found := false
 	for _, name := range plan.Nodes() {
-		if op, ok := plan.Node(name).Op().(*workflow.TFIDFOp); ok {
+		if op, ok := plan.Node(name).Op().(*workflow.TFMapOp); ok {
 			found = true
 			if op.Opts.DictKind != dict.NodeTree {
 				t.Fatalf("pinned dict not applied: got %v", op.Opts.DictKind)
@@ -31,7 +31,7 @@ func TestPinnedDictOverridesCostModel(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("no TFIDFOp in optimized plan")
+		t.Fatal("no TF/IDF map kernel in optimized plan")
 	}
 }
 
@@ -41,7 +41,7 @@ func TestPinnedFusionOverridesCostModel(t *testing.T) {
 	// FusionMaterialize: the materialize/load pair must survive even though
 	// the intermediate trivially fits the budget.
 	plan := testTFKMPlan(c, workflow.Discrete).Apply(
-		Rule(testStats(), testModel(), Options{Procs: 1, Shards: -1, Fusion: FusionMaterialize}))
+		Rule(testStats(), testModel(), Options{Procs: 1, Shards: 1, Fusion: FusionMaterialize}))
 	hasPair := false
 	for _, name := range plan.Nodes() {
 		if _, ok := plan.Node(name).Op().(*workflow.MaterializeARFF); ok {
@@ -56,7 +56,7 @@ func TestPinnedFusionOverridesCostModel(t *testing.T) {
 	// FusionFuse: the pair must cancel even under a zero memory budget that
 	// would otherwise force materialization.
 	plan = testTFKMPlan(c, workflow.Discrete).Apply(
-		Rule(testStats(), testModel(), Options{Procs: 1, Shards: -1, Fusion: FusionFuse, MemoryBudget: 1}))
+		Rule(testStats(), testModel(), Options{Procs: 1, Shards: 1, Fusion: FusionFuse, MemoryBudget: 1}))
 	for _, name := range plan.Nodes() {
 		if _, ok := plan.Node(name).Op().(*workflow.MaterializeARFF); ok {
 			t.Fatal("FusionFuse pin left the materialize node in place")
@@ -137,7 +137,7 @@ func TestPlannerMatchesDirectRule(t *testing.T) {
 	p := NewPlanner(model, opts)
 	cfg := workflow.TFKMConfig{
 		Mode:   workflow.Merged, // reset by the planner; the optimizer owns fusion
-		Shards: 4,               // reset by the planner; the optimizer owns sharding
+		Shards: 4,               // ignored by the planner; the optimizer owns sharding
 		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
 		KMeans: kmeans.Options{K: 8, Seed: 42},
 	}
@@ -145,8 +145,7 @@ func TestPlannerMatchesDirectRule(t *testing.T) {
 
 	base := cfg
 	base.Mode = workflow.Discrete
-	base.Shards = 0
-	want := workflow.TFKMPlan(c.Source(nil), base).Apply(Rule(st, model, opts))
+	want := workflow.LogicalTFKMPlan(c.Source(nil), base).Apply(Rule(st, model, opts))
 	if g, w := got.Explain(), want.Explain(); g != w {
 		t.Fatalf("planner plan differs from direct rule application:\n--- planner\n%s\n--- direct\n%s", g, w)
 	}

@@ -136,8 +136,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // PlanRequest is the JSON body of POST /v1/plans. Zero values select the
-// documented defaults; Shards follows the CLI convention (0 auto, -1
-// bulk, N pins).
+// documented defaults; Shards follows the library and CLI convention (0
+// auto, N pins).
 type PlanRequest struct {
 	// Tenant buckets the submission for fair scheduling ("" = "default";
 	// the X-HPA-Tenant header is used when the field is empty).
@@ -151,7 +151,7 @@ type PlanRequest struct {
 	// the library default, the zero-value dict.Kind. Under Optimize it pins
 	// the choice only with PinDict.
 	Dict string `json:"dict,omitempty"`
-	// Shards: 0 auto, -1 bulk, N pins the shard count.
+	// Shards: 0 auto, N > 0 pins the shard count; negative is rejected.
 	Shards int `json:"shards,omitempty"`
 	// K is the cluster count (default 8); Seed the seeding RNG (default 1).
 	K    int    `json:"k,omitempty"`
@@ -231,6 +231,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+}
+
+// MaxBodyBytes caps a plan or query request body; a larger body is
+// answered 413 before it is decoded.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// MaxBodyBytes; past the cap it answers 413, on malformed JSON 400. It
+// reports whether the handler may go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, tooBig.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+	}
+	return false
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -377,8 +398,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad query body: %v", err)
+	if !decodeBody(w, r, "query", &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -421,8 +441,7 @@ func (s *Server) resolveCorpus(p string) (string, error) {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad plan body: %v", err)
+	if !decodeBody(w, r, "plan", &req) {
 		return
 	}
 	if req.Tenant == "" {
@@ -491,16 +510,12 @@ func planConfig(req *PlanRequest) (workflow.TFKMConfig, workflow.Mode, dict.Kind
 	if seed == 0 {
 		seed = 1
 	}
-	shards := 0
-	switch {
-	case req.Shards == 0:
-		shards = -1 // auto
-	case req.Shards > 0:
-		shards = req.Shards
-	} // req.Shards < 0 keeps bulk
+	if req.Shards < 0 {
+		return workflow.TFKMConfig{}, 0, 0, fmt.Errorf("shards=%d is invalid (want N >= 1, or 0 for auto)", req.Shards)
+	}
 	cfg := workflow.TFKMConfig{
 		Mode:   mode,
-		Shards: shards,
+		Shards: req.Shards,
 		TFIDF:  tfidf.Options{DictKind: kind, Normalize: true},
 		KMeans: kmeans.Options{K: k, Seed: seed},
 	}
@@ -532,7 +547,7 @@ func (s *Server) runPlan(r *http.Request, req *PlanRequest, corpusDir string,
 			return resp, http.StatusInternalServerError
 		}
 		opts := s.planner.Options()
-		opts.Shards = optimizerShardPin(req.Shards)
+		opts.Shards = req.Shards
 		if req.PinDict {
 			opts.Dict = optimizer.PinDict(kind)
 		}
@@ -604,18 +619,6 @@ func (s *Server) runPlan(r *http.Request, req *PlanRequest, corpusDir string,
 		resp.Published = info
 	}
 	return resp, http.StatusOK
-}
-
-// optimizerShardPin maps wire shard semantics (0 auto, -1 bulk, N pin)
-// onto optimizer.Options.Shards (0 auto, <0 bulk, >0 pin).
-func optimizerShardPin(wire int) int {
-	switch {
-	case wire > 0:
-		return wire
-	case wire < 0:
-		return -1
-	}
-	return 0
 }
 
 // publish turns a fused run's TF/IDF output into a resident index

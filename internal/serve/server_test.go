@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,7 +157,6 @@ func TestServerPlanPublishQueryBitIdentical(t *testing.T) {
 	// Batch reference: same config through the plan engine directly.
 	batch := runBatch(t, ts, workflow.TFKMConfig{
 		Mode:   workflow.Merged,
-		Shards: -1,
 		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
 		KMeans: kmeans.Options{K: 4, Seed: 7},
 	})
@@ -270,11 +270,32 @@ func TestServerPlanRejectsBadRequests(t *testing.T) {
 		{Corpus: "missing"},                  // not a directory
 		{Corpus: "abstracts", Mode: "turbo"}, // unknown mode
 		{Corpus: "abstracts", Dict: "radix-trie"}, // unknown dict
+		{Corpus: "abstracts", Shards: -1},         // no negative shard count
 	}
 	for _, req := range cases {
 		resp, raw := ts.postJSON(t, "/v1/plans", req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("request %+v: status %d (%s), want 400", req, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestServerRejectsOversizedBodies: a plan or query body past
+// MaxBodyBytes is answered 413 without being decoded.
+func TestServerRejectsOversizedBodies(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	resp, raw := ts.postJSON(t, "/v1/plans", PlanRequest{Corpus: "abstracts", K: 2, Publish: "abstracts"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish: %d %s", resp.StatusCode, raw)
+	}
+	huge := strings.Repeat("x", MaxBodyBytes)
+	for path, body := range map[string]any{
+		"/v1/plans":                   PlanRequest{Corpus: huge},
+		"/v1/indexes/abstracts/query": QueryRequest{Text: huge},
+	} {
+		resp, raw := ts.postJSON(t, path, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d (%s), want 413", path, MaxBodyBytes, resp.StatusCode, raw)
 		}
 	}
 }

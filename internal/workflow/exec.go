@@ -151,10 +151,35 @@ type execState struct {
 // dependency order: the Recorder attributes samples to the most recently
 // begun phase, so overlapping tasks would corrupt the trace.
 //
+// A plan may reach Run still logical: partitionable operators (TFIDFOp,
+// WordCountOp) and KMeansOp that no rewrite expanded are expanded here by
+// PartitionRule(0), at the auto shard count — they have no other way to
+// run. A sink expanded this way answers under its logical node name.
+//
 // The returned map holds the output dataset of every sink (a node with no
 // outgoing edges), keyed by node name; partitioned sinks yield a
 // *Partitions.
 func (p *Plan) Run(ctx *Context) (map[string]Value, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	phys := p.Apply(PartitionRule(0))
+	sinks, err := phys.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range p.order {
+		if phys.nodes[name] == nil && len(p.consumersOf(name)) == 0 {
+			out := expandedOut(name, p.nodes[name].op)
+			sinks[name] = sinks[out]
+			delete(sinks, out)
+		}
+	}
+	return sinks, nil
+}
+
+// run executes a physical plan (see Run).
+func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 	if ctx.Breakdown == nil {
 		ctx.Breakdown = metrics.NewBreakdown()
 	}

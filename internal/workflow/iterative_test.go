@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hpa/internal/kmeans"
+	"hpa/internal/tfidf"
 )
 
 // countLoop is a toy IterativeOp: a zero-input loop over n shards that runs
@@ -110,37 +111,37 @@ func TestLoopExplainMarksIterativeEdges(t *testing.T) {
 }
 
 // sameClustering asserts that a partitioned iterative run reproduces the
-// bulk clustering: assignments, counts, iteration count and convergence
-// decision exactly, centroids up to reduction-order rounding.
+// reference clustering: assignments, counts, iteration count and
+// convergence decision exactly, centroids up to reduction-order rounding.
 func sameClustering(t *testing.T, label string, want, got *kmeans.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Assign, got.Assign) {
-		t.Fatalf("%s: assignments differ from bulk", label)
+		t.Fatalf("%s: assignments differ from the reference", label)
 	}
 	if !reflect.DeepEqual(want.Counts, got.Counts) {
-		t.Fatalf("%s: counts %v vs bulk %v", label, got.Counts, want.Counts)
+		t.Fatalf("%s: counts %v vs reference %v", label, got.Counts, want.Counts)
 	}
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
-		t.Fatalf("%s: %d iterations (converged=%v), bulk %d (%v)",
+		t.Fatalf("%s: %d iterations (converged=%v), reference %d (%v)",
 			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
 	}
 	for j := range want.Centroids {
 		for d := range want.Centroids[j] {
 			w, g := want.Centroids[j][d], got.Centroids[j][d]
 			if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
-				t.Fatalf("%s: centroid %d[%d] %v vs bulk %v", label, j, d, g, w)
+				t.Fatalf("%s: centroid %d[%d] %v vs reference %v", label, j, d, g, w)
 			}
 		}
 	}
 }
 
-// TestIterativeKMeansMatchesBulkForEmptyPolicies is the iterative-phase
-// determinism suite: partitioned K-Means (per-shard assignment, ordered
-// per-iteration reduce) must reproduce the bulk Clusterer at shard counts
-// {1, 4, 7} under both empty-cluster policies — including ReseedFarthest,
-// whose reseeding reads the per-document distances written by the shard
-// kernels.
-func TestIterativeKMeansMatchesBulkForEmptyPolicies(t *testing.T) {
+// TestIterativeKMeansMatchesOneShardForEmptyPolicies is the
+// iterative-phase determinism suite: partitioned K-Means (per-shard
+// assignment, ordered per-iteration reduce) must reproduce the one-shard
+// plan at shard counts {1, 4, 7} under both empty-cluster policies —
+// including ReseedFarthest, whose reseeding reads the per-document
+// distances written by the shard kernels.
+func TestIterativeKMeansMatchesOneShardForEmptyPolicies(t *testing.T) {
 	for _, empty := range []kmeans.EmptyPolicy{kmeans.KeepCentroid, kmeans.ReseedFarthest} {
 		cfg := baseCfg(Merged)
 		cfg.KMeans.K = 12 // more clusters than the corpus comfortably fills
@@ -201,7 +202,7 @@ func TestKMAssignRunFallback(t *testing.T) {
 	cfg := baseCfg(Merged)
 	ref := refTFKM(t, cfg)
 	ctx := testCtx(t, 2)
-	tfOut, err := (&TFIDFOp{Opts: cfg.TFIDF}).Run(ctx, testCorpus().Source(nil))
+	tfOut, err := tfidf.Run(testCorpus().Source(nil), ctx.Pool, cfg.TFIDF, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,11 @@ func runTFKMWith(t *testing.T, src pario.Source, shards int, backend Backend, sc
 	return rep
 }
 
-// TestPrunedAssignMatchesBulk is the sharded-seeding and blocked-kernel
-// acceptance suite (the name predates the deletion of assignment pruning;
-// CI selects it by -run MatchesBulk). Two baselines anchor the matrix:
+// TestShardedAssignMatchesSerialDriver is the sharded-seeding and
+// blocked-kernel acceptance suite. Two baselines anchor the matrix:
 //
-//   - the bulk-synchronous plan (Shards: 0) — serial K-Means++ seeding.
-//     Every sharded cell must reproduce its seed picks, assignments,
+//   - the library driver (tfidf.Run, then kmeans.Run) — serial K-Means++
+//     seeding. Every sharded cell must reproduce its seed picks, assignments,
 //     cluster counts and iteration count exactly (the decomposed scan
 //     rounds replay the serial RNG draw-for-draw), and its centroids up to
 //     reduction-order rounding — the same contract sameClustering asserts;
@@ -59,8 +58,14 @@ func runTFKMWith(t *testing.T, src pario.Source, shards int, backend Backend, sc
 // ragged tail lanes are exercised too. Under -short (the CI race run) the
 // matrix shrinks to one shard count and one empty policy — still covering
 // sharded seeding on both backends under the race detector.
-func TestPrunedAssignMatchesBulk(t *testing.T) {
+func TestShardedAssignMatchesSerialDriver(t *testing.T) {
 	src := diskCorpus(t)
+	pool := par.NewPool(4)
+	defer pool.Close()
+	tf, err := tfidf.Run(src, pool, tfidf.Options{Normalize: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scratch := t.TempDir()
 	empties := []kmeans.EmptyPolicy{kmeans.KeepCentroid, kmeans.ReseedFarthest}
 	shardCounts := []int{1, 4, 7}
@@ -70,10 +75,13 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 	}
 	blocks := []int{4, 8}
 	for ei, empty := range empties {
-		// Shards: 0 keeps the single-operator bulk path: seeding scans run
-		// serially inside the clusterer, not as executor prepare tasks.
-		br := runTFKMWith(t, src, 0, LocalBackend{}, scratch,
-			kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: -1}).Clustering.Result
+		// The driver seeds serially inside the clusterer, not as executor
+		// prepare tasks.
+		br, err := kmeans.Run(tf.Vectors, tf.Dim(), pool,
+			kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: -1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for si, shards := range shardCounts {
 			// Per-shard-count bit-exact reference: the scalar local run.
 			ref := runTFKMWith(t, src, shards, LocalBackend{}, scratch,
@@ -89,25 +97,25 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 					kmeans.Options{K: 13, Seed: 3, Empty: empty, Block: block}).Clustering.Result
 				tag := fmt.Sprintf("empty=%v shards=%d backend=%s block=%d", empty, shards, bk.name, block)
 
-				// Against the serial-seeded bulk baseline: discrete
+				// Against the serial-seeded driver baseline: discrete
 				// outcomes exact, centroids up to reduction order.
 				if !reflect.DeepEqual(pr.Seeds, br.Seeds) {
-					t.Errorf("%s: seed picks: got %v, bulk serial %v", tag, pr.Seeds, br.Seeds)
+					t.Errorf("%s: seed picks: got %v, serial driver %v", tag, pr.Seeds, br.Seeds)
 				}
 				if pr.Iterations != br.Iterations {
-					t.Errorf("%s: iterations: got %d, bulk %d", tag, pr.Iterations, br.Iterations)
+					t.Errorf("%s: iterations: got %d, driver %d", tag, pr.Iterations, br.Iterations)
 				}
 				if !reflect.DeepEqual(pr.Assign, br.Assign) {
-					t.Errorf("%s: assignments differ from bulk", tag)
+					t.Errorf("%s: assignments differ from the driver", tag)
 				}
 				if !reflect.DeepEqual(pr.Counts, br.Counts) {
-					t.Errorf("%s: cluster counts differ from bulk", tag)
+					t.Errorf("%s: cluster counts differ from the driver", tag)
 				}
 				for j := range br.Centroids {
 					for d := range br.Centroids[j] {
 						w, g := br.Centroids[j][d], pr.Centroids[j][d]
 						if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
-							t.Fatalf("%s: centroid %d[%d] %v vs bulk %v", tag, j, d, g, w)
+							t.Fatalf("%s: centroid %d[%d] %v vs driver %v", tag, j, d, g, w)
 						}
 					}
 				}

@@ -97,9 +97,10 @@ var kmResultType = reflect.TypeOf((*kmeans.Result)(nil))
 // kmeans.Accum) and one reduction task (kmeans.EndIteration merging the
 // shard accumulators in shard-index order and updating centroids), so the
 // clustering decision sequence — seeding, assignment tie-breaks,
-// convergence — is exactly the bulk Clusterer's. Shard ranges are weighted
-// by per-document nonzero counts (pario.WeightedBoundaries), balancing the
-// O(nnz × k) assignment work per shard; boundaries never affect results.
+// convergence — is exactly the library driver's (kmeans.Run). Shard ranges
+// are weighted by per-document nonzero counts (pario.WeightedBoundaries),
+// balancing the O(nnz × k) assignment work per shard; boundaries never
+// affect results.
 //
 // Port 0 accepts the dataset in any of its shapes: the gathered vector
 // shards of the partitioned TF/IDF transform (*Partitions of
@@ -181,9 +182,8 @@ type kmLoopState struct {
 // kmLoopSeq makes loop names process-unique.
 var kmLoopSeq atomic.Uint64
 
-// kmInput unpacks a K-Means input — of the unpartitioned operator or of
-// the assignment loop — into documents, dimensionality and (when
-// precomputed) per-document norms.
+// kmInput unpacks the assignment loop's input into documents,
+// dimensionality and (when precomputed) per-document norms.
 func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err error) {
 	switch v := in.(type) {
 	case *tfidf.Result:

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hpa/internal/kmeans"
-	"hpa/internal/pario"
 	"hpa/internal/sparse"
 	"hpa/internal/tfidf"
 )
@@ -65,10 +64,12 @@ type Clustering struct {
 	TFIDF *tfidf.Result
 }
 
-// TFIDFOp computes TF/IDF vectors from a document source.
+// TFIDFOp is the logical TF/IDF operator: a document source in, TF/IDF
+// vectors out, executed as the per-shard fragment PartitionRule expands it
+// into.
 type TFIDFOp struct {
-	// Opts configures the operator; Recorder is overridden from the
-	// context.
+	// Opts configures the operator; the expanded stages override Recorder
+	// from the context.
 	Opts tfidf.Options
 }
 
@@ -81,20 +82,14 @@ func (o *TFIDFOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 // Output implements TypedOperator.
 func (o *TFIDFOp) Output() reflect.Type { return tfidfResultType }
 
-// Run implements Operator: pario.Source -> *tfidf.Result.
+// Run implements Operator; a TF/IDF node runs only expanded by
+// PartitionRule, which Plan.Run applies to any node still logical.
 func (o *TFIDFOp) Run(ctx *Context, in Value) (Value, error) {
-	src, ok := in.(pario.Source)
-	if !ok {
-		return nil, fmt.Errorf("%w: tfidf wants pario.Source, got %T", ErrType, in)
-	}
-	opts := o.Opts
-	opts.Recorder = ctx.Recorder
-	opts.Ctx = ctx.Ctx
-	return tfidf.Run(src, ctx.Pool, opts, ctx.Breakdown)
+	return nil, fmt.Errorf("workflow: tfidf runs only as a partitioned plan fragment")
 }
 
 // partitionFragment implements partitionable: under PartitionRule the
-// monolithic operator becomes phase-1 map shards, the document-frequency
+// logical operator becomes phase-1 map shards, the document-frequency
 // tree-merge reduction, phase-2 transform shards, and the streaming
 // gather.
 func (o *TFIDFOp) partitionFragment() fragment {
@@ -185,10 +180,12 @@ func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 	return &Matrix{Terms: terms, Vectors: rows, DocNames: ref.DocNames}, nil
 }
 
-// KMeansOp clusters the matrix. It accepts either the fused in-memory
-// *tfidf.Result or a *Matrix loaded from disk.
+// KMeansOp is the logical K-Means operator: it clusters either the fused
+// in-memory *tfidf.Result or a *Matrix loaded from disk, executed as the
+// iterative loop stages PartitionRule expands it into.
 type KMeansOp struct {
-	// Opts configures clustering; Recorder is overridden from the context.
+	// Opts configures clustering; the loop stages override Recorder from
+	// the context.
 	Opts kmeans.Options
 }
 
@@ -202,28 +199,14 @@ func (o *KMeansOp) Inputs() []reflect.Type { return []reflect.Type{vectorizedTyp
 // Output implements TypedOperator.
 func (o *KMeansOp) Output() reflect.Type { return clusteringType }
 
-// Run implements Operator: *tfidf.Result | *Matrix -> *Clustering. It
-// unpacks its input and joins its output exactly as the expanded loop
-// stages do (kmInput, KMReduceOp); only the driver differs.
+// Run implements Operator; a K-Means node runs only expanded by
+// PartitionRule into its iterative loop stages, which Plan.Run applies to
+// any node still logical.
 func (o *KMeansOp) Run(ctx *Context, in Value) (Value, error) {
-	docs, dim, norms, err := kmInput(in)
-	if err != nil {
-		return nil, err
-	}
-	opts := o.Opts
-	opts.Recorder = ctx.Recorder
-	if opts.DocNorms == nil {
-		opts.DocNorms = norms
-	}
-	res, err := kmeans.Run(docs, dim, ctx.Pool, opts, ctx.Breakdown)
-	if err != nil {
-		return nil, err
-	}
-	return (&KMReduceOp{}).RunAll(ctx, []Value{res, in})
+	return nil, fmt.Errorf("workflow: kmeans runs only as a plan's loop stages")
 }
 
-// synthDocNames labels documents of a nameless matrix, identically in the
-// bulk and partitioned K-Means paths.
+// synthDocNames labels documents of a nameless matrix.
 func synthDocNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {

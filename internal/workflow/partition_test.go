@@ -12,11 +12,10 @@ import (
 	"hpa/internal/tfidf"
 )
 
-// refTFKM runs the bulk-synchronous (unpartitioned) workflow as the
-// determinism reference.
+// refTFKM runs the one-shard workflow as the determinism reference.
 func refTFKM(t *testing.T, cfg TFKMConfig) *TFKMReport {
 	t.Helper()
-	cfg.Shards = 0
+	cfg.Shards = 1
 	ctx := testCtx(t, 4)
 	rep, err := RunTFKM(testCorpus().Source(nil), ctx, cfg)
 	if err != nil {
@@ -63,7 +62,7 @@ func sameScores(t *testing.T, label string, want, got *TFKMReport) {
 }
 
 // TestPartitionedBitIdenticalAcrossShardCountsAndDicts is the determinism
-// suite: sharded execution must reproduce the bulk-synchronous scores and
+// suite: sharded execution must reproduce the one-shard scores and
 // assignments exactly, for every dictionary kind and shard counts that do
 // and do not divide the corpus evenly.
 func TestPartitionedBitIdenticalAcrossShardCountsAndDicts(t *testing.T) {
@@ -94,7 +93,7 @@ func TestPartitionedBitIdenticalAcrossShardCountsAndDicts(t *testing.T) {
 // TestPartitionedDiscreteComposesWithFusionBoundary checks that
 // PartitionRule composes with the discrete plan's materialize/load pair:
 // the sharded gather feeds the ARFF materialization, the matrix round-trips
-// through disk, and assignments still match the bulk discrete run.
+// through disk, and assignments still match the one-shard discrete run.
 func TestPartitionedDiscreteComposesWithFusionBoundary(t *testing.T) {
 	cfg := baseCfg(Discrete)
 	ref := refTFKM(t, cfg)
@@ -106,7 +105,7 @@ func TestPartitionedDiscreteComposesWithFusionBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref.Clustering.Result.Assign, rep.Clustering.Result.Assign) {
-		t.Fatal("partitioned discrete assignments differ from bulk discrete")
+		t.Fatal("partitioned discrete assignments differ from one-shard discrete")
 	}
 	for _, ph := range []string{tfidf.PhaseOutput, "kmeans-input"} {
 		if rep.Breakdown.Get(ph) <= 0 {
@@ -116,8 +115,7 @@ func TestPartitionedDiscreteComposesWithFusionBoundary(t *testing.T) {
 }
 
 // TestPartitionedBreakdownKeepsFigurePhaseKeys: per-shard timings must
-// aggregate into the same Breakdown keys, in the same order, as the
-// monolithic merged run.
+// aggregate into the Figure 3/4 Breakdown keys, in their order.
 func TestPartitionedBreakdownKeepsFigurePhaseKeys(t *testing.T) {
 	cfg := baseCfg(Merged)
 	cfg.Shards = 4
@@ -177,7 +175,7 @@ func TestPartitionRuleExplainMarksShardBoundaries(t *testing.T) {
 // expansion (the replaced node's note moves to its fragment entry).
 func TestExplainRendersAnnotations(t *testing.T) {
 	cfg := baseCfg(Discrete)
-	plan := TFKMPlan(testCorpus().Source(nil), cfg).
+	plan := LogicalTFKMPlan(testCorpus().Source(nil), cfg).
 		Annotate("tfidf", "dict=map-arena (est 12ms)").
 		AnnotatePlan("optimizer: test decision record")
 	if got := plan.Annotation("tfidf"); got != "dict=map-arena (est 12ms)" {
@@ -226,8 +224,9 @@ func TestExplainRendersAnnotations(t *testing.T) {
 }
 
 // TestPartitionedWordCountMatchesMonolithic: the sharded word count is a
-// second instantiation of the map/reduce decomposition and must agree with
-// the monolithic operator exactly.
+// second instantiation of the map/reduce decomposition; three shards must
+// agree exactly with the logical plan, which Plan.Run expands at the auto
+// shard count and answers under its logical sink name.
 func TestPartitionedWordCountMatchesMonolithic(t *testing.T) {
 	src := testCorpus().Source(nil)
 	mono := NewPlan().
@@ -254,7 +253,7 @@ func TestPartitionedWordCountMatchesMonolithic(t *testing.T) {
 		t.Fatalf("token totals differ: %d vs %d", mwc.TotalTokens, swc.TotalTokens)
 	}
 	if !reflect.DeepEqual(mwc.Words, swc.Words) || !reflect.DeepEqual(mwc.Counts, swc.Counts) {
-		t.Fatal("sharded word counts differ from monolithic")
+		t.Fatal("3-shard word counts differ from the auto-expanded plan's")
 	}
 }
 

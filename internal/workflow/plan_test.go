@@ -456,7 +456,7 @@ func TestPlanRunRecoversOperatorPanic(t *testing.T) {
 
 func TestExplainMarksMaterializationEdges(t *testing.T) {
 	c := testCorpus()
-	discrete := TFKMPlan(c.Source(nil), baseCfg(Discrete))
+	discrete := LogicalTFKMPlan(c.Source(nil), baseCfg(Discrete))
 	want := strings.Join([]string{
 		"scan -> tfidf",
 		"tfidf -> materialize-arff",
@@ -467,7 +467,7 @@ func TestExplainMarksMaterializationEdges(t *testing.T) {
 	if got := discrete.Explain(); got != want {
 		t.Fatalf("discrete explain:\n%s\nwant:\n%s", got, want)
 	}
-	merged := TFKMPlan(c.Source(nil), baseCfg(Merged))
+	merged := LogicalTFKMPlan(c.Source(nil), baseCfg(Merged))
 	want = strings.Join([]string{
 		"scan -> tfidf",
 		"tfidf -> kmeans",

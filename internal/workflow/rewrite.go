@@ -174,8 +174,8 @@ type partitionable interface {
 // results: shard boundaries are deterministic, document frequencies merge
 // commutatively, term IDs are assigned in lexicographic order, and the
 // K-Means per-iteration reduce merges shard accumulators in shard-index
-// order, so scores and cluster assignments are bit-identical to the
-// unpartitioned plan at any shard count.
+// order, so scores and cluster assignments are bit-identical at any shard
+// count.
 func PartitionRule(shards int) Rewriter { return &partitionRule{shards: shards} }
 
 type partitionRule struct{ shards int }
@@ -204,6 +204,15 @@ func (r *partitionRule) Rewrite(p *Plan) (*Plan, bool) {
 		}
 	}
 	return p, false
+}
+
+// expandedOut names the node whose output replaces node name's once
+// PartitionRule has expanded its operator op.
+func expandedOut(name string, op Operator) string {
+	if pa, ok := op.(partitionable); ok {
+		return name + "." + pa.partitionFragment().out
+	}
+	return name + ".reduce" // KMeansOp: the loop's join stage
 }
 
 // expandLoop replaces a KMeansOp node with the iterative loop stages:

@@ -39,13 +39,15 @@ func (m Mode) String() string {
 type TFKMConfig struct {
 	// Mode selects discrete or merged execution.
 	Mode Mode
-	// Shards selects partitioned execution: with Shards != 0, PartitionRule
-	// shards the corpus scan and expands TF/IDF into per-shard map kernels
-	// plus reductions (Shards < 0 means auto: 2×GOMAXPROCS shards, over-
-	// decomposed so work stealing rebalances stragglers; see
-	// PartitionOp.Shards). Shards == 0 keeps the bulk-synchronous
-	// single-operator plan. Results are bit-identical either way, at any
-	// shard count.
+	// Shards is the shard count of the partitioned plan: PartitionRule
+	// shards the corpus scan, expands TF/IDF into per-shard map kernels
+	// plus reductions and runs K-Means as an iterative shard loop. N > 0
+	// pins N shards; 0 (or any value below 1) is auto — 2×GOMAXPROCS on
+	// more than one proc, over-decomposed so work stealing rebalances
+	// stragglers (see PartitionOp.Shards). Scores, seeds, assignments and
+	// cluster counts are bit-identical at any shard count; centroid sums and
+	// inertia merge shard accumulators in shard order, so across shard
+	// counts they agree to 1e-12 and are bit-identical at equal counts.
 	Shards int
 	// TFIDF configures the text operator.
 	TFIDF tfidf.Options
@@ -58,12 +60,13 @@ type TFKMConfig struct {
 	Backend Backend
 }
 
-// TFKMPlan constructs the workflow over src as a Plan. The discrete plan
+// LogicalTFKMPlan constructs the workflow over src as a logical Plan: one
+// node per operator, before any shard decision — the input of the plan
+// optimizer, which picks the shard counts itself. The discrete plan
 // contains the materialize/load pair; Merged is exactly the discrete plan
-// with the fusion rule applied. With cfg.Shards != 0, PartitionRule then
-// shards the dataflow: the scan splits into partitions and TF/IDF expands
-// into per-shard map kernels around its reductions.
-func TFKMPlan(src pario.Source, cfg TFKMConfig) *Plan {
+// with the fusion rule applied. cfg.Shards is ignored; Plan.Run expands a
+// logical plan at the auto shard count.
+func LogicalTFKMPlan(src pario.Source, cfg TFKMConfig) *Plan {
 	p := NewPlan().
 		Add("scan", &SourceOp{Src: src}).
 		Add("tfidf", &TFIDFOp{Opts: cfg.TFIDF}).
@@ -79,14 +82,17 @@ func TFKMPlan(src pario.Source, cfg TFKMConfig) *Plan {
 	if cfg.Mode == Merged {
 		p = p.Apply(FuseRule())
 	}
-	if cfg.Shards != 0 {
-		shards := cfg.Shards
-		if shards < 0 {
-			shards = 0 // PartitionOp resolves 0 to GOMAXPROCS
-		}
-		p = p.Apply(PartitionRule(shards))
-	}
 	return p
+}
+
+// TFKMPlan constructs the workflow over src as a physical Plan: the
+// logical plan with PartitionRule(cfg.Shards) applied, so the scan splits
+// into partitions, TF/IDF expands into per-shard map kernels around its
+// reductions and K-Means into its iterative shard loop. cfg.Shards <= 0
+// is auto: PartitionOp.PartitionCount resolves it to 2×GOMAXPROCS on more
+// than one proc, 1 otherwise.
+func TFKMPlan(src pario.Source, cfg TFKMConfig) *Plan {
+	return LogicalTFKMPlan(src, cfg).Apply(PartitionRule(max(cfg.Shards, 0)))
 }
 
 // TFKMReport is the outcome of a workflow run.

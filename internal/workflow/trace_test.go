@@ -165,9 +165,8 @@ func TestTraceCoversEveryTask(t *testing.T) {
 
 // BenchmarkTracingOverhead measures the cost of the tracing hooks over the
 // full iterative plan: nil tracer (production default) versus an attached
-// collector. The nil case must stay within noise of the pre-instrumentation
-// baseline (BENCH_iterative); the assertion lives in the recorded bench
-// deltas, this benchmark makes the comparison reproducible.
+// collector. The nil case must stay within noise of the untraced run; this
+// benchmark makes the comparison reproducible.
 func BenchmarkTracingOverhead(b *testing.B) {
 	c := corpus.Generate(corpus.Mix().Scaled(0.05), nil)
 	for _, bc := range []struct {

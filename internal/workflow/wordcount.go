@@ -45,9 +45,10 @@ func (w *WordCounts) Count(word string) uint64 {
 
 // WordCountOp computes corpus-wide word frequencies — the canonical first
 // analytics operator, included as a second instantiation of the workflow
-// engine beyond TF/IDF→K-Means. Phase structure mirrors the paper's
-// input+wc: parallel per-document tokenize-and-count into per-strand
-// dictionaries, merged once at the end (a classic reducer).
+// engine beyond TF/IDF→K-Means. It is logical: PartitionRule expands it
+// into per-shard tokenize-and-count kernels (WordCountMapOp) and one
+// tree-merge reduction (WordCountReduceOp), the paper's input+wc phase
+// structure.
 type WordCountOp struct {
 	// DictKind selects the per-strand dictionary implementation.
 	DictKind dict.Kind
@@ -66,15 +67,10 @@ func (o *WordCountOp) Inputs() []reflect.Type { return []reflect.Type{sourceType
 // Output implements TypedOperator.
 func (o *WordCountOp) Output() reflect.Type { return wordCountsType }
 
-// Run implements Operator: pario.Source -> *WordCounts. The unpartitioned
-// operator is its own map and reduce kernels over the whole source as one
-// shard, so there is one word-count implementation.
+// Run implements Operator; a word-count node runs only expanded by
+// PartitionRule, which Plan.Run applies to any node still logical.
 func (o *WordCountOp) Run(ctx *Context, in Value) (Value, error) {
-	shard, err := o.mapOp().RunPartition(ctx, []Value{in}, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	return (&WordCountReduceOp{DictKind: o.DictKind}).Run(ctx, shard)
+	return nil, fmt.Errorf("workflow: wordcount runs only as a partitioned plan fragment")
 }
 
 // mapOp builds the operator's map kernel.

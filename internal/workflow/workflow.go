@@ -58,9 +58,8 @@
 // commutatively, term IDs are assigned in lexicographic order, shards
 // are always identified by partition index rather than completion order,
 // and the K-Means per-iteration reduce merges shard accumulators in shard
-// order — scores and cluster assignments are bit-identical to the
-// unpartitioned plan at any shard count (asserted by the determinism
-// tests, for every dictionary kind and both empty-cluster policies).
+// order — scores and cluster assignments are bit-identical at any shard
+// count (asserted by the determinism tests, for every dictionary kind and both empty-cluster policies).
 //
 // # Execution backends
 //

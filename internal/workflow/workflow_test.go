@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,11 +42,11 @@ func baseCfg(mode Mode) TFKMConfig {
 func TestPipelinePlanShapes(t *testing.T) {
 	// The discrete workflow carries the materialize/load pair; the merged
 	// one is the same chain with the pair fused away.
-	d := TFKMPlan(nil, baseCfg(Discrete)).Nodes()
+	d := LogicalTFKMPlan(nil, baseCfg(Discrete)).Nodes()
 	if want := []string{"scan", "tfidf", "materialize-arff", "load-arff", "kmeans", "output"}; !reflect.DeepEqual(d, want) {
 		t.Fatalf("discrete plan: %v", d)
 	}
-	m := TFKMPlan(nil, baseCfg(Merged)).Nodes()
+	m := LogicalTFKMPlan(nil, baseCfg(Merged)).Nodes()
 	if want := []string{"scan", "tfidf", "kmeans", "output"}; !reflect.DeepEqual(m, want) {
 		t.Fatalf("merged plan: %v", m)
 	}
@@ -181,7 +182,7 @@ func TestIntermediateARFFOnDiskInDiscreteMode(t *testing.T) {
 
 func TestTypeMismatchErrors(t *testing.T) {
 	ctx := testCtx(t, 1)
-	ops := []Operator{&TFIDFOp{}, &MaterializeARFF{}, &LoadARFF{}, &KMeansOp{}, &WriteAssignments{}}
+	ops := []Operator{&MaterializeARFF{}, &LoadARFF{}, &WriteAssignments{}}
 	for _, op := range ops {
 		if _, err := op.Run(ctx, "not a dataset"); !errors.Is(err, ErrType) {
 			t.Errorf("%s accepted a string input: %v", op.Name(), err)
@@ -232,14 +233,18 @@ func TestObserverSeesEveryOperator(t *testing.T) {
 	if _, err := RunTFKM(testCorpus().Source(nil), ctx, baseCfg(Merged)); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"source", "tfidf", "kmeans", "output"}
-	if len(seen) != len(want) {
+	// Every operator of the partitioned plan, once each; the scan first and
+	// the output sink last.
+	want := []string{"source", "partition", "tf-map", "df-reduce", "transform", "gather", "km-assign", "km-reduce", "output"}
+	if len(seen) != len(want) || seen[0] != "source" || seen[len(seen)-1] != "output" {
 		t.Fatalf("observer saw %v, want %v", seen, want)
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("observer saw %v, want %v", seen, want)
-		}
+	sorted := append([]string(nil), seen...)
+	sort.Strings(sorted)
+	wantSorted := append([]string(nil), want...)
+	sort.Strings(wantSorted)
+	if !reflect.DeepEqual(sorted, wantSorted) {
+		t.Fatalf("observer saw %v, want %v", seen, want)
 	}
 }
 
@@ -323,9 +328,9 @@ func TestWorkflowCancelBetweenOperators(t *testing.T) {
 	ctx := testCtx(t, 2)
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx.Ctx = cctx
-	// Cancel right after the first operator completes.
+	// Cancel right after TF/IDF completes.
 	ctx.Observe = func(op Operator, _ Value) {
-		if op.Name() == "tfidf" {
+		if op.Name() == "gather" {
 			cancel()
 		}
 	}
