@@ -16,7 +16,10 @@
 // are shed with 429 and a Retry-After estimate; -max-queries bounds the
 // in-flight query count on the hot path (shed immediately, no queue).
 // -workers ships shard tasks of admitted plans to hpa-workflow -worker
-// processes, exactly as in the batch CLI.
+// processes, exactly as in the batch CLI. SIGINT or SIGTERM stops
+// accepting connections and lets in-flight requests finish for up to 30 s
+// (closing the rest cancels their plans), then releases the pool, the
+// backend and a temp scratch directory and exits 0.
 //
 // # Walkthrough
 //
@@ -77,12 +80,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"hpa/internal/optimizer"
@@ -92,6 +98,21 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "hpa-serve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// drainTimeout bounds the shutdown: requests still running past it — a
+// long plan — have their connections closed, which cancels their runs.
+const drainTimeout = 30 * time.Second
+
+// run serves until the listener fails or SIGINT/SIGTERM arrives, then
+// drains in-flight requests for up to drainTimeout. It returns, rather
+// than exiting, so the temp scratch dir, the backend and the pool are
+// released on every path.
+func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		data       = flag.String("data", "", "corpus root directory (required); plan submissions name corpora relative to it")
@@ -117,7 +138,7 @@ func main() {
 	if scratchDir == "" {
 		dir, err := os.MkdirTemp("", "hpa-serve-*")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
 		scratchDir = dir
@@ -135,7 +156,7 @@ func main() {
 		}
 		rb, err := workflow.NewRPCBackend(addrs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer rb.Close()
 		env.Backend = rb
@@ -146,7 +167,7 @@ func main() {
 	if *costmodel {
 		model, err := optimizer.LoadOrCalibrate(scratchDir, optimizer.CalibrationOptions{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		planner = optimizer.NewPlanner(model, optimizer.Options{Procs: *threads})
 		fmt.Println("hpa-serve: cost model ready; optimize enabled")
@@ -161,7 +182,7 @@ func main() {
 		MaxInflightQueries: *maxQueries,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("hpa-serve: listening on %s (data root %s, %d threads)\n", *addr, *data, *threads)
 	hs := &http.Server{
@@ -176,10 +197,22 @@ func main() {
 		WriteTimeout:      30 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	fatal(hs.ListenAndServe())
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "hpa-serve: %v\n", err)
-	os.Exit(1)
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err
+	case <-sig.Done():
+	}
+	stop() // a second signal kills the process outright
+	fmt.Println("hpa-serve: shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }

@@ -1,11 +1,14 @@
 // Command hpa-workflow runs the paper's TF/IDF→K-Means workflow over a
 // corpus directory, either discrete (operators communicate through an ARFF
-// file on disk) or merged (fused, in-memory), and prints the phase
-// breakdown of Figures 3 and 4.
+// file on disk, DIR/tfidf.arff under -scratch DIR) or merged (fused,
+// in-memory), and prints the phase breakdown of Figures 3 and 4. Given an
+// ARFF file instead of a directory, it runs the K-Means half alone: load
+// the file, cluster it, and write the assignments (documents are named
+// doc0000000, doc0000001, … in file order, as ARFF stores no names).
 //
 // Usage:
 //
-//	hpa-workflow -in CORPUSDIR [-mode merged|discrete] [-threads N]
+//	hpa-workflow -in CORPUSDIR|FILE.arff [-mode merged|discrete] [-threads N]
 //	             [-shards 0] [-dict map|u-map|map-arena] [-presize 0]
 //	             [-k 8] [-seed 1] [-scratch DIR] [-disksim off|hdd]
 //	             [-sweep 1,4,8,12,16] [-explain] [-optimize]
@@ -13,13 +16,13 @@
 //	             [-measured-ship=true]
 //	hpa-workflow -worker ADDR
 //
-// -shards selects partitioned streaming execution: the corpus scan is
-// split into N document shards that flow through per-shard map kernels and
-// explicit reductions, and K-Means runs as an iterative shard loop
-// (per-shard assignment tasks behind a per-iteration reduction barrier;
-// rendered by -explain as kmeans.assign ~[xN]~> kmeans.reduce). 0 = auto,
-// N >= 1 pins N shards; negative values are rejected. Without -optimize,
-// auto means 2×GOMAXPROCS shards so work stealing can rebalance
+// Every plan runs partitioned: the corpus scan is split into document
+// shards that flow through per-shard map kernels and explicit reductions,
+// and K-Means runs as an iterative shard loop (per-shard assignment tasks
+// behind a per-iteration reduction barrier; rendered by -explain as
+// kmeans.assign ~[xN]~> kmeans.reduce). -shards sets the shard count: 0 =
+// auto, N >= 1 pins N shards; negative values are rejected. Without
+// -optimize, auto means 2×GOMAXPROCS shards so work stealing can rebalance
 // stragglers. Scores, seeds and assignments are bit-identical at any shard
 // count. Single runs also report the measured iteration count and
 // the mean assign+reduce span per iteration (the per-shard timings union
@@ -31,7 +34,8 @@
 // hpa-costmodel-*.json under the scratch directory — pass -scratch to
 // persist the cache across runs, delete the file to force
 // re-calibration), samples the corpus, and chooses the dictionary kind,
-// the fusion decision and the shard count by estimated cost.
+// the fusion decision and the shard count by estimated cost. An ARFF file
+// input has no corpus to sample, so -optimize rejects it.
 //
 // Precedence of -optimize vs. the manual flags: a flag left at its
 // default cedes the decision to the optimizer; a flag set explicitly on
@@ -98,6 +102,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -123,10 +128,10 @@ var phaseOrder = []string{
 
 func main() {
 	var (
-		in       = flag.String("in", "", "corpus directory (required)")
+		in       = flag.String("in", "", "corpus directory, or an ARFF file to cluster (required)")
 		mode     = flag.String("mode", "merged", "workflow mode: merged or discrete")
 		threads  = flag.Int("threads", runtime.NumCPU(), "worker threads")
-		shards   = flag.Int("shards", 0, "corpus shards for partitioned execution (0 = auto, N >= 1 pins N; with -optimize, an explicit N pins the optimizer's choice)")
+		shards   = flag.Int("shards", 0, "shards of the corpus scan and the K-Means loop (0 = auto, N >= 1 pins N; with -optimize, an explicit N pins the optimizer's choice)")
 		dictKind = flag.String("dict", dict.Kind(0).String(), "dictionary: map, u-map, map-arena")
 		presize  = flag.Int("presize", 0, "per-document dictionary presize")
 		k        = flag.Int("k", 8, "number of clusters")
@@ -161,6 +166,15 @@ func main() {
 	}
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "hpa-workflow: -in is required")
+		os.Exit(2)
+	}
+	fi, err := os.Stat(*in)
+	if err != nil {
+		fatal(err)
+	}
+	arffIn := fi.Mode().IsRegular()
+	if arffIn && *optimize {
+		fmt.Fprintf(os.Stderr, "hpa-workflow: -optimize samples a corpus directory; -in %s is a file\n", *in)
 		os.Exit(2)
 	}
 
@@ -223,15 +237,31 @@ func main() {
 	}
 
 	// buildPlan constructs the (possibly optimized) plan for one run at the
-	// given worker parallelism. Under -optimize the corpus statistics and
-	// the calibrated cost model are gathered once and reused; the base plan
-	// is the discrete logical plan so the optimizer owns the fusion and
-	// sharding decisions, with an explicit -shards pinning its choice.
+	// given worker parallelism, reading its input through disk. Under
+	// -optimize the corpus statistics and the calibrated cost model are
+	// gathered once and reused; the base plan is the discrete logical plan
+	// so the optimizer owns the fusion and sharding decisions, with an
+	// explicit -shards pinning its choice.
 	var (
 		stats *optimizer.Stats
 		model *optimizer.CostModel
 	)
-	buildPlan := func(src pario.Source, procs int) (*workflow.Plan, error) {
+	buildPlan := func(disk *pario.DiskSim, procs int) (*workflow.Plan, error) {
+		if arffIn {
+			return workflow.NewPlan().
+				Add("arff", arffSource(*in)).
+				Add("load-arff", &workflow.LoadARFF{}).
+				Add("kmeans", &workflow.KMeansOp{Opts: cfg.KMeans}).
+				Add("output", &workflow.WriteAssignments{}).
+				Connect("arff", "load-arff").
+				Connect("load-arff", "kmeans").
+				Connect("kmeans", "output").
+				Apply(workflow.PartitionRule(cfg.Shards)), nil
+		}
+		src, err := corpus.OpenDir(*in, disk)
+		if err != nil {
+			return nil, err
+		}
 		if !*optimize {
 			return workflow.TFKMPlan(src, cfg), nil
 		}
@@ -277,11 +307,7 @@ func main() {
 	}
 
 	if *explain {
-		src, err := corpus.OpenDir(*in, nil)
-		if err != nil {
-			fatal(err)
-		}
-		plan, err := buildPlan(src, *threads)
+		plan, err := buildPlan(nil, *threads)
 		if err != nil {
 			fatal(err)
 		}
@@ -319,11 +345,7 @@ func main() {
 		if *diskSim == "hdd" {
 			disk = pario.HDD2016()
 		}
-		src, err := corpus.OpenDir(*in, disk)
-		if err != nil {
-			fatal(err)
-		}
-		plan, err := buildPlan(src, n)
+		plan, err := buildPlan(disk, n)
 		if err != nil {
 			fatal(err)
 		}
@@ -343,9 +365,11 @@ func main() {
 			fatal(err)
 		}
 		modeLabel, dictLabel := wmode.String(), kind.String()
-		if *optimize {
-			modeLabel = "optimized"
-			dictLabel = "auto"
+		switch {
+		case *optimize:
+			modeLabel, dictLabel = "optimized", "auto"
+		case arffIn:
+			modeLabel, dictLabel = "arff", "-"
 		}
 		row := []string{fmt.Sprintf("%d", n), modeLabel, dictLabel}
 		for _, ph := range phaseOrder {
@@ -360,7 +384,9 @@ func main() {
 
 		if len(threadList) == 1 {
 			fmt.Fprintf(os.Stderr, "clusters: %v\n", rep.Clustering.Result.Counts)
-			fmt.Fprintf(os.Stderr, "dictionary footprint: %s\n", metrics.FormatBytes(rep.DictFootprint))
+			if !arffIn {
+				fmt.Fprintf(os.Stderr, "dictionary footprint: %s\n", metrics.FormatBytes(rep.DictFootprint))
+			}
 			// Per-iteration view of the iterative phase: the span-union
 			// metrics already aggregate every assign/reduce task into the
 			// single "kmeans" phase key (so Figure 3/4 breakdowns are
@@ -427,6 +453,17 @@ func main() {
 		}
 	}
 	fmt.Print(table.String())
+}
+
+// arffSource is the source node of a run over an ARFF file: it emits the
+// file's reference for LoadARFF.
+type arffSource string
+
+func (s arffSource) Name() string           { return "arff" }
+func (s arffSource) Inputs() []reflect.Type { return nil }
+func (s arffSource) Output() reflect.Type   { return reflect.TypeOf((*workflow.ARFFRef)(nil)) }
+func (s arffSource) Run(*workflow.Context, workflow.Value) (workflow.Value, error) {
+	return &workflow.ARFFRef{Path: string(s)}, nil
 }
 
 func fatal(err error) {

@@ -371,8 +371,8 @@ func NewWorkflowContext(pool *Pool) *WorkflowContext { return workflow.NewContex
 // NewRPCBackend dials worker processes (see ServeWorkerOn /
 // cmd/hpa-workflow -worker) at the given TCP addresses and returns the
 // execution backend shipping shard tasks to them. Plans run with the
-// backend (WorkflowContext.Backend or TFKMConfig.Backend) produce
-// bit-identical results to local execution.
+// backend (WorkflowContext.Backend) produce bit-identical results to local
+// execution.
 func NewRPCBackend(addrs []string) (*RPCBackend, error) { return workflow.NewRPCBackend(addrs) }
 
 // ServeWorkerOn runs a task worker on the given TCP address, serving the

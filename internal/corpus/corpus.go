@@ -90,12 +90,12 @@ func (s Spec) Scaled(f float64) Spec {
 	}
 	out := s
 	out.Name = fmt.Sprintf("%s@%.3g", s.Name, f)
-	out.Documents = maxInt(1, int(float64(s.Documents)*f+0.5))
+	out.Documents = maxInt(1, int(float64(float64(s.Documents)*f)+0.5))
 	out.TargetBytes = int64(float64(s.TargetBytes) * f)
 	if out.TargetBytes < 1024 {
 		out.TargetBytes = 1024
 	}
-	out.TargetDistinct = maxInt(16, int(float64(s.TargetDistinct)*math.Pow(f, 0.55)+0.5))
+	out.TargetDistinct = maxInt(16, int(float64(float64(s.TargetDistinct)*math.Pow(f, 0.55))+0.5))
 	return out
 }
 

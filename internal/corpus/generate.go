@@ -88,7 +88,7 @@ func calibrate(spec Spec) (*zipf.Sampler, int64) {
 // total tokens.
 func docLengths(spec Spec, sigma float64, total int64) []int {
 	mean := float64(total) / float64(spec.Documents)
-	mu := math.Log(mean) - sigma*sigma/2
+	mu := math.Log(mean) - float64(sigma*sigma/2)
 	rng := zipf.NewRNG(spec.Seed ^ 0x646f636c656e) // "doclen"
 	lens := make([]int, spec.Documents)
 	var sum int64
@@ -103,7 +103,7 @@ func docLengths(spec Spec, sigma float64, total int64) []int {
 	// Rescale to the calibrated total so byte volume stays on target.
 	scale := float64(total) / float64(sum)
 	for i := range lens {
-		l := int(float64(lens[i])*scale + 0.5)
+		l := int(float64(float64(lens[i])*scale) + 0.5)
 		if l < 5 {
 			l = 5
 		}

@@ -194,7 +194,7 @@ func (s *SimpleKMeans) seedPlusPlus() [][]float64 {
 func denseDot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -203,7 +203,7 @@ func denseDistSq(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

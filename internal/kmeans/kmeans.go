@@ -18,6 +18,14 @@
 // Both use identical K-Means++ seeding, assignment rule and convergence
 // criterion, so their clusterings agree; only the engineering differs.
 //
+// A result is a function of (input, options) only — not of GOARCH (every
+// product feeding an add is pinned, see the sparse package's Rounding
+// section), backend, block width or scheduling. Seeds and assignments do
+// not depend on the shard count either; centroid sums and inertia merge
+// per-shard accumulators in shard order (the library driver's shards are
+// its pool workers), so they are bit-identical at equal shard counts and
+// agree to 1e-12 across counts.
+//
 // # Iterative shard contract
 //
 // The Clusterer is decomposed into the kernels of the partitioned
@@ -422,7 +430,7 @@ func copyInto(dst []float64, v *sparse.Vector, dim int) {
 func normSq(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s
 }

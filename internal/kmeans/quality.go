@@ -14,7 +14,7 @@ func (r *Result) Predict(v *sparse.Vector) int32 {
 	for j := range r.Centroids {
 		cn := 0.0
 		for _, x := range r.Centroids[j] {
-			cn += x * x
+			cn += float64(x * x)
 		}
 		d := cn - 2*sparse.DotDense(v, r.Centroids[j]) + vn
 		if d < bestD {

@@ -238,11 +238,10 @@ func calibrateARFF(opts CalibrationOptions) (writeBPS, readBPS float64, err erro
 // scheduling path a real partition task takes.
 type calSplit struct{ n int }
 
-func (s *calSplit) Name() string                                                  { return "cal-split" }
-func (s *calSplit) Inputs() []reflect.Type                                        { return nil }
-func (s *calSplit) Output() reflect.Type                                          { return reflect.TypeOf(0) }
-func (s *calSplit) PartitionCount() int                                           { return s.n }
-func (s *calSplit) Run(*workflow.Context, workflow.Value) (workflow.Value, error) { return nil, nil }
+func (s *calSplit) Name() string           { return "cal-split" }
+func (s *calSplit) Inputs() []reflect.Type { return nil }
+func (s *calSplit) Output() reflect.Type   { return reflect.TypeOf(0) }
+func (s *calSplit) PartitionCount() int    { return s.n }
 func (s *calSplit) Split(_ *workflow.Context, _ []workflow.Value, idx, _ int) (workflow.Value, error) {
 	return idx, nil
 }
@@ -252,9 +251,6 @@ type calMap struct{}
 func (*calMap) Name() string           { return "cal-map" }
 func (*calMap) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
 func (*calMap) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (*calMap) Run(_ *workflow.Context, in workflow.Value) (workflow.Value, error) {
-	return in, nil
-}
 func (*calMap) RunPartition(_ *workflow.Context, ins []workflow.Value, _, _ int) (workflow.Value, error) {
 	return ins[0], nil
 }
@@ -264,9 +260,6 @@ type calReduce struct{}
 func (*calReduce) Name() string           { return "cal-reduce" }
 func (*calReduce) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
 func (*calReduce) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (*calReduce) Run(_ *workflow.Context, in workflow.Value) (workflow.Value, error) {
-	return in, nil
-}
 func (*calReduce) BeginReduce(*workflow.Context, int, []workflow.Value) (any, error) {
 	c := 0
 	return &c, nil

@@ -73,6 +73,5 @@ func (p *Planner) StatsFor(key string, src pario.Source) (*Stats, error) {
 func (p *Planner) PlanTFKMWith(src pario.Source, cfg workflow.TFKMConfig, st *Stats, opts Options) *workflow.Plan {
 	base := cfg
 	base.Mode = workflow.Discrete
-	base.Backend = nil
 	return workflow.LogicalTFKMPlan(src, base).Apply(Rule(st, p.model, opts))
 }

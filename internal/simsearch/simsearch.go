@@ -186,7 +186,7 @@ func (s *Searcher) TopK(query *sparse.Vector, k int) []Match {
 			if s.scores[d] == 0 {
 				s.touched = append(s.touched, int32(d))
 			}
-			s.scores[d] += qw * ws[j]
+			s.scores[d] += float64(qw * ws[j])
 		}
 	}
 	// Select top k among touched docs with a bounded insertion list.

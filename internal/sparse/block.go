@@ -100,14 +100,14 @@ func (l *BlockLayout) dots8(v *Vector, dots []float64) {
 			}
 			x := vals[i]
 			row := blk[int(idx)*8 : int(idx)*8+8]
-			s0 += x * row[0]
-			s1 += x * row[1]
-			s2 += x * row[2]
-			s3 += x * row[3]
-			s4 += x * row[4]
-			s5 += x * row[5]
-			s6 += x * row[6]
-			s7 += x * row[7]
+			s0 += float64(x * row[0])
+			s1 += float64(x * row[1])
+			s2 += float64(x * row[2])
+			s3 += float64(x * row[3])
+			s4 += float64(x * row[4])
+			s5 += float64(x * row[5])
+			s6 += float64(x * row[6])
+			s7 += float64(x * row[7])
 		}
 		d := dots[bi*8 : bi*8+8]
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
@@ -127,10 +127,10 @@ func (l *BlockLayout) dots4(v *Vector, dots []float64) {
 			}
 			x := vals[i]
 			row := blk[int(idx)*4 : int(idx)*4+4]
-			s0 += x * row[0]
-			s1 += x * row[1]
-			s2 += x * row[2]
-			s3 += x * row[3]
+			s0 += float64(x * row[0])
+			s1 += float64(x * row[1])
+			s2 += float64(x * row[2])
+			s3 += float64(x * row[3])
 		}
 		d := dots[bi*4 : bi*4+4]
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3

@@ -9,6 +9,22 @@
 // hundreds of thousands of terms, documents have a few hundred non-zeros, so
 // sparse dot products and norms are two to three orders of magnitude cheaper
 // than dense ones.
+//
+// # Rounding
+//
+// A kernel's result is a function of its inputs only — not of GOARCH. The
+// Go spec lets a compiler fuse x*y + z into one fused multiply-add, which
+// rounds once where the separate operations round twice; arm64, ppc64le,
+// s390x and riscv64 do so, amd64 does not. So every result-affecting
+// product that feeds an add or a subtract is written float64(x*y): an
+// explicit conversion rounds, which forbids the fusion. This holds in the
+// six packages whose floats reach a result — sparse, kmeans, tfidf,
+// simsearch, corpus and zipf — and CI cross-compiles them for those four
+// architectures with -gcflags=-S and fails on any fused instruction. On
+// amd64 the conversions change no generated instruction. The one place
+// float math may fuse is plan choice: the optimizer's cost estimates and
+// serve's admission estimates pick a plan or a Retry-After, and every
+// plan computes the same bits.
 package sparse
 
 import (
@@ -116,7 +132,7 @@ func Dot(a, b *Vector) float64 {
 		case a.Idx[i] > b.Idx[j]:
 			j++
 		default:
-			s += a.Val[i] * b.Val[j]
+			s += float64(a.Val[i] * b.Val[j])
 			i++
 			j++
 		}
@@ -133,7 +149,7 @@ func DotDense(v *Vector, dense []float64) float64 {
 		if idx >= n {
 			break
 		}
-		s += v.Val[i] * dense[idx]
+		s += float64(v.Val[i] * dense[idx])
 	}
 	return s
 }
@@ -142,7 +158,7 @@ func DotDense(v *Vector, dense []float64) float64 {
 func (v *Vector) NormSq() float64 {
 	s := 0.0
 	for _, x := range v.Val {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }
@@ -185,7 +201,7 @@ func AddInto(dense []float64, v *Vector, a float64) {
 		panic(fmt.Sprintf("sparse: AddInto dense dim %d < vector dim %d", len(dense), d))
 	}
 	for i, idx := range v.Idx {
-		dense[idx] += a * v.Val[i]
+		dense[idx] += float64(a * v.Val[i])
 	}
 }
 

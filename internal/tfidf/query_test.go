@@ -1,7 +1,9 @@
 package tfidf
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hpa/internal/corpus"
@@ -67,6 +69,52 @@ func TestQueryVectorizeMatchesCorpusVectors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzQueryVectorizeMatchesCorpus: any text, appended to a small corpus as
+// one more document, must vectorize as a query to exactly that document's
+// corpus vector — same term IDs, same weights bit for bit — under every
+// tokenizer and normalization setting.
+func FuzzQueryVectorizeMatchesCorpus(f *testing.F) {
+	for _, s := range []string{
+		"", "alpha beta", "alpha alpha alpha omega", "The RUNNING runners ran; ran!",
+		"beta\x00delta\xffgamma", "naïve café ümlaut", "x y z 12345 ab-cd",
+	} {
+		f.Add([]byte(s))
+	}
+	pool := par.NewPool(1)
+	f.Cleanup(pool.Close)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		src := queryTestSource()
+		src.Names = append(src.Names, "fuzz")
+		src.Docs = append(src.Docs, doc)
+		last := src.Len() - 1
+		for _, opts := range []Options{
+			{}, {Normalize: true}, {Stem: true}, {MinWordLen: 4},
+			{Normalize: true, Stem: true, MinWordLen: 3},
+		} {
+			res, err := Run(src, pool, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vocab, err := NewQueryVocab(res, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got sparse.Vector
+			vocab.NewVectorizer().Vectorize(doc, &got)
+			want := res.Vectors[last]
+			if !slices.Equal(got.Idx, want.Idx) {
+				t.Fatalf("%+v: query term IDs %v, corpus %v", opts, got.Idx, want.Idx)
+			}
+			for i := range want.Val {
+				if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
+					t.Fatalf("%+v: term %d weighs %v as a query, %v in the corpus",
+						opts, want.Idx[i], got.Val[i], want.Val[i])
+				}
+			}
+		}
+	})
 }
 
 func TestQueryVectorizeUnknownAndEmpty(t *testing.T) {

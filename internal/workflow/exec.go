@@ -102,13 +102,13 @@ type execState struct {
 // Run validates the plan and executes it as a set of partition tasks on
 // ctx.Pool. The unit of scheduling is (node, partition), not the node:
 //
-//   - a scalar node runs as one task once every input port holds its
-//     (gathered) value;
+//   - a scalar node runs as one Run task (RunAll with several ports) once
+//     every input port holds its (gathered) value;
 //   - a Splitter node runs one Split task per shard;
-//   - a PartitionKernel node whose port-0 producer is partitioned runs one
-//     RunPartition task per shard, each dispatched the moment its shard of
-//     the input and the remaining (scalar) ports are ready — so shard 3 can
-//     be counting words while shard 1 is already being transformed, with no
+//   - a PartitionKernel node runs one RunPartition task per shard of its
+//     port-0 producer, each dispatched the moment its shard of the input
+//     and the remaining (scalar) ports are ready — so shard 3 can be
+//     counting words while shard 1 is already being transformed, with no
 //     bulk-synchronous barrier between map stages;
 //   - a StreamReducer node absorbs shards in completion order on the
 //     scheduling goroutine and finishes as one task after the last;
@@ -153,8 +153,9 @@ type execState struct {
 //
 // A plan may reach Run still logical: partitionable operators (TFIDFOp,
 // WordCountOp) and KMeansOp that no rewrite expanded are expanded here by
-// PartitionRule(0), at the auto shard count — they have no other way to
-// run. A sink expanded this way answers under its logical node name.
+// PartitionRule(0), at the auto shard count — they have no run method of
+// their own, and Validate rejects one the rule cannot expand. A sink
+// expanded this way answers under its logical node name.
 //
 // The returned map holds the output dataset of every sink (a node with no
 // outgoing edges), keyed by node name; partitioned sinks yield a
@@ -217,7 +218,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 
 	states := make([]execState, len(order))
 	for i, n := range order {
-		arity := len(inPorts(n.op))
+		arity := len(n.op.Inputs())
 		st := &states[i]
 		st.ins = make([]Value, arity)
 		st.missing = arity
@@ -436,16 +437,15 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				case taskLoopFinish:
 					task.Run = func() (Value, error) { return lstate.Finish(&nctx) }
 				}
-			default:
-				task.Run = func() (Value, error) {
-					if mo, ok := n.op.(MultiOperator); ok && len(ins) > 1 {
-						return mo.RunAll(&nctx, ins)
-					}
+			case classScalar:
+				if len(ins) > 1 {
+					task.Run = func() (Value, error) { return n.op.(MultiOperator).RunAll(&nctx, ins) }
+				} else {
 					var single Value
 					if len(ins) > 0 {
 						single = ins[0]
 					}
-					return n.op.Run(&nctx, single)
+					task.Run = func() (Value, error) { return n.op.(Runner).Run(&nctx, single) }
 				}
 			}
 			d.out, d.err = backend.RunTask(&nctx, &task)

@@ -25,9 +25,6 @@ func (o *countLoop) Name() string           { return "count-loop" }
 func (o *countLoop) Inputs() []reflect.Type { return nil }
 func (o *countLoop) Output() reflect.Type   { return anyType }
 func (o *countLoop) LoopShards() int        { return o.n }
-func (o *countLoop) Run(*Context, Value) (Value, error) {
-	return nil, fmt.Errorf("loop dispatched through Run")
-}
 func (o *countLoop) BeginLoop(_ *Context, ins []Value, shards int) (LoopState, error) {
 	if shards != o.n {
 		return nil, fmt.Errorf("BeginLoop got %d shards, want %d", shards, o.n)
@@ -197,7 +194,7 @@ func TestIterativeKMeansLoopShardsIndependentOfMapShards(t *testing.T) {
 
 // TestKMAssignRunFallback: the assignment loop has one driver, the plan
 // executor — a plan holding only the loop node matches the full workflow,
-// and a direct Run call is an error rather than a second inline driver.
+// and the loop operator has no scalar Run to serve as a second driver.
 func TestKMAssignRunFallback(t *testing.T) {
 	cfg := baseCfg(Merged)
 	ref := refTFKM(t, cfg)
@@ -207,8 +204,8 @@ func TestKMAssignRunFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := &KMAssignOp{Opts: cfg.KMeans, Shards: 3}
-	if _, err := assign.Run(ctx, tfOut); err == nil {
-		t.Fatal("direct Run of the loop operator succeeded")
+	if _, ok := Operator(assign).(Runner); ok {
+		t.Fatal("the loop operator has a scalar Run")
 	}
 	feed := &fnOp{name: "feed", out: tfidfResultType,
 		fn: func(*Context, []Value) (Value, error) { return tfOut, nil }}

@@ -34,8 +34,8 @@ import (
 // kmeans.Accum per shard across all iterations), preserving the paper's
 // no-allocation-inside-iterations property under partitioned execution.
 
-// IterativeOp is implemented by operators whose computation is an iterative
-// loop over a fixed shard set with a per-iteration reduction barrier. The
+// IterativeOp is the run contract of a loop node: an iterative computation
+// over a fixed shard set with a per-iteration reduction barrier. The
 // executor drives the loop; the operator supplies the shard count and the
 // loop state.
 type IterativeOp interface {
@@ -129,12 +129,12 @@ func (o *KMAssignOp) Name() string { return "km-assign" }
 // for backend placement annotations.
 func (o *KMAssignOp) loopShardsRemotable() {}
 
-// Inputs implements TypedOperator. The port is dynamically typed: it
+// Inputs implements Operator. The port is dynamically typed: it
 // accepts gathered *Partitions of vector shards as well as the monolithic
 // Vectorized datasets, checked at run time.
 func (o *KMAssignOp) Inputs() []reflect.Type { return []reflect.Type{anyType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *KMAssignOp) Output() reflect.Type { return kmResultType }
 
 // LoopShards implements IterativeOp.
@@ -506,12 +506,6 @@ func (s *kmLoopState) Finish(ctx *Context) (Value, error) {
 	return res, nil
 }
 
-// Run implements Operator; a loop node is always scheduled through
-// BeginLoop, never dispatched through Run.
-func (o *KMAssignOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: km-assign runs only as a plan's loop node")
-}
-
 // KMReduceOp closes the iterative K-Means stage: the loop's clustering
 // result (port 0) is joined with the upstream dataset (port 1 — the
 // TF/IDF result or loaded matrix, needed for document names and, in fused
@@ -521,12 +515,12 @@ type KMReduceOp struct{}
 // Name implements Operator.
 func (o *KMReduceOp) Name() string { return "km-reduce" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *KMReduceOp) Inputs() []reflect.Type {
 	return []reflect.Type{kmResultType, vectorizedType}
 }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *KMReduceOp) Output() reflect.Type { return clusteringType }
 
 // RunAll implements MultiOperator.
@@ -552,9 +546,4 @@ func (o *KMReduceOp) RunAll(ctx *Context, ins []Value) (Value, error) {
 		names = synthDocNames(n)
 	}
 	return &Clustering{Result: res, DocNames: names, TFIDF: up}, nil
-}
-
-// Run implements Operator; a two-port node is never dispatched through it.
-func (o *KMReduceOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: km-reduce requires both input ports")
 }

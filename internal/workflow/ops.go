@@ -65,8 +65,9 @@ type Clustering struct {
 }
 
 // TFIDFOp is the logical TF/IDF operator: a document source in, TF/IDF
-// vectors out, executed as the per-shard fragment PartitionRule expands it
-// into.
+// vectors out. It has no run method: it executes as the per-shard fragment
+// PartitionRule expands it into, which Plan.Run applies to any node still
+// logical.
 type TFIDFOp struct {
 	// Opts configures the operator; the expanded stages override Recorder
 	// from the context.
@@ -76,17 +77,11 @@ type TFIDFOp struct {
 // Name implements Operator.
 func (o *TFIDFOp) Name() string { return "tfidf" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *TFIDFOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *TFIDFOp) Output() reflect.Type { return tfidfResultType }
-
-// Run implements Operator; a TF/IDF node runs only expanded by
-// PartitionRule, which Plan.Run applies to any node still logical.
-func (o *TFIDFOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: tfidf runs only as a partitioned plan fragment")
-}
 
 // partitionFragment implements partitionable: under PartitionRule the
 // logical operator becomes phase-1 map shards, the document-frequency
@@ -128,13 +123,13 @@ func (*MaterializeARFF) isMaterializer() {}
 // Name implements Operator.
 func (o *MaterializeARFF) Name() string { return "materialize-arff" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *MaterializeARFF) Inputs() []reflect.Type { return []reflect.Type{tfidfResultType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *MaterializeARFF) Output() reflect.Type { return arffRefType }
 
-// Run implements Operator: *tfidf.Result -> *ARFFRef.
+// Run implements Runner: *tfidf.Result -> *ARFFRef.
 func (o *MaterializeARFF) Run(ctx *Context, in Value) (Value, error) {
 	res, ok := in.(*tfidf.Result)
 	if !ok {
@@ -161,13 +156,13 @@ func (*LoadARFF) isLoader() {}
 // Name implements Operator.
 func (o *LoadARFF) Name() string { return "load-arff" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *LoadARFF) Inputs() []reflect.Type { return []reflect.Type{arffRefType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *LoadARFF) Output() reflect.Type { return matrixType }
 
-// Run implements Operator: *ARFFRef -> *Matrix.
+// Run implements Runner: *ARFFRef -> *Matrix.
 func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 	ref, ok := in.(*ARFFRef)
 	if !ok {
@@ -181,8 +176,9 @@ func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 }
 
 // KMeansOp is the logical K-Means operator: it clusters either the fused
-// in-memory *tfidf.Result or a *Matrix loaded from disk, executed as the
-// iterative loop stages PartitionRule expands it into.
+// in-memory *tfidf.Result or a *Matrix loaded from disk. It has no run
+// method: it executes as the iterative loop stages PartitionRule expands it
+// into.
 type KMeansOp struct {
 	// Opts configures clustering; the loop stages override Recorder from
 	// the context.
@@ -192,19 +188,12 @@ type KMeansOp struct {
 // Name implements Operator.
 func (o *KMeansOp) Name() string { return "kmeans" }
 
-// Inputs implements TypedOperator: the port accepts any Vectorized dataset,
+// Inputs implements Operator: the port accepts any Vectorized dataset,
 // so both the fused *tfidf.Result and a *Matrix loaded from disk connect.
 func (o *KMeansOp) Inputs() []reflect.Type { return []reflect.Type{vectorizedType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *KMeansOp) Output() reflect.Type { return clusteringType }
-
-// Run implements Operator; a K-Means node runs only expanded by
-// PartitionRule into its iterative loop stages, which Plan.Run applies to
-// any node still logical.
-func (o *KMeansOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: kmeans runs only as a plan's loop stages")
-}
 
 // synthDocNames labels documents of a nameless matrix.
 func synthDocNames(n int) []string {
@@ -225,13 +214,13 @@ type WriteAssignments struct {
 // Name implements Operator.
 func (o *WriteAssignments) Name() string { return "output" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *WriteAssignments) Inputs() []reflect.Type { return []reflect.Type{clusteringType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *WriteAssignments) Output() reflect.Type { return clusteringType }
 
-// Run implements Operator: *Clustering -> *Clustering (pass-through).
+// Run implements Runner: *Clustering -> *Clustering (pass-through).
 func (o *WriteAssignments) Run(ctx *Context, in Value) (Value, error) {
 	cl, ok := in.(*Clustering)
 	if !ok {

@@ -30,15 +30,6 @@ import (
 // index order — so results are bit-identical across shard counts and
 // worker counts, which the partition determinism tests assert.
 
-// Partitioned is the dataset contract for sharded values: a fixed number
-// of per-partition payloads with a deterministic index order.
-type Partitioned interface {
-	// NumPartitions returns the shard count.
-	NumPartitions() int
-	// Partition returns the payload of shard i.
-	Partition(i int) Value
-}
-
 // Partitions is the gathered (materialized) form of a partitioned dataset:
 // every shard payload in partition-index order. The executor delivers it to
 // operators that consume a partitioned input whole, regardless of the order
@@ -48,15 +39,9 @@ type Partitions struct {
 	Parts []Value
 }
 
-// NumPartitions implements Partitioned.
-func (p *Partitions) NumPartitions() int { return len(p.Parts) }
-
-// Partition implements Partitioned.
-func (p *Partitions) Partition(i int) Value { return p.Parts[i] }
-
-// Splitter is implemented by operators that shard their input: the node's
+// Splitter is the run contract of a node that shards its input: the node's
 // output becomes partitioned with a static shard count, and the executor
-// runs Split once per shard instead of calling Run.
+// runs Split once per shard.
 type Splitter interface {
 	Operator
 	// PartitionCount returns the shard count; it must be stable across
@@ -68,12 +53,11 @@ type Splitter interface {
 	Split(ctx *Context, ins []Value, idx, total int) (Value, error)
 }
 
-// PartitionKernel is implemented by map operators: when the producer of
-// input port 0 is partitioned, the executor runs RunPartition once per
-// shard — ins[0] is that shard's payload, ins[1:] are the gathered values
-// of the remaining ports — and the node's output is partitioned too. Fed a
-// scalar port 0, the node falls back to Run/RunAll like any other
-// operator.
+// PartitionKernel is the run contract of a map node: the executor runs
+// RunPartition once per shard of the partitioned port-0 producer — ins[0]
+// is that shard's payload, ins[1:] are the gathered values of the
+// remaining ports — and the node's output is partitioned too. Validate
+// rejects a kernel whose port-0 producer is not partitioned.
 type PartitionKernel interface {
 	Operator
 	// RunPartition transforms one shard. It must be safe for concurrent
@@ -81,12 +65,12 @@ type PartitionKernel interface {
 	RunPartition(ctx *Context, ins []Value, idx, total int) (Value, error)
 }
 
-// StreamReducer is implemented by reduction operators that consume the
-// shards of their port-0 input in completion order, as they arrive, instead
-// of waiting for the gathered dataset: BeginReduce once the scalar ports
-// are available, AbsorbPartition per shard, FinishReduce after the last.
-// Implementations must be order-insensitive (shards carry their partition
-// index) so the node's output stays deterministic.
+// StreamReducer is the run contract of a reduction node that consumes the
+// shards of its partitioned port-0 input in completion order, as they
+// arrive, instead of waiting for the gathered dataset: BeginReduce once the
+// scalar ports are available, AbsorbPartition per shard, FinishReduce after
+// the last. Implementations must be order-insensitive (shards carry their
+// partition index) so the node's output stays deterministic.
 type StreamReducer interface {
 	Operator
 	// BeginReduce allocates the reduction state. ins holds the gathered
@@ -140,35 +124,29 @@ type pinfo struct {
 // partitioned reports whether the node's output flows as shards.
 func (pi pinfo) partitioned() bool { return pi.class == classSplit || pi.class == classMap }
 
-// partitionInfo classifies every node. It requires an acyclic plan (nodes
-// are resolved in topological order so a map node can inherit its
-// producer's shard count).
+// partitionInfo classifies every node by the run contract its operator
+// implements. It requires an acyclic plan (nodes are resolved in
+// topological order so a map node can inherit its producer's shard count);
+// Validate rejects a map or stream node whose port-0 producer is not
+// partitioned.
 func (p *Plan) partitionInfo(order []*Node) map[string]pinfo {
 	info := make(map[string]pinfo, len(order))
 	for _, n := range order {
 		pi := pinfo{class: classScalar, nparts: 1}
-		if it, ok := n.op.(IterativeOp); ok {
+		switch op := n.op.(type) {
+		case IterativeOp:
 			pi.class = classLoop
-			pi.nparts = it.LoopShards()
-			if pi.nparts < 1 {
-				pi.nparts = 1
-			}
-		} else if s, ok := n.op.(Splitter); ok {
+			pi.nparts = max(op.LoopShards(), 1)
+		case Splitter:
 			pi.class = classSplit
-			pi.nparts = s.PartitionCount()
-			if pi.nparts < 1 {
-				pi.nparts = 1
+			pi.nparts = max(op.PartitionCount(), 1)
+		case PartitionKernel:
+			pi.class = classMap
+			if e, ok := p.producerOf(n.name, 0); ok {
+				pi.nparts = info[e.From].nparts
 			}
-		} else if e, ok := p.producerOf(n.name, 0); ok {
-			prod := info[e.From]
-			if prod.partitioned() {
-				if _, ok := n.op.(PartitionKernel); ok {
-					pi.class = classMap
-					pi.nparts = prod.nparts
-				} else if _, ok := n.op.(StreamReducer); ok {
-					pi.class = classStream
-				}
-			}
+		case StreamReducer:
+			pi.class = classStream
 		}
 		info[n.name] = pi
 	}
@@ -204,10 +182,10 @@ type PartitionOp struct {
 // Name implements Operator.
 func (o *PartitionOp) Name() string { return "partition" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *PartitionOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 
-// Output implements TypedOperator: the per-partition payload is itself a
+// Output implements Operator: the per-partition payload is itself a
 // document source.
 func (o *PartitionOp) Output() reflect.Type { return sourceType }
 
@@ -235,11 +213,6 @@ func (o *PartitionOp) Split(ctx *Context, ins []Value, idx, total int) (Value, e
 	}
 	return pario.Partition(src, total, idx), nil
 }
-
-// Run implements Operator. A PartitionOp node is always scheduled through
-// Split; Run exists only to satisfy the interface and passes the source
-// through unchanged (a 1-shard identity).
-func (o *PartitionOp) Run(ctx *Context, in Value) (Value, error) { return in, nil }
 
 // shardReaders divides the pool's workers among concurrently running
 // shards: the per-shard read parallelism that keeps total concurrency at
@@ -318,10 +291,10 @@ type TFMapOp struct {
 // Name implements Operator.
 func (o *TFMapOp) Name() string { return "tf-map" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *TFMapOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *TFMapOp) Output() reflect.Type { return shardCountsType }
 
 // RunPartition implements PartitionKernel: pario.Source (one shard) ->
@@ -347,11 +320,6 @@ func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value
 	return sc, nil
 }
 
-// Run implements Operator: the whole source as a single shard.
-func (o *TFMapOp) Run(ctx *Context, in Value) (Value, error) {
-	return o.RunPartition(ctx, []Value{in}, 0, 1)
-}
-
 // DFReduceOp is the reduction of the partitioned TF/IDF operator: every
 // shard's sorted vocabulary is tree-merged (par.TreeReduce) into the
 // global term table, a term's position in the merged order its ID — the
@@ -365,30 +333,24 @@ type DFReduceOp struct {
 // Name implements Operator.
 func (o *DFReduceOp) Name() string { return "df-reduce" }
 
-// Inputs implements TypedOperator: the gathered shard counts.
+// Inputs implements Operator: the gathered shard counts.
 func (o *DFReduceOp) Inputs() []reflect.Type { return []reflect.Type{partitionsType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *DFReduceOp) Output() reflect.Type { return globalType }
 
-// Run implements Operator: *Partitions of *tfidf.ShardCounts (or a single
-// *tfidf.ShardCounts) -> *tfidf.Global.
+// Run implements Runner: *Partitions of *tfidf.ShardCounts ->
+// *tfidf.Global.
 func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
-	var shards []*tfidf.ShardCounts
-	switch v := in.(type) {
-	case *Partitions:
-		shards = make([]*tfidf.ShardCounts, 0, len(v.Parts))
-		for _, part := range v.Parts {
-			sc, ok := part.(*tfidf.ShardCounts)
-			if !ok {
-				return nil, fmt.Errorf("%w: df-reduce wants *tfidf.ShardCounts shards, got %T", ErrType, part)
-			}
-			shards = append(shards, sc)
+	parts, ok := in.(*Partitions)
+	if !ok {
+		return nil, fmt.Errorf("%w: df-reduce wants *Partitions, got %T", ErrType, in)
+	}
+	shards := make([]*tfidf.ShardCounts, len(parts.Parts))
+	for i, part := range parts.Parts {
+		if shards[i], ok = part.(*tfidf.ShardCounts); !ok {
+			return nil, fmt.Errorf("%w: df-reduce wants *tfidf.ShardCounts shards, got %T", ErrType, part)
 		}
-	case *tfidf.ShardCounts:
-		shards = []*tfidf.ShardCounts{v}
-	default:
-		return nil, fmt.Errorf("%w: df-reduce wants *Partitions or *tfidf.ShardCounts, got %T", ErrType, in)
 	}
 	opts := o.Opts
 	opts.Recorder = ctx.Recorder
@@ -417,13 +379,13 @@ type TransformOp struct {
 // Name implements Operator.
 func (o *TransformOp) Name() string { return "transform" }
 
-// Inputs implements TypedOperator: port 0 is the (partitioned) shard
-// counts, port 1 the global term table.
+// Inputs implements Operator: port 0 is the (partitioned) shard counts,
+// port 1 the global term table.
 func (o *TransformOp) Inputs() []reflect.Type {
 	return []reflect.Type{shardCountsType, globalType}
 }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *TransformOp) Output() reflect.Type { return vectorShardType }
 
 // RunPartition implements PartitionKernel: (*tfidf.ShardCounts,
@@ -447,17 +409,6 @@ func (o *TransformOp) RunPartition(ctx *Context, ins []Value, idx, total int) (V
 	return vs, nil
 }
 
-// RunAll implements MultiOperator: the scalar fallback treats the whole
-// input as a single shard.
-func (o *TransformOp) RunAll(ctx *Context, ins []Value) (Value, error) {
-	return o.RunPartition(ctx, ins, 0, 1)
-}
-
-// Run implements Operator; a two-port node is never dispatched through it.
-func (o *TransformOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: transform requires both input ports")
-}
-
 // GatherOp assembles the vector shards into the final *tfidf.Result. It is
 // a StreamReducer: each shard is installed into its [Lo, Hi) slot the
 // moment it completes — and its per-document norms, which K-Means
@@ -476,13 +427,13 @@ type gatherState struct {
 // Name implements Operator.
 func (o *GatherOp) Name() string { return "gather" }
 
-// Inputs implements TypedOperator: port 0 the (partitioned) vector shards,
-// port 1 the global table.
+// Inputs implements Operator: port 0 the (partitioned) vector shards, port
+// 1 the global table.
 func (o *GatherOp) Inputs() []reflect.Type {
 	return []reflect.Type{vectorShardType, globalType}
 }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *GatherOp) Output() reflect.Type { return tfidfResultType }
 
 // BeginReduce implements StreamReducer.
@@ -513,31 +464,4 @@ func (o *GatherOp) AbsorbPartition(ctx *Context, state any, part Value, idx int)
 // FinishReduce implements StreamReducer.
 func (o *GatherOp) FinishReduce(ctx *Context, state any) (Value, error) {
 	return state.(*gatherState).res, nil
-}
-
-// RunAll implements MultiOperator: the scalar fallback absorbs a single
-// shard (or a gathered *Partitions) directly.
-func (o *GatherOp) RunAll(ctx *Context, ins []Value) (Value, error) {
-	var parts []Value
-	switch v := ins[0].(type) {
-	case *Partitions:
-		parts = v.Parts
-	default:
-		parts = []Value{v}
-	}
-	state, err := o.BeginReduce(ctx, len(parts), ins)
-	if err != nil {
-		return nil, err
-	}
-	for i, part := range parts {
-		if err := o.AbsorbPartition(ctx, state, part, i); err != nil {
-			return nil, err
-		}
-	}
-	return o.FinishReduce(ctx, state)
-}
-
-// Run implements Operator; a two-port node is never dispatched through it.
-func (o *GatherOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: gather requires both input ports")
 }

@@ -299,9 +299,6 @@ func (s *testSplitter) Name() string           { return "split" }
 func (s *testSplitter) Inputs() []reflect.Type { return nil }
 func (s *testSplitter) Output() reflect.Type   { return anyType }
 func (s *testSplitter) PartitionCount() int    { return s.n }
-func (s *testSplitter) Run(*Context, Value) (Value, error) {
-	return nil, fmt.Errorf("splitter dispatched through Run")
-}
 func (s *testSplitter) Split(_ *Context, _ []Value, idx, _ int) (Value, error) {
 	return idx, nil
 }
@@ -315,9 +312,6 @@ type testKernel struct {
 func (k *testKernel) Name() string           { return k.name }
 func (k *testKernel) Inputs() []reflect.Type { return []reflect.Type{anyType} }
 func (k *testKernel) Output() reflect.Type   { return anyType }
-func (k *testKernel) Run(ctx *Context, in Value) (Value, error) {
-	return k.fn(0, in)
-}
 func (k *testKernel) RunPartition(_ *Context, ins []Value, idx, _ int) (Value, error) {
 	return k.fn(idx, ins[0])
 }
@@ -348,9 +342,9 @@ func TestShardsPipelineAcrossMapStages(t *testing.T) {
 	gather := &fnOp{name: "sink", ins: []reflect.Type{partitionsType}, out: anyType,
 		fn: func(_ *Context, ins []Value) (Value, error) {
 			parts := ins[0].(*Partitions)
-			got := make([]int, parts.NumPartitions())
+			got := make([]int, len(parts.Parts))
 			for i := range got {
-				got[i] = parts.Partition(i).(int)
+				got[i] = parts.Parts[i].(int)
 			}
 			return got, nil
 		}}
@@ -377,10 +371,9 @@ func TestShardsPipelineAcrossMapStages(t *testing.T) {
 // delivery that never comes.
 type sumStream struct{}
 
-func (o *sumStream) Name() string                              { return "sumStream" }
-func (o *sumStream) Inputs() []reflect.Type                    { return []reflect.Type{reflect.TypeOf(0)} }
-func (o *sumStream) Output() reflect.Type                      { return reflect.TypeOf(0) }
-func (o *sumStream) Run(ctx *Context, in Value) (Value, error) { return in, nil }
+func (o *sumStream) Name() string           { return "sumStream" }
+func (o *sumStream) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
+func (o *sumStream) Output() reflect.Type   { return reflect.TypeOf(0) }
 func (o *sumStream) BeginReduce(ctx *Context, total int, ins []Value) (any, error) {
 	s := 0
 	return &s, nil

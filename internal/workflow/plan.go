@@ -8,31 +8,6 @@ import (
 	"hpa/internal/pario"
 )
 
-// TypedOperator is implemented by operators that declare their input and
-// output ports, enabling Plan.Validate to type-check a plan before anything
-// runs. Inputs returns one type per input port (nil or empty for a source
-// operator); Output returns the dataset type the operator produces. A port
-// type may be an interface type, in which case any producer whose output
-// implements it connects.
-//
-// Operators that do not implement TypedOperator are treated as having a
-// single dynamically-typed input and a dynamically-typed output; their edges
-// always validate and mismatches surface at run time.
-type TypedOperator interface {
-	Operator
-	Inputs() []reflect.Type
-	Output() reflect.Type
-}
-
-// MultiOperator is implemented by operators with more than one input port.
-// The executor gathers the value of every port before calling RunAll; ins[i]
-// is the dataset delivered to port i. Operator.Run is never called for a
-// node whose declared arity exceeds one.
-type MultiOperator interface {
-	Operator
-	RunAll(ctx *Context, ins []Value) (Value, error)
-}
-
 // Vectorized is the dataset contract accepted by KMeansOp: a matrix-shaped
 // dataset exposing its term dimensionality. Both *tfidf.Result (the fused
 // in-memory intermediate) and *Matrix (loaded back from ARFF) implement it.
@@ -61,13 +36,13 @@ type SourceOp struct {
 // Name implements Operator.
 func (o *SourceOp) Name() string { return "source" }
 
-// Run implements Operator: () -> pario.Source.
+// Run implements Runner: () -> pario.Source.
 func (o *SourceOp) Run(ctx *Context, _ Value) (Value, error) { return o.Src, nil }
 
-// Inputs implements TypedOperator: a scan has no input ports.
+// Inputs implements Operator: a scan has no input ports.
 func (o *SourceOp) Inputs() []reflect.Type { return nil }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *SourceOp) Output() reflect.Type { return sourceType }
 
 // ScanKey implements scanner: scans of the same Source are interchangeable.
@@ -220,23 +195,6 @@ func (p *Plan) Edges() []Edge {
 	return out
 }
 
-// inPorts returns the declared input port types of an operator; operators
-// without declared ports get a single dynamically-typed input.
-func inPorts(op Operator) []reflect.Type {
-	if t, ok := op.(TypedOperator); ok {
-		return t.Inputs()
-	}
-	return []reflect.Type{anyType}
-}
-
-// outPort returns the declared output type (dynamic if undeclared).
-func outPort(op Operator) reflect.Type {
-	if t, ok := op.(TypedOperator); ok {
-		return t.Output()
-	}
-	return anyType
-}
-
 // portAssignable reports whether a producer of type from can feed a port of
 // type to. Dynamically-typed ends always connect (checked at run time).
 func portAssignable(from, to reflect.Type) bool {
@@ -246,11 +204,11 @@ func portAssignable(from, to reflect.Type) bool {
 	return from.AssignableTo(to)
 }
 
-// Validate type-checks the plan before anything runs. It rejects, in order of
+// Validate checks the plan before anything runs. It rejects, in order of
 // detection: builder errors (duplicate or empty names, nil operators),
 // edges referencing unknown nodes, ports out of range, input ports that are
-// unconnected or connected twice, cycles, multi-port nodes whose operator
-// cannot accept several inputs, and edges whose producer output type is not
+// unconnected or connected twice, cycles, nodes that cannot run as their
+// class (see checkRunnable), and edges whose producer output type is not
 // assignable to the consumer port type (wrapped in ErrType).
 func (p *Plan) Validate() error {
 	if len(p.errs) > 0 {
@@ -259,7 +217,7 @@ func (p *Plan) Validate() error {
 	// Edge endpoints, port ranges and double connections.
 	filled := make(map[string][]bool, len(p.nodes))
 	for name, n := range p.nodes {
-		filled[name] = make([]bool, len(inPorts(n.op)))
+		filled[name] = make([]bool, len(n.op.Inputs()))
 	}
 	for _, e := range p.edges {
 		if p.nodes[e.From] == nil {
@@ -279,19 +237,11 @@ func (p *Plan) Validate() error {
 		}
 		ports[e.Port] = true
 	}
-	// Dangling input ports and multi-input capability.
+	// Dangling input ports.
 	for _, name := range p.order {
-		n := p.nodes[name]
-		ports := filled[name]
-		for i, ok := range ports {
+		for i, ok := range filled[name] {
 			if !ok {
-				return fmt.Errorf("workflow: node %s (%s): input port %d is not connected", name, n.op.Name(), i)
-			}
-		}
-		if len(ports) > 1 {
-			if _, ok := n.op.(MultiOperator); !ok {
-				return fmt.Errorf("workflow: node %s (%s): %d input ports but operator does not implement MultiOperator",
-					name, n.op.Name(), len(ports))
+				return fmt.Errorf("workflow: node %s (%s): input port %d is not connected", name, p.nodes[name].op.Name(), i)
 			}
 		}
 	}
@@ -300,21 +250,59 @@ func (p *Plan) Validate() error {
 	if err != nil {
 		return err
 	}
+	// Run contracts.
+	info := p.partitionInfo(order)
+	for _, n := range order {
+		if err := p.checkRunnable(n, info); err != nil {
+			return err
+		}
+	}
 	// Edge types, partition-aware: a partitioned producer presents its
 	// per-partition payload type to shard consumers (map kernels and
 	// stream reducers on port 0) and *Partitions to everything else, so a
 	// partitioned dataset cannot leak into an operator that expects the
 	// monolith.
-	info := p.partitionInfo(order)
 	for _, e := range p.edges {
 		from, to := p.nodes[e.From], p.nodes[e.To]
-		ft, tt := outPort(from.op), inPorts(to.op)[e.Port]
+		ft, tt := from.op.Output(), to.op.Inputs()[e.Port]
 		if info[e.From].partitioned() && !consumesPerPart(info, p, e) {
 			ft = partitionsType
 		}
 		if !portAssignable(ft, tt) {
 			return fmt.Errorf("%w: edge %s -> %s: %s produces %v but %s port %d wants %v",
 				ErrType, e.From, e.To, from.op.Name(), ft, to.op.Name(), e.Port, tt)
+		}
+	}
+	return nil
+}
+
+// checkRunnable rejects a node that cannot run as its class: a scalar node
+// without Run (at most one port) or RunAll (several ports), a shard kernel
+// or stream reducer whose port-0 producer is not partitioned, and a logical
+// operator PartitionRule cannot expand where it stands.
+func (p *Plan) checkRunnable(n *Node, info map[string]pinfo) error {
+	switch info[n.name].class {
+	case classMap, classStream:
+		if e, ok := p.producerOf(n.name, 0); !ok || !info[e.From].partitioned() {
+			return fmt.Errorf("workflow: node %s (%s): a shard operator needs a partitioned producer on port 0",
+				n.name, n.op.Name())
+		}
+	case classScalar:
+		if logical, ok := p.expandable(n); logical {
+			if !ok {
+				e, _ := p.producerOf(n.name, 0)
+				return fmt.Errorf("workflow: node %s (%s): runs only as a partitioned plan fragment, which needs a document source on port 0, not %s's %v",
+					n.name, n.op.Name(), e.From, p.nodes[e.From].op.Output())
+			}
+			return nil
+		}
+		if ports := len(n.op.Inputs()); ports > 1 {
+			if _, ok := n.op.(MultiOperator); !ok {
+				return fmt.Errorf("workflow: node %s (%s): %d input ports but operator does not implement MultiOperator",
+					n.name, n.op.Name(), ports)
+			}
+		} else if _, ok := n.op.(Runner); !ok {
+			return fmt.Errorf("workflow: node %s (%s): operator has no run method", n.name, n.op.Name())
 		}
 	}
 	return nil

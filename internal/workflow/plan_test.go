@@ -325,6 +325,52 @@ func TestValidateRejectsStructuralErrors(t *testing.T) {
 	}
 }
 
+// portsOnly declares ports but implements no run contract at all.
+type portsOnly struct{}
+
+func (portsOnly) Name() string           { return "ports-only" }
+func (portsOnly) Inputs() []reflect.Type { return []reflect.Type{anyType} }
+func (portsOnly) Output() reflect.Type   { return anyType }
+
+// TestValidateRejectsUnrunnableNodes: a node that cannot run as its class
+// is a Validate error naming the node, so Plan.Run fails before any task
+// starts — here, before the source feeding the node runs.
+func TestValidateRejectsUnrunnableNodes(t *testing.T) {
+	cases := []struct {
+		name string
+		node Operator
+		ins  int // input ports fed from the source
+		frag string
+	}{
+		{"logical operator behind a non-source producer", &TFIDFOp{}, 1, "partitioned plan fragment"},
+		{"kernel behind a scalar producer", &testKernel{name: "kernel"}, 1, "partitioned producer"},
+		{"stream reducer behind a scalar producer", &sumStream{}, 1, "partitioned producer"},
+		{"node with no run method", portsOnly{}, 1, "no run method"},
+		{"multi-port scalar without RunAll", narrowOp{}, 2, "MultiOperator"},
+	}
+	for _, tc := range cases {
+		var ran atomic.Bool
+		src := &fnOp{name: "src", out: anyType, fn: func(*Context, []Value) (Value, error) {
+			ran.Store(true)
+			return 1, nil
+		}}
+		plan := NewPlan().Add("src", src).Add("node", tc.node)
+		for port := 0; port < tc.ins; port++ {
+			plan.ConnectPort("src", "node", port)
+		}
+		want := "node node (" + tc.node.Name() + ")"
+		if err := plan.Validate(); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: Validate err = %v, want %q and %q", tc.name, err, want, tc.frag)
+		}
+		if _, err := plan.Run(testCtx(t, 1)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run err = %v, want %q", tc.name, err, want)
+		}
+		if ran.Load() {
+			t.Errorf("%s: a task ran before the plan was rejected", tc.name)
+		}
+	}
+}
+
 func TestMultiInputOperator(t *testing.T) {
 	join := &fnOp{name: "join", ins: []reflect.Type{stringType, stringType}, out: stringType,
 		fn: func(_ *Context, ins []Value) (Value, error) {

@@ -77,9 +77,9 @@ func cancelPair(p *Plan, e Edge) (*Plan, bool) {
 	producer, hasProducer := p.producerOf(m, 0)
 	consumers := p.consumersOf(l)
 	if hasProducer {
-		out := outPort(p.nodes[producer.From].op)
+		out := p.nodes[producer.From].op.Output()
 		for _, ce := range consumers {
-			want := inPorts(p.nodes[ce.To].op)[ce.Port]
+			want := p.nodes[ce.To].op.Inputs()[ce.Port]
 			if !portAssignable(out, want) {
 				return nil, false
 			}
@@ -185,25 +185,34 @@ func (*partitionRule) Name() string { return "partition" }
 func (r *partitionRule) Rewrite(p *Plan) (*Plan, bool) {
 	for _, name := range p.order {
 		n := p.nodes[name]
-		if pa, ok := n.op.(partitionable); ok && len(inPorts(n.op)) == 1 {
-			prod, hasProd := p.producerOf(name, 0)
-			if !hasProd {
-				continue
-			}
-			prodOp := p.nodes[prod.From].op
-			out := outPort(prodOp)
-			if out == anyType || !out.AssignableTo(sourceType) {
-				continue // not a document source; leave the monolith alone
-			}
-			return r.expand(p, name, pa.partitionFragment(), prod), true
+		if _, ok := p.expandable(n); !ok {
+			continue
 		}
-		if km, ok := n.op.(*KMeansOp); ok {
-			if prod, hasProd := p.producerOf(name, 0); hasProd {
-				return r.expandLoop(p, name, km, prod), true
-			}
+		prod, _ := p.producerOf(name, 0)
+		if km, isKM := n.op.(*KMeansOp); isKM {
+			return r.expandLoop(p, name, km, prod), true
 		}
+		return r.expand(p, name, n.op.(partitionable).partitionFragment(), prod), true
 	}
 	return p, false
+}
+
+// expandable reports whether node n is logical — a TFIDFOp, WordCountOp or
+// KMeansOp, which run only as what PartitionRule expands them into — and,
+// if so, whether the rule can expand it where it stands: TF/IDF and word
+// count behind a document source, K-Means behind any producer.
+func (p *Plan) expandable(n *Node) (logical, ok bool) {
+	_, km := n.op.(*KMeansOp)
+	_, frag := n.op.(partitionable)
+	if !km && !frag {
+		return false, false
+	}
+	prod, hasProd := p.producerOf(n.name, 0)
+	if !hasProd || p.nodes[prod.From] == nil {
+		return true, false
+	}
+	out := p.nodes[prod.From].op.Output()
+	return true, km || (out != anyType && out.AssignableTo(sourceType))
 }
 
 // expandedOut names the node whose output replaces node name's once
@@ -330,7 +339,7 @@ func (sharedScanRule) Rewrite(p *Plan) (*Plan, bool) {
 	for _, name := range p.order {
 		op := p.nodes[name].op
 		s, ok := op.(scanner)
-		if !ok || len(inPorts(op)) != 0 {
+		if !ok || len(op.Inputs()) != 0 {
 			continue
 		}
 		key := s.ScanKey()

@@ -53,11 +53,6 @@ type TFKMConfig struct {
 	TFIDF tfidf.Options
 	// KMeans configures the clustering operator.
 	KMeans kmeans.Options
-	// Backend, when non-nil, selects where shard tasks execute (RunTFKM
-	// installs it as the context's Backend): LocalBackend in-process, an
-	// RPCBackend shipping serializable shard tasks to worker processes.
-	// Results are bit-identical either way.
-	Backend Backend
 }
 
 // LogicalTFKMPlan constructs the workflow over src as a logical Plan: one
@@ -111,14 +106,9 @@ type TFKMReport struct {
 	DictStats dict.Stats
 }
 
-// RunTFKM executes the workflow over src in the given context. A
-// cfg.Backend overrides the context's backend for this run.
+// RunTFKM executes the workflow over src in the given context; the
+// context's Backend chooses where shard tasks run.
 func RunTFKM(src pario.Source, ctx *Context, cfg TFKMConfig) (*TFKMReport, error) {
-	if cfg.Backend != nil {
-		c := *ctx
-		c.Backend = cfg.Backend
-		ctx = &c
-	}
 	return RunTFKMPlan(TFKMPlan(src, cfg), ctx)
 }
 

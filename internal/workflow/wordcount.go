@@ -45,10 +45,10 @@ func (w *WordCounts) Count(word string) uint64 {
 
 // WordCountOp computes corpus-wide word frequencies — the canonical first
 // analytics operator, included as a second instantiation of the workflow
-// engine beyond TF/IDF→K-Means. It is logical: PartitionRule expands it
-// into per-shard tokenize-and-count kernels (WordCountMapOp) and one
-// tree-merge reduction (WordCountReduceOp), the paper's input+wc phase
-// structure.
+// engine beyond TF/IDF→K-Means. It is logical, with no run method:
+// PartitionRule expands it into per-shard tokenize-and-count kernels
+// (WordCountMapOp) and one tree-merge reduction (WordCountReduceOp), the
+// paper's input+wc phase structure.
 type WordCountOp struct {
 	// DictKind selects the per-strand dictionary implementation.
 	DictKind dict.Kind
@@ -61,17 +61,11 @@ type WordCountOp struct {
 // Name implements Operator.
 func (o *WordCountOp) Name() string { return "wordcount" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *WordCountOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *WordCountOp) Output() reflect.Type { return wordCountsType }
-
-// Run implements Operator; a word-count node runs only expanded by
-// PartitionRule, which Plan.Run applies to any node still logical.
-func (o *WordCountOp) Run(ctx *Context, in Value) (Value, error) {
-	return nil, fmt.Errorf("workflow: wordcount runs only as a partitioned plan fragment")
-}
 
 // mapOp builds the operator's map kernel.
 func (o *WordCountOp) mapOp() *WordCountMapOp {
@@ -138,10 +132,10 @@ type WordCountMapOp struct {
 // Name implements Operator.
 func (o *WordCountMapOp) Name() string { return "wc-map" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *WordCountMapOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *WordCountMapOp) Output() reflect.Type { return wcShardType }
 
 // RunPartition implements PartitionKernel: pario.Source (one shard) ->
@@ -201,11 +195,6 @@ func (o *WordCountMapOp) RunPartition(ctx *Context, ins []Value, idx, total int)
 	return out, nil
 }
 
-// Run implements Operator: the whole source as a single shard.
-func (o *WordCountMapOp) Run(ctx *Context, in Value) (Value, error) {
-	return o.RunPartition(ctx, []Value{in}, 0, 1)
-}
-
 // WordCountReduceOp tree-merges the shard counts into the corpus-wide
 // frequency table — word counts are commutative integer sums, so the
 // result is bit-identical at any shard count.
@@ -217,30 +206,23 @@ type WordCountReduceOp struct {
 // Name implements Operator.
 func (o *WordCountReduceOp) Name() string { return "wc-reduce" }
 
-// Inputs implements TypedOperator: the gathered shards.
+// Inputs implements Operator: the gathered shards.
 func (o *WordCountReduceOp) Inputs() []reflect.Type { return []reflect.Type{partitionsType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *WordCountReduceOp) Output() reflect.Type { return wordCountsType }
 
-// Run implements Operator: *Partitions of *WCShard (or one *WCShard) ->
-// *WordCounts.
+// Run implements Runner: *Partitions of *WCShard -> *WordCounts.
 func (o *WordCountReduceOp) Run(ctx *Context, in Value) (Value, error) {
-	var shards []*WCShard
-	switch v := in.(type) {
-	case *Partitions:
-		shards = make([]*WCShard, 0, len(v.Parts))
-		for _, part := range v.Parts {
-			ws, ok := part.(*WCShard)
-			if !ok {
-				return nil, fmt.Errorf("%w: wc-reduce wants *WCShard shards, got %T", ErrType, part)
-			}
-			shards = append(shards, ws)
+	parts, ok := in.(*Partitions)
+	if !ok {
+		return nil, fmt.Errorf("%w: wc-reduce wants *Partitions, got %T", ErrType, in)
+	}
+	shards := make([]*WCShard, len(parts.Parts))
+	for i, part := range parts.Parts {
+		if shards[i], ok = part.(*WCShard); !ok {
+			return nil, fmt.Errorf("%w: wc-reduce wants *WCShard shards, got %T", ErrType, part)
 		}
-	case *WCShard:
-		shards = []*WCShard{v}
-	default:
-		return nil, fmt.Errorf("%w: wc-reduce wants *Partitions or *WCShard, got %T", ErrType, in)
 	}
 	var out *WordCounts
 	ctx.Breakdown.Time(tfidfPhaseInputWC, func() {
@@ -296,13 +278,13 @@ type WriteWordCounts struct {
 // Name implements Operator.
 func (o *WriteWordCounts) Name() string { return "output" }
 
-// Inputs implements TypedOperator.
+// Inputs implements Operator.
 func (o *WriteWordCounts) Inputs() []reflect.Type { return []reflect.Type{wordCountsType} }
 
-// Output implements TypedOperator.
+// Output implements Operator.
 func (o *WriteWordCounts) Output() reflect.Type { return wordCountsType }
 
-// Run implements Operator: *WordCounts -> *WordCounts (pass-through).
+// Run implements Runner: *WordCounts -> *WordCounts (pass-through).
 func (o *WriteWordCounts) Run(ctx *Context, in Value) (Value, error) {
 	wc, ok := in.(*WordCounts)
 	if !ok {

@@ -3,6 +3,7 @@ package workflow
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,8 +121,11 @@ func TestWordCountPipelineWithOutput(t *testing.T) {
 
 func TestWordCountTypeError(t *testing.T) {
 	ctx := testCtx(t, 1)
-	if _, err := (&WordCountOp{}).Run(ctx, 42); err == nil {
-		t.Fatal("accepted int input")
+	ints := &fnOp{name: "ints", out: reflect.TypeOf(0),
+		fn: func(*Context, []Value) (Value, error) { return 42, nil }}
+	p := NewPlan().Add("ints", ints).Add("wordcount", &WordCountOp{}).Connect("ints", "wordcount")
+	if _, err := p.Run(ctx); err == nil || !strings.Contains(err.Error(), "wordcount") {
+		t.Fatalf("accepted int input: %v", err)
 	}
 	if _, err := (&WriteWordCounts{}).Run(ctx, "x"); err == nil {
 		t.Fatal("accepted string input")

@@ -9,13 +9,15 @@
 // output, the structure the paper's analysis assumes.
 //
 // A workflow is a Plan: a DAG of named nodes, each wrapping an Operator
-// with declared input/output port types (TypedOperator). Three layers sit
-// on top of the graph:
+// with declared input/output port types and the one run method its node
+// class calls. Three layers sit on top of the graph:
 //
-//   - validation: Plan.Validate type-checks every edge and rejects cycles
-//     and dangling ports before anything runs; partitioned producers
-//     present their per-shard payload type to shard consumers and
-//     *Partitions to everything else, so shards cannot leak into an
+//   - validation: Plan.Validate type-checks every edge and rejects cycles,
+//     dangling ports, nodes lacking their class's run method, shard
+//     kernels behind an unpartitioned producer and logical operators
+//     PartitionRule cannot expand, before anything runs; partitioned
+//     producers present their per-shard payload type to shard consumers
+//     and *Partitions to everything else, so shards cannot leak into an
 //     operator expecting the whole dataset;
 //   - rewriting: Rewriter rules transform a validated plan — FuseRule
 //     cancels materialize/load edges anywhere in the graph,
@@ -40,7 +42,7 @@
 //     timings union into wall-clock spans under the same Breakdown keys
 //     as monolithic runs, merged in deterministic topological order.
 //
-// The partitioned TF/IDF→K-Means dataflow (TFKMConfig.Shards != 0) is
+// Every plan runs partitioned, so the TF/IDF→K-Means dataflow is
 // shard-granular end-to-end, including the iterative phase:
 //
 //	scan -> partition -[xN]-> tf-map =[xN]=> df-reduce
@@ -124,6 +126,7 @@ package workflow
 import (
 	"context"
 	"errors"
+	"reflect"
 
 	"hpa/internal/metrics"
 	"hpa/internal/obs"
@@ -185,12 +188,36 @@ func NewContext(pool *par.Pool) *Context {
 	return &Context{Pool: pool, Breakdown: metrics.NewBreakdown()}
 }
 
-// Operator is one workflow stage.
+// Operator is what every plan node has: a name and declared ports, which
+// let Plan.Validate type-check a plan before anything runs. How a node runs
+// is a separate contract, one per node class: Runner or MultiOperator for a
+// scalar node, Splitter, PartitionKernel, StreamReducer or IterativeOp for
+// the shard classes. A logical operator (TFIDFOp, WordCountOp, KMeansOp)
+// has none of them: it runs as the fragment PartitionRule expands it into.
 type Operator interface {
 	// Name identifies the operator in errors and plans.
 	Name() string
-	// Run transforms the input dataset into the output dataset.
+	// Inputs returns one type per input port (empty for a source). A port
+	// type may be an interface type, in which case any producer whose
+	// output implements it connects.
+	Inputs() []reflect.Type
+	// Output returns the dataset type the operator produces.
+	Output() reflect.Type
+}
+
+// Runner is the run contract of a scalar node with at most one input port:
+// the executor calls Run once, with the gathered input (nil for a source).
+type Runner interface {
+	Operator
 	Run(ctx *Context, in Value) (Value, error)
+}
+
+// MultiOperator is the run contract of a scalar node with more than one
+// input port: the executor gathers the value of every port and calls RunAll
+// once; ins[i] is the dataset delivered to port i.
+type MultiOperator interface {
+	Operator
+	RunAll(ctx *Context, ins []Value) (Value, error)
 }
 
 // materializer is implemented by operators that write their input to disk

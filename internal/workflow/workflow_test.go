@@ -182,7 +182,7 @@ func TestIntermediateARFFOnDiskInDiscreteMode(t *testing.T) {
 
 func TestTypeMismatchErrors(t *testing.T) {
 	ctx := testCtx(t, 1)
-	ops := []Operator{&MaterializeARFF{}, &LoadARFF{}, &WriteAssignments{}}
+	ops := []Runner{&MaterializeARFF{}, &LoadARFF{}, &WriteAssignments{}}
 	for _, op := range ops {
 		if _, err := op.Run(ctx, "not a dataset"); !errors.Is(err, ErrType) {
 			t.Errorf("%s accepted a string input: %v", op.Name(), err)

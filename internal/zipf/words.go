@@ -60,7 +60,7 @@ func (w *WordTable) AvgLen(z *Sampler) float64 {
 	}
 	total := 0.0
 	for i := 0; i < n; i++ {
-		total += z.P(i) * float64(len(w.words[i]))
+		total += float64(z.P(i) * float64(len(w.words[i])))
 	}
 	return total
 }

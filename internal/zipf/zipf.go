@@ -51,7 +51,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -67,7 +67,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -76,7 +76,7 @@ func (r *RNG) NormFloat64() float64 {
 
 // LogNormal returns exp(mu + sigma*N(0,1)), used for document lengths.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 func splitmix64(x uint64) uint64 {
