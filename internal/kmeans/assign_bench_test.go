@@ -11,12 +11,13 @@ import (
 // BenchmarkAssignBlocked measures what the blocked distance kernel buys on
 // the assignment scan: a full clustering loop through the deterministic
 // sharded path (the workflow engine's execution shape), sweeping the lane
-// width from the pinned scalar kernel through 4 and 8 lanes, over an
-// overlapping sparse corpus at k=16 and a blob corpus at k=8. Results are
-// bit-identical at every width (the TestBlockedAssignBitIdentical
-// contract), so any ns/op gap is pure memory-traffic savings: one sweep
-// of a document's nonzeros feeds B register accumulators instead of B
-// sweeps feeding one.
+// width from the pinned scalar kernel through 4 and 8 lanes, over a blob
+// corpus at k=8, an overlapping sparse corpus at k=16, and the
+// cluster-local shape (dim 6 368, about 76 nonzeros per document, k=16).
+// Results are bit-identical at every width (the
+// TestBlockedAssignBitIdentical contract): one sweep of a document's
+// nonzeros feeds B accumulators instead of B sweeps feeding one, and the
+// 8-lane width runs on AVX2 registers where the CPU has them.
 func BenchmarkAssignBlocked(b *testing.B) {
 	blobDocs, _ := blobs(2000, 8, 32, 7)
 	datasets := []struct {
@@ -27,6 +28,7 @@ func BenchmarkAssignBlocked(b *testing.B) {
 	}{
 		{"blobs-k8", blobDocs, 32, Options{K: 8, Seed: 3, MaxIter: 30}},
 		{"sparse-k16", sparseMix(1500, 64, 11), 64, Options{K: 16, Seed: 1, MaxIter: 30}},
+		{"tfidf-k16", sparseDocs(3000, 6368, 76, 7), 6368, Options{K: 16, Seed: 1, MaxIter: 10}},
 	}
 	const shards = 4
 	widths := []struct {

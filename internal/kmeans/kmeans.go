@@ -74,14 +74,17 @@
 // — O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
 //
 // Blocking is bit-identical by construction, not by tolerance: each
-// lane's accumulator performs exactly the float operations DotDense
-// performs for that centroid, in the same ascending nonzero order, and
-// the distance expression and argmin comparison sequence are unchanged —
-// only which centroid's accumulation advances first differs, which no
-// float result depends on. Assignments, inertia history, centroids and
-// convergence are therefore identical at every block size, shard count
-// and backend (the matrix test cycles block sizes to assert it), so
-// coordinator and workers may even pick different widths.
+// lane's accumulator performs the float operations DotDense performs for
+// that centroid — one rounded product, one rounded sum — in the same
+// ascending nonzero order, whether the lanes are Go scalars or, on amd64
+// with AVX2, YMM registers; and the distance expression and argmin
+// comparison sequence are unchanged. Only which centroid's accumulation
+// advances first differs, which no non-NaN result depends on (a NaN dot
+// stays NaN, with an unspecified payload; valid vectors carry none).
+// Assignments, inertia history, centroids and convergence are therefore
+// identical at every block size, shard count and backend (the matrix test
+// cycles block sizes to assert it), so coordinator and workers may even
+// pick different widths or CPUs.
 //
 // There are no triangle-inequality distance bounds to skip scans with:
 // with the blocked kernel a full k-way scan costs about what the

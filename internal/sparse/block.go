@@ -11,16 +11,20 @@ package sparse
 // B centroids ("lanes"): block bi holds, contiguously per component index,
 // the B values centroids[bi·B+0..bi·B+B-1][idx]. DotsInto then walks the
 // document's nonzeros once per block, accumulating B dot products in B
-// register-resident scalar accumulators — one pass over Idx/Val serves B
+// register-resident accumulators — one pass over Idx/Val serves B
 // centroids, and each loaded cache line of the layout feeds all B lanes.
+// On amd64 with AVX2 the 8-lane kernel is assembly (block_amd64.s): YMM
+// accumulators, and one sweep serving two blocks at a time. The pure-Go
+// dots8 and dots4 are the reference, and the only kernels elsewhere.
 //
 // Bit-identity: each lane's accumulator starts at 0 and adds the products
 // v.Val[i] * centroid[v.Idx[i]] in ascending i order, stopping at the same
-// idx >= dim guard — exactly the float sequence DotDense performs for that
-// centroid. Blocking only changes which centroid's accumulation advances
-// when, never the per-centroid order of operations, so every dot (and
-// every distance derived from it) is bitwise identical to the scalar
-// kernel's at any block size.
+// idx >= dim guard, each product and each sum rounded once — the
+// operations DotDense performs for that centroid, in its order. Blocking
+// only changes which centroid's accumulation advances when, so every
+// non-NaN dot (and every distance derived from it) is bitwise identical to
+// the scalar kernel's at any block size and on either kernel; a NaN dot
+// stays a NaN with an unspecified payload (see the package doc, Rounding).
 type BlockLayout struct {
 	k, dim, b int
 	blocks    [][]float64
@@ -76,14 +80,18 @@ func (l *BlockLayout) Fill(centroids [][]float64) {
 }
 
 // DotsInto computes dots[j] = DotDense(v, centroids[j]) for every j < K in
-// one sweep of v per block, bit-identical to the scalar calls (see the
-// type comment). dots must hold k rounded up to a whole number of blocks;
-// entries past k-1 are scratch. Allocates nothing.
+// one sweep of v per block (per pair of blocks on AVX2), bit-identical to
+// the scalar calls (see the type comment). dots must hold k rounded up to
+// a whole number of blocks; entries past k-1 are scratch. Allocates
+// nothing.
 func (l *BlockLayout) DotsInto(v *Vector, dots []float64) {
-	if l.b == 8 {
-		l.dots8(v, dots)
-	} else {
+	switch {
+	case l.b == 4:
 		l.dots4(v, dots)
+	case useAVX2:
+		l.dotsAVX2(v, dots)
+	default:
+		l.dots8(v, dots)
 	}
 }
 

@@ -21,10 +21,17 @@
 // six packages whose floats reach a result — sparse, kmeans, tfidf,
 // simsearch, corpus and zipf — and CI cross-compiles them for those four
 // architectures with -gcflags=-S and fails on any fused instruction. On
-// amd64 the conversions change no generated instruction. The one place
+// amd64 the conversions change no generated instruction. The blocked
+// kernel's AVX2 assembly (block_amd64.s) is separate VMULPD and VADDPD,
+// never VFMADD, for the same reason float64(x*y) exists. The one place
 // float math may fuse is plan choice: the optimizer's cost estimates and
 // serve's admission estimates pick a plan or a Retry-After, and every
 // plan computes the same bits.
+//
+// "The same bits" means every non-NaN result. A NaN stays a NaN, but its
+// payload is unspecified: where two NaNs meet, the operand order decides
+// which propagates. Validate rejects non-finite values, so no valid vector
+// carries one in.
 package sparse
 
 import (

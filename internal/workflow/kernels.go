@@ -544,13 +544,15 @@ type kmLoop struct {
 	// decodes into, and the loop's first block can precede it.
 	raw     []byte
 	rawIter int
-	// cur is the decoded block. A decode installs a fresh one, so scans
-	// read theirs without a lock.
+	// cur is the decoded block; scans read it without a lock.
 	cur *kmCentroids
 }
 
-// kmCentroids is one iteration's decoded centroid block, immutable once
-// installed.
+// kmCentroids is the loop's decoded centroid block: allocated at the first
+// decode and overwritten in place by every later one. A scan reads it
+// unchanged, because iteration i+1's block reaches a worker only after the
+// coordinator holds every iteration-i reply — no scan of the previous
+// iteration is still running when the next block decodes.
 type kmCentroids struct {
 	iter   int
 	cents  [][]float64
@@ -636,20 +638,28 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	if l.raw == nil || l.rawIter != iter {
 		return nil, nil
 	}
-	c := &kmCentroids{iter: iter, cents: make([][]float64, l.k), cnorms: make([]float64, l.k)}
-	for j := range c.cents {
-		c.cents[j] = make([]float64, l.dim)
+	c := l.cur
+	if c == nil {
+		c = &kmCentroids{cents: make([][]float64, l.k), cnorms: make([]float64, l.k)}
+		for j := range c.cents {
+			c.cents[j] = make([]float64, l.dim)
+		}
+		if l.block > 0 {
+			// Block width never changes results: purely a work-shape choice.
+			c.layout = sparse.NewBlockLayout(l.k, l.dim, l.block)
+		}
 	}
 	raw := l.raw
 	l.raw = nil
+	// The decoder checks the whole block before it writes a value, so a
+	// rejected block leaves the previous iteration's intact.
 	if err := kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms); err != nil {
 		return nil, err
 	}
-	if l.block > 0 {
-		// Block width never changes results: purely a work-shape choice.
-		c.layout = sparse.NewBlockLayout(l.k, l.dim, l.block)
+	if c.layout != nil {
 		c.layout.Fill(c.cents)
 	}
+	c.iter = iter
 	l.cur = c
 	return c, nil
 }

@@ -532,6 +532,56 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestCentroidBlockDecodesInPlace: a worker decodes every iteration's
+// centroid block into the matrix and block layout its loop's first decode
+// allocated — the layout refilled, so its dots are the new centroids' — and
+// a block the decoder rejects leaves the installed iteration intact.
+func TestCentroidBlockDecodesInPlace(t *testing.T) {
+	const loop = "decode-in-place"
+	kmLoops.drop(loop)
+	defer kmLoops.drop(loop)
+	l := kmLoopFor(loop)
+	l.k, l.dim, l.block = 2, 3, 8
+	decode := func(iter int, cents [][]float64, cnorms []float64) (*kmCentroids, error) {
+		t.Helper()
+		b := flatwire.AppendU64(flatwire.AppendString(nil, loop), uint64(iter))
+		if _, err := storeCentroidsKernel(kmeans.AppendFlatCentroids(b, cents, cnorms), nil); err != nil {
+			t.Fatalf("storing iteration %d's block: %v", iter, err)
+		}
+		return l.centroids(iter)
+	}
+	first, err := decode(0, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, layout := &first.cents[0][0], first.layout
+	want := [][]float64{{0, 4, 0}, {1, 1, 1}}
+	second, err := decode(1, want, []float64{16, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second.cents[0][0] != row || second.layout != layout {
+		t.Fatal("iteration 1's block was decoded into fresh arrays")
+	}
+	check := func(when string) {
+		t.Helper()
+		if l.cur.iter != 1 || !reflect.DeepEqual(l.cur.cents, want) || !reflect.DeepEqual(l.cur.cnorms, []float64{16, 3}) {
+			t.Fatalf("%s: installed block is iteration %d %v %v, want iteration 1 %v", when, l.cur.iter, l.cur.cents, l.cur.cnorms, want)
+		}
+		v := sparse.Vector{Idx: []uint32{0, 1, 2}, Val: []float64{2, 3, 5}}
+		dots := make([]float64, 8)
+		l.cur.layout.DotsInto(&v, dots)
+		if dots[0] != 12 || dots[1] != 10 {
+			t.Fatalf("%s: layout dots %v, want [12 10 …]", when, dots[:2])
+		}
+	}
+	check("after the second decode")
+	if _, err := decode(2, [][]float64{{1, 0, 2, 4}, {0, 3, 0}}, []float64{21, 9}); !errors.Is(err, flatwire.ErrMalformed) {
+		t.Fatalf("a block with a row past dim decoded with error %v", err)
+	}
+	check("after a rejected block")
+}
+
 // TestSeedKernelKeepsItsScratch: the seed kernel scatters each shipped seed
 // into one dense scratch the session keeps and zeroes it again by the
 // seed's own indices, so (a) no call after the first allocates anything
