@@ -41,7 +41,13 @@
 // block starts with a one-byte form marker; an encoder that would not
 // shrink a block stores it raw behind the marker, so a block never grows
 // by more than one byte. Bit patterns round-trip exactly: compatible with
-// the engine's bit-identity contract.
+// the engine's bit-identity contract. The coder moves whole words — one
+// unaligned 8-byte store per value on encode, one masked 8-byte load per
+// value on decode — so an encoder needs 8 bytes of slack past a block's
+// worst case (AppendF64sXor grows by it, and payload size bounds include
+// it), and a decoder goes byte by byte only over a block's tail, where
+// fewer than 8 bytes follow. The format above is the whole contract: the
+// word-at-a-time coder writes the bytes a byte-at-a-time one would.
 //
 // CodecVocab is WireShardCounts' layout: the shard vocabulary once, then
 // every document as fixed-width (vocabulary index, count) u32 blocks — the
@@ -344,20 +350,33 @@ func (r *Reader) Uvarint() uint64 {
 // DeltaU32sInto consumes len(dst) varint-coded deltas (AppendDeltaU32s),
 // reconstructing the non-decreasing values into dst. A running value
 // escaping uint32 — the signature of corruption or of a non-sorted
-// encoding — is malformed.
+// encoding — is malformed. A one-byte delta, the common case, is consumed
+// inline; longer ones go through Uvarint.
 func (r *Reader) DeltaU32sInto(dst []uint32) {
+	if r.err != nil {
+		return
+	}
 	acc := uint64(0)
+	b, off := r.b, r.off
 	for i := range dst {
-		acc += r.Uvarint()
-		if r.err != nil {
-			return
+		if off < len(b) && b[off] < 0x80 {
+			acc += uint64(b[off])
+			off++
+		} else {
+			r.off = off
+			if acc += r.Uvarint(); r.err != nil {
+				return
+			}
+			off = r.off
 		}
 		if acc > math.MaxUint32 {
+			r.off = off
 			r.Fail("delta-coded value %d overflows uint32", acc)
 			return
 		}
 		dst[i] = uint32(acc)
 	}
+	r.off = off
 }
 
 // String consumes a length-prefixed string.

@@ -199,6 +199,7 @@ func TestDeltaU32s(t *testing.T) {
 		{0},
 		{7, 7, 9}, // non-decreasing with a repeat
 		{0, 1, 2, 3, 1000, math.MaxUint32},
+		{127, 255, 16639}, // deltas 0x7f | 0x80 0x01 | 0x80 0x80 0x01: the one-byte path's edge
 	}
 	for i, vs := range arrays {
 		b := AppendDeltaU32s(nil, vs)

@@ -1,8 +1,10 @@
 package flatwire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -29,6 +31,16 @@ import (
 // chosen by the encoder whenever XOR coding would not shrink the block —
 // so a value block never grows by more than the marker byte. Decoding
 // reconstructs the exact bit patterns either way.
+//
+// The coder works a word at a time. The encoder writes each value's XOR
+// word, shifted down by its trailing zero bytes, with one unaligned 8-byte
+// store and advances past the meaningful bytes only, so a block needs 8
+// bytes of slack past its worst case (1 + 9 bytes a value). The decoder
+// loads one word per value while a control byte and a full word follow and
+// masks it to the meaningful bytes; the block's last few values, and any
+// malformed or truncated one, take a byte-wise loop. The bytes are those of
+// the byte-at-a-time reference coder in xor_ref_test.go, which
+// FuzzF64sXorMatchesReference holds the two to.
 
 // Value-block form markers (the byte before every CodecXor f64 block).
 const (
@@ -58,55 +70,51 @@ func ValueBytes() (raw, coded int64) {
 	return valueRawBytes.Load(), valueCodedBytes.Load()
 }
 
-// xorF64Size returns the XOR-coded size of vs in bytes (marker excluded).
-func xorF64Size(vs []float64) int {
-	size := 0
-	prev := uint64(0)
-	for _, v := range vs {
-		x := math.Float64bits(v) ^ prev
-		prev ^= x
-		if x == 0 {
-			size++
-			continue
-		}
-		size += 9 - bits.LeadingZeros64(x)/8 - bits.TrailingZeros64(x)/8
-	}
-	return size
-}
-
 // AppendF64sXor appends len(vs) values as a CodecXor value block: a form
 // marker, then either the XOR stream or — when XOR coding would not
 // shrink the block — the raw fixed-width bits. No length prefix: the
 // codec's layout carries counts. Bit patterns round-trip exactly.
+//
+// One pass, one store per value: the buffer grows once by the worst case
+// (marker, 9 bytes a value) plus the 8 bytes the last word store may
+// overhang, each value writes its control byte and then its whole shifted
+// XOR word unaligned, and the write position advances past the meaningful
+// bytes only — the next value overwrites the rest. The pass is abandoned,
+// and the block rewritten raw, as soon as the stream reaches the raw size.
 func AppendF64sXor(b []byte, vs []float64) []byte {
 	raw := 8 * len(vs)
-	coded := xorF64Size(vs)
-	if coded >= raw {
-		valueRawBytes.Add(int64(raw))
-		valueCodedBytes.Add(int64(raw) + 1)
-		b = append(b, ValueBlockRaw)
-		return AppendF64s(b, vs)
-	}
-	valueRawBytes.Add(int64(raw))
-	valueCodedBytes.Add(int64(coded) + 1)
-	b = append(b, ValueBlockXor)
+	start := len(b)
+	b = slices.Grow(b, 1+9*len(vs)+8)
+	out := b[start : start+1+9*len(vs)+8]
+	out[0] = ValueBlockXor
+	n := 1 // bytes written, marker included
 	prev := uint64(0)
 	for _, v := range vs {
 		bitsV := math.Float64bits(v)
 		x := bitsV ^ prev
 		prev = bitsV
-		if x == 0 {
-			b = append(b, xorZeroMarker)
-			continue
-		}
+		// A zero word has l = t = 8: its control byte is xorZeroMarker, its
+		// store writes zeros, and it advances by one byte.
 		l := bits.LeadingZeros64(x) / 8
 		t := bits.TrailingZeros64(x) / 8
-		b = append(b, byte(l<<4|t))
-		for i := t; i < 8-l; i++ {
-			b = append(b, byte(x>>(8*uint(i))))
+		out[n] = byte(l<<4 | t)
+		binary.LittleEndian.PutUint64(out[n+1:], x>>(8*uint(t)&63))
+		n += max(9-l-t, 1)
+		if n > raw {
+			break
 		}
 	}
-	return b
+	if n > raw {
+		// The stream (n−1 bytes) would not shrink the block; an empty block
+		// lands here too.
+		valueRawBytes.Add(int64(raw))
+		valueCodedBytes.Add(int64(raw) + 1)
+		b = append(b[:start], ValueBlockRaw)
+		return AppendF64s(b, vs)
+	}
+	valueRawBytes.Add(int64(raw))
+	valueCodedBytes.Add(int64(n))
+	return b[:start+n]
 }
 
 // F64sXorInto consumes one CodecXor value block of len(dst) values,
@@ -119,7 +127,23 @@ func (r *Reader) F64sXorInto(dst []float64) {
 		r.F64sInto(dst)
 	case ValueBlockXor:
 		prev := uint64(0)
-		for i := range dst {
+		b, off, i := r.b, r.off, 0
+		for ; i < len(dst) && off+9 <= len(b); i++ {
+			if c := b[off]; c != xorZeroMarker {
+				l, t := uint(c>>4), uint(c&0x0f)
+				if l+t > 7 {
+					break // the byte-wise loop reports it
+				}
+				m := 8 - l - t
+				w := binary.LittleEndian.Uint64(b[off+1:])
+				prev ^= (w & (math.MaxUint64 >> ((64 - 8*m) & 63))) << (8 * t & 63)
+				off += int(m)
+			}
+			off++
+			dst[i] = math.Float64frombits(prev)
+		}
+		r.off = off
+		for ; i < len(dst); i++ {
 			c := r.U8()
 			if r.err != nil {
 				return

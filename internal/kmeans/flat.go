@@ -40,35 +40,34 @@ const accumWireMagic uint32 = 0x48504157 // "HPAW"
 // centroidsMagic identifies a flat centroid block.
 const centroidsMagic uint32 = 0x4850434e // "HPCN"
 
-// rowViews pairs per-cluster index and value slices as sparse rows.
-func rowViews(idx [][]uint32, val [][]float64) []sparse.Vector {
-	rows := make([]sparse.Vector, len(idx))
-	for j := range rows {
-		rows[j] = sparse.Vector{Idx: idx[j], Val: val[j]}
-	}
-	return rows
-}
-
 // EncodeFlat returns the accumulator wire form in flat layout, appended to
-// dst (pass nil to allocate exactly). The receiver is not modified.
+// dst. dst grows once, to a worst-case bound, so a nil dst costs one
+// allocation and a recycled one that is large enough none. The receiver
+// is not modified.
 func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	k := len(w.Idx)
-	if dst == nil {
-		total := 0
-		for j := range w.Idx {
-			total += len(w.Idx[j])
-		}
-		// Capacity bound: a varint-coded index is at most 5 bytes, an
-		// XOR-coded value block at most 1 + 9 bytes per value.
-		dst = make([]byte, 0, 4+1+4+8+8+8*k+4*k+4+5*total+k+9*total)
+	total := 0
+	for j := range w.Idx {
+		total += len(w.Idx[j])
 	}
-	b := flatwire.AppendU32(dst, accumWireMagic)
+	// Capacity bound: a varint-coded index is at most 5 bytes, an XOR-coded
+	// value block at most 1 + 9 bytes per value, and the XOR coder's word
+	// stores may overhang the last block by 8 bytes.
+	b := slices.Grow(dst, 4+1+4+8+8+8*k+4*k+4+5*total+k+9*total+8)
+	b = flatwire.AppendU32(b, accumWireMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
 	b = flatwire.AppendU32(b, uint32(k))
 	b = flatwire.AppendF64(b, w.Inertia)
 	b = flatwire.AppendI64(b, int64(w.Changed))
 	b = flatwire.AppendI64s(b, w.Counts)
-	return sparse.AppendFlatVectors(b, rowViews(w.Idx, w.Val))
+	// The clusters as sparse rows, viewed from a stack array up to 32
+	// clusters, so the buffer is an encode's only allocation.
+	var views [32]sparse.Vector
+	rows := views[:0]
+	for j := range w.Idx {
+		rows = append(rows, sparse.Vector{Idx: w.Idx[j], Val: w.Val[j]})
+	}
+	return sparse.AppendFlatVectors(b, rows)
 }
 
 // consumeHeader reads a payload's magic, codec byte and cluster count
@@ -139,9 +138,9 @@ func AppendFlatCentroids(dst []byte, centroids [][]float64, cnorms []float64) []
 		rows[j] = sparse.FromDense(centroids[j])
 		total += len(rows[j].Idx)
 	}
-	// The same capacity bound EncodeFlat allocates by.
+	// The same capacity bound EncodeFlat grows by.
 	k := len(rows)
-	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+8*k+4*k+4+5*total+k+9*total), centroidsMagic)
+	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+8*k+4*k+4+5*total+k+9*total+8), centroidsMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
 	b = flatwire.AppendU32(b, uint32(len(rows)))
 	b = flatwire.AppendF64s(b, cnorms)

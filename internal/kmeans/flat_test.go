@@ -138,6 +138,24 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 	}
 }
 
+// TestAccumWireEncodeAllocatesOnce: EncodeFlat(nil) sizes its buffer from
+// a worst-case bound that covers the XOR coder's word-store overhang, so
+// an encode is one allocation — also when the bound is tight: five-byte
+// index deltas, and a bound without the overhang (112 bytes) that is an
+// allocation size class, so the allocator adds no slack of its own.
+func TestAccumWireEncodeAllocatesOnce(t *testing.T) {
+	tight := &AccumWire{
+		Idx:    [][]uint32{{1 << 28, 2 << 28, 3 << 28, 4 << 28, 5 << 28}},
+		Val:    [][]float64{{1, 2, 3, 4, 5}},
+		Counts: []int64{5},
+	}
+	for name, w := range map[string]*AccumWire{"mixed": flatTestAccum(), "tight": tight} {
+		if n := testing.AllocsPerRun(20, func() { _ = w.EncodeFlat(nil) }); n != 1 {
+			t.Errorf("%s: EncodeFlat(nil) allocated %.0f times, want 1", name, n)
+		}
+	}
+}
+
 // TestAccumWireFlatDeltaShrinks: the delta-varint idx block must undercut
 // what a raw u32 block would occupy.
 func TestAccumWireFlatDeltaShrinks(t *testing.T) {

@@ -127,10 +127,12 @@ func (a *Accumulator) Reset() {
 
 // sparseScanFactor decides how AppendSparse orders its entries: walk Sum
 // when at least dim/sparseScanFactor entries were touched, sort the dirty
-// list otherwise. Measured at dim 6 368: the scan costs 7–13 µs at any
-// fill; the sort 1.4 µs at 100 touched entries, 7.6 µs at 200 (the
-// crossover, dim/32) and 137 µs at 2 000 — where K-Means accumulators live.
-const sparseScanFactor = 32
+// list otherwise. Measured at dim 6 368 on a 2 vCPU Xeon (go1.24): the
+// branch-free scan costs 6.7–8.6 µs at any fill; the sort 1.0 µs at 100
+// touched entries, 4.9 µs at 400, 6.5 µs at 500, 7.9 µs at 600 — crossing
+// the scan near 530, dim/12 — and 65 µs at 2 000, where K-Means
+// accumulators live.
+const sparseScanFactor = 12
 
 // Sparse returns the accumulator's non-zero entries in ascending index
 // order — the compact, deterministic form in which remote shard workers
@@ -147,13 +149,22 @@ func (a *Accumulator) Sparse() (idx []uint32, val []float64) {
 // each non-zero slot is emitted once, in index order.
 func (a *Accumulator) AppendSparse(idx []uint32, val []float64) ([]uint32, []float64) {
 	if len(a.dirty)*sparseScanFactor >= len(a.Sum) {
+		// Branch-free: store every slot, keep it by advancing past it. Every
+		// non-zero slot is listed in dirty (Reset relies on the same), so the
+		// entries fit in len(dirty) slots plus the one the last store may
+		// land in past them.
+		room := min(len(a.dirty), len(a.Sum)) + 1
+		ni, nv := len(idx), len(val)
+		idx = slices.Grow(idx, room)[:ni+room]
+		val = slices.Grow(val, room)[:nv+room]
+		oi, ov := idx[ni:], val[nv:]
+		k := 0
 		for ix, v := range a.Sum {
-			if v != 0 {
-				idx = append(idx, uint32(ix))
-				val = append(val, v)
-			}
+			oi[k] = uint32(ix)
+			ov[k] = v
+			k += nonzero(v)
 		}
-		return idx, val
+		return idx[:ni+k], val[:nv+k]
 	}
 	// Sorting dirty in place is safe: Reset and Merge read it as a set.
 	slices.Sort(a.dirty)

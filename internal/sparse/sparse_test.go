@@ -525,7 +525,7 @@ func TestBuildDistinctDropsZeros(t *testing.T) {
 // cancels to zero and is touched again (which lists its index twice in the
 // dirty set) and one that cancels and stays zero.
 func TestAccumulatorSparseMatchesReference(t *testing.T) {
-	const dim = 640 // the sorted walk serves up to dim/sparseScanFactor = 20 touched entries
+	const dim = 640 // the sorted walk serves fewer than dim/sparseScanFactor ≈ 53 touched entries
 	rng := rand.New(rand.NewSource(7))
 	for _, touched := range []int{0, 1, 5, 19, 20, 21, 64, 400} {
 		for trial := 0; trial < 20; trial++ {

@@ -268,23 +268,34 @@ func (v *Vector) ToDense(dim int) []float64 {
 
 // FromDense builds a sparse vector from a dense slice, dropping zeros. The
 // nonzero count is known up front, so both slices are allocated once at
-// exactly NNZ length — no append growth.
+// exactly NNZ length — no append growth. Both passes are branch-free: the
+// fill stores every slot and advances past the non-zero ones, stopping at
+// the last.
 func FromDense(dense []float64) Vector {
 	nnz := 0
 	for _, x := range dense {
-		if x != 0 {
-			nnz++
-		}
+		nnz += nonzero(x)
 	}
 	if nnz == 0 {
 		return Vector{}
 	}
-	v := Vector{Idx: make([]uint32, 0, nnz), Val: make([]float64, 0, nnz)}
+	idx, val := make([]uint32, nnz), make([]float64, nnz)
+	k := 0
 	for i, x := range dense {
-		if x != 0 {
-			v.Idx = append(v.Idx, uint32(i))
-			v.Val = append(v.Val, x)
+		idx[k] = uint32(i)
+		val[k] = x
+		if k += nonzero(x); k == nnz {
+			break
 		}
 	}
-	return v
+	return Vector{Idx: idx, Val: val}
+}
+
+// nonzero is 1 for v != 0 (NaN included, ±0 excluded) and 0 otherwise,
+// without a branch: FromDense and Accumulator.AppendSparse advance by it
+// instead of testing, because a dense row's zero/non-zero pattern defeats
+// the branch predictor. Shifting out the sign leaves zero exactly for ±0.
+func nonzero(v float64) int {
+	u := math.Float64bits(v) << 1
+	return int((u | -u) >> 63)
 }

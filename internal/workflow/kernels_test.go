@@ -406,11 +406,17 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	goodInit := func() *KMShardInit {
 		return &KMShardInit{Vectors: docs, Norms: []float64{5, 9}, Dim: 3, K: 2, Block: 4}
 	}
+	// The worker's loop registry is process-wide: drop every loop this test
+	// names when it ends, so a repeated run (-count ≥ 2) starts without them.
+	loopKey := func(loop string) string {
+		t.Cleanup(func() { kmLoops.drop(loop) })
+		return loop
+	}
 	goodAssign := func(loop string) *KMAssignTaskArgs {
-		return &KMAssignTaskArgs{Loop: loop, Init: goodInit(), Assign: []int32{-1, -1}}
+		return &KMAssignTaskArgs{Loop: loopKey(loop), Init: goodInit(), Assign: []int32{-1, -1}}
 	}
 	goodSeed := func(loop string) *KMSeedTaskArgs {
-		return &KMSeedTaskArgs{Loop: loop, Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
+		return &KMSeedTaskArgs{Loop: loopKey(loop), Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
 	}
 	// block is a store-frame body: the loop's iteration-0 centroids.
 	block := func(loop string, cents [][]float64, cnorms []float64) []byte {
@@ -485,7 +491,7 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	cases["seed args empty"] = request{"kmeans.seed", nil, nil}
 	// No init can produce a session whose norms and documents disagree, so
 	// plant one: the scan indexes norms by document.
-	bad := kmLoopFor("hostile-session-norms")
+	bad := kmLoopFor(loopKey("hostile-session-norms"))
 	bad.dim, bad.sessions[0] = 3, &kmSession{docs: docs, norms: []float64{5}}
 	s := goodSeed("hostile-session-norms")
 	s.Init = nil
