@@ -465,7 +465,11 @@ type (
 )
 
 // BuildSearchIndex constructs an inverted index over document vectors of
-// the given dimensionality; pass a pool for parallel construction.
+// the given dimensionality; pass a pool for parallel construction. Weights
+// must be finite and non-negative — the bounds that let top-k queries
+// skip postings hold only for those — and an error names the first
+// document and term that break this. TF/IDF never does: a weight is
+// tf × (log N − log DF), and zeros are dropped.
 func BuildSearchIndex(vectors []Vector, dim int, pool *Pool) (*SearchIndex, error) {
 	return simsearch.Build(vectors, dim, pool)
 }

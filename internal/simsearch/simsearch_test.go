@@ -1,12 +1,18 @@
 package simsearch
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"hpa/internal/corpus"
 	"hpa/internal/par"
 	"hpa/internal/sparse"
+	"hpa/internal/tfidf"
 )
 
 // randomDocs builds a small sparse collection for tests.
@@ -48,13 +54,8 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			k := 1 + r.Intn(10)
 			got := s.TopK(&q, k)
 			want := BruteForceTopK(docs, &q, k)
-			if len(got) != len(want) {
+			if !reflect.DeepEqual(got, want) {
 				return false
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc || !cosEqual(got[i].Score, want[i].Score) {
-					return false
-				}
 			}
 		}
 		return true
@@ -71,21 +72,97 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := par.NewPool(8)
+	for _, workers := range []int{1, 2, 4, 8} {
+		pool := par.NewPool(workers)
+		parIx, err := Build(docs, 50, pool)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tm := 0; tm < 50; tm++ {
+			a, b := seq.postingsDoc[tm], parIx.postingsDoc[tm]
+			if len(a) != len(b) {
+				t.Fatalf("%d workers, term %d: posting lengths %d vs %d", workers, tm, len(a), len(b))
+			}
+			for j := range a {
+				if a[j] != b[j] || seq.postingsW[tm][j] != parIx.postingsW[tm][j] {
+					t.Fatalf("%d workers, term %d slot %d differs", workers, tm, j)
+				}
+			}
+			if math.Float64bits(seq.maxW[tm]) != math.Float64bits(parIx.maxW[tm]) {
+				t.Fatalf("%d workers, term %d: bound %v, sequential %v", workers, tm, parIx.maxW[tm], seq.maxW[tm])
+			}
+		}
+	}
+}
+
+// TestBuildRejectsUnboundableWeights: a weight the pruning bounds cannot
+// cover is an error naming the document and the term, one per class.
+func TestBuildRejectsUnboundableWeights(t *testing.T) {
+	for name, w := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "negative": -0.5} {
+		t.Run(name, func(t *testing.T) {
+			docs := []sparse.Vector{
+				{Idx: []uint32{0, 2}, Val: []float64{1, 2}},
+				{Idx: []uint32{1, 3}, Val: []float64{0.5, w}},
+			}
+			_, err := Build(docs, 4, nil)
+			if err == nil {
+				t.Fatalf("weight %v accepted", w)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "document 1 term 3") {
+				t.Fatalf("weight %v: error %q does not name document 1 term 3", w, msg)
+			}
+		})
+	}
+}
+
+// TestTopKPrunesPostings builds a TF/IDF index over a generated corpus
+// and queries it with runs of consecutive words of its documents, 8 and
+// 60 at a time: every answer equals BruteForceTopK bit for bit, and
+// 8-word queries read at most a fifth of their terms' postings.
+func TestTopKPrunesPostings(t *testing.T) {
+	c := corpus.Generate(corpus.Mix().Scaled(0.05), nil)
+	opts := tfidf.Options{Normalize: true}
+	pool := par.NewPool(2)
 	defer pool.Close()
-	parIx, err := Build(docs, 50, pool)
+	res, err := tfidf.Run(c.Source(nil), pool, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tm := 0; tm < 50; tm++ {
-		a, b := seq.postingsDoc[tm], parIx.postingsDoc[tm]
-		if len(a) != len(b) {
-			t.Fatalf("term %d: posting lengths %d vs %d", tm, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] || seq.postingsW[tm][j] != parIx.postingsW[tm][j] {
-				t.Fatalf("term %d slot %d differs", tm, j)
+	vocab, err := tfidf.NewQueryVocab(res, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(res.Vectors, res.Dim(), pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSearcher(ix)
+	vec := vocab.NewVectorizer()
+	r := rand.New(rand.NewSource(1))
+	for _, words := range []int{8, 60} {
+		work, postings := 0, 0
+		for queries := 0; queries < 40; {
+			fields := bytes.Fields(c.Docs[r.Intn(len(c.Docs))])
+			if len(fields) < words {
+				continue
 			}
+			at := r.Intn(len(fields) - words + 1)
+			var q sparse.Vector
+			vec.Vectorize(bytes.Join(fields[at:at+words], []byte(" ")), &q)
+			got := s.TopK(&q, 10)
+			if want := BruteForceTopK(res.Vectors, &q, 10); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d words: TopK %v, brute force %v", words, got, want)
+			}
+			work += s.Work()
+			for _, tm := range q.Idx {
+				postings += ix.PostingLen(tm)
+			}
+			queries++
+		}
+		t.Logf("%d-word queries: %d of %d postings (%.1f%%)", words, work, postings, 100*float64(work)/float64(postings))
+		if words == 8 && 5*work > postings {
+			t.Fatalf("8-word queries read %d of %d postings, more than a fifth", work, postings)
 		}
 	}
 }
@@ -221,6 +298,10 @@ func TestQueryAllocFreeAfterWarmup(t *testing.T) {
 	}
 }
 
+// cosEqual compares scores with a tolerance, for checks against a
+// mathematical value rather than another code path's bits.
+func cosEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
 func BenchmarkTopKIndexed(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	docs := randomDocs(r, 5000, 2000)
@@ -234,6 +315,7 @@ func BenchmarkTopKIndexed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.TopK(&q, 10)
 	}
+	b.ReportMetric(float64(s.Work()), "postings/op")
 }
 
 func BenchmarkTopKBruteForce(b *testing.B) {
