@@ -4,15 +4,19 @@
 // executor drives as per-shard assignment tasks with one deterministic
 // reduction barrier per iteration — and kmeans.reduce, which joins the
 // clustering with the TF/IDF result. The transform stage's vector shards
-// feed the assignment directly (norms precomputed shard-by-shard), the
-// per-iteration reduce merges shard accumulators in shard-index order,
-// and the clustering is identical at any shard count, which this example
-// verifies by comparing 4 shards against 1.
+// feed the assignment directly (norms precomputed shard-by-shard), shards
+// return only per-document assignments and distances, and each
+// iteration's barrier recomputes every centroid from its members in
+// document order — so the clustering is one per input, bit for bit, at
+// any shard count. This example verifies that by comparing 4 loop shards,
+// and 6 loop shards over 4 map shards, against 1: assignments, iteration
+// count, every centroid component and the inertia history by their bits.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"reflect"
 	"time"
@@ -67,7 +71,7 @@ func main() {
 		if res.Iterations > 0 {
 			perIter = (rep.Breakdown.Get("kmeans") / time.Duration(res.Iterations)).Round(time.Microsecond)
 		}
-		fmt.Printf("%-12s %2d iterations, %s mean assign+reduce per iteration, counts %v\n",
+		fmt.Printf("%-12s %2d iterations, %s mean assign+update per iteration, counts %v\n",
 			label, res.Iterations, perIter, res.Counts)
 	}
 
@@ -75,12 +79,7 @@ func main() {
 	report("1 shard:", ref)
 	four := run(4)
 	report("4 shards:", four)
-	if !reflect.DeepEqual(ref.Clustering.Result.Assign, four.Clustering.Result.Assign) {
-		log.Fatal("assignments diverged at 4 shards")
-	}
-	if ref.Clustering.Result.Iterations != four.Clustering.Result.Iterations {
-		log.Fatal("iteration count diverged at 4 shards")
-	}
+	sameBits("4 shards", ref.Clustering.Result, four.Clustering.Result)
 
 	// The loop shard count is independent of the map shard count: retune
 	// the assignment loop to 6 shards over 4 map shards. The count must be
@@ -101,9 +100,33 @@ func main() {
 		log.Fatal(err)
 	}
 	report("loop=6/map=4:", rep)
-	if !reflect.DeepEqual(ref.Clustering.Result.Assign, rep.Clustering.Result.Assign) {
-		log.Fatal("assignments diverged with independent loop shard count")
-	}
+	sameBits("loop=6/map=4", ref.Clustering.Result, rep.Clustering.Result)
 
-	fmt.Println("\nclusterings are identical across every configuration")
+	fmt.Println("\nclusterings are bit-identical across every configuration")
+}
+
+// sameBits exits unless got is want's clustering bit for bit: the same
+// assignments and iteration count, and every centroid component, the
+// final inertia and the inertia history with identical IEEE 754 bits.
+func sameBits(label string, want, got *hpa.KMeansResult) {
+	if !reflect.DeepEqual(want.Assign, got.Assign) {
+		log.Fatalf("%s: assignments diverged", label)
+	}
+	if want.Iterations != got.Iterations {
+		log.Fatalf("%s: %d iterations, want %d", label, got.Iterations, want.Iterations)
+	}
+	floats := [][]float64{{want.Inertia}, want.History}
+	gotFloats := [][]float64{{got.Inertia}, got.History}
+	floats = append(floats, want.Centroids...)
+	gotFloats = append(gotFloats, got.Centroids...)
+	for r, row := range floats {
+		if len(gotFloats[r]) != len(row) {
+			log.Fatalf("%s: shapes differ", label)
+		}
+		for i, x := range row {
+			if math.Float64bits(gotFloats[r][i]) != math.Float64bits(x) {
+				log.Fatalf("%s: inertia or centroid bits diverged (row %d, entry %d: %v vs %v)", label, r, i, gotFloats[r][i], x)
+			}
+		}
+	}
 }

@@ -346,7 +346,8 @@ type (
 	// WriteWordCounts writes word frequencies as TSV.
 	WriteWordCounts = workflow.WriteWordCounts
 	// KMAssignOp is the iterative K-Means assignment loop (per-shard
-	// assignment tasks with an ordered per-iteration reduce).
+	// assignment tasks, then a per-iteration centroid update that gathers
+	// each centroid from its members).
 	KMAssignOp = workflow.KMAssignOp
 )
 

@@ -3,7 +3,7 @@
 // contiguous scalar blocks over plain []byte buffers.
 //
 // Everything the RPC backend puts on the wire — frames, kernel arguments,
-// tfidf.VectorShard score vectors, kmeans.AccumWire accumulator state — is
+// tfidf.VectorShard score vectors, kmeans centroid blocks — is
 // a flat codec: one buffer with a fixed layout (magic header, scalar
 // counts, then value blocks), so encoding is a handful of copies and
 // decoding is bounds-checked slicing, with no reflection and no per-field
@@ -18,20 +18,20 @@
 //
 // # Codec versions
 //
-// Every flat payload carries a codec version byte immediately after its
-// magic. Each payload has exactly one live version, and its decoder
+// Every flat payload with index or value blocks carries a codec version
+// byte immediately after its magic. Each payload has exactly one live version, and its decoder
 // rejects every other byte with ErrMalformed: coordinator and workers are
 // one binary and no payload is ever stored, so there is no older encoding
 // to stay compatible with.
 //
-//	payload                              version         index blocks          f64 value blocks
-//	VectorShard, AccumWire, WireGlobal   CodecXor (3)    delta-coded varints   XOR-with-previous runs
-//	WireShardCounts                      CodecVocab (4)  — (raw u32 blocks)    —
+//	payload                                   version         index blocks          f64 value blocks
+//	VectorShard, centroid block, WireGlobal   CodecXor (3)    delta-coded varints   XOR-with-previous runs
+//	WireShardCounts                           CodecVocab (4)  — (raw u32 blocks)    —
 //
 // CodecXor stores each sorted u32 index array delta-coded as unsigned
 // varints (AppendDeltaU32s): ascending indexes make the deltas small, so
 // most entries shrink from four bytes to one. The delta chain restarts for
-// every sub-array (per document, per cluster), keeping windows
+// every sub-array (per document, per centroid), keeping windows
 // independently decodable. f64 value blocks are compressed losslessly
 // (AppendF64sXor): each value's IEEE 754 bits are XORed with the previous
 // value's, and the result is stored as a control byte (leading/trailing

@@ -33,7 +33,7 @@ func sparseMix(n, dim int, seed uint64) []sparse.Vector {
 }
 
 // shardedRun drives the clusterer by hand through the iterative path (fixed
-// shard→Accum mapping, ordered EndIteration) — the workflow engine's
+// shard→Accum mapping, then EndIteration) — the workflow engine's
 // execution shape, and what bulk Run does with one shard per pool worker
 // (TestBulkRunRepeatable).
 func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shards int) *Result {

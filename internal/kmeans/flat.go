@@ -8,66 +8,38 @@ import (
 	"hpa/internal/sparse"
 )
 
-// This file is the flat wire codec of AccumWire — the per-iteration
-// worker→coordinator payload of the distributed K-Means loop, shipped once
-// per shard per iteration. The flat layout concatenates every cluster's
-// sparse centroid-sum entries into two contiguous blocks and decodes them
-// into two shared backing arrays, so absorbing a shard's accumulator is a
-// few allocations. Floats
-// travel as IEEE 754 bit patterns: the decoded accumulator state is
-// bit-identical, which the deterministic ordered reduce requires.
+// This file holds the flat wire codecs of the distributed K-Means loop.
+// Floats travel as IEEE 754 bit patterns, so a worker's distances are
+// the coordinator's.
 //
-// Layout (little-endian):
+// AccumWire, the per-iteration worker→coordinator partial (the
+// kmeans.assign reply carries it before the assignment and distance
+// blocks), is fixed-size:
 //
-//	magic u32 | codec u8 | k u32
-//	inertia f64 | changed i64
-//	counts i64 × k         (cluster member counts)
-//	rows                   (the k clusters' entries, sparse.AppendFlatVectors:
-//	                        nnz u32 × k | total u32 | idx deltas | XOR values)
+//	magic u32 | changed i64
+//
+// The centroid block — the coordinator→worker payload of the same loop,
+// shipped once per worker per iteration — is every centroid row's
+// nonzeros in sparse form:
+//
+//	magic u32 | codec u8 | k u32 | cnorms f64 × k
+//	rows      (sparse.AppendFlatVectors: nnz u32 × k | total u32 |
+//	           idx deltas | XOR values)
 //
 // The codec byte is the layout version. flatwire.CodecXor is the only one;
 // any other version is malformed.
-//
-// The centroid block — the coordinator→worker payload of the same loop,
-// shipped once per worker per iteration — is the same rows under its own
-// header:
-//
-//	magic u32 | codec u8 | k u32 | cnorms f64 × k | rows
 
 // accumWireMagic identifies a flat AccumWire buffer.
-const accumWireMagic uint32 = 0x48504157 // "HPAW"
+const accumWireMagic uint32 = 0x4850414d // "HPAM"
 
 // centroidsMagic identifies a flat centroid block.
 const centroidsMagic uint32 = 0x4850434e // "HPCN"
 
-// EncodeFlat returns the accumulator wire form in flat layout, appended to
-// dst. dst grows once, to a worst-case bound, so a nil dst costs one
-// allocation and a recycled one that is large enough none. The receiver
-// is not modified.
+// EncodeFlat returns the partial's wire form in flat layout, appended to
+// dst. The receiver is not modified.
 func (w *AccumWire) EncodeFlat(dst []byte) []byte {
-	k := len(w.Idx)
-	total := 0
-	for j := range w.Idx {
-		total += len(w.Idx[j])
-	}
-	// Capacity bound: a varint-coded index is at most 5 bytes, an XOR-coded
-	// value block at most 1 + 9 bytes per value, and the XOR coder's word
-	// stores may overhang the last block by 8 bytes.
-	b := slices.Grow(dst, 4+1+4+8+8+8*k+4*k+4+5*total+k+9*total+8)
-	b = flatwire.AppendU32(b, accumWireMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
-	b = flatwire.AppendU32(b, uint32(k))
-	b = flatwire.AppendF64(b, w.Inertia)
-	b = flatwire.AppendI64(b, int64(w.Changed))
-	b = flatwire.AppendI64s(b, w.Counts)
-	// The clusters as sparse rows, viewed from a stack array up to 32
-	// clusters, so the buffer is an encode's only allocation.
-	var views [32]sparse.Vector
-	rows := views[:0]
-	for j := range w.Idx {
-		rows = append(rows, sparse.Vector{Idx: w.Idx[j], Val: w.Val[j]})
-	}
-	return sparse.AppendFlatVectors(b, rows)
+	b := flatwire.AppendU32(slices.Grow(dst, 4+8), accumWireMagic)
+	return flatwire.AppendI64(b, int64(w.Changed))
 }
 
 // consumeHeader reads a payload's magic, codec byte and cluster count
@@ -87,29 +59,19 @@ func consumeHeader(r *flatwire.Reader, magic uint32, what string, perCluster int
 
 // ConsumeFlatAccumWire decodes one flat AccumWire from the front of r,
 // which may carry further payload after it — the kmeans.assign reply
-// concatenates the accumulator with assignment and distance blocks.
-// Structural validation only; FromWire still checks cluster count and
-// dimension bounds against the receiving accumulator.
+// concatenates the partial with assignment and distance blocks. A
+// negative moved count is malformed; FromWire checks the upper bound
+// against the shard.
 func ConsumeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
-	k, err := consumeHeader(r, accumWireMagic, "kmeans accum", 12) // ≥ 8 (counts) + 4 (nnz) bytes per cluster
-	if err != nil {
-		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
+	r.Magic(accumWireMagic, "kmeans accum")
+	changed := r.I64()
+	if r.Err() == nil && changed < 0 {
+		r.Fail("moved count %d is negative", changed)
 	}
-	w := &AccumWire{
-		Inertia: r.F64(),
-		Changed: int(r.I64()),
-		Counts:  r.I64s(k),
-		Idx:     make([][]uint32, k),
-		Val:     make([][]float64, k),
-	}
-	rows := sparse.ConsumeFlatVectors(r, k)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
-	for j := range rows {
-		w.Idx[j], w.Val[j] = rows[j].Idx, rows[j].Val
-	}
-	return w, nil
+	return &AccumWire{Changed: int(changed)}, nil
 }
 
 // DecodeFlatAccumWire decodes a standalone flat AccumWire buffer,
@@ -138,7 +100,9 @@ func AppendFlatCentroids(dst []byte, centroids [][]float64, cnorms []float64) []
 		rows[j] = sparse.FromDense(centroids[j])
 		total += len(rows[j].Idx)
 	}
-	// The same capacity bound EncodeFlat grows by.
+	// Capacity bound: a varint-coded index is at most 5 bytes, an XOR-coded
+	// value block at most 1 + 9 bytes per value, and the XOR coder's word
+	// stores may overhang the last block by 8 bytes.
 	k := len(rows)
 	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+8*k+4*k+4+5*total+k+9*total+8), centroidsMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)

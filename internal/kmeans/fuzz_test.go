@@ -3,22 +3,21 @@ package kmeans
 import (
 	"math"
 	"testing"
+
+	"hpa/internal/flatwire"
 )
 
 // FuzzDecodeFlatAccumWire: the decoder must reject arbitrary input with an
 // error — never a panic; inputs that do decode must survive a
-// re-encode/re-decode cycle.
+// re-encode/re-decode cycle unchanged.
 func FuzzDecodeFlatAccumWire(f *testing.F) {
-	w := flatTestAccum()
-	good := w.EncodeFlat(nil)
+	good := flatTestAccum().EncodeFlat(nil)
 	f.Add(good)
-	for _, v := range []byte{1, 2} { // retired codec versions
-		old := append([]byte{}, good...)
-		old[4] = v
-		f.Add(old)
-	}
-	f.Add(good[:len(good)-3]) // truncated mid-value-block
-	f.Add(good[:7])           // truncated mid-header
+	f.Add((&AccumWire{Changed: 1 << 40}).EncodeFlat(nil))
+	f.Add(flatwire.AppendI64(flatwire.AppendU32(nil, accumWireMagic), -1))            // negative moved count
+	f.Add(append(flatwire.AppendU32(nil, 0x48504157), flatwire.CodecXor, 1, 0, 0, 0)) // the retired layout
+	f.Add(good[:len(good)-3])                                                         // truncated mid-count
+	f.Add(good[:3])                                                                   // truncated mid-magic
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeFlatAccumWire(data)
@@ -29,8 +28,8 @@ func FuzzDecodeFlatAccumWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding an accepted payload failed to decode: %v", err)
 		}
-		if len(re.Idx) != len(dec.Idx) {
-			t.Fatalf("re-decode changed cluster count: %d != %d", len(re.Idx), len(dec.Idx))
+		if *re != *dec || dec.Changed < 0 {
+			t.Fatalf("re-decode changed the partial: %+v != %+v", re, dec)
 		}
 	})
 }

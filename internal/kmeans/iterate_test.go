@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -52,8 +53,7 @@ func TestOptionsValidation(t *testing.T) {
 
 // iterativeRun drives the clusterer exactly the way the workflow engine's
 // loop executor does: per-iteration AssignShard over pario.PartitionRange
-// shard boundaries into recycled per-shard Accums, then EndIteration over
-// the accumulators in shard-index order.
+// shard boundaries into recycled per-shard Accums, then EndIteration.
 func iterativeRun(t *testing.T, opts Options, shards int) *Result {
 	t.Helper()
 	docs, _ := blobs(400, 4, 12, 77)
@@ -78,10 +78,40 @@ func iterativeRun(t *testing.T, opts Options, shards int) *Result {
 	return c.Finalize()
 }
 
+// sameBits asserts two clusterings are one: assignments, counts, seeds,
+// iteration count and convergence exactly, and every centroid component,
+// the inertia and its whole history by their bits.
+func sameBits(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations || got.Converged != want.Converged {
+		t.Fatalf("%s: %d iterations (converged=%v), want %d (%v)",
+			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	if !reflect.DeepEqual(got.Assign, want.Assign) || !reflect.DeepEqual(got.Counts, want.Counts) ||
+		!reflect.DeepEqual(got.Seeds, want.Seeds) {
+		t.Fatalf("%s: assignments, counts or seeds differ", label)
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(bits([]float64{got.Inertia}), bits([]float64{want.Inertia})) ||
+		!reflect.DeepEqual(bits(got.History), bits(want.History)) {
+		t.Fatalf("%s: inertia history %v, want %v", label, got.History, want.History)
+	}
+	for j := range want.Centroids {
+		if !reflect.DeepEqual(bits(got.Centroids[j]), bits(want.Centroids[j])) {
+			t.Fatalf("%s: centroid %d differs in its bits", label, j)
+		}
+	}
+}
+
 // TestShardKernelMatchesBulk: driving the loop through AssignShard +
-// EndIteration at several shard counts must reproduce the bulk Run —
-// identical assignments, counts, iteration count and convergence, with
-// centroids equal up to reduction-order rounding.
+// EndIteration at any shard count must reproduce the bulk Run on a
+// 4-worker pool bit for bit — one clustering per input.
 func TestShardKernelMatchesBulk(t *testing.T) {
 	for _, empty := range []EmptyPolicy{KeepCentroid, ReseedFarthest} {
 		opts := Options{K: 4, Seed: 9, Empty: empty}
@@ -93,36 +123,14 @@ func TestShardKernelMatchesBulk(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3, 5} {
-			got := iterativeRun(t, opts, shards)
-			if got.Iterations != ref.Iterations || got.Converged != ref.Converged {
-				t.Fatalf("empty=%d shards=%d: %d iterations (converged=%v), bulk %d (%v)",
-					empty, shards, got.Iterations, got.Converged, ref.Iterations, ref.Converged)
-			}
-			for i := range ref.Assign {
-				if got.Assign[i] != ref.Assign[i] {
-					t.Fatalf("empty=%d shards=%d: assignment %d differs", empty, shards, i)
-				}
-			}
-			for j := range ref.Counts {
-				if got.Counts[j] != ref.Counts[j] {
-					t.Fatalf("empty=%d shards=%d: counts %v vs %v", empty, shards, got.Counts, ref.Counts)
-				}
-			}
-			for j := range ref.Centroids {
-				for d := range ref.Centroids[j] {
-					w, g := ref.Centroids[j][d], got.Centroids[j][d]
-					if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
-						t.Fatalf("empty=%d shards=%d: centroid %d[%d] %v vs %v", empty, shards, j, d, g, w)
-					}
-				}
-			}
+			sameBits(t, fmt.Sprintf("empty=%d shards=%d", empty, shards), ref, iterativeRun(t, opts, shards))
 		}
 	}
 }
 
-// TestShardKernelIsDeterministic: the ordered reduce makes the iterative
-// path bit-for-bit repeatable — two runs at the same shard count agree on
-// every centroid bit.
+// TestShardKernelIsDeterministic: the iterative path is bit-for-bit
+// repeatable — two runs at the same shard count agree on every centroid
+// bit.
 func TestShardKernelIsDeterministic(t *testing.T) {
 	opts := Options{K: 4, Seed: 3}
 	a := iterativeRun(t, opts, 5)
@@ -140,9 +148,9 @@ func TestShardKernelIsDeterministic(t *testing.T) {
 }
 
 // TestBulkRunRepeatable: bulk Run on a 4-worker pool is its shard kernels
-// over one contiguous range per worker, merged in range order — so ten runs
-// agree on every bit of the inertia history, centroids and assignments, and
-// equal the same ranges driven by hand, however the ranges were scheduled.
+// over one contiguous range per worker — so ten runs agree on every bit of
+// the inertia history, centroids and assignments, and equal the same
+// ranges driven by hand, however the ranges were scheduled.
 func TestBulkRunRepeatable(t *testing.T) {
 	const dim = 40
 	docs := sparseMix(3000, dim, 11)

@@ -20,11 +20,11 @@
 //
 // A result is a function of (input, options) only — not of GOARCH (every
 // product feeding an add is pinned, see the sparse package's Rounding
-// section), backend, block width or scheduling. Seeds and assignments do
-// not depend on the shard count either; centroid sums and inertia merge
-// per-shard accumulators in shard order (the library driver's shards are
-// its pool workers), so they are bit-identical at equal shard counts and
-// agree to 1e-12 across counts.
+// section), shard count, worker count, backend, block width or
+// scheduling: one clustering per input, bit for bit. Shards return only
+// position-independent results (assignment, distance, moved count); every
+// float that sums over documents — each centroid component, the inertia —
+// is a left fold in ascending document order on the coordinator.
 //
 // # Iterative shard contract
 //
@@ -33,17 +33,21 @@
 // the K-Means loop as per-shard tasks with one reduction barrier per
 // iteration:
 //
-//   - AssignShard assigns and accumulates one contiguous document range
-//     into an Accum (per-cluster sums and counts, shard inertia, number of
-//     moved assignments) — the embarrassingly parallel part of an
-//     iteration. Accums are allocated once (NewAccum) and recycled across
-//     iterations, preserving the paper's no-allocation-inside-iterations
-//     property;
-//   - EndIteration merges the shard accumulators in the order given —
-//     callers pass them in shard-index order, so the reduction is
-//     deterministic regardless of shard completion order — updates the
-//     centroids (including the empty-cluster policy) and advances the
-//     convergence state;
+//   - AssignShard assigns one contiguous document range: each document's
+//     nearest centroid and distance land in the clusterer's per-document
+//     arrays, and the shard's Accum counts the moved assignments — the
+//     embarrassingly parallel part of an iteration. Accums are allocated
+//     once (NewAccum) and recycled across iterations;
+//   - EndIteration recomputes every centroid from its members: one
+//     counting sort of the assignments lists each cluster's members in
+//     ascending document order, and each centroid is cleared, summed over
+//     those members' nonzeros and scaled by 1/count — clusters in
+//     parallel on the pool, each a left fold in document order. It sums
+//     the distances in document order for the inertia, applies the
+//     empty-cluster policy and advances the convergence state. Nothing it
+//     computes depends on how the documents were sharded, and it
+//     allocates nothing (the member order is allocated once), preserving
+//     the paper's no-allocation-inside-iterations property;
 //   - Done/Finalize expose the loop exit and the assembled Result.
 //
 // K-Means++ seeding is decomposed the same way (seed.go): each of the
@@ -56,10 +60,9 @@
 //
 // Step and Run are the library driver over the same kernels: Step carves
 // the documents into one fixed contiguous range per pool worker, runs
-// AssignShard over each range into that range's recycled Accum, and merges
-// the ranges in index order through EndIteration — so the driver and the
-// workflow engine's iterative shard loop execute identical code, and a
-// driver run is bit-repeatable on a given pool size.
+// AssignShard over each range, then EndIteration — so the driver and the
+// workflow engine's iterative shard loop execute identical code and
+// produce identical bits at any pool size.
 //
 // # Blocked distance kernel
 //
@@ -70,8 +73,9 @@
 // arrays once per centroid. Options.Block selects the width (0 resolves
 // by k: 8 lanes from k >= 8, 4 from k >= 4, scalar below; 4 and 8 pin a
 // width; negative pins the scalar kernel, the reference the equality
-// tests compare against). The layout is re-transposed once per iteration
-// — O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
+// tests compare against). The layout is re-transposed once per iteration,
+// in (block, term range) tiles on the pool — O(k·dim), amortized over the
+// O(n·nnz·k) scan it accelerates.
 //
 // Blocking is bit-identical by construction, not by tolerance: each
 // lane's accumulator performs the float operations DotDense performs for
@@ -117,10 +121,10 @@ import (
 // PhaseKMeans is the Figure 3/4 legend name for clustering time.
 const PhaseKMeans = "kmeans"
 
-// parUpdateMinK is the cluster count from which EndIteration runs the
-// per-cluster merge+mean in parallel; below it the fan-out overhead
-// exceeds the k independent strips of work.
-const parUpdateMinK = 8
+// fillTile is the number of terms per BlockLayout.FillRange task when
+// EndIteration re-transposes the centroids on the pool: 512 terms of an
+// 8-lane block are 32 KB of layout.
+const fillTile = 512
 
 // ErrOptions reports invalid clustering options. Validation errors wrap it,
 // so callers can test errors.Is(err, ErrOptions).
@@ -143,7 +147,8 @@ type Options struct {
 	// 128). Chunk boundaries are worker-count independent.
 	ChunkSize int
 	// Recorder, when non-nil, collects a simsched trace: one task per
-	// assignment chunk per iteration plus the serial centroid update.
+	// assignment chunk per iteration plus the centroid update, which then
+	// runs serially.
 	Recorder *simsched.Recorder
 	// DocNorms optionally supplies the squared Euclidean norm of every
 	// document, in document order. The partitioned TF/IDF gather stage
@@ -284,8 +289,10 @@ type Clusterer struct {
 	layout    *sparse.BlockLayout // blocked-kernel centroid transpose (nil = scalar)
 	counts    []int64
 	assign    []int32
-	dists     []float64 // per-doc distance to assigned centroid (ReseedFarthest only)
-	ranges    []*Accum  // Step's accumulators, one per document range
+	dists     []float64 // per-doc distance to assigned centroid
+	members   []int32   // documents grouped by cluster, ascending within each
+	starts    []int     // cluster j's members are members[starts[j]:starts[j+1]]
+	ranges    []*Accum  // Step's partials, one per document range
 	history   []float64
 	inertia   float64
 	iter      int
@@ -298,47 +305,27 @@ type Clusterer struct {
 	converged bool
 }
 
-// Accum is one strand's (or loop shard's) per-iteration accumulator set:
-// per-cluster running sums and counts, the local inertia contribution and
-// the number of documents whose assignment changed. Accums are allocated
-// once (NewAccum) and recycled across iterations via Reset.
+// Accum is one strand's (or loop shard's) per-iteration partial: the
+// number of documents whose assignment changed, plus the blocked kernel's
+// dot scratch. Everything else a shard computes lands in the clusterer's
+// per-document arrays. Accums are allocated once (NewAccum) and recycled
+// across iterations via Reset.
 type Accum struct {
-	accs    []*sparse.Accumulator
 	dots    []float64 // blocked-kernel scratch: one dot per (padded) centroid
-	inertia float64
 	changed int
 }
 
-// Reset clears the accumulator set for the next iteration, retaining every
-// allocation.
-func (a *Accum) Reset() {
-	for _, acc := range a.accs {
-		acc.Reset()
-	}
-	a.inertia = 0
-	a.changed = 0
-}
+// Reset clears the moved count for the next iteration.
+func (a *Accum) Reset() { a.changed = 0 }
 
-// NewAccum allocates an accumulator set sized for the clusterer (k dense
-// accumulators over the vocabulary dimension). The workflow engine's
+// NewAccum allocates a partial for the clusterer. The workflow engine's
 // iterative loop allocates one per shard up front and recycles them.
-func (c *Clusterer) NewAccum() *Accum { return NewAccumFor(c.opts.K, c.dim) }
+func (c *Clusterer) NewAccum() *Accum { return &Accum{dots: DotScratch(c.opts.K)} }
 
-// NewAccumFor allocates an accumulator set for k clusters over the given
-// dense dimension — the standalone form remote shard workers use, where no
-// Clusterer exists.
-func NewAccumFor(k, dim int) *Accum {
-	// The dots scratch is sized for the widest block (8 lanes), so one
-	// Accum serves any resolved block width.
-	a := &Accum{
-		accs: make([]*sparse.Accumulator, k),
-		dots: make([]float64, (k+7)&^7),
-	}
-	for j := range a.accs {
-		a.accs[j] = sparse.NewAccumulator(dim)
-	}
-	return a
-}
+// DotScratch allocates the blocked kernel's per-document dot scratch for k
+// clusters, sized for the widest block (8 lanes) so it serves any
+// resolved width — what AssignRange's dots argument wants.
+func DotScratch(k int) []float64 { return make([]float64, (k+7)&^7) }
 
 // New prepares a clusterer, running K-Means++ seeding serially. The
 // documents are not copied; they must not be mutated during clustering.
@@ -387,6 +374,9 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 		cnorms:    make([]float64, opts.K),
 		counts:    make([]int64, opts.K),
 		assign:    make([]int32, len(docs)),
+		dists:     make([]float64, len(docs)),
+		members:   make([]int32, len(docs)),
+		starts:    make([]int, opts.K+1),
 		inertia:   math.Inf(1),
 		prev:      math.Inf(1),
 	}
@@ -404,9 +394,6 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 	}
 	if b := BlockSize(opts.Block, opts.K); b > 0 {
 		c.layout = sparse.NewBlockLayout(opts.K, dim, b)
-	}
-	if opts.Empty == ReseedFarthest {
-		c.dists = make([]float64, len(docs))
 	}
 	return c, nil
 }
@@ -438,14 +425,14 @@ func normSq(x []float64) float64 {
 	return s
 }
 
-// AssignShard runs one iteration's assignment over documents [lo, hi),
-// accumulating into a: every document is assigned to its nearest centroid
-// (ties broken by the lowest cluster index, identically in every execution
-// mode), its vector is added to that cluster's running sum, and the shard's
-// inertia and moved-assignment count are collected. The range is walked in
-// ChunkSize chunks, one recorder task per chunk; chunking never changes the
-// accumulation order. Distinct ranges may run concurrently; a single Accum
-// must only be used by one range at a time. AssignShard allocates nothing.
+// AssignShard runs one iteration's assignment over documents [lo, hi):
+// every document is assigned to its nearest centroid (ties broken by the
+// lowest cluster index, identically in every execution mode), its
+// assignment and distance are written to the clusterer's per-document
+// arrays, and a counts the moved assignments. The range is walked in
+// ChunkSize chunks, one recorder task per chunk. Distinct ranges may run
+// concurrently; a single Accum must only be used by one range at a time.
+// AssignShard allocates nothing.
 func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 	rec := c.opts.Recorder
 	for ; lo < hi; lo += c.opts.ChunkSize {
@@ -453,8 +440,8 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 		if rec.Enabled() {
 			start = time.Now()
 		}
-		AssignRange(lo, min(lo+c.opts.ChunkSize, hi), c.opts.K, c.docs, c.docNorms,
-			c.centroids, c.cnorms, c.layout, c.assign, c.dists, a)
+		a.changed += AssignRange(lo, min(lo+c.opts.ChunkSize, hi), c.opts.K, c.docs, c.docNorms,
+			c.centroids, c.cnorms, c.layout, c.assign, c.dists, a.dots)
 		if rec.Enabled() {
 			rec.Task(time.Since(start), 0, false)
 		}
@@ -466,9 +453,10 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 // same per-document code (the structural guarantee behind cross-backend
 // bit-identical results): documents docs[lo:hi] are each assigned to the
 // nearest of the k centroids (ties broken by the lowest cluster index),
-// accumulated into a, and their entries of assign (and dists, when
-// non-nil) — all indexed by absolute document position — are updated in
-// place. AssignRange allocates nothing.
+// and their entries of assign and dists — indexed by absolute document
+// position — are updated in place. It returns how many assignments
+// changed. dots is the blocked kernel's scratch (DotScratch; unused by the
+// scalar kernel). AssignRange allocates nothing.
 //
 // A non-nil layout routes the k-way scan through the blocked distance
 // kernel (sparse.BlockLayout.DotsInto): one sweep of the document's
@@ -478,15 +466,15 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 // layout must hold the same centroids the centroids slice does.
 func AssignRange(lo, hi, k int, docs []sparse.Vector, docNorms []float64,
 	centroids [][]float64, cnorms []float64, layout *sparse.BlockLayout,
-	assign []int32, dists []float64, a *Accum) {
+	assign []int32, dists, dots []float64) (moved int) {
 	for i := lo; i < hi; i++ {
 		v := &docs[i]
 		best, bestD := int32(0), math.Inf(1)
 		if layout != nil {
-			layout.DotsInto(v, a.dots)
+			layout.DotsInto(v, dots)
 			dn := docNorms[i]
 			for j := 0; j < k; j++ {
-				d := cnorms[j] - 2*a.dots[j] + dn
+				d := cnorms[j] - 2*dots[j] + dn
 				if d < bestD {
 					bestD = d
 					best = int32(j)
@@ -506,24 +494,27 @@ func AssignRange(lo, hi, k int, docs []sparse.Vector, docNorms []float64,
 		}
 		if assign[i] != best {
 			assign[i] = best
-			a.changed++
+			moved++
 		}
-		if dists != nil {
-			dists[i] = bestD
-		}
-		a.accs[best].Accumulate(v)
-		a.inertia += bestD
+		dists[i] = bestD
 	}
+	return moved
 }
 
-// EndIteration is the per-iteration reduction: the shard accumulators are
-// merged in the order given — callers pass shard-index order, making the
-// reduce deterministic no matter how shards were scheduled — the centroids
-// are recomputed (applying the empty-cluster policy), and the convergence
-// state advances exactly as Run's loop always has: stop when no assignment
-// changed, when the relative inertia improvement drops below Tol, or when
-// MaxIter is reached. It returns the iteration's inertia and moved count;
-// Done reports whether the loop should stop. EndIteration allocates nothing
+// EndIteration is the per-iteration update, run once every document of
+// the iteration has been assigned: it sums the shards' moved counts, sums
+// the distances in ascending document order for the inertia, recomputes
+// every centroid from its members (applying the empty-cluster policy) and
+// re-transposes the blocked layout, then advances the convergence state
+// exactly as Run's loop always has: stop when no assignment changed, when
+// the relative inertia improvement drops below Tol, or when MaxIter is
+// reached. It returns the iteration's inertia and moved count; Done
+// reports whether the loop should stop.
+//
+// Each centroid component is the left fold, in ascending document order,
+// of the cluster members' values, scaled once by 1/count — so the bits
+// depend only on the assignments, never on how many shards produced them
+// or in which order accs lists them. EndIteration allocates nothing
 // beyond the amortized history append.
 func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	rec := c.opts.Recorder
@@ -531,42 +522,54 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	if rec.Enabled() {
 		start = time.Now()
 	}
-	inertia := 0.0
 	changed := 0
 	for _, a := range accs {
-		inertia += a.inertia
 		changed += a.changed
 	}
-	// Per-cluster merge, count and mean: clusters touch disjoint state
-	// (accumulator j, centroid row j), and the within-cluster merge keeps
-	// the caller's shard-index order either way, so running clusters in
-	// parallel on the pool is bit-identical to the serial loop. Small k
-	// stays serial: the fan-out costs more than it saves, and the recorder
-	// accounts this section as the serial centroid update.
-	update := func(j int) {
-		acc := accs[0].accs[j]
-		for _, a := range accs[1:] {
-			acc.Merge(a.accs[j])
-		}
-		c.counts[j] = acc.Count
-		if acc.Count > 0 {
-			acc.Mean(c.centroids[j])
-			c.cnorms[j] = normSq(c.centroids[j])
-		}
-		// KeepCentroid: empty clusters keep their previous centroid.
+	// Before the empty policy, which zeroes the distance of each document
+	// it claims.
+	inertia := 0.0
+	for _, d := range c.dists {
+		inertia += d
 	}
-	if k := c.opts.K; c.pool.Workers() > 1 && k >= parUpdateMinK && !rec.Enabled() {
-		c.pool.For(0, k, 1, update)
-	} else {
-		for j := 0; j < c.opts.K; j++ {
-			update(j)
+	c.groupMembers()
+	// Clusters touch disjoint state (centroid row j, its norm and count),
+	// and fill tiles disjoint layout memory, so running either on the pool
+	// is bit-identical to the serial loop. The recorder accounts the whole
+	// update as one serial section, so a recorded run keeps it serial.
+	each := func(n int, f func(int)) {
+		if c.pool.Workers() > 1 && !rec.Enabled() {
+			c.pool.For(0, n, 1, f)
+			return
+		}
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 	}
+	each(c.opts.K, func(j int) {
+		members := c.members[c.starts[j]:c.starts[j+1]]
+		c.counts[j] = int64(len(members))
+		if len(members) == 0 {
+			return // KeepCentroid: empty clusters keep their previous centroid.
+		}
+		cent := c.centroids[j]
+		clear(cent)
+		for _, i := range members {
+			v := &c.docs[i]
+			for e, idx := range v.Idx {
+				cent[idx] += v.Val[e]
+			}
+		}
+		inv := 1 / float64(len(members))
+		for t, x := range cent {
+			cent[t] = x * inv
+		}
+		c.cnorms[j] = normSq(cent)
+	})
 	// The empty-cluster policy runs after every mean exists, in ascending
 	// cluster order: reseeds consume the farthest-document pool
 	// sequentially (each zeroes its claimed document's distance), and they
-	// never read another cluster's mean, so this ordering produces the
-	// same floats as the old interleaved serial loop.
+	// never read another cluster's mean.
 	if c.opts.Empty == ReseedFarthest {
 		for j := 0; j < c.opts.K; j++ {
 			if c.counts[j] == 0 {
@@ -578,7 +581,11 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 		// Re-transpose the updated centroids for the next iteration's
 		// blocked scans — after the empty policy, so a reseeded centroid
 		// lands in the layout too.
-		c.layout.Fill(c.centroids)
+		tiles := (c.dim + fillTile - 1) / fillTile
+		each(c.layout.Blocks()*tiles, func(t int) {
+			lo := t % tiles * fillTile
+			c.layout.FillRange(c.centroids, t/tiles, lo, min(lo+fillTile, c.dim))
+		})
 	}
 	c.iter++
 	c.inertia = inertia
@@ -602,6 +609,28 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	return inertia, changed
 }
 
+// groupMembers lists every cluster's members in ascending document order
+// with one stable counting sort of the assignments: cluster j's members
+// end up in members[starts[j]:starts[j+1]].
+func (c *Clusterer) groupMembers() {
+	starts := c.starts
+	clear(starts)
+	for _, a := range c.assign {
+		starts[a+1]++
+	}
+	for j := 1; j < len(starts); j++ {
+		starts[j] += starts[j-1]
+	}
+	// starts[j] is now cluster j's first slot; placing advances it to
+	// cluster j's end, which is cluster j+1's start — shift back by one.
+	for i, a := range c.assign {
+		c.members[starts[a]] = int32(i)
+		starts[a]++
+	}
+	copy(starts[1:], starts[:len(starts)-1])
+	starts[0] = 0
+}
+
 // Done reports whether the iteration loop should stop (convergence or
 // MaxIter).
 func (c *Clusterer) Done() bool { return c.done }
@@ -609,13 +638,11 @@ func (c *Clusterer) Done() bool { return c.done }
 // Iterations returns the number of iterations executed so far.
 func (c *Clusterer) Iterations() int { return c.iter }
 
-// Step runs one K-Means iteration: parallel assignment and accumulation
-// over one contiguous document range per pool worker (AssignShard), then
-// the serial ordered reduction and centroid update. Range boundaries
-// depend only on the document and worker counts, and the ranges merge in
-// index order, so repeated runs produce identical bits however the ranges
-// were scheduled. It returns the new inertia and the number of documents
-// whose assignment changed. Step allocates nothing after its first call.
+// Step runs one K-Means iteration: parallel assignment over one
+// contiguous document range per pool worker (AssignShard), then the
+// centroid update (EndIteration). It returns the new inertia and the
+// number of documents whose assignment changed. Step allocates nothing
+// after its first call.
 func (c *Clusterer) Step() (float64, int) {
 	for len(c.ranges) < c.pool.Workers() {
 		c.ranges = append(c.ranges, c.NewAccum())
@@ -626,8 +653,6 @@ func (c *Clusterer) Step() (float64, int) {
 		a.Reset()
 		c.AssignShard(n*r/nr, n*(r+1)/nr, a)
 	})
-	// Serial reduction and centroid update (the non-parallel section that
-	// bounds scalability in Figure 1's smaller dataset).
 	return c.EndIteration(c.ranges)
 }
 

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,14 +142,7 @@ func TestWorkerCountDoesNotChangeClustering(t *testing.T) {
 			base = res
 			continue
 		}
-		for i := range res.Assign {
-			if res.Assign[i] != base.Assign[i] {
-				t.Fatalf("workers=%d: assignment %d differs", workers, i)
-			}
-		}
-		if math.Abs(res.Inertia-base.Inertia) > 1e-9*(1+base.Inertia) {
-			t.Fatalf("workers=%d: inertia %v vs %v", workers, res.Inertia, base.Inertia)
-		}
+		sameBits(t, fmt.Sprintf("workers=%d", workers), base, res)
 	}
 }
 

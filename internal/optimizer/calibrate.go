@@ -292,12 +292,13 @@ func calKMeansMatrix(opts CalibrationOptions) ([]sparse.Vector, int) {
 	return vecs, dim
 }
 
-// calibrateKMeansAssign measures the K-Means assignment kernel
-// (kmeans.AssignShard) on a synthetic sparse matrix and returns its cost
-// per (non-zero component × cluster) in nanoseconds — the unit the
+// calibrateKMeansAssign measures whole K-Means iterations — the
+// assignment kernel (kmeans.AssignShard) and the centroid update
+// (kmeans.EndIteration) — on a synthetic sparse matrix and returns their
+// cost per (non-zero component × cluster) in nanoseconds, the unit the
 // iterative-stage estimate scales by iterations × documents × mean
-// non-zeros × k. The measurement runs the real kernel over recycled
-// accumulators, so it prices exactly the loop the executor dispatches.
+// non-zeros × k. It runs the real kernels on one worker, so it prices
+// exactly the loop the executor dispatches.
 func calibrateKMeansAssign(opts CalibrationOptions) float64 {
 	const k = 8
 	vecs, dim := calKMeansMatrix(opts)
@@ -308,12 +309,13 @@ func calibrateKMeansAssign(opts CalibrationOptions) float64 {
 		// Cannot happen with the synthetic matrix; conservative fallback.
 		return 1.5
 	}
-	acc := c.NewAccum()
+	accs := []*kmeans.Accum{c.NewAccum()}
 	const passes = 3
 	start := time.Now()
 	for p := 0; p < passes; p++ {
-		acc.Reset()
-		c.AssignShard(0, len(vecs), acc)
+		accs[0].Reset()
+		c.AssignShard(0, len(vecs), accs[0])
+		c.EndIteration(accs)
 	}
 	var ops int64
 	for i := range vecs {

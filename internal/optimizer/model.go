@@ -51,8 +51,11 @@ import (
 // it; v9 measures RPCShipNS on the flat frame protocol that replaced
 // net/rpc + gob, through the backend's own client; v10 drops the
 // unpartitioned plan's estimate, so the shard count is chosen among
-// sharded estimates only. Earlier caches self-invalidate and re-measure.
-const ModelVersion = 10
+// sharded estimates only; v11 times a whole K-Means iteration,
+// assignment plus the centroid update that gathers each centroid from its
+// members, in KMeansAssignNS. Earlier caches self-invalidate and
+// re-measure.
+const ModelVersion = 11
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to
@@ -130,9 +133,10 @@ type CostModel struct {
 	// ShardTaskNS is the executor-plus-pool overhead of one partition task
 	// (spawn, dispatch, completion bookkeeping), in nanoseconds.
 	ShardTaskNS float64 `json:"shard_task_ns"`
-	// KMeansAssignNS is the K-Means assignment kernel cost per
-	// (non-zero component × cluster) — the unit of the dominant
-	// distance-computation inner loop — in nanoseconds. The K-Means stage
+	// KMeansAssignNS is the cost of one K-Means iteration — the
+	// assignment kernel plus the centroid update — per (non-zero
+	// component × cluster), the unit of the dominant distance-computation
+	// inner loop, in nanoseconds. The K-Means stage
 	// estimate multiplies it by iterations × documents × mean non-zeros ×
 	// k, which is what the optimizer could not price before the iterative
 	// phase was decomposed into shard kernels.

@@ -12,7 +12,7 @@ import "sync"
 // between Claim and Release, bodies may mutate it without synchronization.
 // The number of views created is bounded by the peak concurrency of the
 // region, not by the iteration count, so per-view state may be large (e.g.
-// a full set of centroid accumulators).
+// a strand's whole dictionary).
 type Reducer[T any] struct {
 	mu      sync.Mutex
 	free    []T

@@ -50,31 +50,37 @@ func NewBlockLayout(k, dim, b int) *BlockLayout {
 // BlockSize returns the lane count B.
 func (l *BlockLayout) BlockSize() int { return l.b }
 
+// Blocks returns the number of blocks, ceil(k / B).
+func (l *BlockLayout) Blocks() int { return len(l.blocks) }
+
 // Fill re-transposes the current centroids into the layout, reusing the
 // allocation. Rows shorter than dim are zero-extended (DotDense treats the
 // missing components as zero via its idx >= len guard; an explicit zero
 // lane contributes the same ±0 products, so the dots stay bit-identical).
 func (l *BlockLayout) Fill(centroids [][]float64) {
+	for bi := range l.blocks {
+		l.FillRange(centroids, bi, 0, l.dim)
+	}
+}
+
+// FillRange is Fill restricted to block bi and terms [lo, hi): a tile of
+// the copy that shares no cache line with another term range's tile (a
+// term's B lanes are one line), so tiles may fill concurrently. Within the
+// tile each lane is one sequential read of its centroid row.
+func (l *BlockLayout) FillRange(centroids [][]float64, bi, lo, hi int) {
 	if len(centroids) != l.k {
 		panic("sparse: BlockLayout.Fill centroid count mismatch")
 	}
 	b := l.b
-	for bi, blk := range l.blocks {
-		for lane := 0; lane < b; lane++ {
-			j := bi*b + lane
-			if j >= l.k {
-				break // tail padding lanes are zero from allocation, never written
-			}
-			cent := centroids[j]
-			if len(cent) > l.dim {
-				cent = cent[:l.dim]
-			}
-			for idx, x := range cent {
-				blk[idx*b+lane] = x
-			}
-			for idx := len(cent); idx < l.dim; idx++ {
-				blk[idx*b+lane] = 0
-			}
+	tile := l.blocks[bi][lo*b : hi*b]
+	// Tail padding lanes are zero from allocation and never written.
+	for lane, cent := range centroids[bi*b : min(bi*b+b, l.k)] {
+		cent = cent[min(lo, len(cent)):min(hi, len(cent))]
+		for i, x := range cent {
+			tile[i*b+lane] = x
+		}
+		for i := len(cent); i < hi-lo; i++ {
+			tile[i*b+lane] = 0
 		}
 	}
 }

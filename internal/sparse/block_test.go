@@ -92,6 +92,57 @@ func TestDotsIntoMatchesDotDense(t *testing.T) {
 	}
 }
 
+// TestFillRangeTilesMatchFill: filling a layout tile by tile — terms in
+// uneven ranges, blocks and tiles out of order — must leave exactly the
+// bits Fill leaves, over rows shorter and longer than dim (zero-extended
+// and truncated), with each layout first dirtied so a tile that skips a
+// slot shows up.
+func TestFillRangeTilesMatchFill(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, k := range []int{1, 5, 8, 13, 16} {
+		for _, b := range []int{4, 8} {
+			const dim = 37
+			cents := make([][]float64, k)
+			for j := range cents {
+				cents[j] = make([]float64, dim-10+r.Intn(20))
+				for i := range cents[j] {
+					cents[j][i] = specials[r.Intn(len(specials))] * float64(1+r.Intn(4))
+				}
+			}
+			want, got := NewBlockLayout(k, dim, b), NewBlockLayout(k, dim, b)
+			for _, l := range []*BlockLayout{want, got} {
+				for bi := range l.blocks {
+					for i := range l.blocks[bi] {
+						l.blocks[bi][i] = 42.5
+					}
+				}
+			}
+			want.Fill(cents)
+			cuts := []int{0, 1, 9, 10, 30, dim}
+			for bi := got.Blocks() - 1; bi >= 0; bi-- {
+				for c := len(cuts) - 2; c >= 0; c-- {
+					got.FillRange(cents, bi, cuts[c], cuts[c+1])
+				}
+			}
+			for bi := range want.blocks {
+				for i, x := range want.blocks[bi] {
+					lane, idx := bi*b+i%b, i/b
+					ref := 0.0
+					if lane < k && idx < len(cents[lane]) {
+						ref = cents[lane][idx]
+					}
+					if lane < k && math.Float64bits(x) != math.Float64bits(ref) && !(math.IsNaN(x) && math.IsNaN(ref)) {
+						t.Fatalf("k=%d b=%d: Fill lane %d term %d = %v, row holds %v", k, b, lane, idx, x, ref)
+					}
+					if g := got.blocks[bi][i]; math.Float64bits(g) != math.Float64bits(x) {
+						t.Fatalf("k=%d b=%d: tiled fill lane %d term %d = %v, Fill %v", k, b, lane, idx, g, x)
+					}
+				}
+			}
+		}
+	}
+}
+
 // fuzzFloat reads one value at b[*i], cycling through b: a byte below
 // len(specials) picks a special, any other starts a raw IEEE 754 bit
 // pattern in the eight bytes after it. An empty b yields zeros.

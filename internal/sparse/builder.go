@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // Builder assembles a sparse vector from components appended in arbitrary
 // index order, possibly with duplicates; Build sorts by index and sums
@@ -70,140 +67,4 @@ func (s *builderSort) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
 func (s *builderSort) Swap(i, j int) {
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// Accumulator is a dense running sum of sparse vectors plus a count,
-// used for K-Means centroid recomputation. One accumulator set per reducer
-// view gives contention-free parallel accumulation; accumulators are
-// allocated once and recycled across iterations with Reset.
-type Accumulator struct {
-	Sum   []float64
-	Count int64
-	dirty []uint32 // indices touched since Reset, for sparse clearing
-}
-
-// NewAccumulator creates an accumulator of the given dense dimension.
-func NewAccumulator(dim int) *Accumulator {
-	return &Accumulator{Sum: make([]float64, dim)}
-}
-
-// Dim returns the dense dimension.
-func (a *Accumulator) Dim() int { return len(a.Sum) }
-
-// Accumulate adds v and increments the count.
-func (a *Accumulator) Accumulate(v *Vector) {
-	for i, idx := range v.Idx {
-		if a.Sum[idx] == 0 {
-			a.dirty = append(a.dirty, idx)
-		}
-		a.Sum[idx] += v.Val[i]
-	}
-	a.Count++
-}
-
-// Merge adds other into a. Both must have the same dimension.
-func (a *Accumulator) Merge(other *Accumulator) {
-	for _, idx := range other.dirty {
-		if x := other.Sum[idx]; x != 0 {
-			if a.Sum[idx] == 0 {
-				a.dirty = append(a.dirty, idx)
-			}
-			a.Sum[idx] += x
-		}
-	}
-	a.Count += other.Count
-}
-
-// Reset zeroes the accumulator, touching only the entries written since the
-// last Reset. For centroid accumulators whose touched set is much smaller
-// than the vocabulary, this is far cheaper than clearing the whole slice.
-func (a *Accumulator) Reset() {
-	for _, idx := range a.dirty {
-		a.Sum[idx] = 0
-	}
-	a.dirty = a.dirty[:0]
-	a.Count = 0
-}
-
-// sparseScanFactor decides how AppendSparse orders its entries: walk Sum
-// when at least dim/sparseScanFactor entries were touched, sort the dirty
-// list otherwise. Measured at dim 6 368 on a 2 vCPU Xeon (go1.24): the
-// branch-free scan costs 6.7–8.6 µs at any fill; the sort 1.0 µs at 100
-// touched entries, 4.9 µs at 400, 6.5 µs at 500, 7.9 µs at 600 — crossing
-// the scan near 530, dim/12 — and 65 µs at 2 000, where K-Means
-// accumulators live.
-const sparseScanFactor = 12
-
-// Sparse returns the accumulator's non-zero entries in ascending index
-// order — the compact, deterministic form in which remote shard workers
-// ship centroid sums back to the coordinator. The returned slices are
-// fresh copies.
-func (a *Accumulator) Sparse() (idx []uint32, val []float64) {
-	return a.AppendSparse(nil, nil)
-}
-
-// AppendSparse is Sparse appending to idx and val, so a caller that ships
-// every iteration can recycle its buffers. The entries and their order are
-// a function of Sum alone: a long dirty list (against the dimension) is
-// bypassed by scanning Sum, a short one is sorted and walked — either way
-// each non-zero slot is emitted once, in index order.
-func (a *Accumulator) AppendSparse(idx []uint32, val []float64) ([]uint32, []float64) {
-	if len(a.dirty)*sparseScanFactor >= len(a.Sum) {
-		// Branch-free: store every slot, keep it by advancing past it. Every
-		// non-zero slot is listed in dirty (Reset relies on the same), so the
-		// entries fit in len(dirty) slots plus the one the last store may
-		// land in past them.
-		room := min(len(a.dirty), len(a.Sum)) + 1
-		ni, nv := len(idx), len(val)
-		idx = slices.Grow(idx, room)[:ni+room]
-		val = slices.Grow(val, room)[:nv+room]
-		oi, ov := idx[ni:], val[nv:]
-		k := 0
-		for ix, v := range a.Sum {
-			oi[k] = uint32(ix)
-			ov[k] = v
-			k += nonzero(v)
-		}
-		return idx[:ni+k], val[:nv+k]
-	}
-	// Sorting dirty in place is safe: Reset and Merge read it as a set.
-	slices.Sort(a.dirty)
-	for k, ix := range a.dirty {
-		// dirty may carry an index twice if a sum canceled to zero and was
-		// re-touched; the sort makes duplicates adjacent.
-		if v := a.Sum[ix]; v != 0 && (k == 0 || a.dirty[k-1] != ix) {
-			idx = append(idx, ix)
-			val = append(val, v)
-		}
-	}
-	return idx, val
-}
-
-// SetSparse resets the accumulator and loads the given entries, the
-// inverse of Sparse (Count must be set by the caller). Entries load
-// bit-exactly: each Sum slot receives its value directly, never through an
-// addition, so a wire round trip reproduces the original sums.
-func (a *Accumulator) SetSparse(idx []uint32, val []float64) {
-	a.Reset()
-	for k, ix := range idx {
-		if val[k] == 0 {
-			continue
-		}
-		a.Sum[ix] = val[k]
-		a.dirty = append(a.dirty, ix)
-	}
-}
-
-// Mean writes Sum/Count into dst (a dense slice of the same dimension) and
-// reports whether the accumulator was non-empty. dst entries are fully
-// overwritten.
-func (a *Accumulator) Mean(dst []float64) bool {
-	if a.Count == 0 {
-		return false
-	}
-	inv := 1 / float64(a.Count)
-	for i := range dst {
-		dst[i] = a.Sum[i] * inv
-	}
-	return true
 }

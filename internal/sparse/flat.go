@@ -4,8 +4,8 @@ import "hpa/internal/flatwire"
 
 // This file is the flat wire form of a batch of sparse rows — the block
 // every payload that ships sparse vectors shares (a transform reply's score
-// vectors, a loop shard's documents, an accumulator's per-cluster sums, a
-// K-Means iteration's centroids), so one decoder bounds, validates and is
+// vectors, a loop shard's documents, a K-Means iteration's centroids, a
+// seed round's seed), so one decoder bounds, validates and is
 // fuzzed for all of them.
 //
 // Layout (little-endian), for n rows whose count the enclosing layout

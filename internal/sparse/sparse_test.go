@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -332,80 +331,6 @@ func TestBuilderReuseNoCrossContamination(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMeanAndReset(t *testing.T) {
-	a := NewAccumulator(6)
-	v1 := Vector{Idx: []uint32{0, 3}, Val: []float64{2, 4}}
-	v2 := Vector{Idx: []uint32{3, 5}, Val: []float64{2, 6}}
-	a.Accumulate(&v1)
-	a.Accumulate(&v2)
-	dst := make([]float64, 6)
-	if !a.Mean(dst) {
-		t.Fatal("Mean reported empty")
-	}
-	want := []float64{1, 0, 0, 3, 0, 3}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("mean[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-	a.Reset()
-	if a.Count != 0 {
-		t.Fatal("count not reset")
-	}
-	for i, x := range a.Sum {
-		if x != 0 {
-			t.Fatalf("sum[%d]=%v after reset", i, x)
-		}
-	}
-	if a.Mean(dst) {
-		t.Fatal("Mean on empty accumulator reported non-empty")
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	a, b := NewAccumulator(4), NewAccumulator(4)
-	v := Vector{Idx: []uint32{1}, Val: []float64{5}}
-	a.Accumulate(&v)
-	b.Accumulate(&v)
-	b.Accumulate(&v)
-	a.Merge(b)
-	if a.Count != 3 || a.Sum[1] != 15 {
-		t.Fatalf("merge: count=%d sum[1]=%v", a.Count, a.Sum[1])
-	}
-}
-
-func TestAccumulatorMergeAssociativeWithReset(t *testing.T) {
-	// (a+b)+c == a+(b+c), and recycled accumulators behave like fresh ones.
-	vs := []Vector{
-		{Idx: []uint32{0}, Val: []float64{1}},
-		{Idx: []uint32{1, 2}, Val: []float64{2, 3}},
-		{Idx: []uint32{0, 2}, Val: []float64{4, 5}},
-	}
-	run := func(order [][]int) []float64 {
-		accs := make([]*Accumulator, 3)
-		for i := range accs {
-			accs[i] = NewAccumulator(3)
-		}
-		for ai, idxs := range order {
-			for _, vi := range idxs {
-				accs[ai].Accumulate(&vs[vi])
-			}
-		}
-		accs[0].Merge(accs[1])
-		accs[0].Merge(accs[2])
-		out := make([]float64, 3)
-		accs[0].Mean(out)
-		return out
-	}
-	x := run([][]int{{0, 1}, {2}, {}})
-	y := run([][]int{{0}, {1}, {2}})
-	for i := range x {
-		if math.Abs(x[i]-y[i]) > 1e-12 {
-			t.Fatalf("merge not associative: %v vs %v", x, y)
-		}
-	}
-}
-
 func BenchmarkDotSparse(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x, y := genVector(r, 100_000), genVector(r, 100_000)
@@ -515,70 +440,5 @@ func TestBuildDistinctDropsZeros(t *testing.T) {
 	b.BuildDistinct(&v)
 	if v.NNZ() != 1 || v.Idx[0] != 2 {
 		t.Fatalf("zeros kept: %+v", v)
-	}
-}
-
-// TestAccumulatorSparseMatchesReference: Sparse must return exactly what
-// sorting and deduplicating the touched set returns — same entries, same
-// order, same bits — whichever way it walks them: over random touch
-// orders, on both sides of the scan threshold, including a sum that
-// cancels to zero and is touched again (which lists its index twice in the
-// dirty set) and one that cancels and stays zero.
-func TestAccumulatorSparseMatchesReference(t *testing.T) {
-	const dim = 640 // the sorted walk serves fewer than dim/sparseScanFactor ≈ 53 touched entries
-	rng := rand.New(rand.NewSource(7))
-	for _, touched := range []int{0, 1, 5, 19, 20, 21, 64, 400} {
-		for trial := 0; trial < 20; trial++ {
-			a := NewAccumulator(dim)
-			perm := rng.Perm(dim)[:touched]
-			for _, ix := range perm {
-				a.Accumulate(&Vector{Idx: []uint32{uint32(ix)}, Val: []float64{rng.NormFloat64()}})
-			}
-			if touched >= 2 {
-				// perm[0] cancels and is re-touched; perm[1] cancels for good.
-				for _, v := range []*Vector{
-					{Idx: []uint32{uint32(perm[0])}, Val: []float64{-a.Sum[perm[0]]}},
-					{Idx: []uint32{uint32(perm[0])}, Val: []float64{2.5}},
-					{Idx: []uint32{uint32(perm[1])}, Val: []float64{-a.Sum[perm[1]]}},
-				} {
-					a.Accumulate(v)
-				}
-			}
-			want := map[uint32]float64{}
-			for _, ix := range a.dirty {
-				if v := a.Sum[ix]; v != 0 {
-					want[ix] = v
-				}
-			}
-			order := make([]uint32, 0, len(want))
-			for ix := range want {
-				order = append(order, ix)
-			}
-			sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-			scans := len(a.dirty)*sparseScanFactor >= dim
-			idx, val := a.Sparse()
-			if len(idx) != len(order) || len(val) != len(order) {
-				t.Fatalf("touched=%d scan=%v: %d entries, want %d", touched, scans, len(idx), len(order))
-			}
-			for e, ix := range order {
-				if idx[e] != ix || math.Float64bits(val[e]) != math.Float64bits(want[ix]) {
-					t.Fatalf("touched=%d scan=%v: entry %d is (%d, %v), want (%d, %v)",
-						touched, scans, e, idx[e], val[e], ix, want[ix])
-				}
-			}
-			// Appending after existing entries leaves them alone, and the
-			// accumulator still resets clean.
-			idx2, val2 := a.AppendSparse([]uint32{9}, []float64{9})
-			if idx2[0] != 9 || val2[0] != 9 || !reflect.DeepEqual(idx2[1:], idx) && len(idx) > 0 {
-				t.Fatalf("touched=%d: AppendSparse disturbed its prefix or changed its answer", touched)
-			}
-			a.Reset()
-			for ix, v := range a.Sum {
-				if v != 0 {
-					t.Fatalf("touched=%d: Reset left Sum[%d] = %v", touched, ix, v)
-				}
-			}
-		}
 	}
 }

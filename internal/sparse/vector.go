@@ -292,9 +292,8 @@ func FromDense(dense []float64) Vector {
 }
 
 // nonzero is 1 for v != 0 (NaN included, ±0 excluded) and 0 otherwise,
-// without a branch: FromDense and Accumulator.AppendSparse advance by it
-// instead of testing, because a dense row's zero/non-zero pattern defeats
-// the branch predictor. Shifting out the sign leaves zero exactly for ±0.
+// without a branch: FromDense advances by it instead of testing, because
+// a dense row's zero/non-zero pattern defeats the branch predictor. Shifting out the sign leaves zero exactly for ±0.
 func nonzero(v float64) int {
 	u := math.Float64bits(v) << 1
 	return int((u | -u) >> 63)

@@ -21,7 +21,7 @@ import (
 // in serializable form — the TF/IDF count and transform kernels (shards of
 // an on-disk corpus, described by pario.SourceSpec), the K-Means assignment
 // loop's per-iteration shard tasks (a centroid block out once per worker,
-// kmeans.Accum back per shard) and
+// moved count, assignments and distances back per shard) and
 // its seeding rounds' per-shard min-distance scans (last seed out, distance
 // partials back). What cannot: splits, reductions (DF tree-merge, streaming
 // gather, the loop's per-iteration barrier and per-round seed draw) and
@@ -242,7 +242,7 @@ func AnnotateBackend(p *Plan, b Backend) *Plan {
 		}
 		if _, ok := op.(remoteLoopOp); ok {
 			p.Annotate(name, fmt.Sprintf(
-				"loop shard tasks: remote (%s), seed scans included; seed draws and per-iteration reduce: coordinator", b.Name()))
+				"loop shard tasks: remote (%s), seed scans included; seed draws and per-iteration centroid update: coordinator", b.Name()))
 		}
 	}
 	return p

@@ -235,12 +235,11 @@ func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
 		Shard: 3,
 		Iter:  17,
 		Init: &KMShardInit{
-			Vectors:   []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}},
-			Norms:     []float64{7.8125},
-			Dim:       6,
-			K:         2,
-			WantDists: true,
-			Block:     8,
+			Vectors: []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}},
+			Norms:   []float64{7.8125},
+			Dim:     6,
+			K:       2,
+			Block:   8,
 		},
 		Assign: []int32{-1},
 	}

@@ -32,8 +32,9 @@ const (
 	taskLoopPrepEnd
 	// taskLoopShard is one shard of the current loop iteration.
 	taskLoopShard
-	// taskLoopEnd is the per-iteration reduction barrier: it merges the
-	// iteration's partials (in shard order) and decides whether to iterate.
+	// taskLoopEnd is the per-iteration barrier: it hands the iteration's
+	// partials (in shard order) to EndIteration, which decides whether to
+	// iterate.
 	taskLoopEnd
 	// taskLoopFinish produces the loop node's output.
 	taskLoopFinish
@@ -118,11 +119,9 @@ type execState struct {
 //     each round closed by an EndPrepare barrier task (K-Means++ seeding
 //     runs its k−1 seed rounds this way, sharded), then per iteration one
 //     RunShard task per loop shard followed by one EndIteration barrier
-//     task that
-//     reduces the partials in shard-index order (deterministic regardless
-//     of shard scheduling) and decides whether to re-dispatch the same
-//     shard task set, and finally one Finish task producing the scalar
-//     output;
+//     task that receives the partials in shard-index order (regardless of
+//     shard scheduling) and decides whether to re-dispatch the same shard
+//     task set, and finally one Finish task producing the scalar output;
 //   - every other node consuming a partitioned output receives the
 //     gathered *Partitions (shards in index order) once all shards exist.
 //

@@ -21,7 +21,7 @@ func fuzzInit() *KMShardInit {
 	return &KMShardInit{
 		Vectors: []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}, {}},
 		Norms:   []float64{7.8125, 0},
-		Dim:     6, K: 2, WantDists: true, Block: 8,
+		Dim:     6, K: 2, Block: 8,
 	}
 }
 
@@ -46,8 +46,8 @@ func FuzzDecodeFlatKMAssignTaskArgs(f *testing.F) {
 		if re, err := DecodeFlatKMAssignTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
 			t.Fatalf("accepted arguments do not round-trip: %+v vs %+v (%v)", re, a, err)
 		}
-		// The kernel sizes the session's accumulators from an accepted init
-		// (testdata/fuzz holds one asking for 2⁸⁰ floats).
+		// The worker sizes the loop's dense centroid matrix from an accepted
+		// init (testdata/fuzz holds one asking for 2⁸⁰ floats).
 		if in := a.Init; in != nil && in.Dim > 0 && in.K > maxFrameBytes/8/in.Dim {
 			t.Fatalf("accepted an init of k=%d × dimension %d, past the frame cap", in.K, in.Dim)
 		}

@@ -108,8 +108,9 @@ func TestLoopExplainMarksIterativeEdges(t *testing.T) {
 }
 
 // sameClustering asserts that a partitioned iterative run reproduces the
-// reference clustering: assignments, counts, iteration count and
-// convergence decision exactly, centroids up to reduction-order rounding.
+// reference clustering bit for bit: assignments, counts, iteration count
+// and convergence exactly, every centroid component, the inertia and its
+// whole history by their bits.
 func sameClustering(t *testing.T, label string, want, got *kmeans.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Assign, got.Assign) {
@@ -122,10 +123,20 @@ func sameClustering(t *testing.T, label string, want, got *kmeans.Result) {
 		t.Fatalf("%s: %d iterations (converged=%v), reference %d (%v)",
 			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
 	}
+	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+		t.Fatalf("%s: inertia %v vs reference %v", label, got.Inertia, want.Inertia)
+	}
+	if len(got.History) != len(want.History) {
+		t.Fatalf("%s: %d history entries vs reference %d", label, len(got.History), len(want.History))
+	}
+	for i, w := range want.History {
+		if math.Float64bits(got.History[i]) != math.Float64bits(w) {
+			t.Fatalf("%s: inertia history[%d] %v vs reference %v", label, i, got.History[i], w)
+		}
+	}
 	for j := range want.Centroids {
-		for d := range want.Centroids[j] {
-			w, g := want.Centroids[j][d], got.Centroids[j][d]
-			if math.Abs(w-g) > 1e-12*(1+math.Abs(w)) {
+		for d, w := range want.Centroids[j] {
+			if g := got.Centroids[j][d]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%s: centroid %d[%d] %v vs reference %v", label, j, d, g, w)
 			}
 		}
@@ -134,10 +145,10 @@ func sameClustering(t *testing.T, label string, want, got *kmeans.Result) {
 
 // TestIterativeKMeansMatchesOneShardForEmptyPolicies is the
 // iterative-phase determinism suite: partitioned K-Means (per-shard
-// assignment, ordered per-iteration reduce) must reproduce the one-shard
-// plan at shard counts {1, 4, 7} under both empty-cluster policies —
-// including ReseedFarthest, whose reseeding reads the per-document
-// distances written by the shard kernels.
+// assignment, centroids gathered from their members) must reproduce the
+// one-shard plan bit for bit at shard counts {1, 4, 7} under both
+// empty-cluster policies — including ReseedFarthest, whose reseeding
+// reads the per-document distances written by the shard kernels.
 func TestIterativeKMeansMatchesOneShardForEmptyPolicies(t *testing.T) {
 	for _, empty := range []kmeans.EmptyPolicy{kmeans.KeepCentroid, kmeans.ReseedFarthest} {
 		cfg := baseCfg(Merged)

@@ -27,7 +27,7 @@ import (
 //     the shard's score vectors (*tfidf.VectorShard) back;
 //   - kmeans.assign: one loop shard's assignment iteration — the key of the
 //     iteration's centroid block and the shard's previous assignments in,
-//     the shard's kmeans.Accum (wire form) and new assignments back. The
+//     the moved count, new assignments and distances back. The
 //     shard's documents ship once, on the first iteration, and are cached
 //     in a worker-side session that backend affinity keeps on one worker;
 //   - kmeans.seed: one K-Means++ seed round's min-distance scan over one
@@ -43,7 +43,8 @@ import (
 // Kernels run the same functions the local path runs (tfidf.CountShard,
 // tfidf.TransformShard, kmeans.AssignRange), so remote results are
 // bit-identical to local ones by construction; the wire forms only ever
-// flatten dictionaries and accumulators, never recompute scores.
+// flatten dictionaries, vectors and per-document results, never recompute
+// scores.
 //
 // Every argument and every reply is a flat buffer (flatwire): scalars
 // little-endian, floats as IEEE 754 bit patterns, so shipping preserves
@@ -402,9 +403,6 @@ type KMShardInit struct {
 	Norms   []float64
 	// Dim is the dense dimensionality, K the cluster count.
 	Dim, K int
-	// WantDists makes the worker track and return per-document distances
-	// (the coordinator's ReseedFarthest policy needs them).
-	WantDists bool
 	// Block is the coordinator's resolved blocked-kernel lane width
 	// (kmeans.Clusterer.BlockWidth; 0 = scalar, else 4 or 8). It never
 	// affects results — any width is bit-identical — it only keeps the
@@ -414,18 +412,13 @@ type KMShardInit struct {
 
 // appendFlat appends the init, or its absence, in flat form:
 //
-//	present u8 | [k i64 | dim i64 | block i64 | wantDists u8 | n u32 | norms f64 × n | vectors (sparse.AppendFlatVectors)]
+//	present u8 | [k i64 | dim i64 | block i64 | n u32 | norms f64 × n | vectors (sparse.AppendFlatVectors)]
 func (in *KMShardInit) appendFlat(b []byte) []byte {
 	if in == nil {
 		return flatwire.AppendU8(b, 0)
 	}
 	b = flatwire.AppendU8(b, 1)
 	b = flatwire.AppendI64s(b, []int64{int64(in.K), int64(in.Dim), int64(in.Block)})
-	wantDists := byte(0)
-	if in.WantDists {
-		wantDists = 1
-	}
-	b = flatwire.AppendU8(b, wantDists)
 	b = flatwire.AppendU32(b, uint32(len(in.Vectors)))
 	b = flatwire.AppendF64s(b, in.Norms)
 	return sparse.AppendFlatVectors(b, in.Vectors)
@@ -445,12 +438,11 @@ func consumeKMShardInit(r *flatwire.Reader) *KMShardInit {
 		return nil
 	}
 	v := r.I64s(3)
-	wantDists := r.U8()
 	n := r.Count(12) // ≥ 8 (norm) + 4 (nnz) bytes per document follow
 	if r.Err() != nil {
 		return nil
 	}
-	in := &KMShardInit{K: int(v[0]), Dim: int(v[1]), Block: int(v[2]), WantDists: wantDists != 0, Norms: r.F64s(n)}
+	in := &KMShardInit{K: int(v[0]), Dim: int(v[1]), Block: int(v[2]), Norms: r.F64s(n)}
 	in.Vectors = sparse.ConsumeFlatVectors(r, n)
 	switch {
 	case in.K < 1:
@@ -460,9 +452,9 @@ func consumeKMShardInit(r *flatwire.Reader) *KMShardInit {
 	case in.Block != 0 && in.Block != 4 && in.Block != 8:
 		r.Fail("loop shard init has block width %d", in.Block)
 	case in.Dim > 0 && in.K > maxFrameBytes/8/in.Dim:
-		// The session allocates k × dim accumulator floats and replies with
-		// them; past the frame cap that reply could never be sent.
-		r.Fail("loop shard init has k=%d × dimension %d, more accumulator floats than a %d-byte frame holds", in.K, in.Dim, maxFrameBytes)
+		// The loop decodes its centroid blocks into k × dim dense floats;
+		// a shape past what one frame could hold densely is no real loop.
+		r.Fail("loop shard init has k=%d × dimension %d, more centroid floats than a %d-byte frame holds", in.K, in.Dim, maxFrameBytes)
 	}
 	for i := range in.Vectors {
 		// Indices ascend, so the last is the largest.
@@ -515,18 +507,18 @@ func DecodeFlatKMAssignTaskArgs(body []byte) (*KMAssignTaskArgs, error) {
 	return a, nil
 }
 
-// KMAssignReply is the kmeans.assign kernel reply: exactly the state the
-// coordinator's ordered per-iteration reduce needs, or the report that the
-// worker holds no centroid block for the iteration.
+// KMAssignReply is the kmeans.assign kernel reply: the shard's
+// position-independent results — moved count, assignments, distances — or
+// the report that the worker holds no centroid block for the iteration.
 type KMAssignReply struct {
 	// NeedCentroids reports a centroid-block miss; the other fields are
 	// then empty.
 	NeedCentroids bool
-	// Accum is the shard's accumulator set in wire form.
+	// Accum is the shard's partial (its moved count) in wire form.
 	Accum *kmeans.AccumWire
 	// Assign holds the shard's new assignments.
 	Assign []int32
-	// Dists holds per-document distances when the init requested them.
+	// Dists holds the shard's per-document distances, one per assignment.
 	Dists []float64
 }
 
@@ -561,15 +553,13 @@ type kmCentroids struct {
 }
 
 // kmSession is a worker-side loop shard: the cached documents plus the
-// recycled accumulator and its recycled wire form, reused across the
-// loop's iterations.
+// distance and dot scratch reused across the loop's iterations.
 type kmSession struct {
 	mu    sync.Mutex
 	docs  []sparse.Vector
 	norms []float64
-	acc   *kmeans.Accum
-	wire  *kmeans.AccumWire
 	dists []float64
+	dots  []float64 // blocked-kernel scratch (kmeans.DotScratch)
 	seed  []float64 // seeding scratch: dim floats, all zero between calls
 }
 
@@ -596,10 +586,8 @@ func (l *kmLoop) session(loop string, shard int, init *KMShardInit) (*kmSession,
 		return nil, fmt.Errorf("%w: loop %q shard %d init has shape k=%d dim=%d block=%d, the loop's is k=%d dim=%d block=%d",
 			flatwire.ErrMalformed, loop, shard, init.K, init.Dim, init.Block, l.k, l.dim, l.block)
 	}
-	s = &kmSession{docs: init.Vectors, norms: init.Norms, acc: kmeans.NewAccumFor(init.K, init.Dim)}
-	if init.WantDists {
-		s.dists = make([]float64, len(init.Vectors))
-	}
+	s = &kmSession{docs: init.Vectors, norms: init.Norms,
+		dists: make([]float64, len(init.Vectors)), dots: kmeans.DotScratch(init.K)}
 	l.sessions[shard] = s
 	return s, nil
 }
@@ -697,19 +685,21 @@ func runKMAssignKernel(body, dst []byte) ([]byte, error) {
 	if c == nil {
 		return (&KMAssignReply{NeedCentroids: true}).AppendFlat(dst), nil
 	}
-	s.acc.Reset()
-	kmeans.AssignRange(0, n, l.k, s.docs, s.norms, c.cents, c.cnorms, c.layout, a.Assign, s.dists, s.acc)
-	s.wire = s.acc.WireInto(s.wire)
-	return (&KMAssignReply{Accum: s.wire, Assign: a.Assign, Dists: s.dists}).AppendFlat(dst), nil
+	moved := kmeans.AssignRange(0, n, l.k, s.docs, s.norms, c.cents, c.cnorms, c.layout, a.Assign, s.dists, s.dots)
+	return (&KMAssignReply{Accum: &kmeans.AccumWire{Changed: moved}, Assign: a.Assign, Dists: s.dists}).AppendFlat(dst), nil
 }
 
 // kmAssignReplyMagic identifies a flat kmeans.assign reply buffer.
 const kmAssignReplyMagic uint32 = 0x48504b41 // "HPKA"
 
 // AppendFlat appends the reply in flat layout: magic, the miss mask, and —
-// unless that reports a miss — the accumulator's flat wire form, then the
-// assignment block and (optionally) the distance block. Floats travel as
-// IEEE 754 bits; the absorbed state is bit-identical to the worker's.
+// unless that reports a miss — the partial's flat wire form, then the
+// assignment and distance blocks:
+//
+//	magic u32 | flags u32 | [accum | n u32 | assign i32 × n | dists f64 × n]
+//
+// Floats travel as IEEE 754 bits; the absorbed state is bit-identical to
+// the worker's. Dists must hold one distance per assignment.
 func (r *KMAssignReply) AppendFlat(dst []byte) []byte {
 	b := flatwire.AppendU32(dst, kmAssignReplyMagic)
 	if r.NeedCentroids {
@@ -719,13 +709,7 @@ func (r *KMAssignReply) AppendFlat(dst []byte) []byte {
 	b = r.Accum.EncodeFlat(b)
 	b = flatwire.AppendU32(b, uint32(len(r.Assign)))
 	b = flatwire.AppendI32s(b, r.Assign)
-	if r.Dists != nil {
-		b = flatwire.AppendU32(b, 1)
-		b = flatwire.AppendF64s(b, r.Dists)
-	} else {
-		b = flatwire.AppendU32(b, 0)
-	}
-	return b
+	return flatwire.AppendF64s(b, r.Dists)
 }
 
 // DecodeFlatKMAssignReply decodes a flat kmeans.assign reply, validating
@@ -747,16 +731,8 @@ func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}
-	rep := &KMAssignReply{Accum: acc}
-	n := r.Count(4)
-	rep.Assign = r.I32s(n)
-	switch r.U32() {
-	case 0:
-	case 1:
-		rep.Dists = r.F64s(n)
-	default:
-		r.Fail("bad distance marker")
-	}
+	n := r.Count(12) // 4 (assignment) + 8 (distance) bytes per document
+	rep := &KMAssignReply{Accum: acc, Assign: r.I32s(n), Dists: r.F64s(n)}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}

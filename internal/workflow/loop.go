@@ -24,10 +24,9 @@ import (
 // tasks: one BeginLoop task consumes the gathered inputs and allocates the
 // loop state, then each iteration dispatches one RunShard task per shard
 // (concurrently, on the pool), barriers, and runs one EndIteration task
-// that reduces the per-shard partials in shard-index order — so the
-// reduction is deterministic no matter how the shard tasks interleaved —
-// and decides whether to iterate again. A final Finish task produces the
-// node's (scalar) output.
+// that receives the per-shard partials in shard-index order — however the
+// shard tasks interleaved — and decides whether to iterate again. A final
+// Finish task produces the node's (scalar) output.
 //
 // The same shard task set is re-dispatched every iteration; loop states are
 // expected to recycle their per-shard buffers (the K-Means state reuses one
@@ -93,14 +92,14 @@ var kmResultType = reflect.TypeOf((*kmeans.Result)(nil))
 // KMAssignOp is the iterative assignment stage of partitioned K-Means: the
 // K-Means loop hosted on the executor's IterativeOp contract. Each
 // iteration runs one assignment task per loop shard (kmeans.AssignShard
-// over a contiguous document range, accumulating into a recycled
-// kmeans.Accum) and one reduction task (kmeans.EndIteration merging the
-// shard accumulators in shard-index order and updating centroids), so the
-// clustering decision sequence — seeding, assignment tie-breaks,
-// convergence — is exactly the library driver's (kmeans.Run). Shard ranges
-// are weighted by per-document nonzero counts (pario.WeightedBoundaries),
-// balancing the O(nnz × k) assignment work per shard; boundaries never
-// affect results.
+// over a contiguous document range: assignments and distances in place,
+// the moved count into a recycled kmeans.Accum) and one update task
+// (kmeans.EndIteration recomputing every centroid from its members in
+// document order), so the clustering — seeding, assignment tie-breaks,
+// every centroid and inertia bit, convergence — is exactly the library
+// driver's (kmeans.Run) at any shard count. Shard ranges are weighted by
+// per-document nonzero counts (pario.WeightedBoundaries), balancing the
+// O(nnz × k) assignment work per shard; boundaries never affect results.
 //
 // Port 0 accepts the dataset in any of its shapes: the gathered vector
 // shards of the partitioned TF/IDF transform (*Partitions of
@@ -153,8 +152,8 @@ func (o *KMAssignOp) LoopShards() int {
 }
 
 // kmLoopState is the K-Means loop state: the clusterer plus one recycled
-// accumulator set per shard, the nonzero-weighted shard boundaries, and
-// the bookkeeping remote shard sessions need.
+// partial per shard, the nonzero-weighted shard boundaries, and the
+// bookkeeping remote shard sessions need.
 type kmLoopState struct {
 	c       *kmeans.Clusterer
 	seeding *kmeans.Seeding // deferred K-Means++ state; nil once seeded
@@ -162,7 +161,7 @@ type kmLoopState struct {
 	dim     int
 	bounds  []int // shard boundaries over [0, n], nnz-weighted
 	accs    []*kmeans.Accum
-	ordered []*kmeans.Accum // scratch for the ordered reduce
+	ordered []*kmeans.Accum // scratch: the partials EndIteration receives
 
 	// Remote-shard bookkeeping: the documents and norms to ship on a
 	// shard's first remote iteration, the loop's process-unique worker-side
@@ -219,7 +218,7 @@ func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err erro
 
 // BeginLoop implements IterativeOp: clusterer allocation plus the uniform
 // first seed draw (the k−1 distance-scan seed rounds run afterwards as
-// sharded preparation waves — see PrepareShard), per-shard accumulator
+// sharded preparation waves — see PrepareShard), per-shard partial
 // allocation, and the shard boundaries — weighted by per-document nonzero
 // counts (pario.WeightedBoundaries over each vector's NNZ), so every
 // shard carries close to equal assignment work (the kernel is O(nnz × k)
@@ -361,7 +360,7 @@ func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, boo
 }
 
 // RunShard implements LoopState: one iteration's assignment over the
-// shard's document range, into the shard's recycled accumulator.
+// shard's document range; the shard's recycled partial counts the moves.
 func (s *kmLoopState) RunShard(ctx *Context, idx, total int) (any, error) {
 	a := s.accs[idx]
 	a.Reset()
@@ -385,12 +384,11 @@ func (s *kmLoopState) shardInit(idx int) *KMShardInit {
 	}
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
 	return &KMShardInit{
-		Vectors:   s.docs[lo:hi],
-		Norms:     s.norms[lo:hi],
-		Dim:       s.dim,
-		K:         s.c.K(),
-		WantDists: s.c.TracksDists(),
-		Block:     s.c.BlockWidth(),
+		Vectors: s.docs[lo:hi],
+		Norms:   s.norms[lo:hi],
+		Dim:     s.dim,
+		K:       s.c.K(),
+		Block:   s.c.BlockWidth(),
 	}
 }
 
@@ -417,10 +415,10 @@ func (s *kmLoopState) centroidBlock(iter int) *keyedBody {
 // (Init) and stay cached in a worker session the affinity key pins; every
 // iteration names the iteration's centroid block (shipped once per worker,
 // see centroidBlock), ships the shard's previous assignments, and absorbs
-// the worker's accumulator wire form into the shard's recycled Accum — the
-// same partial the local path would produce, bit for bit, because the
-// worker runs the same kmeans.AssignRange over the same documents against
-// the same centroid bits.
+// the worker's moved count, assignments and distances — what the local
+// path would produce, bit for bit, because the worker runs the same
+// kmeans.AssignRange over the same documents against the same centroid
+// bits.
 func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
 	iter := s.c.Iterations()
@@ -449,7 +447,7 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 			if len(rep.Assign) != hi-lo {
 				return nil, fmt.Errorf("%w: kmeans.assign reply for shard %d is malformed", ErrType, idx)
 			}
-			if err := acc.FromWire(rep.Accum); err != nil {
+			if err := acc.FromWire(rep.Accum, hi-lo); err != nil {
 				return nil, err
 			}
 			if err := s.c.ApplyShardAssignments(lo, rep.Assign, rep.Dists); err != nil {
@@ -461,10 +459,10 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	}, true
 }
 
-// EndIteration implements LoopState: the ordered reduce. The executor
-// delivers partials in shard-index order, so the merge — and therefore the
-// centroid floats and the convergence decision — is deterministic
-// regardless of shard scheduling.
+// EndIteration implements LoopState: the centroid update. It reads the
+// partials only for their moved counts; the centroids and the inertia are
+// folded in document order from the per-document assignments and
+// distances, so no float depends on the shard count or scheduling.
 func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
 	s.ordered = s.ordered[:0]
 	for _, p := range partials {

@@ -173,9 +173,8 @@ type partitionable interface {
 // PartitionOp.Shards) at execution time. The rewrite never changes
 // results: shard boundaries are deterministic, document frequencies merge
 // commutatively, term IDs are assigned in lexicographic order, and the
-// K-Means per-iteration reduce merges shard accumulators in shard-index
-// order, so scores and cluster assignments are bit-identical at any shard
-// count.
+// K-Means update folds every centroid in document order, so scores and
+// the whole clustering are bit-identical at any shard count.
 func PartitionRule(shards int) Rewriter { return &partitionRule{shards: shards} }
 
 type partitionRule struct{ shards int }

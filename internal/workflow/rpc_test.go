@@ -92,7 +92,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "empty body", raw: requestFrame(9, "kmeans.assign", nil), malformed: true},
 		{name: "kernel panic", raw: requestFrame(10, "test.panic", nil), text: "panicked"},
 		{name: "seed past the loop's dimension", raw: requestFrame(11, "kmeans.seed", hostileSeed), malformed: true, text: "seed dimension 4294967296 of 3"},
-		{name: "session past the frame cap", raw: requestFrame(12, "kmeans.assign", hostileInit), malformed: true, text: "more accumulator floats than"},
+		{name: "session past the frame cap", raw: requestFrame(12, "kmeans.assign", hostileInit), malformed: true, text: "more centroid floats than"},
 	}
 	for _, tc := range cases {
 		conn, err := net.Dial("tcp", lis.Addr().String())

@@ -44,10 +44,9 @@ type TFKMConfig struct {
 	// plus reductions and runs K-Means as an iterative shard loop. N > 0
 	// pins N shards; 0 (or any value below 1) is auto — 2×GOMAXPROCS on
 	// more than one proc, over-decomposed so work stealing rebalances
-	// stragglers (see PartitionOp.Shards). Scores, seeds, assignments and
-	// cluster counts are bit-identical at any shard count; centroid sums and
-	// inertia merge shard accumulators in shard order, so across shard
-	// counts they agree to 1e-12 and are bit-identical at equal counts.
+	// stragglers (see PartitionOp.Shards). The result does not depend on
+	// it: scores, seeds, assignments, counts, every centroid and inertia
+	// bit are identical at any shard count — one clustering per input.
 	Shards int
 	// TFIDF configures the text operator.
 	TFIDF tfidf.Options

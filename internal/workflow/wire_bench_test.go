@@ -37,27 +37,16 @@ func benchVectorShard() *tfidf.VectorShard {
 	return vs
 }
 
-// benchAccumWire synthesizes a kmeans.assign-reply-sized accumulator:
-// 16 clusters of ~2000 sparse centroid-sum entries each.
-func benchAccumWire() *kmeans.AccumWire {
-	const k, nnz = 16, 2000
-	w := &kmeans.AccumWire{
-		Idx:     make([][]uint32, k),
-		Val:     make([][]float64, k),
-		Counts:  make([]int64, k),
-		Inertia: 12345.678,
-		Changed: 42,
+// benchAssignReply synthesizes a kmeans.assign reply for one loop shard
+// of cluster-local's shape: 375 documents (3 000 over 8 shards) at k = 16.
+func benchAssignReply() *KMAssignReply {
+	const n, k = 375, 16
+	r := &KMAssignReply{Accum: &kmeans.AccumWire{Changed: 42}, Assign: make([]int32, n), Dists: make([]float64, n)}
+	for i := range r.Assign {
+		r.Assign[i] = int32(i * 7 % k)
+		r.Dists[i] = 1 - float64(i%97)/193
 	}
-	for j := 0; j < k; j++ {
-		idx := make([]uint32, nnz)
-		val := make([]float64, nnz)
-		for e := range idx {
-			idx[e] = uint32(j*37 + e*13)
-			val[e] = float64(j+1) * float64(e+1) / 7
-		}
-		w.Idx[j], w.Val[j], w.Counts[j] = idx, val, int64(100+j)
-	}
-	return w
+	return r
 }
 
 // benchVectorShardQuantized is benchVectorShard with quantized values:
@@ -99,7 +88,7 @@ func benchCentroids() ([][]float64, []float64) {
 }
 
 // BenchmarkWirePayloads prices the flat codecs of the hot payloads — the
-// transform reply (worker→coordinator, once per shard), the accumulator
+// transform reply (worker→coordinator, once per shard), the assignment
 // reply (worker→coordinator, per shard per iteration) and the centroid
 // block (coordinator→worker, per worker per iteration) — one encode+decode
 // round trip per op, with the encoded size reported. Each case
@@ -112,7 +101,7 @@ func benchCentroids() ([][]float64, []float64) {
 func BenchmarkWirePayloads(b *testing.B) {
 	vs := benchVectorShard()
 	qs := benchVectorShardQuantized()
-	aw := benchAccumWire()
+	ar := benchAssignReply()
 	cents, cnorms := benchCentroids()
 	dst := make([][]float64, len(cents))
 	for j := range dst {
@@ -141,8 +130,8 @@ func BenchmarkWirePayloads(b *testing.B) {
 			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
 		{"vectorshard-quantized", func() []byte { return qs.EncodeFlat(nil) },
 			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
-		{"accum", func() []byte { return aw.EncodeFlat(nil) },
-			func(buf []byte) error { _, err := kmeans.DecodeFlatAccumWire(buf); return err }},
+		{"assign-reply", func() []byte { return ar.AppendFlat(nil) },
+			func(buf []byte) error { _, err := DecodeFlatKMAssignReply(buf); return err }},
 		{"centroids", func() []byte { return kmeans.AppendFlatCentroids(nil, cents, cnorms) },
 			func(buf []byte) error { return kmeans.DecodeFlatCentroids(buf, dst, dstNorms) }},
 	} {

@@ -36,9 +36,10 @@
 //     order (GatherOp streaming vector shards into the final result);
 //     iterative operators (IterativeOp — KMAssignOp hosts K-Means on this
 //     contract) re-dispatch the same shard task set every iteration with
-//     one reduction-barrier task per iteration that merges the shard
-//     partials in shard-index order, so the loop's numeric reduce is
-//     deterministic no matter how shards were scheduled. Per-shard phase
+//     one barrier task per iteration; K-Means shards return only
+//     per-document results, and the barrier recomputes each centroid from
+//     its members in document order, so no float depends on how many
+//     shards there were or how they were scheduled. Per-shard phase
 //     timings union into wall-clock spans under the same Breakdown keys
 //     as monolithic runs, merged in deterministic topological order.
 //
@@ -59,9 +60,11 @@
 // of corpus size and shard count, document frequencies merge
 // commutatively, term IDs are assigned in lexicographic order, shards
 // are always identified by partition index rather than completion order,
-// and the K-Means per-iteration reduce merges shard accumulators in shard
-// order — scores and cluster assignments are bit-identical at any shard
-// count (asserted by the determinism tests, for every dictionary kind and both empty-cluster policies).
+// and the K-Means update folds every centroid and the inertia in document
+// order — scores and the whole clustering, every centroid and inertia bit
+// included, are bit-identical at any shard count (asserted by the
+// determinism tests and a golden digest, for every dictionary kind and
+// both empty-cluster policies).
 //
 // # Execution backends
 //
@@ -82,8 +85,8 @@
 // assignment loop's per-iteration shard tasks, whose documents ship once
 // into a worker-side session (pinned to one worker by backend affinity)
 // and whose per-iteration traffic is the centroids out — as one sparse
-// block per worker, not per shard — and kmeans.Accum wire forms and
-// assignments back. K-Means++ seeding scan rounds ship as
+// block per worker, not per shard — and moved counts, assignments and
+// distances back. K-Means++ seeding scan rounds ship as
 // prepare-wave tasks through the same pinned sessions (documents ship
 // once for seeding and iterations combined); the per-round seed draw
 // stays on the coordinator. Splits, the DF tree-merge, the streaming
@@ -111,7 +114,7 @@
 // in the worker session under a per-run scope (count→transform affinity),
 // the paired transform task names the session, and the scope's pins are
 // released when the run ends. Everything on the wire — frames, kernel
-// arguments, tfidf.VectorShard, kmeans.AccumWire, assignment replies — is
+// arguments, tfidf.VectorShard, centroid blocks, assignment replies — is
 // a flat buffer (internal/flatwire): fixed layouts, floats as IEEE 754
 // bits, every decoder validating structurally and failing with
 // flatwire.ErrMalformed (BenchmarkWirePayloads prices the codecs).
