@@ -6,9 +6,9 @@
 // clustering with the TF/IDF result. The transform stage's vector shards
 // feed the assignment directly (norms precomputed shard-by-shard), shards
 // return only per-document assignments and distances, and each
-// iteration's barrier recomputes every centroid from its members in
-// document order — so the clustering is one per input, bit for bit, at
-// any shard count. This example verifies that by comparing 4 loop shards,
+// iteration's barrier recomputes, from its members in document order,
+// every centroid whose member set changed — so the clustering is one per
+// input, bit for bit, at any shard count. This example verifies that by comparing 4 loop shards,
 // and 6 loop shards over 4 map shards, against 1: assignments, iteration
 // count, every centroid component and the inertia history by their bits.
 package main

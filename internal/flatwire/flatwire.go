@@ -3,7 +3,8 @@
 // contiguous scalar blocks over plain []byte buffers.
 //
 // Everything the RPC backend puts on the wire — frames, kernel arguments,
-// tfidf.VectorShard score vectors, kmeans centroid blocks — is
+// tfidf.VectorShard score vectors, kmeans centroid blocks (the rows of the
+// centroids an iteration changed) — is
 // a flat codec: one buffer with a fixed layout (magic header, scalar
 // counts, then value blocks), so encoding is a handful of copies and
 // decoding is bounds-checked slicing, with no reflection and no per-field
@@ -27,6 +28,10 @@
 //	payload                                   version         index blocks          f64 value blocks
 //	VectorShard, centroid block, WireGlobal   CodecXor (3)    delta-coded varints   XOR-with-previous runs
 //	WireShardCounts                           CodecVocab (4)  — (raw u32 blocks)    —
+//
+// A centroid block lists the rows it carries by cluster ID — every
+// cluster in a full block, the changed ones in a delta — as one raw u32
+// block ahead of its norms and rows.
 //
 // CodecXor stores each sorted u32 index array delta-coded as unsigned
 // varints (AppendDeltaU32s): ascending indexes make the deltas small, so
@@ -53,7 +58,7 @@
 // every document as fixed-width (vocabulary index, count) u32 blocks — the
 // per-document entries are unsorted, so there is no index block to
 // delta-code. Signed and unsigned fixed-width scalar blocks (counts,
-// assignments) are raw in every payload: they are small next to the
+// assignments, centroid-row IDs) are raw in every payload: they are small next to the
 // index/value payload and decode allocation-free. Versions 1 (raw blocks
 // throughout; WireShardCounts with every document's words as strings) and
 // 2 (delta-coded indexes, raw values) are retired; their numbers stay

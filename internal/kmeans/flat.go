@@ -19,15 +19,17 @@ import (
 //	magic u32 | changed i64
 //
 // The centroid block — the coordinator→worker payload of the same loop,
-// shipped once per worker per iteration — is every centroid row's
-// nonzeros in sparse form:
+// shipped once per worker per iteration — carries the rows of the
+// centroids an update rewrote, each with its cluster ID and squared norm,
+// every row's nonzeros in sparse form:
 //
-//	magic u32 | codec u8 | k u32 | cnorms f64 × k
-//	rows      (sparse.AppendFlatVectors: nnz u32 × k | total u32 |
+//	magic u32 | codec u8 | k u32 | n u32 | ids u32 × n | cnorms f64 × n
+//	rows      (sparse.AppendFlatVectors: nnz u32 × n | total u32 |
 //	           idx deltas | XOR values)
 //
-// The codec byte is the layout version. flatwire.CodecXor is the only one;
-// any other version is malformed.
+// The IDs ascend strictly and lie below k, so n <= k; a full block is the
+// one that lists every cluster. The codec byte is the layout version.
+// flatwire.CodecXor is the only one; any other version is malformed.
 
 // accumWireMagic identifies a flat AccumWire buffer.
 const accumWireMagic uint32 = 0x4850414d // "HPAM"
@@ -40,21 +42,6 @@ const centroidsMagic uint32 = 0x4850434e // "HPCN"
 func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	b := flatwire.AppendU32(slices.Grow(dst, 4+8), accumWireMagic)
 	return flatwire.AppendI64(b, int64(w.Changed))
-}
-
-// consumeHeader reads a payload's magic, codec byte and cluster count
-// (perCluster bytes per cluster are known to follow the count).
-func consumeHeader(r *flatwire.Reader, magic uint32, what string, perCluster int) (int, error) {
-	r.Magic(magic, what)
-	codec := r.U8()
-	k := r.Count(perCluster)
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if codec != flatwire.CodecXor {
-		return 0, fmt.Errorf("%w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
-	return k, nil
 }
 
 // ConsumeFlatAccumWire decodes one flat AccumWire from the front of r,
@@ -88,60 +75,93 @@ func DecodeFlatAccumWire(b []byte) (*AccumWire, error) {
 	return w, nil
 }
 
-// AppendFlatCentroids appends the centroid matrix and its squared norms as
-// one flat centroid block: every row's non-zero entries in index order
-// (±0 entries are dropped — a zero contributes the same bits to every dot
-// product whatever its sign) and the norms as the bits the coordinator
-// computed, so a worker's distances are the coordinator's.
-func AppendFlatCentroids(dst []byte, centroids [][]float64, cnorms []float64) []byte {
-	rows := make([]sparse.Vector, len(centroids))
+// AppendFlatCentroids appends the rows of the centroid matrix that rows
+// marks (every row when rows is nil) and their squared norms as one flat
+// centroid block: each row's non-zero entries in index order (±0 entries
+// are dropped — a zero contributes the same bits to every dot product
+// whatever its sign) and the norms as the bits the coordinator computed,
+// so a worker's distances are the coordinator's.
+func AppendFlatCentroids(dst []byte, centroids [][]float64, cnorms []float64, rows []bool) []byte {
+	k := len(centroids)
+	ids := make([]uint32, 0, k)
+	for j := range centroids {
+		if rows == nil || rows[j] {
+			ids = append(ids, uint32(j))
+		}
+	}
+	vecs := make([]sparse.Vector, len(ids))
+	norms := make([]float64, len(ids))
 	total := 0
-	for j := range rows {
-		rows[j] = sparse.FromDense(centroids[j])
-		total += len(rows[j].Idx)
+	for r, j := range ids {
+		vecs[r] = sparse.FromDense(centroids[j])
+		norms[r] = cnorms[j]
+		total += len(vecs[r].Idx)
 	}
 	// Capacity bound: a varint-coded index is at most 5 bytes, an XOR-coded
 	// value block at most 1 + 9 bytes per value, and the XOR coder's word
 	// stores may overhang the last block by 8 bytes.
-	k := len(rows)
-	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+8*k+4*k+4+5*total+k+9*total+8), centroidsMagic)
+	n := len(ids)
+	b := flatwire.AppendU32(slices.Grow(dst, 4+1+4+4+4*n+8*n+4*n+4+5*total+n+9*total+8), centroidsMagic)
 	b = flatwire.AppendU8(b, flatwire.CodecXor)
-	b = flatwire.AppendU32(b, uint32(len(rows)))
-	b = flatwire.AppendF64s(b, cnorms)
-	return sparse.AppendFlatVectors(b, rows)
+	b = flatwire.AppendU32(b, uint32(k))
+	b = flatwire.AppendU32(b, uint32(n))
+	b = flatwire.AppendU32s(b, ids)
+	b = flatwire.AppendF64s(b, norms)
+	return sparse.AppendFlatVectors(b, vecs)
 }
 
 // DecodeFlatCentroids decodes a flat centroid block into the caller's
-// recycled dense matrix and norms, overwriting both; the block must carry
-// exactly len(centroids) rows, every index inside its row. A rejected block
-// leaves the destination untouched. Errors wrap flatwire.ErrMalformed.
-func DecodeFlatCentroids(b []byte, centroids [][]float64, cnorms []float64) error {
+// recycled dense matrix and norms, overwriting the rows the block carries
+// and leaving every other row as it was; it returns the IDs of the rows it
+// overwrote, ascending. The block must be for len(centroids) clusters,
+// carry strictly ascending IDs below that count — every one of them when
+// full is set, the form a worker with no matrix to update needs — and keep
+// every index inside its row. A rejected block leaves the destination
+// untouched. Errors wrap flatwire.ErrMalformed.
+func DecodeFlatCentroids(b []byte, centroids [][]float64, cnorms []float64, full bool) ([]uint32, error) {
 	r := flatwire.NewReader(b)
-	k, err := consumeHeader(r, centroidsMagic, "kmeans centroids", 12) // ≥ 8 (norm) + 4 (nnz) bytes per row
-	if err != nil {
-		return fmt.Errorf("kmeans: decode centroids: %w", err)
+	r.Magic(centroidsMagic, "kmeans centroids")
+	codec := r.U8()
+	k := int(r.U32())
+	n := r.Count(16) // ≥ 4 (ID) + 8 (norm) + 4 (nnz) bytes per row
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("kmeans: decode centroids: %w", err)
 	}
-	if k != len(centroids) || k != len(cnorms) {
-		return fmt.Errorf("kmeans: decode centroids: %w: block has %d rows, want %d", flatwire.ErrMalformed, k, len(centroids))
+	switch {
+	case codec != flatwire.CodecXor:
+		r.Fail("unknown codec version %d", codec)
+	case k != len(centroids) || k != len(cnorms):
+		r.Fail("block is for %d clusters, want %d", k, len(centroids))
+	case n > k:
+		r.Fail("block has %d rows for %d clusters", n, k)
+	case full && n != k:
+		r.Fail("full block has %d rows, want %d", n, k)
 	}
-	norms := r.F64s(k)
-	rows := sparse.ConsumeFlatVectors(r, k)
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("kmeans: decode centroids: %w", err)
-	}
-	for j, row := range rows {
-		if n := len(row.Idx); n > 0 && int64(row.Idx[n-1]) >= int64(len(centroids[j])) {
-			return fmt.Errorf("kmeans: decode centroids: %w: row %d entry %d out of dimension %d",
-				flatwire.ErrMalformed, j, row.Idx[n-1], len(centroids[j]))
+	ids := r.U32s(n)
+	for i, j := range ids {
+		if r.Err() == nil && (int64(j) >= int64(k) || i > 0 && j <= ids[i-1]) {
+			r.Fail("row %d has cluster ID %d: IDs must ascend strictly below %d", i, j, k)
 		}
 	}
-	copy(cnorms, norms)
-	for j, row := range rows {
+	norms := r.F64s(n)
+	rows := sparse.ConsumeFlatVectors(r, n)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("kmeans: decode centroids: %w", err)
+	}
+	for i, row := range rows {
+		if m := len(row.Idx); m > 0 && int64(row.Idx[m-1]) >= int64(len(centroids[ids[i]])) {
+			return nil, fmt.Errorf("kmeans: decode centroids: %w: row %d (cluster %d) entry %d out of dimension %d",
+				flatwire.ErrMalformed, i, ids[i], row.Idx[m-1], len(centroids[ids[i]]))
+		}
+	}
+	for i, row := range rows {
+		j := ids[i]
+		cnorms[j] = norms[i]
 		cent := centroids[j]
 		clear(cent)
 		for e, ix := range row.Idx {
 			cent[ix] = row.Val[e]
 		}
 	}
-	return nil
+	return ids, nil
 }

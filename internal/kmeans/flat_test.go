@@ -5,10 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"hpa/internal/flatwire"
 	"hpa/internal/par"
+	"hpa/internal/sparse"
 )
 
 // flatTestAccum builds a wire partial with a moved-assignment tally.
@@ -104,63 +106,125 @@ func flatTestCentroids() ([][]float64, []float64) {
 	}, []float64{1.5725, 0, math.Pi * math.Pi}
 }
 
-// TestCentroidsFlatRoundTrip: a decoded block must give every dot product
-// and distance the bits the coordinator's matrix gives — non-zero entries
-// and norms bit for bit, zeros as zeros of either sign — and overwrite a
-// recycled destination completely.
-func TestCentroidsFlatRoundTrip(t *testing.T) {
-	cents, cnorms := flatTestCentroids()
-	b := AppendFlatCentroids([]byte{0xaa}, cents, cnorms)
-	if b[0] != 0xaa {
-		t.Fatalf("prefix overwritten")
-	}
+// rawCentroidBlock hand-builds a centroid block for k clusters carrying
+// the given IDs, norms and rows as they are, so tests can write what
+// AppendFlatCentroids never would.
+func rawCentroidBlock(k int, ids []uint32, cnorms []float64, rows []sparse.Vector) []byte {
+	b := flatwire.AppendU32(nil, centroidsMagic)
+	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU32(b, uint32(k))
+	b = flatwire.AppendU32(b, uint32(len(ids)))
+	b = flatwire.AppendU32s(b, ids)
+	b = flatwire.AppendF64s(b, cnorms)
+	return sparse.AppendFlatVectors(b, rows)
+}
+
+// staleCentroids returns a 3 × 8 destination matrix and norms filled with
+// 99s — the previous iteration's state a decode overwrites.
+func staleCentroids() ([][]float64, []float64) {
 	got := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
 	for j := range got {
 		for d := range got[j] {
-			got[j][d] = 99 // stale state from the previous iteration
+			got[j][d] = 99
 		}
 	}
-	gotNorms := []float64{99, 99, 99}
-	if err := DecodeFlatCentroids(b[1:], got, gotNorms); err != nil {
-		t.Fatalf("DecodeFlatCentroids: %v", err)
+	return got, []float64{99, 99, 99}
+}
+
+// sameCentroidRow reports whether a decoded row gives the bits of want:
+// non-zero entries and the norm bit for bit, zeros as zeros of either sign.
+func sameCentroidRow(got, want []float64, gotNorm, wantNorm float64) bool {
+	if math.Float64bits(gotNorm) != math.Float64bits(wantNorm) {
+		return false
 	}
-	for j := range cents {
-		if math.Float64bits(gotNorms[j]) != math.Float64bits(cnorms[j]) {
-			t.Errorf("norm %d: %v, want %v", j, gotNorms[j], cnorms[j])
+	for d, w := range want {
+		if g := got[d]; g != w || w != 0 && math.Float64bits(g) != math.Float64bits(w) {
+			return false
 		}
-		for d, want := range cents[j] {
-			if g := got[j][d]; g != want || want != 0 && math.Float64bits(g) != math.Float64bits(want) {
-				t.Errorf("centroid %d[%d]: %v, want %v", j, d, g, want)
+	}
+	return true
+}
+
+// TestCentroidsFlatRoundTrip: a decoded block must give every dot product
+// and distance the bits the coordinator's matrix gives — non-zero entries
+// and norms bit for bit, zeros as zeros of either sign. A full block
+// overwrites a recycled destination completely; a delta overwrites exactly
+// the rows it carries and leaves the others' bits where they were.
+func TestCentroidsFlatRoundTrip(t *testing.T) {
+	cents, cnorms := flatTestCentroids()
+	for _, tc := range []struct {
+		name string
+		rows []bool
+		want []uint32
+	}{
+		{"full", nil, []uint32{0, 1, 2}},
+		{"every row marked", []bool{true, true, true}, []uint32{0, 1, 2}},
+		{"rows 0 and 2", []bool{true, false, true}, []uint32{0, 2}},
+		{"row 1", []bool{false, true, false}, []uint32{1}},
+		{"no row", []bool{false, false, false}, nil},
+	} {
+		b := AppendFlatCentroids([]byte{0xaa}, cents, cnorms, tc.rows)
+		if b[0] != 0xaa {
+			t.Fatalf("%s: prefix overwritten", tc.name)
+		}
+		got, gotNorms := staleCentroids()
+		ids, err := DecodeFlatCentroids(b[1:], got, gotNorms, tc.rows == nil)
+		if err != nil {
+			t.Fatalf("%s: DecodeFlatCentroids: %v", tc.name, err)
+		}
+		if !slices.Equal(ids, tc.want) {
+			t.Errorf("%s: decoded rows %v, want %v", tc.name, ids, tc.want)
+		}
+		for j := range cents {
+			carried := tc.rows == nil || tc.rows[j]
+			if carried && !sameCentroidRow(got[j], cents[j], gotNorms[j], cnorms[j]) {
+				t.Errorf("%s: centroid %d = %v (norm %v), want %v (norm %v)", tc.name, j, got[j], gotNorms[j], cents[j], cnorms[j])
+			}
+			if !carried && (gotNorms[j] != 99 || slices.ContainsFunc(got[j], func(x float64) bool { return x != 99 })) {
+				t.Errorf("%s: centroid %d was not in the block but changed to %v (norm %v)", tc.name, j, got[j], gotNorms[j])
 			}
 		}
 	}
 }
 
 // TestCentroidsFlatMalformed: a rejected block fails with an error wrapping
-// flatwire.ErrMalformed and leaves the destination untouched.
+// flatwire.ErrMalformed and leaves the destination untouched — a row list
+// that could index outside the matrix or update a row twice included.
 func TestCentroidsFlatMalformed(t *testing.T) {
 	cents, cnorms := flatTestCentroids()
-	good := AppendFlatCentroids(nil, cents, cnorms)
+	good := AppendFlatCentroids(nil, cents, cnorms, nil)
 	wide := [][]float64{append(cents[0], 0, 7), append(cents[1], 0, 0), append(cents[2], 0, 0)}
 	badCodec := append([]byte{}, good...)
 	badCodec[4] = 2
-	for name, b := range map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte{9, 9, 9, 9}, good[4:]...),
-		"codec version": badCodec,
-		"truncated":     good[:len(good)-5],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"fewer rows":    AppendFlatCentroids(nil, cents[:2], cnorms[:2]),
-		"row past dim":  AppendFlatCentroids(nil, wide, cnorms),
+	rows := []sparse.Vector{sparse.FromDense(cents[0]), sparse.FromDense(cents[1]),
+		sparse.FromDense(cents[2]), sparse.FromDense(cents[0])}
+	for name, tc := range map[string]struct {
+		b    []byte
+		full bool
+	}{
+		"empty":            {[]byte{}, false},
+		"bad magic":        {append([]byte{9, 9, 9, 9}, good[4:]...), false},
+		"codec version":    {badCodec, false},
+		"truncated":        {good[:len(good)-5], false},
+		"trailing":         {append(append([]byte{}, good...), 0), false},
+		"fewer clusters":   {AppendFlatCentroids(nil, cents[:2], cnorms[:2], nil), false},
+		"more clusters":    {rawCentroidBlock(4, []uint32{0, 1}, cnorms[:2], rows[:2]), false},
+		"row past dim":     {AppendFlatCentroids(nil, wide, cnorms, nil), false},
+		"delta as full":    {AppendFlatCentroids(nil, cents, cnorms, []bool{true, false, true}), true},
+		"ID = k":           {rawCentroidBlock(3, []uint32{0, 3}, cnorms[:2], rows[:2]), false},
+		"ID 2^32-1":        {rawCentroidBlock(3, []uint32{math.MaxUint32}, cnorms[:1], rows[:1]), false},
+		"duplicate IDs":    {rawCentroidBlock(3, []uint32{1, 1}, cnorms[:2], rows[:2]), false},
+		"descending IDs":   {rawCentroidBlock(3, []uint32{2, 0}, cnorms[:2], rows[:2]), false},
+		"more rows than k": {rawCentroidBlock(3, []uint32{0, 1, 2, 3}, append(cnorms, 1), rows), false},
 	} {
 		dst := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
-		dst[0][0] = 42
+		dst[0][0], dst[2][1] = 42, 43
 		norms := []float64{1, 2, 3}
-		err := DecodeFlatCentroids(b, dst, norms)
-		if !errors.Is(err, flatwire.ErrMalformed) {
-			t.Errorf("%s: error %v does not wrap ErrMalformed", name, err)
+		ids, err := DecodeFlatCentroids(tc.b, dst, norms, tc.full)
+		if !errors.Is(err, flatwire.ErrMalformed) || ids != nil {
+			t.Errorf("%s: rows %v, error %v; want none and one wrapping ErrMalformed", name, ids, err)
 		}
-		if dst[0][0] != 42 || dst[0][3] != 0 || norms[0] != 1 {
+		if dst[0][0] != 42 || dst[0][3] != 0 || dst[2][1] != 43 || !slices.Equal(norms, []float64{1, 2, 3}) {
 			t.Errorf("%s: rejected block modified the destination", name)
 		}
 	}

@@ -2,9 +2,11 @@ package kmeans
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hpa/internal/flatwire"
+	"hpa/internal/sparse"
 )
 
 // FuzzDecodeFlatAccumWire: the decoder must reject arbitrary input with an
@@ -36,26 +38,43 @@ func FuzzDecodeFlatAccumWire(f *testing.F) {
 
 // FuzzDecodeFlatCentroids: the centroid-block decoder faces the worker's
 // socket — arbitrary input must error, never panic, and never write outside
-// the destination matrix; an accepted block re-encodes to one that decodes
-// to the same matrix.
+// the destination matrix or a row the block does not list; an accepted
+// block re-encodes, with the rows it listed, to one that decodes to the
+// same matrix.
 func FuzzDecodeFlatCentroids(f *testing.F) {
 	cents, cnorms := flatTestCentroids()
-	good := AppendFlatCentroids(nil, cents, cnorms)
-	f.Add(good)
-	f.Add(good[:len(good)-3])
-	f.Add(good[:7])
-	f.Add(append(append([]byte{}, good...), 1))
+	full := AppendFlatCentroids(nil, cents, cnorms, nil)
+	f.Add(full)
+	f.Add(full[:len(full)-3])
+	f.Add(full[:7])
+	f.Add(append(append([]byte{}, full...), 1))
 	f.Add([]byte{})
+	// A 2-row delta, and a delta with an out-of-range ID.
+	f.Add(AppendFlatCentroids(nil, cents, cnorms, []bool{true, false, true}))
+	two := []sparse.Vector{sparse.FromDense(cents[0]), sparse.FromDense(cents[1])}
+	f.Add(rawCentroidBlock(3, []uint32{0, 3}, cnorms[:2], two))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dst := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
-		norms := make([]float64, 3)
-		if err := DecodeFlatCentroids(data, dst, norms); err != nil {
+		dst, norms := staleCentroids()
+		ids, err := DecodeFlatCentroids(data, dst, norms, false)
+		if err != nil {
 			return
 		}
-		re := [][]float64{make([]float64, 8), make([]float64, 8), make([]float64, 8)}
-		reNorms := make([]float64, 3)
-		if err := DecodeFlatCentroids(AppendFlatCentroids(nil, dst, norms), re, reNorms); err != nil {
+		rows := make([]bool, len(dst))
+		for _, j := range ids {
+			rows[j] = true
+		}
+		for j := range dst {
+			if !rows[j] && (norms[j] != 99 || slices.ContainsFunc(dst[j], func(x float64) bool { return x != 99 })) {
+				t.Fatalf("centroid %d is not in the block but changed", j)
+			}
+		}
+		re, reNorms := staleCentroids()
+		reIDs, err := DecodeFlatCentroids(AppendFlatCentroids(nil, dst, norms, rows), re, reNorms, false)
+		if err != nil {
 			t.Fatalf("re-encoding an accepted block failed to decode: %v", err)
+		}
+		if !slices.Equal(reIDs, ids) {
+			t.Fatalf("re-decode listed rows %v, want %v", reIDs, ids)
 		}
 		for j := range dst {
 			for d := range dst[j] {

@@ -38,16 +38,21 @@
 //     arrays, and the shard's Accum counts the moved assignments — the
 //     embarrassingly parallel part of an iteration. Accums are allocated
 //     once (NewAccum) and recycled across iterations;
-//   - EndIteration recomputes every centroid from its members: one
-//     counting sort of the assignments lists each cluster's members in
-//     ascending document order, and each centroid is cleared, summed over
-//     those members' nonzeros and scaled by 1/count — clusters in
-//     parallel on the pool, each a left fold in document order. It sums
-//     the distances in document order for the inertia, applies the
-//     empty-cluster policy and advances the convergence state. Nothing it
-//     computes depends on how the documents were sharded, and it
-//     allocates nothing (the member order is allocated once), preserving
-//     the paper's no-allocation-inside-iterations property;
+//   - EndIteration recomputes the centroids whose member set changed: one
+//     pass over the assignments against the previous iteration's marks
+//     the old and new cluster of every document that moved, one counting
+//     sort lists each cluster's members in ascending document order, and
+//     each marked centroid is cleared, summed over those members' nonzeros
+//     and scaled by 1/count — clusters in parallel on the pool, each a
+//     left fold in document order. An unmarked cluster would fold the same
+//     members in the same order with the same 1/count, so skipping it
+//     leaves every bit where it was: the skip is exact, and a stable
+//     cluster costs nothing. It sums the distances in document order for
+//     the inertia, applies the empty-cluster policy and advances the
+//     convergence state. Nothing it computes depends on how the documents
+//     were sharded, and it allocates nothing (the member order and the
+//     previous assignments are allocated once), preserving the paper's
+//     no-allocation-inside-iterations property;
 //   - Done/Finalize expose the loop exit and the assembled Result.
 //
 // K-Means++ seeding is decomposed the same way (seed.go): each of the
@@ -73,9 +78,9 @@
 // arrays once per centroid. Options.Block selects the width (0 resolves
 // by k: 8 lanes from k >= 8, 4 from k >= 4, scalar below; 4 and 8 pin a
 // width; negative pins the scalar kernel, the reference the equality
-// tests compare against). The layout is re-transposed once per iteration,
-// in (block, term range) tiles on the pool — O(k·dim), amortized over the
-// O(n·nnz·k) scan it accelerates.
+// tests compare against). After each update the changed centroids' lanes
+// are re-transposed, in (block, term range) tiles on the pool — at most
+// O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
 //
 // Blocking is bit-identical by construction, not by tolerance: each
 // lane's accumulator performs the float operations DotDense performs for
@@ -122,8 +127,8 @@ import (
 const PhaseKMeans = "kmeans"
 
 // fillTile is the number of terms per BlockLayout.FillRange task when
-// EndIteration re-transposes the centroids on the pool: 512 terms of an
-// 8-lane block are 32 KB of layout.
+// EndIteration re-transposes the changed centroids on the pool: 512 terms
+// of an 8-lane block are 32 KB of layout.
 const fillTile = 512
 
 // ErrOptions reports invalid clustering options. Validation errors wrap it,
@@ -284,20 +289,22 @@ type Clusterer struct {
 	pool     *par.Pool
 	opts     Options
 
-	centroids [][]float64
-	cnorms    []float64
-	layout    *sparse.BlockLayout // blocked-kernel centroid transpose (nil = scalar)
-	counts    []int64
-	assign    []int32
-	dists     []float64 // per-doc distance to assigned centroid
-	members   []int32   // documents grouped by cluster, ascending within each
-	starts    []int     // cluster j's members are members[starts[j]:starts[j+1]]
-	ranges    []*Accum  // Step's partials, one per document range
-	history   []float64
-	inertia   float64
-	iter      int
-	seeds     []int
-	seedWall  time.Duration
+	centroids  [][]float64
+	cnorms     []float64
+	layout     *sparse.BlockLayout // blocked-kernel centroid transpose (nil = scalar)
+	counts     []int64
+	assign     []int32
+	dists      []float64 // per-doc distance to assigned centroid
+	members    []int32   // documents grouped by cluster, ascending within each
+	starts     []int     // cluster j's members are members[starts[j]:starts[j+1]]
+	prevAssign []int32   // assign as of the previous EndIteration (-1 before the first)
+	updated    []bool    // clusters whose centroid the last EndIteration rewrote
+	ranges     []*Accum  // Step's partials, one per document range
+	history    []float64
+	inertia    float64
+	iter       int
+	seeds      []int
+	seedWall   time.Duration
 
 	// Convergence state shared by Step/Run and the iterative shard loop.
 	prev      float64 // previous iteration's inertia (+Inf before the first)
@@ -365,20 +372,22 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 		}
 	}
 	c := &Clusterer{
-		docs:      docs,
-		docNorms:  opts.DocNorms,
-		dim:       dim,
-		pool:      pool,
-		opts:      opts,
-		centroids: make([][]float64, opts.K),
-		cnorms:    make([]float64, opts.K),
-		counts:    make([]int64, opts.K),
-		assign:    make([]int32, len(docs)),
-		dists:     make([]float64, len(docs)),
-		members:   make([]int32, len(docs)),
-		starts:    make([]int, opts.K+1),
-		inertia:   math.Inf(1),
-		prev:      math.Inf(1),
+		docs:       docs,
+		docNorms:   opts.DocNorms,
+		dim:        dim,
+		pool:       pool,
+		opts:       opts,
+		centroids:  make([][]float64, opts.K),
+		cnorms:     make([]float64, opts.K),
+		counts:     make([]int64, opts.K),
+		assign:     make([]int32, len(docs)),
+		dists:      make([]float64, len(docs)),
+		members:    make([]int32, len(docs)),
+		starts:     make([]int, opts.K+1),
+		prevAssign: make([]int32, len(docs)),
+		updated:    make([]bool, opts.K),
+		inertia:    math.Inf(1),
+		prev:       math.Inf(1),
 	}
 	for i := range c.centroids {
 		c.centroids[i] = make([]float64, dim)
@@ -391,6 +400,7 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 	}
 	for i := range c.assign {
 		c.assign[i] = -1
+		c.prevAssign[i] = -1
 	}
 	if b := BlockSize(opts.Block, opts.K); b > 0 {
 		c.layout = sparse.NewBlockLayout(opts.K, dim, b)
@@ -504,18 +514,21 @@ func AssignRange(lo, hi, k int, docs []sparse.Vector, docNorms []float64,
 // EndIteration is the per-iteration update, run once every document of
 // the iteration has been assigned: it sums the shards' moved counts, sums
 // the distances in ascending document order for the inertia, recomputes
-// every centroid from its members (applying the empty-cluster policy) and
-// re-transposes the blocked layout, then advances the convergence state
-// exactly as Run's loop always has: stop when no assignment changed, when
-// the relative inertia improvement drops below Tol, or when MaxIter is
-// reached. It returns the iteration's inertia and moved count; Done
-// reports whether the loop should stop.
+// every non-empty cluster whose member set changed since the previous
+// iteration from its members (applying the empty-cluster policy) and
+// re-transposes those centroids' lanes of the blocked layout, then
+// advances the convergence state exactly as Run's loop always has: stop
+// when no assignment changed, when the relative inertia improvement drops
+// below Tol, or when MaxIter is reached. It returns the iteration's
+// inertia and moved count; Done reports whether the loop should stop, and
+// Updated which centroids it rewrote.
 //
 // Each centroid component is the left fold, in ascending document order,
 // of the cluster members' values, scaled once by 1/count — so the bits
 // depend only on the assignments, never on how many shards produced them
-// or in which order accs lists them. EndIteration allocates nothing
-// beyond the amortized history append.
+// or in which order accs lists them. A cluster whose members did not
+// change would fold to the bits it holds, so it is not folded at all.
+// EndIteration allocates nothing beyond the amortized history append.
 func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	rec := c.opts.Recorder
 	var start time.Time
@@ -532,11 +545,13 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	for _, d := range c.dists {
 		inertia += d
 	}
+	c.markMoved()
 	c.groupMembers()
-	// Clusters touch disjoint state (centroid row j, its norm and count),
-	// and fill tiles disjoint layout memory, so running either on the pool
-	// is bit-identical to the serial loop. The recorder accounts the whole
-	// update as one serial section, so a recorded run keeps it serial.
+	// Clusters touch disjoint state (centroid row j, its norm, count and
+	// mark), and fill tiles disjoint layout memory, so running either on
+	// the pool is bit-identical to the serial loop. The recorder accounts
+	// the whole update as one serial section, so a recorded run keeps it
+	// serial.
 	each := func(n int, f func(int)) {
 		if c.pool.Workers() > 1 && !rec.Enabled() {
 			c.pool.For(0, n, 1, f)
@@ -550,7 +565,12 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 		members := c.members[c.starts[j]:c.starts[j+1]]
 		c.counts[j] = int64(len(members))
 		if len(members) == 0 {
-			return // KeepCentroid: empty clusters keep their previous centroid.
+			// KeepCentroid: empty clusters keep their previous centroid.
+			c.updated[j] = false
+			return
+		}
+		if !c.updated[j] {
+			return // Same members: the fold would rewrite the same bits.
 		}
 		cent := c.centroids[j]
 		clear(cent)
@@ -573,18 +593,19 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	if c.opts.Empty == ReseedFarthest {
 		for j := 0; j < c.opts.K; j++ {
 			if c.counts[j] == 0 {
-				c.reseedEmpty(j)
+				c.updated[j] = c.reseedEmpty(j)
 			}
 		}
 	}
 	if c.layout != nil {
 		// Re-transpose the updated centroids for the next iteration's
 		// blocked scans — after the empty policy, so a reseeded centroid
-		// lands in the layout too.
+		// lands in the layout too. Every other lane already holds its
+		// centroid's bits.
 		tiles := (c.dim + fillTile - 1) / fillTile
 		each(c.layout.Blocks()*tiles, func(t int) {
 			lo := t % tiles * fillTile
-			c.layout.FillRange(c.centroids, t/tiles, lo, min(lo+fillTile, c.dim))
+			c.layout.FillRange(c.centroids, c.updated, t/tiles, lo, min(lo+fillTile, c.dim))
 		})
 	}
 	c.iter++
@@ -608,6 +629,31 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	}
 	return inertia, changed
 }
+
+// markMoved marks the clusters whose member set changed since the
+// previous EndIteration — the old and the new cluster of every document
+// whose assignment differs from the recorded one — and records the
+// assignments for the next comparison. A cluster's member set is
+// unchanged exactly when no document entered or left it.
+func (c *Clusterer) markMoved() {
+	clear(c.updated)
+	for i, a := range c.assign {
+		if p := c.prevAssign[i]; p != a {
+			if p >= 0 {
+				c.updated[p] = true
+			}
+			c.updated[a] = true
+			c.prevAssign[i] = a
+		}
+	}
+}
+
+// Updated reports, per cluster, whether the last EndIteration rewrote its
+// centroid — recomputed from a changed member set, or reseeded — and so
+// which rows of Centroids differ from the previous iteration's; all false
+// before the first EndIteration. The slice is live: treat it as read-only,
+// and do not retain it across EndIteration.
+func (c *Clusterer) Updated() []bool { return c.updated }
 
 // groupMembers lists every cluster's members in ascending document order
 // with one stable counting sort of the assignments: cluster j's members
@@ -658,8 +704,9 @@ func (c *Clusterer) Step() (float64, int) {
 
 // reseedEmpty moves empty cluster j's centroid onto the document farthest
 // from its current centroid, then zeroes that document's distance so two
-// empty clusters cannot claim the same document.
-func (c *Clusterer) reseedEmpty(j int) {
+// empty clusters cannot claim the same document. It reports whether it
+// moved the centroid.
+func (c *Clusterer) reseedEmpty(j int) bool {
 	far, farD := -1, -1.0
 	for i, d := range c.dists {
 		if d > farD {
@@ -668,11 +715,12 @@ func (c *Clusterer) reseedEmpty(j int) {
 		}
 	}
 	if far < 0 || farD <= 0 {
-		return // all documents coincide with centroids; nothing to take
+		return false // all documents coincide with centroids; nothing to take
 	}
 	copyInto(c.centroids[j], &c.docs[far], c.dim)
 	c.cnorms[j] = normSq(c.centroids[j])
 	c.dists[far] = 0
+	return true
 }
 
 // Run iterates Step until convergence or MaxIter and assembles the result.

@@ -36,8 +36,9 @@ func (a *Accum) FromWire(w *AccumWire, docs int) error {
 }
 
 // Centroids returns the live centroid matrix — what a remote assignment
-// shard needs shipped each iteration. The caller must treat it as
-// read-only and must not retain it across EndIteration, which rewrites it.
+// shard needs shipped: all of it once, then each iteration the rows
+// Updated marks. The caller must treat it as read-only and must not
+// retain it across EndIteration, which rewrites it.
 func (c *Clusterer) Centroids() [][]float64 { return c.centroids }
 
 // CentroidNorms returns the live per-centroid squared norms, maintained

@@ -294,7 +294,9 @@ func calKMeansMatrix(opts CalibrationOptions) ([]sparse.Vector, int) {
 
 // calibrateKMeansAssign measures whole K-Means iterations — the
 // assignment kernel (kmeans.AssignShard) and the centroid update
-// (kmeans.EndIteration) — on a synthetic sparse matrix and returns their
+// (kmeans.EndIteration, which from the second pass on recomputes only the
+// clusters whose members changed, as a real loop's does) — on a
+// synthetic sparse matrix and returns their
 // cost per (non-zero component × cluster) in nanoseconds, the unit the
 // iterative-stage estimate scales by iterations × documents × mean
 // non-zeros × k. It runs the real kernels on one worker, so it prices

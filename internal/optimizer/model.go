@@ -53,9 +53,10 @@ import (
 // unpartitioned plan's estimate, so the shard count is chosen among
 // sharded estimates only; v11 times a whole K-Means iteration,
 // assignment plus the centroid update that gathers each centroid from its
-// members, in KMeansAssignNS. Earlier caches self-invalidate and
-// re-measure.
-const ModelVersion = 11
+// members, in KMeansAssignNS; v12 times the same passes with the update
+// skipping every cluster whose member set did not change. Earlier caches
+// self-invalidate and re-measure.
+const ModelVersion = 12
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

@@ -33,8 +33,8 @@ type BlockLayout struct {
 // NewBlockLayout allocates a layout for k centroids of the given dense
 // dimensionality, transposed in blocks of b lanes (4 or 8 — the widths with
 // a register-resident specialization). The tail block's unused lanes stay
-// zero. Call Fill before the first DotsInto and after every centroid
-// update.
+// zero. Call Fill before the first DotsInto, and refill the changed rows
+// (FillRange) after every centroid update.
 func NewBlockLayout(k, dim, b int) *BlockLayout {
 	if k < 1 || dim < 0 || (b != 4 && b != 8) {
 		panic("sparse: invalid block layout shape")
@@ -59,22 +59,28 @@ func (l *BlockLayout) Blocks() int { return len(l.blocks) }
 // lane contributes the same ±0 products, so the dots stay bit-identical).
 func (l *BlockLayout) Fill(centroids [][]float64) {
 	for bi := range l.blocks {
-		l.FillRange(centroids, bi, 0, l.dim)
+		l.FillRange(centroids, nil, bi, 0, l.dim)
 	}
 }
 
-// FillRange is Fill restricted to block bi and terms [lo, hi): a tile of
-// the copy that shares no cache line with another term range's tile (a
-// term's B lanes are one line), so tiles may fill concurrently. Within the
-// tile each lane is one sequential read of its centroid row.
-func (l *BlockLayout) FillRange(centroids [][]float64, bi, lo, hi int) {
-	if len(centroids) != l.k {
+// FillRange is Fill restricted to block bi, terms [lo, hi) and the lanes
+// whose centroid rows marks (every lane when rows is nil): a tile of the
+// copy that shares no cache line with another term range's tile (a term's
+// B lanes are one line), so tiles may fill concurrently. Within the tile
+// each lane is one sequential read of its centroid row; an unmarked lane
+// keeps the bits it holds, so after a centroid update only the rows that
+// changed need re-transposing, and a block with none costs nothing.
+func (l *BlockLayout) FillRange(centroids [][]float64, rows []bool, bi, lo, hi int) {
+	if len(centroids) != l.k || rows != nil && len(rows) != l.k {
 		panic("sparse: BlockLayout.Fill centroid count mismatch")
 	}
 	b := l.b
 	tile := l.blocks[bi][lo*b : hi*b]
 	// Tail padding lanes are zero from allocation and never written.
 	for lane, cent := range centroids[bi*b : min(bi*b+b, l.k)] {
+		if rows != nil && !rows[bi*b+lane] {
+			continue
+		}
 		cent = cent[min(lo, len(cent)):min(hi, len(cent))]
 		for i, x := range cent {
 			tile[i*b+lane] = x

@@ -121,7 +121,7 @@ func TestFillRangeTilesMatchFill(t *testing.T) {
 			cuts := []int{0, 1, 9, 10, 30, dim}
 			for bi := got.Blocks() - 1; bi >= 0; bi-- {
 				for c := len(cuts) - 2; c >= 0; c-- {
-					got.FillRange(cents, bi, cuts[c], cuts[c+1])
+					got.FillRange(cents, nil, bi, cuts[c], cuts[c+1])
 				}
 			}
 			for bi := range want.blocks {
@@ -136,6 +136,65 @@ func TestFillRangeTilesMatchFill(t *testing.T) {
 					}
 					if g := got.blocks[bi][i]; math.Float64bits(g) != math.Float64bits(x) {
 						t.Fatalf("k=%d b=%d: tiled fill lane %d term %d = %v, Fill %v", k, b, lane, idx, g, x)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillRangeRefillsOnlyMarkedRows: after the centroids change, refilling
+// just the rows that changed — tile by tile, some blocks with no marked
+// lane — must leave the bits a full Fill of the new centroids leaves. An
+// unmarked lane keeps what it held: the refill is handed a poisoned copy
+// of every unmarked row, which must not reach the layout.
+func TestFillRangeRefillsOnlyMarkedRows(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 5, 13, 16} {
+		for _, b := range []int{4, 8} {
+			const dim = 37
+			old := make([][]float64, k)
+			next := make([][]float64, k)
+			rows := make([]bool, k)
+			for j := range old {
+				old[j] = make([]float64, dim)
+				next[j] = make([]float64, dim)
+				for i := range old[j] {
+					old[j][i] = specials[r.Intn(len(specials))] * float64(1+r.Intn(4))
+				}
+				copy(next[j], old[j])
+				// Lanes 0..3 stay clean, so a 4-lane first block has
+				// nothing to refill.
+				if rows[j] = j >= 4 && r.Intn(2) == 0; rows[j] {
+					for i := range next[j] {
+						next[j][i] = float64(r.Intn(9) - 4)
+					}
+				}
+			}
+			poisoned := make([][]float64, k)
+			for j := range poisoned {
+				poisoned[j] = next[j]
+				if !rows[j] {
+					poisoned[j] = make([]float64, dim)
+					for i := range poisoned[j] {
+						poisoned[j][i] = 42.5
+					}
+				}
+			}
+			got, want := NewBlockLayout(k, dim, b), NewBlockLayout(k, dim, b)
+			got.Fill(old)
+			want.Fill(next)
+			cuts := []int{0, 7, 20, dim}
+			for bi := range got.blocks {
+				for c := len(cuts) - 2; c >= 0; c-- {
+					got.FillRange(poisoned, rows, bi, cuts[c], cuts[c+1])
+				}
+			}
+			for bi := range want.blocks {
+				for i, x := range want.blocks[bi] {
+					if g := got.blocks[bi][i]; math.Float64bits(g) != math.Float64bits(x) {
+						t.Fatalf("k=%d b=%d: lane %d term %d = %v after the marked refill, Fill gives %v",
+							k, b, bi*b+i%b, i/b, g, x)
 					}
 				}
 			}

@@ -84,26 +84,35 @@ type RemoteTask struct {
 // worker has to be sent it. The global term table ships this way
 // optimistically (content-addressed and long-lived: key only, the body on
 // a worker's first miss), a K-Means iteration's centroid block eagerly
-// (new to every worker each iteration: the first task the backend sends a
-// worker in the wave carries it, its siblings only name it). Either way a
-// kernel that finds no body under the key says so in its reply, Absorb
-// turns that into needResend{Keyed: true}, and the backend re-sends behind
-// a store frame — correctness never depends on arrival order or on what a
-// worker still remembers.
+// (each iteration changes it: the first task the backend sends a worker in
+// the wave carries the rows the update rewrote, its siblings only name
+// it). Either way a kernel that finds no body under the key — or, for a
+// delta, not the state it updates — says so in its reply, Absorb turns
+// that into needResend{Keyed: true}, and the backend re-sends behind a
+// store frame carrying the whole body (full) — correctness never depends
+// on arrival order or on what a worker still remembers.
 type keyedBody struct {
 	op     string        // the inline worker kernel that caches the body
 	encode func() []byte // the store kernel's argument, key and body; called at most once
-	eager  bool          // ship with the first task sent to each worker, not on its miss
+	// full, when non-nil, encodes the self-contained form a forced resend
+	// ships in place of encode's delta; called at most once.
+	full  func() []byte
+	eager bool // ship with the first task sent to each worker, not on its miss
 
-	once sync.Once
-	body []byte
+	once, fullOnce sync.Once
+	body, fullBody []byte
 
 	mu   sync.Mutex
 	sent map[int]bool // workers the body has been sent to
 }
 
-// bytes returns the encoded store argument.
-func (k *keyedBody) bytes() []byte {
+// bytes returns the encoded store argument: the full form for a forced
+// resend when the body has one.
+func (k *keyedBody) bytes(force bool) []byte {
+	if force && k.full != nil {
+		k.fullOnce.Do(func() { k.fullBody = k.full() })
+		return k.fullBody
+	}
 	k.once.Do(func() { k.body = k.encode() })
 	return k.body
 }

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -533,15 +534,19 @@ type kmLoop struct {
 	k, dim, block int
 	// raw is the last centroid block a store frame delivered, undecoded
 	// (nil once decoded): only a session's init carries the shape a block
-	// decodes into, and the loop's first block can precede it.
+	// decodes into, and the loop's first block can precede it. rawIter is
+	// the iteration it brings the matrix to, rawBase the one whose matrix
+	// its rows update (noCentroidBase: it carries every row).
 	raw     []byte
 	rawIter int
+	rawBase uint64
 	// cur is the decoded block; scans read it without a lock.
 	cur *kmCentroids
 }
 
-// kmCentroids is the loop's decoded centroid block: allocated at the first
-// decode and overwritten in place by every later one. A scan reads it
+// kmCentroids is the loop's centroid matrix: allocated at the first decode
+// and updated in place by every later one, which overwrites the rows its
+// block carries and refills just their layout lanes. A scan reads it
 // unchanged, because iteration i+1's block reaches a worker only after the
 // coordinator holds every iteration-i reply — no scan of the previous
 // iteration is still running when the next block decodes.
@@ -550,7 +555,12 @@ type kmCentroids struct {
 	cents  [][]float64
 	cnorms []float64
 	layout *sparse.BlockLayout // nil under the scalar kernel
+	rows   []bool              // scratch: the rows the last decode overwrote
 }
+
+// noCentroidBase is the base of a store frame whose block carries every
+// centroid row: it updates no earlier matrix, so any worker can apply it.
+const noCentroidBase = math.MaxUint64
 
 // kmSession is a worker-side loop shard: the cached documents plus the
 // distance and dot scratch reused across the loop's iterations.
@@ -593,11 +603,14 @@ func (l *kmLoop) session(loop string, shard int, init *KMShardInit) (*kmSession,
 }
 
 // storeCentroidsKernel stashes a shipped centroid block (loop | iter u64 |
-// kmeans.AppendFlatCentroids) for the first assignment task naming it to
-// decode. A second connection's copy of a block already decoded is dropped.
+// base u64 | kmeans.AppendFlatCentroids) for the first assignment task
+// naming iteration iter to decode. A block updating iteration base's
+// matrix carries the rows that changed since; one with noCentroidBase
+// carries every row. A second connection's copy of a block already
+// decoded is dropped.
 func storeCentroidsKernel(body, dst []byte) ([]byte, error) {
 	r := flatwire.NewReader(body)
-	loop, iter := r.String(), int(r.U64())
+	loop, iter, base := r.String(), int(r.U64()), r.U64()
 	raw := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.centroids: %w", err)
@@ -606,17 +619,18 @@ func storeCentroidsKernel(body, dst []byte) ([]byte, error) {
 	l := kmLoopFor(loop)
 	l.mu.Lock()
 	if l.cur == nil || l.cur.iter != iter {
-		l.raw, l.rawIter = raw, iter
+		l.raw, l.rawIter, l.rawBase = raw, iter, base
 	}
 	l.mu.Unlock()
 	return dst, nil
 }
 
-// centroids returns iteration iter's decoded block, decoding the stashed
-// one if it is that iteration's and nobody has yet — a sibling task of the
-// same wave waits on the lock for the decode instead of repeating it. Nil
-// without an error means the loop holds no block for iter: the caller
-// answers "need centroids".
+// centroids returns iteration iter's centroid matrix, applying the
+// stashed block if it is that iteration's and nobody has yet — a sibling
+// task of the same wave waits on the lock for the decode instead of
+// repeating it. Nil without an error means the loop cannot reach iter: it
+// holds no block for it, or a delta whose base matrix it does not hold;
+// the caller answers "need centroids", and the resend carries every row.
 func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -626,9 +640,16 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	if l.raw == nil || l.rawIter != iter {
 		return nil, nil
 	}
+	full := l.rawBase == noCentroidBase
+	if !full && l.rawBase >= uint64(iter) {
+		return nil, fmt.Errorf("%w: centroid block for iteration %d updates iteration %d", flatwire.ErrMalformed, iter, l.rawBase)
+	}
+	if !full && (l.cur == nil || uint64(l.cur.iter) != l.rawBase) {
+		return nil, nil
+	}
 	c := l.cur
 	if c == nil {
-		c = &kmCentroids{cents: make([][]float64, l.k), cnorms: make([]float64, l.k)}
+		c = &kmCentroids{cents: make([][]float64, l.k), cnorms: make([]float64, l.k), rows: make([]bool, l.k)}
 		for j := range c.cents {
 			c.cents[j] = make([]float64, l.dim)
 		}
@@ -641,11 +662,18 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	l.raw = nil
 	// The decoder checks the whole block before it writes a value, so a
 	// rejected block leaves the previous iteration's intact.
-	if err := kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms); err != nil {
+	ids, err := kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms, full)
+	if err != nil {
 		return nil, err
 	}
 	if c.layout != nil {
-		c.layout.Fill(c.cents)
+		clear(c.rows)
+		for _, j := range ids {
+			c.rows[j] = true
+		}
+		for bi := 0; bi < c.layout.Blocks(); bi++ {
+			c.layout.FillRange(c.cents, c.rows, bi, 0, l.dim)
+		}
 	}
 	c.iter = iter
 	l.cur = c

@@ -397,13 +397,18 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	goodSeed := func(loop string) *KMSeedTaskArgs {
 		return &KMSeedTaskArgs{Loop: loopKey(loop), Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
 	}
-	// block is a store-frame body: the loop's iteration-0 centroids.
+	// block is a store-frame body: the loop's iteration-0 centroids, every
+	// row; rawBlock writes one whatever its rows and base.
 	block := func(loop string, cents [][]float64, cnorms []float64) []byte {
-		b := flatwire.AppendU64(flatwire.AppendString(nil, loop), 0)
-		return kmeans.AppendFlatCentroids(b, cents, cnorms)
+		return kmeans.AppendFlatCentroids(storeFrame(loop, 0, noCentroidBase), cents, cnorms, nil)
 	}
 	goodBlock := func(loop string) []byte {
 		return block(loop, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5, 9})
+	}
+	rows := []sparse.Vector{{Idx: []uint32{0, 2}, Val: []float64{1, 2}}, {Idx: []uint32{1}, Val: []float64{3}},
+		{Idx: []uint32{0}, Val: []float64{1}}}
+	rawBlock := func(loop string, base uint64, k int, ids []uint32, cnorms []float64, rows []sparse.Vector) []byte {
+		return appendRawCentroidBlock(storeFrame(loop, 0, base), k, ids, cnorms, rows)
 	}
 	inits := map[string]func(*KMShardInit){
 		"k=0":              func(in *KMShardInit) { in.K = 0 },
@@ -444,10 +449,31 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 		cases["assign args "+name] = request{"kmeans.assign", a.AppendFlat(nil), goodBlock(a.Loop)}
 	}
 	for name, blk := range map[string]func(loop string) []byte{
-		"missing centroid": func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2}}, []float64{5}) },
-		"missing norm":     func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5}) },
-		"row past dim":     func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2, 4}, {0, 3, 0}}, []float64{5, 9}) },
-		"truncated":        func(loop string) []byte { b := goodBlock(loop); return b[:len(b)-3] },
+		"fewer clusters": func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2}}, []float64{5}) },
+		"missing centroid": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{0}, []float64{5}, rows[:1])
+		},
+		"missing norm": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{0, 1}, []float64{5}, rows[:2])
+		},
+		"row past dim": func(loop string) []byte { return block(loop, [][]float64{{1, 0, 2, 4}, {0, 3, 0}}, []float64{5, 9}) },
+		"truncated":    func(loop string) []byte { b := goodBlock(loop); return b[:len(b)-3] },
+		"ID = k": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{0, 2}, []float64{5, 9}, rows[:2])
+		},
+		"duplicate IDs": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{1, 1}, []float64{5, 9}, rows[:2])
+		},
+		"descending IDs": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{1, 0}, []float64{5, 9}, rows[:2])
+		},
+		"more rows than k": func(loop string) []byte {
+			return rawBlock(loop, noCentroidBase, 2, []uint32{0, 1, 2}, []float64{5, 9, 1}, rows)
+		},
+		// Iteration 0 updates no earlier matrix.
+		"base = iter": func(loop string) []byte {
+			return rawBlock(loop, 0, 2, []uint32{1}, []float64{9}, rows[1:2])
+		},
 	} {
 		a := goodAssign("hostile-block-" + name)
 		cases["assign block "+name] = request{"kmeans.assign", a.AppendFlat(nil), blk(a.Loop)}
@@ -517,54 +543,170 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestCentroidBlockDecodesInPlace: a worker decodes every iteration's
-// centroid block into the matrix and block layout its loop's first decode
-// allocated — the layout refilled, so its dots are the new centroids' — and
-// a block the decoder rejects leaves the installed iteration intact.
+// storeFrame starts a kmeans.centroids store-frame body: the loop's key,
+// the iteration the block brings a worker to and the one whose matrix it
+// updates.
+func storeFrame(loop string, iter int, base uint64) []byte {
+	return flatwire.AppendU64(flatwire.AppendU64(flatwire.AppendString(nil, loop), uint64(iter)), base)
+}
+
+// appendRawCentroidBlock appends a kmeans centroid block for k clusters
+// carrying the given IDs, norms and rows as they are — what the encoder
+// would never write.
+func appendRawCentroidBlock(b []byte, k int, ids []uint32, cnorms []float64, rows []sparse.Vector) []byte {
+	b = flatwire.AppendU32(b, 0x4850434e) // "HPCN"
+	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU32(b, uint32(k))
+	b = flatwire.AppendU32(b, uint32(len(ids)))
+	b = flatwire.AppendU32s(b, ids)
+	b = flatwire.AppendF64s(b, cnorms)
+	return sparse.AppendFlatVectors(b, rows)
+}
+
+// TestCentroidBlockDecodesInPlace: a worker applies every iteration's
+// centroid block to the matrix and block layout its loop's first decode
+// allocated — a delta overwriting just its rows and refilling just their
+// lanes, so the layout's dots are the new centroids' — and a block the
+// decoder rejects leaves the installed iteration intact, as does a delta
+// against a matrix the worker does not hold, which it reports as a miss.
 func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	const loop = "decode-in-place"
 	kmLoops.drop(loop)
 	defer kmLoops.drop(loop)
 	l := kmLoopFor(loop)
-	l.k, l.dim, l.block = 2, 3, 8
-	decode := func(iter int, cents [][]float64, cnorms []float64) (*kmCentroids, error) {
+	l.k, l.dim, l.block = 3, 3, 8
+	apply := func(iter int, base uint64, block []byte) (*kmCentroids, error) {
 		t.Helper()
-		b := flatwire.AppendU64(flatwire.AppendString(nil, loop), uint64(iter))
-		if _, err := storeCentroidsKernel(kmeans.AppendFlatCentroids(b, cents, cnorms), nil); err != nil {
+		if _, err := storeCentroidsKernel(append(storeFrame(loop, iter, base), block...), nil); err != nil {
 			t.Fatalf("storing iteration %d's block: %v", iter, err)
 		}
 		return l.centroids(iter)
 	}
-	first, err := decode(0, [][]float64{{1, 0, 2}, {0, 3, 0}}, []float64{5, 9})
-	if err != nil {
-		t.Fatal(err)
+	first, err := apply(0, noCentroidBase,
+		kmeans.AppendFlatCentroids(nil, [][]float64{{1, 0, 2}, {0, 3, 0}, {4, 4, 4}}, []float64{5, 9, 48}, nil))
+	if err != nil || first == nil {
+		t.Fatalf("iteration 0's full block: %v, %v", first, err)
 	}
 	row, layout := &first.cents[0][0], first.layout
-	want := [][]float64{{0, 4, 0}, {1, 1, 1}}
-	second, err := decode(1, want, []float64{16, 3})
-	if err != nil {
-		t.Fatal(err)
+	// Iteration 1 rewrites centroids 0 and 1 and ships only those rows: the
+	// poisoned centroid 2 must not travel.
+	want := [][]float64{{0, 4, 0}, {1, 1, 1}, {4, 4, 4}}
+	wantNorms := []float64{16, 3, 48}
+	second, err := apply(1, 0, kmeans.AppendFlatCentroids(nil, [][]float64{{0, 4, 0}, {1, 1, 1}, {-7, -7, -7}},
+		[]float64{16, 3, -1}, []bool{true, true, false}))
+	if err != nil || second == nil {
+		t.Fatalf("iteration 1's delta: %v, %v", second, err)
 	}
 	if &second.cents[0][0] != row || second.layout != layout {
 		t.Fatal("iteration 1's block was decoded into fresh arrays")
 	}
 	check := func(when string) {
 		t.Helper()
-		if l.cur.iter != 1 || !reflect.DeepEqual(l.cur.cents, want) || !reflect.DeepEqual(l.cur.cnorms, []float64{16, 3}) {
-			t.Fatalf("%s: installed block is iteration %d %v %v, want iteration 1 %v", when, l.cur.iter, l.cur.cents, l.cur.cnorms, want)
+		if l.cur.iter != 1 || !reflect.DeepEqual(l.cur.cents, want) || !reflect.DeepEqual(l.cur.cnorms, wantNorms) {
+			t.Fatalf("%s: installed matrix is iteration %d %v %v, want iteration 1 %v %v",
+				when, l.cur.iter, l.cur.cents, l.cur.cnorms, want, wantNorms)
 		}
 		v := sparse.Vector{Idx: []uint32{0, 1, 2}, Val: []float64{2, 3, 5}}
 		dots := make([]float64, 8)
 		l.cur.layout.DotsInto(&v, dots)
-		if dots[0] != 12 || dots[1] != 10 {
-			t.Fatalf("%s: layout dots %v, want [12 10 …]", when, dots[:2])
+		if dots[0] != 12 || dots[1] != 10 || dots[2] != 40 {
+			t.Fatalf("%s: layout dots %v, want [12 10 40 …]", when, dots[:3])
 		}
 	}
-	check("after the second decode")
-	if _, err := decode(2, [][]float64{{1, 0, 2, 4}, {0, 3, 0}}, []float64{21, 9}); !errors.Is(err, flatwire.ErrMalformed) {
-		t.Fatalf("a block with a row past dim decoded with error %v", err)
+	check("after the delta")
+	rows := []sparse.Vector{{Idx: []uint32{1}, Val: []float64{2}}, {Idx: []uint32{0}, Val: []float64{3}},
+		{Idx: []uint32{2}, Val: []float64{1}}, {Idx: []uint32{0}, Val: []float64{5}}}
+	for name, tc := range map[string]struct {
+		base  uint64
+		block []byte
+	}{
+		"row past dim": {1, kmeans.AppendFlatCentroids(nil, [][]float64{{1, 0, 2, 4}, {0, 3, 0}, {1, 1, 1}},
+			[]float64{21, 9, 3}, []bool{true, false, false})},
+		"ID = k":           {1, appendRawCentroidBlock(nil, 3, []uint32{0, 3}, []float64{4, 9}, rows[:2])},
+		"ID 2^32-1":        {1, appendRawCentroidBlock(nil, 3, []uint32{math.MaxUint32}, []float64{4}, rows[:1])},
+		"duplicate IDs":    {1, appendRawCentroidBlock(nil, 3, []uint32{0, 0}, []float64{4, 9}, rows[:2])},
+		"descending IDs":   {1, appendRawCentroidBlock(nil, 3, []uint32{2, 1}, []float64{4, 9}, rows[:2])},
+		"more rows than k": {1, appendRawCentroidBlock(nil, 3, []uint32{0, 1, 2, 3}, []float64{4, 9, 1, 25}, rows)},
+		"partial full":     {noCentroidBase, appendRawCentroidBlock(nil, 3, []uint32{0, 1}, []float64{4, 9}, rows[:2])},
+		"base = iter":      {2, appendRawCentroidBlock(nil, 3, []uint32{0}, []float64{4}, rows[:1])},
+		"base > iter":      {3, appendRawCentroidBlock(nil, 3, []uint32{0}, []float64{4}, rows[:1])},
+	} {
+		if c, err := apply(2, tc.base, tc.block); !errors.Is(err, flatwire.ErrMalformed) || c != nil {
+			t.Errorf("%s: decoded to %v with error %v, want an error wrapping flatwire.ErrMalformed", name, c, err)
+		}
+		check("after rejecting " + name)
 	}
-	check("after a rejected block")
+	// A delta against iteration 0, which the worker no longer holds, is a
+	// miss; the full resend behind it then brings the worker to iteration 2.
+	miss := kmeans.AppendFlatCentroids(nil, [][]float64{{9, 9, 9}, {1, 1, 1}, {4, 4, 4}}, []float64{243, 3, 48}, []bool{true, false, false})
+	if c, err := apply(2, 0, miss); c != nil || err != nil {
+		t.Fatalf("a delta on a base the worker lacks: %v, %v; want a miss", c, err)
+	}
+	check("after a miss")
+	want = [][]float64{{9, 9, 9}, {1, 1, 1}, {4, 4, 4}}
+	full := kmeans.AppendFlatCentroids(nil, want, []float64{243, 3, 48}, nil)
+	if c, err := apply(2, noCentroidBase, full); c == nil || err != nil || !reflect.DeepEqual(c.cents, want) {
+		t.Fatalf("the full resend after a miss: %v, %v; want %v", c, err, want)
+	}
+}
+
+// TestCentroidMissResendsFullBlock: over a real worker connection, a task
+// whose centroid delta names a base the worker lacks answers "need
+// centroids", and the forced resend of the same keyed body — its full form
+// — yields the assignments and distance bits the local kernel computes.
+func TestCentroidMissResendsFullBlock(t *testing.T) {
+	const loop = "miss-resend"
+	kmLoops.drop(loop)
+	defer kmLoops.drop(loop)
+	docs := []sparse.Vector{
+		{Idx: []uint32{0, 2}, Val: []float64{1, 2}},
+		{Idx: []uint32{1}, Val: []float64{3}},
+		{Idx: []uint32{0, 1, 2}, Val: []float64{0.5, 0.25, 1.5}},
+	}
+	norms := []float64{5, 9, 2.5625}
+	cents := [][]float64{{1, 0, 2}, {0, 3, 0.5}}
+	cnorms := []float64{5, 9.25}
+	args := &KMAssignTaskArgs{Loop: loop, Iter: 4, Assign: []int32{1, 0, 1},
+		Init: &KMShardInit{Vectors: docs, Norms: norms, Dim: 3, K: 2, Block: 4}}
+	kb := &keyedBody{op: "kmeans.centroids", eager: true,
+		encode: func() []byte {
+			return kmeans.AppendFlatCentroids(storeFrame(loop, 4, 3), cents, cnorms, []bool{false, true})
+		},
+		full: func() []byte {
+			return kmeans.AppendFlatCentroids(storeFrame(loop, 4, noCentroidBase), cents, cnorms, nil)
+		},
+	}
+	c := pipeWorker(t)
+	ship := func(force bool) *KMAssignReply {
+		t.Helper()
+		rep, _, err := c.roundTrip("kmeans.assign", args.AppendFlat(nil), kb, 0, force)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeFlatKMAssignReply(rep.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if rep := ship(false); !rep.NeedCentroids {
+		t.Fatalf("a delta on iteration 3 reached a fresh worker: %+v", rep)
+	}
+	args.Init = nil // the session survives the miss
+	rep := ship(true)
+	if rep.NeedCentroids {
+		t.Fatal("the forced resend missed again")
+	}
+	assign, dists := []int32{1, 0, 1}, make([]float64, len(docs))
+	moved := kmeans.AssignRange(0, len(docs), 2, docs, norms, cents, cnorms, nil, assign, dists, nil)
+	if !slices.Equal(rep.Assign, assign) || rep.Accum.Changed != moved {
+		t.Fatalf("resent assignments %v (%d moved), local %v (%d moved)", rep.Assign, rep.Accum.Changed, assign, moved)
+	}
+	for i := range dists {
+		if math.Float64bits(rep.Dists[i]) != math.Float64bits(dists[i]) {
+			t.Fatalf("document %d: resent distance %v, local %v", i, rep.Dists[i], dists[i])
+		}
+	}
 }
 
 // TestSeedKernelKeepsItsScratch: the seed kernel scatters each shipped seed

@@ -94,12 +94,13 @@ var kmResultType = reflect.TypeOf((*kmeans.Result)(nil))
 // iteration runs one assignment task per loop shard (kmeans.AssignShard
 // over a contiguous document range: assignments and distances in place,
 // the moved count into a recycled kmeans.Accum) and one update task
-// (kmeans.EndIteration recomputing every centroid from its members in
-// document order), so the clustering — seeding, assignment tie-breaks,
-// every centroid and inertia bit, convergence — is exactly the library
-// driver's (kmeans.Run) at any shard count. Shard ranges are weighted by
-// per-document nonzero counts (pario.WeightedBoundaries), balancing the
-// O(nnz × k) assignment work per shard; boundaries never affect results.
+// (kmeans.EndIteration recomputing, from its members in document order,
+// every centroid whose member set changed), so the clustering — seeding,
+// assignment tie-breaks, every centroid and inertia bit, convergence — is
+// exactly the library driver's (kmeans.Run) at any shard count. Shard
+// ranges are weighted by per-document nonzero counts
+// (pario.WeightedBoundaries), balancing the O(nnz × k) assignment work per
+// shard; boundaries never affect results.
 //
 // Port 0 accepts the dataset in any of its shapes: the gathered vector
 // shards of the partitioned TF/IDF transform (*Partitions of
@@ -172,7 +173,8 @@ type kmLoopState struct {
 	shipped []bool
 
 	// block is the current iteration's centroid block, shared by the
-	// wave's shard tasks: encoded once, shipped once per worker.
+	// wave's shard tasks: encoded once, shipped once per worker — only the
+	// rows the last update rewrote, unless a worker missed.
 	blockMu   sync.Mutex
 	block     *keyedBody
 	blockIter int
@@ -392,33 +394,50 @@ func (s *kmLoopState) shardInit(idx int) *KMShardInit {
 	}
 }
 
-// centroidBlock returns iteration iter's centroid block — centroids and
-// norms as k sparse rows under the key (loop, iter) — created by the
-// wave's first shard task and shared by the rest, so it is encoded once
-// per iteration and, being eager, shipped once per worker.
+// centroidBlock returns iteration iter's centroid block under the key
+// (loop, iter), created by the wave's first shard task and shared by the
+// rest, so it is encoded once per iteration and, being eager, shipped once
+// per worker. What ships eagerly is the delta: the rows of the centroids
+// the last update rewrote (kmeans.Clusterer.Updated), applied to iteration
+// iter−1's matrix — every row at iteration 0. A worker that does not hold
+// iteration iter−1's matrix answers "need centroids", and the forced
+// resend carries every row with no base, so a lost base costs a round
+// trip, never a bit.
 func (s *kmLoopState) centroidBlock(iter int) *keyedBody {
 	s.blockMu.Lock()
 	defer s.blockMu.Unlock()
 	if s.block == nil || s.blockIter != iter {
 		s.blockIter = iter
-		s.block = &keyedBody{op: "kmeans.centroids", eager: true, encode: func() []byte {
-			b := flatwire.AppendString(nil, s.loopKey)
-			b = flatwire.AppendU64(b, uint64(iter))
-			return kmeans.AppendFlatCentroids(b, s.c.Centroids(), s.c.CentroidNorms())
-		}}
+		full := func() []byte { return s.appendCentroids(iter, noCentroidBase, nil) }
+		s.block = &keyedBody{op: "kmeans.centroids", eager: true, encode: full}
+		if iter > 0 {
+			s.block.encode = func() []byte { return s.appendCentroids(iter, uint64(iter-1), s.c.Updated()) }
+			s.block.full = full
+		}
 	}
 	return s.block
+}
+
+// appendCentroids encodes a kmeans.centroids store frame: the loop's key,
+// the iteration it brings a worker to, the iteration whose matrix its rows
+// update (noCentroidBase when it carries every row), and the rows marks
+// (nil: all) as a kmeans centroid block.
+func (s *kmLoopState) appendCentroids(iter int, base uint64, rows []bool) []byte {
+	b := flatwire.AppendString(nil, s.loopKey)
+	b = flatwire.AppendU64(b, uint64(iter))
+	b = flatwire.AppendU64(b, base)
+	return kmeans.AppendFlatCentroids(b, s.c.Centroids(), s.c.CentroidNorms(), rows)
 }
 
 // RemoteShardTask implements RemotableLoop: one iteration of one shard as
 // a kmeans.assign kernel call. The shard's documents and norms ship once
 // (Init) and stay cached in a worker session the affinity key pins; every
-// iteration names the iteration's centroid block (shipped once per worker,
-// see centroidBlock), ships the shard's previous assignments, and absorbs
-// the worker's moved count, assignments and distances — what the local
-// path would produce, bit for bit, because the worker runs the same
-// kmeans.AssignRange over the same documents against the same centroid
-// bits.
+// iteration names the iteration's centroid block (its changed rows shipped
+// once per worker, see centroidBlock), ships the shard's previous
+// assignments, and absorbs the worker's moved count, assignments and
+// distances — what the local path would produce, bit for bit, because the
+// worker runs the same kmeans.AssignRange over the same documents against
+// the same centroid bits.
 func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
 	iter := s.c.Iterations()
@@ -478,9 +497,17 @@ func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
 		inertia, moved = s.c.EndIteration(s.ordered)
 	})
 	if ctx.Tracer.Enabled() {
-		// One event per iteration: the moved count is the value, inertia
-		// rides the label.
-		label := fmt.Sprintf("iter=%d inertia=%.6g", s.c.Iterations(), inertia)
+		// One event per iteration: the moved count is the value; inertia
+		// and how many of the k centroids the update rewrote ride the
+		// label.
+		recomputed := 0
+		for _, u := range s.c.Updated() {
+			if u {
+				recomputed++
+			}
+		}
+		label := fmt.Sprintf("iter=%d inertia=%.6g recomputed=%d/%d",
+			s.c.Iterations(), inertia, recomputed, s.c.K())
 		ctx.Tracer.Emit("kmeans", "iteration", label, int64(moved))
 	}
 	return s.c.Done(), nil

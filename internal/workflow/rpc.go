@@ -358,14 +358,16 @@ func (c *wireClient) sendLocked(op string, body []byte) (<-chan wireReply, int, 
 // roundTrip ships one task to the worker and waits for its reply. When the
 // task names a keyed body this worker has to be sent (keyedBody.claim), the
 // body's store frame goes out first, under the same write lock, so no
-// sibling's frame can overtake it. It also returns the request bytes sent.
+// sibling's frame can overtake it; a forced send (the resend after a
+// miss) carries the body's full form. It also returns the request bytes
+// sent.
 func (c *wireClient) roundTrip(op string, body []byte, kb *keyedBody, worker int, force bool) (wireReply, int, error) {
 	var store, task <-chan wireReply
 	var sent, n int
 	var err error
 	c.wmu.Lock()
 	if kb != nil && kb.claim(worker, force) {
-		store, sent, err = c.sendLocked(kb.op, kb.bytes())
+		store, sent, err = c.sendLocked(kb.op, kb.bytes(force))
 	}
 	if err == nil {
 		task, n, err = c.sendLocked(op, body)

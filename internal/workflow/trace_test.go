@@ -151,6 +151,17 @@ func TestTraceCoversEveryTask(t *testing.T) {
 		switch {
 		case e.Cat == "kmeans" && e.Name == "iteration":
 			kmEvents++
+			// The label ends with how many of the 8 centroids the update
+			// rewrote: every cluster that gained its first members in
+			// iteration 1, none once no document moves.
+			var iter, n, k int
+			var inertia float64
+			if _, err := fmt.Sscanf(e.Label, "iter=%d inertia=%g recomputed=%d/%d", &iter, &inertia, &n, &k); err != nil {
+				t.Fatalf("iteration event label %q: %v", e.Label, err)
+			}
+			if k != 8 || n < 0 || n > k || iter == 1 && n == 0 || e.Value == 0 && n != 0 {
+				t.Errorf("iteration %d moved %d documents and reports recomputed=%d/%d", iter, e.Value, n, k)
+			}
 		case e.Cat == "kmeans" && e.Name == "seed-round":
 			seedEvents++
 		}

@@ -132,8 +132,8 @@ func BenchmarkWirePayloads(b *testing.B) {
 			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
 		{"assign-reply", func() []byte { return ar.AppendFlat(nil) },
 			func(buf []byte) error { _, err := DecodeFlatKMAssignReply(buf); return err }},
-		{"centroids", func() []byte { return kmeans.AppendFlatCentroids(nil, cents, cnorms) },
-			func(buf []byte) error { return kmeans.DecodeFlatCentroids(buf, dst, dstNorms) }},
+		{"centroids", func() []byte { return kmeans.AppendFlatCentroids(nil, cents, cnorms, nil) },
+			func(buf []byte) error { _, err := kmeans.DecodeFlatCentroids(buf, dst, dstNorms, true); return err }},
 	} {
 		b.Run(bc.name+"/flat", func(b *testing.B) {
 			b.ReportAllocs()
