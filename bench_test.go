@@ -180,7 +180,8 @@ func baseMetric(name string) string {
 }
 
 // BenchmarkAblations measures the beyond-paper design choices: dictionary
-// allocation layout, K-Means chunk size, hash pre-sizing, and stemming.
+// allocation layout, K-Means loop shard count, hash pre-sizing, and
+// stemming.
 func BenchmarkAblations(b *testing.B) {
 	cfg := benchConfig(b)
 	for i := 0; i < b.N; i++ {
@@ -188,7 +189,7 @@ func BenchmarkAblations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.ChunkSpeedup[128], "chunk128-speedup-16t")
+		b.ReportMetric(res.ShardSpeedup[16], "shards16-speedup-16t")
 		b.ReportMetric(float64(res.PresizeMem[4096])/(1<<20), "presize4k-mem-MB")
 		if i == b.N-1 {
 			b.Log("\n" + res.Render())

@@ -2,17 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
-	"hpa/internal/corpus"
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
+	"hpa/internal/workflow"
 )
 
 // AblationResult quantifies the design choices DESIGN.md calls out beyond
@@ -20,9 +19,8 @@ import (
 //
 //  1. arena-allocated vs node-allocated red-black tree (S16) — how much of
 //     "std::map is slow" is allocation layout;
-//  2. K-Means chunk size — the scheduling granularity trade-off in the
-//     parallel assignment loop (too coarse limits scaling, too fine adds
-//     scheduling overhead);
+//  2. loop shard count — the task granularity of the K-Means loop (too
+//     coarse limits scaling, too fine adds per-task and barrier overhead);
 //  3. per-document dictionary pre-sizing — the paper's 4K presize as a
 //     memory/time trade (Figure 4's hash configuration) measured in
 //     isolation;
@@ -35,8 +33,9 @@ type AblationResult struct {
 	DictTransform map[string]time.Duration
 	// DictFootprint maps kind label to dictionary memory.
 	DictFootprint map[string]int64
-	// ChunkSpeedup maps K-Means chunk size to simulated 16-thread speedup.
-	ChunkSpeedup map[int]float64
+	// ShardSpeedup maps the loop shard count to the K-Means phases'
+	// simulated 16-thread speedup.
+	ShardSpeedup map[int]float64
 	// PresizeTime and PresizeMem map per-document hash presize to phase-1
 	// time and footprint.
 	PresizeTime map[int]time.Duration
@@ -47,21 +46,22 @@ type AblationResult struct {
 	StemTime  map[string]time.Duration
 }
 
+// ablationShards are the loop shard counts of ablation 2.
+var ablationShards = []int{1, 2, 4, 16, 64}
+
 // RunAblation executes all four ablations on the Mix corpus.
 func RunAblation(cfg Config) (*AblationResult, error) {
 	res := &AblationResult{
 		DictPhase1:    map[string]time.Duration{},
 		DictTransform: map[string]time.Duration{},
 		DictFootprint: map[string]int64{},
-		ChunkSpeedup:  map[int]float64{},
+		ShardSpeedup:  map[int]float64{},
 		PresizeTime:   map[int]time.Duration{},
 		PresizeMem:    map[int]int64{},
 		StemVocab:     map[string]int{},
 		StemTime:      map[string]time.Duration{},
 	}
-	genPool := par.NewPool(runtime.NumCPU())
-	c := corpus.Generate(cfg.mixSpec(), genPool)
-	genPool.Close()
+	c := generate(cfg, cfg.mixSpec())
 	pool := par.NewPool(1)
 	defer pool.Close()
 
@@ -77,24 +77,19 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		res.DictFootprint[kind.String()] = r.DictFootprint
 	}
 
-	// 2. K-Means chunk-size ablation (simulated 16-thread speedup).
-	tf, err := tfidf.Run(c.Source(nil), pool, tfidf.Options{DictKind: dict.Tree, Normalize: true}, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, chunk := range []int{16, 64, 128, 512, 2048} {
-		phases, err := cfg.bestTrace(func(rec *simsched.Recorder) error {
-			_, err := kmeans.Run(tf.Vectors, tf.Dim(), pool,
-				kmeans.Options{K: cfg.K, Seed: cfg.Seed, ChunkSize: chunk, Recorder: rec}, nil)
-			return err
-		})
+	// 2. Loop shard count ablation (simulated 16-thread speedup of the
+	// recorded K-Means phases).
+	for _, shards := range ablationShards {
+		wcfg := cfg.tfkm(workflow.Merged, dict.Tree)
+		wcfg.Shards = shards
+		phases, _, err := cfg.recordTFKM(c.Source(nil), wcfg, kmeans.PhaseKMeans)
 		if err != nil {
 			return nil, err
 		}
 		_, t1 := simsched.Simulate(simsched.Machine{Workers: 1}, phases)
 		_, t16 := simsched.Simulate(simsched.Machine{Workers: 16}, phases)
 		if t16 > 0 {
-			res.ChunkSpeedup[chunk] = float64(t1) / float64(t16)
+			res.ShardSpeedup[shards] = float64(t1) / float64(t16)
 		}
 	}
 
@@ -145,11 +140,11 @@ func (r *AblationResult) Render() string {
 	sb.WriteString("1. Dictionary implementation (arena tree vs node tree vs hash):\n")
 	sb.WriteString(t1.String())
 
-	t2 := metrics.NewTable("ChunkSize", "16-thread speedup (sim)")
-	for _, c := range []int{16, 64, 128, 512, 2048} {
-		t2.AddRow(fmt.Sprintf("%d", c), metrics.FormatSpeedup(r.ChunkSpeedup[c]))
+	t2 := metrics.NewTable("LoopShards", "16-thread speedup (sim)")
+	for _, s := range ablationShards {
+		t2.AddRow(fmt.Sprintf("%d", s), metrics.FormatSpeedup(r.ShardSpeedup[s]))
 	}
-	sb.WriteString("\n2. K-Means assignment chunk size:\n")
+	sb.WriteString("\n2. K-Means loop shard count:\n")
 	sb.WriteString(t2.String())
 
 	t3 := metrics.NewTable("DocPresize", "input+wc", "dict memory")

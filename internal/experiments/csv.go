@@ -121,9 +121,9 @@ func (r *AblationResult) CSV() string {
 			fmt.Sprintf("%.6f", r.DictTransform[k].Seconds()),
 			fmt.Sprintf("%d", r.DictFootprint[k]))
 	}
-	t2 := metrics.NewTable("chunk_size", "speedup_16t")
-	for _, c := range []int{16, 64, 128, 512, 2048} {
-		t2.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%.4f", r.ChunkSpeedup[c]))
+	t2 := metrics.NewTable("loop_shards", "speedup_16t")
+	for _, n := range ablationShards {
+		t2.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.4f", r.ShardSpeedup[n]))
 	}
 	t3 := metrics.NewTable("doc_presize", "input_wc_seconds", "footprint_bytes")
 	for _, p := range []int{0, 256, 1024, 4096} {

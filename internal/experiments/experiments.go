@@ -15,20 +15,29 @@
 // Thread sweeps run in one of two modes (see Config.Mode): Real executes
 // the operators on actual pools of each size and measures wall-clock —
 // meaningful only on a machine with at least as many cores as the sweep's
-// largest point; Sim executes the operators once, sequentially, under
-// instrumentation, and replays the recorded per-task costs on a virtual
-// node (internal/simsched) — the default, and the only option on small
-// hosts. Auto picks Real when the host has enough cores.
+// largest point; Sim runs the TF/IDF→K-Means plan once, traced, one task
+// at a time, and replays the spans' task costs on a virtual node
+// (simsched.FromTrace, simsched.Simulate) — the default, and the only
+// option on small hosts. Auto picks Real when the host has enough cores.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"hpa/internal/corpus"
+	"hpa/internal/dict"
+	"hpa/internal/kmeans"
+	"hpa/internal/obs"
+	"hpa/internal/par"
+	"hpa/internal/pario"
 	"hpa/internal/simsched"
+	"hpa/internal/tfidf"
+	"hpa/internal/workflow"
 )
 
 // Mode selects how thread sweeps are executed.
@@ -72,8 +81,9 @@ type Config struct {
 	// Mode selects Real or Sim thread sweeps.
 	Mode Mode
 	// Repeats re-runs each measured configuration this many times and
-	// keeps the fastest run (least interference), stabilizing single-run
-	// phase comparisons on noisy hosts. 0 means 1.
+	// keeps the fastest run (in Sim mode, each task's fastest recording):
+	// the least interference, stabilizing single-run phase comparisons on
+	// noisy hosts. 0 means 1.
 	Repeats int
 	// Disk is the storage device model used for inputs and intermediates.
 	Disk simsched.Disk
@@ -151,25 +161,95 @@ func (c Config) repeats() int {
 	return c.Repeats
 }
 
-// bestTrace runs the recording function cfg.Repeats times and returns the
-// trace of the fastest run, judged by total recorded CPU.
-func (c Config) bestTrace(record func(rec *simsched.Recorder) error) ([]simsched.Phase, error) {
+// recordShards is the shard count of a recording: what the auto rule
+// (2 × GOMAXPROCS) gives at the sweep's largest thread count, so every
+// simulated thread count has the task granularity a real run would. Every
+// shard count computes the same bits, so only the granularity changes.
+func (c Config) recordShards() int { return 2 * c.maxThreads() }
+
+// tfkm is the figures' workflow configuration: normalized TF/IDF on the
+// given dictionary kind, K-Means at the configured k and seed.
+func (c Config) tfkm(mode workflow.Mode, kind dict.Kind) workflow.TFKMConfig {
+	return workflow.TFKMConfig{
+		Mode:   mode,
+		TFIDF:  tfidf.Options{DictKind: kind, Normalize: true},
+		KMeans: kmeans.Options{K: c.K, Seed: c.Seed},
+	}
+}
+
+// recordTFKM runs the plan of wcfg over src Repeats times — traced, one
+// task at a time (workflow.Context.Serial) on one pool worker, with no
+// disk throttling, so every span is pure task time and the I/O demand
+// rides on the spans for the virtual device to charge — and converts each
+// trace into simsched phases, keeping those named in keep (all when keep
+// is empty). A serial run schedules the same tasks in the same order every
+// time, so the recordings line up task for task; each task and serial
+// section keeps its least disturbed (shortest) duration. It returns the
+// first run's report. wcfg.Shards 0 records at recordShards.
+func (c Config) recordTFKM(src pario.Source, wcfg workflow.TFKMConfig, keep ...string) ([]simsched.Phase, *workflow.TFKMReport, error) {
+	if wcfg.Shards == 0 {
+		wcfg.Shards = c.recordShards()
+	}
 	var best []simsched.Phase
-	var bestTotal time.Duration = 1<<63 - 1
+	var first *workflow.TFKMReport
 	for i := 0; i < c.repeats(); i++ {
-		rec := simsched.NewRecorder()
-		if err := record(rec); err != nil {
-			return nil, err
+		phases, rep, err := recordOnce(src, wcfg)
+		if err != nil {
+			return nil, nil, err
 		}
-		phases := rec.Phases()
-		var total time.Duration
-		for _, p := range phases {
-			total += p.TotalCPU()
+		if len(keep) > 0 {
+			phases = slices.DeleteFunc(phases, func(p simsched.Phase) bool { return !slices.Contains(keep, p.Name) })
 		}
-		if total < bestTotal {
-			bestTotal = total
-			best = phases
+		if best == nil {
+			best, first = phases, rep
+			continue
+		}
+		if err := lowerPhases(best, phases); err != nil {
+			return nil, nil, err
 		}
 	}
-	return best, nil
+	return best, first, nil
+}
+
+// lowerPhases lowers every serial section and task duration of dst to the
+// matching one of src, a recording of the same run.
+func lowerPhases(dst, src []simsched.Phase) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("experiments: recordings of one run differ: %d vs %d phases", len(dst), len(src))
+	}
+	for i := range dst {
+		d, s := &dst[i], &src[i]
+		if d.Name != s.Name || len(d.Tasks) != len(s.Tasks) {
+			return fmt.Errorf("experiments: recordings of one run differ at phase %d (%s, %d tasks vs %s, %d tasks)",
+				i, d.Name, len(d.Tasks), s.Name, len(s.Tasks))
+		}
+		d.Serial = min(d.Serial, s.Serial)
+		for j := range d.Tasks {
+			d.Tasks[j].CPU = min(d.Tasks[j].CPU, s.Tasks[j].CPU)
+		}
+	}
+	return nil
+}
+
+// recordOnce is one traced serial run of recordTFKM.
+func recordOnce(src pario.Source, wcfg workflow.TFKMConfig) ([]simsched.Phase, *workflow.TFKMReport, error) {
+	scratch, err := os.MkdirTemp("", "hpa-record-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(scratch)
+	// Start from a collected heap, so no recording pays for the garbage of
+	// the one before it.
+	runtime.GC()
+	pool := par.NewPool(1)
+	defer pool.Close()
+	ctx := workflow.NewContext(pool)
+	ctx.ScratchDir = scratch
+	ctx.Serial = true
+	ctx.Tracer = obs.NewTracer()
+	rep, err := workflow.RunTFKM(src, ctx, wcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return simsched.FromTrace(ctx.Tracer.Snapshot()), rep, nil
 }

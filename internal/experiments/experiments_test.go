@@ -47,10 +47,9 @@ func TestTable1(t *testing.T) {
 func TestFig1ShapeAndRender(t *testing.T) {
 	// At this scale one K-Means recording is 2–3 ms of tasks, so a single
 	// descheduling on a loaded box (the package runs beside another under
-	// go test ./...) outweighs the whole trace and used to flip the ordering
-	// below about one run in six. Recordings are cheap next to preparing the
-	// vectors: take the least disturbed of fifteen (least total recorded
-	// time, Config.Repeats) instead of the only one.
+	// go test ./...) outweighs the whole trace and can flip the ordering
+	// below. Recordings are cheap: every task keeps its shortest of fifteen
+	// (Config.Repeats) instead of its only one.
 	cfg := tinyConfig()
 	cfg.Repeats = 15
 	res, err := RunFig1(cfg)
@@ -83,8 +82,8 @@ func TestFig1ShapeAndRender(t *testing.T) {
 }
 
 func TestFig2ShapeAndRender(t *testing.T) {
-	// The speed-ups below relate recorded task times; keep the least
-	// disturbed of three recordings (Config.Repeats) so one descheduling on
+	// The speed-ups below relate recorded task times; every task keeps its
+	// shortest of three recordings (Config.Repeats) so one descheduling on
 	// a loaded box cannot decide them.
 	cfg := tinyConfig()
 	cfg.Repeats = 3
@@ -236,8 +235,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	// The chunk ablation compares two recorded speed-ups; keep the least
-	// disturbed of three recordings each (Config.Repeats).
+	// The shard ablation compares two recorded speed-ups; every task keeps
+	// its shortest of three recordings (Config.Repeats).
 	cfg := tinyConfig()
 	cfg.Repeats = 3
 	res, err := RunAblation(cfg)
@@ -249,10 +248,10 @@ func TestAblation(t *testing.T) {
 			t.Fatalf("dictionary ablation missing %q", k)
 		}
 	}
-	// Finer chunks must scale at least as well as very coarse ones.
-	if res.ChunkSpeedup[16] < res.ChunkSpeedup[2048] {
-		t.Fatalf("chunk ablation inverted: 16 -> %.2fx vs 2048 -> %.2fx",
-			res.ChunkSpeedup[16], res.ChunkSpeedup[2048])
+	// Finer tasks must scale at least as well as one loop shard.
+	if res.ShardSpeedup[64] < res.ShardSpeedup[1] {
+		t.Fatalf("shard ablation inverted: 64 -> %.2fx vs 1 -> %.2fx",
+			res.ShardSpeedup[64], res.ShardSpeedup[1])
 	}
 	// The 4K presize must cost clearly more memory than no presize.
 	if res.PresizeMem[4096] < 2*res.PresizeMem[0] {
@@ -265,7 +264,7 @@ func TestAblation(t *testing.T) {
 			res.StemVocab["raw"], res.StemVocab["stemmed"])
 	}
 	out := res.Render()
-	for _, want := range []string{"Ablations", "ChunkSize", "DocPresize", "stemmed"} {
+	for _, want := range []string{"Ablations", "LoopShards", "DocPresize", "stemmed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q", want)
 		}

@@ -14,6 +14,7 @@ import (
 	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 	"hpa/internal/tfidf"
+	"hpa/internal/workflow"
 )
 
 // SpeedupResult reproduces a scalability figure (Figure 1 or Figure 2):
@@ -34,8 +35,8 @@ type SpeedupResult struct {
 	Mode Mode
 }
 
-// prepared carries a dataset's TF/IDF vectors, shared by Figure 1's two
-// series.
+// prepared carries a dataset's TF/IDF vectors: the input of Figure 1's
+// Real-mode sweep and of the WEKA comparison.
 type prepared struct {
 	name    string
 	vectors []sparse.Vector
@@ -46,10 +47,9 @@ type prepared struct {
 // every host core; this preprocessing is not part of the measured
 // experiment.
 func prepareVectors(cfg Config, spec corpus.Spec) (*prepared, error) {
+	c := generate(cfg, spec)
 	pool := par.NewPool(runtime.NumCPU())
 	defer pool.Close()
-	cfg.logf("fig1: preparing %s (%d documents)...", spec.Name, spec.Documents)
-	c := corpus.Generate(spec, pool)
 	res, err := tfidf.Run(c.Source(nil), pool, tfidf.Options{
 		DictKind:  dict.Tree,
 		Normalize: true,
@@ -62,7 +62,8 @@ func prepareVectors(cfg Config, spec corpus.Spec) (*prepared, error) {
 
 // RunFig1 reproduces Figure 1: self-relative scalability of the K-Means
 // operator on both datasets, clustering documents into K clusters based on
-// their normalized TF/IDF scores.
+// their normalized TF/IDF scores. In Sim mode the sweep replays the K-Means
+// phases of a recorded discrete workflow run (Config.recordTFKM).
 func RunFig1(cfg Config) (*SpeedupResult, error) {
 	res := &SpeedupResult{
 		Figure:  "Figure 1",
@@ -74,22 +75,22 @@ func RunFig1(cfg Config) (*SpeedupResult, error) {
 			corpus.Mix().Name:          2.5, // "sufficient only for a 2.5x speedup"
 		},
 	}
+	opts := kmeans.Options{K: cfg.K, Seed: cfg.Seed}
 	for _, spec := range []corpus.Spec{cfg.nsfSpec(), cfg.mixSpec()} {
-		prep, err := prepareVectors(cfg, spec)
-		if err != nil {
-			return nil, err
-		}
-		opts := kmeans.Options{K: cfg.K, Seed: cfg.Seed}
+		var prep *prepared
 		series, err := cfg.sweep(baseName(spec.Name),
-			func(rec *simsched.Recorder) error {
-				pool := par.NewPool(1)
-				defer pool.Close()
-				o := opts
-				o.Recorder = rec
-				_, err := kmeans.Run(prep.vectors, prep.dim, pool, o, nil)
-				return err
+			func() ([]simsched.Phase, error) {
+				c := generate(cfg, spec)
+				phases, _, err := cfg.recordTFKM(c.Source(nil), cfg.tfkm(workflow.Discrete, dict.Tree), kmeans.PhaseKMeans)
+				return phases, err
 			},
 			func(pool *par.Pool) (time.Duration, error) {
+				if prep == nil {
+					var err error
+					if prep, err = prepareVectors(cfg, spec); err != nil {
+						return 0, err
+					}
+				}
 				bd := metrics.NewBreakdown()
 				if _, err := kmeans.Run(prep.vectors, prep.dim, pool, opts, bd); err != nil {
 					return 0, err
@@ -102,6 +103,15 @@ func RunFig1(cfg Config) (*SpeedupResult, error) {
 		res.Series = append(res.Series, series)
 	}
 	return res, nil
+}
+
+// generate builds a corpus on every host core; generation is not part of
+// any measurement.
+func generate(cfg Config, spec corpus.Spec) *corpus.Corpus {
+	pool := par.NewPool(runtime.NumCPU())
+	defer pool.Close()
+	cfg.logf("generating %s (%d documents)...", spec.Name, spec.Documents)
+	return corpus.Generate(spec, pool)
 }
 
 // baseName strips the "@scale" suffix Scaled appends, so series names match

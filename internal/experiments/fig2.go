@@ -3,16 +3,15 @@ package experiments
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
-	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
+	"hpa/internal/workflow"
 )
 
 // RunFig2 reproduces Figure 2: self-relative scalability of the TF/IDF
@@ -20,6 +19,8 @@ import (
 // word counting, the parallel transform, and the sequential ARFF output
 // whose serialization the paper highlights ("The second phase is not
 // parallelized as the ARFF format does not facilitate parallel output").
+// In Sim mode the sweep replays those three phases of a recorded discrete
+// workflow run (Config.recordTFKM).
 func RunFig2(cfg Config) (*SpeedupResult, error) {
 	res := &SpeedupResult{
 		Figure:  "Figure 2",
@@ -31,9 +32,6 @@ func RunFig2(cfg Config) (*SpeedupResult, error) {
 			corpus.NSFAbstracts().Name: 7.0, // "7-fold"
 		},
 	}
-	genPool := par.NewPool(runtime.NumCPU())
-	defer genPool.Close()
-
 	scratch, err := os.MkdirTemp("", "hpa-fig2-*")
 	if err != nil {
 		return nil, err
@@ -41,35 +39,22 @@ func RunFig2(cfg Config) (*SpeedupResult, error) {
 	defer os.RemoveAll(scratch)
 
 	for _, spec := range []corpus.Spec{cfg.nsfSpec(), cfg.mixSpec()} {
-		cfg.logf("fig2: generating %s...", spec.Name)
-		c := corpus.Generate(spec, genPool)
+		c := generate(cfg, spec)
 		arffPath := filepath.Join(scratch, baseName(spec.Name)+".arff")
-
-		runOnce := func(pool *par.Pool, disk *pario.DiskSim, rec *simsched.Recorder, bd *metrics.Breakdown) error {
-			r, err := tfidf.Run(c.Source(disk), pool, tfidf.Options{
-				DictKind:  dict.Tree,
-				Normalize: true,
-				Recorder:  rec,
-			}, bd)
-			if err != nil {
-				return err
-			}
-			_, err = r.WriteARFF(arffPath, disk, bd, rec)
-			return err
-		}
-
 		series, err := cfg.sweep(baseName(spec.Name),
-			func(rec *simsched.Recorder) error {
-				pool := par.NewPool(1)
-				defer pool.Close()
-				// No real throttling during recording: I/O demand is
-				// captured per task and charged by the virtual device.
-				return runOnce(pool, nil, rec, nil)
+			func() ([]simsched.Phase, error) {
+				phases, _, err := cfg.recordTFKM(c.Source(nil), cfg.tfkm(workflow.Discrete, dict.Tree),
+					tfidf.PhaseInputWC, tfidf.PhaseTransform, tfidf.PhaseOutput)
+				return phases, err
 			},
 			func(pool *par.Pool) (time.Duration, error) {
 				disk := &pario.DiskSim{BytesPerSec: cfg.Disk.BytesPerSec, OpenLatency: cfg.Disk.OpenLatency}
 				start := time.Now()
-				if err := runOnce(pool, disk, nil, nil); err != nil {
+				r, err := tfidf.Run(c.Source(disk), pool, tfidf.Options{DictKind: dict.Tree, Normalize: true}, nil)
+				if err != nil {
+					return 0, err
+				}
+				if _, err := r.WriteARFF(arffPath, disk, nil); err != nil {
 					return 0, err
 				}
 				return time.Since(start), nil

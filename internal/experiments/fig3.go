@@ -3,17 +3,14 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
-	"hpa/internal/corpus"
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
 	"hpa/internal/workflow"
 )
@@ -65,39 +62,15 @@ func RunFig3(cfg Config) (*WorkflowResult, error) {
 		PaperOverheadAt1:  0.369,
 		PaperSlowdownAt16: 3.84,
 	}
-	genPool := par.NewPool(runtime.NumCPU())
-	c := corpus.Generate(spec, genPool)
-	genPool.Close()
-
-	cfgTFKM := workflow.TFKMConfig{
-		Mode:   workflow.Discrete,
-		TFIDF:  tfidf.Options{DictKind: dict.Tree, Normalize: true},
-		KMeans: kmeans.Options{K: cfg.K, Seed: cfg.Seed},
-	}
+	c := generate(cfg, spec)
+	cfgTFKM := cfg.tfkm(workflow.Discrete, dict.Tree)
 
 	if res.Mode == Sim {
-		// One sequential instrumented discrete run; the merged trace is the
-		// same phases minus the materialization pair (the compute phases
-		// are identical code on identical data).
-		scratch, err := os.MkdirTemp("", "hpa-fig3-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(scratch)
+		// One recorded discrete run; the merged trace is the same phases
+		// minus the materialization pair (the compute phases are identical
+		// code on identical data).
 		cfg.logf("fig3: recording discrete workflow trace on %s...", spec.Name)
-		// One shard at one reader: one recorded task per document in both
-		// TF/IDF phases and per assignment chunk in K-Means.
-		recCfg := cfgTFKM
-		recCfg.Shards = 1
-		discretePhases, err := cfg.bestTrace(func(rec *simsched.Recorder) error {
-			pool := par.NewPool(1)
-			defer pool.Close()
-			ctx := workflow.NewContext(pool)
-			ctx.ScratchDir = scratch
-			ctx.Recorder = rec
-			_, err := workflow.RunTFKM(c.Source(nil), ctx, recCfg)
-			return err
-		})
+		discretePhases, _, err := cfg.recordTFKM(c.Source(nil), cfgTFKM)
 		if err != nil {
 			return nil, err
 		}

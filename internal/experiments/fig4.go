@@ -3,16 +3,13 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
-	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
 	"hpa/internal/workflow"
 )
@@ -72,10 +69,7 @@ func RunFig4(cfg Config) (*Fig4Result, error) {
 		PaperTreeMemory:           420 << 20,
 		PaperHashMemory:           13743895347, // 12.8 GiB
 	}
-	genPool := par.NewPool(runtime.NumCPU())
-	c := corpus.Generate(spec, genPool)
-	genPool.Close()
-
+	c := generate(cfg, spec)
 	for _, kind := range []dict.Kind{dict.NodeTree, dict.Hash, dict.Tree} {
 		variant, err := runFig4Variant(cfg, c, kind)
 		if err != nil {
@@ -95,65 +89,39 @@ func RunFig4(cfg Config) (*Fig4Result, error) {
 
 func runFig4Variant(cfg Config, c *corpus.Corpus, kind dict.Kind) (*DictVariant, error) {
 	variant := &DictVariant{Kind: kind, Breakdowns: map[int]*metrics.Breakdown{}}
-	tfOpts := tfidf.Options{
-		DictKind:  kind,
-		Normalize: true,
-	}
+	wcfg := cfg.tfkm(workflow.Merged, kind)
 	if kind == dict.Hash {
 		// "the unordered map is pre-sized to hold 4K items to minimize
 		// resizing overhead" — per-document tables included, which is what
 		// balloons the footprint when one table per document stays alive.
-		tfOpts.DocPresize = 4096
-		tfOpts.GlobalPresize = 4096
-	}
-	wcfg := workflow.TFKMConfig{
-		Mode:   workflow.Merged,
-		TFIDF:  tfOpts,
-		KMeans: kmeans.Options{K: cfg.K, Seed: cfg.Seed},
-	}
-
-	runOnce := func(workers int, rec *simsched.Recorder, disk *pario.DiskSim) (*workflow.TFKMReport, error) {
-		wcfg := wcfg
-		if rec.Enabled() {
-			// One shard at one reader: one recorded task per document in
-			// both TF/IDF phases and per assignment chunk in K-Means.
-			wcfg.Shards = 1
-		}
-		scratch, err := os.MkdirTemp("", "hpa-fig4-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(scratch)
-		pool := par.NewPool(workers)
-		defer pool.Close()
-		ctx := workflow.NewContext(pool)
-		ctx.ScratchDir = scratch
-		ctx.Recorder = rec
-		ctx.Disk = disk
-		return workflow.RunTFKM(c.Source(disk), ctx, wcfg)
+		wcfg.TFIDF.DocPresize = 4096
+		wcfg.TFIDF.GlobalPresize = 4096
 	}
 
 	if cfg.effectiveMode() == Sim {
 		cfg.logf("fig4: recording %s workflow trace...", kind)
-		phases, err := cfg.bestTrace(func(rec *simsched.Recorder) error {
-			rep, err := runOnce(1, rec, nil)
-			if err != nil {
-				return err
-			}
-			variant.DictFootprint = rep.DictFootprint
-			variant.GlobalRehashes = rep.DictStats.Rehashes
-			return nil
-		})
+		phases, rep, err := cfg.recordTFKM(c.Source(nil), wcfg)
 		if err != nil {
 			return nil, err
 		}
 		variant.Breakdowns = cfg.simBreakdowns(phases)
+		variant.DictFootprint = rep.DictFootprint
+		variant.GlobalRehashes = rep.DictStats.Rehashes
 		return variant, nil
 	}
 
 	for _, n := range cfg.Threads {
-		disk := &pario.DiskSim{BytesPerSec: cfg.Disk.BytesPerSec, OpenLatency: cfg.Disk.OpenLatency}
-		rep, err := runOnce(n, nil, disk)
+		scratch, err := os.MkdirTemp("", "hpa-fig4-*")
+		if err != nil {
+			return nil, err
+		}
+		pool := par.NewPool(n)
+		ctx := workflow.NewContext(pool)
+		ctx.ScratchDir = scratch
+		ctx.Disk = &pario.DiskSim{BytesPerSec: cfg.Disk.BytesPerSec, OpenLatency: cfg.Disk.OpenLatency}
+		rep, err := workflow.RunTFKM(c.Source(ctx.Disk), ctx, wcfg)
+		pool.Close()
+		os.RemoveAll(scratch)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hpa/internal/metrics"
@@ -9,11 +10,9 @@ import (
 	"hpa/internal/simsched"
 )
 
-// traceRunner executes one sequential, instrumented run of a workload,
-// recording per-task costs into rec. The run must not be throttled by a
-// real disk simulator: I/O demand is recorded as task metadata and charged
-// by the virtual device instead.
-type traceRunner func(rec *simsched.Recorder) error
+// traceRunner records a workload (Config.recordTFKM) and returns the
+// phases to replay on the virtual node.
+type traceRunner func() ([]simsched.Phase, error)
 
 // realRunner executes a workload on the given pool and returns its
 // wall-clock duration.
@@ -37,7 +36,7 @@ func (c Config) sweep(name string, tr traceRunner, rr realRunner) (*metrics.Spee
 		}
 	default: // Sim
 		start := time.Now()
-		phases, err := c.bestTrace(tr)
+		phases, err := tr()
 		if err != nil {
 			return nil, err
 		}
@@ -51,9 +50,9 @@ func (c Config) sweep(name string, tr traceRunner, rr realRunner) (*metrics.Spee
 	return s, nil
 }
 
-// sweepBreakdowns is sweep for experiments that need per-phase times at
-// every thread count (Figures 3 and 4). In Sim mode the recorded phases may
-// be filtered per variant (e.g. merged = discrete minus I/O phases).
+// simBreakdowns simulates recorded phases at every thread count, for
+// experiments that need per-phase times (Figures 3 and 4); a variant may
+// replay a filtered recording (merged = discrete minus the I/O phases).
 func (c Config) simBreakdowns(phases []simsched.Phase) map[int]*metrics.Breakdown {
 	out := make(map[int]*metrics.Breakdown, len(c.Threads))
 	for _, n := range c.Threads {
@@ -67,20 +66,7 @@ func (c Config) simBreakdowns(phases []simsched.Phase) map[int]*metrics.Breakdow
 // merged workflow's trace is derived from the discrete one (the compute
 // phases are identical by construction; only the materialization differs).
 func filterPhases(phases []simsched.Phase, drop ...string) []simsched.Phase {
-	out := make([]simsched.Phase, 0, len(phases))
-	for _, p := range phases {
-		dropped := false
-		for _, d := range drop {
-			if p.Name == d {
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			out = append(out, p)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(phases), func(p simsched.Phase) bool { return slices.Contains(drop, p.Name) })
 }
 
 // speedupTable renders thread-vs-speedup series side by side.

@@ -29,7 +29,8 @@ import (
 type SimpleKMeans struct {
 	// Instances are dense document vectors, all of equal length.
 	Instances [][]float64
-	// Opts carries K/MaxIter/Tol/Seed; ChunkSize and Recorder are ignored.
+	// Opts carries K/MaxIter/Tol/Seed; Block, DocNorms and Empty are
+	// ignored (an empty cluster keeps its centroid).
 	Opts Options
 }
 

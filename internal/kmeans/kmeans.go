@@ -119,7 +119,6 @@ import (
 
 	"hpa/internal/metrics"
 	"hpa/internal/par"
-	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 )
 
@@ -148,13 +147,6 @@ type Options struct {
 	Tol float64
 	// Seed drives K-Means++ seeding deterministically.
 	Seed uint64
-	// ChunkSize is the number of documents per parallel task (0 selects
-	// 128). Chunk boundaries are worker-count independent.
-	ChunkSize int
-	// Recorder, when non-nil, collects a simsched trace: one task per
-	// assignment chunk per iteration plus the centroid update, which then
-	// runs serially.
-	Recorder *simsched.Recorder
 	// DocNorms optionally supplies the squared Euclidean norm of every
 	// document, in document order. The partitioned TF/IDF gather stage
 	// computes norms shard-by-shard as shards arrive, so assignment can
@@ -217,9 +209,6 @@ func (o *Options) validate(docs int) error {
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-6
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 128
 	}
 	return nil
 }
@@ -439,23 +428,12 @@ func normSq(x []float64) float64 {
 // every document is assigned to its nearest centroid (ties broken by the
 // lowest cluster index, identically in every execution mode), its
 // assignment and distance are written to the clusterer's per-document
-// arrays, and a counts the moved assignments. The range is walked in
-// ChunkSize chunks, one recorder task per chunk. Distinct ranges may run
-// concurrently; a single Accum must only be used by one range at a time.
-// AssignShard allocates nothing.
+// arrays, and a counts the moved assignments: one AssignRange call over the
+// range. Distinct ranges may run concurrently; a single Accum must only be
+// used by one range at a time. AssignShard allocates nothing.
 func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
-	rec := c.opts.Recorder
-	for ; lo < hi; lo += c.opts.ChunkSize {
-		var start time.Time
-		if rec.Enabled() {
-			start = time.Now()
-		}
-		a.changed += AssignRange(lo, min(lo+c.opts.ChunkSize, hi), c.opts.K, c.docs, c.docNorms,
-			c.centroids, c.cnorms, c.layout, c.assign, c.dists, a.dots)
-		if rec.Enabled() {
-			rec.Task(time.Since(start), 0, false)
-		}
-	}
+	a.changed += AssignRange(lo, hi, c.opts.K, c.docs, c.docNorms,
+		c.centroids, c.cnorms, c.layout, c.assign, c.dists, a.dots)
 }
 
 // AssignRange is the assignment inner loop itself, shared by
@@ -530,11 +508,6 @@ func AssignRange(lo, hi, k int, docs []sparse.Vector, docNorms []float64,
 // change would fold to the bits it holds, so it is not folded at all.
 // EndIteration allocates nothing beyond the amortized history append.
 func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
-	rec := c.opts.Recorder
-	var start time.Time
-	if rec.Enabled() {
-		start = time.Now()
-	}
 	changed := 0
 	for _, a := range accs {
 		changed += a.changed
@@ -549,11 +522,9 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	c.groupMembers()
 	// Clusters touch disjoint state (centroid row j, its norm, count and
 	// mark), and fill tiles disjoint layout memory, so running either on
-	// the pool is bit-identical to the serial loop. The recorder accounts
-	// the whole update as one serial section, so a recorded run keeps it
-	// serial.
+	// the pool is bit-identical to the serial loop.
 	each := func(n int, f func(int)) {
-		if c.pool.Workers() > 1 && !rec.Enabled() {
+		if c.pool.Workers() > 1 {
 			c.pool.For(0, n, 1, f)
 			return
 		}
@@ -623,9 +594,6 @@ func (c *Clusterer) EndIteration(accs []*Accum) (float64, int) {
 	}
 	if c.iter >= c.opts.MaxIter {
 		c.done = true
-	}
-	if rec.Enabled() {
-		rec.Serial(time.Since(start), 0, 0)
 	}
 	return inertia, changed
 }
@@ -731,7 +699,6 @@ func (c *Clusterer) Run(bd *metrics.Breakdown) *Result {
 	}
 	var res *Result
 	bd.Time(PhaseKMeans, func() {
-		c.opts.Recorder.BeginPhase(PhaseKMeans)
 		for !c.done {
 			c.Step()
 		}

@@ -7,7 +7,6 @@ import (
 
 	"hpa/internal/metrics"
 	"hpa/internal/par"
-	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 	"hpa/internal/zipf"
 )
@@ -281,28 +280,6 @@ func TestBaselineErrors(t *testing.T) {
 	s = &SimpleKMeans{Instances: [][]float64{{1}}, Opts: Options{K: 2}}
 	if _, err := s.Run(nil); err == nil {
 		t.Fatal("n < k accepted")
-	}
-}
-
-func TestRecorderTrace(t *testing.T) {
-	docs, _ := blobs(512, 4, 8, 3)
-	p := par.NewPool(1)
-	defer p.Close()
-	rec := simsched.NewRecorder()
-	res, err := Run(docs, 8, p, Options{K: 4, Seed: 2, ChunkSize: 64, Recorder: rec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := rec.Phases()
-	if len(ps) != 1 || ps[0].Name != PhaseKMeans {
-		t.Fatalf("phases: %+v", ps)
-	}
-	wantTasks := res.Iterations * (512 / 64) // one task per ChunkSize chunk
-	if len(ps[0].Tasks) != wantTasks {
-		t.Fatalf("%d tasks recorded, want %d", len(ps[0].Tasks), wantTasks)
-	}
-	if ps[0].Serial == 0 {
-		t.Fatal("serial centroid update not recorded")
 	}
 }
 

@@ -24,16 +24,21 @@ import (
 )
 
 // Span records one scheduled task: which plan node and kernel ran, where
-// (backend, worker), which shard and loop iteration, and when (queue wait
-// versus run time). Bytes are filled by remote backends only.
+// (backend, worker), which shard and loop iteration, which figure phase,
+// when (queue wait versus run time) and the disk traffic it caused. Wire
+// bytes are filled by remote backends only.
 type Span struct {
 	// Node is the plan node name the task belongs to.
 	Node string
 	// Op is the operator or kernel name (e.g. "kmeans.assign").
 	Op string
-	// Kind is the task kind: "run", "loop-begin", "loop-shard", "loop-end"
+	// Kind is the task kind: "run", "map" (one shard of a map node),
+	// "loop-begin", "loop-prep", "loop-prep-end", "loop-shard", "loop-end"
 	// or "loop-finish".
 	Kind string
+	// Phase is the Figure 3/4 legend phase the task's time counts toward
+	// ("input+wc", "kmeans", ...); empty for tasks that record none.
+	Phase string
 	// Shard is the shard index within the node (0 for unsharded tasks).
 	Shard int
 	// Iter is the loop iteration for loop-shard tasks, -1 otherwise.
@@ -45,6 +50,12 @@ type Span struct {
 	// Queued, Start and End delimit the task's life: Queued→Start is queue
 	// wait (spawn to goroutine start), Start→End is run time.
 	Queued, Start, End time.Time
+	// IOBytes and IOOpens count the disk traffic the task caused in
+	// process — bytes through the device and files opened — wherever the
+	// run charges a pario.DiskSim (document reads, ARFF write and read,
+	// output files), whether or not one is attached.
+	IOBytes int64
+	IOOpens int
 	// BytesOut and BytesIn count request and reply wire bytes (remote only).
 	BytesOut, BytesIn int64
 	// WorkerRun is the kernel run time the worker reported in its reply

@@ -7,13 +7,14 @@
 // many-core Xeon node. When this library runs on a machine with fewer cores
 // than the sweep's x-axis (including single-core CI hosts), real threads
 // cannot exhibit the paper's scaling behavior at all. Following the
-// reproduction ground rules, the missing hardware is simulated: operators
-// execute sequentially under instrumentation, recording one Task per unit
-// of parallel work (with its real, measured CPU duration and its I/O
-// demand), plus the real durations of the serial sections. Simulate then
-// computes the makespan those tasks would have on an n-worker node fed by a
-// bandwidth-limited disk, using the same greedy dynamic scheduling the real
-// par.Pool performs and the same device model pario.DiskSim enforces.
+// reproduction ground rules, the missing hardware is simulated: a plan runs
+// once with one task in flight at a time (workflow.Context.Serial) under an
+// obs.Tracer, and FromTrace turns its spans into phases of parallel Tasks
+// (each with its measured CPU duration and its I/O demand) and serial
+// sections. Simulate then computes the makespan those tasks would have on
+// an n-worker node fed by a bandwidth-limited disk, using the same greedy
+// dynamic scheduling the real par.Pool performs and the same device model
+// pario.DiskSim enforces.
 //
 // Everything about the workload is measured, not assumed; only the
 // interleaving is modeled. On a machine with enough physical cores the
@@ -28,15 +29,15 @@ import (
 )
 
 // Task is one unit of parallel work: a measured CPU burst plus optional
-// I/O demand (bytes through the shared device, and a per-request open
-// latency charged to the issuing worker only).
+// I/O demand (bytes through the shared device, and per-open latencies
+// charged to the issuing worker only).
 type Task struct {
 	// CPU is the measured compute time of the task.
 	CPU time.Duration
 	// IOBytes is the data volume the task moves through the device.
 	IOBytes int64
-	// IOOpen charges one per-open latency before the transfer.
-	IOOpen bool
+	// IOOpens charges that many per-open latencies before the transfer.
+	IOOpens int
 }
 
 // Phase is a workflow phase: an optional serial prologue (with optional
@@ -130,9 +131,7 @@ func simulatePhase(m Machine, p Phase) time.Duration {
 		}
 		now := workers[w]
 		if m.Disk != nil {
-			if task.IOOpen {
-				now += m.Disk.OpenLatency
-			}
+			now += time.Duration(task.IOOpens) * m.Disk.OpenLatency
 			if task.IOBytes > 0 && m.Disk.BytesPerSec > 0 {
 				start := now
 				if deviceFree > start {
@@ -153,14 +152,4 @@ func simulatePhase(m Machine, p Phase) time.Duration {
 		}
 	}
 	return end
-}
-
-// TotalCPU sums the CPU time across a phase's tasks and serial section,
-// i.e. the 1-worker no-I/O lower bound.
-func (p Phase) TotalCPU() time.Duration {
-	d := p.Serial
-	for _, t := range p.Tasks {
-		d += t.CPU
-	}
-	return d
 }

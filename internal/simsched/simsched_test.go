@@ -67,7 +67,7 @@ func TestOpenLatencyOverlaps(t *testing.T) {
 	// not 640ms.
 	tasks := make([]Task, 64)
 	for i := range tasks {
-		tasks[i] = Task{CPU: 0, IOBytes: 1, IOOpen: true}
+		tasks[i] = Task{CPU: 0, IOBytes: 1, IOOpens: 1}
 	}
 	m := Machine{Workers: 8, Disk: &Disk{BytesPerSec: 1e12, OpenLatency: 10 * time.Millisecond}}
 	_, total := Simulate(m, []Phase{{Name: "open", Tasks: tasks}})
@@ -100,7 +100,10 @@ func TestPhasesAreBarriers(t *testing.T) {
 func TestMoreWorkersNeverSlower(t *testing.T) {
 	tasks := make([]Task, 257)
 	for i := range tasks {
-		tasks[i] = Task{CPU: time.Duration(1+i%17) * time.Millisecond, IOBytes: int64(i%5) * 1000, IOOpen: i%3 == 0}
+		tasks[i] = Task{CPU: time.Duration(1+i%17) * time.Millisecond, IOBytes: int64(i%5) * 1000}
+		if i%3 == 0 {
+			tasks[i].IOOpens = 1
+		}
 	}
 	m := func(w int) Machine {
 		return Machine{Workers: w, Disk: &Disk{BytesPerSec: 50e6, OpenLatency: time.Millisecond}}
@@ -128,52 +131,10 @@ func TestSerialIOCharged(t *testing.T) {
 }
 
 func TestNilDiskFreeIO(t *testing.T) {
-	p := Phase{Name: "x", Tasks: []Task{{CPU: time.Millisecond, IOBytes: 1 << 40, IOOpen: true}}}
+	p := Phase{Name: "x", Tasks: []Task{{CPU: time.Millisecond, IOBytes: 1 << 40, IOOpens: 1}}}
 	_, total := Simulate(Machine{Workers: 1}, []Phase{p})
 	if total != time.Millisecond {
 		t.Fatalf("nil disk charged IO: %v", total)
-	}
-}
-
-func TestRecorderCollectsTrace(t *testing.T) {
-	r := NewRecorder()
-	r.BeginPhase("input+wc")
-	r.Task(time.Millisecond, 100, true)
-	r.Task(2*time.Millisecond, 200, true)
-	r.Serial(5*time.Millisecond, 0, 0)
-	r.BeginPhase("transform")
-	r.Task(3*time.Millisecond, 0, false)
-	ps := r.Phases()
-	if len(ps) != 2 {
-		t.Fatalf("%d phases", len(ps))
-	}
-	if ps[0].Name != "input+wc" || len(ps[0].Tasks) != 2 || ps[0].Serial != 5*time.Millisecond {
-		t.Fatalf("phase 0: %+v", ps[0])
-	}
-	if ps[0].TotalCPU() != 8*time.Millisecond {
-		t.Fatalf("TotalCPU = %v", ps[0].TotalCPU())
-	}
-}
-
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.BeginPhase("x")
-	r.Task(1, 1, false)
-	r.Serial(1, 1, 1)
-	if r.Enabled() {
-		t.Fatal("nil recorder enabled")
-	}
-	if r.Phases() != nil {
-		t.Fatal("nil recorder has phases")
-	}
-}
-
-func TestTaskWithoutPhaseGoesToDefault(t *testing.T) {
-	r := NewRecorder()
-	r.Task(time.Millisecond, 0, false)
-	ps := r.Phases()
-	if len(ps) != 1 || ps[0].Name != "default" {
-		t.Fatalf("%+v", ps)
 	}
 }
 

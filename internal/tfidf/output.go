@@ -1,13 +1,9 @@
 package tfidf
 
 import (
-	"os"
-	"time"
-
 	"hpa/internal/arff"
 	"hpa/internal/metrics"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 )
 
@@ -18,19 +14,15 @@ import (
 // workflow runs on one thread no matter how many the operators use.
 //
 // The duration is accounted to PhaseOutput in bd, the disk simulator (if
-// any) is charged for the bytes, and the recorder (if any) receives the
-// serial trace entry.
-func (r *Result) WriteARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown, rec *simsched.Recorder) (int64, error) {
+// any) is charged for the bytes, and the byte count is returned.
+func (r *Result) WriteARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown) (int64, error) {
 	if bd == nil {
 		bd = metrics.NewBreakdown()
 	}
 	var n int64
 	err := bd.TimeErr(PhaseOutput, func() error {
-		rec.BeginPhase(PhaseOutput)
-		start := time.Now()
 		var err error
 		n, err = arff.WriteFile(path, r.ARFFHeader(), r.Vectors, disk)
-		rec.Serial(time.Since(start), n, 1)
 		return err
 	})
 	return n, err
@@ -44,7 +36,7 @@ func (r *Result) ARFFHeader() arff.Header {
 // ReadARFF loads a previously written TF/IDF ARFF file — the kmeans-input
 // phase of the discrete workflow, also sequential. It returns the vectors
 // and the attribute (term) names.
-func ReadARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown, rec *simsched.Recorder) ([]string, []sparse.Vector, error) {
+func ReadARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown) ([]string, []sparse.Vector, error) {
 	if bd == nil {
 		bd = metrics.NewBreakdown()
 	}
@@ -52,23 +44,12 @@ func ReadARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown, rec *sims
 	var terms []string
 	var rows []sparse.Vector
 	err := bd.TimeErr(phase, func() error {
-		rec.BeginPhase(phase)
-		start := time.Now()
 		h, rs, err := arff.ReadFile(path, disk)
 		if err != nil {
 			return err
 		}
 		terms, rows = h.Attributes, rs
-		rec.Serial(time.Since(start), fileSize(path), 1)
 		return nil
 	})
 	return terms, rows, err
-}
-
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"hpa/internal/dict"
 	"hpa/internal/par"
@@ -63,6 +62,9 @@ type ShardCounts struct {
 	DF []uint32
 	// DocNames holds the shard's document names in document order.
 	DocNames []string
+	// Bytes is the content the shard's document reads returned — its
+	// input traffic (not part of the wire form).
+	Bytes int64
 }
 
 // Global is the merged term table: the reduction of every shard's
@@ -173,13 +175,13 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 	// vocab is the shard dictionary: word -> (shard DF, provisional local
 	// ID in first-occurrence order).
 	vocab := dict.New[TermInfo](opts.DictKind, dict.Options{Presize: opts.GlobalPresize})
-	rec := opts.Recorder
 	// Every strand counts into one scratch dictionary, recycled across its
 	// documents so it grows to the largest of them once; the shard keeps an
 	// exact-size clone per document.
 	type strand struct {
 		tk      text.Tokenizer
 		scratch dict.Map[DocTerm]
+		read    int64
 	}
 	strands := par.NewReducer(func() *strand {
 		return &strand{
@@ -204,11 +206,8 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 		return pario.ReadAll(src, readers, handler)
 	}
 	err := read(func(i int, content []byte) error {
-		var start time.Time
-		if rec.Enabled() {
-			start = time.Now()
-		}
 		st := strands.Claim()
+		st.read += int64(len(content))
 		d := st.scratch
 		if readers == 1 {
 			// The shard dictionary is this strand's alone: a word's first
@@ -240,13 +239,13 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 		d.Reset()
 		sc.DocNames[i] = src.Name(i)
 		strands.Release(st)
-		if rec.Enabled() {
-			rec.Task(time.Since(start), int64(len(content)), true)
-		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tfidf: %w", err)
+	}
+	for _, st := range strands.Views() {
+		sc.Bytes += st.read
 	}
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
@@ -351,16 +350,10 @@ func mergeTermLists(a, b termList) termList {
 // table: a parallel tree of pairwise sorted-list merges (par.TreeReduce)
 // whose shape depends only on shard indices. The merged list is already in
 // lexicographic order, so a term's position is its ID, independent of the
-// shard count. The shards are not modified. It is TF/IDF's serial section,
-// and reports itself as such to opts.Recorder.
+// shard count. The shards are not modified. It is TF/IDF's serial section.
 func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
 	if opts.GlobalPresize <= 0 {
 		opts.GlobalPresize = defaultGlobalPresize
-	}
-	rec := opts.Recorder
-	var start time.Time
-	if rec.Enabled() {
-		start = time.Now()
 	}
 	numDocs := 0
 	lists := make([]termList, len(shards))
@@ -369,11 +362,7 @@ func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
 		lists[i] = termList{sc.Words, sc.DF}
 	}
 	merged := par.TreeReduce(pool, lists, mergeTermLists)
-	g := newGlobal(merged.words, merged.df, numDocs, opts.DictKind, opts.GlobalPresize)
-	if rec.Enabled() {
-		rec.Serial(time.Since(start), 0, 0)
-	}
-	return g
+	return newGlobal(merged.words, merged.df, numDocs, opts.DictKind, opts.GlobalPresize)
 }
 
 // scoreDoc builds one document's TF/IDF vector from its term-frequency
@@ -422,20 +411,12 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 		}
 		remap[local] = info.ID
 	}
-	rec := opts.Recorder
 	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} })
 	pool.For(0, n, 0, func(i int) {
-		var start time.Time
-		if rec.Enabled() {
-			start = time.Now()
-		}
 		b := builders.Claim()
 		scoreDoc(sc.DocDicts[i], remap, g.IDF, opts.Normalize, b, &vs.Vectors[i])
 		vs.Norms[i] = vs.Vectors[i].NormSq()
 		builders.Release(b)
-		if rec.Enabled() {
-			rec.Task(time.Since(start), 0, false)
-		}
 	})
 	var fp int64
 	for _, d := range sc.DocDicts {

@@ -34,7 +34,6 @@ import (
 	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 	"hpa/internal/text"
 )
@@ -75,10 +74,6 @@ type Options struct {
 	// paper does before clustering ("based on their normalized TF/IDF
 	// scores").
 	Normalize bool
-	// Recorder, when non-nil, collects a simsched trace (one task per
-	// document, serial sections measured) for virtual-time scaling
-	// experiments.
-	Recorder *simsched.Recorder
 	// Ctx, when non-nil, cancels the run cooperatively: phase 1 stops
 	// issuing document reads once the context is done (in-flight documents
 	// drain), and phase 2 is not started. Run returns the context error.
@@ -138,12 +133,10 @@ func Run(src pario.Source, pool *par.Pool, opts Options, bd *metrics.Breakdown) 
 	if bd == nil {
 		bd = metrics.NewBreakdown()
 	}
-	rec := opts.Recorder
 	shards := pool.Workers()
 	counts := make([]*ShardCounts, shards)
 	errs := make([]error, shards)
 	bd.Time(PhaseInputWC, func() {
-		rec.BeginPhase(PhaseInputWC)
 		pool.For(0, shards, 1, func(p int) {
 			counts[p], errs[p] = CountShard(pario.Partition(src, shards, p), 1, opts)
 		})
@@ -156,7 +149,6 @@ func Run(src pario.Source, pool *par.Pool, opts Options, bd *metrics.Breakdown) 
 
 	var res *Result
 	bd.Time(PhaseTransform, func() {
-		rec.BeginPhase(PhaseTransform)
 		g := MergeShards(counts, pool, opts)
 		res = NewResultShell(g)
 		for _, sc := range counts {

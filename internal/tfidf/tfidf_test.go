@@ -16,7 +16,6 @@ import (
 	"hpa/internal/metrics"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/sparse"
 )
 
@@ -266,40 +265,6 @@ func TestPhasesRecordedInBreakdown(t *testing.T) {
 	}
 }
 
-func TestRecorderTraceShape(t *testing.T) {
-	c := corpus.Generate(corpus.Mix().Scaled(0.001), nil)
-	p := par.NewPool(1)
-	defer p.Close()
-	rec := simsched.NewRecorder()
-	res, err := Run(c.Source(nil), p, Options{DictKind: dict.Tree, Recorder: rec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := rec.Phases()
-	if len(phases) != 2 {
-		t.Fatalf("%d phases recorded", len(phases))
-	}
-	if phases[0].Name != PhaseInputWC || len(phases[0].Tasks) != res.NumDocs {
-		t.Fatalf("phase 0: %s with %d tasks, want %d docs", phases[0].Name, len(phases[0].Tasks), res.NumDocs)
-	}
-	var ioBytes int64
-	for _, task := range phases[0].Tasks {
-		ioBytes += task.IOBytes
-		if !task.IOOpen {
-			t.Fatal("input task without open")
-		}
-	}
-	if ioBytes == 0 {
-		t.Fatal("no IO bytes recorded for input phase")
-	}
-	if phases[1].Name != PhaseTransform || len(phases[1].Tasks) != res.NumDocs {
-		t.Fatalf("phase 1: %s with %d tasks", phases[1].Name, len(phases[1].Tasks))
-	}
-	if phases[1].Serial == 0 {
-		t.Fatal("term finalization serial time not recorded")
-	}
-}
-
 func TestHashGlobalDictRehashesWithDefaultPresize(t *testing.T) {
 	// The paper pre-sizes to 4K, far below the vocabulary, so the global
 	// hash dictionary must rehash as it grows.
@@ -345,14 +310,14 @@ func TestARFFRoundTripThroughDisk(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "scores.arff")
 	bd := metrics.NewBreakdown()
-	n, err := res.WriteARFF(path, nil, bd, nil)
+	n, err := res.WriteARFF(path, nil, bd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 || bd.Get(PhaseOutput) == 0 {
 		t.Fatalf("n=%d, output phase %v", n, bd.Get(PhaseOutput))
 	}
-	terms, rows, err := ReadARFF(path, nil, bd, nil)
+	terms, rows, err := ReadARFF(path, nil, bd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // only thing a rebuild can change) never reaches the output.
 
 // WireOptions is the serializable subset of Options — everything except
-// the per-process fields (Recorder, Ctx) and custom stopword sets.
+// the per-process cancellation context (Ctx) and custom stopword sets.
 type WireOptions struct {
 	DictKind      dict.Kind
 	GlobalPresize int
@@ -30,8 +30,8 @@ type WireOptions struct {
 
 // Wire returns the options in serializable form, and whether they can ship
 // at all: options carrying a stopword set cannot (sets have no identity to
-// ship), so their shard tasks stay local. Recorder and Ctx are dropped —
-// they are per-process concerns the coordinator keeps.
+// ship), so their shard tasks stay local. Ctx is dropped — cancellation is
+// a per-process concern the coordinator keeps.
 func (o Options) Wire() (WireOptions, bool) {
 	if o.Stopwords != nil {
 		return WireOptions{}, false

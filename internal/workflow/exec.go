@@ -146,9 +146,9 @@ type execState struct {
 // cancels cooperatively: tasks not yet started are abandoned once the
 // context is done.
 //
-// When a simsched Recorder is attached, tasks run one at a time in
-// dependency order: the Recorder attributes samples to the most recently
-// begun phase, so overlapping tasks would corrupt the trace.
+// Under ctx.Serial, tasks run one at a time in dependency order, so no two
+// spans of a traced run overlap. A traced task's span carries the first
+// phase its private Breakdown recorded.
 //
 // A plan may reach Run still logical: partitionable operators (TFIDFOp,
 // WordCountOp) and KMeansOp that no rewrite expanded are expanded here by
@@ -250,15 +250,12 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 	// LocalBackend (the default) executes in-process on this pool, a remote
 	// backend ships tasks that have a serializable descriptor to worker
 	// processes. Scheduling, ordering and reductions stay here either way,
-	// so results are backend-independent. Remote descriptors are skipped
-	// under a simsched Recorder — the serial trace needs every task's
-	// phases measured in-process.
+	// so results are backend-independent.
 	backend := ctx.Backend
 	if backend == nil {
 		backend = LocalBackend{}
 	}
-	serial := ctx.Recorder.Enabled()
-	remoteOK := backend.Workers() > 0 && !serial
+	remoteOK := backend.Workers() > 0
 
 	// Scope this run's affinity pins so they cannot outlive it: every remote
 	// descriptor is stamped with a run-unique scope, and the whole scope is
@@ -317,6 +314,9 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		if traced {
 			queued = time.Now()
 			kindStr = "run"
+			if pi.class == classMap {
+				kindStr = "map"
+			}
 			if pi.class == classLoop {
 				switch t.kind {
 				case taskLoopBegin:
@@ -454,6 +454,9 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			if traced {
 				nctx.Span.End = time.Now()
 				nctx.Span.Err = d.err != nil
+				if phases := d.bd.Phases(); len(phases) > 0 {
+					nctx.Span.Phase = phases[0]
+				}
 				ctx.Tracer.Record(*nctx.Span)
 			}
 		})
@@ -461,7 +464,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 
 	var ready []taskRef // tasks whose inputs are complete, awaiting dispatch
 	dispatch := func() {
-		for len(ready) > 0 && firstErr == nil && !(serial && running > 0) {
+		for len(ready) > 0 && firstErr == nil && !(ctx.Serial && running > 0) {
 			t := ready[0]
 			ready = ready[1:]
 			spawn(t)

@@ -107,7 +107,7 @@ var kmResultType = reflect.TypeOf((*kmeans.Result)(nil))
 // *tfidf.VectorShard, with shard-aligned precomputed norms), the fused
 // in-memory *tfidf.Result, or a *Matrix loaded from ARFF.
 type KMAssignOp struct {
-	// Opts configures clustering; Recorder is overridden from the context.
+	// Opts configures clustering.
 	Opts kmeans.Options
 	// Shards is the loop's shard count; 0 selects an automatic count
 	// (2×GOMAXPROCS, over-decomposed so work stealing rebalances straggler
@@ -235,14 +235,12 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 		return nil, err
 	}
 	opts := o.Opts
-	opts.Recorder = ctx.Recorder
 	if opts.DocNorms == nil {
 		opts.DocNorms = norms
 	}
 	var c *kmeans.Clusterer
 	var seeding *kmeans.Seeding
 	err = ctx.Breakdown.TimeSpanErr(kmeans.PhaseKMeans, func() error {
-		ctx.Recorder.BeginPhase(kmeans.PhaseKMeans)
 		var err error
 		c, seeding, err = kmeans.NewDeferredSeed(docs, dim, ctx.Pool, opts)
 		if err == nil && seeding.Rounds() == 0 {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"time"
 
 	"hpa/internal/kmeans"
 	"hpa/internal/sparse"
@@ -69,8 +68,7 @@ type Clustering struct {
 // PartitionRule expands it into, which Plan.Run applies to any node still
 // logical.
 type TFIDFOp struct {
-	// Opts configures the operator; the expanded stages override Recorder
-	// from the context.
+	// Opts configures the operator.
 	Opts tfidf.Options
 }
 
@@ -140,10 +138,11 @@ func (o *MaterializeARFF) Run(ctx *Context, in Value) (Value, error) {
 		name = "tfidf.arff"
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
-	n, err := res.WriteARFF(path, ctx.Disk, ctx.Breakdown, ctx.Recorder)
+	n, err := res.WriteARFF(path, ctx.Disk, ctx.Breakdown)
 	if err != nil {
 		return nil, err
 	}
+	ctx.spanIO(n, 1)
 	return &ARFFRef{Path: path, DocNames: res.DocNames, Bytes: n}, nil
 }
 
@@ -168,10 +167,11 @@ func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: load wants *ARFFRef, got %T", ErrType, in)
 	}
-	terms, rows, err := tfidf.ReadARFF(ref.Path, ctx.Disk, ctx.Breakdown, ctx.Recorder)
+	terms, rows, err := tfidf.ReadARFF(ref.Path, ctx.Disk, ctx.Breakdown)
 	if err != nil {
 		return nil, err
 	}
+	ctx.spanIO(ref.Bytes, 1)
 	return &Matrix{Terms: terms, Vectors: rows, DocNames: ref.DocNames}, nil
 }
 
@@ -180,8 +180,7 @@ func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 // method: it executes as the iterative loop stages PartitionRule expands it
 // into.
 type KMeansOp struct {
-	// Opts configures clustering; the loop stages override Recorder from
-	// the context.
+	// Opts configures clustering.
 	Opts kmeans.Options
 }
 
@@ -232,11 +231,9 @@ func (o *WriteAssignments) Run(ctx *Context, in Value) (Value, error) {
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
 	err := ctx.Breakdown.TimeErr(PhaseOutput, func() error {
-		ctx.Recorder.BeginPhase(PhaseOutput)
-		start := time.Now()
 		n, err := writeAssignments(path, cl)
 		ctx.Disk.ChargeRead(n, true)
-		ctx.Recorder.Serial(time.Since(start), n, 1)
+		ctx.spanIO(n, 1)
 		return err
 	})
 	if err != nil {

@@ -305,11 +305,9 @@ func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value
 		return nil, fmt.Errorf("%w: tf-map wants pario.Source, got %T", ErrType, ins[0])
 	}
 	opts := o.Opts
-	opts.Recorder = ctx.Recorder
 	opts.Ctx = ctx.Ctx
 	var sc *tfidf.ShardCounts
 	err := ctx.Breakdown.TimeSpanErr(tfidf.PhaseInputWC, func() error {
-		ctx.Recorder.BeginPhase(tfidf.PhaseInputWC)
 		var err error
 		sc, err = tfidf.CountShard(src, shardReaders(ctx, total), opts)
 		return err
@@ -317,6 +315,7 @@ func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value
 	if err != nil {
 		return nil, err
 	}
+	ctx.spanIO(sc.Bytes, len(sc.DocNames))
 	return sc, nil
 }
 
@@ -352,12 +351,9 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 			return nil, fmt.Errorf("%w: df-reduce wants *tfidf.ShardCounts shards, got %T", ErrType, part)
 		}
 	}
-	opts := o.Opts
-	opts.Recorder = ctx.Recorder
 	var g *tfidf.Global
 	ctx.Breakdown.Time(tfidf.PhaseTransform, func() {
-		ctx.Recorder.BeginPhase(tfidf.PhaseTransform)
-		g = tfidf.MergeShards(shards, ctx.Pool, opts)
+		g = tfidf.MergeShards(shards, ctx.Pool, o.Opts)
 	})
 	return g, nil
 }
@@ -367,7 +363,7 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 // score vectors out. Shards transform independently and as soon as the
 // reduction delivers the table.
 type TransformOp struct {
-	// Opts carries Normalize and the recorder wiring.
+	// Opts carries Normalize.
 	Opts tfidf.Options
 	// pair, when non-nil, is the link to the map stage (see tfShipPair):
 	// shards it marked as remotely counted ship by session key, and the
@@ -399,12 +395,9 @@ func (o *TransformOp) RunPartition(ctx *Context, ins []Value, idx, total int) (V
 	if !ok {
 		return nil, fmt.Errorf("%w: transform wants *tfidf.Global, got %T", ErrType, ins[1])
 	}
-	opts := o.Opts
-	opts.Recorder = ctx.Recorder
 	var vs *tfidf.VectorShard
 	ctx.Breakdown.TimeSpan(tfidf.PhaseTransform, func() {
-		ctx.Recorder.BeginPhase(tfidf.PhaseTransform)
-		vs = tfidf.TransformShard(g, sc, ctx.Pool, opts)
+		vs = tfidf.TransformShard(g, sc, ctx.Pool, o.Opts)
 	})
 	return vs, nil
 }

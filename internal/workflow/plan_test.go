@@ -15,7 +15,6 @@ import (
 	"hpa/internal/kmeans"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
 )
 
@@ -414,37 +413,6 @@ func TestIndependentBranchesRunConcurrently(t *testing.T) {
 		Connect("src", "b")
 	if _, err := plan.Run(testCtx(t, 2)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRecorderSerializesBranches(t *testing.T) {
-	// The simsched Recorder attributes samples to the most recently begun
-	// phase, so a recording run must not overlap nodes.
-	var cur, peak atomic.Int32
-	tracked := func(name string) *fnOp {
-		return &fnOp{name: name, ins: []reflect.Type{stringType}, out: stringType,
-			fn: func(_ *Context, ins []Value) (Value, error) {
-				if c := cur.Add(1); c > peak.Load() {
-					peak.Store(c)
-				}
-				time.Sleep(20 * time.Millisecond)
-				cur.Add(-1)
-				return ins[0], nil
-			}}
-	}
-	plan := NewPlan().
-		Add("src", stringSource("src", "x")).
-		Add("a", tracked("a")).
-		Add("b", tracked("b")).
-		Connect("src", "a").
-		Connect("src", "b")
-	ctx := testCtx(t, 4)
-	ctx.Recorder = simsched.NewRecorder()
-	if _, err := plan.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() != 1 {
-		t.Fatalf("recording run overlapped %d nodes", peak.Load())
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // entangle: the process-lifetime execution environment a long-lived server
 // holds once and shares across every plan run — the worker pool, the
 // storage model, scratch space and the execution backend. The per-run half
-// (breakdown, recorder, observer, cancellation) stays in Context; NewRun
-// mints a fresh Context against the shared environment for each request,
-// so concurrent runs never share mutable per-run state.
+// (breakdown, observer, cancellation, serial dispatch) stays in Context;
+// NewRun mints a fresh Context against the shared environment for each
+// request, so concurrent runs never share mutable per-run state.
 //
 // A batch process can keep building Contexts directly; Env earns its keep
 // when one process serves many runs (hpa-serve holds one Env for its whole
@@ -40,9 +40,9 @@ type Env struct {
 func NewEnv(pool *par.Pool) *Env { return &Env{Pool: pool} }
 
 // NewRun mints a per-run Context over the shared environment: fresh
-// breakdown, no recorder or observer, cancelled by ctx (which may be nil).
-// The returned Context is the one run's private state; the environment
-// fields are shared.
+// breakdown, no observer, concurrent dispatch, cancelled by ctx (which may
+// be nil). The returned Context is the one run's private state; the
+// environment fields are shared.
 func (e *Env) NewRun(ctx context.Context) *Context {
 	return &Context{
 		Pool:       e.Pool,

@@ -208,3 +208,87 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		})
 	}
 }
+
+// serialTrace runs plan on a pool of the given size with Serial set and a
+// tracer attached, and returns the spans ordered by start.
+func serialTrace(t *testing.T, plan *Plan, workers int) []obs.Span {
+	t.Helper()
+	ctx := testCtx(t, workers)
+	ctx.Serial = true
+	ctx.Tracer = obs.NewTracer()
+	if _, err := plan.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	spans := ctx.Tracer.Snapshot().Spans
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	return spans
+}
+
+// TestSerialRunSpansAreDisjoint: under Context.Serial no two tasks
+// overlap, even where the plan branches and the pool has workers to run
+// the branches side by side.
+func TestSerialRunSpansAreDisjoint(t *testing.T) {
+	spans := serialTrace(t, branchingPlan(testCorpus().Source(nil)), 4)
+	if len(spans) < 2 {
+		t.Fatalf("%d spans", len(spans))
+	}
+	for i := 1; i < len(spans); i++ {
+		if prev, s := &spans[i-1], &spans[i]; s.Start.Before(prev.End) {
+			t.Fatalf("%s/%d [%s] starts before %s/%d [%s] ends", s.Node, s.Shard, s.Kind, prev.Node, prev.Shard, prev.Kind)
+		}
+	}
+}
+
+// TestSerialSpansCoverAllPhases: the spans of a serial discrete run name
+// every Figure 3 phase, and the disk traffic of reads, the ARFF pair and
+// the output rides on the spans that caused it.
+func TestSerialSpansCoverAllPhases(t *testing.T) {
+	c := testCorpus()
+	spans := serialTrace(t, TFKMPlan(c.Source(nil), baseCfg(Discrete)), 1)
+	io := map[string]int64{}
+	for i := range spans {
+		io[spans[i].Phase] += spans[i].IOBytes
+	}
+	for _, ph := range []string{tfidf.PhaseInputWC, tfidf.PhaseTransform, tfidf.PhaseOutput, "kmeans-input", kmeans.PhaseKMeans, PhaseOutput} {
+		if _, ok := io[ph]; !ok {
+			t.Errorf("no span carries phase %q", ph)
+		}
+	}
+	for _, ph := range []string{tfidf.PhaseInputWC, tfidf.PhaseOutput, "kmeans-input", PhaseOutput} {
+		if io[ph] == 0 {
+			t.Errorf("phase %q moved no disk bytes", ph)
+		}
+	}
+	if want := c.Source(nil).TotalBytes(); io[tfidf.PhaseInputWC] != want {
+		t.Errorf("input spans read %d bytes, the corpus holds %d", io[tfidf.PhaseInputWC], want)
+	}
+	if io[tfidf.PhaseOutput] != io["kmeans-input"] {
+		t.Errorf("ARFF written %d bytes, read %d", io[tfidf.PhaseOutput], io["kmeans-input"])
+	}
+}
+
+// TestRecordingIsPassive: a recording run — traced, Serial, one pool
+// worker, a pinned shard count — computes exactly what an untraced run on
+// four workers at auto shards does, so the figures are simulated from the
+// code that production runs.
+func TestRecordingIsPassive(t *testing.T) {
+	c := testCorpus()
+	run := func(workers, shards int, record bool) uint64 {
+		ctx := testCtx(t, workers)
+		cfg := baseCfg(Discrete)
+		cfg.Shards = shards
+		if record {
+			ctx.Serial = true
+			ctx.Tracer = obs.NewTracer()
+		}
+		rep, err := RunTFKM(c.Source(nil), ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clusteringDigest(rep.Clustering.Result)
+	}
+	recorded, plain := run(1, 8, true), run(4, 0, false)
+	if recorded != plain {
+		t.Fatalf("recorded run digest %#016x, untraced run %#016x", recorded, plain)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"time"
 
 	"hpa/internal/dict"
 	"hpa/internal/par"
@@ -296,10 +295,9 @@ func (o *WriteWordCounts) Run(ctx *Context, in Value) (Value, error) {
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
 	err := ctx.Breakdown.TimeErr(PhaseOutput, func() error {
-		start := time.Now()
 		n, err := writeCounts(path, wc, o.Limit)
 		ctx.Disk.ChargeRead(n, true)
-		ctx.Recorder.Serial(time.Since(start), n, 1)
+		ctx.spanIO(n, 1)
 		return err
 	})
 	if err != nil {

@@ -135,7 +135,6 @@ import (
 	"hpa/internal/obs"
 	"hpa/internal/par"
 	"hpa/internal/pario"
-	"hpa/internal/simsched"
 )
 
 // Value is a dataset flowing along a plan edge. Concrete types used by the
@@ -155,8 +154,12 @@ type Context struct {
 	// Breakdown accumulates per-phase wall-clock time (Figure 3/4's
 	// stacked bars). Never nil after NewContext.
 	Breakdown *metrics.Breakdown
-	// Recorder optionally collects a simsched trace of the whole workflow.
-	Recorder *simsched.Recorder
+	// Serial runs one task at a time, in dependency order: a traced serial
+	// run on a one-worker pool measures every task's own run time, with no
+	// other task overlapping it — what simsched.FromTrace replays on a
+	// simulated node. Tasks still execute the same code on the same
+	// backend.
+	Serial bool
 	// ScratchDir hosts intermediate files of discrete workflows.
 	ScratchDir string
 	// Observe, when non-nil, is called after each operator with its output
@@ -184,6 +187,15 @@ type Context struct {
 	// backends and kernels annotate it (worker lane, wire bytes, codec).
 	// Nil outside task execution and on untraced runs.
 	Span *obs.Span
+}
+
+// spanIO adds disk traffic to the running task's span; a no-op on
+// untraced runs.
+func (ctx *Context) spanIO(bytes int64, opens int) {
+	if ctx.Span != nil {
+		ctx.Span.IOBytes += bytes
+		ctx.Span.IOOpens += opens
+	}
 }
 
 // NewContext returns a context with an empty breakdown.

@@ -14,7 +14,6 @@ import (
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
 	"hpa/internal/par"
-	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
 )
 
@@ -198,31 +197,6 @@ func TestPipelineErrorIdentifiesOperator(t *testing.T) {
 	_, err := NewPlan().Add("in", bogus).Add("load", &LoadARFF{}).Connect("in", "load").Run(testCtx(t, 1))
 	if !errors.Is(err, ErrType) || !strings.Contains(err.Error(), "load-arff") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRecorderCoversAllPhases(t *testing.T) {
-	ctx := testCtx(t, 1)
-	ctx.Recorder = simsched.NewRecorder()
-	if _, err := RunTFKM(testCorpus().Source(nil), ctx, baseCfg(Discrete)); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, ph := range ctx.Recorder.Phases() {
-		names = append(names, ph.Name)
-	}
-	want := []string{tfidf.PhaseInputWC, tfidf.PhaseTransform, tfidf.PhaseOutput, "kmeans-input", kmeans.PhaseKMeans, PhaseOutput}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("recorded phases %v missing %q", names, w)
-		}
 	}
 }
 
