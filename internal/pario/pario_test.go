@@ -210,28 +210,60 @@ func TestMemSourceTotalBytesAndNames(t *testing.T) {
 	}
 }
 
-func TestParallelInputOverlapsOpenLatency(t *testing.T) {
-	// With per-open latency dominating, K parallel readers should finish
-	// close to K times faster — the essence of Section 3.2.
-	mk := func() *MemSource {
-		m := memSource(32)
-		m.Disk = &DiskSim{BytesPerSec: 1e12, OpenLatency: 5 * time.Millisecond}
-		return m
+// rendezvousSource is a Source whose Reads cannot finish alone: until two
+// Reads have been in flight at once, every Read waits for a second one, and
+// fails only after a timeout far beyond any scheduling delay.
+type rendezvousSource struct {
+	*MemSource
+	mu          sync.Mutex
+	inFlight    int
+	maxInFlight int
+	met         chan struct{} // closed when two Reads first overlap
+}
+
+func (r *rendezvousSource) Read(i int) ([]byte, error) {
+	r.mu.Lock()
+	r.inFlight++
+	if r.inFlight > r.maxInFlight {
+		r.maxInFlight = r.inFlight
+		if r.maxInFlight == 2 {
+			close(r.met)
+		}
 	}
-	t1 := timeReadAll(t, mk(), 1)
-	t8 := timeReadAll(t, mk(), 8)
-	if t8 >= t1 {
-		t.Fatalf("parallel input no faster: 1 reader %v, 8 readers %v", t1, t8)
+	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.inFlight--
+		r.mu.Unlock()
+	}()
+	select {
+	case <-r.met:
+		return r.MemSource.Read(i)
+	case <-time.After(10 * time.Second):
+		return nil, fmt.Errorf("read %d: no other read in flight", i)
 	}
 }
 
-func timeReadAll(t *testing.T, src Source, par int) time.Duration {
-	t.Helper()
-	start := time.Now()
-	if err := ReadAll(src, par, func(int, []byte) error { return nil }); err != nil {
+// TestParallelInputOverlapsOpenLatency: parallel readers overlap their
+// opens — the essence of Section 3.2. A Read that cannot finish until a
+// second one is in flight proves the overlap without timing anything, and
+// the readers never exceed their bound.
+func TestParallelInputOverlapsOpenLatency(t *testing.T) {
+	const readers = 8
+	src := &rendezvousSource{MemSource: memSource(32), met: make(chan struct{})}
+	var handled atomic.Int32
+	if err := ReadAll(src, readers, func(int, []byte) error {
+		handled.Add(1)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return time.Since(start)
+	if handled.Load() != 32 {
+		t.Fatalf("handled %d documents, want 32", handled.Load())
+	}
+	if src.maxInFlight > readers {
+		t.Fatalf("%d reads in flight, want at most %d", src.maxInFlight, readers)
+	}
 }
 
 func TestReadAllContextPreCancelled(t *testing.T) {

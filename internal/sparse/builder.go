@@ -1,7 +1,5 @@
 package sparse
 
-import "sort"
-
 // Builder assembles a sparse vector from components appended in arbitrary
 // index order, possibly with duplicates; Build sorts by index and sums
 // duplicates. The builder's buffers are recycled by Reset, so a single
@@ -11,6 +9,10 @@ import "sort"
 type Builder struct {
 	idx []uint32
 	val []float64
+	// tmpIdx and tmpVal are the radix sort's scatter targets; a pass swaps
+	// them with idx and val.
+	tmpIdx []uint32
+	tmpVal []float64
 }
 
 // Add appends a component. Zero values are kept until Build, where the
@@ -40,7 +42,7 @@ func (b *Builder) Build(dst *Vector) {
 	// Stable sort: values sharing an index are summed in insertion order,
 	// so Build is bitwise deterministic and matches a dense accumulation
 	// of the same Add sequence.
-	sort.Stable((*builderSort)(b))
+	b.sortPending()
 	var curIdx uint32 = b.idx[0]
 	curVal := b.val[0]
 	flush := func() {
@@ -58,13 +60,4 @@ func (b *Builder) Build(dst *Vector) {
 		curIdx, curVal = b.idx[i], b.val[i]
 	}
 	flush()
-}
-
-type builderSort Builder
-
-func (s *builderSort) Len() int           { return len(s.idx) }
-func (s *builderSort) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s *builderSort) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
 }

@@ -2,28 +2,68 @@ package sparse
 
 import "slices"
 
-// pairSort sorts parallel (idx, val) slices by idx using an inlined
-// median-of-three quicksort with insertion sort for small ranges. It avoids
-// sort.Interface's per-comparison indirect calls, which dominate the cost
-// of building one sparse vector per document in the TF/IDF transform phase
-// (the C++ implementation the paper measures gets this for free from
-// inlined std::sort). The sort is NOT stable; callers with duplicate
-// indices that need deterministic summation order use the stable path.
-func pairSort(idx []uint32, val []float64) {
-	for len(idx) > 24 {
-		p := partition(idx, val)
-		// Recurse into the smaller side, loop on the larger: O(log n) stack.
-		if p < len(idx)-p-1 {
-			pairSort(idx[:p], val[:p])
-			idx, val = idx[p+1:], val[p+1:]
-		} else {
-			pairSort(idx[p+1:], val[p+1:])
-			idx, val = idx[:p], val[:p]
+// insertionCutover is the pending length below which the builder sorts by
+// insertion: under it, clearing and scanning a radix sort's histograms
+// costs more than the element moves they save.
+const insertionCutover = 48
+
+// sortPending orders the builder's pending (index, value) pairs by index,
+// stably: pairs sharing an index keep their insertion order. Build folds
+// duplicates in the sorted order, so its sums are the same bits whichever
+// stable sort ran. Input that arrived sorted (a dictionary iterating in key
+// order) is left as it is after one scan, short input is insertion-sorted,
+// and the rest takes one LSD radix pass per byte its largest index needs,
+// skipping any byte every index shares.
+func (b *Builder) sortPending() {
+	n := len(b.idx)
+	if slices.IsSorted(b.idx) {
+		return
+	}
+	if n < insertionCutover {
+		insertionSort(b.idx, b.val)
+		return
+	}
+	// Histograms of the bytes the largest index needs: the low two always
+	// (vocabulary-sized indices fit in them), the high two only if used.
+	var count [4][256]uint32
+	var high uint32
+	for _, id := range b.idx {
+		count[0][byte(id)]++
+		count[1][byte(id>>8)]++
+		high |= id >> 16
+	}
+	passes := 2
+	if high != 0 {
+		passes = 4
+		for _, id := range b.idx {
+			count[2][byte(id>>16)]++
+			count[3][byte(id>>24)]++
 		}
 	}
-	insertionSort(idx, val)
+	b.tmpIdx = slices.Grow(b.tmpIdx[:0], n)[:n]
+	b.tmpVal = slices.Grow(b.tmpVal[:0], n)[:n]
+	for d := 0; d < passes; d++ {
+		c := &count[d]
+		shift := 8 * d
+		if c[byte(b.idx[0]>>shift)] == uint32(n) {
+			continue // every index has this byte
+		}
+		var sum uint32
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		dstIdx, dstVal := b.tmpIdx, b.tmpVal
+		for i, id := range b.idx {
+			at := &c[byte(id>>shift)]
+			dstIdx[*at], dstVal[*at] = id, b.val[i]
+			*at++
+		}
+		b.idx, b.tmpIdx = b.tmpIdx, b.idx
+		b.val, b.tmpVal = b.tmpVal, b.val
+	}
 }
 
+// insertionSort stably sorts parallel (idx, val) slices by idx.
 func insertionSort(idx []uint32, val []float64) {
 	for i := 1; i < len(idx); i++ {
 		ki, kv := idx[i], val[i]
@@ -36,63 +76,17 @@ func insertionSort(idx []uint32, val []float64) {
 	}
 }
 
-// partition performs Lomuto partitioning around a median-of-three pivot.
-func partition(idx []uint32, val []float64) int {
-	n := len(idx)
-	mid := n / 2
-	// Median of first, middle, last moved to position n-1's predecessor.
-	if idx[mid] < idx[0] {
-		swap(idx, val, mid, 0)
-	}
-	if idx[n-1] < idx[0] {
-		swap(idx, val, n-1, 0)
-	}
-	if idx[n-1] < idx[mid] {
-		swap(idx, val, n-1, mid)
-	}
-	swap(idx, val, mid, n-1) // pivot to end
-	pivot := idx[n-1]
-	store := 0
-	for i := 0; i < n-1; i++ {
-		if idx[i] < pivot {
-			swap(idx, val, i, store)
-			store++
-		}
-	}
-	swap(idx, val, store, n-1)
-	return store
-}
-
-func swap(idx []uint32, val []float64, i, j int) {
-	idx[i], idx[j] = idx[j], idx[i]
-	val[i], val[j] = val[j], val[i]
-}
-
-// isSortedStrict reports whether idx is strictly increasing.
-func isSortedStrict(idx []uint32) bool {
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // BuildDistinct is Build for the common case where every pending index is
-// distinct (e.g. one entry per distinct word of a document): it uses the
-// fast non-stable pair sort, skipping it entirely when the input arrived
-// already sorted (as it does when the upstream dictionary iterates in key
-// order). Zero values are dropped. It panics if a duplicate index is
-// present, because silently resolving duplicates non-deterministically
-// would corrupt results.
+// distinct (e.g. one entry per distinct word of a document): with no sums
+// to fold it copies the sorted pairs straight out, into arrays sized once.
+// Zero values are dropped. It panics if a duplicate index is present,
+// because a caller that promised distinct indices has a bug.
 func (b *Builder) BuildDistinct(dst *Vector) {
 	dst.Reset()
 	if len(b.idx) == 0 {
 		return
 	}
-	if !isSortedStrict(b.idx) {
-		pairSort(b.idx, b.val)
-	}
+	b.sortPending()
 	// One allocation per array, not a doubling chain: the pending count
 	// bounds the result.
 	dst.Idx = slices.Grow(dst.Idx, len(b.idx))

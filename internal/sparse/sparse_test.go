@@ -353,25 +353,27 @@ func BenchmarkDotDense(b *testing.B) {
 	}
 }
 
-func TestPairSortMatchesStdSort(t *testing.T) {
+// TestSortPendingMatchesStdSort: the builder's sort (insertion below the
+// cutover, radix above it) orders distinct indices and keeps every value
+// with its index.
+func TestSortPendingMatchesStdSort(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		size := int(n)
-		idx := make([]uint32, size)
-		val := make([]float64, size)
+		var b Builder
 		perm := r.Perm(size * 3)
-		for i := range idx {
-			idx[i] = uint32(perm[i]) // distinct
-			val[i] = float64(idx[i]) * 1.5
+		for i := 0; i < size; i++ {
+			id := uint32(perm[i]) // distinct
+			b.Add(id, float64(id)*1.5)
 		}
-		pairSort(idx, val)
+		b.sortPending()
 		for i := 1; i < size; i++ {
-			if idx[i] <= idx[i-1] {
+			if b.idx[i] <= b.idx[i-1] {
 				return false
 			}
 		}
-		for i := range idx {
-			if val[i] != float64(idx[i])*1.5 { // pairs stayed together
+		for i, id := range b.idx {
+			if b.val[i] != float64(id)*1.5 { // pairs stayed together
 				return false
 			}
 		}

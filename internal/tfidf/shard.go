@@ -1,7 +1,6 @@
 package tfidf
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -284,29 +283,61 @@ func (sc *ShardCounts) sortVocabulary(vocab dict.Map[TermInfo]) {
 }
 
 // sortedOrder returns the indices of words in ascending word order. It
-// sorts (first 8 bytes big-endian, index) pairs, so all but the comparisons
-// between words sharing an 8-byte prefix are one integer compare that never
-// touches string memory.
+// sorts (first 8 bytes big-endian, index) keys by stable LSD radix passes,
+// one per prefix byte, with all eight histograms counted in one pre-pass
+// and any byte every key shares skipped; strings.Compare then runs only
+// inside runs of equal prefix (words sharing their first 8 bytes, or
+// shorter words whose zero padding ties them), so most words are ordered
+// without touching string memory.
 func sortedOrder(words []string) []uint32 {
 	type keyed struct {
 		prefix uint64
 		id     uint32
 	}
-	keys := make([]keyed, len(words))
+	n := len(words)
+	keys := make([]keyed, n)
+	var count [8][256]uint32
 	for id, w := range words {
 		var p [8]byte
 		copy(p[:], w)
-		keys[id] = keyed{binary.BigEndian.Uint64(p[:]), uint32(id)}
-	}
-	slices.SortFunc(keys, func(a, b keyed) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
+		prefix := binary.BigEndian.Uint64(p[:])
+		keys[id] = keyed{prefix, uint32(id)}
+		for d := range count {
+			count[d][byte(prefix>>(8*d))]++
 		}
-		return strings.Compare(words[a.id], words[b.id])
-	})
-	order := make([]uint32, len(words))
-	for r, k := range keys {
-		order[r] = k.id
+	}
+	buf := make([]keyed, n)
+	for d := range count {
+		c := &count[d]
+		shift := 8 * d
+		if n == 0 || c[byte(keys[0].prefix>>shift)] == uint32(n) {
+			continue // every key has this byte
+		}
+		var sum uint32
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		for _, k := range keys {
+			at := &c[byte(k.prefix>>shift)]
+			buf[*at] = k
+			*at++
+		}
+		keys, buf = buf, keys
+	}
+	order := make([]uint32, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi].prefix == keys[lo].prefix {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(a, b keyed) int {
+				return strings.Compare(words[a.id], words[b.id])
+			})
+		}
+		for ; lo < hi; lo++ {
+			order[lo] = keys[lo].id
+		}
 	}
 	return order
 }
