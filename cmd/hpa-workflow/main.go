@@ -13,7 +13,6 @@
 //	             [-k 8] [-seed 1] [-scratch DIR] [-disksim off|hdd]
 //	             [-sweep 1,4,8,12,16] [-explain] [-optimize]
 //	             [-workers addr,addr] [-trace out.json]
-//	             [-measured-ship=true]
 //	hpa-workflow -worker ADDR
 //
 // Every plan runs partitioned: the corpus scan is split into document
@@ -76,19 +75,20 @@
 // events, and writes them as Chrome trace-event JSON loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing: pid 1 is the coordinator, each RPC
 // worker gets its own pid lane. A per-node summary table and a plan autopsy
-// — the -explain output with measured wall-clock printed next to every
-// optimizer prediction — are printed to stderr. Tracing is per-run, so
-// -trace cannot be combined with -sweep.
+// are printed to stderr: the -explain output verbatim, one measurement line
+// per traced node (wall-clock, tasks, iterations, bytes shipped), and the
+// optimizer's predicted time per phase (input+wc, transform, kmeans) next
+// to the measured one. Tracing is per-run, so -trace cannot be combined
+// with -sweep.
 //
 // Distributed runs persist the measured per-task ship time as an EWMA file
 // (hpa-ship-ewma.json, next to the cost-model cache in the scratch
 // directory), and later -optimize runs price remote plans with that
 // measured figure instead of the calibrated loopback lower bound; -explain
 // shows which one priced the plan as "ship=measured" vs
-// "ship=loopback-bound". Pass -measured-ship=false to ignore the persisted
-// file and keep the loopback bound. As with the cost-model cache, the
-// feedback only survives across runs when -scratch points at a persistent
-// directory.
+// "ship=loopback-bound". Delete the file to price with the loopback bound
+// again. As with the cost-model cache, the feedback only survives across
+// runs when -scratch points at a persistent directory.
 //
 // With -sweep, the workflow runs once per thread count and prints a
 // Figure 3-style table. With -explain, the validated plan DAG is printed
@@ -144,7 +144,6 @@ func main() {
 		worker   = flag.String("worker", "", "run as a task worker listening on this address (e.g. :7070; :0 picks a port) instead of running a workflow")
 		workers  = flag.String("workers", "", "comma-separated worker addresses to ship shard tasks to (started with -worker)")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto); also prints a per-node table and a predicted-vs-measured plan autopsy to stderr")
-		shipEWMA = flag.Bool("measured-ship", true, "price remote plans with the persisted measured ship EWMA when available (false: always use the calibrated loopback bound)")
 	)
 	flag.Parse()
 	// Explicitly-set flags pin optimizer decisions (see the precedence
@@ -285,11 +284,7 @@ func main() {
 		base.Mode = workflow.Discrete
 		profile := optimizer.LocalProfile()
 		if workerCount > 0 {
-			shipDir := ""
-			if *shipEWMA {
-				shipDir = scratchDir
-			}
-			profile = optimizer.RPCProfileFrom(workerCount, model, shipDir)
+			profile = optimizer.RPCProfileFrom(workerCount, model, scratchDir)
 		}
 		opts := optimizer.Options{Procs: procs, Shards: *shards, Backend: profile}
 		if explicit["dict"] {
@@ -442,8 +437,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 			// Persist the measurement so the next -optimize run prices
 			// remote shards with real ship times (ship=measured in
-			// -explain). Loading is what -measured-ship=false disables;
-			// recording is always on, like the cost-model cache.
+			// -explain), like the cost-model cache.
 			path := optimizer.ShipEWMAFile(scratchDir)
 			prev, _ := optimizer.LoadShipEWMA(path)
 			prev.Observe(ns, samples)

@@ -146,9 +146,10 @@
 // Tracer.Snapshot freezes a run's spans; WriteChromeTrace exports them as
 // Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev), with the
 // coordinator and every RPC worker on separate lanes. The CLIs add a
-// per-node text summary and a plan autopsy — a plan's Explain text with
-// measured wall-clock printed next to each optimizer prediction
-// ("# autopsy node: predicted 120ms / measured 96ms (0.80×)"):
+// per-node text summary and a plan autopsy — a plan's Explain text, one
+// measurement line per traced node ("# autopsy tfidf.map: 96ms wall, 8
+// tasks"), and the optimizer's predicted time per phase against the
+// measured one ("#   input+wc:  120ms / 96ms (0.80×)"):
 // hpa-workflow -trace out.json writes the JSON and prints both, and
 // hpa-serve exports service counters and latency histograms at GET
 // /metrics in Prometheus text form.

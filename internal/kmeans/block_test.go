@@ -34,8 +34,8 @@ func sparseMix(n, dim int, seed uint64) []sparse.Vector {
 
 // shardedRun drives the clusterer by hand through the iterative path (fixed
 // shard→Accum mapping, then EndIteration) — the workflow engine's
-// execution shape, and what bulk Run does with one shard per pool worker
-// (TestBulkRunRepeatable).
+// execution shape, and what Run does with one shard per pool worker
+// (TestRunRepeatable).
 func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shards int) *Result {
 	t.Helper()
 	p := par.NewPool(1)

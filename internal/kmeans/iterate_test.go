@@ -147,11 +147,11 @@ func TestShardKernelIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBulkRunRepeatable: bulk Run on a 4-worker pool is its shard kernels
+// TestRunRepeatable: Run on a 4-worker pool is its shard kernels
 // over one contiguous range per worker — so ten runs agree on every bit of
 // the inertia history, centroids and assignments, and equal the same
 // ranges driven by hand, however the ranges were scheduled.
-func TestBulkRunRepeatable(t *testing.T) {
+func TestRunRepeatable(t *testing.T) {
 	const dim = 40
 	docs := sparseMix(3000, dim, 11)
 	opts := Options{K: 8, Seed: 5, MaxIter: 12}

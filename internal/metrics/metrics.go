@@ -354,6 +354,21 @@ func FormatDuration(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
+// FormatEstimate renders a duration at the resolution it deserves: Go's
+// native form below a millisecond, so microsecond overheads stay legible,
+// rounded to 10 µs below a second, and FormatDuration above. The
+// optimizer's annotations and the plan autopsy print estimates and
+// measurements with it.
+func FormatEstimate(d time.Duration) string {
+	switch {
+	case d < time.Millisecond:
+		return d.String()
+	case d < time.Second:
+		return d.Round(10 * time.Microsecond).String()
+	}
+	return FormatDuration(d)
+}
+
 // FormatSpeedup renders a speedup factor as "N.NNx".
 func FormatSpeedup(s float64) string {
 	return fmt.Sprintf("%.2fx", s)

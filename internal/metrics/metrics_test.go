@@ -153,6 +153,16 @@ func TestFormatHelpers(t *testing.T) {
 	if got := FormatDuration(1234 * time.Millisecond); got != "1.234s" {
 		t.Fatalf("FormatDuration = %q", got)
 	}
+	for d, want := range map[time.Duration]string{
+		3314 * time.Nanosecond:    "3.314µs",
+		54_463_821:                "54.46ms",
+		1_234_567_890:             "1.235s",
+		999_999 * time.Nanosecond: "999.999µs",
+	} {
+		if got := FormatEstimate(d); got != want {
+			t.Errorf("FormatEstimate(%d) = %q, want %q", int64(d), got, want)
+		}
+	}
 }
 
 func TestTableCSV(t *testing.T) {

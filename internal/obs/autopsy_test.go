@@ -8,32 +8,41 @@ import (
 	"hpa/internal/metrics"
 )
 
-// fakePlan implements PlanLike with canned annotations in the optimizer's
-// exact note formats.
+// fakePlan implements PlanLike: Explain prose, node order and predictions
+// are independent, so a test can pair any prose with any predictions.
 type fakePlan struct {
-	explain string
-	nodes   []string
-	notes   map[string]string
+	explain   string
+	nodes     []string
+	predicted *metrics.Breakdown
 }
 
 func (p *fakePlan) Explain() string               { return p.explain }
 func (p *fakePlan) Nodes() []string               { return p.nodes }
-func (p *fakePlan) Annotation(node string) string { return p.notes[node] }
+func (p *fakePlan) Predicted() *metrics.Breakdown { return p.predicted }
+
+// predictions builds a predicted breakdown from alternating phase names and
+// durations, in that order.
+func predictions(phases ...any) *metrics.Breakdown {
+	bd := metrics.NewBreakdown()
+	for i := 0; i < len(phases); i += 2 {
+		bd.Add(phases[i].(string), phases[i+1].(time.Duration))
+	}
+	return bd
+}
 
 func autopsyFixture() (*fakePlan, *Trace) {
-	notes := map[string]string{
-		"tfidf.map":     "dict=u-map (est input+wc 100ms + transform 20ms = 120ms; map-arena 945ms)",
-		"kmeans.assign": "loop shards=4 (est 40ms; ~14 iterations × 2ms assign/iter)",
-	}
 	plan := &fakePlan{
 		nodes: []string{"scan", "tfidf.map", "kmeans.assign"},
-		notes: notes,
 		explain: strings.Join([]string{
 			"scan -[x4]-> tfidf.map",
 			"tfidf.map ~[x4]~> kmeans.assign",
-			"# tfidf.map: " + notes["tfidf.map"],
-			"# kmeans.assign: " + notes["kmeans.assign"],
+			"# tfidf.map: dict=u-map (est input+wc 100ms + transform 20ms = 120ms; map-arena 945ms)",
+			"# kmeans.assign: loop shards=4 (est 40ms; ~14 iterations × 2ms assign/iter)",
 		}, "\n"),
+		predicted: predictions(
+			"input+wc", 100*time.Millisecond,
+			"transform", 20*time.Millisecond,
+			"kmeans", 40*time.Millisecond),
 	}
 	base := time.Unix(1000, 0).UTC()
 	at := func(ms int64) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
@@ -47,95 +56,87 @@ func autopsyFixture() (*fakePlan, *Trace) {
 	return plan, tr
 }
 
-// TestAutopsyPredictedVsMeasured: each annotated node gets an autopsy line
-// with the predicted figure recovered from the note text, the measured
-// wall-clock, and their ratio.
+func measured() *metrics.Breakdown {
+	return predictions(
+		"input+wc", 150*time.Millisecond,
+		"transform", 10*time.Millisecond,
+		"kmeans", 48*time.Millisecond)
+}
+
+// TestAutopsyPredictedVsMeasured: Explain comes first and verbatim, then a
+// measurement line per traced node in plan order (traced nodes the plan
+// does not name last), then one predicted/measured line per predicted
+// phase.
 func TestAutopsyPredictedVsMeasured(t *testing.T) {
 	plan, tr := autopsyFixture()
-	out := Autopsy(plan, tr, nil)
+	out := Autopsy(plan, tr, measured())
 
-	// tfidf.map: predicted 120ms, measured 96ms (spans 0..96ms) → 0.80×.
-	if !strings.Contains(out, "# autopsy tfidf.map: predicted 120ms / measured 96ms (0.80×), 2 tasks") {
-		t.Errorf("tfidf.map autopsy line missing or wrong:\n%s", out)
-	}
-	// kmeans.assign: predicted 40ms, measured 48ms (100..148ms) → 1.20×,
-	// with the iteration count from the loop-shard spans.
-	if !strings.Contains(out, "# autopsy kmeans.assign: predicted 40ms / measured 48ms (1.20×), 2 tasks, 2 iterations") {
-		t.Errorf("kmeans.assign autopsy line missing or wrong:\n%s", out)
-	}
-	// Traced but unannotated nodes still report their measurement.
-	if !strings.Contains(out, "# autopsy output: measured 1ms, 1 tasks") {
-		t.Errorf("unannotated node lacks measurement:\n%s", out)
-	}
-	// Each autopsy line directly follows its annotation line.
-	lines := strings.Split(out, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "# tfidf.map: ") {
-			if i+1 >= len(lines) || !strings.HasPrefix(lines[i+1], "# autopsy tfidf.map:") {
-				t.Errorf("autopsy line does not follow annotation:\n%s", out)
-			}
-		}
-	}
-	// Shipped bytes surface.
-	if !strings.Contains(out, "1.0 MB shipped") {
-		t.Errorf("shipped bytes missing:\n%s", out)
+	want := plan.Explain() + "\n" + strings.Join([]string{
+		"# autopsy tfidf.map: 96ms wall, 2 tasks, 1.0 MB shipped",
+		"# autopsy kmeans.assign: 48ms wall, 2 tasks, 2 iterations",
+		"# autopsy output: 1ms wall, 1 tasks",
+		"# cost model by phase (predicted / measured):",
+		"#   input+wc:  100ms / 150ms (1.50×)",
+		"#   transform: 20ms / 10ms (0.50×)",
+		"#   kmeans:    40ms / 48ms (1.20×)",
+	}, "\n")
+	if out != want {
+		t.Errorf("autopsy:\n%s\nwant:\n%s", out, want)
 	}
 }
 
-// TestAutopsyCostTerms: with a phase breakdown, the per-term cost-model
-// comparison renders the input+wc, transform and kmeans terms.
+// TestAutopsyCostTerms: the phase block needs both predictions and a
+// measured breakdown; a predicted phase the run never recorded reads as
+// measured zero.
 func TestAutopsyCostTerms(t *testing.T) {
 	plan, tr := autopsyFixture()
-	bd := metrics.NewBreakdown()
-	bd.Add("input+wc", 150*time.Millisecond)
-	bd.Add("transform", 10*time.Millisecond)
-	bd.Add("kmeans", 48*time.Millisecond)
-	out := Autopsy(plan, tr, bd)
-
-	if !strings.Contains(out, "# cost-model terms (predicted / measured):") {
-		t.Fatalf("cost-model section missing:\n%s", out)
+	if out := Autopsy(plan, tr, nil); strings.Contains(out, "# cost model") {
+		t.Errorf("phase block without a measured breakdown:\n%s", out)
 	}
+	plan.predicted = predictions("tfidf-output", 5*time.Millisecond)
+	out := Autopsy(plan, tr, measured())
+	if !strings.HasSuffix(out, "# cost model by phase (predicted / measured):\n#   tfidf-output: 5ms / 0s (0.00×)") {
+		t.Errorf("unmeasured predicted phase:\n%s", out)
+	}
+}
+
+// TestAutopsyIgnoresProse: annotation text full of estimates predicts
+// nothing — only Predicted() does — so no phase block is printed.
+func TestAutopsyIgnoresProse(t *testing.T) {
+	plan, tr := autopsyFixture()
+	plan.predicted = nil
+	out := Autopsy(plan, tr, measured())
+	if strings.Contains(out, "predicted") || strings.Contains(out, "# cost model") {
+		t.Errorf("predictions recovered from prose:\n%s", out)
+	}
+	if !strings.HasPrefix(out, plan.Explain()+"\n# autopsy tfidf.map: ") {
+		t.Errorf("Explain not printed verbatim ahead of the measurements:\n%s", out)
+	}
+}
+
+// TestAutopsyPredictionsWithoutProse: predictions print every phase even
+// when no annotation mentions a number.
+func TestAutopsyPredictionsWithoutProse(t *testing.T) {
+	plan, tr := autopsyFixture()
+	plan.explain = "scan -[x4]-> tfidf.map\ntfidf.map ~[x4]~> kmeans.assign\n# tfidf.map: dict=u-map"
+	out := Autopsy(plan, tr, measured())
 	for _, want := range []string{
-		"input+wc:  100ms / 150ms (1.50×)",
-		"transform: 20ms / 10ms (0.50×)",
-		"kmeans:    40ms / 48ms (1.20×)",
+		"#   input+wc:  100ms / 150ms (1.50×)",
+		"#   transform: 20ms / 10ms (0.50×)",
+		"#   kmeans:    40ms / 48ms (1.20×)",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("cost-model term %q missing:\n%s", want, out)
+			t.Errorf("phase line %q missing:\n%s", want, out)
 		}
 	}
 }
 
-// TestAutopsyWithoutTrace: an empty trace must leave Explain unchanged
-// except for the absent autopsy lines — no panics, no stray sections.
+// TestAutopsyWithoutTrace: an empty trace leaves Explain unchanged — no
+// measurement lines, no panics.
 func TestAutopsyWithoutTrace(t *testing.T) {
 	plan, _ := autopsyFixture()
 	out := Autopsy(plan, &Trace{}, nil)
-	if strings.Contains(out, "# autopsy") {
-		t.Errorf("autopsy lines appeared for an empty trace:\n%s", out)
-	}
-	if !strings.Contains(out, "# tfidf.map: ") {
-		t.Errorf("original Explain content lost:\n%s", out)
-	}
-}
-
-func TestPredictedParsing(t *testing.T) {
-	cases := []struct {
-		note string
-		want time.Duration
-		ok   bool
-	}{
-		{"dict=u-map (est input+wc 205.16ms + transform 22.5ms = 227.66ms; map-arena 945.46ms)", 227660 * time.Microsecond, true},
-		{"shards=4 (est 85.82ms; work 170ms over 2 slots)", 85820 * time.Microsecond, true},
-		{"shards=3 (est 90ms; pinned by explicit override)", 90 * time.Millisecond, true},
-		{"loop shards=4 (est 41.43ms); backend=rpc×2 (+1.2ms ship/task)", 41430 * time.Microsecond, true},
-		{"pinned by explicit override", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := predicted(c.note)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("predicted(%q) = %v, %v; want %v, %v", c.note, got, ok, c.want, c.ok)
-		}
+	if out != plan.Explain() {
+		t.Errorf("empty trace changed Explain:\n%s", out)
 	}
 }

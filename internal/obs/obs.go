@@ -1,9 +1,12 @@
 // Package obs is the observability substrate for the workflow engine: a
 // low-overhead task-level span collector threaded through the executor and
 // backends, exporters for Chrome trace-event JSON (Perfetto-loadable) and
-// plain-text per-node tables, a plan "autopsy" that joins optimizer
-// predictions with measured wall-clock, and a dependency-free Prometheus
-// text registry backing hpa-serve's GET /metrics.
+// plain-text per-node tables, a plan "autopsy" that prints each traced
+// node's measurements under the plan's Explain text and sets the
+// optimizer's per-phase predictions (the plan's Predicted breakdown, never
+// its annotation prose) against the run's measured phase breakdown, and a
+// dependency-free Prometheus text registry backing hpa-serve's GET
+// /metrics.
 //
 // The collector is deliberately simple: one Span per scheduled (node, shard)
 // task, recorded once when the task finishes, plus free-form instant Events

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hpa/internal/dict"
+	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/tfidf"
 	"hpa/internal/workflow"
@@ -66,13 +67,10 @@ func RPCProfile(n int, m *CostModel) BackendProfile {
 // RPCProfileFrom is RPCProfile with the measured-ship feedback loop closed:
 // when dir holds a persisted ship EWMA (see ShipEWMA) with at least one
 // sample, that measured per-task ship time prices the plan instead of the
-// calibrated loopback bound. Pass dir == "" to skip the lookup (the
-// flag-off escape hatch).
+// calibrated loopback bound. Deleting the file (ShipEWMAFile) returns to
+// the loopback bound, as deleting the cost-model cache re-calibrates.
 func RPCProfileFrom(n int, m *CostModel, dir string) BackendProfile {
 	bp := RPCProfile(n, m)
-	if dir == "" {
-		return bp
-	}
 	if e, err := LoadShipEWMA(ShipEWMAFile(dir)); err == nil && e.Samples > 0 && e.ShipNS > 0 {
 		bp.ShipNS = e.ShipNS
 		bp.ShipSource = "measured"
@@ -104,9 +102,9 @@ func (b BackendProfile) String() string {
 		return "local"
 	}
 	if b.ShipSource != "" {
-		return fmt.Sprintf("rpc×%d (+%s ship/task, ship=%s)", b.Workers, fmtNS(b.ShipNS), b.ShipSource)
+		return fmt.Sprintf("rpc×%d (+%s ship/task, ship=%s)", b.Workers, metrics.FormatEstimate(time.Duration(b.ShipNS)), b.ShipSource)
 	}
-	return fmt.Sprintf("rpc×%d (+%s ship/task)", b.Workers, fmtNS(b.ShipNS))
+	return fmt.Sprintf("rpc×%d (+%s ship/task)", b.Workers, metrics.FormatEstimate(time.Duration(b.ShipNS)))
 }
 
 // FusionPin pins the optimizer's fusion decision.
@@ -228,20 +226,6 @@ func (r *rule) Rewrite(p *workflow.Plan) (*workflow.Plan, bool) {
 	return next, true
 }
 
-// fmtNS renders an estimated cost: the figures' duration format for
-// second-scale values, Go's native formatting below that so microsecond
-// overheads stay legible.
-func fmtNS(ns float64) string {
-	d := time.Duration(ns)
-	switch {
-	case d < time.Millisecond:
-		return d.String()
-	case d < time.Second:
-		return d.Round(10 * time.Microsecond).String()
-	}
-	return metrics.FormatDuration(d)
-}
-
 // docCard returns the per-document dictionary cardinality regime.
 func (r *rule) docCard() int {
 	c := int(r.st.AvgDocDistinct + 0.5)
@@ -298,9 +282,39 @@ func (r *rule) wordCountCost(kind dict.Kind) float64 {
 // is structurally dominated by the arena tree and never auto-selected.
 var candidateKinds = []dict.Kind{dict.Tree, dict.Hash}
 
+// decision is one priced choice: the annotation that explains it and the
+// per-phase estimates (in nanoseconds) it rests on.
+type decision struct {
+	note string
+	est  []phaseEst
+}
+
+// phaseEst prices one figure phase.
+type phaseEst struct {
+	phase string
+	ns    float64
+}
+
+// record attaches the decisions to their nodes in plan order: each note as
+// the node's annotation and each estimate as a Plan.Predict, so the plan
+// carries as data what its annotations print.
+func record(p *workflow.Plan, decided map[string]decision) {
+	for _, name := range p.Nodes() {
+		d, ok := decided[name]
+		if !ok {
+			continue
+		}
+		p.Annotate(name, d.note)
+		for _, e := range d.est {
+			p.Predict(e.phase, time.Duration(e.ns))
+		}
+	}
+}
+
 // tfidfBestKind prices the TF/IDF phases under every candidate kind and
-// returns the winner with its decision annotation.
-func (r *rule) tfidfBestKind() (dict.Kind, string) {
+// returns the winner with its decision: the annotation and the winner's
+// input+wc and transform estimates.
+func (r *rule) tfidfBestKind() (dict.Kind, decision) {
 	best, alt := candidateKinds[0], candidateKinds[0]
 	bestCost := math.Inf(1)
 	var bestP1, bestP2, altCost float64
@@ -315,47 +329,58 @@ func (r *rule) tfidfBestKind() (dict.Kind, string) {
 			alt, altCost = kind, p1+p2
 		}
 	}
-	return best, fmt.Sprintf("dict=%s (est input+wc %s + transform %s = %s; %s %s)",
-		best, fmtNS(bestP1), fmtNS(bestP2), fmtNS(bestCost), alt, fmtNS(altCost))
+	return best, decision{
+		note: fmt.Sprintf("dict=%s (est input+wc %s + transform %s = %s; %s %s)",
+			best, metrics.FormatEstimate(time.Duration(bestP1)),
+			metrics.FormatEstimate(time.Duration(bestP2)),
+			metrics.FormatEstimate(time.Duration(bestCost)),
+			alt, metrics.FormatEstimate(time.Duration(altCost))),
+		est: []phaseEst{{tfidf.PhaseInputWC, bestP1}, {tfidf.PhaseTransform, bestP2}},
+	}
 }
 
-// wordCountBestKind is tfidfBestKind for the word-count phase structure.
-func (r *rule) wordCountBestKind() (dict.Kind, string) {
+// wordCountBestKind is tfidfBestKind for the word-count phase structure:
+// its one estimate is the winner's input+wc term.
+func (r *rule) wordCountBestKind() (dict.Kind, decision) {
 	best := candidateKinds[0]
 	bestCost := math.Inf(1)
 	var lines []string
 	for _, kind := range candidateKinds {
 		c := r.wordCountCost(kind)
-		lines = append(lines, fmt.Sprintf("%s %s", kind, fmtNS(c)))
+		lines = append(lines, fmt.Sprintf("%s %s", kind, metrics.FormatEstimate(time.Duration(c))))
 		if c < bestCost {
 			best, bestCost = kind, c
 		}
 	}
-	return best, fmt.Sprintf("dict=%s (est input+wc %s)", best, strings.Join(lines, ", "))
+	return best, decision{
+		note: fmt.Sprintf("dict=%s (est input+wc %s)", best, strings.Join(lines, ", ")),
+		est:  []phaseEst{{tfidf.PhaseInputWC, bestCost}},
+	}
 }
 
 // chooseDicts rewrites every dictionary-bearing operator to the cheapest
 // kind — the logical TFIDFOp/WordCountOp and, when the plan was already
 // partitioned, their expanded shard kernels (which must all agree on one
 // kind) — annotating the choice with both phases' estimates on the
-// operator (or its map kernel).
+// operator (or its map kernel) and predicting them. A pinned kind is
+// annotated as such and predicts nothing: no estimate priced it.
 func (r *rule) chooseDicts(p *workflow.Plan) *workflow.Plan {
-	tfKind, tfNote := r.tfidfBestKind()
-	wcKind, wcNote := r.wordCountBestKind()
+	tfKind, tf := r.tfidfBestKind()
+	wcKind, wc := r.wordCountBestKind()
 	if r.opts.Dict != nil {
 		tfKind, wcKind = *r.opts.Dict, *r.opts.Dict
-		note := fmt.Sprintf("dict=%s (pinned by explicit override)", tfKind)
-		tfNote, wcNote = note, note
+		tf = decision{note: fmt.Sprintf("dict=%s (pinned by explicit override)", tfKind)}
+		wc = tf
 	}
 	repl := make(map[string]workflow.Operator)
-	notes := make(map[string]string)
+	decided := make(map[string]decision)
 	setTF := func(name string, opts *tfidf.Options, op workflow.Operator, note bool) {
 		if opts.DictKind != tfKind {
 			opts.DictKind = tfKind
 			repl[name] = op
 		}
 		if note {
-			notes[name] = tfNote
+			decided[name] = tf
 		}
 	}
 	for _, name := range p.Nodes() {
@@ -381,14 +406,14 @@ func (r *rule) chooseDicts(p *workflow.Plan) *workflow.Plan {
 				clone.DictKind = wcKind
 				repl[name] = &clone
 			}
-			notes[name] = wcNote
+			decided[name] = wc
 		case *workflow.WordCountMapOp:
 			if op.DictKind != wcKind {
 				clone := *op
 				clone.DictKind = wcKind
 				repl[name] = &clone
 			}
-			notes[name] = wcNote
+			decided[name] = wc
 		case *workflow.WordCountReduceOp:
 			if op.DictKind != wcKind {
 				clone := *op
@@ -402,9 +427,7 @@ func (r *rule) chooseDicts(p *workflow.Plan) *workflow.Plan {
 	if len(repl) > 0 {
 		p = clonePlan(p, repl)
 	}
-	for name, note := range notes {
-		p.Annotate(name, note)
-	}
+	record(p, decided)
 	return p
 }
 
@@ -459,12 +482,12 @@ func (r *rule) chooseFusion(p *workflow.Plan) *workflow.Plan {
 		next := p.Apply(workflow.FuseRule())
 		next.AnnotatePlan(fmt.Sprintf(
 			"fusion: fused (saves est ARFF round-trip %s for %.1f MB; est resident %.1f MB <= budget %.1f MB)",
-			fmtNS(roundTripNS), bytes/1e6, float64(resident)/1e6, float64(r.opts.MemoryBudget)/1e6))
+			metrics.FormatEstimate(time.Duration(roundTripNS)), bytes/1e6, float64(resident)/1e6, float64(r.opts.MemoryBudget)/1e6))
 		return next
 	}
 	p.AnnotatePlan(fmt.Sprintf(
 		"fusion: kept materialized (est resident %.1f MB > budget %.1f MB; paying est ARFF round-trip %s)",
-		float64(resident)/1e6, float64(r.opts.MemoryBudget)/1e6, fmtNS(roundTripNS)))
+		float64(resident)/1e6, float64(r.opts.MemoryBudget)/1e6, metrics.FormatEstimate(time.Duration(roundTripNS))))
 	return p
 }
 
@@ -587,11 +610,13 @@ func (r *rule) chooseShards(p *workflow.Plan) *workflow.Plan {
 	if r.opts.Shards > 0 {
 		s = r.opts.Shards
 		est = estimateSharded(work, s, procs, perTask, r.stragglerAt(s))
-		why = fmt.Sprintf("shards=%d (est %s; pinned by explicit override)", s, fmtNS(est))
+		why = fmt.Sprintf("shards=%d (est %s; pinned by explicit override)",
+			s, metrics.FormatEstimate(time.Duration(est)))
 	} else {
 		s, est = chooseShardCount(work, procs, r.st.Docs, perTask, r.stragglerAt)
 		why = fmt.Sprintf("shards=%d (est %s; work %s over %d slots, %s/task overhead, straggler %.3f)",
-			s, fmtNS(est), fmtNS(work), procs, fmtNS(perTask), r.stragglerAt(s))
+			s, metrics.FormatEstimate(time.Duration(est)), metrics.FormatEstimate(time.Duration(work)),
+			procs, metrics.FormatEstimate(time.Duration(perTask)), r.stragglerAt(s))
 	}
 	if bp.Remote {
 		why += "; backend=" + bp.String()
@@ -680,14 +705,15 @@ func chooseLoopShards(work float64, iters, procs, maxShards int, taskNS, perTask
 // cost model (the loop count is independent of the TF/IDF map shard count
 // and is annotated as such). An explicit Options.Shards pin applies to the
 // loop exactly as it does to the map stages. Models without a calibrated
-// kernel cost (pre-v2 caches handed in directly) skip the stage.
+// kernel cost (pre-v2 caches handed in directly) skip the stage. Each
+// loop's estimate, pinned or chosen, is its predicted kmeans phase.
 func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 	if r.m.KMeansAssignNS <= 0 {
 		return p
 	}
 	iters := r.kmIters()
 	repl := make(map[string]workflow.Operator)
-	notes := make(map[string]string)
+	decided := make(map[string]decision)
 	for _, name := range p.Nodes() {
 		op, ok := p.Node(name).Op().(*workflow.KMAssignOp)
 		if !ok {
@@ -696,6 +722,7 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 		work := r.kmeansWork(op.Opts.K, iters)
 		var (
 			s       int
+			est     float64
 			why     string
 			bp      = r.opts.Backend
 			procs   = bp.slots(r.opts.Procs)
@@ -703,14 +730,15 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 		)
 		if r.opts.Shards > 0 {
 			s = r.opts.Shards
+			est = loopEstimate(work, s, iters, procs, r.m.ShardTaskNS, perTask, r.stragglerAt(s))
 			why = fmt.Sprintf("loop shards=%d (est %s; pinned by explicit override)",
-				s, fmtNS(loopEstimate(work, s, iters, procs, r.m.ShardTaskNS, perTask, r.stragglerAt(s))))
+				s, metrics.FormatEstimate(time.Duration(est)))
 		} else {
-			var est float64
 			s, est = chooseLoopShards(work, iters, procs, r.st.Docs, r.m.ShardTaskNS, perTask, r.stragglerAt)
 			why = fmt.Sprintf(
 				"loop shards=%d (est %s; ~%d iterations × %s assign/iter; %s/task overhead; may differ from map shard count)",
-				s, fmtNS(est), iters, fmtNS(work/float64(iters)), fmtNS(perTask))
+				s, metrics.FormatEstimate(time.Duration(est)), iters,
+				metrics.FormatEstimate(time.Duration(work/float64(iters))), metrics.FormatEstimate(time.Duration(perTask)))
 		}
 		if bp.Remote {
 			why += "; backend=" + bp.String()
@@ -718,20 +746,19 @@ func (r *rule) chooseKMeans(p *workflow.Plan) *workflow.Plan {
 		if op.Shards != s {
 			repl[name] = &workflow.KMAssignOp{Opts: op.Opts, Shards: s}
 		}
-		notes[name] = why
+		decided[name] = decision{note: why, est: []phaseEst{{kmeans.PhaseKMeans, est}}}
 	}
 	if len(repl) > 0 {
 		p = clonePlan(p, repl)
 	}
-	for name, note := range notes {
-		p.Annotate(name, note)
-	}
+	record(p, decided)
 	return p
 }
 
 // clonePlan rebuilds p node-for-node and edge-for-edge through the public
 // builder API, substituting operators from repl, and carries annotations
-// over — the copy the rule mutates instead of its (immutable) input.
+// and predictions over — the copy the rule mutates instead of its
+// (immutable) input.
 func clonePlan(p *workflow.Plan, repl map[string]workflow.Operator) *workflow.Plan {
 	next := workflow.NewPlan()
 	for _, name := range p.Nodes() {
@@ -750,6 +777,11 @@ func clonePlan(p *workflow.Plan, repl map[string]workflow.Operator) *workflow.Pl
 	for _, name := range p.Nodes() {
 		if note := p.Annotation(name); note != "" {
 			next.Annotate(name, note)
+		}
+	}
+	if pred := p.Predicted(); pred != nil {
+		for _, phase := range pred.Phases() {
+			next.Predict(phase, pred.Get(phase))
 		}
 	}
 	return next

@@ -1,14 +1,18 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
+	"hpa/internal/metrics"
+	"hpa/internal/obs"
 	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/tfidf"
@@ -199,7 +203,7 @@ func TestZeroValueKindIsWhatTheModelPicks(t *testing.T) {
 	}
 	opts := CalibrationOptions{}
 	opts.defaults()
-	var note string
+	var dec decision
 	for attempt := 0; attempt < 3; attempt++ {
 		m := &CostModel{Version: ModelVersion, Dicts: map[string]DictCost{}}
 		for _, kind := range candidateKinds {
@@ -210,12 +214,12 @@ func TestZeroValueKindIsWhatTheModelPicks(t *testing.T) {
 			m.Dicts[kind.String()] = curve
 		}
 		var best dict.Kind
-		best, note = (&rule{st: st, m: m}).tfidfBestKind()
+		best, dec = (&rule{st: st, m: m}).tfidfBestKind()
 		if best == dict.Kind(0) {
 			return
 		}
 	}
-	t.Fatalf("the calibrated model never picked the default kind %s: %s", dict.Kind(0), note)
+	t.Fatalf("the calibrated model never picked the default kind %s: %s", dict.Kind(0), dec.note)
 }
 
 func TestCollectStats(t *testing.T) {
@@ -760,4 +764,109 @@ func TestOptimizedPlanBitIdenticalAndRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAutopsyReportsThePlansPredictions runs two optimized plans traced —
+// TF/IDF→K-Means, and a word count sharing TF/IDF's scan — and checks the
+// autopsy's per-phase block against the plan's typed predictions: exactly
+// Predicted()'s phases, in its order, at its values, each next to the
+// run's measurement. The predictions state what the annotations print,
+// and the shared scan's input+wc sums the TF/IDF and word-count terms.
+func TestAutopsyReportsThePlansPredictions(t *testing.T) {
+	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
+	st, m := testStats(), testModel()
+	opts := Options{Procs: 2}
+	r := Rule(st, m, opts).(*rule)
+	_, tf := r.tfidfBestKind()
+	_, wc := r.wordCountBestKind()
+	est := func(d decision, i int) time.Duration { return time.Duration(d.est[i].ns) }
+
+	pool := par.NewPool(2)
+	defer pool.Close()
+	autopsy := func(plan *workflow.Plan, tfkm bool) (*metrics.Breakdown, string) {
+		t.Helper()
+		ctx := workflow.NewContext(pool)
+		ctx.ScratchDir = t.TempDir()
+		ctx.Tracer = obs.NewTracer()
+		var err error
+		if tfkm {
+			_, err = workflow.RunTFKMPlan(plan, ctx)
+		} else {
+			_, err = plan.Run(ctx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Breakdown, obs.Autopsy(plan, ctx.Tracer.Snapshot(), ctx.Breakdown)
+	}
+	checkBlock := func(name string, plan *workflow.Plan, want map[string]time.Duration, tfkm bool) {
+		t.Helper()
+		pred := plan.Predicted()
+		if pred == nil {
+			t.Fatalf("%s: optimized plan predicts nothing", name)
+		}
+		if len(pred.Phases()) != len(want) {
+			t.Fatalf("%s: predicted phases %v, want %v", name, pred.Phases(), want)
+		}
+		for phase, d := range want {
+			if got := pred.Get(phase); got != d {
+				t.Errorf("%s: predicted %s = %v, want %v", name, phase, got, d)
+			}
+		}
+		bd, out := autopsy(plan, tfkm)
+		_, block, ok := strings.Cut(out, "# cost model by phase (predicted / measured):\n")
+		if !ok {
+			t.Fatalf("%s: no cost-model block:\n%s", name, out)
+		}
+		lines := strings.Split(block, "\n")
+		if len(lines) != len(pred.Phases()) {
+			t.Fatalf("%s: block has %d lines, plan predicts %d phases:\n%s", name, len(lines), len(pred.Phases()), block)
+		}
+		for i, phase := range pred.Phases() {
+			prefix := fmt.Sprintf("#   %-10s %s / %s (", phase+":",
+				metrics.FormatEstimate(pred.Get(phase)), metrics.FormatEstimate(bd.Get(phase)))
+			if !strings.HasPrefix(lines[i], prefix) {
+				t.Errorf("%s: block line %d = %q, want prefix %q", name, i, lines[i], prefix)
+			}
+		}
+		if n := strings.Count(out, "predicted"); n != 1 { // the block header's
+			t.Errorf("%s: a per-node predicted ratio survived:\n%s", name, out)
+		}
+	}
+
+	tfkm := testTFKMPlan(c, workflow.Merged).Apply(Rule(st, m, opts))
+	pred := tfkm.Predicted()
+	checkBlock("tfidf→kmeans", tfkm, map[string]time.Duration{
+		tfidf.PhaseInputWC:   est(tf, 0),
+		tfidf.PhaseTransform: est(tf, 1),
+		kmeans.PhaseKMeans:   pred.Get(kmeans.PhaseKMeans),
+	}, true)
+	// The predictions are the figures the annotations print.
+	wantTF := fmt.Sprintf("est input+wc %s + transform %s = ",
+		metrics.FormatEstimate(pred.Get(tfidf.PhaseInputWC)), metrics.FormatEstimate(pred.Get(tfidf.PhaseTransform)))
+	wantKM := fmt.Sprintf("loop shards=%d (est %s; ", tfkm.Node("kmeans.assign").Op().(*workflow.KMAssignOp).Shards,
+		metrics.FormatEstimate(pred.Get(kmeans.PhaseKMeans)))
+	if note := tfkm.Annotation("tfidf.map"); !strings.Contains(note, wantTF) {
+		t.Errorf("tfidf.map note %q does not state %q", note, wantTF)
+	}
+	if note := tfkm.Annotation("kmeans.assign"); !strings.Contains(note, wantKM) {
+		t.Errorf("kmeans.assign note %q does not state %q", note, wantKM)
+	}
+
+	src := c.Source(nil)
+	shared := workflow.NewPlan().
+		Add("scan", &workflow.SourceOp{Src: src}).
+		Add("scan2", &workflow.SourceOp{Src: src}).
+		Add("wordcount", &workflow.WordCountOp{DictKind: dict.Tree}).
+		Add("tfidf", &workflow.TFIDFOp{Opts: tfidf.Options{DictKind: dict.Tree}}).
+		Connect("scan", "wordcount").
+		Connect("scan2", "tfidf").
+		Apply(workflow.SharedScanRule(), Rule(st, m, opts))
+	if shared.Node("scan2") != nil {
+		t.Fatalf("scans not shared:\n%s", shared.Explain())
+	}
+	checkBlock("wordcount+tfidf", shared, map[string]time.Duration{
+		tfidf.PhaseInputWC:   est(tf, 0) + est(wc, 0),
+		tfidf.PhaseTransform: est(tf, 1),
+	}, false)
 }

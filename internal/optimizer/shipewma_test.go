@@ -75,8 +75,8 @@ func TestShipEWMASaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestRPCProfileFrom: the measured-ship feedback loop — a persisted EWMA
-// reprices the profile and relabels Explain's ship source; no file (or the
-// escape hatch) keeps the calibrated loopback bound.
+// reprices the profile and relabels Explain's ship source; no file, or a
+// deleted one, keeps the calibrated loopback bound.
 func TestRPCProfileFrom(t *testing.T) {
 	m := &CostModel{RPCShipNS: 50_000}
 	dir := t.TempDir()
@@ -100,10 +100,13 @@ func TestRPCProfileFrom(t *testing.T) {
 		t.Errorf("String() lacks measured label: %s", bp)
 	}
 
-	// The escape hatch: an empty dir skips the lookup.
-	bp = RPCProfileFrom(3, m, "")
+	// Deleting the file re-prices with the loopback bound.
+	if err := os.Remove(ShipEWMAFile(dir)); err != nil {
+		t.Fatal(err)
+	}
+	bp = RPCProfileFrom(3, m, dir)
 	if bp.ShipNS != 50_000 || bp.ShipSource != "loopback-bound" {
-		t.Fatalf("escape hatch ignored: %+v", bp)
+		t.Fatalf("after deleting the EWMA: %+v", bp)
 	}
 
 	// Local profiles stay unlabeled.

@@ -223,6 +223,30 @@ func TestExplainRendersAnnotations(t *testing.T) {
 	}
 }
 
+// TestPredictionsSurviveRewrites: predicted phase times sum per phase in
+// first-predicted order, come back as a copy, and survive the rewrite
+// rules like annotations do; a plan nobody predicted for has none.
+func TestPredictionsSurviveRewrites(t *testing.T) {
+	plan := LogicalTFKMPlan(testCorpus().Source(nil), baseCfg(Discrete))
+	if plan.Predicted() != nil {
+		t.Fatal("fresh plan has predictions")
+	}
+	plan.Predict("input+wc", 3*time.Millisecond).
+		Predict("kmeans", 5*time.Millisecond).
+		Predict("input+wc", 4*time.Millisecond)
+	plan.Predicted().Add("kmeans", time.Second) // a copy: no effect
+	rewritten := plan.Apply(SharedScanRule(), FuseRule(), PartitionRule(4))
+	for _, p := range []*Plan{plan, rewritten} {
+		pred := p.Predicted()
+		if got := pred.Phases(); !reflect.DeepEqual(got, []string{"input+wc", "kmeans"}) {
+			t.Fatalf("predicted phases %v", got)
+		}
+		if pred.Get("input+wc") != 7*time.Millisecond || pred.Get("kmeans") != 5*time.Millisecond {
+			t.Fatalf("predictions %s", pred)
+		}
+	}
+}
+
 // TestPartitionedWordCountMatchesMonolithic: the sharded word count is a
 // second instantiation of the map/reduce decomposition; three shards must
 // agree exactly with the logical plan, which Plan.Run expands at the auto

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"time"
 
+	"hpa/internal/metrics"
 	"hpa/internal/pario"
 )
 
@@ -88,6 +90,10 @@ type Plan struct {
 	// execution.
 	notes     map[string]string
 	planNotes []string
+	// predicted holds the optimizer's estimated time per figure phase
+	// ("input+wc", "transform", "kmeans"), the typed counterpart of the
+	// estimates its annotations print; nil until something is predicted.
+	predicted *metrics.Breakdown
 }
 
 // NewPlan returns an empty plan.
@@ -166,11 +172,42 @@ func (p *Plan) PlanAnnotations() []string {
 	return out
 }
 
-// inheritNotes copies the source plan's annotations onto p: all plan-level
-// notes, and node notes whose node survived the rewrite. Rewrite rules call
-// this on the plans they construct.
+// Predict adds d to the predicted time of the named phase — the channel
+// through which the optimizer hands its cost estimates to whoever compares
+// them with a run's measured Breakdown. Several estimates for one phase
+// (two operators sharing a scan both price "input+wc") sum. Like
+// annotations, predictions never affect execution and survive rewrites.
+func (p *Plan) Predict(phase string, d time.Duration) *Plan {
+	if p.predicted == nil {
+		p.predicted = metrics.NewBreakdown()
+	}
+	p.predicted.Add(phase, d)
+	return p
+}
+
+// Predicted returns a copy of the predicted phase times in first-predicted
+// order, or nil when nothing was predicted.
+func (p *Plan) Predicted() *metrics.Breakdown {
+	if p.predicted == nil {
+		return nil
+	}
+	out := metrics.NewBreakdown()
+	out.Merge(p.predicted)
+	return out
+}
+
+// inheritNotes copies the source plan's annotations and predictions onto
+// p: all plan-level notes, node notes whose node survived the rewrite, and
+// every predicted phase. Rewrite rules call this on the plans they
+// construct.
 func (p *Plan) inheritNotes(src *Plan) {
 	p.planNotes = append(p.planNotes, src.planNotes...)
+	if src.predicted != nil {
+		if p.predicted == nil {
+			p.predicted = metrics.NewBreakdown()
+		}
+		p.predicted.Merge(src.predicted)
+	}
 	for _, name := range src.order {
 		if note := src.notes[name]; note != "" && p.nodes[name] != nil {
 			p.Annotate(name, note)
