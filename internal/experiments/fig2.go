@@ -54,7 +54,7 @@ func RunFig2(cfg Config) (*SpeedupResult, error) {
 				if err != nil {
 					return 0, err
 				}
-				if _, err := r.WriteARFF(arffPath, disk, nil); err != nil {
+				if _, err := r.WriteARFF(arffPath, disk); err != nil {
 					return 0, err
 				}
 				return time.Since(start), nil

@@ -19,7 +19,7 @@ import (
 var workflowPhases = []string{
 	tfidf.PhaseInputWC,
 	tfidf.PhaseOutput,
-	"kmeans-input",
+	workflow.PhaseKMeansInput,
 	tfidf.PhaseTransform,
 	kmeans.PhaseKMeans,
 	workflow.PhaseOutput,
@@ -74,7 +74,7 @@ func RunFig3(cfg Config) (*WorkflowResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mergedPhases := filterPhases(discretePhases, tfidf.PhaseOutput, "kmeans-input")
+		mergedPhases := filterPhases(discretePhases, tfidf.PhaseOutput, workflow.PhaseKMeansInput)
 		res.Discrete = cfg.simBreakdowns(discretePhases)
 		res.Merged = cfg.simBreakdowns(mergedPhases)
 		return res, nil

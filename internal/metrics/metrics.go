@@ -18,25 +18,17 @@ import (
 // "kmeans" and "output".
 //
 // A Breakdown is not safe for concurrent use; phases in this library are
-// sequential sections of the workflow (the parallelism is inside a phase),
-// and the partitioned executor gives every task a private Breakdown and
-// merges them on its scheduling goroutine only. The invariant is checked,
-// not just documented: every mutating method asserts (via an atomic guard)
-// that no other goroutine is mutating concurrently, and panics on a
-// violation instead of silently corrupting the maps.
-//
-// A phase may be recorded either as a plain duration (Add/Time) or as a
-// wall-clock interval (AddSpan/TimeSpan). Intervals recorded for the same
-// phase merge by span union — earliest start to latest end — instead of by
-// summing, which is how the partitioned executor aggregates per-shard
-// timings: N shards running the "input+wc" kernel concurrently contribute
-// the phase's wall-clock span, not N times it, so the Figure 3/4 stacked
-// bars keep their meaning under sharded execution. ResolveSpans collapses
-// intervals into plain durations once a node's shards have all been merged.
+// sequential sections of the workflow (the parallelism is inside a phase).
+// The partitioned executor times every task itself and, after the run,
+// adds each plan node's wall-clock extent under the phase its operator
+// declares, from one goroutine: a sharded phase counts once, not once per
+// shard. The single-goroutine invariant is checked, not just documented:
+// every mutating method asserts (via an atomic guard) that no other
+// goroutine is mutating concurrently, and panics on a violation instead of
+// silently corrupting the map.
 type Breakdown struct {
 	order []string
 	times map[string]time.Duration
-	spans map[string]phaseSpan
 	// busy is the concurrent-mutation guard: mutators CAS it 0→1 for the
 	// duration of the map update and panic when the CAS fails — a cheap,
 	// always-on assertion of the single-goroutine contract above.
@@ -53,31 +45,16 @@ func (b *Breakdown) enter() {
 // exit ends the mutation window opened by enter.
 func (b *Breakdown) exit() { atomic.StoreInt32(&b.busy, 0) }
 
-// phaseSpan is the union [start, end] of every interval recorded so far for
-// one phase.
-type phaseSpan struct {
-	start, end time.Time
-}
-
 // NewBreakdown returns an empty breakdown.
 func NewBreakdown() *Breakdown {
 	return &Breakdown{times: make(map[string]time.Duration)}
-}
-
-// seen reports whether the phase is already in recording order.
-func (b *Breakdown) seen(phase string) bool {
-	if _, ok := b.times[phase]; ok {
-		return true
-	}
-	_, ok := b.spans[phase]
-	return ok
 }
 
 // Add accumulates d into the named phase.
 func (b *Breakdown) Add(phase string, d time.Duration) {
 	b.enter()
 	defer b.exit()
-	if !b.seen(phase) {
+	if _, ok := b.times[phase]; !ok {
 		b.order = append(b.order, phase)
 	}
 	b.times[phase] += d
@@ -99,70 +76,8 @@ func (b *Breakdown) TimeErr(phase string, fn func() error) error {
 	return err
 }
 
-// AddSpan records the wall-clock interval [start, end] for the named phase.
-// Intervals for the same phase union rather than sum: overlapping shards of
-// one parallel phase count once.
-func (b *Breakdown) AddSpan(phase string, start, end time.Time) {
-	b.enter()
-	defer b.exit()
-	if !b.seen(phase) {
-		b.order = append(b.order, phase)
-	}
-	if b.spans == nil {
-		b.spans = make(map[string]phaseSpan)
-	}
-	s, ok := b.spans[phase]
-	if !ok {
-		b.spans[phase] = phaseSpan{start: start, end: end}
-		return
-	}
-	if start.Before(s.start) {
-		s.start = start
-	}
-	if end.After(s.end) {
-		s.end = end
-	}
-	b.spans[phase] = s
-}
-
-// TimeSpan runs fn and records its wall-clock interval for the named phase.
-func (b *Breakdown) TimeSpan(phase string, fn func()) {
-	start := time.Now()
-	fn()
-	b.AddSpan(phase, start, time.Now())
-}
-
-// TimeSpanErr is TimeSpan for functions that can fail; the interval is
-// recorded either way.
-func (b *Breakdown) TimeSpanErr(phase string, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	b.AddSpan(phase, start, time.Now())
-	return err
-}
-
-// ResolveSpans converts every recorded interval into a plain duration and
-// drops the interval bookkeeping. The partitioned executor calls this after
-// merging the per-shard breakdowns of one node, so that node-level times
-// then combine additively with other nodes, exactly as before sharding.
-func (b *Breakdown) ResolveSpans() {
-	b.enter()
-	defer b.exit()
-	for phase, s := range b.spans {
-		b.times[phase] += s.end.Sub(s.start)
-	}
-	b.spans = nil
-}
-
-// Get returns the accumulated duration for a phase (zero if absent), the
-// union span of any unresolved intervals included.
-func (b *Breakdown) Get(phase string) time.Duration {
-	d := b.times[phase]
-	if s, ok := b.spans[phase]; ok {
-		d += s.end.Sub(s.start)
-	}
-	return d
-}
+// Get returns the accumulated duration for a phase (zero if absent).
+func (b *Breakdown) Get(phase string) time.Duration { return b.times[phase] }
 
 // Phases returns the phase names in first-recorded order.
 func (b *Breakdown) Phases() []string {
@@ -175,23 +90,16 @@ func (b *Breakdown) Phases() []string {
 func (b *Breakdown) Total() time.Duration {
 	var t time.Duration
 	for _, p := range b.order {
-		t += b.Get(p)
+		t += b.times[p]
 	}
 	return t
 }
 
-// Merge adds every duration of other into b and unions its unresolved
-// intervals.
+// Merge adds every duration of other into b, zero-duration phases
+// included, so other's recording order carries over.
 func (b *Breakdown) Merge(other *Breakdown) {
 	for _, p := range other.order {
-		if d, ok := other.times[p]; ok && d != 0 {
-			b.Add(p, d)
-		} else if _, spanOnly := other.spans[p]; !spanOnly {
-			b.Add(p, d) // keep zero-duration phases in recording order
-		}
-		if s, ok := other.spans[p]; ok {
-			b.AddSpan(p, s.start, s.end)
-		}
+		b.Add(p, other.times[p])
 	}
 }
 

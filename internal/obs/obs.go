@@ -40,7 +40,8 @@ type Span struct {
 	// or "loop-finish".
 	Kind string
 	// Phase is the Figure 3/4 legend phase the task's time counts toward
-	// ("input+wc", "kmeans", ...); empty for tasks that record none.
+	// ("input+wc", "kmeans", ...): the phase its operator declares, empty
+	// for operators that declare none (splits, sources, joins).
 	Phase string
 	// Shard is the shard index within the node (0 for unsharded tasks).
 	Shard int

@@ -14,8 +14,8 @@ import (
 // section. The tasks of one wave (same node, kind and iteration) form one
 // phase, and a serial span after a wave opens the next one, so every
 // barrier stays a barrier. Phases take their name from the spans' Phase; a
-// span without one (a split, a gather's finish) counts toward the phase in
-// progress.
+// span without one (a split, a source, the K-Means join) counts toward the
+// phase in progress.
 //
 // Spans are grouped in start order, which keeps a wave's tasks together
 // only when they did not overlap other work: record with one task in

@@ -2,7 +2,6 @@ package tfidf
 
 import (
 	"hpa/internal/arff"
-	"hpa/internal/metrics"
 	"hpa/internal/pario"
 	"hpa/internal/sparse"
 )
@@ -13,19 +12,10 @@ import (
 // parallel I/O becomes hard", so the tfidf-output phase of the discrete
 // workflow runs on one thread no matter how many the operators use.
 //
-// The duration is accounted to PhaseOutput in bd, the disk simulator (if
-// any) is charged for the bytes, and the byte count is returned.
-func (r *Result) WriteARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown) (int64, error) {
-	if bd == nil {
-		bd = metrics.NewBreakdown()
-	}
-	var n int64
-	err := bd.TimeErr(PhaseOutput, func() error {
-		var err error
-		n, err = arff.WriteFile(path, r.ARFFHeader(), r.Vectors, disk)
-		return err
-	})
-	return n, err
+// The disk simulator (if any) is charged for the bytes, and the byte count
+// is returned.
+func (r *Result) WriteARFF(path string, disk *pario.DiskSim) (int64, error) {
+	return arff.WriteFile(path, r.ARFFHeader(), r.Vectors, disk)
 }
 
 // ARFFHeader returns the header describing this result's vector space.
@@ -36,20 +26,10 @@ func (r *Result) ARFFHeader() arff.Header {
 // ReadARFF loads a previously written TF/IDF ARFF file — the kmeans-input
 // phase of the discrete workflow, also sequential. It returns the vectors
 // and the attribute (term) names.
-func ReadARFF(path string, disk *pario.DiskSim, bd *metrics.Breakdown) ([]string, []sparse.Vector, error) {
-	if bd == nil {
-		bd = metrics.NewBreakdown()
+func ReadARFF(path string, disk *pario.DiskSim) ([]string, []sparse.Vector, error) {
+	h, rows, err := arff.ReadFile(path, disk)
+	if err != nil {
+		return nil, nil, err
 	}
-	const phase = "kmeans-input"
-	var terms []string
-	var rows []sparse.Vector
-	err := bd.TimeErr(phase, func() error {
-		h, rs, err := arff.ReadFile(path, disk)
-		if err != nil {
-			return err
-		}
-		terms, rows = h.Attributes, rs
-		return nil
-	})
-	return terms, rows, err
+	return h.Attributes, rows, nil
 }

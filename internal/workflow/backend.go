@@ -63,10 +63,6 @@ type RemoteTask struct {
 	// states' own targeted release, and the reason a long-lived serve
 	// backend cannot leak pins from runs that errored out mid-loop.
 	Scope string
-	// Phase, when non-empty, names the Breakdown phase the shipped task's
-	// wall-clock time (ship + compute + reply) is accounted to, so
-	// per-phase figures keep their meaning under remote execution.
-	Phase string
 	// Absorb decodes the kernel's flat reply and integrates it into
 	// coordinator state, returning the task's output value. It runs on the
 	// coordinator, in the task's goroutine.

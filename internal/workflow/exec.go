@@ -40,14 +40,24 @@ const (
 	taskLoopFinish
 )
 
+// Phased is implemented by an operator whose tasks count toward one of the
+// Figure 3/4 phases. The executor times every task of the node and adds
+// the node's wall-clock extent to Context.Breakdown under that phase; an
+// operator without the method (a split, a source, a join) counts toward
+// none.
+type Phased interface {
+	Phase() string
+}
+
 // taskDone is one partition task's completion report, delivered to the
 // scheduling goroutine over a buffered channel (sends never block a pool
-// worker).
+// worker). start and end are the task's two clock reads, zero when it
+// never ran.
 type taskDone struct {
 	node, part int
 	kind       taskKind
 	out        Value
-	bd         *metrics.Breakdown
+	start, end time.Time
 	err        error
 }
 
@@ -83,7 +93,6 @@ type execState struct {
 	began    bool
 	pending  []pendingPart
 	absorbed int
-	nodeBD   *metrics.Breakdown // scheduler-side / loop-task time of a node
 
 	// Loop-node bookkeeping (classLoop).
 	loop      LoopState
@@ -96,8 +105,10 @@ type execState struct {
 	prepRounds int // total preparation rounds
 	prepLeft   int // prep shards of the current round still running
 
-	bds    []*metrics.Breakdown // per-task breakdowns, by partition
-	failed bool
+	// first and last delimit the node's wall-clock extent: the earliest
+	// task start and the latest task end.
+	first, last time.Time
+	failed      bool
 }
 
 // Run validates the plan and executes it as a set of partition tasks on
@@ -135,20 +146,22 @@ type execState struct {
 // reference, so a diamond plan (one scan feeding two consumers) never
 // loses data to early release.
 //
-// Each task runs against a private Breakdown. When the run finishes, the
-// per-task breakdowns of one node are merged — per-shard phase intervals
-// union into the phase's wall-clock span rather than summing — and the
-// node totals are then merged into ctx.Breakdown in topological order, so
-// phase keys and their order are deterministic regardless of how shards
-// interleaved, and Figure 3/4 accounting keeps its meaning. Observe is
+// The executor reads the clock once when a task starts and once when it
+// ends; the two reads are the task's span when traced and widen its
+// node's [first start, last end] extent either way. When the run finishes,
+// on error paths too, every node whose operator declares a phase (Phased)
+// adds its extent to ctx.Breakdown under that phase, in topological order:
+// concurrent shards count once, phase keys and their order are
+// deterministic regardless of how shards interleaved, and Figure 3/4
+// accounting is the roll-up of the tasks' own intervals. Observe is
 // invoked from the scheduling goroutine (serialized) after each node
 // completes, with the gathered value for partitioned nodes. ctx.Ctx
 // cancels cooperatively: tasks not yet started are abandoned once the
 // context is done.
 //
 // Under ctx.Serial, tasks run one at a time in dependency order, so no two
-// spans of a traced run overlap. A traced task's span carries the first
-// phase its private Breakdown recorded.
+// spans of a traced run overlap. A traced task's span carries its
+// operator's declared phase.
 //
 // A plan may reach Run still logical: partitionable operators (TFIDFOp,
 // WordCountOp) and KMeansOp that no rewrite expanded are expanded here by
@@ -197,8 +210,12 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 	}
 	infoByName := p.partitionInfo(order)
 	info := make([]pinfo, len(order))
+	phases := make([]string, len(order))
 	for i, n := range order {
 		info[i] = infoByName[n.name]
+		if ph, ok := n.op.(Phased); ok {
+			phases[i] = ph.Phase()
+		}
 	}
 	consumers := make([][]Edge, len(order)) // outgoing edges per node index
 	for _, e := range p.edges {
@@ -238,7 +255,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		}
 		st.outParts = make([]Value, outN)
 		st.outLeft = outN
-		st.bds = make([]*metrics.Breakdown, np+1)
 	}
 
 	done := make(chan taskDone, totalTasks)
@@ -271,8 +287,8 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 	}
 
 	// spawn launches one partition task. What the task calls depends on the
-	// node class; every task gets a private context and breakdown and
-	// reports on the done channel.
+	// node class; every task gets a private context and reports on the done
+	// channel.
 	spawn := func(t taskRef) {
 		running++
 		i, part := t.node, t.part
@@ -352,15 +368,15 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 					return
 				}
 			}
+			d.start = time.Now()
 			nctx := *ctx
-			nctx.Breakdown = metrics.NewBreakdown()
+			nctx.Breakdown = nil // the executor writes it; operators declare a phase
 			nctx.Observe = nil
-			d.bd = nctx.Breakdown
 			if traced {
 				nctx.Span = &obs.Span{
-					Node: n.name, Op: n.op.Name(), Kind: kindStr,
+					Node: n.name, Op: n.op.Name(), Kind: kindStr, Phase: phases[i],
 					Shard: part, Iter: iter, Backend: backend.Name(),
-					Queued: queued, Start: time.Now(),
+					Queued: queued, Start: d.start,
 				}
 			}
 			// Every task routes through the backend: task.Run is the
@@ -448,15 +464,13 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				}
 			}
 			d.out, d.err = backend.RunTask(&nctx, &task)
+			d.end = time.Now()
 			if d.err != nil {
 				d.err = fmt.Errorf("workflow: operator %s: %w", n.op.Name(), d.err)
 			}
 			if traced {
-				nctx.Span.End = time.Now()
+				nctx.Span.End = d.end
 				nctx.Span.Err = d.err != nil
-				if phases := d.bd.Phases(); len(phases) > 0 {
-					nctx.Span.Phase = phases[0]
-				}
 				ctx.Tracer.Record(*nctx.Span)
 			}
 		})
@@ -471,18 +485,10 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		}
 	}
 
-	// nodeCtx builds the scheduling-goroutine context a stream reducer's
+	// reduceCtx is the scheduling-goroutine context stream reducers'
 	// Begin/Absorb callbacks run against.
-	nodeCtx := func(i int) *Context {
-		st := &states[i]
-		if st.nodeBD == nil {
-			st.nodeBD = metrics.NewBreakdown()
-		}
-		nctx := *ctx
-		nctx.Breakdown = st.nodeBD
-		nctx.Observe = nil
-		return &nctx
-	}
+	reduceCtx := *ctx
+	reduceCtx.Breakdown, reduceCtx.Observe = nil, nil
 
 	fail := func(err error) {
 		if firstErr == nil {
@@ -513,7 +519,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			return
 		}
 		err := recovering(n.op.Name(), func() error {
-			return n.op.(StreamReducer).AbsorbPartition(nodeCtx(i), st.rstate, part, partIdx)
+			return n.op.(StreamReducer).AbsorbPartition(&reduceCtx, st.rstate, part, partIdx)
 		})
 		if err != nil {
 			st.failed = true
@@ -547,7 +553,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			ready = append(ready, taskRef{node: i, kind: taskLoopBegin})
 		case classStream:
 			err := recovering(n.op.Name(), func() error {
-				state, err := n.op.(StreamReducer).BeginReduce(nodeCtx(i), info[idx[p.producerOf0(n.name)]].nparts, st.ins)
+				state, err := n.op.(StreamReducer).BeginReduce(&reduceCtx, info[idx[p.producerOf0(n.name)]].nparts, st.ins)
 				st.rstate = state
 				return err
 			})
@@ -667,16 +673,15 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			d := <-done
 			running--
 			st := &states[d.node]
-			if info[d.node].class == classLoop {
-				// Loop tasks recur (many per shard slot), so their
-				// breakdowns accumulate into the node breakdown instead of
-				// the one-slot-per-partition table.
-				if d.bd != nil {
-					if st.nodeBD == nil {
-						st.nodeBD = metrics.NewBreakdown()
-					}
-					st.nodeBD.Merge(d.bd)
+			if !d.end.IsZero() {
+				if st.first.IsZero() || d.start.Before(st.first) {
+					st.first = d.start
 				}
+				if d.end.After(st.last) {
+					st.last = d.end
+				}
+			}
+			if info[d.node].class == classLoop {
 				if d.err != nil {
 					st.failed = true
 					fail(d.err)
@@ -727,13 +732,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				}
 				dispatch()
 				continue
-			}
-			slot := d.part
-			if info[d.node].class == classStream {
-				slot = info[d.node].nparts // finish-task breakdown rides in the extra slot
-			}
-			if st.bds[slot] == nil {
-				st.bds[slot] = d.bd
 			}
 			if d.err != nil {
 				st.failed = true
@@ -787,22 +785,11 @@ helping:
 	}
 	g.Wait()
 
-	// Merge per-task breakdowns: shards of one node union their phase
-	// spans into wall-clock time, then node totals add into ctx.Breakdown
-	// in topological order.
-	for i := range order {
-		st := &states[i]
-		nodeBD := metrics.NewBreakdown()
-		if st.nodeBD != nil {
-			nodeBD.Merge(st.nodeBD)
+	// Roll the node extents up into ctx.Breakdown, in topological order.
+	for i := range states {
+		if st := &states[i]; phases[i] != "" && !st.first.IsZero() {
+			ctx.Breakdown.Add(phases[i], st.last.Sub(st.first))
 		}
-		for _, bd := range st.bds {
-			if bd != nil {
-				nodeBD.Merge(bd)
-			}
-		}
-		nodeBD.ResolveSpans()
-		ctx.Breakdown.Merge(nodeBD)
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -894,7 +894,6 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 		Op:       "tfidf.count",
 		Args:     args.AppendFlat,
 		Affinity: affinity,
-		Phase:    tfidf.PhaseInputWC,
 		Absorb: func(body []byte) (Value, error) {
 			w, err := tfidf.DecodeFlatWireShardCounts(body)
 			if err != nil {
@@ -940,7 +939,6 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 		Op:       "tfidf.transform",
 		Args:     args.AppendFlat,
 		Affinity: affinity,
-		Phase:    tfidf.PhaseTransform,
 		keyed: &keyedBody{op: "tfidf.global", encode: func() []byte {
 			globalReships.Add(1)
 			return appendGlobalStore(nil, wopts.DictKind, g)

@@ -137,6 +137,9 @@ func (o *KMAssignOp) Inputs() []reflect.Type { return []reflect.Type{anyType} }
 // Output implements Operator.
 func (o *KMAssignOp) Output() reflect.Type { return kmResultType }
 
+// Phase implements Phased.
+func (o *KMAssignOp) Phase() string { return kmeans.PhaseKMeans }
+
 // LoopShards implements IterativeOp.
 func (o *KMAssignOp) LoopShards() int {
 	o.once.Do(func() {
@@ -238,19 +241,13 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 	if opts.DocNorms == nil {
 		opts.DocNorms = norms
 	}
-	var c *kmeans.Clusterer
-	var seeding *kmeans.Seeding
-	err = ctx.Breakdown.TimeSpanErr(kmeans.PhaseKMeans, func() error {
-		var err error
-		c, seeding, err = kmeans.NewDeferredSeed(docs, dim, ctx.Pool, opts)
-		if err == nil && seeding.Rounds() == 0 {
-			seeding.Finish() // k = 1: no distance rounds, seed inline
-			seeding = nil
-		}
-		return err
-	})
+	c, seeding, err := kmeans.NewDeferredSeed(docs, dim, ctx.Pool, opts)
 	if err != nil {
 		return nil, err
+	}
+	if seeding.Rounds() == 0 {
+		seeding.Finish() // k = 1: no distance rounds, seed inline
+		seeding = nil
 	}
 	weights := make([]int64, len(docs))
 	for i := range docs {
@@ -290,9 +287,7 @@ func (s *kmLoopState) PrepareRounds() int {
 // shards of one round run concurrently and results are independent of
 // shard count and scheduling.
 func (s *kmLoopState) PrepareShard(ctx *Context, round, idx, total int) error {
-	ctx.Breakdown.TimeSpan(kmeans.PhaseKMeans, func() {
-		s.seeding.ScanRange(s.bounds[idx], s.bounds[idx+1])
-	})
+	s.seeding.ScanRange(s.bounds[idx], s.bounds[idx+1])
 	return nil
 }
 
@@ -303,14 +298,11 @@ func (s *kmLoopState) PrepareShard(ctx *Context, round, idx, total int) error {
 // installs the centroids.
 func (s *kmLoopState) EndPrepare(ctx *Context, round int) error {
 	last := round == s.seeding.Rounds()-1
-	var pick int
-	ctx.Breakdown.TimeSpan(kmeans.PhaseKMeans, func() {
-		s.seeding.EndRound()
-		pick = s.seeding.LastIndex()
-		if last {
-			s.seeding.Finish()
-		}
-	})
+	s.seeding.EndRound()
+	pick := s.seeding.LastIndex()
+	if last {
+		s.seeding.Finish()
+	}
 	if ctx.Tracer.Enabled() {
 		label := fmt.Sprintf("round=%d pick=%d", round, pick)
 		ctx.Tracer.Emit("kmeans", "seed-round", label, int64(round))
@@ -342,7 +334,6 @@ func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, boo
 		Op:       "kmeans.seed",
 		Args:     args.AppendFlat,
 		Affinity: s.sessionKey(idx),
-		Phase:    kmeans.PhaseKMeans,
 		Absorb: func(body []byte) (Value, error) {
 			d2, err := DecodeFlatKMSeedReply(body)
 			if err != nil {
@@ -364,9 +355,7 @@ func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, boo
 func (s *kmLoopState) RunShard(ctx *Context, idx, total int) (any, error) {
 	a := s.accs[idx]
 	a.Reset()
-	ctx.Breakdown.TimeSpan(kmeans.PhaseKMeans, func() {
-		s.c.AssignShard(s.bounds[idx], s.bounds[idx+1], a)
-	})
+	s.c.AssignShard(s.bounds[idx], s.bounds[idx+1], a)
 	return a, nil
 }
 
@@ -451,7 +440,6 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 		Op:       "kmeans.assign",
 		Args:     args.AppendFlat,
 		Affinity: s.sessionKey(idx),
-		Phase:    kmeans.PhaseKMeans,
 		keyed:    s.centroidBlock(iter),
 		Absorb: func(body []byte) (Value, error) {
 			rep, err := DecodeFlatKMAssignReply(body)
@@ -489,11 +477,7 @@ func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
 		}
 		s.ordered = append(s.ordered, a)
 	}
-	var inertia float64
-	var moved int
-	ctx.Breakdown.TimeSpan(kmeans.PhaseKMeans, func() {
-		inertia, moved = s.c.EndIteration(s.ordered)
-	})
+	inertia, moved := s.c.EndIteration(s.ordered)
 	if ctx.Tracer.Enabled() {
 		// One event per iteration: the moved count is the value; inertia
 		// and how many of the k centroids the update rewrote ride the
@@ -522,11 +506,7 @@ func (s *kmLoopState) Finish(ctx *Context) (Value, error) {
 		}
 		ar.ReleaseAffinity(keys...)
 	}
-	var res *kmeans.Result
-	ctx.Breakdown.TimeSpan(kmeans.PhaseKMeans, func() {
-		res = s.c.Finalize()
-	})
-	return res, nil
+	return s.c.Finalize(), nil
 }
 
 // KMReduceOp closes the iterative K-Means stage: the loop's clustering

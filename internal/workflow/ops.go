@@ -26,6 +26,10 @@ var (
 // parallelize").
 const PhaseOutput = "output"
 
+// PhaseKMeansInput is the discrete workflow's phase of reading the
+// materialized TF/IDF matrix back for K-Means (Figure 3's "kmeans-input").
+const PhaseKMeansInput = "kmeans-input"
+
 // Matrix is a term-document score matrix: the in-memory form of the
 // intermediate dataset between TF/IDF and K-Means.
 type Matrix struct {
@@ -127,6 +131,9 @@ func (o *MaterializeARFF) Inputs() []reflect.Type { return []reflect.Type{tfidfR
 // Output implements Operator.
 func (o *MaterializeARFF) Output() reflect.Type { return arffRefType }
 
+// Phase implements Phased.
+func (o *MaterializeARFF) Phase() string { return tfidf.PhaseOutput }
+
 // Run implements Runner: *tfidf.Result -> *ARFFRef.
 func (o *MaterializeARFF) Run(ctx *Context, in Value) (Value, error) {
 	res, ok := in.(*tfidf.Result)
@@ -138,7 +145,7 @@ func (o *MaterializeARFF) Run(ctx *Context, in Value) (Value, error) {
 		name = "tfidf.arff"
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
-	n, err := res.WriteARFF(path, ctx.Disk, ctx.Breakdown)
+	n, err := res.WriteARFF(path, ctx.Disk)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +153,8 @@ func (o *MaterializeARFF) Run(ctx *Context, in Value) (Value, error) {
 	return &ARFFRef{Path: path, DocNames: res.DocNames, Bytes: n}, nil
 }
 
-// LoadARFF reads a materialized matrix back — the "kmeans-input" phase of
-// the discrete workflow.
+// LoadARFF reads a materialized matrix back — the PhaseKMeansInput phase
+// of the discrete workflow.
 type LoadARFF struct{}
 
 func (*LoadARFF) isLoader() {}
@@ -161,13 +168,16 @@ func (o *LoadARFF) Inputs() []reflect.Type { return []reflect.Type{arffRefType} 
 // Output implements Operator.
 func (o *LoadARFF) Output() reflect.Type { return matrixType }
 
+// Phase implements Phased.
+func (o *LoadARFF) Phase() string { return PhaseKMeansInput }
+
 // Run implements Runner: *ARFFRef -> *Matrix.
 func (o *LoadARFF) Run(ctx *Context, in Value) (Value, error) {
 	ref, ok := in.(*ARFFRef)
 	if !ok {
 		return nil, fmt.Errorf("%w: load wants *ARFFRef, got %T", ErrType, in)
 	}
-	terms, rows, err := tfidf.ReadARFF(ref.Path, ctx.Disk, ctx.Breakdown)
+	terms, rows, err := tfidf.ReadARFF(ref.Path, ctx.Disk)
 	if err != nil {
 		return nil, err
 	}
@@ -219,6 +229,9 @@ func (o *WriteAssignments) Inputs() []reflect.Type { return []reflect.Type{clust
 // Output implements Operator.
 func (o *WriteAssignments) Output() reflect.Type { return clusteringType }
 
+// Phase implements Phased.
+func (o *WriteAssignments) Phase() string { return PhaseOutput }
+
 // Run implements Runner: *Clustering -> *Clustering (pass-through).
 func (o *WriteAssignments) Run(ctx *Context, in Value) (Value, error) {
 	cl, ok := in.(*Clustering)
@@ -230,12 +243,9 @@ func (o *WriteAssignments) Run(ctx *Context, in Value) (Value, error) {
 		name = "clusters.tsv"
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
-	err := ctx.Breakdown.TimeErr(PhaseOutput, func() error {
-		n, err := writeAssignments(path, cl)
-		ctx.Disk.ChargeRead(n, true)
-		ctx.spanIO(n, 1)
-		return err
-	})
+	n, err := writeAssignments(path, cl)
+	ctx.Disk.ChargeRead(n, true)
+	ctx.spanIO(n, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -297,6 +297,9 @@ func (o *TFMapOp) Inputs() []reflect.Type { return []reflect.Type{sourceType} }
 // Output implements Operator.
 func (o *TFMapOp) Output() reflect.Type { return shardCountsType }
 
+// Phase implements Phased.
+func (o *TFMapOp) Phase() string { return tfidf.PhaseInputWC }
+
 // RunPartition implements PartitionKernel: pario.Source (one shard) ->
 // *tfidf.ShardCounts.
 func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value, error) {
@@ -306,12 +309,7 @@ func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value
 	}
 	opts := o.Opts
 	opts.Ctx = ctx.Ctx
-	var sc *tfidf.ShardCounts
-	err := ctx.Breakdown.TimeSpanErr(tfidf.PhaseInputWC, func() error {
-		var err error
-		sc, err = tfidf.CountShard(src, shardReaders(ctx, total), opts)
-		return err
-	})
+	sc, err := tfidf.CountShard(src, shardReaders(ctx, total), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -338,6 +336,9 @@ func (o *DFReduceOp) Inputs() []reflect.Type { return []reflect.Type{partitionsT
 // Output implements Operator.
 func (o *DFReduceOp) Output() reflect.Type { return globalType }
 
+// Phase implements Phased.
+func (o *DFReduceOp) Phase() string { return tfidf.PhaseTransform }
+
 // Run implements Runner: *Partitions of *tfidf.ShardCounts ->
 // *tfidf.Global.
 func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
@@ -351,11 +352,7 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 			return nil, fmt.Errorf("%w: df-reduce wants *tfidf.ShardCounts shards, got %T", ErrType, part)
 		}
 	}
-	var g *tfidf.Global
-	ctx.Breakdown.Time(tfidf.PhaseTransform, func() {
-		g = tfidf.MergeShards(shards, ctx.Pool, o.Opts)
-	})
-	return g, nil
+	return tfidf.MergeShards(shards, ctx.Pool, o.Opts), nil
 }
 
 // TransformOp is the phase-2 map kernel of the partitioned TF/IDF
@@ -384,6 +381,9 @@ func (o *TransformOp) Inputs() []reflect.Type {
 // Output implements Operator.
 func (o *TransformOp) Output() reflect.Type { return vectorShardType }
 
+// Phase implements Phased.
+func (o *TransformOp) Phase() string { return tfidf.PhaseTransform }
+
 // RunPartition implements PartitionKernel: (*tfidf.ShardCounts,
 // *tfidf.Global) -> *tfidf.VectorShard.
 func (o *TransformOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value, error) {
@@ -395,11 +395,7 @@ func (o *TransformOp) RunPartition(ctx *Context, ins []Value, idx, total int) (V
 	if !ok {
 		return nil, fmt.Errorf("%w: transform wants *tfidf.Global, got %T", ErrType, ins[1])
 	}
-	var vs *tfidf.VectorShard
-	ctx.Breakdown.TimeSpan(tfidf.PhaseTransform, func() {
-		vs = tfidf.TransformShard(g, sc, ctx.Pool, o.Opts)
-	})
-	return vs, nil
+	return tfidf.TransformShard(g, sc, ctx.Pool, o.Opts), nil
 }
 
 // GatherOp assembles the vector shards into the final *tfidf.Result. It is
@@ -429,6 +425,9 @@ func (o *GatherOp) Inputs() []reflect.Type {
 // Output implements Operator.
 func (o *GatherOp) Output() reflect.Type { return tfidfResultType }
 
+// Phase implements Phased.
+func (o *GatherOp) Phase() string { return tfidf.PhaseTransform }
+
 // BeginReduce implements StreamReducer.
 func (o *GatherOp) BeginReduce(ctx *Context, total int, ins []Value) (any, error) {
 	g, ok := ins[1].(*tfidf.Global)
@@ -447,10 +446,8 @@ func (o *GatherOp) AbsorbPartition(ctx *Context, state any, part Value, idx int)
 		return fmt.Errorf("%w: gather wants *tfidf.VectorShard shards, got %T", ErrType, part)
 	}
 	st := state.(*gatherState)
-	ctx.Breakdown.TimeSpan(tfidf.PhaseTransform, func() {
-		st.res.AbsorbShard(vs)
-		copy(st.res.Norms[vs.Lo:vs.Hi], vs.Norms)
-	})
+	st.res.AbsorbShard(vs)
+	copy(st.res.Norms[vs.Lo:vs.Hi], vs.Norms)
 	return nil
 }
 

@@ -568,9 +568,7 @@ func (b *RPCBackend) observeShip(ns float64) {
 }
 
 // RunTask implements Backend: tasks with a remote descriptor ship to a
-// worker; the rest run in-process. The shipped task's wall-clock time
-// (encode + round trip + decode + absorb) is accounted to the descriptor's
-// phase key, so breakdowns keep their meaning.
+// worker; the rest run in-process.
 func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	rt := t.Remote
 	if rt == nil {
@@ -581,78 +579,66 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	if ctx != nil {
 		span, tracer = ctx.Span, ctx.Tracer
 	}
-	call := func() (Value, error) {
-		i, pinned := b.pick(rt.Affinity, rt.Scope)
-		if span != nil {
-			span.Worker = b.labels[i]
-			// Attribute the XOR value-block traffic this call decodes (and,
-			// over a pipe worker, encodes) to the span as deltas of the
-			// process-wide counters.
-			vRaw0, vCoded0 := flatwire.ValueBytes()
-			defer func() {
-				raw, coded := flatwire.ValueBytes()
-				span.ValueRawBytes += raw - vRaw0
-				span.ValueCodedBytes += coded - vCoded0
-			}()
-			if pinned {
-				tracer.Emit("wire", "affinity-hit", rt.Affinity, int64(i))
-			}
+	i, pinned := b.pick(rt.Affinity, rt.Scope)
+	if span != nil {
+		span.Worker = b.labels[i]
+		// Attribute the XOR value-block traffic this call decodes (and,
+		// over a pipe worker, encodes) to the span as deltas of the
+		// process-wide counters.
+		vRaw0, vCoded0 := flatwire.ValueBytes()
+		defer func() {
+			raw, coded := flatwire.ValueBytes()
+			span.ValueRawBytes += raw - vRaw0
+			span.ValueCodedBytes += coded - vCoded0
+		}()
+		if pinned {
+			tracer.Emit("wire", "affinity-hit", rt.Affinity, int64(i))
 		}
-		ship := func(args func([]byte) []byte, keyed bool) ([]byte, error) {
-			body := args(nil)
-			start := time.Now()
-			rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, keyed)
-			if err != nil {
-				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
-			}
-			b.observeShip(float64(time.Since(start) - rep.run))
-			if span != nil {
-				span.BytesOut += int64(sent)
-				span.BytesIn += int64(rep.n)
-				span.WorkerRun += rep.run
-			}
-			return rep.body, nil
-		}
-		body, err := ship(rt.Args, false)
+	}
+	ship := func(args func([]byte) []byte, keyed bool) ([]byte, error) {
+		body := args(nil)
+		start := time.Now()
+		rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, keyed)
 		if err != nil {
+			return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
+		}
+		b.observeShip(float64(time.Since(start) - rep.run))
+		if span != nil {
+			span.BytesOut += int64(sent)
+			span.BytesIn += int64(rep.n)
+			span.WorkerRun += rep.run
+		}
+		return rep.body, nil
+	}
+	body, err := ship(rt.Args, false)
+	if err != nil {
+		return nil, err
+	}
+	out, err := rt.Absorb(body)
+	var nr *needResend
+	if errors.As(err, &nr) {
+		// Cache miss: the worker lacks a body the first send replaced
+		// with its key. Re-send to the SAME worker — any other would
+		// miss again — behind the keyed body's store frame and with
+		// whatever else the miss named inlined, and absorb the second
+		// reply. A second miss is a protocol violation: an error.
+		if span != nil {
+			span.Resend = true
+			tracer.Emit("wire", "cache-miss-resend", rt.Op, int64(i))
+		}
+		args := rt.Args
+		if nr.Args != nil {
+			args = nr.Args
+		}
+		if body, err = ship(args, nr.Keyed); err != nil {
 			return nil, err
 		}
-		out, err := rt.Absorb(body)
-		var nr *needResend
-		if errors.As(err, &nr) {
-			// Cache miss: the worker lacks a body the first send replaced
-			// with its key. Re-send to the SAME worker — any other would
-			// miss again — behind the keyed body's store frame and with
-			// whatever else the miss named inlined, and absorb the second
-			// reply. A second miss is a protocol violation: an error.
-			if span != nil {
-				span.Resend = true
-				tracer.Emit("wire", "cache-miss-resend", rt.Op, int64(i))
+		if out, err = rt.Absorb(body); err != nil {
+			if errors.As(err, &nr) {
+				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: cache miss after inlined resend", b.labels[i], rt.Op)
 			}
-			args := rt.Args
-			if nr.Args != nil {
-				args = nr.Args
-			}
-			if body, err = ship(args, nr.Keyed); err != nil {
-				return nil, err
-			}
-			if out, err = rt.Absorb(body); err != nil {
-				if errors.As(err, &nr) {
-					return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: cache miss after inlined resend", b.labels[i], rt.Op)
-				}
-				return nil, err
-			}
+			return nil, err
 		}
-		return out, err
 	}
-	if rt.Phase == "" || ctx == nil || ctx.Breakdown == nil {
-		return call()
-	}
-	var out Value
-	err := ctx.Breakdown.TimeSpanErr(rt.Phase, func() error {
-		var cerr error
-		out, cerr = call()
-		return cerr
-	})
 	return out, err
 }

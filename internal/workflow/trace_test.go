@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
@@ -39,12 +40,12 @@ func tracedTFKM(t *testing.T, backend Backend, scratch string) *obs.Trace {
 
 // spanKey is a span's backend-independent identity.
 func spanKey(s *obs.Span) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d", s.Node, s.Op, s.Kind, s.Shard, s.Iter)
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d", s.Node, s.Op, s.Kind, s.Phase, s.Shard, s.Iter)
 }
 
 // TestCrossBackendSpanParity: local and RPC runs of the same plan must
-// schedule the same task set — identical (node, op, kind, shard, iter)
-// multisets, differing only in worker lanes and wire annotations.
+// schedule the same task set — identical (node, op, kind, phase, shard,
+// iter) multisets, differing only in worker lanes and wire annotations.
 func TestCrossBackendSpanParity(t *testing.T) {
 	scratch := t.TempDir()
 	local := tracedTFKM(t, LocalBackend{}, scratch)
@@ -290,5 +291,69 @@ func TestRecordingIsPassive(t *testing.T) {
 	recorded, plain := run(1, 8, true), run(4, 0, false)
 	if recorded != plain {
 		t.Fatalf("recorded run digest %#016x, untraced run %#016x", recorded, plain)
+	}
+}
+
+// TestBreakdownIsTheSpanRollUp: the Breakdown is the spans rolled up, not a
+// second record. For every phase, Breakdown.Get equals the sum over nodes
+// of the node's extent (last span end − first span start) over its spans
+// in that phase, exactly; and the phases never sum past the run's wall.
+func TestBreakdownIsTheSpanRollUp(t *testing.T) {
+	c := testCorpus()
+	for _, mode := range []Mode{Merged, Discrete} {
+		for _, shards := range []int{1, 3, 8} {
+			for _, serial := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards=%d/serial=%t", mode, shards, serial)
+				t.Run(name, func(t *testing.T) {
+					cfg := baseCfg(mode)
+					cfg.Shards = shards
+					ctx := testCtx(t, 2)
+					ctx.Serial = serial
+					ctx.Tracer = obs.NewTracer()
+					plan := TFKMPlan(c.Source(nil), cfg)
+					start := time.Now()
+					if _, err := plan.Run(ctx); err != nil {
+						t.Fatal(err)
+					}
+					wall := time.Since(start)
+
+					type extent struct{ first, last time.Time }
+					extents := map[[2]string]*extent{} // by (node, phase)
+					for _, s := range ctx.Tracer.Snapshot().Spans {
+						if s.Phase == "" {
+							continue
+						}
+						k := [2]string{s.Node, s.Phase}
+						e := extents[k]
+						if e == nil {
+							extents[k] = &extent{s.Start, s.End}
+							continue
+						}
+						if s.Start.Before(e.first) {
+							e.first = s.Start
+						}
+						if s.End.After(e.last) {
+							e.last = s.End
+						}
+					}
+					want := map[string]time.Duration{}
+					for k, e := range extents {
+						want[k[1]] += e.last.Sub(e.first)
+					}
+					bd := ctx.Breakdown
+					if got := bd.Phases(); len(got) != len(want) {
+						t.Fatalf("breakdown phases %v, spans carry %d phases", got, len(want))
+					}
+					for ph, d := range want {
+						if got := bd.Get(ph); got != d {
+							t.Errorf("phase %q: breakdown %v, span roll-up %v", ph, got, d)
+						}
+					}
+					if total := bd.Total(); total > wall {
+						t.Errorf("phases sum to %v, more than the run's wall %v", total, wall)
+					}
+				})
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/text"
+	"hpa/internal/tfidf"
 )
 
 // WordCounts is the output of WordCountOp: corpus-wide term frequencies.
@@ -74,9 +75,6 @@ func (o *WordCountOp) mapOp() *WordCountMapOp {
 	}
 }
 
-// tfidfPhaseInputWC mirrors tfidf.PhaseInputWC without an import cycle.
-const tfidfPhaseInputWC = "input+wc"
-
 // partitionFragment implements partitionable: shard-local count maps plus
 // a tree-merge reduction.
 func (o *WordCountOp) partitionFragment() fragment {
@@ -137,6 +135,9 @@ func (o *WordCountMapOp) Inputs() []reflect.Type { return []reflect.Type{sourceT
 // Output implements Operator.
 func (o *WordCountMapOp) Output() reflect.Type { return wcShardType }
 
+// Phase implements Phased.
+func (o *WordCountMapOp) Phase() string { return tfidf.PhaseInputWC }
+
 // RunPartition implements PartitionKernel: pario.Source (one shard) ->
 // *WCShard.
 func (o *WordCountMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value, error) {
@@ -156,42 +157,34 @@ func (o *WordCountMapOp) RunPartition(ctx *Context, ins []Value, idx, total int)
 		}
 	})
 	readers := shardReaders(ctx, total)
-	var out *WCShard
-	err := ctx.Breakdown.TimeSpanErr(tfidfPhaseInputWC, func() error {
-		read := func(h func(int, []byte) error) error {
-			if ctx.Ctx != nil {
-				return pario.ReadAllContext(ctx.Ctx, src, readers, h)
-			}
-			return pario.ReadAll(src, readers, h)
+	read := func(h func(int, []byte) error) error {
+		if ctx.Ctx != nil {
+			return pario.ReadAllContext(ctx.Ctx, src, readers, h)
 		}
-		if err := read(func(i int, content []byte) error {
-			s := strands.Claim()
-			s.tk.Tokens(content, func(tok []byte) {
-				*s.m.RefBytes(tok)++
-				s.n++
-			})
-			strands.Release(s)
-			return nil
-		}); err != nil {
-			return err
-		}
-		// Fold the shard's read strands (bounded by readers, typically 1).
-		merged := dict.New[uint64](o.DictKind, dict.Options{})
-		var total uint64
-		for _, s := range strands.Views() {
-			total += s.n
-			s.m.Range(func(word string, c *uint64) bool {
-				*merged.Ref(word) += *c
-				return true
-			})
-		}
-		out = &WCShard{Counts: merged, Tokens: total}
+		return pario.ReadAll(src, readers, h)
+	}
+	if err := read(func(i int, content []byte) error {
+		s := strands.Claim()
+		s.tk.Tokens(content, func(tok []byte) {
+			*s.m.RefBytes(tok)++
+			s.n++
+		})
+		strands.Release(s)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	// Fold the shard's read strands (bounded by readers, typically 1).
+	merged := dict.New[uint64](o.DictKind, dict.Options{})
+	var tokens uint64
+	for _, s := range strands.Views() {
+		tokens += s.n
+		s.m.Range(func(word string, c *uint64) bool {
+			*merged.Ref(word) += *c
+			return true
+		})
+	}
+	return &WCShard{Counts: merged, Tokens: tokens}, nil
 }
 
 // WordCountReduceOp tree-merges the shard counts into the corpus-wide
@@ -211,6 +204,9 @@ func (o *WordCountReduceOp) Inputs() []reflect.Type { return []reflect.Type{part
 // Output implements Operator.
 func (o *WordCountReduceOp) Output() reflect.Type { return wordCountsType }
 
+// Phase implements Phased.
+func (o *WordCountReduceOp) Phase() string { return tfidf.PhaseInputWC }
+
 // Run implements Runner: *Partitions of *WCShard -> *WordCounts.
 func (o *WordCountReduceOp) Run(ctx *Context, in Value) (Value, error) {
 	parts, ok := in.(*Partitions)
@@ -223,32 +219,28 @@ func (o *WordCountReduceOp) Run(ctx *Context, in Value) (Value, error) {
 			return nil, fmt.Errorf("%w: wc-reduce wants *WCShard shards, got %T", ErrType, part)
 		}
 	}
-	var out *WordCounts
-	ctx.Breakdown.Time(tfidfPhaseInputWC, func() {
-		var total uint64
-		dicts := make([]dict.Map[uint64], 0, len(shards))
-		for _, ws := range shards {
-			total += ws.Tokens
-			dicts = append(dicts, ws.Counts)
-		}
-		var merged dict.Map[uint64]
-		if len(dicts) == 0 {
-			merged = dict.New[uint64](o.DictKind, dict.Options{})
-		} else {
-			merged = par.TreeReduce(ctx.Pool, dicts, func(a, b dict.Map[uint64]) dict.Map[uint64] {
-				if a.Len() < b.Len() {
-					a, b = b, a
-				}
-				b.Range(func(word string, c *uint64) bool {
-					*a.Ref(word) += *c
-					return true
-				})
-				return a
+	var total uint64
+	dicts := make([]dict.Map[uint64], 0, len(shards))
+	for _, ws := range shards {
+		total += ws.Tokens
+		dicts = append(dicts, ws.Counts)
+	}
+	var merged dict.Map[uint64]
+	if len(dicts) == 0 {
+		merged = dict.New[uint64](o.DictKind, dict.Options{})
+	} else {
+		merged = par.TreeReduce(ctx.Pool, dicts, func(a, b dict.Map[uint64]) dict.Map[uint64] {
+			if a.Len() < b.Len() {
+				a, b = b, a
+			}
+			b.Range(func(word string, c *uint64) bool {
+				*a.Ref(word) += *c
+				return true
 			})
-		}
-		out = buildWordCounts(merged, total)
-	})
-	return out, nil
+			return a
+		})
+	}
+	return buildWordCounts(merged, total), nil
 }
 
 type byCountDesc struct{ w *WordCounts }
@@ -283,6 +275,9 @@ func (o *WriteWordCounts) Inputs() []reflect.Type { return []reflect.Type{wordCo
 // Output implements Operator.
 func (o *WriteWordCounts) Output() reflect.Type { return wordCountsType }
 
+// Phase implements Phased.
+func (o *WriteWordCounts) Phase() string { return PhaseOutput }
+
 // Run implements Runner: *WordCounts -> *WordCounts (pass-through).
 func (o *WriteWordCounts) Run(ctx *Context, in Value) (Value, error) {
 	wc, ok := in.(*WordCounts)
@@ -294,12 +289,9 @@ func (o *WriteWordCounts) Run(ctx *Context, in Value) (Value, error) {
 		name = "wordcounts.tsv"
 	}
 	path := filepath.Join(ctx.ScratchDir, name)
-	err := ctx.Breakdown.TimeErr(PhaseOutput, func() error {
-		n, err := writeCounts(path, wc, o.Limit)
-		ctx.Disk.ChargeRead(n, true)
-		ctx.spanIO(n, 1)
-		return err
-	})
+	n, err := writeCounts(path, wc, o.Limit)
+	ctx.Disk.ChargeRead(n, true)
+	ctx.spanIO(n, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -39,9 +39,10 @@
 //     one barrier task per iteration; K-Means shards return only
 //     per-document results, and the barrier recomputes each centroid from
 //     its members in document order, so no float depends on how many
-//     shards there were or how they were scheduled. Per-shard phase
-//     timings union into wall-clock spans under the same Breakdown keys
-//     as monolithic runs, merged in deterministic topological order.
+//     shards there were or how they were scheduled. The executor times
+//     every task once; each node's wall-clock extent counts toward the
+//     phase its operator declares (Phased), added to the Breakdown in
+//     deterministic topological order.
 //
 // Every plan runs partitioned, so the TF/IDF→K-Means dataflow is
 // shard-granular end-to-end, including the iterative phase:
@@ -152,7 +153,10 @@ type Context struct {
 	// means unthrottled.
 	Disk *pario.DiskSim
 	// Breakdown accumulates per-phase wall-clock time (Figure 3/4's
-	// stacked bars). Never nil after NewContext.
+	// stacked bars). Never nil after NewContext. Plan.Run fills it from
+	// its own task timings when the run ends; operators declare a phase
+	// (Phased) and do not write it — the contexts they run against carry
+	// none.
 	Breakdown *metrics.Breakdown
 	// Serial runs one task at a time, in dependency order: a traced serial
 	// run on a one-worker pool measures every task's own run time, with no
