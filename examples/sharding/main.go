@@ -2,11 +2,11 @@
 // workflow. PartitionRule rewrites the plan so the corpus scan is carved
 // into document shards that flow through per-shard map kernels (phase-1
 // tokenize+count, phase-2 transform) around explicit reductions (the
-// document-frequency tree-merge and the streaming gather). The executor
-// schedules one task per (node, shard), so shards pipeline through the
-// stages instead of meeting a barrier after every stage — and the scores
-// and cluster assignments are bit-identical at any shard count, which this
-// example verifies by comparing 4 shards against 1.
+// document-frequency tree-merge and the gather of the vector shards into
+// one result). The executor schedules one task per (node, shard), so shards
+// pipeline through the map stages instead of meeting a barrier after every
+// stage — and the scores and cluster assignments are bit-identical at any
+// shard count, which this example verifies by comparing 4 shards against 1.
 package main
 
 import (

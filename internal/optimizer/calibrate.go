@@ -234,8 +234,8 @@ func calibrateARFF(opts CalibrationOptions) (writeBPS, readBPS float64, err erro
 
 // Trivial partitioned operators for the shard-overhead measurement: a
 // splitter emitting shard indices, one map kernel passing them through, and
-// a stream reducer counting arrivals — the minimal plan exercising every
-// scheduling path a real partition task takes.
+// a reduction counting the gathered shards — the minimal plan exercising
+// every scheduling path a real partition task takes.
 type calSplit struct{ n int }
 
 func (s *calSplit) Name() string           { return "cal-split" }
@@ -257,19 +257,13 @@ func (*calMap) RunPartition(_ *workflow.Context, ins []workflow.Value, _, _ int)
 
 type calReduce struct{}
 
-func (*calReduce) Name() string           { return "cal-reduce" }
-func (*calReduce) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
-func (*calReduce) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (*calReduce) BeginReduce(*workflow.Context, int, []workflow.Value) (any, error) {
-	c := 0
-	return &c, nil
+func (*calReduce) Name() string { return "cal-reduce" }
+func (*calReduce) Inputs() []reflect.Type {
+	return []reflect.Type{reflect.TypeOf((*workflow.Partitions)(nil))}
 }
-func (*calReduce) AbsorbPartition(_ *workflow.Context, state any, _ workflow.Value, _ int) error {
-	*state.(*int)++
-	return nil
-}
-func (*calReduce) FinishReduce(_ *workflow.Context, state any) (workflow.Value, error) {
-	return *state.(*int), nil
+func (*calReduce) Output() reflect.Type { return reflect.TypeOf(0) }
+func (*calReduce) Run(_ *workflow.Context, in workflow.Value) (workflow.Value, error) {
+	return len(in.(*workflow.Partitions).Parts), nil
 }
 
 // calKMeansMatrix synthesizes the (deterministic) sparse matrix the
@@ -328,7 +322,7 @@ func calibrateKMeansAssign(opts CalibrationOptions) float64 {
 }
 
 // calibrateShardOverhead times a plan of empty partition tasks (split ->
-// map -> stream-reduce) and attributes the wall time to the tasks evenly:
+// map -> gathered reduce) and attributes the wall time to the tasks evenly:
 // the fixed price every shard pays for existing, which the shard-count
 // decision weighs against the parallelism a shard buys.
 func calibrateShardOverhead(shards int) float64 {
@@ -347,8 +341,8 @@ func calibrateShardOverhead(shards int) float64 {
 		// conservative constant rather than failing calibration.
 		return 20_000
 	}
-	// split + map tasks plus the absorb/finish work per shard.
-	tasks := 3 * shards
+	// split + map tasks per shard plus the one reduce task.
+	tasks := 2*shards + 1
 	return float64(time.Since(start).Nanoseconds()) / float64(tasks)
 }
 

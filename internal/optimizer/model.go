@@ -54,9 +54,11 @@ import (
 // sharded estimates only; v11 times a whole K-Means iteration,
 // assignment plus the centroid update that gathers each centroid from its
 // members, in KMeansAssignNS; v12 times the same passes with the update
-// skipping every cluster whose member set did not change. Earlier caches
-// self-invalidate and re-measure.
-const ModelVersion = 12
+// skipping every cluster whose member set did not change; v13 prices
+// ShardTaskNS on a plan whose reduction takes the gathered shards in one
+// task (2 × shards + 1 tasks, where the streaming reduction counted
+// 3 × shards). Earlier caches self-invalidate and re-measure.
+const ModelVersion = 13
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

@@ -397,9 +397,6 @@ func (r *rule) chooseDicts(p *workflow.Plan) *workflow.Plan {
 		case *workflow.TransformOp:
 			clone := *op
 			setTF(name, &clone.Opts, &clone, false)
-		case *workflow.GatherOp:
-			clone := *op
-			setTF(name, &clone.Opts, &clone, false)
 		case *workflow.WordCountOp:
 			if op.DictKind != wcKind {
 				clone := *op

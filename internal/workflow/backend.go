@@ -23,7 +23,7 @@ import (
 // loop's per-iteration shard tasks (a centroid block out once per worker,
 // moved count, assignments and distances back per shard) and
 // its seeding rounds' per-shard min-distance scans (last seed out, distance
-// partials back). What cannot: splits, reductions (DF tree-merge, streaming
+// partials back). What cannot: splits, reductions (DF tree-merge, the
 // gather, the loop's per-iteration barrier and per-round seed draw) and
 // output — they touch coordinator-owned state and run locally under every
 // backend.

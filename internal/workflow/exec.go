@@ -67,17 +67,10 @@ type taskRef struct {
 	kind       taskKind
 }
 
-// pendingPart buffers a shard that reached a stream reducer before its
-// scalar inputs did.
-type pendingPart struct {
-	idx  int
-	part Value
-}
-
 // execState tracks one node through a run.
 type execState struct {
 	ins     []Value // gathered port values
-	missing int     // gathered ports still unfilled (excludes port 0 for map/stream nodes)
+	missing int     // gathered ports still unfilled (excludes port 0 for map nodes)
 
 	// Map-node bookkeeping: shard payloads of the port-0 input.
 	parts     []Value
@@ -87,12 +80,6 @@ type execState struct {
 	// Output bookkeeping.
 	outParts []Value // one slot per partition (scalar nodes use one)
 	outLeft  int     // partitions not yet produced
-
-	// Stream-reduction bookkeeping.
-	rstate   any
-	began    bool
-	pending  []pendingPart
-	absorbed int
 
 	// Loop-node bookkeeping (classLoop).
 	loop      LoopState
@@ -108,7 +95,6 @@ type execState struct {
 	// first and last delimit the node's wall-clock extent: the earliest
 	// task start and the latest task end.
 	first, last time.Time
-	failed      bool
 }
 
 // Run validates the plan and executes it as a set of partition tasks on
@@ -122,8 +108,6 @@ type execState struct {
 //     and the remaining (scalar) ports are ready — so shard 3 can be
 //     counting words while shard 1 is already being transformed, with no
 //     bulk-synchronous barrier between map stages;
-//   - a StreamReducer node absorbs shards in completion order on the
-//     scheduling goroutine and finishes as one task after the last;
 //   - an IterativeOp node runs as a loop of partition tasks: one BeginLoop
 //     task over the gathered inputs, then — when the loop state is a
 //     PreparedLoop — one PrepareShard task per shard per preparation round,
@@ -133,8 +117,9 @@ type execState struct {
 //     task that receives the partials in shard-index order (regardless of
 //     shard scheduling) and decides whether to re-dispatch the same shard
 //     task set, and finally one Finish task producing the scalar output;
-//   - every other node consuming a partitioned output receives the
-//     gathered *Partitions (shards in index order) once all shards exist.
+//   - every other node consuming a partitioned output — a reduction such
+//     as DFReduceOp or GatherOp — receives the gathered *Partitions
+//     (shards in index order) once all shards exist.
 //
 // Scheduling runs on a dedicated goroutine that only reacts to task
 // completions, so dispatch stays responsive no matter how long individual
@@ -223,13 +208,13 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		consumers[i] = append(consumers[i], e)
 	}
 	perPart := make([][]bool, len(order)) // consumer edge takes shards, not the gathered value
-	totalTasks := 0
+	maxInFlight := 0
 	for i := range order {
 		perPart[i] = make([]bool, len(consumers[i]))
 		for j, e := range consumers[i] {
 			perPart[i][j] = consumesPerPart(infoByName, p, e)
 		}
-		totalTasks += info[i].nparts + 1 // + a possible stream finish task
+		maxInFlight += info[i].nparts
 	}
 
 	states := make([]execState, len(order))
@@ -246,8 +231,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			st.parts = make([]Value, np)
 			st.partReady = make([]bool, np)
 			st.spawned = make([]bool, np)
-		case classStream:
-			st.missing-- // port 0 arrives shard-by-shard
 		case classLoop:
 			st.loopParts = make([]any, np)
 			st.loopIter = -1
@@ -257,7 +240,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		st.outLeft = outN
 	}
 
-	done := make(chan taskDone, totalTasks)
+	done := make(chan taskDone, maxInFlight)
 	g := ctx.Pool.NewGroup()
 	running := 0
 	var firstErr error
@@ -301,8 +284,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			ins[0] = st.parts[part]
 			st.parts[part] = nil // the task owns the shard now
 			st.spawned[part] = true
-		case classStream:
-			// Finish task: no inputs beyond the reduction state.
 		case classLoop:
 			if t.kind == taskLoopBegin {
 				ins = st.ins
@@ -314,7 +295,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				st.ins = nil // the task(s) own the values now
 			}
 		}
-		rstate := st.rstate
 		// Loop tasks read the state and (for the barrier) the partials; no
 		// shard task is in flight when the begin/end/finish tasks run, so the
 		// captures cannot race with the scheduler's writes. The prep round is
@@ -403,10 +383,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 						}
 					}
 				}
-			case classStream:
-				task.Run = func() (Value, error) {
-					return n.op.(StreamReducer).FinishReduce(&nctx, rstate)
-				}
 			case classLoop:
 				switch t.kind {
 				case taskLoopBegin:
@@ -485,57 +461,15 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		}
 	}
 
-	// reduceCtx is the scheduling-goroutine context stream reducers'
-	// Begin/Absorb callbacks run against.
-	reduceCtx := *ctx
-	reduceCtx.Breakdown, reduceCtx.Observe = nil, nil
-
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
 
-	// recovering converts a panic in a scheduling-goroutine callback
-	// (BeginReduce/AbsorbPartition) into an operator error, matching the
-	// recovery pool tasks get.
-	recovering := func(name string, fn func() error) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("workflow: operator %s panicked: %v", name, r)
-			}
-		}()
-		if err := fn(); err != nil {
-			return fmt.Errorf("workflow: operator %s: %w", name, err)
-		}
-		return nil
-	}
-
-	// absorb hands one shard to a stream reducer (serialized here on the
-	// scheduling goroutine) and enqueues the finish task after the last.
-	absorb := func(i int, part Value, partIdx int) {
-		n, st := order[i], &states[i]
-		if st.failed {
-			return
-		}
-		err := recovering(n.op.Name(), func() error {
-			return n.op.(StreamReducer).AbsorbPartition(&reduceCtx, st.rstate, part, partIdx)
-		})
-		if err != nil {
-			st.failed = true
-			fail(err)
-			return
-		}
-		st.absorbed++
-		total := info[idx[p.producerOf0(n.name)]].nparts
-		if st.absorbed == total {
-			ready = append(ready, taskRef{node: i, part: 0})
-		}
-	}
-
 	// inputsReady fires when a node's gathered ports are all filled.
 	inputsReady := func(i int) {
-		n, pi, st := order[i], info[i], &states[i]
+		pi, st := info[i], &states[i]
 		switch pi.class {
 		case classScalar:
 			ready = append(ready, taskRef{node: i, part: 0})
@@ -551,22 +485,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			}
 		case classLoop:
 			ready = append(ready, taskRef{node: i, kind: taskLoopBegin})
-		case classStream:
-			err := recovering(n.op.Name(), func() error {
-				state, err := n.op.(StreamReducer).BeginReduce(&reduceCtx, info[idx[p.producerOf0(n.name)]].nparts, st.ins)
-				st.rstate = state
-				return err
-			})
-			if err != nil {
-				st.failed = true
-				fail(err)
-				return
-			}
-			st.began = true
-			for _, pp := range st.pending {
-				absorb(i, pp.part, pp.idx)
-			}
-			st.pending = nil
 		}
 	}
 
@@ -581,24 +499,15 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		}
 	}
 
-	// deliverPart routes shard q of a partitioned producer to a per-part
+	// deliverPart routes shard q of a partitioned producer to a map
 	// consumer.
 	deliverPart := func(e Edge, q int, v Value) {
 		ci := idx[e.To]
 		st := &states[ci]
-		switch info[ci].class {
-		case classMap:
-			st.parts[q] = v
-			st.partReady[q] = true
-			if st.missing == 0 && !st.spawned[q] {
-				ready = append(ready, taskRef{node: ci, part: q})
-			}
-		case classStream:
-			if st.began {
-				absorb(ci, v, q)
-			} else {
-				st.pending = append(st.pending, pendingPart{idx: q, part: v})
-			}
+		st.parts[q] = v
+		st.partReady[q] = true
+		if st.missing == 0 && !st.spawned[q] {
+			ready = append(ready, taskRef{node: ci, part: q})
 		}
 	}
 
@@ -632,17 +541,16 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 	// The scheduling loop owns all executor state (states, ready, sinks,
 	// firstErr) and runs on its own goroutine: it seeds the initially-ready
 	// nodes, then reacts to completions arriving on the done channel. A
-	// blocking receive is safe — completion sends never block (the channel
-	// holds every possible task) and no task ever waits on the scheduler's
-	// stack — so dispatch happens promptly even while a long task occupies
-	// every worker.
+	// blocking receive is safe — completion sends never block (no node has
+	// more than nparts tasks in flight at once, and the channel holds Σ
+	// nparts) and no task ever waits on the scheduler's stack — so dispatch
+	// happens promptly even while a long task occupies every worker.
 	sched := make(chan struct{})
 	go func() {
 		defer close(sched)
 		// Nodes whose gathered ports are already complete: sources (no input
-		// ports at all) and single-port map/stream nodes, whose only input
-		// arrives shard-by-shard. A stream reducer with no scalar ports must
-		// BeginReduce here or its shards would pend forever.
+		// ports at all) and single-port map nodes, whose only input arrives
+		// shard-by-shard.
 		for i := range order {
 			if states[i].missing == 0 {
 				inputsReady(i)
@@ -683,7 +591,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			}
 			if info[d.node].class == classLoop {
 				if d.err != nil {
-					st.failed = true
 					fail(d.err)
 					continue
 				}
@@ -734,7 +641,6 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				continue
 			}
 			if d.err != nil {
-				st.failed = true
 				fail(d.err)
 				continue
 			}
@@ -795,13 +701,4 @@ helping:
 		return nil, firstErr
 	}
 	return sinks, nil
-}
-
-// producerOf0 returns the name of the node feeding the given node's port 0
-// (empty if none) — a convenience for the executor's stream-reduce paths.
-func (p *Plan) producerOf0(name string) string {
-	if e, ok := p.producerOf(name, 0); ok {
-		return e.From
-	}
-	return ""
 }

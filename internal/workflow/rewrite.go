@@ -160,12 +160,12 @@ type partitionable interface {
 // FuseRule — a discrete plan's materialize/load pair downstream of the
 // expansion cancels exactly as before.
 //
-// When the K-Means producer is the partitioned TF/IDF's streaming gather,
-// the assignment stage is rewired onto the transform's vector shards
-// directly (shard payloads carry precomputed norms and the vocabulary
-// dimension), so the loop input does not depend on the monolithic result
-// assembly; the gathered result still feeds the reduce stage for document
-// names and the retained scores.
+// When the K-Means producer is the partitioned TF/IDF's gather, the
+// assignment stage is rewired onto the transform's vector shards directly
+// (shard payloads carry precomputed norms and the vocabulary dimension), so
+// the loop input does not wait for the result assembly; the gathered
+// result still feeds the reduce stage for document names and the retained
+// scores.
 //
 // shards fixes the partition count — for the map stages and, initially,
 // the K-Means loop (the loop count is retuned independently by the

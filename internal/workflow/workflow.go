@@ -31,10 +31,9 @@
 //     pairs, not whole nodes — on the context's pool with a helping join.
 //     A shard moves to the next map stage the moment its own data is
 //     ready, so one shard can be several stages ahead of another;
-//     reductions either gather all shards (DFReduceOp's parallel
-//     tree-merge of document frequencies) or absorb shards in completion
-//     order (GatherOp streaming vector shards into the final result);
-//     iterative operators (IterativeOp — KMAssignOp hosts K-Means on this
+//     a reduction receives all shards gathered in shard-index order
+//     (DFReduceOp's parallel tree-merge of document frequencies, GatherOp's
+//     assembly of the vector shards into the final result); iterative operators (IterativeOp — KMAssignOp hosts K-Means on this
 //     contract) re-dispatch the same shard task set every iteration with
 //     one barrier task per iteration; K-Means shards return only
 //     per-document results, and the barrier recomputes each centroid from
@@ -48,7 +47,7 @@
 // shard-granular end-to-end, including the iterative phase:
 //
 //	scan -> partition -[xN]-> tf-map =[xN]=> df-reduce
-//	                          tf-map -[xN]-> transform -[xN]-> gather
+//	                          tf-map -[xN]-> transform =[xN]=> gather
 //	                          transform =[xN]=> km-assign ~[xS]~> km-reduce -> output
 //
 // The transform's vector shards (precomputed norms, shard-aligned) feed
@@ -210,8 +209,8 @@ func NewContext(pool *par.Pool) *Context {
 // Operator is what every plan node has: a name and declared ports, which
 // let Plan.Validate type-check a plan before anything runs. How a node runs
 // is a separate contract, one per node class: Runner or MultiOperator for a
-// scalar node, Splitter, PartitionKernel, StreamReducer or IterativeOp for
-// the shard classes. A logical operator (TFIDFOp, WordCountOp, KMeansOp)
+// scalar node (a reduction is one: it takes the gathered *Partitions),
+// Splitter, PartitionKernel or IterativeOp for the shard classes. A logical operator (TFIDFOp, WordCountOp, KMeansOp)
 // has none of them: it runs as the fragment PartitionRule expands it into.
 type Operator interface {
 	// Name identifies the operator in errors and plans.
