@@ -25,7 +25,7 @@ type PlanLike interface {
 }
 
 // Autopsy renders plan.Explain() verbatim, then a measurement line per
-// traced node — wall-clock, task count, loop iterations, shipped bytes,
+// traced node — wall-clock, task count, loop waves, shipped bytes,
 // resends and errors — in plan order (traced nodes the plan does not name
 // follow in trace order), then a predicted-versus-measured line per
 // predicted phase against the run's breakdown bd. The phase block is left
@@ -44,8 +44,8 @@ func Autopsy(plan PlanLike, tr *Trace, bd *metrics.Breakdown) string {
 		}
 		done[node] = true
 		fmt.Fprintf(&sb, "# autopsy %s: %s wall, %d tasks", node, metrics.FormatEstimate(a.wall()), a.tasks)
-		if a.iters > 0 {
-			fmt.Fprintf(&sb, ", %d iterations", a.iters)
+		if a.waves > 0 {
+			fmt.Fprintf(&sb, ", %d waves", a.waves)
 		}
 		if ship := a.out + a.in; ship > 0 {
 			fmt.Fprintf(&sb, ", %s shipped", metrics.FormatBytes(ship))

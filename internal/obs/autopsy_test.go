@@ -73,7 +73,7 @@ func TestAutopsyPredictedVsMeasured(t *testing.T) {
 
 	want := plan.Explain() + "\n" + strings.Join([]string{
 		"# autopsy tfidf.map: 96ms wall, 2 tasks, 1.0 MB shipped",
-		"# autopsy kmeans.assign: 48ms wall, 2 tasks, 2 iterations",
+		"# autopsy kmeans.assign: 48ms wall, 2 tasks, 2 waves",
 		"# autopsy output: 1ms wall, 1 tasks",
 		"# cost model by phase (predicted / measured):",
 		"#   input+wc:  100ms / 150ms (1.50×)",

@@ -37,7 +37,7 @@ type chromeSpanArgs struct {
 	Node  string `json:"node"`
 	Kind  string `json:"kind"`
 	Shard int    `json:"shard"`
-	Iter  int    `json:"iter"` // no omitempty: iteration 0 must survive
+	Iter  int    `json:"iter"` // no omitempty: wave 0 must survive
 
 	Backend string `json:"backend,omitempty"`
 	Worker  string `json:"worker,omitempty"`
@@ -199,7 +199,7 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 // nodeAgg is NodeTable's and Autopsy's per-node rollup of a trace.
 type nodeAgg struct {
 	tasks   int
-	iters   int // max loop iteration seen + 1 (0 when no loop tasks)
+	waves   int // max loop wave seen + 1 (0 when no loop tasks)
 	wait    time.Duration
 	run     time.Duration
 	first   time.Time
@@ -222,8 +222,8 @@ func aggregate(tr *Trace) map[string]*nodeAgg {
 			aggs[s.Node] = a
 		}
 		a.tasks++
-		if s.Iter >= a.iters {
-			a.iters = s.Iter + 1
+		if s.Iter >= a.waves {
+			a.waves = s.Iter + 1
 		}
 		a.wait += s.Wait()
 		a.run += s.Dur()
@@ -249,20 +249,20 @@ func aggregate(tr *Trace) map[string]*nodeAgg {
 }
 
 // NodeTable renders the trace as an aligned per-node text table: task
-// counts, loop iterations, wall-clock (first start to last end), summed
+// counts, loop waves, wall-clock (first start to last end), summed
 // queue wait and run time, wire bytes, and the worker fan-out.
 func NodeTable(tr *Trace) string {
 	aggs := aggregate(tr)
-	t := metrics.NewTable("node", "tasks", "iters", "wall", "wait", "run", "ship-out", "ship-in", "workers")
+	t := metrics.NewTable("node", "tasks", "waves", "wall", "wait", "run", "ship-out", "ship-in", "workers")
 	for _, node := range tr.Nodes() {
 		a := aggs[node]
-		iters := "-"
-		if a.iters > 0 {
-			iters = fmt.Sprintf("%d", a.iters)
+		waves := "-"
+		if a.waves > 0 {
+			waves = fmt.Sprintf("%d", a.waves)
 		}
 		t.AddRow(node,
 			fmt.Sprintf("%d", a.tasks),
-			iters,
+			waves,
 			metrics.FormatDuration(a.wall()),
 			metrics.FormatDuration(a.wait),
 			metrics.FormatDuration(a.run),

@@ -27,7 +27,7 @@ import (
 )
 
 // Span records one scheduled task: which plan node and kernel ran, where
-// (backend, worker), which shard and loop iteration, which figure phase,
+// (backend, worker), which shard and loop wave, which figure phase,
 // when (queue wait versus run time) and the disk traffic it caused. Wire
 // bytes are filled by remote backends only.
 type Span struct {
@@ -36,8 +36,8 @@ type Span struct {
 	// Op is the operator or kernel name (e.g. "kmeans.assign").
 	Op string
 	// Kind is the task kind: "run", "map" (one shard of a map node),
-	// "loop-begin", "loop-prep", "loop-prep-end", "loop-shard", "loop-end"
-	// or "loop-finish".
+	// "loop-begin", "loop-shard" (one shard of a loop wave), "loop-end"
+	// (the wave's barrier) or "loop-finish".
 	Kind string
 	// Phase is the Figure 3/4 legend phase the task's time counts toward
 	// ("input+wc", "kmeans", ...): the phase its operator declares, empty
@@ -45,7 +45,9 @@ type Span struct {
 	Phase string
 	// Shard is the shard index within the node (0 for unsharded tasks).
 	Shard int
-	// Iter is the loop iteration for loop-shard tasks, -1 otherwise.
+	// Iter is the wave index for loop-shard and loop-end tasks, -1
+	// otherwise. A loop's waves are numbered from 0, one per barrier: the
+	// K-Means loop's seed rounds first, then its iterations.
 	Iter int
 	// Backend is the executing backend's Name().
 	Backend string

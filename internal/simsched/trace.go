@@ -7,13 +7,14 @@ import (
 )
 
 // FromTrace converts the spans of a plan run into the phases Simulate
-// replays. Map, loop-prep and loop-shard spans are the parallel work: each
-// becomes a Task carrying the span's run time and disk traffic. Every other
-// span — splits, reductions, loop begin, barrier and finish tasks,
+// replays. Map and loop-shard spans are the parallel work: each becomes a
+// Task carrying the span's run time and disk traffic. Every other span —
+// splits, reductions, loop begin, barrier and finish tasks,
 // materialization, output — is serial and adds to its phase's serial
-// section. The tasks of one wave (same node, kind and iteration) form one
-// phase, and a serial span after a wave opens the next one, so every
-// barrier stays a barrier. Phases take their name from the spans' Phase; a
+// section. The tasks of one wave (same node, kind and wave index; a loop's
+// K-Means++ seed rounds and iterations are all waves) form one phase, and a
+// serial span after a wave opens the next one, so every barrier stays a
+// barrier. Phases take their name from the spans' Phase; a
 // span without one (a split, a source, the K-Means join) counts toward the
 // phase in progress.
 //
@@ -35,7 +36,7 @@ func FromTrace(tr *obs.Trace) []Phase {
 	var phases []Phase
 	var cur wave
 	for _, s := range spans {
-		parallel := s.Kind == "map" || s.Kind == "loop-prep" || s.Kind == "loop-shard"
+		parallel := s.Kind == "map" || s.Kind == "loop-shard"
 		w := wave{s.Node, s.Kind, s.Iter}
 		var p *Phase
 		if n := len(phases); n > 0 {

@@ -31,13 +31,13 @@ func TestPhasesFromTrace(t *testing.T) {
 	add("materialize-arff", "run", "tfidf-output", -1, 7*ms, 1000, 1)
 	add("load-arff", "run", "kmeans-input", -1, 6*ms, 1000, 1)
 	add("kmeans.assign", "loop-begin", "kmeans", -1, 1*ms, 0, 0)
-	add("kmeans.assign", "loop-prep", "kmeans", 0, 1*ms, 0, 0)
-	add("kmeans.assign", "loop-prep", "kmeans", 0, 1*ms, 0, 0)
-	add("kmeans.assign", "loop-prep-end", "kmeans", 0, 1*ms, 0, 0)
-	for iter := 0; iter < 2; iter++ {
-		add("kmeans.assign", "loop-shard", "kmeans", iter, 4*ms, 0, 0)
-		add("kmeans.assign", "loop-shard", "kmeans", iter, 4*ms, 0, 0)
-		add("kmeans.assign", "loop-end", "kmeans", iter, 3*ms, 0, 0)
+	add("kmeans.assign", "loop-shard", "kmeans", 0, 1*ms, 0, 0)
+	add("kmeans.assign", "loop-shard", "kmeans", 0, 1*ms, 0, 0)
+	add("kmeans.assign", "loop-end", "kmeans", 0, 1*ms, 0, 0)
+	for wave := 1; wave <= 2; wave++ {
+		add("kmeans.assign", "loop-shard", "kmeans", wave, 4*ms, 0, 0)
+		add("kmeans.assign", "loop-shard", "kmeans", wave, 4*ms, 0, 0)
+		add("kmeans.assign", "loop-end", "kmeans", wave, 3*ms, 0, 0)
 	}
 	add("kmeans.assign", "loop-finish", "kmeans", -1, 1*ms, 0, 0)
 	add("output", "run", "output", -1, 2*ms, 50, 1)

@@ -17,16 +17,15 @@ import (
 // partitioned substrate extends unchanged to distributed execution.
 //
 // What can leave the process: tasks whose operator (Remotable) or loop
-// state (RemotableLoop / RemotablePrepare) can describe a shard's inputs
-// in serializable form — the TF/IDF count and transform kernels (shards of
-// an on-disk corpus, described by pario.SourceSpec), the K-Means assignment
-// loop's per-iteration shard tasks (a centroid block out once per worker,
-// moved count, assignments and distances back per shard) and
-// its seeding rounds' per-shard min-distance scans (last seed out, distance
-// partials back). What cannot: splits, reductions (DF tree-merge, the
-// gather, the loop's per-iteration barrier and per-round seed draw) and
-// output — they touch coordinator-owned state and run locally under every
-// backend.
+// state (RemotableLoop) can describe a shard's inputs in serializable form
+// — the TF/IDF count and transform kernels (shards of an on-disk corpus,
+// described by pario.SourceSpec) and the K-Means loop's wave shards: a
+// seed round's min-distance scan (last seed out, distance partials back)
+// or an iteration's assignment (a centroid block out once per worker,
+// moved count, assignments and distances back per shard). What cannot:
+// splits, reductions (DF tree-merge, the gather, the loop's per-wave
+// barrier — seed draw or centroid update) and output — they touch
+// coordinator-owned state and run locally under every backend.
 
 // Task is one schedulable unit of plan execution handed to a Backend by
 // the executor.
@@ -172,22 +171,14 @@ type Remotable interface {
 	RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool)
 }
 
-// RemotableLoop is implemented by loop states whose per-iteration shard
-// tasks can ship. RemoteShardTask is called fresh each iteration (the
-// descriptor carries iteration state, e.g. current centroids).
+// RemotableLoop is implemented by loop states whose wave shard tasks can
+// ship. RemoteWaveTask is called fresh for every shard of every wave (the
+// descriptor carries the wave's state, e.g. the last chosen seed or the
+// current centroids); a shard's tasks share one affinity key, so every
+// wave of the shard lands on the worker holding its documents.
 type RemotableLoop interface {
 	LoopState
-	RemoteShardTask(idx, total int) (*RemoteTask, bool)
-}
-
-// RemotablePrepare is implemented by PreparedLoop states whose preparation
-// shard tasks can ship. RemotePrepareTask is called fresh each round (the
-// descriptor carries round state, e.g. the last chosen seed); tasks share
-// the loop's affinity keys so a shard's seed scans land on the worker that
-// will hold its documents for the iterations.
-type RemotablePrepare interface {
-	PreparedLoop
-	RemotePrepareTask(round, idx, total int) (*RemoteTask, bool)
+	RemoteWaveTask(w, idx, total int) (*RemoteTask, bool)
 }
 
 // affinityReleaser is implemented by backends that pin tasks by affinity

@@ -24,17 +24,10 @@ const (
 	// taskLoopBegin consumes an iterative node's gathered inputs and
 	// allocates its loop state.
 	taskLoopBegin
-	// taskLoopPrep is one shard of the current preparation round (a
-	// PreparedLoop's pre-iteration waves, e.g. K-Means++ seed scans).
-	taskLoopPrep
-	// taskLoopPrepEnd is the per-round preparation barrier: it runs alone
-	// after every prep shard of the round completed.
-	taskLoopPrepEnd
-	// taskLoopShard is one shard of the current loop iteration.
+	// taskLoopShard is one shard of the current wave.
 	taskLoopShard
-	// taskLoopEnd is the per-iteration barrier: it hands the iteration's
-	// partials (in shard order) to EndIteration, which decides whether to
-	// iterate.
+	// taskLoopEnd is the per-wave barrier: it hands the wave's partials (in
+	// shard order) to EndWave, which decides whether another wave follows.
 	taskLoopEnd
 	// taskLoopFinish produces the loop node's output.
 	taskLoopFinish
@@ -83,14 +76,9 @@ type execState struct {
 
 	// Loop-node bookkeeping (classLoop).
 	loop      LoopState
-	loopParts []any // current iteration's partials, by shard
-	loopLeft  int   // shards of the current iteration still running
-	loopIter  int   // current iteration index (-1 before the first wave)
-
-	// Preparation-round bookkeeping (PreparedLoop states only).
-	prepRound  int // current preparation round
-	prepRounds int // total preparation rounds
-	prepLeft   int // prep shards of the current round still running
+	loopParts []any // current wave's partials, by shard
+	loopLeft  int   // shards of the current wave still running
+	loopWave  int   // current wave index (-1 before the first wave)
 
 	// first and last delimit the node's wall-clock extent: the earliest
 	// task start and the latest task end.
@@ -109,14 +97,12 @@ type execState struct {
 //     counting words while shard 1 is already being transformed, with no
 //     bulk-synchronous barrier between map stages;
 //   - an IterativeOp node runs as a loop of partition tasks: one BeginLoop
-//     task over the gathered inputs, then — when the loop state is a
-//     PreparedLoop — one PrepareShard task per shard per preparation round,
-//     each round closed by an EndPrepare barrier task (K-Means++ seeding
-//     runs its k−1 seed rounds this way, sharded), then per iteration one
-//     RunShard task per loop shard followed by one EndIteration barrier
-//     task that receives the partials in shard-index order (regardless of
-//     shard scheduling) and decides whether to re-dispatch the same shard
-//     task set, and finally one Finish task producing the scalar output;
+//     task over the gathered inputs, then per wave one Wave task per loop
+//     shard followed by one EndWave barrier task that receives the partials
+//     in shard-index order (regardless of shard scheduling) and decides
+//     whether to re-dispatch the same shard task set, and finally one
+//     Finish task producing the scalar output (K-Means runs its k−1
+//     K-Means++ seed rounds and then its iterations as waves);
 //   - every other node consuming a partitioned output — a reduction such
 //     as DFReduceOp or GatherOp — receives the gathered *Partitions
 //     (shards in index order) once all shards exist.
@@ -233,7 +219,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 			st.spawned = make([]bool, np)
 		case classLoop:
 			st.loopParts = make([]any, np)
-			st.loopIter = -1
+			st.loopWave = -1
 			outN = 1 // loop shards are internal; the output is scalar
 		}
 		st.outParts = make([]Value, outN)
@@ -297,12 +283,12 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 		}
 		// Loop tasks read the state and (for the barrier) the partials; no
 		// shard task is in flight when the begin/end/finish tasks run, so the
-		// captures cannot race with the scheduler's writes. The prep round is
+		// captures cannot race with the scheduler's writes. The wave index is
 		// captured here, on the scheduling goroutine, for the same reason.
-		lstate, lparts, prepRound := st.loop, st.loopParts, st.prepRound
+		lstate, lparts, wave := st.loop, st.loopParts, st.loopWave
 		// Tracing bookkeeping, captured on the scheduling goroutine: queue
-		// time, task kind and the loop iteration this wave belongs to. All of
-		// it is skipped when no tracer is attached.
+		// time, task kind and the wave a loop task belongs to. All of it is
+		// skipped when no tracer is attached.
 		traced := ctx.Tracer.Enabled()
 		var queued time.Time
 		kindStr := ""
@@ -317,18 +303,12 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				switch t.kind {
 				case taskLoopBegin:
 					kindStr = "loop-begin"
-				case taskLoopPrep:
-					kindStr = "loop-prep"
-					iter = prepRound
-				case taskLoopPrepEnd:
-					kindStr = "loop-prep-end"
-					iter = prepRound
 				case taskLoopShard:
 					kindStr = "loop-shard"
-					iter = st.loopIter
+					iter = wave
 				case taskLoopEnd:
 					kindStr = "loop-end"
-					iter = st.loopIter
+					iter = wave
 				case taskLoopFinish:
 					kindStr = "loop-finish"
 				}
@@ -393,29 +373,13 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 						}
 						return state, err
 					}
-				case taskLoopPrep:
-					task.Run = func() (Value, error) {
-						return nil, lstate.(PreparedLoop).PrepareShard(&nctx, prepRound, part, pi.nparts)
-					}
-					if remoteOK {
-						if rp, ok := lstate.(RemotablePrepare); ok {
-							if rt, ok := rp.RemotePrepareTask(prepRound, part, pi.nparts); ok {
-								rt.Scope = runScope
-								task.Remote = rt
-							}
-						}
-					}
-				case taskLoopPrepEnd:
-					task.Run = func() (Value, error) {
-						return nil, lstate.(PreparedLoop).EndPrepare(&nctx, prepRound)
-					}
 				case taskLoopShard:
 					task.Run = func() (Value, error) {
-						return lstate.RunShard(&nctx, part, pi.nparts)
+						return lstate.Wave(&nctx, wave, part, pi.nparts)
 					}
 					if remoteOK {
 						if rl, ok := lstate.(RemotableLoop); ok {
-							if rt, ok := rl.RemoteShardTask(part, pi.nparts); ok {
+							if rt, ok := rl.RemoteWaveTask(wave, part, pi.nparts); ok {
 								rt.Scope = runScope
 								task.Remote = rt
 							}
@@ -423,7 +387,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 					}
 				case taskLoopEnd:
 					task.Run = func() (Value, error) {
-						return lstate.EndIteration(&nctx, lparts)
+						return lstate.EndWave(&nctx, wave, lparts)
 					}
 				case taskLoopFinish:
 					task.Run = func() (Value, error) { return lstate.Finish(&nctx) }
@@ -556,24 +520,14 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				inputsReady(i)
 			}
 		}
-		// loopWave enqueues the next iteration's shard task set for loop
-		// node i — the same set every iteration.
-		loopWave := func(i int) {
+		// nextWave enqueues the next wave's shard task set for loop node i
+		// — the same set every wave.
+		nextWave := func(i int) {
 			st := &states[i]
 			st.loopLeft = info[i].nparts
-			st.loopIter++
+			st.loopWave++
 			for q := 0; q < info[i].nparts; q++ {
 				ready = append(ready, taskRef{node: i, part: q, kind: taskLoopShard})
-			}
-		}
-		// prepWave enqueues one preparation round's shard task set for a
-		// PreparedLoop node — same shard set as the iterations, run before
-		// the first iteration wave (e.g. one wave per K-Means++ seed round).
-		prepWave := func(i int) {
-			st := &states[i]
-			st.prepLeft = info[i].nparts
-			for q := 0; q < info[i].nparts; q++ {
-				ready = append(ready, taskRef{node: i, part: q, kind: taskLoopPrep})
 			}
 		}
 		dispatch()
@@ -600,26 +554,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 				switch d.kind {
 				case taskLoopBegin:
 					st.loop = d.out.(LoopState)
-					if pl, ok := st.loop.(PreparedLoop); ok {
-						st.prepRounds = pl.PrepareRounds()
-					}
-					if st.prepRounds > 0 {
-						prepWave(d.node)
-					} else {
-						loopWave(d.node)
-					}
-				case taskLoopPrep:
-					st.prepLeft--
-					if st.prepLeft == 0 {
-						ready = append(ready, taskRef{node: d.node, kind: taskLoopPrepEnd})
-					}
-				case taskLoopPrepEnd:
-					st.prepRound++
-					if st.prepRound < st.prepRounds {
-						prepWave(d.node)
-					} else {
-						loopWave(d.node)
-					}
+					nextWave(d.node)
 				case taskLoopShard:
 					st.loopParts[d.part] = d.out
 					st.loopLeft--
@@ -630,7 +565,7 @@ func (p *Plan) run(ctx *Context) (map[string]Value, error) {
 					if d.out.(bool) {
 						ready = append(ready, taskRef{node: d.node, kind: taskLoopFinish})
 					} else {
-						loopWave(d.node)
+						nextWave(d.node)
 					}
 				case taskLoopFinish:
 					st.outParts[0] = d.out

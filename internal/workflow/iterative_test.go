@@ -5,20 +5,27 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hpa/internal/kmeans"
 	"hpa/internal/tfidf"
 )
 
-// countLoop is a toy IterativeOp: a zero-input loop over n shards that runs
-// for iters iterations, recording per-iteration partials so the tests can
-// assert the executor's loop protocol — begin once, one task per shard per
-// iteration, a barrier with partials in shard-index order, finish once.
+// countLoop is a toy IterativeOp: a zero-input loop over n shards whose
+// first wave is a warm-up its state decides on (as the K-Means state
+// decides its seed rounds), then iters iterations, recording
+// per-iteration partials so the tests can assert the executor's loop
+// protocol — begin once, one task per shard per wave, a barrier with
+// partials in shard-index order, finish once. The state checks the wave
+// contract as it runs and fails the loop on a breach.
 type countLoop struct {
 	n, iters  int
 	failShard int // shard index to fail on, -1 for none
 	failIter  int // iteration (1-based) the failure fires in
+	failWave  int // wave (1-based) whose EndWave fails, 0 for none
+
+	shardTasks atomic.Int64 // Wave calls over every run
 }
 
 func (o *countLoop) Name() string           { return "count-loop" }
@@ -29,23 +36,54 @@ func (o *countLoop) BeginLoop(_ *Context, ins []Value, shards int) (LoopState, e
 	if shards != o.n {
 		return nil, fmt.Errorf("BeginLoop got %d shards, want %d", shards, o.n)
 	}
-	return &countLoopState{op: o}, nil
+	return &countLoopState{op: o, warm: true}, nil
 }
 
 type countLoopState struct {
 	op      *countLoop
+	warm    bool         // the warm-up wave has not closed yet
+	wave    atomic.Int64 // the wave whose shards may run: EndWave calls so far
+	running atomic.Int64 // Wave calls in flight
 	iter    int
 	history [][]any // partials of every iteration, as delivered to the barrier
 }
 
-func (s *countLoopState) RunShard(_ *Context, idx, total int) (any, error) {
+func (s *countLoopState) Wave(_ *Context, w, idx, total int) (any, error) {
+	s.running.Add(1)
+	defer s.running.Add(-1)
+	s.op.shardTasks.Add(1)
+	if cur := s.wave.Load(); int64(w) != cur {
+		return nil, fmt.Errorf("shard %d of wave %d ran during wave %d", idx, w, cur)
+	}
+	if s.warm {
+		return fmt.Sprintf("warm-s%d", idx), nil
+	}
 	if s.op.failShard == idx && s.iter+1 == s.op.failIter {
 		return nil, fmt.Errorf("shard %d failed in iteration %d", idx, s.iter+1)
 	}
 	return fmt.Sprintf("i%d-s%d", s.iter, idx), nil
 }
 
-func (s *countLoopState) EndIteration(_ *Context, partials []any) (bool, error) {
+func (s *countLoopState) EndWave(_ *Context, w int, partials []any) (bool, error) {
+	if n := s.running.Load(); n != 0 {
+		return false, fmt.Errorf("EndWave(%d) ran with %d shards in flight", w, n)
+	}
+	if cur := s.wave.Load(); int64(w) != cur {
+		return false, fmt.Errorf("EndWave(%d) closed wave %d", w, cur)
+	}
+	if w+1 == s.op.failWave {
+		return false, fmt.Errorf("barrier of wave %d failed", w)
+	}
+	defer s.wave.Add(1) // no shard of wave w+1 may start before this returns
+	if s.warm {
+		for q, p := range partials {
+			if want := fmt.Sprintf("warm-s%d", q); p != want {
+				return false, fmt.Errorf("warm-up partial %d = %v, want %s (shard-index order)", q, p, want)
+			}
+		}
+		s.warm = false
+		return false, nil
+	}
 	s.history = append(s.history, append([]any(nil), partials...))
 	s.iter++
 	return s.iter >= s.op.iters, nil
@@ -56,34 +94,44 @@ func (s *countLoopState) Finish(_ *Context) (Value, error) {
 }
 
 // TestLoopExecutorProtocol: the executor must run BeginLoop once, dispatch
-// the same shard task set every iteration, deliver partials to the barrier
-// in shard-index order regardless of completion order, and re-dispatch
-// until EndIteration reports done.
+// the same shard task set every wave, number waves 0, 1, 2, … without gaps,
+// run each barrier alone after its wave and before the next, deliver
+// partials to the barrier in shard-index order regardless of completion
+// order, and re-dispatch until EndWave reports done — concurrently and
+// under Context.Serial, for the state-decided warm-up wave and the
+// iterations alike.
 func TestLoopExecutorProtocol(t *testing.T) {
-	op := &countLoop{n: 4, iters: 3, failShard: -1}
-	plan := NewPlan().Add("loop", op)
-	outs, err := plan.Run(testCtx(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	history := outs["loop"].([][]any)
-	if len(history) != 3 {
-		t.Fatalf("ran %d iterations, want 3", len(history))
-	}
-	for it, partials := range history {
-		if len(partials) != 4 {
-			t.Fatalf("iteration %d delivered %d partials, want 4", it, len(partials))
+	for _, serial := range []bool{false, true} {
+		op := &countLoop{n: 4, iters: 3, failShard: -1}
+		ctx := testCtx(t, 3)
+		ctx.Serial = serial
+		outs, err := NewPlan().Add("loop", op).Run(ctx)
+		if err != nil {
+			t.Fatalf("serial=%v: %v", serial, err)
 		}
-		for q, p := range partials {
-			if want := fmt.Sprintf("i%d-s%d", it, q); p != want {
-				t.Fatalf("iteration %d partial %d = %v, want %s (shard-index order)", it, q, p, want)
+		history := outs["loop"].([][]any)
+		if len(history) != 3 {
+			t.Fatalf("serial=%v: ran %d iterations, want 3", serial, len(history))
+		}
+		if got := op.shardTasks.Load(); got != 4*(1+3) {
+			t.Fatalf("serial=%v: %d shard tasks, want 16 (4 shards × 4 waves)", serial, got)
+		}
+		for it, partials := range history {
+			if len(partials) != 4 {
+				t.Fatalf("iteration %d delivered %d partials, want 4", it, len(partials))
+			}
+			for q, p := range partials {
+				if want := fmt.Sprintf("i%d-s%d", it, q); p != want {
+					t.Fatalf("iteration %d partial %d = %v, want %s (shard-index order)", it, q, p, want)
+				}
 			}
 		}
 	}
 }
 
-// TestLoopExecutorPropagatesShardErrors: a shard task failing mid-loop
-// must fail the plan with the operator's error, not hang the loop.
+// TestLoopExecutorPropagatesShardErrors: a shard task or a barrier failing
+// mid-loop must fail the plan with the operator's error, not hang the
+// loop, and no wave may follow a failed barrier.
 func TestLoopExecutorPropagatesShardErrors(t *testing.T) {
 	plan := NewPlan().Add("loop", &countLoop{n: 3, iters: 5, failShard: 1, failIter: 2})
 	_, err := plan.Run(testCtx(t, 2))
@@ -92,6 +140,18 @@ func TestLoopExecutorPropagatesShardErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "count-loop") || !strings.Contains(err.Error(), "iteration 2") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+
+	failWave := &countLoop{n: 3, iters: 5, failShard: -1, failWave: 3}
+	_, err = NewPlan().Add("loop", failWave).Run(testCtx(t, 2))
+	if err == nil {
+		t.Fatal("failing barrier did not fail the plan")
+	}
+	if !strings.Contains(err.Error(), "count-loop") || !strings.Contains(err.Error(), "barrier of wave 2") {
+		t.Fatalf("unhelpful error: %v", err)
+	}
+	if got := failWave.shardTasks.Load(); got != 3*3 {
+		t.Fatalf("%d shard tasks ran, want 9: a wave was dispatched after the failed barrier", got)
 	}
 }
 

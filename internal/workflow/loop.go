@@ -16,27 +16,30 @@ import (
 )
 
 // This file extends the partitioned execution substrate into iterative
-// operators: computations that sweep a fixed shard set once per iteration
-// with a reduction barrier between iterations — the structure of K-Means
-// (parallel assignment, serial centroid update, repeat until convergence).
+// operators: computations that sweep a fixed shard set once per wave with a
+// barrier between waves — the structure of K-Means (K-Means++ seed rounds,
+// then parallel assignment and a serial centroid update, repeated until
+// convergence).
 //
 // An IterativeOp node is scheduled by the executor as a loop of partition
 // tasks: one BeginLoop task consumes the gathered inputs and allocates the
-// loop state, then each iteration dispatches one RunShard task per shard
-// (concurrently, on the pool), barriers, and runs one EndIteration task
-// that receives the per-shard partials in shard-index order — however the
-// shard tasks interleaved — and decides whether to iterate again. A final
-// Finish task produces the node's (scalar) output.
+// loop state, then each wave dispatches one Wave task per shard
+// (concurrently, on the pool), barriers, and runs one EndWave task that
+// receives the per-shard partials in shard-index order — however the shard
+// tasks interleaved — and decides whether another wave follows. A final
+// Finish task produces the node's (scalar) output. What a wave computes is
+// the state's business: the K-Means state's first k−1 waves are seed rounds,
+// the rest iterations.
 //
-// The same shard task set is re-dispatched every iteration; loop states are
+// The same shard task set is re-dispatched every wave; loop states are
 // expected to recycle their per-shard buffers (the K-Means state reuses one
 // kmeans.Accum per shard across all iterations), preserving the paper's
 // no-allocation-inside-iterations property under partitioned execution.
 
 // IterativeOp is the run contract of a loop node: an iterative computation
-// over a fixed shard set with a per-iteration reduction barrier. The
-// executor drives the loop; the operator supplies the shard count and the
-// loop state.
+// over a fixed shard set with a barrier after every wave. The executor
+// drives the loop; the operator supplies the shard count and the loop
+// state.
 type IterativeOp interface {
 	Operator
 	// LoopShards returns the loop's shard count. It must be stable across
@@ -45,62 +48,42 @@ type IterativeOp interface {
 	// the map stages feeding it).
 	LoopShards() int
 	// BeginLoop consumes the gathered input values and allocates the loop
-	// state. It runs as one task before the first iteration.
+	// state. It runs as one task before the first wave.
 	BeginLoop(ctx *Context, ins []Value, shards int) (LoopState, error)
 }
 
-// LoopState carries one iterative node through its iterations. The
-// executor guarantees: RunShard calls of one iteration may run
-// concurrently (distinct idx); EndIteration runs alone after every shard
-// of the iteration completed, with the partials in shard-index order;
-// Finish runs alone after EndIteration reports done. Every loop executes
-// at least one iteration.
+// LoopState carries one iterative node through its waves, numbered 0, 1,
+// 2, … without gaps. The executor guarantees: the Wave calls of wave w may
+// run concurrently (distinct idx, same w); EndWave(w) runs alone after
+// every shard of wave w completed, with the partials in shard-index order,
+// and no shard of wave w+1 starts before it returns; Finish runs alone
+// after EndWave reports done. Every loop executes at least one wave.
 type LoopState interface {
-	// RunShard computes shard idx's contribution to the current iteration
-	// and returns it as the shard's partial.
-	RunShard(ctx *Context, idx, total int) (any, error)
-	// EndIteration reduces the iteration's partials (indexed by shard) and
-	// reports whether the loop is done — the per-iteration barrier.
-	EndIteration(ctx *Context, partials []any) (bool, error)
+	// Wave computes shard idx's contribution to wave w and returns it as
+	// the shard's partial.
+	Wave(ctx *Context, w, idx, total int) (any, error)
+	// EndWave reduces wave w's partials (indexed by shard) and reports
+	// whether the loop is done — the per-wave barrier.
+	EndWave(ctx *Context, w int, partials []any) (done bool, err error)
 	// Finish produces the node's output dataset after the loop ends.
 	Finish(ctx *Context) (Value, error)
-}
-
-// PreparedLoop is implemented by loop states that need sharded preparation
-// waves before the first iteration — rounds of per-shard scans each closed
-// by a coordinator-side barrier, scheduled exactly like iterations. The
-// executor guarantees: PrepareShard calls of one round may run concurrently
-// (distinct idx, same round); EndPrepare(round) runs alone after every
-// shard of the round completed; rounds run in order 0..PrepareRounds()-1,
-// all before the first RunShard. K-Means++ seeding is the motivating case:
-// each of its k−1 seed rounds is one prepare wave (per-shard min-distance
-// scans) whose barrier draws the next seed.
-type PreparedLoop interface {
-	LoopState
-	// PrepareRounds returns how many preparation rounds the loop needs
-	// (0 = none). Called once, after BeginLoop.
-	PrepareRounds() int
-	// PrepareShard computes shard idx's contribution to the given round.
-	PrepareShard(ctx *Context, round, idx, total int) error
-	// EndPrepare closes one round — the per-round barrier.
-	EndPrepare(ctx *Context, round int) error
 }
 
 // Reflected port types of the iterative K-Means operators.
 var kmResultType = reflect.TypeOf((*kmeans.Result)(nil))
 
 // KMAssignOp is the iterative assignment stage of partitioned K-Means: the
-// K-Means loop hosted on the executor's IterativeOp contract. Each
-// iteration runs one assignment task per loop shard (kmeans.AssignShard
-// over a contiguous document range: assignments and distances in place,
-// the moved count into a recycled kmeans.Accum) and one update task
-// (kmeans.EndIteration recomputing, from its members in document order,
-// every centroid whose member set changed), so the clustering — seeding,
-// assignment tie-breaks, every centroid and inertia bit, convergence — is
-// exactly the library driver's (kmeans.Run) at any shard count. Shard
-// ranges are weighted by per-document nonzero counts
-// (pario.WeightedBoundaries), balancing the O(nnz × k) assignment work per
-// shard; boundaries never affect results.
+// K-Means loop hosted on the executor's IterativeOp contract. After the
+// k−1 K-Means++ seed-round waves, each iteration runs one assignment task
+// per loop shard (kmeans.AssignShard over a contiguous document range:
+// assignments and distances in place, the moved count into a recycled
+// kmeans.Accum) and one update task (kmeans.EndIteration recomputing, from
+// its members in document order, every centroid whose member set
+// changed), so the clustering — seeding, assignment tie-breaks, every
+// centroid and inertia bit, convergence — is exactly the library driver's
+// (kmeans.Run) at any shard count. Shard ranges are weighted by
+// per-document nonzero counts (pario.WeightedBoundaries), balancing the
+// O(nnz × k) assignment work per shard; boundaries never affect results.
 //
 // Port 0 accepts the dataset in any of its shapes: the gathered vector
 // shards of the partitioned TF/IDF transform (*Partitions of
@@ -222,8 +205,8 @@ func kmInput(in Value) (docs []sparse.Vector, dim int, norms []float64, err erro
 }
 
 // BeginLoop implements IterativeOp: clusterer allocation plus the uniform
-// first seed draw (the k−1 distance-scan seed rounds run afterwards as
-// sharded preparation waves — see PrepareShard), per-shard partial
+// first seed draw (the k−1 distance-scan seed rounds run afterwards as the
+// loop's first waves — see Wave), per-shard partial
 // allocation, and the shard boundaries — weighted by per-document nonzero
 // counts (pario.WeightedBoundaries over each vector's NNZ), so every
 // shard carries close to equal assignment work (the kernel is O(nnz × k)
@@ -272,90 +255,21 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 	return st, nil
 }
 
-// PrepareRounds implements PreparedLoop: one preparation round per
-// K-Means++ seed after the uniformly drawn first (k−1; 0 when k = 1 or
-// seeding already finished inline).
-func (s *kmLoopState) PrepareRounds() int {
-	if s.seeding == nil {
-		return 0
-	}
-	return s.seeding.Rounds()
-}
-
-// PrepareShard implements PreparedLoop: one seed round's min-distance scan
-// over the shard's document range — a pure per-element min-update, so
-// shards of one round run concurrently and results are independent of
-// shard count and scheduling.
-func (s *kmLoopState) PrepareShard(ctx *Context, round, idx, total int) error {
-	s.seeding.ScanRange(s.bounds[idx], s.bounds[idx+1])
-	return nil
-}
-
-// EndPrepare implements PreparedLoop: the per-round barrier sums the
-// min-distance array in ascending document order and draws the round's
-// seed — the same RNG consumption as the serial scan, so the chosen seeds
-// are bit-identical at any shard count on any backend. The final round
-// installs the centroids.
-func (s *kmLoopState) EndPrepare(ctx *Context, round int) error {
-	last := round == s.seeding.Rounds()-1
-	s.seeding.EndRound()
-	pick := s.seeding.LastIndex()
-	if last {
-		s.seeding.Finish()
-	}
-	if ctx.Tracer.Enabled() {
-		label := fmt.Sprintf("round=%d pick=%d", round, pick)
-		ctx.Tracer.Emit("kmeans", "seed-round", label, int64(round))
-	}
-	if last {
-		s.seeding = nil
-	}
-	return nil
-}
-
-// RemotePrepareTask implements RemotablePrepare: one seed round's scan over
-// one shard as a kmeans.seed kernel call. It reuses the loop's per-shard
-// worker sessions (same affinity key as the assignment iterations, so the
-// shard's documents ship exactly once across seeding and iterations) and
-// ships only the last chosen seed vector plus the shard's current
-// min-distance window; the worker runs the same SeedScanRange the local
-// path runs and returns the updated window, floats as IEEE 754 bits.
-func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, bool) {
+// Wave implements LoopState. While seeding, a wave is one K-Means++ seed
+// round's min-distance scan over the shard's document range — a pure
+// per-element min-update, so shards of one round run concurrently and
+// results are independent of shard count and scheduling. Once seeded, a
+// wave is one iteration's assignment over the range; the shard's recycled
+// partial counts the moves.
+func (s *kmLoopState) Wave(ctx *Context, w, idx, total int) (any, error) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
-	args := &KMSeedTaskArgs{
-		Loop:  s.loopKey,
-		Shard: idx,
-		Init:  s.shardInit(idx),
-		Last:  *s.seeding.Last(),
-		D2:    s.seeding.D2(lo, hi),
+	if s.seeding != nil {
+		s.seeding.ScanRange(lo, hi)
+		return nil, nil
 	}
-	seeding := s.seeding
-	return &RemoteTask{
-		Op:       "kmeans.seed",
-		Args:     args.AppendFlat,
-		Affinity: s.sessionKey(idx),
-		Absorb: func(body []byte) (Value, error) {
-			d2, err := DecodeFlatKMSeedReply(body)
-			if err != nil {
-				return nil, err
-			}
-			if len(d2) != hi-lo {
-				return nil, fmt.Errorf("%w: kmeans.seed reply for shard %d carries %d distances, want %d",
-					ErrType, idx, len(d2), hi-lo)
-			}
-			seeding.SetD2(lo, d2)
-			s.shipped[idx] = true
-			return nil, nil
-		},
-	}, true
-}
-
-// RunShard implements LoopState: one iteration's assignment over the
-// shard's document range; the shard's recycled partial counts the moves.
-func (s *kmLoopState) RunShard(ctx *Context, idx, total int) (any, error) {
 	a := s.accs[idx]
 	a.Reset()
-	s.c.AssignShard(s.bounds[idx], s.bounds[idx+1], a)
+	s.c.AssignShard(lo, hi, a)
 	return a, nil
 }
 
@@ -416,17 +330,48 @@ func (s *kmLoopState) appendCentroids(iter int, base uint64, rows []bool) []byte
 	return kmeans.AppendFlatCentroids(b, s.c.Centroids(), s.c.CentroidNorms(), rows)
 }
 
-// RemoteShardTask implements RemotableLoop: one iteration of one shard as
-// a kmeans.assign kernel call. The shard's documents and norms ship once
-// (Init) and stay cached in a worker session the affinity key pins; every
-// iteration names the iteration's centroid block (its changed rows shipped
-// once per worker, see centroidBlock), ships the shard's previous
-// assignments, and absorbs the worker's moved count, assignments and
-// distances — what the local path would produce, bit for bit, because the
-// worker runs the same kmeans.AssignRange over the same documents against
-// the same centroid bits.
-func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
+// RemoteWaveTask implements RemotableLoop: one wave of one shard as a
+// kernel call on the worker session the shard's affinity key pins, so its
+// documents and norms ship exactly once (Init) across seeding and
+// iterations. The worker runs the kernel the local path runs, floats cross
+// as IEEE 754 bits, and Absorb integrates what the local path would have
+// produced, bit for bit.
+//
+// A seed round's scan is a kmeans.seed call: it ships only the last chosen
+// seed vector plus the shard's current min-distance window and absorbs the
+// updated window. An iteration is a kmeans.assign call: it names the
+// iteration's centroid block (its changed rows shipped once per worker,
+// see centroidBlock), ships the shard's previous assignments, and absorbs
+// the worker's moved count, assignments and distances.
+func (s *kmLoopState) RemoteWaveTask(w, idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
+	if seeding := s.seeding; seeding != nil {
+		args := &KMSeedTaskArgs{
+			Loop:  s.loopKey,
+			Shard: idx,
+			Init:  s.shardInit(idx),
+			Last:  *seeding.Last(),
+			D2:    seeding.D2(lo, hi),
+		}
+		return &RemoteTask{
+			Op:       "kmeans.seed",
+			Args:     args.AppendFlat,
+			Affinity: s.sessionKey(idx),
+			Absorb: func(body []byte) (Value, error) {
+				d2, err := DecodeFlatKMSeedReply(body)
+				if err != nil {
+					return nil, err
+				}
+				if len(d2) != hi-lo {
+					return nil, fmt.Errorf("%w: kmeans.seed reply for shard %d carries %d distances, want %d",
+						ErrType, idx, len(d2), hi-lo)
+				}
+				seeding.SetD2(lo, d2)
+				s.shipped[idx] = true
+				return nil, nil
+			},
+		}, true
+	}
 	iter := s.c.Iterations()
 	args := &KMAssignTaskArgs{
 		Loop:   s.loopKey,
@@ -464,11 +409,28 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	}, true
 }
 
-// EndIteration implements LoopState: the centroid update. It reads the
-// partials only for their moved counts; the centroids and the inertia are
-// folded in document order from the per-document assignments and
-// distances, so no float depends on the shard count or scheduling.
-func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
+// EndWave implements LoopState. While seeding, wave w is seed round w and
+// its barrier draws the round's seed: it sums the min-distance array in
+// ascending document order and draws — the same RNG consumption as the
+// serial scan, so the chosen seeds are bit-identical at any shard count on
+// any backend; the final round installs the centroids. Once seeded, the
+// barrier is the centroid update. It reads the partials only for their
+// moved counts; the centroids and the inertia are folded in document order
+// from the per-document assignments and distances, so no float depends on
+// the shard count or scheduling.
+func (s *kmLoopState) EndWave(ctx *Context, w int, partials []any) (bool, error) {
+	if s.seeding != nil {
+		s.seeding.EndRound()
+		if ctx.Tracer.Enabled() {
+			label := fmt.Sprintf("round=%d pick=%d", w, s.seeding.LastIndex())
+			ctx.Tracer.Emit("kmeans", "seed-round", label, int64(w))
+		}
+		if w == s.seeding.Rounds()-1 {
+			s.seeding.Finish()
+			s.seeding = nil
+		}
+		return false, nil
+	}
 	s.ordered = s.ordered[:0]
 	for _, p := range partials {
 		a, ok := p.(*kmeans.Accum)

@@ -84,9 +84,9 @@ const (
 	// classMap runs one RunPartition task per shard, each as soon as its
 	// shard of the port-0 input and all other ports are ready.
 	classMap
-	// classLoop runs an IterativeOp: a begin task, then per iteration one
-	// task per loop shard plus a reduction-barrier task, repeated until the
-	// loop reports done, then a finish task. Output is scalar.
+	// classLoop runs an IterativeOp: a begin task, then per wave one task
+	// per loop shard plus a barrier task, repeated until the loop reports
+	// done, then a finish task. Output is scalar.
 	classLoop
 )
 

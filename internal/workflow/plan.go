@@ -422,7 +422,7 @@ func materializationArrow(from, to Operator) string {
 // executor schedules them: an edge carrying shards to a per-shard consumer renders as
 // -[xN]->, an edge gathering N shards back into one dataset (a reduction
 // barrier) renders as =[xN]=>, and the output of an iterative loop node
-// (per-iteration shard tasks behind a reduction barrier) renders as
+// (per-wave shard tasks behind a barrier) renders as
 // ~[xN]~>:
 //
 //	scan -> partition

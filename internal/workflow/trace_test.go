@@ -3,7 +3,9 @@ package workflow
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,11 +89,12 @@ func TestCrossBackendSpanParity(t *testing.T) {
 }
 
 // TestTraceCoversEveryTask: span fields are complete — every span has a
-// node, op, kind, backend and a coherent Queued<=Start<=End timeline, loop
-// shard spans carry iterations starting at 0, the K-Means++ seeding rounds
-// appear as prepare-wave spans (one per shard per round plus the round's
-// draw barrier) with matching per-round events, and the K-Means loop
-// emitted per-iteration events.
+// node, op, kind, backend and a coherent Queued<=Start<=End timeline — and
+// the K-Means loop traces one wave per barrier: its K-Means++ seed rounds
+// first, then its iterations, numbered from 0 without gaps, each wave one
+// shard span per loop shard plus one barrier span, and one typed event per
+// wave (a seed-round or an iteration event). The node table counts the
+// waves exactly.
 func TestTraceCoversEveryTask(t *testing.T) {
 	tr := tracedTFKM(t, LocalBackend{}, t.TempDir())
 	if len(tr.Spans) == 0 {
@@ -100,8 +103,8 @@ func TestTraceCoversEveryTask(t *testing.T) {
 	// tracedTFKM clusters with K=8 over 4 shards: K-Means++ runs K-1 seed
 	// rounds, each scanning every shard before the coordinator draws.
 	const wantRounds, wantShards = 7, 4
-	iters := map[int]bool{}
-	prepShards, prepEnds := map[int]int{}, map[int]int{}
+	shards, ends := map[int]int{}, map[int]int{}
+	loopNode := ""
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
 		if s.Node == "" || s.Op == "" || s.Kind == "" || s.Backend == "" {
@@ -113,38 +116,31 @@ func TestTraceCoversEveryTask(t *testing.T) {
 		switch s.Kind {
 		case "loop-shard":
 			if s.Iter < 0 {
-				t.Fatalf("loop-shard span without iteration: %+v", s)
+				t.Fatalf("loop-shard span without wave: %+v", s)
 			}
-			iters[s.Iter] = true
-		case "loop-prep":
+			shards[s.Iter]++
+			loopNode = s.Node
+		case "loop-end":
 			if s.Iter < 0 {
-				t.Fatalf("loop-prep span without round: %+v", s)
+				t.Fatalf("loop-end span without wave: %+v", s)
 			}
-			prepShards[s.Iter]++
-		case "loop-prep-end":
-			if s.Iter < 0 {
-				t.Fatalf("loop-prep-end span without round: %+v", s)
-			}
-			prepEnds[s.Iter]++
+			ends[s.Iter]++
 		case "run":
 			if s.Iter != -1 {
-				t.Fatalf("non-loop span claims iteration %d: %+v", s.Iter, s)
+				t.Fatalf("non-loop span claims wave %d: %+v", s.Iter, s)
 			}
 		}
 	}
-	if !iters[0] {
-		t.Errorf("loop iterations do not start at 0: %v", iters)
+	waves := len(shards)
+	if len(ends) != waves {
+		t.Errorf("%d waves traced shard spans, %d traced barriers", waves, len(ends))
 	}
-	if len(prepShards) != wantRounds || len(prepEnds) != wantRounds {
-		t.Errorf("seed rounds traced: %d prep waves, %d barriers, want %d of each",
-			len(prepShards), len(prepEnds), wantRounds)
-	}
-	for round := 0; round < wantRounds; round++ {
-		if prepShards[round] != wantShards {
-			t.Errorf("seed round %d traced %d shard scans, want %d", round, prepShards[round], wantShards)
+	for w := 0; w < waves; w++ {
+		if shards[w] != wantShards {
+			t.Errorf("wave %d traced %d shard spans, want %d", w, shards[w], wantShards)
 		}
-		if prepEnds[round] != 1 {
-			t.Errorf("seed round %d traced %d draw barriers, want 1", round, prepEnds[round])
+		if ends[w] != 1 {
+			t.Errorf("wave %d traced %d barriers, want 1", w, ends[w])
 		}
 	}
 	var kmEvents, seedEvents int
@@ -167,11 +163,28 @@ func TestTraceCoversEveryTask(t *testing.T) {
 			seedEvents++
 		}
 	}
-	if kmEvents != len(iters) {
-		t.Errorf("kmeans iteration events %d != loop iterations %d", kmEvents, len(iters))
-	}
 	if seedEvents != wantRounds {
 		t.Errorf("kmeans seed-round events %d != seed rounds %d", seedEvents, wantRounds)
+	}
+	if kmEvents == 0 || seedEvents+kmEvents != waves {
+		t.Errorf("%d seed-round + %d iteration events for %d waves", seedEvents, kmEvents, waves)
+	}
+	// The node table's waves column reads the seed rounds plus the
+	// iterations.
+	table := obs.NodeTable(tr)
+	lines := strings.Split(table, "\n")
+	col := slices.Index(strings.Fields(lines[0]), "waves")
+	if col < 0 {
+		t.Fatalf("node table has no waves column:\n%s", table)
+	}
+	got := ""
+	for _, line := range lines[2:] {
+		if f := strings.Fields(line); len(f) > col && f[0] == loopNode {
+			got = f[col]
+		}
+	}
+	if want := fmt.Sprint(wantRounds + kmEvents); got != want {
+		t.Errorf("node table reads %q waves for %s, want %s:\n%s", got, loopNode, want, table)
 	}
 }
 

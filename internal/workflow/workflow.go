@@ -86,11 +86,11 @@
 // into a worker-side session (pinned to one worker by backend affinity)
 // and whose per-iteration traffic is the centroids out — as one sparse
 // block per worker, not per shard — and moved counts, assignments and
-// distances back. K-Means++ seeding scan rounds ship as
-// prepare-wave tasks through the same pinned sessions (documents ship
-// once for seeding and iterations combined); the per-round seed draw
-// stays on the coordinator. Splits, the DF tree-merge, the streaming
-// gather, the per-iteration barrier and output always run on the
+// distances back. K-Means++ seeding scan rounds are the loop's first
+// waves and ship through the same pinned sessions (documents ship once
+// for seeding and iterations combined); the per-round seed draw stays on
+// the coordinator. Splits, the DF tree-merge, the gather, the per-wave
+// barrier and output always run on the
 // coordinator; tasks whose inputs cannot be described (in-memory
 // sources, disk-simulated sources, stopword-bearing options) quietly
 // fall back to the local path.
