@@ -83,11 +83,12 @@
 // Distributed runs persist the measured per-task ship time as an EWMA file
 // (hpa-ship-ewma.json, next to the cost-model cache in the scratch
 // directory), and later -optimize runs price remote plans with that
-// measured figure instead of the calibrated loopback lower bound; -explain
-// shows which one priced the plan as "ship=measured" vs
-// "ship=loopback-bound". Delete the file to price with the loopback bound
-// again. As with the cost-model cache, the feedback only survives across
-// runs when -scratch points at a persistent directory.
+// measured figure instead of the model's RPCShipNS (the calibration's plan
+// recorded on an in-process pipe worker, no network in it); -explain shows
+// which one priced the plan as "ship=measured" vs "ship=loopback-bound".
+// Delete the file to price with RPCShipNS again. As with the cost-model
+// cache, the feedback only survives across runs when -scratch points at a
+// persistent directory.
 //
 // With -sweep, the workflow runs once per thread count and prints a
 // Figure 3-style table. With -explain, the validated plan DAG is printed
@@ -221,6 +222,10 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		scratchDir = dir
+	} else if err := os.MkdirAll(scratchDir, 0o755); err != nil {
+		// Before anything runs: the cost-model cache, the ship EWMA and
+		// every output file live here.
+		fatal(err)
 	}
 
 	cfg := workflow.TFKMConfig{
@@ -415,8 +420,8 @@ func main() {
 		}
 	}
 	// Close the optimizer feedback loop on distributed runs: report what
-	// shipping a task actually cost next to the model's calibrated loopback
-	// lower bound, so stale or unrepresentative models are visible. The
+	// shipping a task actually cost next to the model's pipe-recorded ship
+	// cost, so stale or unrepresentative models are visible. The
 	// value-compression line reports what the flat codec's XOR value blocks
 	// saved over raw fixed-width floats across every payload shipped or
 	// absorbed this run.
@@ -429,7 +434,7 @@ func main() {
 			line := fmt.Sprintf("rpc ship: measured %s/task (EWMA over %d tasks)",
 				time.Duration(ns).Round(time.Microsecond), samples)
 			if model != nil {
-				line += fmt.Sprintf(" vs model RPCShipNS %s/task (loopback lower bound)",
+				line += fmt.Sprintf(" vs model RPCShipNS %s/task (recorded on a pipe worker)",
 					time.Duration(model.RPCShipNS).Round(time.Microsecond))
 			}
 			fmt.Fprintln(os.Stderr, line)

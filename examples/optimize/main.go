@@ -1,7 +1,8 @@
 // Optimize: the cost-based plan optimizer end to end. The engine measures
-// the machine once with short microbenchmarks (dictionary insert/lookup
-// costs per kind and cardinality, tokenizer throughput, ARFF bandwidth,
-// per-shard task overhead), samples the corpus for its scale factors, and
+// the machine once (dictionary insert/lookup costs per kind and
+// cardinality and tokenizer throughput from short probes; ARFF bandwidth
+// and per-task overhead from a traced run of the workflow plan), samples
+// the corpus for its scale factors, and
 // derives the physical plan configuration the paper says must be chosen
 // per workflow phase: dictionary kind, fusion vs. materialization, and the
 // shard count of partitioned execution. Every decision lands in

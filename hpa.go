@@ -18,9 +18,10 @@
 //     deterministic reduction barrier) — and executed with independent
 //     branches and shards running concurrently on the pool;
 //   - a cost-based plan optimizer: LoadOrCalibrateCostModel measures the
-//     machine once (dictionary insert/lookup costs, tokenizer throughput,
-//     ARFF bandwidth, per-shard task overhead, the K-Means assignment
-//     kernel; cached as JSON keyed by GOMAXPROCS), CollectCorpusStats
+//     machine once (dictionary insert/lookup costs and tokenizer
+//     throughput from probes; ARFF bandwidth, per-task overhead, the
+//     K-Means iteration rate and the ship cost from a traced run of the
+//     workflow plan; cached as JSON keyed by GOMAXPROCS), CollectCorpusStats
 //     samples the input (including a pilot clustering that estimates the
 //     K-Means iteration count), and Optimize rewrites a plan to the winning
 //     physical configuration — dictionary kind per operator, fusion vs.
@@ -409,10 +410,12 @@ func NewLogicalTFKMPlan(src Source, cfg TFKMConfig) *Plan {
 // Cost-based plan optimization surface.
 type (
 	// CostModel is the serialized outcome of calibration: per-kind
-	// dictionary cost curves, tokenizer throughput, ARFF bandwidth and
-	// per-shard task overhead.
+	// dictionary cost curves and tokenizer throughput from probes, and
+	// ARFF bandwidth, task overhead, K-Means rate and ship cost fitted to
+	// a traced run of the workflow plan.
 	CostModel = optimizer.CostModel
-	// CalibrationOptions bounds the calibration microbenchmarks.
+	// CalibrationOptions bounds the dictionary and tokenizer probes; the
+	// plan recordings run at a fixed scale.
 	CalibrationOptions = optimizer.CalibrationOptions
 	// WorkflowStats summarizes a workflow input for the optimizer (doc
 	// count, bytes, estimated distinct-term cardinality).
@@ -427,8 +430,8 @@ func LoadOrCalibrateCostModel(dir string, opts CalibrationOptions) (*CostModel, 
 	return optimizer.LoadOrCalibrate(dir, opts)
 }
 
-// QuickCalibration returns coarse calibration options (~50 ms) for tests
-// and interactive use.
+// QuickCalibration returns coarse calibration options (~200 ms, most of it
+// the plan recordings) for tests and interactive use.
 func QuickCalibration() CalibrationOptions { return optimizer.Quick() }
 
 // CollectCorpusStats summarizes an in-memory corpus: exact document and

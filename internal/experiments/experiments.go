@@ -24,7 +24,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"slices"
 	"time"
@@ -32,8 +31,6 @@ import (
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
-	"hpa/internal/obs"
-	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/simsched"
 	"hpa/internal/tfidf"
@@ -177,15 +174,15 @@ func (c Config) tfkm(mode workflow.Mode, kind dict.Kind) workflow.TFKMConfig {
 	}
 }
 
-// recordTFKM runs the plan of wcfg over src Repeats times — traced, one
-// task at a time (workflow.Context.Serial) on one pool worker, with no
-// disk throttling, so every span is pure task time and the I/O demand
-// rides on the spans for the virtual device to charge — and converts each
-// trace into simsched phases, keeping those named in keep (all when keep
-// is empty). A serial run schedules the same tasks in the same order every
-// time, so the recordings line up task for task; each task and serial
-// section keeps its least disturbed (shortest) duration. It returns the
-// first run's report. wcfg.Shards 0 records at recordShards.
+// recordTFKM records the plan of wcfg over src Repeats times
+// (workflow.RecordTFKM: traced, serial, one pool worker, with no disk
+// throttling, so every span is pure task time and the I/O demand rides on
+// the spans for the virtual device to charge) and converts each trace into
+// simsched phases, keeping those named in keep (all when keep is empty).
+// A serial run schedules the same tasks in the same order every time, so
+// the recordings line up task for task; each task and serial section keeps
+// its least disturbed (shortest) duration. It returns the first run's
+// report. wcfg.Shards 0 records at recordShards.
 func (c Config) recordTFKM(src pario.Source, wcfg workflow.TFKMConfig, keep ...string) ([]simsched.Phase, *workflow.TFKMReport, error) {
 	if wcfg.Shards == 0 {
 		wcfg.Shards = c.recordShards()
@@ -193,10 +190,11 @@ func (c Config) recordTFKM(src pario.Source, wcfg workflow.TFKMConfig, keep ...s
 	var best []simsched.Phase
 	var first *workflow.TFKMReport
 	for i := 0; i < c.repeats(); i++ {
-		phases, rep, err := recordOnce(src, wcfg)
+		tr, rep, err := workflow.RecordTFKM(src, wcfg, nil, nil)
 		if err != nil {
 			return nil, nil, err
 		}
+		phases := simsched.FromTrace(tr)
 		if len(keep) > 0 {
 			phases = slices.DeleteFunc(phases, func(p simsched.Phase) bool { return !slices.Contains(keep, p.Name) })
 		}
@@ -229,27 +227,4 @@ func lowerPhases(dst, src []simsched.Phase) error {
 		}
 	}
 	return nil
-}
-
-// recordOnce is one traced serial run of recordTFKM.
-func recordOnce(src pario.Source, wcfg workflow.TFKMConfig) ([]simsched.Phase, *workflow.TFKMReport, error) {
-	scratch, err := os.MkdirTemp("", "hpa-record-*")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(scratch)
-	// Start from a collected heap, so no recording pays for the garbage of
-	// the one before it.
-	runtime.GC()
-	pool := par.NewPool(1)
-	defer pool.Close()
-	ctx := workflow.NewContext(pool)
-	ctx.ScratchDir = scratch
-	ctx.Serial = true
-	ctx.Tracer = obs.NewTracer()
-	rep, err := workflow.RunTFKM(src, ctx, wcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return simsched.FromTrace(ctx.Tracer.Snapshot()), rep, nil
 }

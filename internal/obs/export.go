@@ -37,7 +37,7 @@ type chromeSpanArgs struct {
 	Node  string `json:"node"`
 	Kind  string `json:"kind"`
 	Shard int    `json:"shard"`
-	Iter  int    `json:"iter"` // no omitempty: wave 0 must survive
+	Wave  int    `json:"wave"` // no omitempty: wave 0 must survive
 
 	Backend string `json:"backend,omitempty"`
 	Worker  string `json:"worker,omitempty"`
@@ -151,7 +151,7 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 			Pid:  pid,
 			Tid:  tid,
 			Args: chromeSpanArgs{
-				Node: s.Node, Kind: s.Kind, Shard: s.Shard, Iter: s.Iter,
+				Node: s.Node, Kind: s.Kind, Shard: s.Shard, Wave: s.Iter,
 				Backend: s.Backend, Worker: s.Worker,
 				WaitUS: s.Wait().Microseconds(),
 				Out:    s.BytesOut, In: s.BytesIn,

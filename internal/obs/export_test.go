@@ -53,10 +53,10 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 		`{"name":"process_sort_index","ph":"M","ts":0,"pid":2,"tid":0,"args":{"sort_index":1}},`,
 		`{"name":"process_name","ph":"M","ts":0,"pid":3,"tid":0,"args":{"name":"worker w2"}},`,
 		`{"name":"process_sort_index","ph":"M","ts":0,"pid":3,"tid":0,"args":{"sort_index":2}},`,
-		`{"name":"scan/0","cat":"source","ph":"X","ts":10,"dur":20,"pid":1,"tid":0,"args":{"node":"scan","kind":"run","shard":0,"iter":-1,"backend":"local","queue_wait_us":5}},`,
-		`{"name":"tfidf.map/0","cat":"tfidf.count","ph":"X","ts":40,"dur":50,"pid":2,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":0,"iter":-1,"backend":"rpc","worker":"w1","queue_wait_us":10,"bytes_out":100,"bytes_in":200,"worker_run_us":35}},`,
-		`{"name":"tfidf.map/1","cat":"tfidf.count","ph":"X","ts":45,"dur":50,"pid":3,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":1,"iter":-1,"backend":"rpc","worker":"w2","queue_wait_us":15,"bytes_out":150,"bytes_in":250,"resend":true}},`,
-		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"iter":0,"backend":"rpc","worker":"w1","queue_wait_us":10,"value_raw_bytes":800,"value_coded_bytes":620}},`,
+		`{"name":"scan/0","cat":"source","ph":"X","ts":10,"dur":20,"pid":1,"tid":0,"args":{"node":"scan","kind":"run","shard":0,"wave":-1,"backend":"local","queue_wait_us":5}},`,
+		`{"name":"tfidf.map/0","cat":"tfidf.count","ph":"X","ts":40,"dur":50,"pid":2,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":0,"wave":-1,"backend":"rpc","worker":"w1","queue_wait_us":10,"bytes_out":100,"bytes_in":200,"worker_run_us":35}},`,
+		`{"name":"tfidf.map/1","cat":"tfidf.count","ph":"X","ts":45,"dur":50,"pid":3,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":1,"wave":-1,"backend":"rpc","worker":"w2","queue_wait_us":15,"bytes_out":150,"bytes_in":250,"resend":true}},`,
+		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"wave":0,"backend":"rpc","worker":"w1","queue_wait_us":10,"value_raw_bytes":800,"value_coded_bytes":620}},`,
 		`{"name":"iteration","cat":"kmeans","ph":"i","ts":120,"pid":1,"tid":0,"s":"g","args":{"label":"iter=1","value":3}}`,
 		`]`,
 		``,

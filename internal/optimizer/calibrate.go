@@ -2,27 +2,25 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"net"
-	"os"
-	"path/filepath"
-	"reflect"
 	"runtime"
-	"sync"
 	"time"
 
-	"hpa/internal/arff"
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
-	"hpa/internal/par"
-	"hpa/internal/sparse"
+	"hpa/internal/obs"
 	"hpa/internal/text"
+	"hpa/internal/tfidf"
 	"hpa/internal/workflow"
 )
 
-// CalibrationOptions bounds the calibration microbenchmarks. The zero
-// value selects defaults that complete in roughly a second; Quick shrinks
-// them for tests and examples where a coarse model is enough.
+// CalibrationOptions bounds the two calibration probes that a plan
+// recording cannot replace (the dictionary cost curves and the tokenizer
+// throughput). The zero value selects defaults that complete in under a
+// second; Quick shrinks them for tests and examples where a coarse model
+// is enough. The plan recordings run at a fixed scale either way.
 type CalibrationOptions struct {
 	// Force makes LoadOrCalibrate ignore a cached model and re-measure.
 	Force bool
@@ -35,35 +33,16 @@ type CalibrationOptions struct {
 	// TokenizeBytes is the volume of synthetic text to tokenize for the
 	// throughput measurement (default 2 MiB).
 	TokenizeBytes int64
-	// ARFFDocs and ARFFTermsPerDoc size the synthetic matrix for the
-	// write/read bandwidth measurement (default 512 docs × 48 terms).
-	ARFFDocs, ARFFTermsPerDoc int
-	// ShardTasks is the number of trivial partition tasks timed for the
-	// per-task overhead measurement (default 256).
-	ShardTasks int
-	// KMeansDocs and KMeansTermsPerDoc size the synthetic sparse matrix
-	// for the K-Means assignment-kernel measurement (default 512 docs × 32
-	// terms).
-	KMeansDocs, KMeansTermsPerDoc int
-	// RPCTasks is the number of loopback worker calls timed for the
-	// per-task ship-cost measurement (default 64).
-	RPCTasks int
-	// ScratchDir hosts the temporary ARFF file (default os.TempDir()).
-	ScratchDir string
 }
 
-// Quick returns options with every budget shrunk (~50 ms total): coarse
-// but sufficient for tests and interactive walkthroughs.
+// Quick returns options with the probe budgets shrunk (~200 ms total,
+// most of it the two plan recordings): coarse but sufficient for tests and
+// interactive walkthroughs.
 func Quick() CalibrationOptions {
 	return CalibrationOptions{
 		DictCardinalities: []int{1 << 9, 1 << 12},
 		DictPasses:        1,
 		TokenizeBytes:     1 << 17,
-		ARFFDocs:          64,
-		ARFFTermsPerDoc:   32,
-		ShardTasks:        64,
-		KMeansDocs:        128,
-		KMeansTermsPerDoc: 16,
 	}
 }
 
@@ -77,33 +56,15 @@ func (o *CalibrationOptions) defaults() {
 	if o.TokenizeBytes <= 0 {
 		o.TokenizeBytes = 2 << 20
 	}
-	if o.ARFFDocs <= 0 {
-		o.ARFFDocs = 512
-	}
-	if o.ARFFTermsPerDoc <= 0 {
-		o.ARFFTermsPerDoc = 48
-	}
-	if o.ShardTasks <= 0 {
-		o.ShardTasks = 256
-	}
-	if o.KMeansDocs <= 0 {
-		o.KMeansDocs = 512
-	}
-	if o.KMeansTermsPerDoc <= 0 {
-		o.KMeansTermsPerDoc = 32
-	}
-	if o.RPCTasks <= 0 {
-		o.RPCTasks = 64
-	}
-	if o.ScratchDir == "" {
-		o.ScratchDir = os.TempDir()
-	}
 }
 
-// Calibrate measures this machine and returns a fresh CostModel: the
-// microbenchmark suite behind the paper's position that the right operator
-// implementation is a property of the hardware and the phase, not of the
-// code. Runtime is bounded by the options (about a second at defaults).
+// Calibrate measures this machine and returns a fresh CostModel, behind
+// the paper's position that the right operator implementation is a
+// property of the hardware and the phase, not of the code. The dictionary
+// curves and the tokenizer rate come from probes; every plan-level term
+// (ARFF bandwidths, task overhead, K-Means rate, ship cost) is fitted to
+// recordings of the workflow itself (recordPlanTerms). Runtime is bounded
+// by the options (under a second at defaults).
 func Calibrate(opts CalibrationOptions) (*CostModel, error) {
 	opts.defaults()
 	m := &CostModel{
@@ -119,32 +80,21 @@ func Calibrate(opts CalibrationOptions) (*CostModel, error) {
 		m.Dicts[kind.String()] = curve
 	}
 	m.TokenizeNSPerByte = calibrateTokenizer(opts.TokenizeBytes)
-	w, r, err := calibrateARFF(opts)
-	if err != nil {
+	if err := recordPlanTerms(m); err != nil {
 		return nil, err
 	}
-	m.ARFFWriteBPS, m.ARFFReadBPS = w, r
-	m.ShardTaskNS = calibrateShardOverhead(opts.ShardTasks)
-	m.KMeansAssignNS = calibrateKMeansAssign(opts)
-	m.RPCShipNS = calibrateRPCShip(opts.RPCTasks)
 	return m, nil
 }
 
-// xorshift64 advances the deterministic PRNG the calibration inputs are
-// drawn from (calibration must be repeatable bit-for-bit across runs).
-func xorshift64(x uint64) uint64 {
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return x
-}
-
-// calWords synthesizes n distinct pseudo-random words.
+// calWords synthesizes n distinct pseudo-random words from a xorshift64
+// sequence (calibration must be repeatable bit-for-bit across runs).
 func calWords(n int) []string {
 	words := make([]string, n)
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := range words {
-		x = xorshift64(x)
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
 		words[i] = fmt.Sprintf("w%x", x&0xffffffffff)
 	}
 	return words
@@ -183,212 +133,112 @@ func calibrateTokenizer(budget int64) float64 {
 	c := corpus.Generate(corpus.Mix().Scaled(0.002), nil)
 	tk := &text.Tokenizer{}
 	var processed int64
-	tokens := 0
 	start := time.Now()
 	for processed < budget {
 		for _, doc := range c.Docs {
-			tk.Tokens(doc, func([]byte) { tokens++ })
+			tk.Tokens(doc, func([]byte) {})
 			processed += int64(len(doc))
 		}
 	}
-	_ = tokens
 	return float64(time.Since(start).Nanoseconds()) / float64(processed)
 }
 
-// calibrateARFF measures the sequential write and read bandwidth of the
-// materialization boundary on a synthetic sparse matrix, in bytes/sec.
-func calibrateARFF(opts CalibrationOptions) (writeBPS, readBPS float64, err error) {
-	dim := opts.ARFFTermsPerDoc * 16
-	header := arff.Header{Relation: "calibration", Attributes: make([]string, dim)}
-	for i := range header.Attributes {
-		header.Attributes[i] = fmt.Sprintf("t%05d", i)
-	}
-	rows := make([]sparse.Vector, opts.ARFFDocs)
-	var b sparse.Builder
-	x := uint64(1)
-	for i := range rows {
-		b.Reset()
-		for j := 0; j < opts.ARFFTermsPerDoc; j++ {
-			x = xorshift64(x)
-			b.Add(uint32(x)%uint32(dim), float64(x%1000)/997.0+0.001)
-		}
-		b.Build(&rows[i])
-	}
-	path := filepath.Join(opts.ScratchDir, fmt.Sprintf("hpa-calibrate-%d.arff", os.Getpid()))
-	defer os.Remove(path)
+// recordScale is the fixed scale of corpus.Calibration() the plan
+// recordings run over (Mix@0.005, 117 documents): large enough that every
+// task does real work, small enough that generating it and both recordings
+// take under 0.2 s on a 2-proc box.
+const recordScale = 0.1
 
-	start := time.Now()
-	n, err := arff.WriteFile(path, header, rows, nil)
-	if err != nil {
-		return 0, 0, fmt.Errorf("optimizer: calibrate arff write: %w", err)
-	}
-	writeBPS = float64(n) / time.Since(start).Seconds()
-
-	start = time.Now()
-	if _, _, err = arff.ReadFile(path, nil); err != nil {
-		return 0, 0, fmt.Errorf("optimizer: calibrate arff read: %w", err)
-	}
-	readBPS = float64(n) / time.Since(start).Seconds()
-	return writeBPS, readBPS, nil
+// recordConfig is the recorded plan: discrete, so the ARFF pair runs, on 4
+// pinned shards, K = 8, seed 1.
+var recordConfig = workflow.TFKMConfig{
+	Mode:   workflow.Discrete,
+	Shards: 4,
+	TFIDF:  tfidf.Options{Normalize: true},
+	KMeans: kmeans.Options{K: 8, Seed: 1},
 }
 
-// Trivial partitioned operators for the shard-overhead measurement: a
-// splitter emitting shard indices, one map kernel passing them through, and
-// a reduction counting the gathered shards — the minimal plan exercising
-// every scheduling path a real partition task takes.
-type calSplit struct{ n int }
-
-func (s *calSplit) Name() string           { return "cal-split" }
-func (s *calSplit) Inputs() []reflect.Type { return nil }
-func (s *calSplit) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (s *calSplit) PartitionCount() int    { return s.n }
-func (s *calSplit) Split(_ *workflow.Context, _ []workflow.Value, idx, _ int) (workflow.Value, error) {
-	return idx, nil
-}
-
-type calMap struct{}
-
-func (*calMap) Name() string           { return "cal-map" }
-func (*calMap) Inputs() []reflect.Type { return []reflect.Type{reflect.TypeOf(0)} }
-func (*calMap) Output() reflect.Type   { return reflect.TypeOf(0) }
-func (*calMap) RunPartition(_ *workflow.Context, ins []workflow.Value, _, _ int) (workflow.Value, error) {
-	return ins[0], nil
-}
-
-type calReduce struct{}
-
-func (*calReduce) Name() string { return "cal-reduce" }
-func (*calReduce) Inputs() []reflect.Type {
-	return []reflect.Type{reflect.TypeOf((*workflow.Partitions)(nil))}
-}
-func (*calReduce) Output() reflect.Type { return reflect.TypeOf(0) }
-func (*calReduce) Run(_ *workflow.Context, in workflow.Value) (workflow.Value, error) {
-	return len(in.(*workflow.Partitions).Parts), nil
-}
-
-// calKMeansMatrix synthesizes the (deterministic) sparse matrix the
-// assignment-kernel calibration runs over.
-func calKMeansMatrix(opts CalibrationOptions) ([]sparse.Vector, int) {
-	docs := opts.KMeansDocs
-	nnz := opts.KMeansTermsPerDoc
-	dim := nnz * 16
-	vecs := make([]sparse.Vector, docs)
-	var b sparse.Builder
-	x := uint64(0xfeedface)
-	for i := range vecs {
-		b.Reset()
-		for j := 0; j < nnz; j++ {
-			x = xorshift64(x)
-			b.Add(uint32(x)%uint32(dim), float64(x%1000)/997.0+0.001)
-		}
-		b.Build(&vecs[i])
-	}
-	return vecs, dim
-}
-
-// calibrateKMeansAssign measures whole K-Means iterations — the
-// assignment kernel (kmeans.AssignShard) and the centroid update
-// (kmeans.EndIteration, which from the second pass on recomputes only the
-// clusters whose members changed, as a real loop's does) — on a
-// synthetic sparse matrix and returns their
-// cost per (non-zero component × cluster) in nanoseconds, the unit the
-// iterative-stage estimate scales by iterations × documents × mean
-// non-zeros × k. It runs the real kernels on one worker, so it prices
-// exactly the loop the executor dispatches.
-func calibrateKMeansAssign(opts CalibrationOptions) float64 {
-	const k = 8
-	vecs, dim := calKMeansMatrix(opts)
-	pool := par.NewPool(1)
-	defer pool.Close()
-	c, err := kmeans.New(vecs, dim, pool, kmeans.Options{K: k, Seed: 1})
-	if err != nil {
-		// Cannot happen with the synthetic matrix; conservative fallback.
-		return 1.5
-	}
-	accs := []*kmeans.Accum{c.NewAccum()}
-	const passes = 3
-	start := time.Now()
-	for p := 0; p < passes; p++ {
-		accs[0].Reset()
-		c.AssignShard(0, len(vecs), accs[0])
-		c.EndIteration(accs)
-	}
-	var ops int64
-	for i := range vecs {
-		ops += int64(len(vecs[i].Idx)) * k
-	}
-	ops *= passes
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
-}
-
-// calibrateShardOverhead times a plan of empty partition tasks (split ->
-// map -> gathered reduce) and attributes the wall time to the tasks evenly:
-// the fixed price every shard pays for existing, which the shard-count
-// decision weighs against the parallelism a shard buys.
-func calibrateShardOverhead(shards int) float64 {
-	pool := par.NewPool(runtime.GOMAXPROCS(0))
-	defer pool.Close()
-	plan := workflow.NewPlan().
-		Add("split", &calSplit{n: shards}).
-		Add("map", &calMap{}).
-		Add("reduce", &calReduce{}).
-		Connect("split", "map").
-		Connect("map", "reduce")
-	ctx := workflow.NewContext(pool)
-	start := time.Now()
-	if _, err := plan.Run(ctx); err != nil {
-		// Cannot happen with the trivial operators; fall back to a
-		// conservative constant rather than failing calibration.
-		return 20_000
-	}
-	// split + map tasks per shard plus the one reduce task.
-	tasks := 2*shards + 1
-	return float64(time.Since(start).Nanoseconds()) / float64(tasks)
-}
-
-var registerEchoOnce sync.Once
-
-// calibrateRPCShip measures the per-task cost of shipping work to an RPC
-// worker: the flat frame protocol over an in-process pipe to a real worker
-// loop, driven through the client RPCBackend tasks go through — frame
-// encode, round trip, reply decode — with a payload of a few KiB, the
-// order of a small shard descriptor. That is the path real tasks take
-// minus the physical network, so the measurement is a machine-local lower
-// bound on the ship cost — which is exactly what the shard-count decision
-// needs: if sharding does not pay at pipe cost, it certainly does not pay
-// over a network.
-func calibrateRPCShip(tasks int) float64 {
-	registerEchoOnce.Do(func() {
-		workflow.RegisterKernel("optimizer.echo", func(args []byte) ([]byte, error) {
-			return args, nil
-		})
-	})
-	coord, work := net.Pipe()
-	go workflow.ServeWorkerConn(work)
-	backend := workflow.NewRPCBackendConns(coord)
-	defer backend.Close()
-
-	payload := make([]byte, 4096)
-	x := uint64(0xabcdef)
-	for i := range payload {
-		x = xorshift64(x)
-		payload[i] = byte(x)
-	}
-	task := &workflow.Task{Remote: &workflow.RemoteTask{
-		Op:   "optimizer.echo",
-		Args: func(dst []byte) []byte { return append(dst, payload...) },
-		Absorb: func(reply []byte) (workflow.Value, error) {
-			if len(reply) != len(payload) {
-				return nil, fmt.Errorf("echo returned %d bytes of %d", len(reply), len(payload))
+// recordPlanTerms records the TF/IDF→K-Means plan twice — in process, and
+// on a worker served over an in-process pipe, closed before it returns —
+// and fits the model's plan-level terms to the two traces (fitPlanTerms).
+func recordPlanTerms(m *CostModel) error {
+	src := corpus.Generate(corpus.Calibration().Scaled(recordScale), nil).Source(nil)
+	var nnz int64
+	local, _, err := workflow.RecordTFKM(src, recordConfig, nil, func(_ workflow.Operator, out workflow.Value) {
+		if r, ok := out.(*tfidf.Result); ok {
+			for i := range r.Vectors {
+				nnz += int64(len(r.Vectors[i].Idx))
 			}
-			return nil, nil
-		},
-	}}
-	start := time.Now()
-	for i := 0; i < tasks; i++ {
-		if _, err := backend.RunTask(nil, task); err != nil {
-			return 50_000 // pipe failure; conservative fallback
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("optimizer: calibrate: record plan: %w", err)
+	}
+	coord, work := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		workflow.ServeWorkerConn(work)
+		close(served)
+	}()
+	backend := workflow.NewRPCBackendConns(coord)
+	remote, _, err := workflow.RecordTFKM(src, recordConfig, backend, nil)
+	backend.Close()
+	<-served
+	if err != nil {
+		return fmt.Errorf("optimizer: calibrate: record plan on a pipe worker: %w", err)
+	}
+	return fitPlanTerms(m, local, remote, nnz, recordConfig.KMeans.K)
+}
+
+// fitPlanTerms sets the plan-level terms of m — ARFFWriteBPS, ARFFReadBPS,
+// ShardTaskNS, KMeansAssignNS and RPCShipNS, each from the spans its
+// CostModel field names — from two serial recordings of one plan, local
+// in process and remote on a worker, whose K-Means loop runs at k over
+// nnz non-zero components. A term no span prices is an error.
+func fitPlanTerms(m *CostModel, local, remote *obs.Trace, nnz int64, k int) error {
+	spans := local.Spans
+	if len(spans) < 2 {
+		return fmt.Errorf("optimizer: calibrate: %d spans recorded", len(spans))
+	}
+	first, last := spans[0].Start, spans[0].End
+	var busy, iterTime time.Duration
+	waves := 0
+	for i := range spans {
+		s := &spans[i]
+		if s.Start.Before(first) {
+			first = s.Start
+		}
+		if s.End.After(last) {
+			last = s.End
+		}
+		busy += s.Dur()
+		switch {
+		case s.Node == "materialize-arff":
+			m.ARFFWriteBPS = float64(s.IOBytes) / s.Dur().Seconds()
+		case s.Node == "load-arff":
+			m.ARFFReadBPS = float64(s.IOBytes) / s.Dur().Seconds()
+		case (s.Kind == "loop-shard" || s.Kind == "loop-end") && s.Iter >= k-1:
+			iterTime += s.Dur()
+			waves = max(waves, s.Iter+1)
 		}
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(tasks)
+	m.ShardTaskNS = float64(last.Sub(first)-busy) / float64(len(spans)-1)
+	m.KMeansAssignNS = float64(iterTime) / (float64(waves-(k-1)) * float64(nnz) * float64(k))
+	var ship time.Duration
+	shipped := 0
+	for i := range remote.Spans {
+		if s := &remote.Spans[i]; s.Worker != "" {
+			ship += s.Dur() - s.WorkerRun
+			shipped++
+		}
+	}
+	m.RPCShipNS = float64(ship) / float64(shipped)
+	// A term no span priced comes out 0/0 (NaN), x/0 (+Inf) or 0.
+	for _, v := range []float64{m.ARFFWriteBPS, m.ARFFReadBPS, m.ShardTaskNS, m.KMeansAssignNS, m.RPCShipNS} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("optimizer: calibrate: implausible fit: arff write %v B/s, read %v B/s, task %v ns, k-means %v ns, ship %v ns",
+				m.ARFFWriteBPS, m.ARFFReadBPS, m.ShardTaskNS, m.KMeansAssignNS, m.RPCShipNS)
+		}
+	}
+	return nil
 }

@@ -7,12 +7,14 @@
 //
 // The subsystem has three parts:
 //
-//   - calibration: short microbenchmarks produce a CostModel — dictionary
-//     insert/lookup costs for the tree and hash kinds at several
-//     cardinalities, tokenizer throughput, ARFF write/read bandwidth, and
-//     the executor's per-shard task overhead. The model is serialized as
-//     JSON and cached, keyed by GOMAXPROCS and a model version, so a
-//     machine is measured once, not once per run;
+//   - calibration: two probes price the dictionary insert/lookup costs of
+//     every kind at several cardinalities and the tokenizer's throughput,
+//     and one traced serial recording of the TF/IDF→K-Means plan itself
+//     (plus one on an in-process pipe worker) prices the plan-level terms
+//     from its spans — ARFF write/read bandwidth, the executor's per-task
+//     overhead, the K-Means iteration rate and the per-task ship cost. The
+//     model is serialized as JSON and cached, keyed by GOMAXPROCS and a
+//     model version, so a machine is measured once, not once per run;
 //   - statistics: Stats summarizes the input (document count, byte volume,
 //     estimated distinct-term cardinality) from a cheap sampling pre-pass
 //     through pario.Sample, or exactly from an in-memory corpus;
@@ -57,8 +59,11 @@ import (
 // skipping every cluster whose member set did not change; v13 prices
 // ShardTaskNS on a plan whose reduction takes the gathered shards in one
 // task (2 × shards + 1 tasks, where the streaming reduction counted
-// 3 × shards). Earlier caches self-invalidate and re-measure.
-const ModelVersion = 13
+// 3 × shards); v14 fits ARFFWriteBPS, ARFFReadBPS, ShardTaskNS,
+// KMeansAssignNS and RPCShipNS to the spans of a traced serial run of the
+// workflow plan, local and on a pipe worker, where each had a synthetic
+// rehearsal of its own. Earlier caches self-invalidate and re-measure.
+const ModelVersion = 14
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to
@@ -129,26 +134,31 @@ type CostModel struct {
 	// TokenizeNSPerByte is the tokenizer's cost per input byte.
 	TokenizeNSPerByte float64 `json:"tokenize_ns_per_byte"`
 	// ARFFWriteBPS and ARFFReadBPS are the sequential bandwidths of the
-	// ARFF materialization boundary, in bytes per second.
+	// ARFF materialization boundary, in bytes per second: IOBytes / Dur of
+	// the recorded plan's materialize-arff and load-arff spans.
 	ARFFWriteBPS float64 `json:"arff_write_bps"`
 	// ARFFReadBPS: see ARFFWriteBPS.
 	ARFFReadBPS float64 `json:"arff_read_bps"`
-	// ShardTaskNS is the executor-plus-pool overhead of one partition task
-	// (spawn, dispatch, completion bookkeeping), in nanoseconds.
+	// ShardTaskNS is the executor-plus-pool overhead of one task (spawn,
+	// dispatch, completion bookkeeping), in nanoseconds: the gap between
+	// consecutive tasks of the recorded serial run, (last End − first
+	// Start − Σ Dur) / (spans − 1).
 	ShardTaskNS float64 `json:"shard_task_ns"`
 	// KMeansAssignNS is the cost of one K-Means iteration — the
 	// assignment kernel plus the centroid update — per (non-zero
 	// component × cluster), the unit of the dominant distance-computation
-	// inner loop, in nanoseconds. The K-Means stage
+	// inner loop, in nanoseconds: the recorded loop's loop-shard and
+	// loop-end time over its iteration waves (those after the k − 1 seed
+	// rounds), divided by iterations × non-zeros × k. The K-Means stage
 	// estimate multiplies it by iterations × documents × mean non-zeros ×
-	// k, which is what the optimizer could not price before the iterative
-	// phase was decomposed into shard kernels.
+	// k.
 	KMeansAssignNS float64 `json:"kmeans_assign_ns"`
 	// RPCShipNS is the per-task overhead of shipping one shard task to an
-	// RPC worker and absorbing its reply — flat frame encode, a loopback
-	// round trip with a representative small payload through the
-	// RPCBackend's own client, reply decode — in nanoseconds. It is a lower bound (real networks add latency and
-	// payload bandwidth); the shard-count decisions add it to ShardTaskNS
+	// RPC worker and absorbing its reply — frame encode, round trip, reply
+	// decode, the worker's kernel time excluded — in nanoseconds: the mean
+	// Dur − WorkerRun of the worker spans of the plan recorded on a worker
+	// served over an in-process pipe. A real network adds latency and
+	// bandwidth on top; the shard-count decisions add it to ShardTaskNS
 	// for every task when pricing a remote backend.
 	RPCShipNS float64 `json:"rpc_ship_ns"`
 }

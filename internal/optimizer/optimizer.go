@@ -50,7 +50,8 @@ type BackendProfile struct {
 	ShipNS float64
 	// ShipSource labels where ShipNS came from for Explain: "measured"
 	// (persisted EWMA of real worker round trips) or "loopback-bound" (the
-	// calibrated loopback lower bound). Empty for local profiles.
+	// model's RPCShipNS, recorded on an in-process pipe worker: no network
+	// in it). Empty for local profiles.
 	ShipSource string
 }
 
@@ -59,7 +60,8 @@ type BackendProfile struct {
 func LocalProfile() BackendProfile { return BackendProfile{} }
 
 // RPCProfile describes an RPC backend of n workers, priced with the
-// model's calibrated ship cost — a loopback lower bound.
+// model's RPCShipNS: the plan's tasks shipped to a worker over an
+// in-process pipe, so a network only adds to it.
 func RPCProfile(n int, m *CostModel) BackendProfile {
 	return BackendProfile{Remote: true, Workers: n, ShipNS: m.RPCShipNS, ShipSource: "loopback-bound"}
 }
@@ -67,8 +69,8 @@ func RPCProfile(n int, m *CostModel) BackendProfile {
 // RPCProfileFrom is RPCProfile with the measured-ship feedback loop closed:
 // when dir holds a persisted ship EWMA (see ShipEWMA) with at least one
 // sample, that measured per-task ship time prices the plan instead of the
-// calibrated loopback bound. Deleting the file (ShipEWMAFile) returns to
-// the loopback bound, as deleting the cost-model cache re-calibrates.
+// model's pipe-recorded RPCShipNS. Deleting the file (ShipEWMAFile) returns
+// to RPCShipNS, as deleting the cost-model cache re-calibrates.
 func RPCProfileFrom(n int, m *CostModel, dir string) BackendProfile {
 	bp := RPCProfile(n, m)
 	if e, err := LoadShipEWMA(ShipEWMAFile(dir)); err == nil && e.Samples > 0 && e.ShipNS > 0 {

@@ -171,11 +171,12 @@ func TestCalibratedModelIsPlausible(t *testing.T) {
 	if m.ARFFWriteBPS <= 0 || m.ARFFReadBPS <= 0 {
 		t.Errorf("arff bandwidths %v / %v", m.ARFFWriteBPS, m.ARFFReadBPS)
 	}
-	if m.ShardTaskNS <= 0 {
-		t.Errorf("shard task overhead %v", m.ShardTaskNS)
-	}
-	if m.KMeansAssignNS <= 0 {
-		t.Errorf("kmeans assignment kernel cost %v", m.KMeansAssignNS)
+	for name, v := range map[string]float64{
+		"shard task overhead": m.ShardTaskNS, "kmeans iteration rate": m.KMeansAssignNS, "rpc ship cost": m.RPCShipNS,
+	} {
+		if !(v > 0) || math.IsInf(v, 0) {
+			t.Errorf("%s %v, want positive and finite", name, v)
+		}
 	}
 	for _, kind := range dict.Kinds() {
 		c, ok := m.Dicts[kind.String()]
@@ -187,6 +188,67 @@ func TestCalibratedModelIsPlausible(t *testing.T) {
 				t.Errorf("kind %s @%d has non-positive costs: %+v", kind, p.Cardinality, p)
 			}
 		}
+	}
+}
+
+// TestFitPlanTermsFromSpans checks the fit of the plan-level terms on a
+// hand-built pair of recordings, where every term has an exact answer.
+func TestFitPlanTermsFromSpans(t *testing.T) {
+	const k = 3 // waves 0 and 1 are the k − 1 seed rounds, 2 and 3 iterations
+	epoch := time.Unix(1000, 0)
+	var local obs.Trace
+	end := epoch.Add(-10 * time.Microsecond)
+	// Serial spans, each 10µs after the one before it.
+	add := func(node, kind string, wave int, dur time.Duration, io int64) {
+		start := end.Add(10 * time.Microsecond)
+		end = start.Add(dur)
+		local.Spans = append(local.Spans, obs.Span{Node: node, Kind: kind, Iter: wave, Start: start, End: end, IOBytes: io})
+	}
+	add("scan", "run", -1, 7*time.Microsecond, 0)
+	add("materialize-arff", "run", -1, 2*time.Second, 3e9)
+	add("load-arff", "run", -1, 4*time.Second, 3e9)
+	add("kmeans.assign", "loop-begin", -1, 100*time.Microsecond, 0)
+	for wave := 0; wave < 4; wave++ {
+		// Seed rounds cost 1 ms a wave, iterations 60µs; only the latter count.
+		shard, barrier := 900*time.Microsecond, 100*time.Microsecond
+		if wave >= k-1 {
+			shard, barrier = 50*time.Microsecond, 10*time.Microsecond
+		}
+		add("kmeans.assign", "loop-shard", wave, shard, 0)
+		add("kmeans.assign", "loop-end", wave, barrier, 0)
+	}
+	add("kmeans.assign", "loop-finish", -1, 300*time.Microsecond, 0)
+	add("output", "run", -1, 20*time.Microsecond, 0)
+
+	remote := obs.Trace{Spans: []obs.Span{
+		// In-process tasks (no worker) do not ship: this one must not count.
+		{Node: "tfidf.df", Kind: "run", Start: epoch, End: epoch.Add(time.Second)},
+		{Node: "tfidf.map", Kind: "map", Worker: "client0", Start: epoch, End: epoch.Add(300 * time.Microsecond), WorkerRun: 100 * time.Microsecond},
+		{Node: "tfidf.map", Kind: "map", Worker: "client0", Start: epoch, End: epoch.Add(500 * time.Microsecond), WorkerRun: 100 * time.Microsecond},
+	}}
+
+	const nnz = 100
+	var m CostModel
+	if err := fitPlanTerms(&m, &local, &remote, nnz, k); err != nil {
+		t.Fatal(err)
+	}
+	want := CostModel{
+		ARFFWriteBPS: 1.5e9,  // 3e9 bytes in 2 s
+		ARFFReadBPS:  0.75e9, // 3e9 bytes in 4 s
+		ShardTaskNS:  10_000, // every gap is 10µs
+		// Two iteration waves of 60µs over 2 iterations × 100 nnz × 3.
+		KMeansAssignNS: 120_000.0 / 600,
+		// Mean of 300 − 100 and 500 − 100 µs.
+		RPCShipNS: 300_000,
+	}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("fit %+v, want %+v", m, want)
+	}
+
+	// A recording without worker spans fits no ship cost: an error, not a
+	// zero price.
+	if err := fitPlanTerms(&CostModel{}, &local, &obs.Trace{}, nnz, k); err == nil {
+		t.Fatal("fit accepted a remote recording with no worker spans")
 	}
 }
 

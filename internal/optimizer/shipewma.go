@@ -11,7 +11,7 @@ import (
 // weighted moving average of the per-task RPC ship time observed by real
 // runs (RPCBackend.MeasuredShipNS), stored next to the cost-model cache.
 // Subsequent plans price remote shards with this measured figure instead of
-// the calibrated loopback lower bound (see RPCProfileFrom).
+// the model's pipe-recorded RPCShipNS (see RPCProfileFrom).
 type ShipEWMA struct {
 	// ShipNS is the averaged per-task ship time in nanoseconds.
 	ShipNS float64 `json:"ship_ns"`

@@ -42,7 +42,7 @@ type Task struct {
 }
 
 // RemoteTask describes one shard task in serializable form: a kernel name
-// resolved through the worker registry (RegisterKernel) plus the kernel's
+// resolved through the worker registry (registerKernel) plus the kernel's
 // flat-encoded arguments, and the coordinator-side hook that integrates
 // the kernel's reply.
 type RemoteTask struct {

@@ -81,10 +81,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// KernelFunc executes one registered worker kernel: flat-encoded arguments
-// in, flat-encoded reply out.
-type KernelFunc func(args []byte) ([]byte, error)
-
 // kernel is one registry entry.
 type kernel struct {
 	// fn appends the reply body to dst — the reply frame's recycled buffer,
@@ -101,17 +97,10 @@ var (
 	kernels  = make(map[string]kernel)
 )
 
-// RegisterKernel adds a kernel to the worker registry under the given op
+// registerKernel adds a kernel to the worker registry under the given op
 // name — the name RemoteTask.Op resolves against on the worker. The
 // built-in kernels (kernels.go) register themselves; registering a taken
 // name panics, like http.Handle.
-func RegisterKernel(name string, fn KernelFunc) {
-	registerKernel(name, kernel{fn: func(args, dst []byte) ([]byte, error) {
-		out, err := fn(args)
-		return append(dst, out...), err
-	}})
-}
-
 func registerKernel(name string, k kernel) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()

@@ -19,12 +19,12 @@ import (
 )
 
 func init() {
-	RegisterKernel("test.echo", func(args []byte) ([]byte, error) { return args, nil })
-	RegisterKernel("test.sleep", func(args []byte) ([]byte, error) {
+	registerKernel("test.echo", kernel{fn: func(args, dst []byte) ([]byte, error) { return append(dst, args...), nil }})
+	registerKernel("test.sleep", kernel{fn: func(args, dst []byte) ([]byte, error) {
 		time.Sleep(20 * time.Millisecond)
-		return args, nil
-	})
-	RegisterKernel("test.panic", func([]byte) ([]byte, error) { panic("kernel bug") })
+		return append(dst, args...), nil
+	}})
+	registerKernel("test.panic", kernel{fn: func(_, _ []byte) ([]byte, error) { panic("kernel bug") }})
 }
 
 // requestFrame builds one request frame by hand.

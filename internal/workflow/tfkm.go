@@ -2,10 +2,14 @@ package workflow
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 
 	"hpa/internal/dict"
 	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
+	"hpa/internal/obs"
+	"hpa/internal/par"
 	"hpa/internal/pario"
 	"hpa/internal/tfidf"
 )
@@ -109,6 +113,36 @@ type TFKMReport struct {
 // context's Backend chooses where shard tasks run.
 func RunTFKM(src pario.Source, ctx *Context, cfg TFKMConfig) (*TFKMReport, error) {
 	return RunTFKMPlan(TFKMPlan(src, cfg), ctx)
+}
+
+// RecordTFKM runs cfg's plan over src once, traced, one task at a time
+// (Context.Serial) on a one-worker pool, in a scratch directory it removes
+// afterwards: every span is then one task's own run time, with no other
+// task overlapping it. It starts from a collected heap, so no recording
+// pays for the garbage of the one before it. A nil backend runs every task
+// in process; observe, when non-nil, is the run's Context.Observe. The
+// figures replay such a recording (simsched.FromTrace) and the optimizer's
+// calibration fits its plan-level prices to one.
+func RecordTFKM(src pario.Source, cfg TFKMConfig, backend Backend, observe func(Operator, Value)) (*obs.Trace, *TFKMReport, error) {
+	scratch, err := os.MkdirTemp("", "hpa-record-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(scratch)
+	runtime.GC()
+	pool := par.NewPool(1)
+	defer pool.Close()
+	ctx := NewContext(pool)
+	ctx.ScratchDir = scratch
+	ctx.Serial = true
+	ctx.Backend = backend
+	ctx.Observe = observe
+	ctx.Tracer = obs.NewTracer()
+	rep, err := RunTFKM(src, ctx, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ctx.Tracer.Snapshot(), rep, nil
 }
 
 // RunTFKMPlan executes an already-built TF/IDF→K-Means plan — for example
