@@ -71,8 +71,8 @@
 //	curl -s localhost:8080/v1/stats
 //
 // /v1/stats is a JSON snapshot: plan admission counters, query-gate
-// served/shed/in-flight, registry index count, per-index versions,
-// resident index bytes, and global term-table re-ships. The same numbers
+// served/shed/in-flight, registry index count, per-index versions and
+// resident index bytes. The same numbers
 // are exported in Prometheus text exposition — plus latency histograms for
 // the query and plan paths — for scraping:
 //

@@ -76,7 +76,7 @@
 // worker gets its own pid lane. A per-node summary table and a plan autopsy
 // are printed to stderr: the -explain output verbatim, one measurement line
 // per traced node (wall-clock, tasks, iterations, bytes shipped), and the
-// optimizer's predicted time per phase (input+wc, transform, kmeans) next
+// optimizer's predicted time per phase (input+wc, kmeans) next
 // to the measured one. Tracing is per-run, so -trace cannot be combined
 // with -sweep.
 //

@@ -23,8 +23,9 @@ type DictVariant struct {
 	Breakdowns map[int]*metrics.Breakdown
 	// DictFootprint is the summed dictionary memory after phase 1.
 	DictFootprint int64
-	// GlobalRehashes counts global-dictionary rehash passes (u-map only).
-	GlobalRehashes int
+	// VocabRehashes counts the shard vocabulary dictionaries' rehash
+	// passes, summed over shards (u-map only).
+	VocabRehashes int
 }
 
 // Fig4Result reproduces Figure 4: the merged TF/IDF–K-Means workflow on the
@@ -106,7 +107,7 @@ func runFig4Variant(cfg Config, c *corpus.Corpus, kind dict.Kind) (*DictVariant,
 		}
 		variant.Breakdowns = cfg.simBreakdowns(phases)
 		variant.DictFootprint = rep.DictFootprint
-		variant.GlobalRehashes = rep.DictStats.Rehashes
+		variant.VocabRehashes = rep.DictStats.Rehashes
 		return variant, nil
 	}
 
@@ -128,7 +129,7 @@ func runFig4Variant(cfg Config, c *corpus.Corpus, kind dict.Kind) (*DictVariant,
 		cfg.logf("fig4: %s @%d threads: %v", kind, n, rep.Breakdown.Total())
 		variant.Breakdowns[n] = rep.Breakdown
 		variant.DictFootprint = rep.DictFootprint
-		variant.GlobalRehashes = rep.DictStats.Rehashes
+		variant.VocabRehashes = rep.DictStats.Rehashes
 	}
 	return variant, nil
 }
@@ -186,7 +187,7 @@ func (r *Fig4Result) Render() string {
 		metrics.FormatBytes(r.PaperTreeMemory), metrics.FormatBytes(r.PaperHashMemory),
 		ratio(r.Hash.DictFootprint, r.Node.DictFootprint),
 		ratio(r.PaperHashMemory, r.PaperTreeMemory))
-	fmt.Fprintf(&sb, "  global dictionary rehashes (u-map, 4K presize): %d\n", r.Hash.GlobalRehashes)
+	fmt.Fprintf(&sb, "  vocabulary dictionary rehashes (u-map, 4K presize, summed over shards): %d\n", r.Hash.VocabRehashes)
 	if a1, ok := r.Arena.PhaseAt(tfidf.PhaseInputWC, 1); ok {
 		fmt.Fprintf(&sb, "  beyond paper: arena tree input+wc at 1 thread %.3fs vs node tree %.3fs\n", a1, t1)
 	}

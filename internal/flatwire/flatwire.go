@@ -25,9 +25,9 @@
 // one binary and no payload is ever stored, so there is no older encoding
 // to stay compatible with.
 //
-//	payload                                   version         index blocks          f64 value blocks
-//	VectorShard, centroid block, WireGlobal   CodecXor (3)    delta-coded varints   XOR-with-previous runs
-//	WireShardCounts                           CodecVocab (4)  — (raw u32 blocks)    —
+//	payload                        version         index blocks          f64 value blocks
+//	VectorShard, centroid block    CodecXor (3)    delta-coded varints   XOR-with-previous runs
+//	WireShardCounts                CodecVocab (4)  — (raw u32 blocks)    —
 //
 // A centroid block lists the rows it carries by cluster ID — every
 // cluster in a full block, the changed ones in a delta — as one raw u32

@@ -10,7 +10,7 @@
 //
 // The collector is deliberately simple: one Span per scheduled (node, shard)
 // task, recorded once when the task finishes, plus free-form instant Events
-// for wire- and loop-level happenings (global-table re-ships, per-iteration
+// for wire- and loop-level happenings (cache-miss resends, per-iteration
 // K-Means moved counts, affinity session hits). All Tracer methods are safe
 // on a nil receiver and reduce to a single branch-predictable pointer
 // compare, so untraced runs pay (well under 1%) nothing — see
@@ -99,7 +99,7 @@ type Event struct {
 	Time time.Time
 	// Cat groups events ("wire", "kmeans").
 	Cat string
-	// Name identifies the event kind (e.g. "global-reship", "iteration").
+	// Name identifies the event kind (e.g. "cache-miss-resend", "iteration").
 	Name string
 	// Label carries free-form detail (e.g. a session key).
 	Label string

@@ -62,8 +62,10 @@ import (
 // 3 × shards); v14 fits ARFFWriteBPS, ARFFReadBPS, ShardTaskNS,
 // KMeansAssignNS and RPCShipNS to the spans of a traced serial run of the
 // workflow plan, local and on a pipe worker, where each had a synthetic
-// rehearsal of its own. Earlier caches self-invalidate and re-measure.
-const ModelVersion = 14
+// rehearsal of its own; v15 drops phase 2's dictionary term, the global
+// lookup table the transform no longer builds or reads. Earlier caches
+// self-invalidate and re-measure.
+const ModelVersion = 15
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

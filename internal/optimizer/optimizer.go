@@ -238,36 +238,31 @@ func (r *rule) docCard() int {
 }
 
 // tfidfCost estimates the dictionary-dependent cost of the TF/IDF
-// operator's two phases under the given kind, in nanoseconds:
-//
-//   - phase 1 (input+wc): every token is an insert-or-find in a
-//     per-document dictionary (mostly hits, priced as lookups at the
-//     per-document cardinality, plus the distinct-term inserts); the first
-//     occurrence of a word in a document finds it in the shard vocabulary
-//     (a lookup at vocabulary cardinality — the regime of the paper's
-//     Figure 2), and every vocabulary word is inserted there once;
-//   - phase 2 (transform): the global lookup table is built (one insert per
-//     term) and every shard resolves its vocabulary against it once (one
-//     lookup per vocabulary word — the paper's Figure 1 regime, but per
-//     word, not per (document, term) pair). Scoring itself is array
-//     indexing and is not dictionary-dependent.
+// operator under the given kind, in nanoseconds. All of it is phase 1
+// (input+wc): every token is an insert-or-find in a per-document
+// dictionary (mostly hits, priced as lookups at the per-document
+// cardinality, plus the distinct-term inserts); the first occurrence of a
+// word in a document finds it in the shard vocabulary (a lookup at
+// vocabulary cardinality — the regime of the paper's Figure 2), and every
+// vocabulary word is inserted there once. Phase 2 (transform) does no
+// dictionary work: each shard walks its sorted vocabulary along the sorted
+// term table, and scoring reads the per-document dictionaries by
+// iteration and indexes arrays, so it is not priced here.
 //
 // A shard's vocabulary is priced at the full vocabulary's cardinality: the
 // shard count is decided after the kind, and Heaps' law keeps a shard's
 // vocabulary within a small factor of the corpus's.
-func (r *rule) tfidfCost(kind dict.Kind) (phase1, phase2 float64) {
+func (r *rule) tfidfCost(kind dict.Kind) float64 {
 	docs := float64(r.st.Docs)
 	tokens := float64(r.st.TotalTokens)
 	dc := r.docCard()
 	pairs := docs * r.st.AvgDocDistinct // distinct (doc, term) pairs
 	gc := r.st.DistinctTerms
 	vocab := float64(gc)
-	phase1 = tokens*r.m.DictLookupNS(kind, dc) +
+	return tokens*r.m.DictLookupNS(kind, dc) +
 		pairs*r.m.DictInsertNS(kind, dc) +
 		pairs*r.m.DictLookupNS(kind, gc) +
 		vocab*r.m.DictInsertNS(kind, gc)
-	phase2 = vocab * (r.m.DictInsertNS(kind, gc) + r.m.DictLookupNS(kind, gc))
-	return phase1, phase2
 }
 
 // wordCountCost estimates the dictionary-dependent cost of the word-count
@@ -313,31 +308,29 @@ func record(p *workflow.Plan, decided map[string]decision) {
 	}
 }
 
-// tfidfBestKind prices the TF/IDF phases under every candidate kind and
+// tfidfBestKind prices the TF/IDF operator under every candidate kind and
 // returns the winner with its decision: the annotation and the winner's
-// input+wc and transform estimates.
+// input+wc estimate, the one phase a kind changes.
 func (r *rule) tfidfBestKind() (dict.Kind, decision) {
 	best, alt := candidateKinds[0], candidateKinds[0]
 	bestCost := math.Inf(1)
-	var bestP1, bestP2, altCost float64
+	var altCost float64
 	for _, kind := range candidateKinds {
-		p1, p2 := r.tfidfCost(kind)
-		if p1+p2 < bestCost {
+		c := r.tfidfCost(kind)
+		if c < bestCost {
 			if bestCost < math.Inf(1) {
 				alt, altCost = best, bestCost
 			}
-			best, bestCost, bestP1, bestP2 = kind, p1+p2, p1, p2
+			best, bestCost = kind, c
 		} else {
-			alt, altCost = kind, p1+p2
+			alt, altCost = kind, c
 		}
 	}
 	return best, decision{
-		note: fmt.Sprintf("dict=%s (est input+wc %s + transform %s = %s; %s %s)",
-			best, metrics.FormatEstimate(time.Duration(bestP1)),
-			metrics.FormatEstimate(time.Duration(bestP2)),
-			metrics.FormatEstimate(time.Duration(bestCost)),
+		note: fmt.Sprintf("dict=%s (est input+wc %s; %s %s)",
+			best, metrics.FormatEstimate(time.Duration(bestCost)),
 			alt, metrics.FormatEstimate(time.Duration(altCost))),
-		est: []phaseEst{{tfidf.PhaseInputWC, bestP1}, {tfidf.PhaseTransform, bestP2}},
+		est: []phaseEst{{tfidf.PhaseInputWC, bestCost}},
 	}
 }
 
@@ -498,8 +491,7 @@ func (r *rule) parallelWork(p *workflow.Plan) float64 {
 	for _, name := range p.Nodes() {
 		switch op := p.Node(name).Op().(type) {
 		case *workflow.TFIDFOp:
-			p1, p2 := r.tfidfCost(op.Opts.DictKind)
-			work += p1 + p2
+			work += r.tfidfCost(op.Opts.DictKind)
 		case *workflow.WordCountOp:
 			work += r.wordCountCost(op.DictKind)
 		}

@@ -899,13 +899,11 @@ func TestAutopsyReportsThePlansPredictions(t *testing.T) {
 	tfkm := testTFKMPlan(c, workflow.Merged).Apply(Rule(st, m, opts))
 	pred := tfkm.Predicted()
 	checkBlock("tfidf→kmeans", tfkm, map[string]time.Duration{
-		tfidf.PhaseInputWC:   est(tf, 0),
-		tfidf.PhaseTransform: est(tf, 1),
-		kmeans.PhaseKMeans:   pred.Get(kmeans.PhaseKMeans),
+		tfidf.PhaseInputWC: est(tf, 0),
+		kmeans.PhaseKMeans: pred.Get(kmeans.PhaseKMeans),
 	}, true)
 	// The predictions are the figures the annotations print.
-	wantTF := fmt.Sprintf("est input+wc %s + transform %s = ",
-		metrics.FormatEstimate(pred.Get(tfidf.PhaseInputWC)), metrics.FormatEstimate(pred.Get(tfidf.PhaseTransform)))
+	wantTF := fmt.Sprintf("est input+wc %s; ", metrics.FormatEstimate(pred.Get(tfidf.PhaseInputWC)))
 	wantKM := fmt.Sprintf("loop shards=%d (est %s; ", tfkm.Node("kmeans.assign").Op().(*workflow.KMAssignOp).Shards,
 		metrics.FormatEstimate(pred.Get(kmeans.PhaseKMeans)))
 	if note := tfkm.Annotation("tfidf.map"); !strings.Contains(note, wantTF) {
@@ -928,7 +926,6 @@ func TestAutopsyReportsThePlansPredictions(t *testing.T) {
 		t.Fatalf("scans not shared:\n%s", shared.Explain())
 	}
 	checkBlock("wordcount+tfidf", shared, map[string]time.Duration{
-		tfidf.PhaseInputWC:   est(tf, 0) + est(wc, 0),
-		tfidf.PhaseTransform: est(tf, 1),
+		tfidf.PhaseInputWC: est(tf, 0) + est(wc, 0),
 	}, false)
 }

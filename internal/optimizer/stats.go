@@ -30,7 +30,7 @@ type Stats struct {
 	// extrapolated from the sample otherwise).
 	Bytes int64
 	// DistinctTerms estimates the corpus-wide distinct-term cardinality —
-	// the final size of the global dictionary (Heaps-extrapolated from the
+	// the size of the merged term table (Heaps-extrapolated from the
 	// sample).
 	DistinctTerms int
 	// TotalTokens estimates the corpus-wide token count — the number of

@@ -23,7 +23,7 @@
 //
 // Observability: GET /v1/stats returns a JSON snapshot (admission counters,
 // query-gate served/shed/in-flight, registry index count, versions and
-// resident bytes, global term-table re-ships) and GET /metrics exposes the
+// resident bytes) and GET /metrics exposes the
 // same numbers in Prometheus text exposition — counters for plans
 // admitted/completed/shed and queries served/shed, gauges for queue depth,
 // in-flight queries and resident index size, and latency histograms for
@@ -267,7 +267,6 @@ type ServerStats struct {
 	Indexes         int               `json:"indexes"`
 	IndexVersions   map[string]uint64 `json:"index_versions,omitempty"`
 	IndexMemBytes   int64             `json:"index_mem_bytes"`
-	GlobalReships   int64             `json:"global_reships"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -277,7 +276,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		QueriesShed:     s.gate.shed.Load(),
 		QueriesInflight: s.gate.inflight(),
 		Indexes:         s.reg.Len(),
-		GlobalReships:   workflow.GlobalReships(),
 	}
 	if arts := s.reg.List(); len(arts) > 0 {
 		st.IndexVersions = make(map[string]uint64, len(arts))
@@ -304,8 +302,6 @@ func (s *Server) initMetrics() {
 		func() int64 { return s.gate.served.Load() })
 	r.CounterFunc("hpa_queries_shed_total", "Top-k queries shed past the in-flight budget.",
 		func() int64 { return s.gate.shed.Load() })
-	r.CounterFunc("hpa_global_table_reships_total", "Global term-table re-ships to workers whose cache missed.",
-		func() int64 { return workflow.GlobalReships() })
 	r.GaugeFunc("hpa_plans_running", "Plans executing right now.",
 		func() float64 { return float64(s.adm.Stats().Running) })
 	r.GaugeFunc("hpa_plan_queue_depth", "Plan submissions waiting in the admission queue.",

@@ -3,18 +3,18 @@ package tfidf
 import (
 	"fmt"
 
+	"hpa/internal/dict"
 	"hpa/internal/flatwire"
 	"hpa/internal/sparse"
 )
 
 // This file is the flat wire codec of VectorShard — the hottest
 // worker→coordinator payload of the partitioned TF/IDF transform — and of
-// the count reply and the global term table. The layout below writes one
-// buffer and decodes into two shared backing arrays (all Idx entries
-// contiguous, all Val entries contiguous), so a shard's score vectors cost
-// a handful of allocations no matter how many documents it carries. Floats
-// travel as their IEEE 754 bit patterns: the decoded shard is bit-identical
-// to the encoded one.
+// the count reply. The layout below writes one buffer and decodes into two
+// shared backing arrays (all Idx entries contiguous, all Val entries
+// contiguous), so a shard's score vectors cost a handful of allocations no
+// matter how many documents it carries. Floats travel as their IEEE 754 bit
+// patterns: the decoded shard is bit-identical to the encoded one.
 //
 // Layout (little-endian):
 //
@@ -34,10 +34,6 @@ const vectorShardMagic uint32 = 0x48505653 // "HPVS"
 // wireShardCountsMagic identifies a flat WireShardCounts buffer — the
 // tfidf.count kernel reply.
 const wireShardCountsMagic uint32 = 0x48505743 // "HPWC"
-
-// wireGlobalMagic identifies a flat WireGlobal buffer — the global
-// term-table body shipped to workers on a cache miss.
-const wireGlobalMagic uint32 = 0x48505747 // "HPWG"
 
 // EncodeFlat returns the shard in flat wire form, appended to dst (pass nil
 // to allocate exactly). The receiver is not modified.
@@ -116,7 +112,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 //	names marker u32                    (0 = nil, 1 = present)
 //	[names (u32 len + bytes) × nDocs]
 //	df marker u32                       (0 = omitted, 1 = present)
-//	[df u32 × nWords]
+//	[df u32 × nWords | rehashes i64 | rotations i64 | capacity i64]
 //
 // The codec byte is flatwire.CodecVocab, the only version: a word crosses
 // the wire once per shard, not once per document containing it.
@@ -152,6 +148,8 @@ func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
 	} else {
 		b = flatwire.AppendU32(b, 1)
 		b = flatwire.AppendU32s(b, w.DF)
+		st := w.VocabStats
+		b = flatwire.AppendI64s(b, []int64{int64(st.Rehashes), int64(st.Rotations), int64(st.Capacity)})
 	}
 	return b
 }
@@ -226,69 +224,14 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	case 0:
 	case 1:
 		w.DF = r.U32s(nw)
+		if v := r.I64s(3); v != nil {
+			w.VocabStats = dict.Stats{Rehashes: int(v[0]), Rotations: int(v[1]), Capacity: int(v[2])}
+		}
 	default:
 		return malformed("bad DF marker")
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
-	}
-	return w, nil
-}
-
-// EncodeFlat returns the global term table in flat wire form, appended to
-// dst (pass nil). The receiver is not modified.
-//
-// Layout (little-endian):
-//
-//	magic u32 | codec u8 | numDocs u64 | nTerms u32
-//	df    uvarint × nTerms
-//	terms (u32 len + bytes) × nTerms
-//
-// The codec byte is flatwire.CodecXor, the only version: document
-// frequencies are varint-coded — they follow a Zipfian tail of small
-// counts, so most entries take one byte instead of four.
-func (w *WireGlobal) EncodeFlat(dst []byte) []byte {
-	b := flatwire.AppendU32(dst, wireGlobalMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
-	b = flatwire.AppendU64(b, uint64(w.NumDocs))
-	b = flatwire.AppendU32(b, uint32(len(w.Terms)))
-	for _, df := range w.DF {
-		b = flatwire.AppendUvarint(b, uint64(df))
-	}
-	for _, term := range w.Terms {
-		b = flatwire.AppendString(b, term)
-	}
-	return b
-}
-
-// DecodeFlatWireGlobal decodes a flat global term table, validating the
-// layout (magic, codec, counts, truncation, trailing bytes).
-func DecodeFlatWireGlobal(b []byte) (*WireGlobal, error) {
-	r := flatwire.NewReader(b)
-	r.Magic(wireGlobalMagic, "tfidf global table")
-	codec := r.U8()
-	w := &WireGlobal{NumDocs: int(r.U64())}
-	n := r.Count(4)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("tfidf: decode global table: %w", err)
-	}
-	if codec != flatwire.CodecXor {
-		return nil, fmt.Errorf("tfidf: decode global table: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
-	w.DF = make([]uint32, n)
-	for i := range w.DF {
-		v := r.Uvarint()
-		if v > 0xffffffff {
-			return nil, fmt.Errorf("tfidf: decode global table: %w: DF %d overflows uint32", flatwire.ErrMalformed, v)
-		}
-		w.DF[i] = uint32(v)
-	}
-	w.Terms = make([]string, n)
-	for i := range w.Terms {
-		w.Terms[i] = r.String()
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("tfidf: decode global table: %w", err)
 	}
 	return w, nil
 }

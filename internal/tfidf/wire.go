@@ -5,17 +5,17 @@ import (
 )
 
 // This file is the serialization boundary of the partitioned TF/IDF
-// kernels: wire forms (flat.go encodes them) of the option subset, the
-// phase-1 shard counts and the global term table, so CountShard and
-// TransformShard tasks can ship to worker processes. Dictionaries do not serialize as data
-// structures — a shard ships its vocabulary once and every document as
-// (shard-local term ID, count) pairs, and the per-document dictionaries are
-// rebuilt on the receiving side with the run's dictionary kind. That is
-// result-preserving by the same arguments that make sharding
-// result-preserving: document frequencies are commutative integer sums,
-// term IDs are assigned in lexicographic word order, and per-document
-// scoring reads each entry exactly once, so dictionary iteration order (the
-// only thing a rebuild can change) never reaches the output.
+// kernels: wire forms (flat.go encodes them) of the option subset and the
+// phase-1 shard counts, so CountShard and TransformTerms tasks can ship to
+// worker processes. Dictionaries do not serialize as data structures — a
+// shard ships its vocabulary once and every document as (shard-local term
+// ID, count) pairs, and the per-document dictionaries are rebuilt on the
+// receiving side with the run's dictionary kind. That is result-preserving
+// by the same arguments that make sharding result-preserving: document
+// frequencies are commutative integer sums, term IDs are assigned in
+// lexicographic word order, and per-document scoring reads each entry
+// exactly once, so dictionary iteration order (the only thing a rebuild
+// can change) never reaches the output.
 
 // WireOptions is the serializable subset of Options — everything except
 // the per-process cancellation context (Ctx) and custom stopword sets.
@@ -69,17 +69,20 @@ type WireDocCounts struct {
 // once, in ascending word order, and every document dictionary
 // flattened to (local, count) pairs. DF is present only when the shard's
 // document frequencies were included (a count task's reply needs them; a
-// transform task's argument does not).
+// transform task's argument does not), and the vocabulary dictionary's
+// counters travel with it.
 type WireShardCounts struct {
-	Lo, Hi   int
-	Words    []string
-	Docs     []WireDocCounts
-	DocNames []string
-	DF       []uint32
+	Lo, Hi     int
+	Words      []string
+	Docs       []WireDocCounts
+	DocNames   []string
+	DF         []uint32
+	VocabStats dict.Stats
 }
 
 // Wire flattens the shard counts for the wire. With withDF unset the
-// shard's document frequencies are omitted. The receiver is not modified.
+// shard's document frequencies and vocabulary counters are omitted. The
+// receiver is not modified.
 func (sc *ShardCounts) Wire(withDF bool) *WireShardCounts {
 	w := &WireShardCounts{
 		Lo:       sc.Lo,
@@ -101,7 +104,7 @@ func (sc *ShardCounts) Wire(withDF bool) *WireShardCounts {
 		w.Docs[i] = dc
 	}
 	if withDF {
-		w.DF = sc.DF
+		w.DF, w.VocabStats = sc.DF, sc.VocabStats
 	}
 	return w
 }
@@ -112,12 +115,13 @@ func (sc *ShardCounts) Wire(withDF bool) *WireShardCounts {
 // internals, which never affect results.
 func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 	sc := &ShardCounts{
-		Lo:       w.Lo,
-		Hi:       w.Hi,
-		DocDicts: make([]dict.Map[DocTerm], len(w.Docs)),
-		Words:    w.Words,
-		DF:       w.DF,
-		DocNames: w.DocNames,
+		Lo:         w.Lo,
+		Hi:         w.Hi,
+		DocDicts:   make([]dict.Map[DocTerm], len(w.Docs)),
+		Words:      w.Words,
+		DF:         w.DF,
+		DocNames:   w.DocNames,
+		VocabStats: w.VocabStats,
 	}
 	for i, dc := range w.Docs {
 		d := dict.New[DocTerm](opts.DictKind, dict.Options{Presize: max(opts.DocPresize, len(dc.Locals))})
@@ -127,65 +131,4 @@ func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 		sc.DocDicts[i] = d
 	}
 	return sc
-}
-
-// WireGlobal is the wire form of Global: the sorted term table
-// and document count; the lookup dictionary is rebuilt on arrival.
-type WireGlobal struct {
-	Terms   []string
-	DF      []uint32
-	NumDocs int
-}
-
-// Wire returns the global table in serializable form.
-func (g *Global) Wire() *WireGlobal {
-	return &WireGlobal{Terms: g.Terms, DF: g.DF, NumDocs: g.NumDocs}
-}
-
-// ContentHash returns an FNV-1a digest of the table's semantic content —
-// the sorted terms, their document frequencies and the corpus document
-// count, exactly the fields that determine every transform output. Two
-// corpora (or two runs over one corpus) with equal content hash to the same
-// value regardless of dictionary kind or merge history, so workers can
-// cache the rebuilt table keyed by this hash and the coordinator can ship
-// the hash instead of the body.
-func (w *WireGlobal) ContentHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(w.NumDocs))
-	mix(uint64(len(w.Terms)))
-	for i, term := range w.Terms {
-		mix(uint64(len(term)))
-		for j := 0; j < len(term); j++ {
-			h ^= uint64(term[j])
-			h *= prime64
-		}
-		mix(uint64(w.DF[i]))
-	}
-	return h
-}
-
-// ContentHash returns the table's content digest (see WireGlobal.
-// ContentHash), computed once and cached — the coordinator asks for it per
-// transform shard.
-func (g *Global) ContentHash() uint64 {
-	g.hashOnce.Do(func() { g.hash = g.Wire().ContentHash() })
-	return g.hash
-}
-
-// Global rebuilds the table with a live lookup dictionary of the given
-// kind. IDs are the slice positions — the lexicographic assignment the
-// coordinator already performed — so lookups resolve identically to the
-// original dictionary's.
-func (w *WireGlobal) Global(kind dict.Kind) *Global {
-	return newGlobal(w.Terms, w.DF, w.NumDocs, kind, len(w.Terms))
 }

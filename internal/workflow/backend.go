@@ -73,26 +73,22 @@ type RemoteTask struct {
 }
 
 // keyedBody is a request body that travels apart from the tasks needing
-// it: Args name its key, a worker caches it under that key, and the body
-// itself crosses the wire as a store frame — a request to the inline
-// kernel op, written immediately ahead of a task's frame — only when the
-// worker has to be sent it. The global term table ships this way
-// optimistically (content-addressed and long-lived: key only, the body on
-// a worker's first miss), a K-Means iteration's centroid block eagerly
-// (each iteration changes it: the first task the backend sends a worker in
-// the wave carries the rows the update rewrote, its siblings only name
-// it). Either way a kernel that finds no body under the key — or, for a
-// delta, not the state it updates — says so in its reply, Absorb turns
-// that into needResend{Keyed: true}, and the backend re-sends behind a
-// store frame carrying the whole body (full) — correctness never depends
-// on arrival order or on what a worker still remembers.
+// it — a K-Means iteration's centroid block, the only one: Args name its
+// key, a worker caches it under that key, and the body itself crosses the
+// wire as a store frame — a request to the inline kernel op, written
+// immediately ahead of a task's frame — with the first task the backend
+// sends each worker; its siblings on that worker only name it. A kernel
+// that finds no body under the key, or a delta whose base it does not
+// hold, says so in its reply; Absorb turns that into needResend, and the
+// backend re-sends the task behind a store frame carrying the whole body
+// (full) — correctness never depends on arrival order or on what a worker
+// still remembers.
 type keyedBody struct {
 	op     string        // the inline worker kernel that caches the body
 	encode func() []byte // the store kernel's argument, key and body; called at most once
 	// full, when non-nil, encodes the self-contained form a forced resend
 	// ships in place of encode's delta; called at most once.
-	full  func() []byte
-	eager bool // ship with the first task sent to each worker, not on its miss
+	full func() []byte
 
 	once, fullOnce sync.Once
 	body, fullBody []byte
@@ -113,15 +109,14 @@ func (k *keyedBody) bytes(force bool) []byte {
 }
 
 // claim reports whether a task about to be written to the given worker
-// must be preceded by the body's store frame — force (a resend after a
-// miss), or an eager body's first send to that worker — and records the
-// send. Called under the worker connection's write lock, so exactly one
-// task per worker claims an eager body and its frames precede every
-// sibling's.
+// must be preceded by the body's store frame — its first send to that
+// worker, or force (a resend after a miss) — and records the send. Called
+// under the worker connection's write lock, so exactly one task per worker
+// claims the body and its frames precede every sibling's.
 func (k *keyedBody) claim(worker int, force bool) bool {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if !force && (!k.eager || k.sent[worker]) {
+	if !force && k.sent[worker] {
 		return false
 	}
 	if k.sent == nil {
@@ -191,16 +186,13 @@ type affinityReleaser interface{ ReleaseAffinity(keys ...string) }
 type scopeReleaser interface{ ReleaseScope(scope string) }
 
 // needResend is the error RemoteTask.Absorb returns when a worker's reply
-// is a cache miss — the worker lacks a body the coordinator replaced with
-// its key (the task's keyed body: the global term table, a centroid block)
-// or with a session name (a shard's counts). The backend then re-sends the
-// task to the SAME worker — any other would miss again — and absorbs the
-// second reply. One resend is allowed per task: a second miss is a hard
-// error.
+// is a cache miss — the worker lacks the task's keyed body (a centroid
+// block) or the session its arguments name (a shard's counts). The backend
+// then re-sends the task to the SAME worker — any other would miss again —
+// behind the keyed body's full store frame, when the task has one, and
+// absorbs the second reply. One resend is allowed per task: a second miss
+// is a hard error.
 type needResend struct {
-	// Keyed asks for the task's keyed body to be shipped ahead of the
-	// resend.
-	Keyed bool
 	// Args, when non-nil, replaces the task's arguments on the resend
 	// (missing session state inlined).
 	Args func(dst []byte) []byte

@@ -213,7 +213,7 @@ func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
 			DocNames: []string{"d1", "d2"},
 		},
 		CountsSession: "tf-9-1-0",
-		GlobalHash:    0xdeadbeefcafef00d,
+		Terms:         &tfidf.ShardTerms{Remap: []uint32{3, 700}, IDF: []float64{0.25, math.Log(7)}, Dim: 701},
 		Opts:          tfidf.WireOptions{DictKind: 2, GlobalPresize: 1 << 10, DocPresize: 8},
 	}
 	got, err := DecodeFlatTransformTaskArgs(tr.AppendFlat(nil))
@@ -223,10 +223,10 @@ func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
 	if got.Counts.Lo != tr.Counts.Lo || got.Opts != tr.Opts ||
 		!reflect.DeepEqual(got.Counts.Words, tr.Counts.Words) ||
 		!reflect.DeepEqual(got.Counts.Docs[0], tr.Counts.Docs[0]) ||
-		got.CountsSession != tr.CountsSession || got.GlobalHash != tr.GlobalHash {
+		got.CountsSession != tr.CountsSession || !reflect.DeepEqual(got.Terms, tr.Terms) {
 		t.Errorf("TransformTaskArgs round trip mismatch: %+v", got)
 	}
-	byRef := &TransformTaskArgs{CountsSession: "tf-9-1-0", GlobalHash: 7}
+	byRef := &TransformTaskArgs{CountsSession: "tf-9-1-0", Terms: &tfidf.ShardTerms{Dim: 7}}
 	if got, err := DecodeFlatTransformTaskArgs(byRef.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, byRef) {
 		t.Errorf("TransformTaskArgs (counts by session) round trip: got %+v (%v)", got, err)
 	}

@@ -105,10 +105,19 @@ func FuzzDecodeFlatTransformTaskArgs(f *testing.F) {
 			Docs:     []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{2, 1}}, {}},
 			DocNames: []string{"d1", "d2"},
 		},
-		GlobalHash: 0xdeadbeefcafef00d,
-		Opts:       tfidf.WireOptions{DictKind: 2, DocPresize: 8},
+		Terms: &tfidf.ShardTerms{Remap: []uint32{2, 9}, IDF: []float64{0.5, 0.5}, Dim: 10},
+		Opts:  tfidf.WireOptions{DictKind: 2, DocPresize: 8},
 	}).AppendFlat(nil))
-	seedTruncations(f, (&TransformTaskArgs{CountsSession: "tf-9-1-0", GlobalHash: 7}).AppendFlat(nil))
+	seedTruncations(f, (&TransformTaskArgs{CountsSession: "tf-9-1-0", Terms: &tfidf.ShardTerms{Dim: 7}}).AppendFlat(nil))
+	// Terms the decoder must reject: a repeated global ID, a global ID past
+	// the dimension, an IDF block shorter than the remap.
+	for _, terms := range []*tfidf.ShardTerms{
+		{Remap: []uint32{4, 4}, IDF: []float64{1, 2}, Dim: 5},
+		{Remap: []uint32{0, 5}, IDF: []float64{1, 2}, Dim: 5},
+		{Remap: []uint32{0, 1}, IDF: []float64{1}, Dim: 5},
+	} {
+		f.Add((&TransformTaskArgs{CountsSession: "tf-9-1-1", Terms: terms}).AppendFlat(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeFlatTransformTaskArgs(data)
 		if err != nil {

@@ -24,8 +24,10 @@ import (
 //
 //   - tfidf.count: a corpus shard described by pario.SourceSpec in, the
 //     shard's term counts (tfidf.WireShardCounts, DF included) back;
-//   - tfidf.transform: a shard's counts plus the global term table in,
-//     the shard's score vectors (*tfidf.VectorShard) back;
+//   - tfidf.transform: a shard's counts (or the session holding them)
+//     plus the shard's slice of the term table (tfidf.ShardTerms: the
+//     local → global remap, the IDF of every local term, the dimension)
+//     in, the shard's score vectors (*tfidf.VectorShard) back;
 //   - kmeans.assign: one loop shard's assignment iteration — the key of the
 //     iteration's centroid block and the shard's previous assignments in,
 //     the moved count, new assignments and distances back. The
@@ -36,13 +38,12 @@ import (
 //     window in, the min-updated window back. It shares the assignment
 //     loop's sessions (same affinity key), so the shard's documents ship
 //     once for seeding and iterations combined;
-//   - tfidf.global and kmeans.centroids: the inline store kernels of the
-//     two keyed bodies (backend.go, keyedBody) — the global term table,
-//     cached by content hash, and an iteration's centroid block, cached
-//     per loop.
+//   - kmeans.centroids: the inline store kernel of the keyed body
+//     (backend.go, keyedBody) — an iteration's centroid block, cached per
+//     loop.
 //
 // Kernels run the same functions the local path runs (tfidf.CountShard,
-// tfidf.TransformShard, kmeans.AssignRange), so remote results are
+// tfidf.TransformTerms, kmeans.AssignRange), so remote results are
 // bit-identical to local ones by construction; the wire forms only ever
 // flatten dictionaries, vectors and per-document results, never recompute
 // scores.
@@ -55,7 +56,6 @@ import (
 func init() {
 	registerKernel("tfidf.count", kernel{fn: runCountKernel})
 	registerKernel("tfidf.transform", kernel{fn: runTransformKernel})
-	registerKernel("tfidf.global", kernel{fn: storeGlobalKernel, inline: true})
 	registerKernel("kmeans.assign", kernel{fn: runKMAssignKernel})
 	registerKernel("kmeans.seed", kernel{fn: runKMSeedKernel})
 	registerKernel("kmeans.centroids", kernel{fn: storeCentroidsKernel, inline: true})
@@ -167,8 +167,9 @@ func runCountKernel(body, dst []byte) ([]byte, error) {
 }
 
 // TransformTaskArgs are the tfidf.transform kernel arguments. The global
-// term table is never among them: GlobalHash names it, and its body
-// travels as the task's keyed body on a worker's first miss.
+// term table is never among them: the coordinator resolves the shard's
+// vocabulary against it (tfidf.Global.Resolve) and ships what the scoring
+// loop reads, indexed by shard-local term.
 type TransformTaskArgs struct {
 	// Counts is the shard's phase-1 output inlined (DF omitted — only the
 	// global merge reads it). Nil when CountsSession names the worker's
@@ -177,31 +178,60 @@ type TransformTaskArgs struct {
 	// CountsSession, when non-empty, keys the count kernel's cached
 	// ShardCounts on the worker the shared affinity routed both tasks to.
 	CountsSession string
-	// GlobalHash is the table's content digest (tfidf.Global.ContentHash),
-	// the worker's cache key. Always set.
-	GlobalHash uint64
+	// Terms is the shard's slice of the term table. Always set.
+	Terms *tfidf.ShardTerms
 	// Opts is the serializable option subset.
 	Opts tfidf.WireOptions
 }
 
 // AppendFlat appends the arguments in flat form:
 //
-//	session | hash u64 | opts | hasCounts u8 | [counts (WireShardCounts flat, to the end)]
+//	session | opts | terms | hasCounts u8 | [counts (WireShardCounts flat, to the end)]
+//	terms = dim u64 | n u32 | remap (delta-coded varints) × n | nIDF u32 | idf (XOR value block)
 func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 	b = flatwire.AppendString(b, a.CountsSession)
-	b = flatwire.AppendU64(b, a.GlobalHash)
 	b = appendWireOptions(b, a.Opts)
+	b = flatwire.AppendU64(b, uint64(a.Terms.Dim))
+	b = flatwire.AppendU32(b, uint32(len(a.Terms.Remap)))
+	b = flatwire.AppendDeltaU32s(b, a.Terms.Remap)
+	b = flatwire.AppendU32(b, uint32(len(a.Terms.IDF)))
+	b = flatwire.AppendF64sXor(b, a.Terms.IDF)
 	if a.Counts == nil {
 		return flatwire.AppendU8(b, 0)
 	}
 	return a.Counts.EncodeFlat(flatwire.AppendU8(b, 1))
 }
 
-// DecodeFlatTransformTaskArgs is AppendFlat's inverse.
+// DecodeFlatTransformTaskArgs is AppendFlat's inverse. It rejects terms
+// the scoring loop would misread: an IDF block of another length than the
+// remap, a remap that does not strictly ascend, a global ID at or past the
+// dimension. That the remap has one entry per shard word is the kernel's
+// check, since the counts may be cached on the worker.
 func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 	r := flatwire.NewReader(body)
-	a := &TransformTaskArgs{CountsSession: r.String(), GlobalHash: r.U64()}
+	a := &TransformTaskArgs{CountsSession: r.String()}
 	a.Opts = consumeWireOptions(r)
+	t := &tfidf.ShardTerms{Dim: int(r.U64())}
+	if n := r.Count(1); n > 0 { // ≥ 1 byte per varint
+		t.Remap = make([]uint32, n)
+		r.DeltaU32sInto(t.Remap)
+	}
+	t.IDF = r.F64sXor(r.Count(1)) // ≥ 1 byte per coded value
+	a.Terms = t
+	if n := len(t.Remap); r.Err() == nil {
+		switch {
+		case len(t.IDF) != n:
+			r.Fail("terms: %d IDF values for a remap of %d", len(t.IDF), n)
+		case n > 0 && int64(t.Remap[n-1]) >= int64(t.Dim):
+			r.Fail("terms: global ID %d out of dimension %d", t.Remap[n-1], t.Dim)
+		}
+		for i := 1; i < n; i++ {
+			if t.Remap[i] <= t.Remap[i-1] {
+				r.Fail("terms: remap not strictly ascending at local %d", i)
+				break
+			}
+		}
+	}
 	hasCounts := r.U8()
 	counts := r.Rest()
 	if hasCounts > 1 || hasCounts == 0 && len(counts) > 0 {
@@ -220,12 +250,10 @@ func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 }
 
 // Replies of the kernels that resolve a body from a worker-side cache open
-// with a magic and a miss mask: zero and the payload, or the bodies the
+// with a magic and a miss mask: zero and the payload, or the body the
 // worker lacks and nothing else.
 const (
 	transformReplyMagic uint32 = 0x48505452 // "HPTR"
-	// needGlobalFlag reports the worker has no table under GlobalHash.
-	needGlobalFlag uint32 = 1 << 0
 	// needCountsFlag reports the worker has no counts under CountsSession.
 	needCountsFlag uint32 = 1 << 1
 	// needCentroidsFlag reports the worker holds no centroid block for the
@@ -234,19 +262,17 @@ const (
 )
 
 // runTransformKernel executes phase 2 over one shard on the worker, or
-// replies with a miss mask when a body the arguments only name (the global
-// table by hash, the counts by session) is absent — the coordinator then
-// re-sends the task with the table shipped ahead and the counts inlined.
+// replies with needCountsFlag when the counts the arguments name by
+// session are absent — the coordinator then re-sends the task with them
+// inlined.
 func runTransformKernel(body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatTransformTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
 	}
 	opts := a.Opts.Options()
-	g, _ := globalCache.get(globalCacheKey{a.GlobalHash, opts.DictKind}, nil)
 	// Resolve the counts: an inlined body wins; otherwise the count
-	// kernel's cached live shard. The cache entry is not consumed yet — a
-	// global miss must leave it in place for the resend.
+	// kernel's cached live shard, consumed only once the transform ran.
 	var sc *tfidf.ShardCounts
 	fromCache := false
 	if a.Counts != nil {
@@ -254,57 +280,24 @@ func runTransformKernel(body, dst []byte) ([]byte, error) {
 	} else if a.CountsSession != "" {
 		sc, fromCache = countCache.get(a.CountsSession, nil)
 	}
-	var flags uint32
-	if g == nil {
-		flags |= needGlobalFlag
-	}
-	if sc == nil {
-		flags |= needCountsFlag
-	}
 	b := flatwire.AppendU32(dst, transformReplyMagic)
-	b = flatwire.AppendU32(b, flags)
-	if flags != 0 {
-		return b, nil
+	if sc == nil {
+		return flatwire.AppendU32(b, needCountsFlag), nil
 	}
-	vs := tfidf.TransformShard(g, sc, workerPool(), opts)
+	if len(a.Terms.Remap) != len(sc.Words) {
+		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w: a remap of %d terms for a vocabulary of %d",
+			flatwire.ErrMalformed, len(a.Terms.Remap), len(sc.Words))
+	}
+	vs := tfidf.TransformTerms(a.Terms, sc, workerPool(), opts)
 	if fromCache {
-		countCache.drop(a.CountsSession) // TransformShard consumed the dictionaries
+		countCache.drop(a.CountsSession) // TransformTerms consumed the dictionaries
 	}
-	return vs.EncodeFlat(b), nil
+	return vs.EncodeFlat(flatwire.AppendU32(b, 0)), nil
 }
 
-// appendGlobalStore appends the tfidf.global store argument: the cache key
-// (dictionary kind, content hash), then the table in flat form.
-func appendGlobalStore(b []byte, kind dict.Kind, g *tfidf.Global) []byte {
-	b = flatwire.AppendI64(b, int64(kind))
-	b = flatwire.AppendU64(b, g.ContentHash())
-	return g.Wire().EncodeFlat(b)
-}
-
-// storeGlobalKernel caches a shipped global term table, rebuilt with the
-// run's dictionary kind, for every later shard this worker transforms.
-func storeGlobalKernel(body, dst []byte) ([]byte, error) {
-	r := flatwire.NewReader(body)
-	kind, hash := dict.Kind(r.I64()), r.U64()
-	table := r.Rest()
-	if !slices.Contains(dict.Kinds(), kind) {
-		r.Fail("dictionary kind %d", kind)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.global: %w", err)
-	}
-	wg, err := tfidf.DecodeFlatWireGlobal(table)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.global: %w", err)
-	}
-	globalInlineShips.Add(1)
-	globalCache.put(globalCacheKey{hash, kind}, wg.Global(kind))
-	return dst, nil
-}
-
-// workerCacheTTL bounds how long an idle worker-side cache entry (global
-// table, shard counts, K-Means loop) survives, so a long-running worker
-// does not accumulate state from finished runs.
+// workerCacheTTL bounds how long an idle worker-side cache entry (shard
+// counts, K-Means loop) survives, so a long-running worker does not
+// accumulate state from finished runs.
 const workerCacheTTL = 10 * time.Minute
 
 // workerCache is a worker-side cache whose idle entries expire, evicted
@@ -357,17 +350,7 @@ func (c *workerCache[K, V]) drop(key K) {
 	delete(c.m, key)
 }
 
-// globalCacheKey identifies one cached global term table: the content hash
-// plus the dictionary kind the lookup table was rebuilt with (two runs may
-// share a corpus but configure different dictionaries).
-type globalCacheKey struct {
-	hash uint64
-	kind dict.Kind
-}
-
 var (
-	// globalCache holds rebuilt global term tables.
-	globalCache workerCache[globalCacheKey, *tfidf.Global]
 	// countCache keeps a count kernel's live shard, by session, for the
 	// matching transform task. Re-caching a session overwrites the entry
 	// with identical content (shard counts are a pure function of the shard
@@ -375,26 +358,11 @@ var (
 	countCache workerCache[string, *tfidf.ShardCounts]
 	// kmLoops holds the K-Means loops with state on this worker.
 	kmLoops workerCache[string, *kmLoop]
-
-	// globalInlineShips counts global term tables that arrived on this
-	// worker — the resend path after a worker cache miss. In steady state
-	// a table body reaches a worker process at most once per (hash, kind);
-	// the ship-bound test asserts on this counter.
-	globalInlineShips atomic.Int64
-	// globalReships counts, coordinator-side, how many transform tasks had
-	// to re-ship the global term table after a worker cache miss — the same
-	// traffic globalInlineShips counts on the worker, observable from the
-	// process that scheduled it (hpa-serve exposes it on /metrics).
-	globalReships atomic.Int64
 	// centroidInlineShips counts centroid blocks that arrived on this
 	// worker: in steady state one per worker connection per iteration,
 	// however many shards the worker holds (the ship-bound test asserts it).
 	centroidInlineShips atomic.Int64
 )
-
-// GlobalReships returns the process-wide count of global term-table
-// re-ships this coordinator performed.
-func GlobalReships() int64 { return globalReships.Load() }
 
 // KMShardInit carries a loop shard's per-loop constants, shipped once on
 // the shard's first contact with a worker and cached in the worker session.
@@ -907,12 +875,11 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	}, true
 }
 
-// RemoteTask implements Remotable: a transform shard ships by reference
-// where it can — the global table always as its content hash (the body is
-// the task's keyed body, shipped only on the first miss per worker), the
-// counts by session key when the map stage cached them on a worker — and
-// absorbs the flat VectorShard reply. Shards counted locally inline their
-// counts.
+// RemoteTask implements Remotable: a transform shard ships its vocabulary
+// resolved against the global table here, on the coordinator — the remap,
+// the IDF of every local term and the dimension — with its counts by
+// session key when the map stage cached them on a worker, and absorbs the
+// flat VectorShard reply. Shards counted locally inline their counts.
 func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	sc, ok := ins[0].(*tfidf.ShardCounts)
 	if !ok {
@@ -927,7 +894,7 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 		return nil, false
 	}
 	pair := o.pair
-	args := &TransformTaskArgs{GlobalHash: g.ContentHash(), Opts: wopts}
+	args := &TransformTaskArgs{Terms: g.Resolve(sc.Words), Opts: wopts}
 	affinity := ""
 	if pair != nil && pair.wasCounted(idx) {
 		args.CountsSession = pair.countSession(idx)
@@ -939,10 +906,6 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 		Op:       "tfidf.transform",
 		Args:     args.AppendFlat,
 		Affinity: affinity,
-		keyed: &keyedBody{op: "tfidf.global", encode: func() []byte {
-			globalReships.Add(1)
-			return appendGlobalStore(nil, wopts.DictKind, g)
-		}},
 		Absorb: func(body []byte) (Value, error) {
 			r := flatwire.NewReader(body)
 			r.Magic(transformReplyMagic, "transform reply")
@@ -950,17 +913,13 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w", err)
 			}
-			if flags&^(needGlobalFlag|needCountsFlag) != 0 {
+			if flags&^needCountsFlag != 0 {
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: unknown miss flags %#x", flags)
 			}
 			if flags != 0 {
-				nr := &needResend{Keyed: flags&needGlobalFlag != 0}
-				if flags&needCountsFlag != 0 {
-					resend := *args
-					resend.Counts, resend.CountsSession = sc.Wire(false), ""
-					nr.Args = resend.AppendFlat
-				}
-				return nil, nr
+				resend := *args
+				resend.Counts, resend.CountsSession = sc.Wire(false), ""
+				return nil, &needResend{Args: resend.AppendFlat}
 			}
 			vs, err := tfidf.DecodeFlatVectorShard(body[8:])
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"hpa/internal/flatwire"
@@ -120,12 +121,9 @@ func TestShardedAssignMatchesSerialDriver(t *testing.T) {
 	}
 }
 
-// clearWorkerCaches resets the worker-side transform caches, so cache
+// clearWorkerCaches resets the worker-side counts cache, so cache
 // protocol tests start from a cold worker regardless of test order.
 func clearWorkerCaches() {
-	globalCache.mu.Lock()
-	globalCache.m = nil
-	globalCache.mu.Unlock()
 	countCache.mu.Lock()
 	countCache.m = nil
 	countCache.mu.Unlock()
@@ -148,10 +146,11 @@ func transformFlags(t *testing.T, args TransformTaskArgs) (uint32, []byte) {
 	return flags, reply
 }
 
-// TestTransformKernelCacheProtocol drives the worker-side cache protocol
-// deterministically: a cold worker reports exactly the bodies it is
-// missing, one inlined resend fills the global cache, and from then on the
-// hash alone suffices — the table body ships at most once per worker.
+// TestTransformKernelCacheProtocol drives the worker side of the one
+// transform miss: counts named by a session the worker does not hold. The
+// miss reports exactly needCountsFlag and leaves every cached session in
+// place; the resend, with the counts inlined, scores them; and a task
+// naming a cached session scores the cached counts and consumes them.
 func TestTransformKernelCacheProtocol(t *testing.T) {
 	clearWorkerCaches()
 	opts := tfidf.Options{Normalize: true}
@@ -173,68 +172,55 @@ func TestTransformKernelCacheProtocol(t *testing.T) {
 		}
 		return sc
 	}
-	g := tfidf.MergeShards([]*tfidf.ShardCounts{count()}, pool, opts)
-	hash := g.ContentHash()
+	sc := count()
+	g := tfidf.MergeShards([]*tfidf.ShardCounts{sc}, pool, opts)
+	terms := g.Resolve(sc.Words)
 	expected := tfidf.TransformShard(g, count(), pool, opts)
 
-	// 1. Cold worker, hash-only send, unknown session: both bodies missing.
-	flags, _ := transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", GlobalHash: hash, Opts: wopts})
-	if flags != needGlobalFlag|needCountsFlag {
-		t.Fatalf("cold worker flags = %#x, want %#x", flags, needGlobalFlag|needCountsFlag)
+	// 1. Cold worker, counts by an unknown session: the one miss.
+	flags, _ := transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts})
+	if flags != needCountsFlag {
+		t.Fatalf("cold worker flags = %#x, want %#x", flags, needCountsFlag)
 	}
 
-	// 2. Counts cached (as the count kernel would): only the global missing —
-	// and the miss must not consume the cached counts (the resend needs them).
-	countCache.put("sess-a", count())
-	flags, _ = transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", GlobalHash: hash, Opts: wopts})
-	if flags != needGlobalFlag {
-		t.Fatalf("counts-cached flags = %#x, want %#x", flags, needGlobalFlag)
+	// 2. Another session cached (as the count kernel would): a miss on
+	// sess-a must not consume it.
+	countCache.put("sess-b", count())
+	flags, _ = transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts})
+	if flags != needCountsFlag {
+		t.Fatalf("flags with another session cached = %#x, want %#x", flags, needCountsFlag)
 	}
-	if _, ok := countCache.get("sess-a", nil); !ok {
-		t.Fatalf("global miss consumed the cached counts")
+	if _, ok := countCache.get("sess-b", nil); !ok {
+		t.Fatalf("a miss consumed another session's cached counts")
 	}
 
-	// 3. The resend ships the global body ahead of the task: full reply,
-	// cached counts consumed, table cached for every later shard.
-	if _, err := storeGlobalKernel(appendGlobalStore(nil, wopts.DictKind, g), nil); err != nil {
-		t.Fatalf("store global: %v", err)
-	}
-	flags, reply := transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", GlobalHash: hash, Opts: wopts})
+	// 3. The resend inlines the counts: full reply, cache untouched.
+	flags, reply := transformFlags(t, TransformTaskArgs{Counts: count().Wire(false), Terms: terms, Opts: wopts})
 	if flags != 0 {
-		t.Fatalf("resend flags = %#x, want 0", flags)
+		t.Fatalf("inlined resend flags = %#x, want 0", flags)
 	}
 	vs, err := tfidf.DecodeFlatVectorShard(reply[8:])
 	if err != nil {
-		t.Fatalf("decode transform payload: %v", err)
+		t.Fatalf("decode resend payload: %v", err)
 	}
-	assertShardEqual(t, "resend", vs, expected)
-	if _, ok := countCache.get("sess-a", nil); ok {
+	assertShardEqual(t, "inlined resend", vs, expected)
+	if _, ok := countCache.get("sess-b", nil); !ok {
+		t.Fatalf("an inlined transform consumed a cached session")
+	}
+
+	// 4. Counts by a cached session: full reply, the session consumed.
+	flags, reply = transformFlags(t, TransformTaskArgs{CountsSession: "sess-b", Terms: terms, Opts: wopts})
+	if flags != 0 {
+		t.Fatalf("cached-session flags = %#x, want 0", flags)
+	}
+	vs, err = tfidf.DecodeFlatVectorShard(reply[8:])
+	if err != nil {
+		t.Fatalf("decode cached-session payload: %v", err)
+	}
+	assertShardEqual(t, "cached session", vs, expected)
+	if _, ok := countCache.get("sess-b", nil); ok {
 		t.Errorf("transform left the consumed counts cached")
 	}
-
-	// 4. A later shard on the same worker: the hash alone suffices — no
-	// second body ship is ever requested (the ≤ once per worker bound).
-	countCache.put("sess-b", count())
-	flags, reply = transformFlags(t, TransformTaskArgs{CountsSession: "sess-b", GlobalHash: hash, Opts: wopts})
-	if flags != 0 {
-		t.Fatalf("warm-cache flags = %#x: worker requested a second global ship", flags)
-	}
-	vs, err = tfidf.DecodeFlatVectorShard(reply[8:])
-	if err != nil {
-		t.Fatalf("decode warm-cache payload: %v", err)
-	}
-	assertShardEqual(t, "warm cache", vs, expected)
-
-	// 5. Inlined counts (the no-affinity fallback) against the cached global.
-	flags, reply = transformFlags(t, TransformTaskArgs{Counts: count().Wire(false), GlobalHash: hash, Opts: wopts})
-	if flags != 0 {
-		t.Fatalf("inlined-counts flags = %#x", flags)
-	}
-	vs, err = tfidf.DecodeFlatVectorShard(reply[8:])
-	if err != nil {
-		t.Fatalf("decode inlined-counts payload: %v", err)
-	}
-	assertShardEqual(t, "inlined counts", vs, expected)
 }
 
 // assertShardEqual compares two vector shards bit-exactly.
@@ -256,43 +242,72 @@ func assertShardEqual(t *testing.T, what string, got, want *tfidf.VectorShard) {
 	}
 }
 
-// TestGlobalShipsBounded runs the full plan over RPC workers and asserts
-// the wire bound end-to-end: the global term table's body crosses the wire
-// at most once per worker process per content hash (the in-process pipe
-// workers share one cache, so steady state is a single ship), and a
-// repeat run over the same corpus ships no bodies at all.
-func TestGlobalShipsBounded(t *testing.T) {
+// storeFrameBackend is an RPC backend that records the ops of remote
+// tasks carrying a keyed body — the only tasks that can put a store frame
+// on the wire ahead of their own.
+type storeFrameBackend struct {
+	*RPCBackend
+	mu    sync.Mutex
+	keyed map[string]int
+}
+
+func (b *storeFrameBackend) RunTask(ctx *Context, t *Task) (Value, error) {
+	if t.Remote != nil && t.Remote.keyed != nil {
+		b.mu.Lock()
+		b.keyed[t.Remote.Op]++
+		b.mu.Unlock()
+	}
+	return b.RPCBackend.RunTask(ctx, t)
+}
+
+// TestTransformShipsNoStoreFrames runs the full plan on two pipe workers,
+// twice over one corpus: no tfidf.transform task carries a keyed body, so
+// none sends a store frame — the global term table never crosses the
+// wire — and each run's clustering digest and Figure 4 numbers (dictionary
+// footprint, vocabulary counters) equal the local run's. The affinity pins
+// and the worker's count sessions are gone after the runs.
+func TestTransformShipsNoStoreFrames(t *testing.T) {
 	clearWorkerCaches()
-	globalInlineShips.Store(0)
-	b := pipeBackend(t, 2)
+	b := &storeFrameBackend{RPCBackend: pipeBackend(t, 2), keyed: map[string]int{}}
 	src := diskCorpus(t)
 	scratch := t.TempDir()
-	// One pool slot (plus the scheduler helping) keeps concurrent cold
-	// misses — each of which legitimately triggers its own resend — rare,
-	// so the ship count is the steady-state bound, not a race artifact.
 	pool := par.NewPool(1)
 	defer pool.Close()
-	run := func() {
+	run := func(backend Backend) *TFKMReport {
 		ctx := NewContext(pool)
 		ctx.ScratchDir = scratch
-		ctx.Backend = b
-		if _, err := RunTFKM(src, ctx, TFKMConfig{
+		ctx.Backend = backend
+		rep, err := RunTFKM(src, ctx, TFKMConfig{
 			Mode:   Merged,
 			Shards: 7,
 			TFIDF:  tfidf.Options{Normalize: true},
 			KMeans: kmeans.Options{K: 8, Seed: 1},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("RunTFKM: %v", err)
 		}
+		return rep
 	}
-	run()
-	ships := globalInlineShips.Load()
-	if ships < 1 || ships > 2 {
-		t.Errorf("first run inlined the global %d times, want 1 (2 allowed for a concurrent cold miss)", ships)
+	local := run(LocalBackend{})
+	want := clusteringDigest(local.Clustering.Result)
+	for i := 0; i < 2; i++ {
+		rep := run(b)
+		if d := clusteringDigest(rep.Clustering.Result); d != want {
+			t.Errorf("run %d on two workers: digest %#x, local %#x", i, d, want)
+		}
+		if rep.DictFootprint != local.DictFootprint || rep.DictStats != local.DictStats {
+			t.Errorf("run %d on two workers: footprint %d, counters %+v; local %d, %+v",
+				i, rep.DictFootprint, rep.DictStats, local.DictFootprint, local.DictStats)
+		}
 	}
-	run()
-	if d := globalInlineShips.Load() - ships; d != 0 {
-		t.Errorf("repeat run inlined the global %d more times, want 0 (hash cache should hit)", d)
+	if local.DictStats.Capacity == 0 {
+		t.Errorf("the local run reports no vocabulary counters: %+v", local.DictStats)
+	}
+	if n := b.keyed["tfidf.transform"]; n != 0 {
+		t.Errorf("%d tfidf.transform tasks carried a keyed body", n)
+	}
+	if b.keyed["kmeans.assign"] == 0 {
+		t.Errorf("no kmeans.assign task carried its centroid block: the recorder saw no keyed body at all")
 	}
 	if n := b.PinnedAffinities(); n != 0 {
 		t.Errorf("%d affinity pins left after the runs (scope release failed)", n)
@@ -668,7 +683,7 @@ func TestCentroidMissResendsFullBlock(t *testing.T) {
 	cnorms := []float64{5, 9.25}
 	args := &KMAssignTaskArgs{Loop: loop, Iter: 4, Assign: []int32{1, 0, 1},
 		Init: &KMShardInit{Vectors: docs, Norms: norms, Dim: 3, K: 2, Block: 4}}
-	kb := &keyedBody{op: "kmeans.centroids", eager: true,
+	kb := &keyedBody{op: "kmeans.centroids",
 		encode: func() []byte {
 			return kmeans.AppendFlatCentroids(storeFrame(loop, 4, 3), cents, cnorms, []bool{false, true})
 		},

@@ -297,10 +297,10 @@ func (s *kmLoopState) shardInit(idx int) *KMShardInit {
 
 // centroidBlock returns iteration iter's centroid block under the key
 // (loop, iter), created by the wave's first shard task and shared by the
-// rest, so it is encoded once per iteration and, being eager, shipped once
-// per worker. What ships eagerly is the delta: the rows of the centroids
-// the last update rewrote (kmeans.Clusterer.Updated), applied to iteration
-// iter−1's matrix — every row at iteration 0. A worker that does not hold
+// rest, so it is encoded once per iteration and shipped once per worker,
+// with the first task sent there. What ships is the delta: the rows of
+// the centroids the last update rewrote (kmeans.Clusterer.Updated),
+// applied to iteration iter−1's matrix — every row at iteration 0. A worker that does not hold
 // iteration iter−1's matrix answers "need centroids", and the forced
 // resend carries every row with no base, so a lost base costs a round
 // trip, never a bit.
@@ -310,7 +310,7 @@ func (s *kmLoopState) centroidBlock(iter int) *keyedBody {
 	if s.block == nil || s.blockIter != iter {
 		s.blockIter = iter
 		full := func() []byte { return s.appendCentroids(iter, noCentroidBase, nil) }
-		s.block = &keyedBody{op: "kmeans.centroids", eager: true, encode: full}
+		s.block = &keyedBody{op: "kmeans.centroids", encode: full}
 		if iter > 0 {
 			s.block.encode = func() []byte { return s.appendCentroids(iter, uint64(iter-1), s.c.Updated()) }
 			s.block.full = full
@@ -392,7 +392,7 @@ func (s *kmLoopState) RemoteWaveTask(w, idx, total int) (*RemoteTask, bool) {
 				return nil, err
 			}
 			if rep.NeedCentroids {
-				return nil, &needResend{Keyed: true}
+				return nil, &needResend{}
 			}
 			if len(rep.Assign) != hi-lo {
 				return nil, fmt.Errorf("%w: kmeans.assign reply for shard %d is malformed", ErrType, idx)

@@ -293,9 +293,9 @@ func (o *TFMapOp) RunPartition(ctx *Context, ins []Value, idx, total int) (Value
 
 // DFReduceOp is the reduction of the partitioned TF/IDF operator: every
 // shard's sorted vocabulary is tree-merged (par.TreeReduce) into the
-// global term table, a term's position in the merged order its ID — the
-// workflow's serial point, in the paper's sense that only reductions and
-// output are serial.
+// global term table, a term's position in the merged order its ID, and the
+// IDF table is evaluated over it — the workflow's serial point, in the
+// paper's sense that only reductions and output are serial.
 type DFReduceOp struct {
 	// Opts matches the map kernels' options (dictionary kind).
 	Opts tfidf.Options
@@ -331,15 +331,14 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 
 // TransformOp is the phase-2 map kernel of the partitioned TF/IDF
 // operator: one shard's term counts plus the global table in, that shard's
-// score vectors out. Shards transform independently and as soon as the
-// reduction delivers the table.
+// score vectors out. Each shard task walks its own vocabulary along the
+// table (tfidf.Global.Resolve), so shards transform independently, in
+// parallel, and as soon as the reduction delivers the table.
 type TransformOp struct {
 	// Opts carries Normalize.
 	Opts tfidf.Options
 	// pair, when non-nil, is the link to the map stage (see tfShipPair):
-	// shards it marked as remotely counted ship by session key, and the
-	// global term table ships by content hash with the body pulled only on
-	// a worker cache miss.
+	// shards it marked as remotely counted ship by session key.
 	pair *tfShipPair
 }
 

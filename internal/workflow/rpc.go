@@ -584,10 +584,10 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 			tracer.Emit("wire", "affinity-hit", rt.Affinity, int64(i))
 		}
 	}
-	ship := func(args func([]byte) []byte, keyed bool) ([]byte, error) {
+	ship := func(args func([]byte) []byte, force bool) ([]byte, error) {
 		body := args(nil)
 		start := time.Now()
-		rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, keyed)
+		rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, force)
 		if err != nil {
 			return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
 		}
@@ -608,9 +608,10 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	if errors.As(err, &nr) {
 		// Cache miss: the worker lacks a body the first send replaced
 		// with its key. Re-send to the SAME worker — any other would
-		// miss again — behind the keyed body's store frame and with
-		// whatever else the miss named inlined, and absorb the second
-		// reply. A second miss is a protocol violation: an error.
+		// miss again — behind the keyed body's full store frame, if the
+		// task has one, and with whatever else the miss named inlined,
+		// and absorb the second reply. A second miss is a protocol
+		// violation: an error.
 		if span != nil {
 			span.Resend = true
 			tracer.Emit("wire", "cache-miss-resend", rt.Op, int64(i))
@@ -619,7 +620,7 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 		if nr.Args != nil {
 			args = nr.Args
 		}
-		if body, err = ship(args, nr.Keyed); err != nil {
+		if body, err = ship(args, true); err != nil {
 			return nil, err
 		}
 		if out, err = rt.Absorb(body); err != nil {

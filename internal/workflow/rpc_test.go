@@ -16,6 +16,7 @@ import (
 	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/sparse"
+	"hpa/internal/tfidf"
 )
 
 func init() {
@@ -62,6 +63,20 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		Last: sparse.Vector{Idx: []uint32{math.MaxUint32}, Val: []float64{1}},
 		D2:   []float64{math.Inf(1)},
 	}).AppendFlat(nil)
+	// Transform requests over a two-word vocabulary, inlined or cached on
+	// the worker, whose shard terms the scoring loop would misread.
+	counts := &tfidf.WireShardCounts{Lo: 0, Hi: 1, Words: []string{"a", "b"},
+		Docs: []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{1, 2}}}, DocNames: []string{"d"}}
+	const cached = "hostile-frames-counts"
+	countCache.put(cached, counts.ShardCounts(tfidf.Options{}))
+	defer countCache.drop(cached)
+	transform := func(session string, remap []uint32, idf []float64) []byte {
+		a := &TransformTaskArgs{CountsSession: session, Terms: &tfidf.ShardTerms{Remap: remap, IDF: idf, Dim: 3}}
+		if session == "" {
+			a.Counts = counts
+		}
+		return a.AppendFlat(nil)
+	}
 	// A 60-byte assign request whose init asks for 2⁸⁰ accumulator floats.
 	hostileInit := (&KMAssignTaskArgs{
 		Loop:   "hostile-frames-init",
@@ -85,7 +100,16 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "unknown op", raw: requestFrame(2, "no.such.kernel", nil), malformed: true, text: "no kernel"},
 		{name: "count args", raw: requestFrame(3, "tfidf.count", garbage), malformed: true},
 		{name: "transform args", raw: requestFrame(4, "tfidf.transform", garbage), malformed: true},
-		{name: "global store", raw: requestFrame(5, "tfidf.global", garbage), malformed: true},
+		{name: "remap shorter than the inlined vocabulary", raw: requestFrame(5, "tfidf.transform", transform("", []uint32{0}, []float64{1})),
+			malformed: true, text: "a remap of 1 terms for a vocabulary of 2"},
+		{name: "remap longer than the cached vocabulary", raw: requestFrame(13, "tfidf.transform", transform(cached, []uint32{0, 1, 2}, []float64{1, 2, 3})),
+			malformed: true, text: "a remap of 3 terms for a vocabulary of 2"},
+		{name: "IDF shorter than the remap", raw: requestFrame(14, "tfidf.transform", transform("", []uint32{0, 1}, []float64{1})),
+			malformed: true, text: "1 IDF values for a remap of 2"},
+		{name: "remap not strictly ascending", raw: requestFrame(15, "tfidf.transform", transform("", []uint32{1, 1}, []float64{1, 2})),
+			malformed: true, text: "remap not strictly ascending at local 1"},
+		{name: "remap past the dimension", raw: requestFrame(16, "tfidf.transform", transform("", []uint32{0, 5}, []float64{1, 2})),
+			malformed: true, text: "global ID 5 out of dimension 3"},
 		{name: "assign args", raw: requestFrame(6, "kmeans.assign", garbage), malformed: true},
 		{name: "seed args", raw: requestFrame(7, "kmeans.seed", garbage), malformed: true},
 		{name: "centroid store", raw: requestFrame(8, "kmeans.centroids", garbage[:3]), malformed: true},

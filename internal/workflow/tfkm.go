@@ -104,8 +104,8 @@ type TFKMReport struct {
 	// measurement); zero in discrete mode after the operator exits only if
 	// the result was dropped — it is captured before that.
 	DictFootprint int64
-	// DictStats carries the global dictionary's counters (rehashes for the
-	// hash kind, rotations for the tree kind).
+	// DictStats sums the shard vocabulary dictionaries' counters (rehashes
+	// for the hash kind, rotations for the tree kind): tfidf.Global.Stats.
 	DictStats dict.Stats
 }
 

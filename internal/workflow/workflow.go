@@ -76,7 +76,7 @@
 // ServeWorker; see cmd/hpa-workflow -worker). The scheduler never moves: dependency
 // tracking, shard ordering and every reduction stay on the coordinator,
 // and remote kernels run the same shard functions the local path runs
-// (tfidf.CountShard, tfidf.TransformShard, kmeans.AssignRange), so
+// (tfidf.CountShard, tfidf.TransformTerms, kmeans.AssignRange), so
 // results are bit-identical across backends at any shard count.
 //
 // Remotable tasks are the TF/IDF count and transform shards — their
@@ -97,26 +97,27 @@
 //
 // # The wire
 //
-// Task payloads avoid redundant and slow serialization (kernels.go). Two
-// bodies travel apart from the tasks that need them, as keyed bodies
-// (backend.go): tasks name a key, workers cache the body under it, and a
-// task that finds none answers with a need-resend flag that makes the
-// coordinator ship the body ahead of one resend. The global term table is
-// content-addressed: transform args carry only its hash, workers cache
-// table bodies (keyed by hash and dictionary kind, with a lazy TTL), and
-// the body ships exactly once per (worker, hash) — steady-state runs ship
-// no table at all. A K-Means iteration's centroids are keyed by (loop,
-// iteration) and new to every worker each iteration, so the first task the
+// Task payloads avoid redundant and slow serialization (kernels.go). The
+// global term table never ships: the coordinator resolves each transform
+// shard's vocabulary against it, and the task carries what the scoring
+// loop reads — the local → global remap and the IDF of every local term.
+// One body travels apart from the tasks that need it, as a keyed body
+// (backend.go): a K-Means iteration's centroids, keyed by (loop,
+// iteration) and new to every worker each iteration. The first task the
 // backend sends a worker in the wave carries the block — k sparse rows —
-// and every shard session of the loop on that worker assigns against the
-// one decoded copy. A shard's term counts
-// never leave the worker that counted them: count tasks park their output
-// in the worker session under a per-run scope (count→transform affinity),
-// the paired transform task names the session, and the scope's pins are
-// released when the run ends. Everything on the wire — frames, kernel
-// arguments, tfidf.VectorShard, centroid blocks, assignment replies — is
-// a flat buffer (internal/flatwire): fixed layouts, floats as IEEE 754
-// bits, every decoder validating structurally and failing with
+// ahead of itself, its siblings only name the key, and every shard
+// session of the loop on that worker assigns against the one decoded
+// copy; a task that finds no block answers with a need-resend flag that
+// makes the coordinator ship the whole block ahead of one resend. A
+// shard's term counts never leave the worker that counted them: count
+// tasks park their output in the worker session under a per-run scope
+// (count→transform affinity), the paired transform task names the
+// session, and the scope's pins are released when the run ends; a
+// transform that finds no session answers "need counts" and the resend
+// inlines them. Everything on the wire — frames, kernel arguments,
+// tfidf.VectorShard, centroid blocks, assignment replies — is a flat
+// buffer (internal/flatwire): fixed layouts, floats as IEEE 754 bits,
+// every decoder validating structurally and failing with
 // flatwire.ErrMalformed (BenchmarkWirePayloads prices the codecs).
 //
 // Fusion is a graph rewrite: a plan containing an explicit materialize/load
