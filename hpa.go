@@ -139,7 +139,7 @@
 // resident service is traced) and each scheduled task records a span —
 // node, operator, task kind, shard, loop iteration, backend, worker lane,
 // queue wait and run time, wire bytes and codec — alongside wire events
-// (cache-miss resends, affinity-session hits) and K-Means loop events
+// (miss resends, affinity-session hits) and K-Means loop events
 // (per-iteration moved counts and inertia). A nil tracer costs one
 // pointer compare per recording site, well under 1% on the iterative
 // benchmark, so the field can stay wired in production code.

@@ -10,7 +10,7 @@
 //
 // The collector is deliberately simple: one Span per scheduled (node, shard)
 // task, recorded once when the task finishes, plus free-form instant Events
-// for wire- and loop-level happenings (cache-miss resends, per-iteration
+// for wire- and loop-level happenings (miss resends, per-iteration
 // K-Means moved counts, affinity session hits). All Tracer methods are safe
 // on a nil receiver and reduce to a single branch-predictable pointer
 // compare, so untraced runs pay (well under 1%) nothing — see
@@ -74,8 +74,8 @@ type Span struct {
 	// process-wide counters: with concurrent tasks a span's split is
 	// approximate, but the totals across all spans sum exactly.
 	ValueRawBytes, ValueCodedBytes int64
-	// Resend marks a task that needed a second round trip to re-ship cached
-	// state (the needResend protocol).
+	// Resend marks a task sent twice: the worker missed an input the task
+	// named by key, and the resend inlined it.
 	Resend bool
 	// Err marks a failed task.
 	Err bool
@@ -99,7 +99,7 @@ type Event struct {
 	Time time.Time
 	// Cat groups events ("wire", "kmeans").
 	Cat string
-	// Name identifies the event kind (e.g. "cache-miss-resend", "iteration").
+	// Name identifies the event kind (e.g. "miss-resend", "iteration").
 	Name string
 	// Label carries free-form detail (e.g. a session key).
 	Label string

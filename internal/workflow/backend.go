@@ -53,7 +53,7 @@ type RemoteTask struct {
 	// calls it once per send.
 	Args func(dst []byte) []byte
 	// Affinity, when non-empty, pins every task sharing the key to one
-	// worker — how loop shards keep their cached documents on the worker
+	// worker — how loop shards keep their stored documents on the worker
 	// that holds them across iterations.
 	Affinity string
 	// Scope, when non-empty, names the plan run that created the task. A
@@ -62,29 +62,32 @@ type RemoteTask struct {
 	// states' own targeted release, and the reason a long-lived serve
 	// backend cannot leak pins from runs that errored out mid-loop.
 	Scope string
+	// Inline, when non-nil, appends the arguments with every input Args
+	// names by store key inlined — what the backend sends once after the
+	// worker misses (statusMiss). A task without it re-sends Args.
+	Inline func(dst []byte) []byte
 	// Absorb decodes the kernel's flat reply and integrates it into
 	// coordinator state, returning the task's output value. It runs on the
 	// coordinator, in the task's goroutine.
 	Absorb func(reply []byte) (Value, error)
 
-	// keyed, when non-nil, is the body the kernel resolves from a
-	// worker-side cache by a key Args names (see keyedBody).
+	// keyed, when non-nil, is the body the kernel resolves from the worker
+	// store by a key Args names (see keyedBody).
 	keyed *keyedBody
 }
 
 // keyedBody is a request body that travels apart from the tasks needing
 // it — a K-Means iteration's centroid block, the only one: Args name its
-// key, a worker caches it under that key, and the body itself crosses the
-// wire as a store frame — a request to the inline kernel op, written
-// immediately ahead of a task's frame — with the first task the backend
-// sends each worker; its siblings on that worker only name it. A kernel
-// that finds no body under the key, or a delta whose base it does not
-// hold, says so in its reply; Absorb turns that into needResend, and the
-// backend re-sends the task behind a store frame carrying the whole body
-// (full) — correctness never depends on arrival order or on what a worker
-// still remembers.
+// key, a worker keeps it in its store under that key, and the body itself
+// crosses the wire as a store frame — a request to the inline kernel op,
+// written immediately ahead of a task's frame — with the first task the
+// backend sends each worker; its siblings on that worker only name it. A
+// kernel that finds no body under the key, or a delta whose base it does
+// not hold, misses, and the backend re-sends the task behind a store frame
+// carrying the whole body (full) — correctness never depends on arrival
+// order or on what a worker still holds.
 type keyedBody struct {
-	op     string        // the inline worker kernel that caches the body
+	op     string        // the inline worker kernel that stores the body
 	encode func() []byte // the store kernel's argument, key and body; called at most once
 	// full, when non-nil, encodes the self-contained form a forced resend
 	// ships in place of encode's delta; called at most once.
@@ -177,31 +180,13 @@ type RemotableLoop interface {
 }
 
 // affinityReleaser is implemented by backends that pin tasks by affinity
-// key (RPCBackend) and can drop pins once the keyed work is finished.
+// key (RPCBackend) and can drop pins, and what workers hold under them.
 type affinityReleaser interface{ ReleaseAffinity(keys ...string) }
 
 // scopeReleaser is implemented by backends that track affinity pins per
 // plan run (RemoteTask.Scope); the executor releases the run's scope when
 // Plan.Run returns, on every path including errors.
 type scopeReleaser interface{ ReleaseScope(scope string) }
-
-// needResend is the error RemoteTask.Absorb returns when a worker's reply
-// is a cache miss — the worker lacks the task's keyed body (a centroid
-// block) or the session its arguments name (a shard's counts). The backend
-// then re-sends the task to the SAME worker — any other would miss again —
-// behind the keyed body's full store frame, when the task has one, and
-// absorbs the second reply. One resend is allowed per task: a second miss
-// is a hard error.
-type needResend struct {
-	// Args, when non-nil, replaces the task's arguments on the resend
-	// (missing session state inlined).
-	Args func(dst []byte) []byte
-}
-
-// Error implements error.
-func (*needResend) Error() string {
-	return "workflow: worker reply requests a resend with inlined payload"
-}
 
 // remoteLoopOp marks IterativeOps whose loop states implement
 // RemotableLoop, so AnnotateBackend can report placement without running

@@ -21,16 +21,42 @@ import (
 // protocol over one end of a net.Pipe, and returns an RPCBackend over
 // them — real serialization and a real frame loop, no network dependency.
 func pipeBackend(t testing.TB, n int) *RPCBackend {
+	b, _ := pipeWorkers(t, n, nil)
+	return b
+}
+
+// pipeWorkers is pipeBackend that also returns the workers' store: one
+// fresh store for all n, as in one worker process. wrap, when non-nil,
+// wraps each coordinator-side connection.
+func pipeWorkers(t testing.TB, n int, wrap func(io.ReadWriteCloser) io.ReadWriteCloser) (*RPCBackend, *workerStore) {
 	t.Helper()
+	st := newWorkerStore()
 	conns := make([]io.ReadWriteCloser, n)
 	for i := range conns {
 		coord, work := net.Pipe()
-		go ServeWorkerConn(work)
+		go serveConn(work, st)
 		conns[i] = coord
+		if wrap != nil {
+			conns[i] = wrap(coord)
+		}
 	}
 	b := NewRPCBackendConns(conns...)
 	t.Cleanup(func() { b.Close() })
-	return b
+	return b, st
+}
+
+// pins reports how many affinity pins the backend holds.
+func (b *RPCBackend) pins() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.affinity)
+}
+
+// entries reports how many entries the store holds.
+func (s *workerStore) entries() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
 }
 
 // diskCorpus writes a small deterministic corpus to a temp dir and opens
@@ -120,9 +146,9 @@ func TestCrossBackendDeterminism(t *testing.T) {
 
 // TestAffinityReleasedAfterLoop: a finished loop must drop its session
 // pins so a long-lived backend does not grow one entry per loop shard
-// forever.
+// forever, and the workers must drop the state under them.
 func TestAffinityReleasedAfterLoop(t *testing.T) {
-	b := pipeBackend(t, 2)
+	b, st := pipeWorkers(t, 2, nil)
 	src := diskCorpus(t)
 	runTFKMOn(t, src, 4, b, t.TempDir())
 	b.mu.Lock()
@@ -130,6 +156,9 @@ func TestAffinityReleasedAfterLoop(t *testing.T) {
 	b.mu.Unlock()
 	if left != 0 {
 		t.Errorf("%d affinity pins left after the loop finished", left)
+	}
+	if n := st.entries(); n != 0 {
+		t.Errorf("%d worker store entries left after the loop finished", n)
 	}
 }
 

@@ -73,8 +73,7 @@ func FuzzDecodeFlatKMSeedTaskArgs(f *testing.F) {
 		// error, never a panic. Small shapes only: a session allocates
 		// k × dim floats.
 		if a.Init != nil && a.Init.K <= 64 && a.Init.Dim <= 1024 {
-			runKMSeedKernel(data, nil)
-			kmLoops.drop(a.Loop)
+			runKMSeedKernel(newWorkerStore(), 0, data, nil)
 		}
 	})
 }
@@ -133,8 +132,13 @@ func FuzzDecodeFlatTransformTaskArgs(f *testing.F) {
 // FuzzReadFrame feeds arbitrary bytes to the frame reader and the request
 // header parse behind it: frames come back exactly as long as their prefix
 // says, never longer than the input, and a stream always ends in an error.
+// A store.drop body the decoder accepts re-encodes to itself.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(requestFrame(1, "kmeans.assign", []byte("body")))
+	drop := appendStoreDrop(nil, []string{"km-1-2-0", "", "tf-3-4-1"})
+	f.Add(requestFrame(4, "store.drop", drop))
+	f.Add(requestFrame(5, "store.drop", drop[:len(drop)-1]))
+	f.Add(requestFrame(6, "store.drop", append(flatwire.AppendU32(nil, 1<<20), drop[4:]...)))
 	f.Add(append(requestFrame(2, "a", nil), requestFrame(3, "", []byte{1})...))
 	f.Add(flatwire.AppendU32(nil, maxFrameBytes))
 	f.Add(flatwire.AppendU32(nil, maxFrameBytes+1))
@@ -155,8 +159,15 @@ func FuzzReadFrame(f *testing.F) {
 			h := flatwire.NewReader(frame)
 			h.U64()
 			op := h.String()
-			if body := h.Rest(); h.Err() == nil && 8+flatwire.SizeString(op)+len(body) != len(frame) {
+			body := h.Rest()
+			if h.Err() == nil && 8+flatwire.SizeString(op)+len(body) != len(frame) {
 				t.Fatalf("header parse lost bytes: op %q, body %d of frame %d", op, len(body), len(frame))
+			}
+			if op != "store.drop" {
+				continue
+			}
+			if keys, err := decodeStoreDrop(body); err == nil && !bytes.Equal(appendStoreDrop(nil, keys), body) {
+				t.Fatalf("accepted store.drop keys %q do not re-encode to the body", keys)
 			}
 		}
 	})

@@ -5,9 +5,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hpa/internal/dict"
 	"hpa/internal/flatwire"
@@ -24,23 +23,24 @@ import (
 //
 //   - tfidf.count: a corpus shard described by pario.SourceSpec in, the
 //     shard's term counts (tfidf.WireShardCounts, DF included) back;
-//   - tfidf.transform: a shard's counts (or the session holding them)
+//   - tfidf.transform: a shard's counts (or the store key holding them)
 //     plus the shard's slice of the term table (tfidf.ShardTerms: the
 //     local → global remap, the IDF of every local term, the dimension)
 //     in, the shard's score vectors (*tfidf.VectorShard) back;
 //   - kmeans.assign: one loop shard's assignment iteration — the key of the
 //     iteration's centroid block and the shard's previous assignments in,
-//     the moved count, new assignments and distances back. The
-//     shard's documents ship once, on the first iteration, and are cached
-//     in a worker-side session that backend affinity keeps on one worker;
+//     the moved count, new assignments and distances back. The shard's
+//     documents ship once, on the first contact, into a session in the
+//     worker store that backend affinity keeps on one worker;
 //   - kmeans.seed: one K-Means++ seed round's min-distance scan over one
 //     loop shard — the last chosen seed and the shard's current distance
 //     window in, the min-updated window back. It shares the assignment
 //     loop's sessions (same affinity key), so the shard's documents ship
 //     once for seeding and iterations combined;
 //   - kmeans.centroids: the inline store kernel of the keyed body
-//     (backend.go, keyedBody) — an iteration's centroid block, cached per
-//     loop.
+//     (backend.go, keyedBody) — an iteration's centroid block;
+//   - store.drop: the inline kernel that removes keys from the worker
+//     store (workerStore), where kernels keep state between tasks.
 //
 // Kernels run the same functions the local path runs (tfidf.CountShard,
 // tfidf.TransformTerms, kmeans.AssignRange), so remote results are
@@ -59,6 +59,7 @@ func init() {
 	registerKernel("kmeans.assign", kernel{fn: runKMAssignKernel})
 	registerKernel("kmeans.seed", kernel{fn: runKMSeedKernel})
 	registerKernel("kmeans.centroids", kernel{fn: storeCentroidsKernel, inline: true})
+	registerKernel("store.drop", kernel{fn: storeDropKernel, inline: true})
 }
 
 // workerPool is the worker process's compute pool, shared by every kernel
@@ -100,9 +101,9 @@ type CountTaskArgs struct {
 	// Shard describes the corpus shard (paths + global [Lo, Hi) range).
 	Shard pario.SourceSpec
 	// Session, when non-empty, makes the worker keep the live ShardCounts
-	// cached under this key after replying, so the matching transform task
-	// (routed here by the shared affinity key) can consume them without the
-	// coordinator re-serializing every document's term counts.
+	// in its store under this key after replying, so the matching transform
+	// task (routed here by the shared affinity key) can consume them without
+	// the coordinator re-serializing every document's term counts.
 	Session string
 	// Opts is the serializable option subset of the TF/IDF operator.
 	Opts tfidf.WireOptions
@@ -143,7 +144,7 @@ func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
 
 // runCountKernel executes phase 1 over the described shard on the worker;
 // the reply is the shard's full term counts, DF included, in flat form.
-func runCountKernel(body, dst []byte) ([]byte, error) {
+func runCountKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatCountTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
@@ -161,7 +162,7 @@ func runCountKernel(body, dst []byte) ([]byte, error) {
 	if a.Session != "" {
 		// The reply carries everything the coordinator's DF merge needs;
 		// the live dictionaries stay here for the transform task.
-		countCache.put(a.Session, sc)
+		st.put(conn, a.Session, "", func() any { return sc })
 	}
 	return w.EncodeFlat(dst), nil
 }
@@ -172,10 +173,10 @@ func runCountKernel(body, dst []byte) ([]byte, error) {
 // loop reads, indexed by shard-local term.
 type TransformTaskArgs struct {
 	// Counts is the shard's phase-1 output inlined (DF omitted — only the
-	// global merge reads it). Nil when CountsSession names the worker's
-	// cached live shard instead; a resend after a session miss inlines it.
+	// global merge reads it). Nil when CountsSession names the live shard
+	// in the worker store instead; a resend after a miss inlines it.
 	Counts *tfidf.WireShardCounts
-	// CountsSession, when non-empty, keys the count kernel's cached
+	// CountsSession, when non-empty, is the store key of the count kernel's
 	// ShardCounts on the worker the shared affinity routed both tasks to.
 	CountsSession string
 	// Terms is the shard's slice of the term table. Always set.
@@ -206,7 +207,7 @@ func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 // the scoring loop would misread: an IDF block of another length than the
 // remap, a remap that does not strictly ascend, a global ID at or past the
 // dimension. That the remap has one entry per shard word is the kernel's
-// check, since the counts may be cached on the worker.
+// check, since the counts may be in the worker store.
 func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 	r := flatwire.NewReader(body)
 	a := &TransformTaskArgs{CountsSession: r.String()}
@@ -249,123 +250,149 @@ func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 	return a, nil
 }
 
-// Replies of the kernels that resolve a body from a worker-side cache open
-// with a magic and a miss mask: zero and the payload, or the body the
-// worker lacks and nothing else.
-const (
-	transformReplyMagic uint32 = 0x48505452 // "HPTR"
-	// needCountsFlag reports the worker has no counts under CountsSession.
-	needCountsFlag uint32 = 1 << 1
-	// needCentroidsFlag reports the worker holds no centroid block for the
-	// iteration a kmeans.assign task named.
-	needCentroidsFlag uint32 = 1 << 2
-)
-
 // runTransformKernel executes phase 2 over one shard on the worker, or
-// replies with needCountsFlag when the counts the arguments name by
-// session are absent — the coordinator then re-sends the task with them
-// inlined.
-func runTransformKernel(body, dst []byte) ([]byte, error) {
+// misses when the counts the arguments name by key are not in the store.
+func runTransformKernel(st *workerStore, _ uint64, body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatTransformTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
 	}
 	opts := a.Opts.Options()
 	// Resolve the counts: an inlined body wins; otherwise the count
-	// kernel's cached live shard, consumed only once the transform ran.
+	// kernel's live shard, removed only once the transform ran.
 	var sc *tfidf.ShardCounts
-	fromCache := false
 	if a.Counts != nil {
 		sc = a.Counts.ShardCounts(opts)
-	} else if a.CountsSession != "" {
-		sc, fromCache = countCache.get(a.CountsSession, nil)
-	}
-	b := flatwire.AppendU32(dst, transformReplyMagic)
-	if sc == nil {
-		return flatwire.AppendU32(b, needCountsFlag), nil
+	} else if sc, _ = st.get(a.CountsSession).(*tfidf.ShardCounts); sc == nil {
+		return nil, errMiss
 	}
 	if len(a.Terms.Remap) != len(sc.Words) {
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w: a remap of %d terms for a vocabulary of %d",
 			flatwire.ErrMalformed, len(a.Terms.Remap), len(sc.Words))
 	}
 	vs := tfidf.TransformTerms(a.Terms, sc, workerPool(), opts)
-	if fromCache {
-		countCache.drop(a.CountsSession) // TransformTerms consumed the dictionaries
+	if a.Counts == nil {
+		st.del(a.CountsSession) // TransformTerms consumed the dictionaries
 	}
-	return vs.EncodeFlat(flatwire.AppendU32(b, 0)), nil
+	return vs.EncodeFlat(dst), nil
 }
 
-// workerCacheTTL bounds how long an idle worker-side cache entry (shard
-// counts, K-Means loop) survives, so a long-running worker does not
-// accumulate state from finished runs.
-const workerCacheTTL = 10 * time.Minute
-
-// workerCache is a worker-side cache whose idle entries expire, evicted
-// lazily on the next get.
-type workerCache[K comparable, V any] struct {
+// workerStore is a worker process's state between tasks, by key: count
+// sessions' *tfidf.ShardCounts, loop shards' *kmSession and their *kmLoop,
+// all rebuilt from what the coordinator holds, so an absent key is a miss.
+// An entry lives until the coordinator drops its key (store.drop) or the
+// connection that put it closes; an entry others depend on (a loop) until
+// the last of them goes. One store serves all of a process's connections,
+// so a loop's shards on two connections share one centroid matrix.
+type workerStore struct {
 	mu sync.Mutex
-	m  map[K]*workerCacheEntry[V]
+	m  map[string]*storeEntry
 }
 
-type workerCacheEntry[V any] struct {
-	v       V
-	lastUse time.Time
+type storeEntry struct {
+	v      any
+	conn   uint64 // the connection that put the entry
+	parent string // the entry this one depends on, or ""
+	deps   int    // entries depending on this one
 }
 
-// get returns key's value — made by mk, when non-nil, on a miss — and
-// evicts every other entry idle past the TTL.
-func (c *workerCache[K, V]) get(key K, mk func() V) (v V, ok bool) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.m {
-		if k != key && now.Sub(e.lastUse) > workerCacheTTL {
-			delete(c.m, k)
+func newWorkerStore() *workerStore { return &workerStore{m: make(map[string]*storeEntry)} }
+
+var processStore = newWorkerStore() // the store of this process's worker connections
+
+// get returns key's value, nil when absent.
+func (s *workerStore) get(key string) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil {
+		return e.v
+	}
+	return nil
+}
+
+// put returns key's value, first storing mk's for connection conn when the
+// key is absent — unless parent is named and absent: then it returns nil.
+func (s *workerStore) put(conn uint64, key, parent string, mk func() any) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil {
+		return e.v
+	}
+	if parent != "" {
+		if s.m[parent] == nil {
+			return nil
+		}
+		s.m[parent].deps++
+	}
+	e := &storeEntry{v: mk(), conn: conn, parent: parent}
+	s.m[key] = e
+	return e.v
+}
+
+// del removes the keys' entries but those others depend on, then every
+// parent left without dependents.
+func (s *workerStore) del(keys ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range keys {
+		s.delLocked(k)
+	}
+}
+
+func (s *workerStore) delLocked(key string) {
+	e := s.m[key]
+	if e == nil || e.deps > 0 {
+		return
+	}
+	delete(s.m, key)
+	if p := s.m[e.parent]; e.parent != "" && p != nil {
+		if p.deps--; p.deps == 0 {
+			s.delLocked(e.parent)
 		}
 	}
-	e := c.m[key]
-	if e == nil {
-		if mk == nil {
-			return v, false
+}
+
+// closeConn is del of every key connection conn put.
+func (s *workerStore) closeConn(conn uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, e := range s.m {
+		if e.conn == conn {
+			s.delLocked(k)
 		}
-		e = &workerCacheEntry[V]{v: mk()}
-		if c.m == nil {
-			c.m = make(map[K]*workerCacheEntry[V])
-		}
-		c.m[key] = e
 	}
-	e.lastUse = now
-	return e.v, true
 }
 
-// put stores (or replaces) key's value; drop removes it.
-func (c *workerCache[K, V]) put(key K, v V) {
-	c.drop(key)
-	c.get(key, func() V { return v })
+// appendStoreDrop appends a store.drop body: n u32 | keys (u32 len + bytes) × n.
+func appendStoreDrop(b []byte, keys []string) []byte {
+	b = flatwire.AppendU32(b, uint32(len(keys)))
+	for _, k := range keys {
+		b = flatwire.AppendString(b, k)
+	}
+	return b
 }
 
-func (c *workerCache[K, V]) drop(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.m, key)
+// decodeStoreDrop is appendStoreDrop's inverse.
+func decodeStoreDrop(body []byte) ([]string, error) {
+	r := flatwire.NewReader(body)
+	keys := make([]string, r.Count(4)) // ≥ 4 length bytes per key
+	for i := range keys {
+		keys[i] = r.String()
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("workflow: kernel store.drop: %w", err)
+	}
+	return keys, nil
 }
 
-var (
-	// countCache keeps a count kernel's live shard, by session, for the
-	// matching transform task. Re-caching a session overwrites the entry
-	// with identical content (shard counts are a pure function of the shard
-	// and the options); the transform drops it once consumed.
-	countCache workerCache[string, *tfidf.ShardCounts]
-	// kmLoops holds the K-Means loops with state on this worker.
-	kmLoops workerCache[string, *kmLoop]
-	// centroidInlineShips counts centroid blocks that arrived on this
-	// worker: in steady state one per worker connection per iteration,
-	// however many shards the worker holds (the ship-bound test asserts it).
-	centroidInlineShips atomic.Int64
-)
+func storeDropKernel(st *workerStore, _ uint64, body, dst []byte) ([]byte, error) {
+	keys, err := decodeStoreDrop(body)
+	st.del(keys...)
+	return dst, err
+}
 
-// KMShardInit carries a loop shard's per-loop constants, shipped once on
-// the shard's first contact with a worker and cached in the worker session.
+// KMShardInit carries a loop shard's per-loop constants, shipped on the
+// shard's first contact with a worker and kept in its session there.
 type KMShardInit struct {
 	// Vectors and Norms are the shard's documents and their squared norms.
 	Vectors []sparse.Vector
@@ -444,7 +471,8 @@ type KMAssignTaskArgs struct {
 	Shard int
 	// Iter is the iteration whose centroids the shard is assigned against.
 	Iter int
-	// Init is present on the shard's first contact with the worker only.
+	// Init is present on the shard's first contact with the worker and on
+	// a resend after a miss.
 	Init *KMShardInit
 	// Assign holds the shard's previous assignments (shard-local indexing),
 	// so the moved count stays exact whether or not the session survived.
@@ -477,12 +505,8 @@ func DecodeFlatKMAssignTaskArgs(body []byte) (*KMAssignTaskArgs, error) {
 }
 
 // KMAssignReply is the kmeans.assign kernel reply: the shard's
-// position-independent results — moved count, assignments, distances — or
-// the report that the worker holds no centroid block for the iteration.
+// position-independent results — moved count, assignments, distances.
 type KMAssignReply struct {
-	// NeedCentroids reports a centroid-block miss; the other fields are
-	// then empty.
-	NeedCentroids bool
 	// Accum is the shard's partial (its moved count) in wire form.
 	Accum *kmeans.AccumWire
 	// Assign holds the shard's new assignments.
@@ -491,14 +515,13 @@ type KMAssignReply struct {
 	Dists []float64
 }
 
-// kmLoop is the worker-side state of one K-Means loop: its shards'
-// sessions, and the one decoded centroid matrix and filled block layout
-// they all assign against.
+// kmLoop is the worker-side state of one K-Means loop: the one decoded
+// centroid matrix and filled block layout its shards' sessions all assign
+// against. It lives in the worker store while any of its sessions does.
 type kmLoop struct {
-	mu       sync.Mutex // guards every field; never held across a scan
-	sessions map[int]*kmSession
+	mu sync.Mutex // guards every field; never held across a scan
 	// k, dim and block are the loop's shape, fixed by its first session's
-	// init; every later init must agree.
+	// init (k = 0 until then); every later init must agree.
 	k, dim, block int
 	// raw is the last centroid block a store frame delivered, undecoded
 	// (nil once decoded): only a session's init carries the shape a block
@@ -530,9 +553,10 @@ type kmCentroids struct {
 // centroid row: it updates no earlier matrix, so any worker can apply it.
 const noCentroidBase = math.MaxUint64
 
-// kmSession is a worker-side loop shard: the cached documents plus the
-// distance and dot scratch reused across the loop's iterations.
+// kmSession is a worker-side loop shard: its loop, the documents, and the
+// distance and dot scratch reused across the loop's waves.
 type kmSession struct {
+	loop  *kmLoop
 	mu    sync.Mutex
 	docs  []sparse.Vector
 	norms []float64
@@ -541,50 +565,59 @@ type kmSession struct {
 	seed  []float64 // seeding scratch: dim floats, all zero between calls
 }
 
-// kmLoopFor returns the named loop's state, created on first sight.
-func kmLoopFor(id string) *kmLoop {
-	l, _ := kmLoops.get(id, func() *kmLoop { return &kmLoop{sessions: make(map[int]*kmSession)} })
-	return l
-}
+// loopShardKey is the store key of a loop shard's session, and the shard's
+// affinity key.
+func loopShardKey(loop string, shard int) string { return loop + "-" + strconv.Itoa(shard) }
 
-// session returns (creating if init allows) one shard's session.
-func (l *kmLoop) session(loop string, shard int, init *KMShardInit) (*kmSession, error) {
+// loopShard returns one loop shard's session, made from init when absent;
+// it misses without either, or on a key that holds something else.
+func loopShard(st *workerStore, conn uint64, loop string, shard int, init *KMShardInit) (*kmSession, error) {
+	key := loopShardKey(loop, shard)
+	if init == nil {
+		if s, ok := st.get(key).(*kmSession); ok {
+			return s, nil
+		}
+		return nil, errMiss
+	}
+	l, ok := st.put(conn, loop, "", func() any { return new(kmLoop) }).(*kmLoop)
+	if !ok {
+		return nil, errMiss
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.sessions[shard]
-	if s != nil {
-		return s, nil
-	}
 	switch {
-	case init == nil:
-		return nil, fmt.Errorf("loop %q shard %d session lost (worker restarted mid-loop?)", loop, shard)
-	case len(l.sessions) == 0:
+	case l.k == 0:
 		l.k, l.dim, l.block = init.K, init.Dim, init.Block
 	case init.K != l.k || init.Dim != l.dim || init.Block != l.block:
 		return nil, fmt.Errorf("%w: loop %q shard %d init has shape k=%d dim=%d block=%d, the loop's is k=%d dim=%d block=%d",
 			flatwire.ErrMalformed, loop, shard, init.K, init.Dim, init.Block, l.k, l.dim, l.block)
 	}
-	s = &kmSession{docs: init.Vectors, norms: init.Norms,
-		dists: make([]float64, len(init.Vectors)), dots: kmeans.DotScratch(init.K)}
-	l.sessions[shard] = s
-	return s, nil
+	if s, ok := st.put(conn, key, loop, func() any {
+		return &kmSession{loop: l, docs: init.Vectors, norms: init.Norms,
+			dists: make([]float64, len(init.Vectors)), dots: kmeans.DotScratch(init.K)}
+	}).(*kmSession); ok {
+		return s, nil
+	}
+	return nil, errMiss
 }
 
 // storeCentroidsKernel stashes a shipped centroid block (loop | iter u64 |
-// base u64 | kmeans.AppendFlatCentroids) for the first assignment task
-// naming iteration iter to decode. A block updating iteration base's
-// matrix carries the rows that changed since; one with noCentroidBase
-// carries every row. A second connection's copy of a block already
-// decoded is dropped.
-func storeCentroidsKernel(body, dst []byte) ([]byte, error) {
+// base u64 | kmeans.AppendFlatCentroids) in its loop for the first
+// assignment task naming iteration iter to decode. A block updating
+// iteration base's matrix carries the rows that changed since; one with
+// noCentroidBase carries every row. A second connection's copy of a block
+// already decoded is dropped.
+func storeCentroidsKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
 	r := flatwire.NewReader(body)
 	loop, iter, base := r.String(), int(r.U64()), r.U64()
 	raw := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.centroids: %w", err)
 	}
-	centroidInlineShips.Add(1)
-	l := kmLoopFor(loop)
+	l, ok := st.put(conn, loop, "", func() any { return new(kmLoop) }).(*kmLoop)
+	if !ok {
+		return dst, nil // the task naming the block misses
+	}
 	l.mu.Lock()
 	if l.cur == nil || l.cur.iter != iter {
 		l.raw, l.rawIter, l.rawBase = raw, iter, base
@@ -596,9 +629,9 @@ func storeCentroidsKernel(body, dst []byte) ([]byte, error) {
 // centroids returns iteration iter's centroid matrix, applying the
 // stashed block if it is that iteration's and nobody has yet — a sibling
 // task of the same wave waits on the lock for the decode instead of
-// repeating it. Nil without an error means the loop cannot reach iter: it
-// holds no block for it, or a delta whose base matrix it does not hold;
-// the caller answers "need centroids", and the resend carries every row.
+// repeating it. It misses when the loop cannot reach iter: it holds no
+// block for it, or a delta whose base matrix it does not hold; the resend
+// carries every row.
 func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -606,14 +639,14 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 		return l.cur, nil
 	}
 	if l.raw == nil || l.rawIter != iter {
-		return nil, nil
+		return nil, errMiss
 	}
 	full := l.rawBase == noCentroidBase
 	if !full && l.rawBase >= uint64(iter) {
 		return nil, fmt.Errorf("%w: centroid block for iteration %d updates iteration %d", flatwire.ErrMalformed, iter, l.rawBase)
 	}
 	if !full && (l.cur == nil || uint64(l.cur.iter) != l.rawBase) {
-		return nil, nil
+		return nil, errMiss
 	}
 	c := l.cur
 	if c == nil {
@@ -650,17 +683,18 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 
 // runKMAssignKernel executes one loop shard's assignment iteration on the
 // worker: the same kmeans.AssignRange the coordinator would run, over the
-// session's cached documents against the loop's decoded centroids.
-func runKMAssignKernel(body, dst []byte) ([]byte, error) {
+// session's documents against the loop's decoded centroids. It misses
+// without the session or the iteration's centroids.
+func runKMAssignKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatKMAssignTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
-	l := kmLoopFor(a.Loop)
-	s, err := l.session(a.Loop, a.Shard, a.Init)
+	s, err := loopShard(st, conn, a.Loop, a.Shard, a.Init)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
+	l := s.loop
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.docs)
@@ -678,9 +712,6 @@ func runKMAssignKernel(body, dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
-	if c == nil {
-		return (&KMAssignReply{NeedCentroids: true}).AppendFlat(dst), nil
-	}
 	moved := kmeans.AssignRange(0, n, l.k, s.docs, s.norms, c.cents, c.cnorms, c.layout, a.Assign, s.dists, s.dots)
 	return (&KMAssignReply{Accum: &kmeans.AccumWire{Changed: moved}, Assign: a.Assign, Dists: s.dists}).AppendFlat(dst), nil
 }
@@ -688,38 +719,25 @@ func runKMAssignKernel(body, dst []byte) ([]byte, error) {
 // kmAssignReplyMagic identifies a flat kmeans.assign reply buffer.
 const kmAssignReplyMagic uint32 = 0x48504b41 // "HPKA"
 
-// AppendFlat appends the reply in flat layout: magic, the miss mask, and —
-// unless that reports a miss — the partial's flat wire form, then the
-// assignment and distance blocks:
+// AppendFlat appends the reply in flat layout: magic, the partial's flat
+// wire form, then the assignment and distance blocks:
 //
-//	magic u32 | flags u32 | [accum | n u32 | assign i32 × n | dists f64 × n]
+//	magic u32 | accum | n u32 | assign i32 × n | dists f64 × n
 //
 // Floats travel as IEEE 754 bits; the absorbed state is bit-identical to
 // the worker's. Dists must hold one distance per assignment.
 func (r *KMAssignReply) AppendFlat(dst []byte) []byte {
-	b := flatwire.AppendU32(dst, kmAssignReplyMagic)
-	if r.NeedCentroids {
-		return flatwire.AppendU32(b, needCentroidsFlag)
-	}
-	b = flatwire.AppendU32(b, 0)
-	b = r.Accum.EncodeFlat(b)
+	b := r.Accum.EncodeFlat(flatwire.AppendU32(dst, kmAssignReplyMagic))
 	b = flatwire.AppendU32(b, uint32(len(r.Assign)))
 	b = flatwire.AppendI32s(b, r.Assign)
 	return flatwire.AppendF64s(b, r.Dists)
 }
 
 // DecodeFlatKMAssignReply decodes a flat kmeans.assign reply, validating
-// magic, miss mask, counts, truncation and trailing bytes.
+// magic, counts, truncation and trailing bytes.
 func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	r := flatwire.NewReader(body)
 	r.Magic(kmAssignReplyMagic, "kmeans assign reply")
-	flags := r.U32()
-	if flags&^needCentroidsFlag != 0 {
-		r.Fail("unknown miss flags %#x", flags)
-	}
-	if flags != 0 && r.Done() == nil {
-		return &KMAssignReply{NeedCentroids: true}, nil
-	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}
@@ -742,9 +760,9 @@ type KMSeedTaskArgs struct {
 	// one the assignment iterations use, so documents ship once for both.
 	Loop  string
 	Shard int
-	// Init is present on the shard's first contact with the worker only
+	// Init is present on the shard's first contact with the worker
 	// (usually the first seed round; the assignment tasks then find the
-	// session warm).
+	// session warm) and on a resend after a miss.
 	Init *KMShardInit
 	// Last is the most recently chosen seed document.
 	Last sparse.Vector
@@ -785,21 +803,21 @@ const kmSeedReplyMagic uint32 = 0x48505344 // "HPSD"
 
 // runKMSeedKernel executes one seed round's scan on the worker: the same
 // kmeans.SeedScanRange the coordinator's local path runs, over the
-// session's cached documents against the shipped seed scattered into the
+// session's documents against the shipped seed scattered into the
 // session's scratch — so the returned window (magic, count, then the
 // min-updated distances as IEEE 754 bits) is bit-identical to a local
 // scan. The decoder only makes the seed's indices ascend: they are checked
 // against the loop's dimension before the scratch is sized or written.
-func runKMSeedKernel(body, dst []byte) ([]byte, error) {
+func runKMSeedKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatKMSeedTaskArgs(body)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
-	l := kmLoopFor(a.Loop)
-	s, err := l.session(a.Loop, a.Shard, a.Init)
+	s, err := loopShard(st, conn, a.Loop, a.Shard, a.Init)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
+	l := s.loop
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(a.D2) != len(s.docs) || len(s.norms) != len(s.docs) || a.Last.Dim() > l.dim {
@@ -834,9 +852,9 @@ func DecodeFlatKMSeedReply(body []byte) ([]float64, error) {
 
 // RemoteTask implements Remotable: a tf-map shard ships when the corpus
 // shard has an on-disk identity and the options serialize. With a linked
-// transform stage (pair), the task carries a counts-cache session plus the
-// matching affinity key, so the shard's transform lands on the same worker
-// and reuses the live dictionaries this task leaves behind.
+// transform stage (pair), the task carries a store key for the counts plus
+// the matching affinity key, so the shard's transform lands on the same
+// worker and reuses the live dictionaries this task leaves behind.
 func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	src, ok := ins[0].(pario.Source)
 	if !ok {
@@ -877,9 +895,9 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 
 // RemoteTask implements Remotable: a transform shard ships its vocabulary
 // resolved against the global table here, on the coordinator — the remap,
-// the IDF of every local term and the dimension — with its counts by
-// session key when the map stage cached them on a worker, and absorbs the
-// flat VectorShard reply. Shards counted locally inline their counts.
+// the IDF of every local term and the dimension — with its counts by store
+// key when the map stage left them on a worker (inlined otherwise, and in
+// the resend after a miss), and absorbs the flat VectorShard reply.
 func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	sc, ok := ins[0].(*tfidf.ShardCounts)
 	if !ok {
@@ -893,39 +911,26 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 	if !ok {
 		return nil, false
 	}
-	pair := o.pair
 	args := &TransformTaskArgs{Terms: g.Resolve(sc.Words), Opts: wopts}
-	affinity := ""
-	if pair != nil && pair.wasCounted(idx) {
-		args.CountsSession = pair.countSession(idx)
-		affinity = args.CountsSession
-	} else {
-		args.Counts = sc.Wire(false)
-	}
-	return &RemoteTask{
-		Op:       "tfidf.transform",
-		Args:     args.AppendFlat,
-		Affinity: affinity,
+	rt := &RemoteTask{
+		Op: "tfidf.transform",
+		Inline: func(dst []byte) []byte {
+			a := *args
+			a.Counts, a.CountsSession = sc.Wire(false), ""
+			return a.AppendFlat(dst)
+		},
 		Absorb: func(body []byte) (Value, error) {
-			r := flatwire.NewReader(body)
-			r.Magic(transformReplyMagic, "transform reply")
-			flags := r.U32()
-			if err := r.Err(); err != nil {
-				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w", err)
-			}
-			if flags&^needCountsFlag != 0 {
-				return nil, fmt.Errorf("workflow: tfidf.transform reply: unknown miss flags %#x", flags)
-			}
-			if flags != 0 {
-				resend := *args
-				resend.Counts, resend.CountsSession = sc.Wire(false), ""
-				return nil, &needResend{Args: resend.AppendFlat}
-			}
-			vs, err := tfidf.DecodeFlatVectorShard(body[8:])
+			vs, err := tfidf.DecodeFlatVectorShard(body)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w", err)
 			}
 			return vs, nil
 		},
-	}, true
+	}
+	rt.Args = rt.Inline
+	if pair := o.pair; pair != nil && pair.wasCounted(idx) {
+		args.CountsSession = pair.countSession(idx)
+		rt.Args, rt.Affinity = args.AppendFlat, args.CountsSession
+	}
+	return rt, true
 }

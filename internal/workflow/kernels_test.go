@@ -121,38 +121,25 @@ func TestShardedAssignMatchesSerialDriver(t *testing.T) {
 	}
 }
 
-// clearWorkerCaches resets the worker-side counts cache, so cache
-// protocol tests start from a cold worker regardless of test order.
-func clearWorkerCaches() {
-	countCache.mu.Lock()
-	countCache.m = nil
-	countCache.mu.Unlock()
-}
-
-// transformFlags runs the transform kernel and returns the reply's miss
-// bitmask, plus the raw reply for payload decoding.
-func transformFlags(t *testing.T, args TransformTaskArgs) (uint32, []byte) {
-	t.Helper()
-	reply, err := runTransformKernel(args.AppendFlat(nil), nil)
-	if err != nil {
-		t.Fatalf("transform kernel: %v", err)
-	}
-	r := flatwire.NewReader(reply)
-	r.Magic(transformReplyMagic, "transform reply")
-	flags := r.U32()
-	if err := r.Err(); err != nil {
-		t.Fatalf("transform reply header: %v", err)
-	}
-	return flags, reply
-}
-
 // TestTransformKernelCacheProtocol drives the worker side of the one
-// transform miss: counts named by a session the worker does not hold. The
-// miss reports exactly needCountsFlag and leaves every cached session in
-// place; the resend, with the counts inlined, scores them; and a task
-// naming a cached session scores the cached counts and consumes them.
+// transform miss: counts named by a key the worker store does not hold.
+// The kernel answers errMiss and leaves every stored session in place; the
+// resend, with the counts inlined, scores them; and a task naming a stored
+// session scores those counts and removes them.
 func TestTransformKernelCacheProtocol(t *testing.T) {
-	clearWorkerCaches()
+	st := newWorkerStore()
+	transform := func(args TransformTaskArgs) (*tfidf.VectorShard, error) {
+		t.Helper()
+		reply, err := runTransformKernel(st, 1, args.AppendFlat(nil), nil)
+		if err != nil {
+			return nil, err
+		}
+		vs, err := tfidf.DecodeFlatVectorShard(reply)
+		if err != nil {
+			t.Fatalf("decode transform reply: %v", err)
+		}
+		return vs, nil
+	}
 	opts := tfidf.Options{Normalize: true}
 	wopts, ok := opts.Wire()
 	if !ok {
@@ -177,49 +164,38 @@ func TestTransformKernelCacheProtocol(t *testing.T) {
 	terms := g.Resolve(sc.Words)
 	expected := tfidf.TransformShard(g, count(), pool, opts)
 
-	// 1. Cold worker, counts by an unknown session: the one miss.
-	flags, _ := transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts})
-	if flags != needCountsFlag {
-		t.Fatalf("cold worker flags = %#x, want %#x", flags, needCountsFlag)
+	// 1. Empty store, counts by an unknown key: the one miss.
+	if _, err := transform(TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts}); !errors.Is(err, errMiss) {
+		t.Fatalf("empty store: error %v, want errMiss", err)
 	}
 
-	// 2. Another session cached (as the count kernel would): a miss on
-	// sess-a must not consume it.
-	countCache.put("sess-b", count())
-	flags, _ = transformFlags(t, TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts})
-	if flags != needCountsFlag {
-		t.Fatalf("flags with another session cached = %#x, want %#x", flags, needCountsFlag)
+	// 2. Another session stored (as the count kernel would): a miss on
+	// sess-a must not remove it.
+	st.put(1, "sess-b", "", func() any { return count() })
+	if _, err := transform(TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts}); !errors.Is(err, errMiss) {
+		t.Fatalf("another session stored: error %v, want errMiss", err)
 	}
-	if _, ok := countCache.get("sess-b", nil); !ok {
-		t.Fatalf("a miss consumed another session's cached counts")
+	if st.get("sess-b") == nil {
+		t.Fatalf("a miss removed another session's counts")
 	}
 
-	// 3. The resend inlines the counts: full reply, cache untouched.
-	flags, reply := transformFlags(t, TransformTaskArgs{Counts: count().Wire(false), Terms: terms, Opts: wopts})
-	if flags != 0 {
-		t.Fatalf("inlined resend flags = %#x, want 0", flags)
-	}
-	vs, err := tfidf.DecodeFlatVectorShard(reply[8:])
+	// 3. The resend inlines the counts: full reply, store untouched.
+	vs, err := transform(TransformTaskArgs{Counts: count().Wire(false), Terms: terms, Opts: wopts})
 	if err != nil {
-		t.Fatalf("decode resend payload: %v", err)
+		t.Fatalf("inlined resend: %v", err)
 	}
 	assertShardEqual(t, "inlined resend", vs, expected)
-	if _, ok := countCache.get("sess-b", nil); !ok {
-		t.Fatalf("an inlined transform consumed a cached session")
+	if st.get("sess-b") == nil {
+		t.Fatalf("an inlined transform removed a stored session")
 	}
 
-	// 4. Counts by a cached session: full reply, the session consumed.
-	flags, reply = transformFlags(t, TransformTaskArgs{CountsSession: "sess-b", Terms: terms, Opts: wopts})
-	if flags != 0 {
-		t.Fatalf("cached-session flags = %#x, want 0", flags)
+	// 4. Counts by a stored session: full reply, the session removed.
+	if vs, err = transform(TransformTaskArgs{CountsSession: "sess-b", Terms: terms, Opts: wopts}); err != nil {
+		t.Fatalf("stored session: %v", err)
 	}
-	vs, err = tfidf.DecodeFlatVectorShard(reply[8:])
-	if err != nil {
-		t.Fatalf("decode cached-session payload: %v", err)
-	}
-	assertShardEqual(t, "cached session", vs, expected)
-	if _, ok := countCache.get("sess-b", nil); ok {
-		t.Errorf("transform left the consumed counts cached")
+	assertShardEqual(t, "stored session", vs, expected)
+	if n := st.entries(); n != 0 {
+		t.Errorf("transform left %d entries, the consumed counts among them", n)
 	}
 }
 
@@ -265,10 +241,10 @@ func (b *storeFrameBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 // none sends a store frame — the global term table never crosses the
 // wire — and each run's clustering digest and Figure 4 numbers (dictionary
 // footprint, vocabulary counters) equal the local run's. The affinity pins
-// and the worker's count sessions are gone after the runs.
+// and the worker store's entries are gone after the runs.
 func TestTransformShipsNoStoreFrames(t *testing.T) {
-	clearWorkerCaches()
-	b := &storeFrameBackend{RPCBackend: pipeBackend(t, 2), keyed: map[string]int{}}
+	rpc, st := pipeWorkers(t, 2, nil)
+	b := &storeFrameBackend{RPCBackend: rpc, keyed: map[string]int{}}
 	src := diskCorpus(t)
 	scratch := t.TempDir()
 	pool := par.NewPool(1)
@@ -309,14 +285,11 @@ func TestTransformShipsNoStoreFrames(t *testing.T) {
 	if b.keyed["kmeans.assign"] == 0 {
 		t.Errorf("no kmeans.assign task carried its centroid block: the recorder saw no keyed body at all")
 	}
-	if n := b.PinnedAffinities(); n != 0 {
+	if n := b.pins(); n != 0 {
 		t.Errorf("%d affinity pins left after the runs (scope release failed)", n)
 	}
-	countCache.mu.Lock()
-	left := len(countCache.m)
-	countCache.mu.Unlock()
-	if left != 0 {
-		t.Errorf("%d count-cache sessions left on the worker after the runs", left)
+	if n := st.entries(); n != 0 {
+		t.Errorf("%d worker store entries left after the runs", n)
 	}
 }
 
@@ -344,14 +317,7 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		}
 	}
 
-	miss := (&KMAssignReply{NeedCentroids: true}).AppendFlat(nil)
-	if got, err := DecodeFlatKMAssignReply(miss); err != nil || !got.NeedCentroids || got.Accum != nil {
-		t.Errorf("miss round trip: got %+v, %v", got, err)
-	}
-
 	good := (&KMAssignReply{Accum: acc, Assign: []int32{0, 1}, Dists: []float64{0.5, 1.5}}).AppendFlat(nil)
-	badFlags := append([]byte{}, good...)
-	badFlags[4] = 0x40 // the miss mask follows the magic
 	for name, b := range map[string][]byte{
 		"empty":          {},
 		"bad magic":      append([]byte{1, 1, 1, 1}, good[4:]...),
@@ -359,8 +325,6 @@ func TestKMAssignReplyFlat(t *testing.T) {
 		"no distances":   good[:len(good)-16],
 		"one distance":   good[:len(good)-8],
 		"trailing":       append(append([]byte{}, good...), 0xff),
-		"unknown flags":  badFlags,
-		"miss + body":    append(append([]byte{}, miss...), good[8:]...),
 		"negative moved": (&KMAssignReply{Accum: &kmeans.AccumWire{Changed: -1}, Assign: []int32{0}, Dists: []float64{1}}).AppendFlat(nil),
 	} {
 		if rep, err := DecodeFlatKMAssignReply(b); err == nil {
@@ -369,13 +333,13 @@ func TestKMAssignReplyFlat(t *testing.T) {
 	}
 }
 
-// pipeWorker serves the worker protocol on one end of a net.Pipe and
-// returns a raw client on the other: kernel calls with hand-built bodies
-// over the real frame loop.
-func pipeWorker(t testing.TB) *wireClient {
+// pipeWorker serves the worker protocol over the given store on one end of
+// a net.Pipe and returns a raw client on the other: kernel calls with
+// hand-built bodies over the real frame loop.
+func pipeWorker(t testing.TB, st *workerStore) *wireClient {
 	t.Helper()
 	coord, work := net.Pipe()
-	go ServeWorkerConn(work)
+	go serveConn(work, st)
 	c := newWireClient(coord)
 	t.Cleanup(func() { c.close() })
 	return c
@@ -400,17 +364,11 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	goodInit := func() *KMShardInit {
 		return &KMShardInit{Vectors: docs, Norms: []float64{5, 9}, Dim: 3, K: 2, Block: 4}
 	}
-	// The worker's loop registry is process-wide: drop every loop this test
-	// names when it ends, so a repeated run (-count ≥ 2) starts without them.
-	loopKey := func(loop string) string {
-		t.Cleanup(func() { kmLoops.drop(loop) })
-		return loop
-	}
 	goodAssign := func(loop string) *KMAssignTaskArgs {
-		return &KMAssignTaskArgs{Loop: loopKey(loop), Init: goodInit(), Assign: []int32{-1, -1}}
+		return &KMAssignTaskArgs{Loop: loop, Init: goodInit(), Assign: []int32{-1, -1}}
 	}
 	goodSeed := func(loop string) *KMSeedTaskArgs {
-		return &KMSeedTaskArgs{Loop: loopKey(loop), Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
+		return &KMSeedTaskArgs{Loop: loop, Init: goodInit(), Last: docs[1], D2: []float64{math.Inf(1), math.Inf(1)}}
 	}
 	// block is a store-frame body: the loop's iteration-0 centroids, every
 	// row; rawBlock writes one whatever its rows and base.
@@ -511,14 +469,17 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	cases["seed args empty"] = request{"kmeans.seed", nil, nil}
 	// No init can produce a session whose norms and documents disagree, so
 	// plant one: the scan indexes norms by document.
-	bad := kmLoopFor(loopKey("hostile-session-norms"))
-	bad.dim, bad.sessions[0] = 3, &kmSession{docs: docs, norms: []float64{5}}
+	st := newWorkerStore()
+	bad := &kmLoop{k: 2, dim: 3}
+	st.put(0, "hostile-session-norms", "", func() any { return bad })
+	st.put(0, loopShardKey("hostile-session-norms", 0), "hostile-session-norms",
+		func() any { return &kmSession{loop: bad, docs: docs, norms: []float64{5}} })
 	s := goodSeed("hostile-session-norms")
 	s.Init = nil
 	cases["seed session short norms"] = request{"kmeans.seed", s.AppendFlat(nil), nil}
 	cases["centroid store without a key"] = request{"kmeans.centroids", []byte{1, 2}, nil}
 
-	c := pipeWorker(t)
+	c := pipeWorker(t, st)
 	for name, rq := range cases {
 		if rq.store != nil {
 			if _, err := c.call("kmeans.centroids", rq.store); err != nil {
@@ -539,11 +500,10 @@ func TestKMKernelsRejectMalformedRequests(t *testing.T) {
 	}
 	healthy := goodAssign("healthy")
 	healthy.Init = nil // the seed request above created the session
-	// Without the iteration's block the worker asks for it rather than
-	// scanning against stale centroids.
-	reply, err = c.call("kmeans.assign", healthy.AppendFlat(nil))
-	if rep, derr := DecodeFlatKMAssignReply(reply); err != nil || derr != nil || !rep.NeedCentroids {
-		t.Fatalf("assign without a centroid block: %+v, %v, %v", rep, err, derr)
+	// Without the iteration's block the worker misses rather than scanning
+	// against stale centroids.
+	if _, err = c.call("kmeans.assign", healthy.AppendFlat(nil)); !errors.Is(err, errMiss) {
+		t.Fatalf("assign without a centroid block: error %v, want errMiss", err)
 	}
 	if _, err := c.call("kmeans.centroids", goodBlock("healthy")); err != nil {
 		t.Fatalf("healthy centroid store: %v", err)
@@ -586,13 +546,12 @@ func appendRawCentroidBlock(b []byte, k int, ids []uint32, cnorms []float64, row
 // against a matrix the worker does not hold, which it reports as a miss.
 func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	const loop = "decode-in-place"
-	kmLoops.drop(loop)
-	defer kmLoops.drop(loop)
-	l := kmLoopFor(loop)
-	l.k, l.dim, l.block = 3, 3, 8
+	st := newWorkerStore()
+	l := &kmLoop{k: 3, dim: 3, block: 8}
+	st.put(0, loop, "", func() any { return l })
 	apply := func(iter int, base uint64, block []byte) (*kmCentroids, error) {
 		t.Helper()
-		if _, err := storeCentroidsKernel(append(storeFrame(loop, iter, base), block...), nil); err != nil {
+		if _, err := storeCentroidsKernel(st, 0, append(storeFrame(loop, iter, base), block...), nil); err != nil {
 			t.Fatalf("storing iteration %d's block: %v", iter, err)
 		}
 		return l.centroids(iter)
@@ -654,7 +613,7 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	// A delta against iteration 0, which the worker no longer holds, is a
 	// miss; the full resend behind it then brings the worker to iteration 2.
 	miss := kmeans.AppendFlatCentroids(nil, [][]float64{{9, 9, 9}, {1, 1, 1}, {4, 4, 4}}, []float64{243, 3, 48}, []bool{true, false, false})
-	if c, err := apply(2, 0, miss); c != nil || err != nil {
+	if c, err := apply(2, 0, miss); c != nil || !errors.Is(err, errMiss) {
 		t.Fatalf("a delta on a base the worker lacks: %v, %v; want a miss", c, err)
 	}
 	check("after a miss")
@@ -666,13 +625,11 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 }
 
 // TestCentroidMissResendsFullBlock: over a real worker connection, a task
-// whose centroid delta names a base the worker lacks answers "need
-// centroids", and the forced resend of the same keyed body — its full form
-// — yields the assignments and distance bits the local kernel computes.
+// whose centroid delta names a base the worker lacks misses (statusMiss),
+// and the forced resend of the same keyed body — its full form — yields the
+// assignments and distance bits the local kernel computes.
 func TestCentroidMissResendsFullBlock(t *testing.T) {
 	const loop = "miss-resend"
-	kmLoops.drop(loop)
-	defer kmLoops.drop(loop)
 	docs := []sparse.Vector{
 		{Idx: []uint32{0, 2}, Val: []float64{1, 2}},
 		{Idx: []uint32{1}, Val: []float64{3}},
@@ -691,26 +648,18 @@ func TestCentroidMissResendsFullBlock(t *testing.T) {
 			return kmeans.AppendFlatCentroids(storeFrame(loop, 4, noCentroidBase), cents, cnorms, nil)
 		},
 	}
-	c := pipeWorker(t)
-	ship := func(force bool) *KMAssignReply {
-		t.Helper()
-		rep, _, err := c.roundTrip("kmeans.assign", args.AppendFlat(nil), kb, 0, force)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := DecodeFlatKMAssignReply(rep.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if rep := ship(false); !rep.NeedCentroids {
-		t.Fatalf("a delta on iteration 3 reached a fresh worker: %+v", rep)
+	c := pipeWorker(t, newWorkerStore())
+	if _, _, err := c.roundTrip("kmeans.assign", args.AppendFlat(nil), kb, 0, false); !errors.Is(err, errMiss) {
+		t.Fatalf("a delta on iteration 3 reached a fresh worker: error %v, want errMiss", err)
 	}
 	args.Init = nil // the session survives the miss
-	rep := ship(true)
-	if rep.NeedCentroids {
-		t.Fatal("the forced resend missed again")
+	reply, _, err := c.roundTrip("kmeans.assign", args.AppendFlat(nil), kb, 0, true)
+	if err != nil {
+		t.Fatalf("the forced resend: %v", err)
+	}
+	rep, err := DecodeFlatKMAssignReply(reply.body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	assign, dists := []int32{1, 0, 1}, make([]float64, len(docs))
 	moved := kmeans.AssignRange(0, len(docs), 2, docs, norms, cents, cnorms, nil, assign, dists, nil)
@@ -743,11 +692,12 @@ func TestSeedKernelKeepsItsScratch(t *testing.T) {
 		}
 		return a.AppendFlat(nil)
 	}
+	st := newWorkerStore()
 	var dst []byte
 	scan := func(body []byte) []float64 {
 		t.Helper()
 		var err error
-		if dst, err = runKMSeedKernel(body, dst[:0]); err != nil {
+		if dst, err = runKMSeedKernel(st, 0, body, dst[:0]); err != nil {
 			t.Fatal(err)
 		}
 		d2, err := DecodeFlatKMSeedReply(dst)

@@ -273,16 +273,10 @@ func (s *kmLoopState) Wave(ctx *Context, w, idx, total int) (any, error) {
 	return a, nil
 }
 
-// sessionKey is one shard's affinity key: what pins the shard's tasks to
-// the worker holding its session, unique per process and loop.
-func (s *kmLoopState) sessionKey(idx int) string {
-	return fmt.Sprintf("%s-%d", s.loopKey, idx)
-}
-
-// shardInit returns the session init a shard's task must carry, nil once a
-// worker holds the session.
-func (s *kmLoopState) shardInit(idx int) *KMShardInit {
-	if s.shipped[idx] {
+// shardInit returns the session init a shard's task must carry: on the
+// first contact with a worker, and on every resend after a miss (force).
+func (s *kmLoopState) shardInit(idx int, force bool) *KMShardInit {
+	if s.shipped[idx] && !force {
 		return nil
 	}
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
@@ -300,10 +294,10 @@ func (s *kmLoopState) shardInit(idx int) *KMShardInit {
 // rest, so it is encoded once per iteration and shipped once per worker,
 // with the first task sent there. What ships is the delta: the rows of
 // the centroids the last update rewrote (kmeans.Clusterer.Updated),
-// applied to iteration iter−1's matrix — every row at iteration 0. A worker that does not hold
-// iteration iter−1's matrix answers "need centroids", and the forced
-// resend carries every row with no base, so a lost base costs a round
-// trip, never a bit.
+// applied to iteration iter−1's matrix — every row at iteration 0. A
+// worker that does not hold iteration iter−1's matrix misses, and the
+// forced resend carries every row with no base, so a lost base costs a
+// round trip, never a bit.
 func (s *kmLoopState) centroidBlock(iter int) *keyedBody {
 	s.blockMu.Lock()
 	defer s.blockMu.Unlock()
@@ -332,10 +326,10 @@ func (s *kmLoopState) appendCentroids(iter int, base uint64, rows []bool) []byte
 
 // RemoteWaveTask implements RemotableLoop: one wave of one shard as a
 // kernel call on the worker session the shard's affinity key pins, so its
-// documents and norms ship exactly once (Init) across seeding and
-// iterations. The worker runs the kernel the local path runs, floats cross
-// as IEEE 754 bits, and Absorb integrates what the local path would have
-// produced, bit for bit.
+// documents and norms ship once (Init) across seeding and iterations —
+// again only in the resend after a miss (Inline). The worker runs the
+// kernel the local path runs, floats cross as IEEE 754 bits, and Absorb
+// integrates what the local path would have produced, bit for bit.
 //
 // A seed round's scan is a kmeans.seed call: it ships only the last chosen
 // seed vector plus the shard's current min-distance window and absorbs the
@@ -345,18 +339,22 @@ func (s *kmLoopState) appendCentroids(iter int, base uint64, rows []bool) []byte
 // the worker's moved count, assignments and distances.
 func (s *kmLoopState) RemoteWaveTask(w, idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
+	key := loopShardKey(s.loopKey, idx)
 	if seeding := s.seeding; seeding != nil {
 		args := &KMSeedTaskArgs{
 			Loop:  s.loopKey,
 			Shard: idx,
-			Init:  s.shardInit(idx),
+			Init:  s.shardInit(idx, false),
 			Last:  *seeding.Last(),
 			D2:    seeding.D2(lo, hi),
 		}
+		inline := *args
+		inline.Init = s.shardInit(idx, true)
 		return &RemoteTask{
 			Op:       "kmeans.seed",
 			Args:     args.AppendFlat,
-			Affinity: s.sessionKey(idx),
+			Inline:   inline.AppendFlat,
+			Affinity: key,
 			Absorb: func(body []byte) (Value, error) {
 				d2, err := DecodeFlatKMSeedReply(body)
 				if err != nil {
@@ -377,22 +375,22 @@ func (s *kmLoopState) RemoteWaveTask(w, idx, total int) (*RemoteTask, bool) {
 		Loop:   s.loopKey,
 		Shard:  idx,
 		Iter:   iter,
-		Init:   s.shardInit(idx),
+		Init:   s.shardInit(idx, false),
 		Assign: s.c.Assignments()[lo:hi],
 	}
+	inline := *args
+	inline.Init = s.shardInit(idx, true)
 	acc := s.accs[idx]
 	return &RemoteTask{
 		Op:       "kmeans.assign",
 		Args:     args.AppendFlat,
-		Affinity: s.sessionKey(idx),
+		Inline:   inline.AppendFlat,
+		Affinity: key,
 		keyed:    s.centroidBlock(iter),
 		Absorb: func(body []byte) (Value, error) {
 			rep, err := DecodeFlatKMAssignReply(body)
 			if err != nil {
 				return nil, err
-			}
-			if rep.NeedCentroids {
-				return nil, &needResend{}
 			}
 			if len(rep.Assign) != hi-lo {
 				return nil, fmt.Errorf("%w: kmeans.assign reply for shard %d is malformed", ErrType, idx)
@@ -457,14 +455,14 @@ func (s *kmLoopState) EndWave(ctx *Context, w int, partials []any) (bool, error)
 	return s.c.Done(), nil
 }
 
-// Finish implements LoopState. The loop's affinity pins are released so a
-// long-lived backend does not accumulate dead session keys; the worker
-// sessions themselves expire by TTL.
+// Finish implements LoopState. The loop's affinity pins are released, and
+// with them its sessions and centroid matrix on the workers, so neither a
+// long-lived backend nor its workers keep state from finished loops.
 func (s *kmLoopState) Finish(ctx *Context) (Value, error) {
 	if ar, ok := ctx.Backend.(affinityReleaser); ok {
 		keys := make([]string, len(s.shipped))
 		for idx := range keys {
-			keys[idx] = s.sessionKey(idx)
+			keys[idx] = loopShardKey(s.loopKey, idx)
 		}
 		ar.ReleaseAffinity(keys...)
 	}

@@ -91,7 +91,7 @@ func (o *TFIDFOp) Output() reflect.Type { return tfidfResultType }
 // assembles the transformed shards into one result.
 func (o *TFIDFOp) partitionFragment() fragment {
 	// The map and transform stages share a tfShipPair, so a shard counted
-	// on a worker is transformed on that worker from the cached counts
+	// on a worker is transformed on that worker from the stored counts
 	// instead of round-tripping them through the coordinator.
 	pair := newTFShipPair()
 	return fragment{

@@ -200,20 +200,19 @@ func shardReaders(ctx *Context, total int) int {
 }
 
 // tfPairSeq numbers TF/IDF map+transform operator pairs process-wide, so
-// worker-side count-cache sessions never collide across plans.
+// count sessions in a worker store never collide across plans.
 var tfPairSeq atomic.Uint64
 
 // tfShipPair is coordinator-side state shared by the TFMapOp and
 // TransformOp of one partitioned TF/IDF expansion — the channel through
 // which the transform stage learns where a shard's phase-1 counts already
-// live. When a count task ships, the worker caches the live ShardCounts
-// under the pair's per-shard session key; the pair records the shard as
-// remotely counted, and the matching transform task then ships the session
-// key (plus the shared affinity key routing it to the same worker) instead
-// of re-serializing every document's term counts. Session keys are a pure
-// function of (pair id, shard index) and shard contents are deterministic,
-// so re-running a plan simply overwrites worker cache entries with
-// identical content.
+// live. When a count task ships, the worker keeps the live ShardCounts in
+// its store under the pair's per-shard session key; the pair records the
+// shard as remotely counted, and the matching transform task then ships
+// the session key (plus the shared affinity key routing it to the same
+// worker) instead of re-serializing every document's term counts. Session
+// keys are a pure function of (pair id, shard index) and shard contents
+// are deterministic, so a worker that lost the counts is re-sent them.
 type tfShipPair struct {
 	id string
 
@@ -229,12 +228,12 @@ func newTFShipPair() *tfShipPair {
 	}
 }
 
-// countSession names shard idx's worker-side counts-cache entry.
+// countSession names shard idx's counts in the worker store.
 func (p *tfShipPair) countSession(idx int) string {
 	return fmt.Sprintf("%s-%d", p.id, idx)
 }
 
-// markCounted records that shard idx's counts were cached by a worker.
+// markCounted records that shard idx's counts were stored by a worker.
 func (p *tfShipPair) markCounted(idx int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpa/internal/flatwire"
@@ -26,9 +28,9 @@ import (
 // this same binary in worker mode (cmd/hpa-workflow -worker) serving the
 // kernel registry; the coordinator's RPCBackend ships every task that has a
 // RemoteTask descriptor and runs everything else in-process. Nothing
-// stores a frame, so the layout carries no version. Workers are stateless
-// except for the caches in kernels.go, which affinity routing keeps on one
-// worker per shard.
+// stores a frame, so the layout carries no version. Between tasks a worker
+// keeps only its store (workerStore, kernels.go), whose keys affinity
+// routing pins to it; anything missing there is re-sent.
 
 // Reply statuses.
 const (
@@ -38,7 +40,14 @@ const (
 	// statusMalformed carries the text of an error that wrapped
 	// flatwire.ErrMalformed on the worker; the client's error wraps it too.
 	statusMalformed
+	// statusMiss, with an empty body, is errMiss.
+	statusMiss
 )
+
+// errMiss is a kernel's answer when an input its task names by key — a
+// count or loop session, a centroid block or its delta base — is not in
+// the worker store. RPCBackend.RunTask re-sends the task with it inlined.
+var errMiss = errors.New("workflow: worker store lacks an input the task names by key")
 
 const (
 	// maxFrameBytes bounds one frame's payload. The largest legitimate
@@ -84,11 +93,12 @@ func readFrame(r io.Reader) ([]byte, error) {
 // kernel is one registry entry.
 type kernel struct {
 	// fn appends the reply body to dst — the reply frame's recycled buffer,
-	// header already reserved — and returns the extended slice.
-	fn func(args, dst []byte) ([]byte, error)
+	// header already reserved — and returns the extended slice. What it
+	// puts in the store st, connection conn owns.
+	fn func(st *workerStore, conn uint64, args, dst []byte) ([]byte, error)
 	// inline kernels run on the connection's read loop, not a goroutine of
 	// their own, so every later frame on the connection is served after
-	// their effect: how a keyed body is cached before the task naming it.
+	// their effect: how a keyed body is stored before the task naming it.
 	inline bool
 }
 
@@ -121,7 +131,7 @@ var replyBufs = sync.Pool{New: func() any {
 // arrives on its socket: a body the kernel's decoder rejects, an unknown op
 // (both wrapping flatwire.ErrMalformed) and a kernel panic all come back
 // as error replies, never as a dead process.
-func serveRequest(k kernel, known bool, id uint64, op string, body []byte) *[]byte {
+func serveRequest(st *workerStore, conn uint64, k kernel, known bool, id uint64, op string, body []byte) *[]byte {
 	bp := replyBufs.Get().(*[]byte)
 	hdr := (*bp)[:replyHeaderLen]
 	start := time.Now()
@@ -134,14 +144,17 @@ func serveRequest(k kernel, known bool, id uint64, op string, body []byte) *[]by
 				err = fmt.Errorf("workflow: kernel %s panicked: %v", op, p)
 			}
 		}()
-		return k.fn(body, hdr)
+		return k.fn(st, conn, body, hdr)
 	}()
 	run := time.Since(start)
 	if err == nil && len(out)-4 > maxFrameBytes {
 		err = fmt.Errorf("workflow: kernel %s: reply of %d bytes exceeds the frame cap", op, len(out)-4)
 	}
 	status := statusOK
-	if err != nil {
+	switch {
+	case errors.Is(err, errMiss):
+		status, out = statusMiss, hdr
+	case err != nil:
 		status = statusError
 		if errors.Is(err, flatwire.ErrMalformed) {
 			status = statusMalformed
@@ -159,14 +172,22 @@ func serveRequest(k kernel, known bool, id uint64, op string, body []byte) *[]by
 // ServeWorkerConn serves the worker protocol on one connection until it
 // closes or sends something no reply can be addressed for (a frame over
 // the cap or truncated, a header without id and op), then waits for the
-// kernels still running and closes it. Over a net.Pipe it is the
-// in-process worker of the tests and the calibration.
-func ServeWorkerConn(conn io.ReadWriteCloser) {
+// kernels still running, drops what the connection put in the process's
+// store and closes it. Over a net.Pipe it is the in-process worker of the
+// tests and the calibration.
+func ServeWorkerConn(conn io.ReadWriteCloser) { serveConn(conn, processStore) }
+
+// workerConnSeq tags worker connections, the owners of store entries.
+var workerConnSeq atomic.Uint64
+
+func serveConn(conn io.ReadWriteCloser, st *workerStore) {
 	var (
 		wmu sync.Mutex // one reply frame on the connection at a time
 		wg  sync.WaitGroup
 	)
+	tag := workerConnSeq.Add(1)
 	defer conn.Close()
+	defer st.closeConn(tag)
 	defer wg.Wait()
 	br := bufio.NewReader(conn)
 	for {
@@ -184,7 +205,7 @@ func ServeWorkerConn(conn io.ReadWriteCloser) {
 		k, known := kernels[op]
 		kernelMu.RUnlock()
 		serve := func() {
-			bp := serveRequest(k, known, id, op, body)
+			bp := serveRequest(st, tag, k, known, id, op, body)
 			wmu.Lock()
 			// A failed write means the peer is gone; the read loop finds out.
 			_, _ = conn.Write(*bp)
@@ -289,13 +310,15 @@ func (c *wireClient) readLoop() {
 			break
 		}
 		rep := wireReply{run: run, n: 4 + len(frame)}
-		switch status {
-		case statusOK:
+		switch {
+		case status == statusOK:
 			rep.body = body
-		case statusError, statusMalformed:
+		case status == statusError, status == statusMalformed:
 			rep.err = &remoteError{msg: string(body), malformed: status == statusMalformed}
+		case status == statusMiss && len(body) == 0:
+			rep.err = errMiss
 		default:
-			rep.err = fmt.Errorf("%w: reply status %d", flatwire.ErrMalformed, status)
+			rep.err = fmt.Errorf("%w: reply status %d with a %d-byte body", flatwire.ErrMalformed, status, len(body))
 		}
 		c.mu.Lock()
 		ch := c.pending[id]
@@ -390,10 +413,11 @@ func (c *wireClient) close() error {
 // RPCBackend ships remotable shard tasks to worker processes over the flat
 // frame protocol above and runs everything else in-process. Tasks without
 // an affinity key are spread round-robin; tasks sharing one stick to the
-// worker that first received the key. A failed worker call fails the task
-// (and with it the plan run) with a wrapped error — there is no silent
-// retry, because a retried loop shard could observe different session
-// state and break the bit-identical contract.
+// worker that first received the key. A worker that lacks a keyed input
+// misses, and the task is re-sent to it with everything inlined: a task's
+// result depends only on what it ships. A failed worker call fails the
+// task (and with it the plan run) with a wrapped error — a lost connection
+// is not re-dispatched.
 type RPCBackend struct {
 	clients []*wireClient
 	labels  []string
@@ -499,38 +523,37 @@ func (b *RPCBackend) pick(key, scope string) (int, bool) {
 	return i, false
 }
 
-// ReleaseAffinity drops affinity pins, so a long-lived backend serving
-// many plan runs does not accumulate one map entry per finished loop
-// shard (session keys are loop-unique and can never be picked again).
-// Loop states release their keys when the loop finishes.
+// ReleaseAffinity drops affinity pins — session keys are loop-unique and
+// can never be picked again — and sends each worker that held any one
+// store.drop frame naming its keys. A failed drop is ignored: the worker
+// drops what a closed connection put. Loop states call it when they finish.
 func (b *RPCBackend) ReleaseAffinity(keys ...string) {
+	drops := make([][]string, len(b.clients))
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	for _, k := range keys {
-		delete(b.affinity, k)
+		if i, ok := b.affinity[k]; ok {
+			drops[i] = append(drops[i], k)
+			delete(b.affinity, k)
+		}
+	}
+	b.mu.Unlock()
+	for i, ks := range drops {
+		if len(ks) > 0 {
+			_, _, _ = b.clients[i].roundTrip("store.drop", appendStoreDrop(nil, ks), nil, 0, false)
+		}
 	}
 }
 
-// ReleaseScope drops every affinity pin recorded under the given plan-run
-// scope — the executor calls it when Plan.Run returns, success or error.
-// Keys a loop state already released individually are simply absent. This
-// is what keeps a resident serve backend's affinity map bounded by the
-// in-flight runs rather than by the runs ever admitted.
+// ReleaseScope is ReleaseAffinity of every key pinned under the given
+// plan-run scope; the executor calls it when Plan.Run returns, success or
+// error. It keeps a resident serve backend's pins, and its workers'
+// stores, bounded by the in-flight runs rather than by the runs admitted.
 func (b *RPCBackend) ReleaseScope(scope string) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	for k := range b.scopes[scope] {
-		delete(b.affinity, k)
-	}
+	keys := slices.Collect(maps.Keys(b.scopes[scope]))
 	delete(b.scopes, scope)
-}
-
-// PinnedAffinities reports how many affinity pins the backend currently
-// holds — observability for tests and the serve path's leak accounting.
-func (b *RPCBackend) PinnedAffinities() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.affinity)
+	b.mu.Unlock()
+	b.ReleaseAffinity(keys...)
 }
 
 // MeasuredShipNS returns the EWMA of observed per-task ship times — round
@@ -588,7 +611,7 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 		body := args(nil)
 		start := time.Now()
 		rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, force)
-		if err != nil {
+		if err != nil && err != errMiss {
 			return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
 		}
 		b.observeShip(float64(time.Since(start) - rep.run))
@@ -597,38 +620,27 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 			span.BytesIn += int64(rep.n)
 			span.WorkerRun += rep.run
 		}
-		return rep.body, nil
+		return rep.body, err // nil or a miss, bare
 	}
 	body, err := ship(rt.Args, false)
+	if err == errMiss {
+		// Re-send to the same worker — affinity pins the shard there — with
+		// every keyed input inlined, behind the keyed body's full store
+		// frame: nothing is missing after that, so a second miss is an error.
+		if span != nil {
+			span.Resend = true
+			tracer.Emit("wire", "miss-resend", rt.Op, int64(i))
+		}
+		args := rt.Args
+		if rt.Inline != nil {
+			args = rt.Inline
+		}
+		if body, err = ship(args, true); err == errMiss {
+			err = fmt.Errorf("workflow: rpc backend: worker %s: task %s: inputs still missing after an inlined resend", b.labels[i], rt.Op)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	out, err := rt.Absorb(body)
-	var nr *needResend
-	if errors.As(err, &nr) {
-		// Cache miss: the worker lacks a body the first send replaced
-		// with its key. Re-send to the SAME worker — any other would
-		// miss again — behind the keyed body's full store frame, if the
-		// task has one, and with whatever else the miss named inlined,
-		// and absorb the second reply. A second miss is a protocol
-		// violation: an error.
-		if span != nil {
-			span.Resend = true
-			tracer.Emit("wire", "cache-miss-resend", rt.Op, int64(i))
-		}
-		args := rt.Args
-		if nr.Args != nil {
-			args = nr.Args
-		}
-		if body, err = ship(args, true); err != nil {
-			return nil, err
-		}
-		if out, err = rt.Absorb(body); err != nil {
-			if errors.As(err, &nr) {
-				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: cache miss after inlined resend", b.labels[i], rt.Op)
-			}
-			return nil, err
-		}
-	}
-	return out, err
+	return rt.Absorb(body)
 }

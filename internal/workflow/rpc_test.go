@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -20,12 +21,18 @@ import (
 )
 
 func init() {
-	registerKernel("test.echo", kernel{fn: func(args, dst []byte) ([]byte, error) { return append(dst, args...), nil }})
-	registerKernel("test.sleep", kernel{fn: func(args, dst []byte) ([]byte, error) {
+	registerKernel("test.echo", kernel{fn: func(_ *workerStore, _ uint64, args, dst []byte) ([]byte, error) {
+		return append(dst, args...), nil
+	}})
+	registerKernel("test.sleep", kernel{fn: func(_ *workerStore, _ uint64, args, dst []byte) ([]byte, error) {
 		time.Sleep(20 * time.Millisecond)
 		return append(dst, args...), nil
 	}})
-	registerKernel("test.panic", kernel{fn: func(_, _ []byte) ([]byte, error) { panic("kernel bug") }})
+	registerKernel("test.panic", kernel{fn: func(_ *workerStore, _ uint64, _, _ []byte) ([]byte, error) { panic("kernel bug") }})
+	registerKernel("test.miss", kernel{fn: func(_ *workerStore, _ uint64, _, _ []byte) ([]byte, error) {
+		missCalls.Add(1)
+		return nil, errMiss
+	}})
 }
 
 // requestFrame builds one request frame by hand.
@@ -47,8 +54,18 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := newWorkerStore()
 	served := make(chan error, 1)
-	go func() { served <- ServeWorker(lis) }()
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				served <- err
+				return
+			}
+			go serveConn(conn, st)
+		}
+	}()
 	defer func() {
 		lis.Close()
 		<-served
@@ -68,8 +85,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	counts := &tfidf.WireShardCounts{Lo: 0, Hi: 1, Words: []string{"a", "b"},
 		Docs: []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{1, 2}}}, DocNames: []string{"d"}}
 	const cached = "hostile-frames-counts"
-	countCache.put(cached, counts.ShardCounts(tfidf.Options{}))
-	defer countCache.drop(cached)
+	st.put(0, cached, "", func() any { return counts.ShardCounts(tfidf.Options{}) })
 	transform := func(session string, remap []uint32, idf []float64) []byte {
 		a := &TransformTaskArgs{CountsSession: session, Terms: &tfidf.ShardTerms{Remap: remap, IDF: idf, Dim: 3}}
 		if session == "" {
@@ -83,6 +99,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		Init:   &KMShardInit{Vectors: []sparse.Vector{{}}, Norms: []float64{0}, Dim: 1 << 40, K: 1 << 40},
 		Assign: []int32{-1},
 	}).AppendFlat(nil)
+	drop := appendStoreDrop(nil, []string{"km-1-2-0", "tf-3-4-1"})
 	cases := []struct {
 		name string
 		raw  []byte
@@ -117,6 +134,10 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "kernel panic", raw: requestFrame(10, "test.panic", nil), text: "panicked"},
 		{name: "seed past the loop's dimension", raw: requestFrame(11, "kmeans.seed", hostileSeed), malformed: true, text: "seed dimension 4294967296 of 3"},
 		{name: "session past the frame cap", raw: requestFrame(12, "kmeans.assign", hostileInit), malformed: true, text: "more centroid floats than"},
+		{name: "store.drop truncated", raw: requestFrame(17, "store.drop", drop[:len(drop)-1]), malformed: true, text: "kernel store.drop"},
+		{name: "store.drop key list past the body", raw: requestFrame(18, "store.drop", append(flatwire.AppendU32(nil, 3), drop[4:]...)),
+			malformed: true, text: "kernel store.drop"},
+		{name: "store.drop trailing bytes", raw: requestFrame(19, "store.drop", append(drop, 0)), malformed: true, text: "trailing"},
 	}
 	for _, tc := range cases {
 		conn, err := net.Dial("tcp", lis.Addr().String())
@@ -183,12 +204,14 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 		raw       []byte
 		malformed bool
 	}{
-		"unknown status":  {reply(1, 9, "?"), true},
-		"malformed":       {reply(1, statusMalformed, "bad body"), true},
-		"kernel error":    {reply(1, statusError, "disk full"), false},
-		"short reply":     {append(flatwire.AppendU32(nil, 3), 1, 2, 3), true},
-		"frame over cap":  {flatwire.AppendU32(nil, maxFrameBytes+1), true},
-		"closed mid-call": {nil, false},
+		"unknown status":   {reply(1, 9, "?"), true},
+		"miss":             {reply(1, statusMiss, ""), false},
+		"miss with a body": {reply(1, statusMiss, "counts"), true},
+		"malformed":        {reply(1, statusMalformed, "bad body"), true},
+		"kernel error":     {reply(1, statusError, "disk full"), false},
+		"short reply":      {append(flatwire.AppendU32(nil, 3), 1, 2, 3), true},
+		"frame over cap":   {flatwire.AppendU32(nil, maxFrameBytes+1), true},
+		"closed mid-call":  {nil, false},
 	} {
 		coord, work := net.Pipe()
 		go func() {
@@ -284,47 +307,68 @@ func (b *blockLoser) RunTask(ctx *Context, t *Task) (Value, error) {
 	return b.RPCBackend.RunTask(ctx, t)
 }
 
+// frameCounter wraps a coordinator-side connection and counts the request
+// frames written through it, by op.
+type frameCounter struct {
+	io.ReadWriteCloser
+	mu      sync.Mutex
+	pending []byte // written bytes not yet a whole frame
+	ops     map[string]int
+}
+
+func (c *frameCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.pending = append(c.pending, p...)
+	for len(c.pending) >= 4 {
+		n := 4 + int(binary.LittleEndian.Uint32(c.pending))
+		if len(c.pending) < n {
+			break
+		}
+		r := flatwire.NewReader(c.pending[4:n])
+		r.U64()
+		c.ops[r.String()]++
+		c.pending = c.pending[n:]
+	}
+	c.mu.Unlock()
+	return c.ReadWriteCloser.Write(p)
+}
+
+// storeFrames counts the kmeans.centroids frames the counters saw.
+func storeFrames(counters []*frameCounter) int {
+	n := 0
+	for _, c := range counters {
+		c.mu.Lock()
+		n += c.ops["kmeans.centroids"]
+		c.mu.Unlock()
+	}
+	return n
+}
+
+// countedPipeBackend is a two-worker pipe backend whose connections count
+// their request frames.
+func countedPipeBackend(t *testing.T) (*RPCBackend, []*frameCounter) {
+	var counters []*frameCounter
+	b, _ := pipeWorkers(t, 2, func(conn io.ReadWriteCloser) io.ReadWriteCloser {
+		c := &frameCounter{ReadWriteCloser: conn, ops: map[string]int{}}
+		counters = append(counters, c)
+		return c
+	})
+	return b, counters
+}
+
 // TestCentroidBlockShipsOncePerWorker: 4 loop shards on 2 workers over N
 // iterations must put exactly 2 × N centroid blocks on the wire — one per
 // worker per iteration, whatever the shard count — and a run whose workers
-// lose a wave's block recovers through the need-resend path with the same
+// lose a wave's block recovers through the miss and resend with the same
 // bits.
 func TestCentroidBlockShipsOncePerWorker(t *testing.T) {
-	// Overlapping topics, so the loop runs more than the two iterations the
-	// zipf corpus converges in.
-	const docs, dim, topics = 400, 48, 6
-	m := &Matrix{Terms: make([]string, dim), Vectors: make([]sparse.Vector, docs)}
-	x := uint64(0x9e3779b97f4a7c15)
-	next := func() float64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return float64(x>>11) / (1 << 53)
-	}
-	for i := range m.Vectors {
-		dense := make([]float64, dim)
-		for d := range dense {
-			if next() < 0.3 {
-				dense[d] = next()
-			}
-		}
-		dense[(i%topics)*dim/topics] += 1.2 * next()
-		m.Vectors[i] = sparse.FromDense(dense)
-	}
+	m := overlapMatrix()
 	run := func(backend Backend) *kmeans.Result {
-		ctx := testCtx(t, 4)
-		ctx.Backend = backend
-		outs, err := NewPlan().
-			Add("vectors", &fnOp{name: "vectors", out: reflect.TypeOf(m),
-				fn: func(*Context, []Value) (Value, error) { return m, nil }}).
-			Add("kmeans", &KMeansOp{Opts: kmeans.Options{K: topics, Seed: 1}}).
-			Connect("vectors", "kmeans").
-			Apply(PartitionRule(4)).
-			Run(ctx)
+		res, err := runKMPlan(testCtx(t, 4), m, backend)
 		if err != nil {
 			t.Fatalf("K-Means plan on %s: %v", backend.Name(), err)
 		}
-		return outs["kmeans.reduce"].(*Clustering).Result
+		return res
 	}
 	same := func(what string, got, want *kmeans.Result) {
 		t.Helper()
@@ -338,21 +382,21 @@ func TestCentroidBlockShipsOncePerWorker(t *testing.T) {
 		t.Fatalf("corpus converged in %d iterations; the test needs a few", local.Iterations)
 	}
 
-	ships0 := centroidInlineShips.Load()
-	same("rpc", run(pipeBackend(t, 2)), local)
-	if got, want := centroidInlineShips.Load()-ships0, int64(2*local.Iterations); got != want {
+	b, counters := countedPipeBackend(t)
+	same("rpc", run(b), local)
+	if got, want := storeFrames(counters), 2*local.Iterations; got != want {
 		t.Errorf("%d centroid blocks shipped over %d iterations on 2 workers, want %d", got, local.Iterations, want)
 	}
 
 	// Lose the third wave's block: every other wave ships its 2, and in the
 	// lost one a task that misses is re-sent behind a block of its own —
-	// at least one of the four does (the pipe workers share this process's
-	// loop state, so the first resend's block can serve all of them), at
-	// most all four.
-	ships0 = centroidInlineShips.Load()
-	loser := &blockLoser{RPCBackend: pipeBackend(t, 2), seen: make(map[*keyedBody]bool), lose: 2}
+	// at least one of the four does (the pipe workers share one store, as
+	// workers of one process do, so the first resend's block can serve all
+	// of them), at most all four.
+	b, counters = countedPipeBackend(t)
+	loser := &blockLoser{RPCBackend: b, seen: make(map[*keyedBody]bool), lose: 2}
 	same("rpc after a lost block", run(loser), local)
-	got, rest := centroidInlineShips.Load()-ships0, int64(2*(local.Iterations-1))
+	got, rest := storeFrames(counters), 2*(local.Iterations-1)
 	if got < rest+1 || got > rest+4 {
 		t.Errorf("%d centroid blocks shipped around a lost wave, want %d to %d", got, rest+1, rest+4)
 	}

@@ -107,14 +107,13 @@
 // backend sends a worker in the wave carries the block — k sparse rows —
 // ahead of itself, its siblings only name the key, and every shard
 // session of the loop on that worker assigns against the one decoded
-// copy; a task that finds no block answers with a need-resend flag that
-// makes the coordinator ship the whole block ahead of one resend. A
-// shard's term counts never leave the worker that counted them: count
-// tasks park their output in the worker session under a per-run scope
-// (count→transform affinity), the paired transform task names the
-// session, and the scope's pins are released when the run ends; a
-// transform that finds no session answers "need counts" and the resend
-// inlines them. Everything on the wire — frames, kernel arguments,
+// copy. A shard's term counts never leave the worker that counted them:
+// count tasks park their output in the worker store under a per-run scope
+// (count→transform affinity), and the paired transform task names its
+// key. A worker that lacks anything a task names by key — counts, a loop
+// session, a centroid block — misses, and the task is re-sent once with
+// it all inlined; the keys are dropped from the workers when the run ends
+// with them. Everything on the wire — frames, kernel arguments,
 // tfidf.VectorShard, centroid blocks, assignment replies — is a flat
 // buffer (internal/flatwire): fixed layouts, floats as IEEE 754 bits,
 // every decoder validating structurally and failing with
