@@ -110,7 +110,6 @@ import (
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
-	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/obs"
@@ -421,15 +420,8 @@ func main() {
 	}
 	// Close the optimizer feedback loop on distributed runs: report what
 	// shipping a task actually cost next to the model's pipe-recorded ship
-	// cost, so stale or unrepresentative models are visible. The
-	// value-compression line reports what the flat codec's XOR value blocks
-	// saved over raw fixed-width floats across every payload shipped or
-	// absorbed this run.
+	// cost, so stale or unrepresentative models are visible.
 	if rpcBackend != nil {
-		if raw, coded := flatwire.ValueBytes(); raw > 0 {
-			fmt.Fprintf(os.Stderr, "wire values: %s raw -> %s coded (%.1f%% of raw, xor value blocks)\n",
-				metrics.FormatBytes(raw), metrics.FormatBytes(coded), 100*float64(coded)/float64(raw))
-		}
 		if ns, samples := rpcBackend.MeasuredShipNS(); samples > 0 {
 			line := fmt.Sprintf("rpc ship: measured %s/task (EWMA over %d tasks)",
 				time.Duration(ns).Round(time.Microsecond), samples)

@@ -138,7 +138,7 @@
 // WorkflowContext.Tracer (or WorkflowEnv.Tracer, so every run of a
 // resident service is traced) and each scheduled task records a span —
 // node, operator, task kind, shard, loop iteration, backend, worker lane,
-// queue wait and run time, wire bytes and codec — alongside wire events
+// queue wait and run time, wire bytes and resends — alongside wire events
 // (miss resends, affinity-session hits) and K-Means loop events
 // (per-iteration moved counts and inertia). A nil tracer costs one
 // pointer compare per recording site, well under 1% on the iterative

@@ -26,33 +26,22 @@
 // to stay compatible with.
 //
 //	payload                        version         index blocks          f64 value blocks
-//	VectorShard, centroid block    CodecXor (3)    delta-coded varints   XOR-with-previous runs
+//	VectorShard, centroid block    CodecRaw (5)    delta-coded varints   raw IEEE 754 bits
 //	WireShardCounts                CodecVocab (4)  — (raw u32 blocks)    —
 //
 // A centroid block lists the rows it carries by cluster ID — every
 // cluster in a full block, the changed ones in a delta — as one raw u32
 // block ahead of its norms and rows.
 //
-// CodecXor stores each sorted u32 index array delta-coded as unsigned
+// CodecRaw stores each sorted u32 index array delta-coded as unsigned
 // varints (AppendDeltaU32s): ascending indexes make the deltas small, so
 // most entries shrink from four bytes to one. The delta chain restarts for
 // every sub-array (per document, per centroid), keeping windows
-// independently decodable. f64 value blocks are compressed losslessly
-// (AppendF64sXor): each value's IEEE 754 bits are XORed with the previous
-// value's, and the result is stored as a control byte (leading/trailing
-// zero-byte counts of the XOR word) plus only its meaningful middle bytes
-// — an exact-equality run costs one byte per value, and values sharing
-// sign, exponent and high mantissa bits shed their common prefix. Every
-// block starts with a one-byte form marker; an encoder that would not
-// shrink a block stores it raw behind the marker, so a block never grows
-// by more than one byte. Bit patterns round-trip exactly: compatible with
-// the engine's bit-identity contract. The coder moves whole words — one
-// unaligned 8-byte store per value on encode, one masked 8-byte load per
-// value on decode — so an encoder needs 8 bytes of slack past a block's
-// worst case (AppendF64sXor grows by it, and payload size bounds include
-// it), and a decoder goes byte by byte only over a block's tail, where
-// fewer than 8 bytes follow. The format above is the whole contract: the
-// word-at-a-time coder writes the bytes a byte-at-a-time one would.
+// independently decodable. f64 value blocks are the values' bit patterns,
+// eight bytes each (AppendF64s): TF/IDF scores and centroid means share
+// too few leading or trailing bytes with their neighbours for a lossless
+// value coder to shrink them by more than a few percent, so decoding is a
+// plain copy.
 //
 // CodecVocab is WireShardCounts' layout: the shard vocabulary once, then
 // every document as fixed-width (vocabulary index, count) u32 blocks — the
@@ -60,9 +49,10 @@
 // delta-code. Signed and unsigned fixed-width scalar blocks (counts,
 // assignments, centroid-row IDs) are raw in every payload: they are small next to the
 // index/value payload and decode allocation-free. Versions 1 (raw blocks
-// throughout; WireShardCounts with every document's words as strings) and
-// 2 (delta-coded indexes, raw values) are retired; their numbers stay
-// reserved so they are never reused.
+// throughout; WireShardCounts with every document's words as strings), 2
+// (delta-coded indexes, raw values, no value-block marker) and 3
+// (XOR-with-previous value blocks behind a form marker) are retired; their
+// numbers stay reserved so they are never reused.
 package flatwire
 
 import (
@@ -70,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrMalformed reports a structurally invalid flat buffer. Decode errors
@@ -79,13 +70,26 @@ var ErrMalformed = errors.New("flatwire: malformed buffer")
 // Codec layout versions (the byte after every payload magic — see the
 // package comment).
 const (
-	// CodecXor is layout version 3: delta-coded sorted u32 index arrays
-	// plus losslessly compressed f64 value blocks (AppendF64sXor).
-	CodecXor byte = 3
+	// CodecRaw is layout version 5: delta-coded sorted u32 index arrays
+	// plus raw f64 value blocks.
+	CodecRaw byte = 5
 	// CodecVocab is layout version 4, WireShardCounts' only version: one
 	// vocabulary block plus per-document (vocabulary index, count) blocks.
 	CodecVocab byte = 4
 )
+
+// Reserve returns b with room for n more bytes: b itself when it has them,
+// else a copy in one allocation of len(b)+n bytes, or of twice b's
+// capacity when that is more, so appending block after block stays
+// amortized. An encoder that sized its payload gets exactly that room on
+// a nil b, in one allocation — also under the race detector, where
+// slices.Grow of a nil slice counts two.
+func Reserve(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	return append(make([]byte, 0, max(len(b)+n, 2*cap(b))), b...)
+}
 
 // AppendU8 appends one byte.
 func AppendU8(b []byte, v byte) []byte { return append(b, v) }
@@ -103,15 +107,25 @@ func AppendUvarint(b []byte, v uint64) []byte {
 // previous value, starting from 0 — the compressed form of a sorted index
 // array (vs must be non-decreasing; the decoder rejects anything a
 // decreasing input would produce via its overflow check). No length
-// prefix: the codec's layout carries counts.
+// prefix: the codec's layout carries counts. The buffer grows at most once,
+// by the block's exact size.
 func AppendDeltaU32s(b []byte, vs []uint32) []byte {
-	prev := uint32(0)
+	n, prev := 0, uint32(0)
+	for _, v := range vs {
+		n += SizeUvarint(uint64(v - prev))
+		prev = v
+	}
+	b, prev = Reserve(b, n), 0
 	for _, v := range vs {
 		b = AppendUvarint(b, uint64(v-prev))
 		prev = v
 	}
 	return b
 }
+
+// SizeUvarint returns the encoded size of AppendUvarint(v): one byte per
+// started 7 bits.
+func SizeUvarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendU32 appends v little-endian.
 func AppendU32(b []byte, v uint32) []byte {
@@ -158,10 +172,13 @@ func AppendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
-// AppendF64s appends len(vs) raw IEEE 754 bit patterns.
+// AppendF64s appends len(vs) raw IEEE 754 bit patterns, growing the
+// buffer at most once.
 func AppendF64s(b []byte, vs []float64) []byte {
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	start := len(b)
+	b = Reserve(b, 8*len(vs))[:start+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[start+8*i:], math.Float64bits(v))
 	}
 	return b
 }

@@ -243,3 +243,32 @@ func TestDeltaU32s(t *testing.T) {
 		t.Errorf("wrapped delta not rejected: %v", r.Err())
 	}
 }
+
+// TestBlockAppendsGrowOnce: the block encoders grow a buffer once per
+// call, not once per value, and Reserve makes exactly the room asked for.
+func TestBlockAppendsGrowOnce(t *testing.T) {
+	vs := make([]float64, 1000)
+	ix := make([]uint32, 1000)
+	for i := range ix {
+		vs[i] = float64(i) / 3
+		ix[i] = uint32(i * i)
+	}
+	for name, f := range map[string]func(){
+		"AppendF64s":      func() { _ = AppendF64s(nil, vs) },
+		"AppendDeltaU32s": func() { _ = AppendDeltaU32s(nil, ix) },
+		"Reserve":         func() { _ = Reserve(nil, 100) },
+	} {
+		if n := testing.AllocsPerRun(20, f); n != 1 {
+			t.Errorf("%s allocated %.0f times, want 1", name, n)
+		}
+	}
+	if b := Reserve([]byte{1, 2}, 3); len(b) != 2 || cap(b) < 5 || b[1] != 2 {
+		t.Errorf("Reserve kept %v with capacity %d", b, cap(b))
+	}
+	r := NewReader(AppendDeltaU32s(nil, ix))
+	got := make([]uint32, len(ix))
+	r.DeltaU32sInto(got)
+	if err := r.Done(); err != nil || got[999] != ix[999] {
+		t.Fatalf("delta round trip: %v, last %d", err, got[999])
+	}
+}

@@ -90,8 +90,12 @@ func TestBlockSizeResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.BlockWidth(); got != tc.want {
-			t.Errorf("Block=%d k=%d: BlockWidth() = %d, want %d", tc.block, tc.k, got, tc.want)
+		got := 0
+		if c.layout != nil {
+			got = c.layout.BlockSize()
+		}
+		if got != tc.want {
+			t.Errorf("Block=%d k=%d: layout width %d, want %d", tc.block, tc.k, got, tc.want)
 		}
 	}
 	for _, block := range []int{1, 2, 3, 5, 6, 7, 9, 16} {

@@ -72,7 +72,7 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 		"short head": good[:3],
 		// The retired layout (per-cluster centroid sums behind magic
 		// "HPAW" and a codec byte) is not guessed at.
-		"retired layout":       append(flatwire.AppendU32(nil, 0x48504157), flatwire.CodecXor, 1, 0, 0, 0),
+		"retired layout":       append(flatwire.AppendU32(nil, 0x48504157), 3, 1, 0, 0, 0),
 		"negative moved count": flatwire.AppendI64(flatwire.AppendU32(nil, accumWireMagic), -1),
 	}
 	for name, b := range cases {
@@ -96,6 +96,48 @@ func TestAccumWireEncodeAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestAppendFlatCentroidsAllocatesOnce: the encoder sizes a block exactly
+// before it writes, so a full block and a delta each cost one allocation.
+func TestAppendFlatCentroidsAllocatesOnce(t *testing.T) {
+	cents, cnorms := flatTestCentroids()
+	for name, rows := range map[string][]bool{"full": nil, "delta": {true, false, true}} {
+		if n := testing.AllocsPerRun(20, func() { _ = AppendFlatCentroids(nil, cents, cnorms, rows) }); n != 1 {
+			t.Errorf("%s: AppendFlatCentroids(nil) allocated %.0f times, want 1", name, n)
+		}
+	}
+}
+
+// TestAppendFlatCentroidsMatchesSparseRows: the dense gather writes the
+// bytes of the block built from sparse.FromDense rows — one- to
+// three-byte index deltas, NaN kept, ±0 dropped, empty rows — full and
+// delta alike.
+func TestAppendFlatCentroidsMatchesSparseRows(t *testing.T) {
+	const dim = 40000
+	cents := [][]float64{make([]float64, dim), make([]float64, dim), make([]float64, dim), make([]float64, dim)}
+	for _, d := range []int{0, 1, 127, 128, 300, 16511, 16512, dim - 1} {
+		cents[0][d] = float64(d) + 0.5
+	}
+	cents[1][5], cents[1][6], cents[1][9000] = math.NaN(), math.Copysign(0, -1), -2
+	for d := 0; d < dim; d += 3 {
+		cents[3][d] = 1 / float64(d+1)
+	}
+	cnorms := []float64{1, 2, 0, 4}
+	for name, rows := range map[string][]bool{"full": nil, "delta": {true, false, true, true}} {
+		var ids []uint32
+		var norms []float64
+		var vecs []sparse.Vector
+		for j := range cents {
+			if rows == nil || rows[j] {
+				ids, norms = append(ids, uint32(j)), append(norms, cnorms[j])
+				vecs = append(vecs, sparse.FromDense(cents[j]))
+			}
+		}
+		if got, want := AppendFlatCentroids(nil, cents, cnorms, rows), rawCentroidBlock(len(cents), ids, norms, vecs); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the %d-byte block of FromDense rows", name, len(got), len(want))
+		}
+	}
+}
+
 // flatTestCentroids is a centroid matrix with the shapes the block codec
 // must handle: an all-zero row, a negative zero, awkward floats.
 func flatTestCentroids() ([][]float64, []float64) {
@@ -111,7 +153,7 @@ func flatTestCentroids() ([][]float64, []float64) {
 // AppendFlatCentroids never would.
 func rawCentroidBlock(k int, ids []uint32, cnorms []float64, rows []sparse.Vector) []byte {
 	b := flatwire.AppendU32(nil, centroidsMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU8(b, flatwire.CodecRaw)
 	b = flatwire.AppendU32(b, uint32(k))
 	b = flatwire.AppendU32(b, uint32(len(ids)))
 	b = flatwire.AppendU32s(b, ids)

@@ -57,18 +57,6 @@ func (c *Clusterer) Assignments() []int32 { return c.assign }
 // K returns the configured cluster count.
 func (c *Clusterer) K() int { return c.opts.K }
 
-// BlockWidth returns the resolved blocked-kernel lane width (0 = scalar
-// kernel) — shipped in a remote shard's session init so workers run the
-// width the coordinator resolved. Any width produces bit-identical
-// results; shipping it only keeps the work shape (and tests that pin a
-// width) consistent across backends.
-func (c *Clusterer) BlockWidth() int {
-	if c.layout == nil {
-		return 0
-	}
-	return c.layout.BlockSize()
-}
-
 // ApplyShardAssignments installs a remotely computed shard's assignments
 // and distances at document offset lo — the write-back half of a remote
 // iteration, equivalent to the in-place updates AssignRange performs

@@ -45,8 +45,6 @@ type chromeSpanArgs struct {
 	Out     int64  `json:"bytes_out,omitempty"`
 	In      int64  `json:"bytes_in,omitempty"`
 	RunUS   int64  `json:"worker_run_us,omitempty"`
-	ValRaw  int64  `json:"value_raw_bytes,omitempty"`
-	ValCod  int64  `json:"value_coded_bytes,omitempty"`
 	Resend  bool   `json:"resend,omitempty"`
 	Err     bool   `json:"error,omitempty"`
 }
@@ -156,7 +154,6 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 				WaitUS: s.Wait().Microseconds(),
 				Out:    s.BytesOut, In: s.BytesIn,
 				RunUS:  s.WorkerRun.Microseconds(),
-				ValRaw: s.ValueRawBytes, ValCod: s.ValueCodedBytes,
 				Resend: s.Resend, Err: s.Err,
 			},
 		})

@@ -28,7 +28,6 @@ func fixedTrace() *Trace {
 				Queued: at(30), Start: at(45), End: at(95)},
 			{Node: "kmeans.assign", Op: "kmeans.assign", Kind: "loop-shard", Shard: 0, Iter: 0,
 				Backend: "rpc", Worker: "w1",
-				ValueRawBytes: 800, ValueCodedBytes: 620,
 				Queued: at(100), Start: at(110), End: at(150)},
 		},
 		Events: []Event{
@@ -56,7 +55,7 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 		`{"name":"scan/0","cat":"source","ph":"X","ts":10,"dur":20,"pid":1,"tid":0,"args":{"node":"scan","kind":"run","shard":0,"wave":-1,"backend":"local","queue_wait_us":5}},`,
 		`{"name":"tfidf.map/0","cat":"tfidf.count","ph":"X","ts":40,"dur":50,"pid":2,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":0,"wave":-1,"backend":"rpc","worker":"w1","queue_wait_us":10,"bytes_out":100,"bytes_in":200,"worker_run_us":35}},`,
 		`{"name":"tfidf.map/1","cat":"tfidf.count","ph":"X","ts":45,"dur":50,"pid":3,"tid":0,"args":{"node":"tfidf.map","kind":"run","shard":1,"wave":-1,"backend":"rpc","worker":"w2","queue_wait_us":15,"bytes_out":150,"bytes_in":250,"resend":true}},`,
-		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"wave":0,"backend":"rpc","worker":"w1","queue_wait_us":10,"value_raw_bytes":800,"value_coded_bytes":620}},`,
+		`{"name":"kmeans.assign/0","cat":"kmeans.assign","ph":"X","ts":110,"dur":40,"pid":2,"tid":0,"args":{"node":"kmeans.assign","kind":"loop-shard","shard":0,"wave":0,"backend":"rpc","worker":"w1","queue_wait_us":10}},`,
 		`{"name":"iteration","cat":"kmeans","ph":"i","ts":120,"pid":1,"tid":0,"s":"g","args":{"label":"iter=1","value":3}}`,
 		`]`,
 		``,

@@ -68,12 +68,6 @@ type Span struct {
 	// frames (remote only): Dur minus it is what shipping and absorbing
 	// the task cost the coordinator.
 	WorkerRun time.Duration
-	// ValueRawBytes and ValueCodedBytes split the task's XOR-coded f64
-	// value blocks into the size they would occupy fixed-width and what
-	// they took on the wire (see flatwire.ValueBytes). Deltas of
-	// process-wide counters: with concurrent tasks a span's split is
-	// approximate, but the totals across all spans sum exactly.
-	ValueRawBytes, ValueCodedBytes int64
 	// Resend marks a task sent twice: the worker missed an input the task
 	// named by key, and the resend inlined it.
 	Resend bool

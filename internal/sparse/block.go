@@ -53,6 +53,9 @@ func (l *BlockLayout) BlockSize() int { return l.b }
 // Blocks returns the number of blocks, ceil(k / B).
 func (l *BlockLayout) Blocks() int { return len(l.blocks) }
 
+// Dim returns the dense dimensionality.
+func (l *BlockLayout) Dim() int { return l.dim }
+
 // Fill re-transposes the current centroids into the layout, reusing the
 // allocation. Rows shorter than dim are zero-extended (DotDense treats the
 // missing components as zero via its idx >= len guard; an explicit zero
@@ -88,6 +91,22 @@ func (l *BlockLayout) FillRange(centroids [][]float64, rows []bool, bi, lo, hi i
 		for i := len(cent); i < hi-lo; i++ {
 			tile[i*b+lane] = 0
 		}
+	}
+}
+
+// SetRow overwrites centroid j's lane with the sparse row v: zero at every
+// term but v's entries, the bits FillRange leaves after copying the dense
+// row v scatters into. v's indices must lie below the dimension. It is how
+// a centroid row that arrives sparse reaches the lanes without a dense
+// copy.
+func (l *BlockLayout) SetRow(j int, v *Vector) {
+	b := l.b
+	lane := l.blocks[j/b][j%b:]
+	for t := 0; t < l.dim; t++ {
+		lane[t*b] = 0
+	}
+	for e, ix := range v.Idx {
+		lane[int(ix)*b] = v.Val[e]
 	}
 }
 

@@ -15,11 +15,25 @@ import "hpa/internal/flatwire"
 //	total u32       (their sum; bounds the decoder's allocation)
 //	idx             (every row's ascending indices as varint deltas,
 //	                 flatwire.AppendDeltaU32s, the chain restarting per row)
-//	val             (every row's values as one XOR-coded block per row,
-//	                 flatwire.AppendF64sXor — IEEE 754 bits, exact)
+//	val f64 × total (every row's values, flatwire.AppendF64s — IEEE 754
+//	                 bits, exact)
 
-// AppendFlatVectors appends the rows in flat form.
+// SizeFlatVectors returns the size of the rows' flat form.
+func SizeFlatVectors(rows []Vector) int {
+	n := 4*len(rows) + 4
+	for i := range rows {
+		prev := uint32(0)
+		for _, ix := range rows[i].Idx {
+			n += flatwire.SizeUvarint(uint64(ix-prev)) + 8
+			prev = ix
+		}
+	}
+	return n
+}
+
+// AppendFlatVectors appends the rows in flat form, growing b at most once.
 func AppendFlatVectors(b []byte, rows []Vector) []byte {
+	b = flatwire.Reserve(b, SizeFlatVectors(rows))
 	total := 0
 	for i := range rows {
 		b = flatwire.AppendU32(b, uint32(len(rows[i].Idx)))
@@ -30,7 +44,7 @@ func AppendFlatVectors(b []byte, rows []Vector) []byte {
 		b = flatwire.AppendDeltaU32s(b, rows[i].Idx)
 	}
 	for i := range rows {
-		b = flatwire.AppendF64sXor(b, rows[i].Val)
+		b = flatwire.AppendF64s(b, rows[i].Val)
 	}
 	return b
 }
@@ -42,10 +56,10 @@ func AppendFlatVectors(b []byte, rows []Vector) []byte {
 // failure is recorded on the reader, and nil returned.
 func ConsumeFlatVectors(r *flatwire.Reader, n int) []Vector {
 	nnz := r.U32s(n)
-	// Every entry occupies at least two of the bytes that follow (a varint
-	// index delta and a value control byte), so a total the buffer cannot
-	// hold is rejected here, before the backing arrays are sized from it.
-	total := r.Count(2)
+	// Every entry occupies at least nine of the bytes that follow (a varint
+	// index delta and a raw value), so a total the buffer cannot hold is
+	// rejected here, before the backing arrays are sized from it.
+	total := r.Count(9)
 	sum := 0
 	for _, c := range nnz {
 		sum += int(c)
@@ -66,9 +80,7 @@ func ConsumeFlatVectors(r *flatwire.Reader, n int) []Vector {
 		r.DeltaU32sInto(rows[i].Idx)
 		off = end
 	}
-	for i := range rows {
-		r.F64sXorInto(rows[i].Val)
-	}
+	r.F64sInto(val)
 	for i := range rows {
 		ix := rows[i].Idx
 		for e := 1; e < len(ix) && r.Err() == nil; e++ {

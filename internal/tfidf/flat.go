@@ -21,11 +21,11 @@ import (
 //	magic u32 | codec u8 | lo u64 | hi u64 | dim u64 | dictFootprint i64
 //	nDocs u32
 //	rows                   (the documents' vectors, sparse.AppendFlatVectors:
-//	                        nnz u32 × nDocs | total u32 | idx deltas | XOR values)
-//	norms f64 × nDocs      (one XOR-coded block)
+//	                        nnz u32 × nDocs | total u32 | idx deltas | values)
+//	norms f64 × nDocs
 //	names (u32 len + bytes) × nDocs
 //
-// The codec byte is the layout version. flatwire.CodecXor is the only one;
+// The codec byte is the layout version. flatwire.CodecRaw is the only one;
 // any other version is malformed.
 
 // vectorShardMagic identifies a flat VectorShard buffer.
@@ -47,19 +47,18 @@ func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
 		for _, name := range vs.DocNames {
 			names += flatwire.SizeString(name)
 		}
-		// Capacity bound: a varint-coded index is at most 5 bytes, an
-		// XOR-coded value block at most 1 + 9 bytes per value.
-		dst = make([]byte, 0, 4+1+4*8+4+4*n+4+5*total+n+9*total+1+9*n+names)
+		// Capacity bound: a varint-coded index is at most 5 bytes.
+		dst = make([]byte, 0, 4+1+4*8+4+4*n+4+5*total+8*total+8*n+names)
 	}
 	b := flatwire.AppendU32(dst, vectorShardMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU8(b, flatwire.CodecRaw)
 	b = flatwire.AppendU64(b, uint64(vs.Lo))
 	b = flatwire.AppendU64(b, uint64(vs.Hi))
 	b = flatwire.AppendU64(b, uint64(vs.Dim))
 	b = flatwire.AppendI64(b, vs.DictFootprint)
 	b = flatwire.AppendU32(b, uint32(n))
 	b = sparse.AppendFlatVectors(b, vs.Vectors)
-	b = flatwire.AppendF64sXor(b, vs.Norms)
+	b = flatwire.AppendF64s(b, vs.Norms)
 	for _, name := range vs.DocNames {
 		b = flatwire.AppendString(b, name)
 	}
@@ -84,11 +83,11 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
 	}
-	if codec != flatwire.CodecXor {
+	if codec != flatwire.CodecRaw {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	vs.Vectors = sparse.ConsumeFlatVectors(r, n)
-	vs.Norms = r.F64sXor(n)
+	vs.Norms = r.F64s(n)
 	vs.DocNames = make([]string, n)
 	for i := range vs.DocNames {
 		vs.DocNames[i] = r.String()

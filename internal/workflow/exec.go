@@ -3,6 +3,7 @@ package workflow
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -120,11 +121,15 @@ type execState struct {
 // The executor reads the clock once when a task starts and once when it
 // ends; the two reads are the task's span when traced and widen its
 // node's [first start, last end] extent either way. When the run finishes,
-// on error paths too, every node whose operator declares a phase (Phased)
-// adds its extent to ctx.Breakdown under that phase, in topological order:
-// concurrent shards count once, phase keys and their order are
-// deterministic regardless of how shards interleaved, and Figure 3/4
-// accounting is the roll-up of the tasks' own intervals. Observe is
+// on error paths too, the extents of the nodes whose operator declares a
+// phase (Phased) are rolled up into ctx.Breakdown by one sweep: each
+// instant of the run is split evenly over the phased nodes whose extents
+// cover it, and every such node adds its share under its phase, in
+// topological order. Concurrent shards count once, overlapping nodes share
+// their overlap, so the phases never sum past the run's wall (a serial
+// run's extents are disjoint: each node adds its whole extent); phase keys
+// and their order are deterministic regardless of how shards interleaved,
+// and Figure 3/4 accounting is the roll-up of the tasks' own intervals. Observe is
 // invoked from the scheduling goroutine (serialized) after each node
 // completes, with the gathered value for partitioned nodes. ctx.Ctx
 // cancels cooperatively: tasks not yet started are abandoned once the
@@ -627,13 +632,38 @@ helping:
 	g.Wait()
 
 	// Roll the node extents up into ctx.Breakdown, in topological order.
-	for i := range states {
-		if st := &states[i]; phases[i] != "" && !st.first.IsZero() {
-			ctx.Breakdown.Add(phases[i], st.last.Sub(st.first))
+	for i, d := range splitExtents(states, phases) {
+		if phases[i] != "" && !states[i].first.IsZero() {
+			ctx.Breakdown.Add(phases[i], d)
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return sinks, nil
+}
+
+// splitExtents returns each phased node's share of the run's wall: every
+// interval between two consecutive extent ends is divided evenly over the
+// phased nodes whose extents cover it (an interval none covers is idle).
+func splitExtents(states []execState, phases []string) []time.Duration {
+	var cuts []time.Time
+	var on []int
+	for i := range states {
+		if phases[i] != "" && !states[i].first.IsZero() {
+			cuts = append(cuts, states[i].first, states[i].last)
+			on = append(on, i)
+		}
+	}
+	slices.SortFunc(cuts, time.Time.Compare)
+	share := make([]time.Duration, len(states))
+	for c := 1; c < len(cuts); c++ {
+		covering := slices.DeleteFunc(slices.Clone(on), func(i int) bool {
+			return states[i].first.After(cuts[c-1]) || states[i].last.Before(cuts[c])
+		})
+		for _, i := range covering {
+			share[i] += cuts[c].Sub(cuts[c-1]) / time.Duration(len(covering))
+		}
+	}
+	return share
 }

@@ -73,7 +73,7 @@ func FuzzDecodeFlatKMSeedTaskArgs(f *testing.F) {
 		// error, never a panic. Small shapes only: a session allocates
 		// k × dim floats.
 		if a.Init != nil && a.Init.K <= 64 && a.Init.Dim <= 1024 {
-			runKMSeedKernel(newWorkerStore(), 0, data, nil)
+			runKMSeedKernel(newWorkerStore(), &kernelCall{args: data}, nil)
 		}
 	})
 }
@@ -146,7 +146,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			frame, err := readFrame(r)
+			frame, err := readFrame(r, nil)
 			if err != nil {
 				if err == io.EOF && r.Len() != 0 {
 					t.Fatalf("bare EOF with %d bytes unread", r.Len())

@@ -144,8 +144,8 @@ func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
 
 // runCountKernel executes phase 1 over the described shard on the worker;
 // the reply is the shard's full term counts, DF included, in flat form.
-func runCountKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
-	a, err := DecodeFlatCountTaskArgs(body)
+func runCountKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatCountTaskArgs(rq.args)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
 	}
@@ -162,7 +162,7 @@ func runCountKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, err
 	if a.Session != "" {
 		// The reply carries everything the coordinator's DF merge needs;
 		// the live dictionaries stay here for the transform task.
-		st.put(conn, a.Session, "", func() any { return sc })
+		st.put(rq.conn, a.Session, "", func() any { return sc })
 	}
 	return w.EncodeFlat(dst), nil
 }
@@ -188,7 +188,7 @@ type TransformTaskArgs struct {
 // AppendFlat appends the arguments in flat form:
 //
 //	session | opts | terms | hasCounts u8 | [counts (WireShardCounts flat, to the end)]
-//	terms = dim u64 | n u32 | remap (delta-coded varints) × n | nIDF u32 | idf (XOR value block)
+//	terms = dim u64 | n u32 | remap (delta-coded varints) × n | nIDF u32 | idf f64 × nIDF
 func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 	b = flatwire.AppendString(b, a.CountsSession)
 	b = appendWireOptions(b, a.Opts)
@@ -196,7 +196,7 @@ func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 	b = flatwire.AppendU32(b, uint32(len(a.Terms.Remap)))
 	b = flatwire.AppendDeltaU32s(b, a.Terms.Remap)
 	b = flatwire.AppendU32(b, uint32(len(a.Terms.IDF)))
-	b = flatwire.AppendF64sXor(b, a.Terms.IDF)
+	b = flatwire.AppendF64s(b, a.Terms.IDF)
 	if a.Counts == nil {
 		return flatwire.AppendU8(b, 0)
 	}
@@ -217,7 +217,7 @@ func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 		t.Remap = make([]uint32, n)
 		r.DeltaU32sInto(t.Remap)
 	}
-	t.IDF = r.F64sXor(r.Count(1)) // ≥ 1 byte per coded value
+	t.IDF = r.F64s(r.Count(8))
 	a.Terms = t
 	if n := len(t.Remap); r.Err() == nil {
 		switch {
@@ -252,8 +252,8 @@ func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 
 // runTransformKernel executes phase 2 over one shard on the worker, or
 // misses when the counts the arguments name by key are not in the store.
-func runTransformKernel(st *workerStore, _ uint64, body, dst []byte) ([]byte, error) {
-	a, err := DecodeFlatTransformTaskArgs(body)
+func runTransformKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatTransformTaskArgs(rq.args)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
 	}
@@ -385,8 +385,8 @@ func decodeStoreDrop(body []byte) ([]string, error) {
 	return keys, nil
 }
 
-func storeDropKernel(st *workerStore, _ uint64, body, dst []byte) ([]byte, error) {
-	keys, err := decodeStoreDrop(body)
+func storeDropKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	keys, err := decodeStoreDrop(rq.args)
 	st.del(keys...)
 	return dst, err
 }
@@ -399,20 +399,22 @@ type KMShardInit struct {
 	Norms   []float64
 	// Dim is the dense dimensionality, K the cluster count.
 	Dim, K int
-	// Block is the coordinator's resolved blocked-kernel lane width
-	// (kmeans.Clusterer.BlockWidth; 0 = scalar, else 4 or 8). It never
-	// affects results — any width is bit-identical — it only keeps the
-	// kernel shape consistent across backends.
+	// Block is the loop's resolved blocked-kernel lane width
+	// (kmeans.BlockSize of its options; 0 = scalar, else 4 or 8). It never
+	// affects results — any width is bit-identical — it only picks the
+	// kernel the worker scans with.
 	Block int
 }
 
-// appendFlat appends the init, or its absence, in flat form:
+// appendFlat appends the init, or its absence, in flat form, growing b at
+// most once:
 //
 //	present u8 | [k i64 | dim i64 | block i64 | n u32 | norms f64 × n | vectors (sparse.AppendFlatVectors)]
 func (in *KMShardInit) appendFlat(b []byte) []byte {
 	if in == nil {
 		return flatwire.AppendU8(b, 0)
 	}
+	b = flatwire.Reserve(b, 1+3*8+4+8*len(in.Norms)+sparse.SizeFlatVectors(in.Vectors))
 	b = flatwire.AppendU8(b, 1)
 	b = flatwire.AppendI64s(b, []int64{int64(in.K), int64(in.Dim), int64(in.Block)})
 	b = flatwire.AppendU32(b, uint32(len(in.Vectors)))
@@ -516,8 +518,8 @@ type KMAssignReply struct {
 }
 
 // kmLoop is the worker-side state of one K-Means loop: the one decoded
-// centroid matrix and filled block layout its shards' sessions all assign
-// against. It lives in the worker store while any of its sessions does.
+// set of centroids its shards' sessions all assign against. It lives in
+// the worker store while any of its sessions does.
 type kmLoop struct {
 	mu sync.Mutex // guards every field; never held across a scan
 	// k, dim and block are the loop's shape, fixed by its first session's
@@ -525,28 +527,31 @@ type kmLoop struct {
 	k, dim, block int
 	// raw is the last centroid block a store frame delivered, undecoded
 	// (nil once decoded): only a session's init carries the shape a block
-	// decodes into, and the loop's first block can precede it. rawIter is
-	// the iteration it brings the matrix to, rawBase the one whose matrix
-	// its rows update (noCentroidBase: it carries every row).
-	raw     []byte
-	rawIter int
-	rawBase uint64
+	// decodes into, and the loop's first block can precede it. rawFrame is
+	// the recycled frame raw lies in, rawIter the iteration it brings the
+	// centroids to, rawBase the one whose centroids its rows update
+	// (noCentroidBase: it carries every row).
+	raw      []byte
+	rawFrame *[]byte
+	rawIter  int
+	rawBase  uint64
 	// cur is the decoded block; scans read it without a lock.
 	cur *kmCentroids
 }
 
-// kmCentroids is the loop's centroid matrix: allocated at the first decode
-// and updated in place by every later one, which overwrites the rows its
-// block carries and refills just their layout lanes. A scan reads it
-// unchanged, because iteration i+1's block reaches a worker only after the
-// coordinator holds every iteration-i reply — no scan of the previous
-// iteration is still running when the next block decodes.
+// kmCentroids is the loop's centroids: allocated at the first decode and
+// updated in place by every later one, which overwrites the rows its block
+// carries. Under the blocked kernel they live only in the layout's lanes,
+// the one form AssignRange reads then; the scalar kernel reads the dense
+// matrix. A scan reads them unchanged, because iteration i+1's block
+// reaches a worker only after the coordinator holds every iteration-i
+// reply — no scan of the previous iteration is still running when the next
+// block decodes.
 type kmCentroids struct {
 	iter   int
-	cents  [][]float64
-	cnorms []float64
+	cents  [][]float64         // nil under the blocked kernel
 	layout *sparse.BlockLayout // nil under the scalar kernel
-	rows   []bool              // scratch: the rows the last decode overwrote
+	cnorms []float64
 }
 
 // noCentroidBase is the base of a store frame whose block carries every
@@ -603,24 +608,31 @@ func loopShard(st *workerStore, conn uint64, loop string, shard int, init *KMSha
 
 // storeCentroidsKernel stashes a shipped centroid block (loop | iter u64 |
 // base u64 | kmeans.AppendFlatCentroids) in its loop for the first
-// assignment task naming iteration iter to decode. A block updating
-// iteration base's matrix carries the rows that changed since; one with
-// noCentroidBase carries every row. A second connection's copy of a block
-// already decoded is dropped.
-func storeCentroidsKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
-	r := flatwire.NewReader(body)
+// assignment task naming iteration iter to decode; the block stays in its
+// request frame, which goes back to the pool once decoded. A block
+// updating iteration base's matrix carries the rows that changed since;
+// one with noCentroidBase carries every row. A second connection's copy of
+// a block already decoded is dropped, and so is a delta for an iteration
+// whose full block is stashed.
+func storeCentroidsKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	r := flatwire.NewReader(rq.args)
 	loop, iter, base := r.String(), int(r.U64()), r.U64()
 	raw := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.centroids: %w", err)
 	}
-	l, ok := st.put(conn, loop, "", func() any { return new(kmLoop) }).(*kmLoop)
+	l, ok := st.put(rq.conn, loop, "", func() any { return new(kmLoop) }).(*kmLoop)
 	if !ok {
 		return dst, nil // the task naming the block misses
 	}
 	l.mu.Lock()
-	if l.cur == nil || l.cur.iter != iter {
-		l.raw, l.rawIter, l.rawBase = raw, iter, base
+	// A stashed full block of this iteration applies whatever the loop
+	// holds; a delta sent on another connection must not displace it.
+	fullStashed := l.raw != nil && l.rawIter == iter && l.rawBase == noCentroidBase
+	if (l.cur == nil || l.cur.iter != iter) && !fullStashed {
+		putBuf(l.rawFrame) // a block never decoded is replaced
+		l.raw, l.rawFrame, l.rawIter, l.rawBase = raw, rq.frame, iter, base
+		rq.kept = true
 	}
 	l.mu.Unlock()
 	return dst, nil
@@ -650,31 +662,30 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 	}
 	c := l.cur
 	if c == nil {
-		c = &kmCentroids{cents: make([][]float64, l.k), cnorms: make([]float64, l.k), rows: make([]bool, l.k)}
-		for j := range c.cents {
-			c.cents[j] = make([]float64, l.dim)
-		}
+		c = &kmCentroids{cnorms: make([]float64, l.k)}
 		if l.block > 0 {
 			// Block width never changes results: purely a work-shape choice.
 			c.layout = sparse.NewBlockLayout(l.k, l.dim, l.block)
+		} else {
+			c.cents = make([][]float64, l.k)
+			for j := range c.cents {
+				c.cents[j] = make([]float64, l.dim)
+			}
 		}
 	}
-	raw := l.raw
-	l.raw = nil
-	// The decoder checks the whole block before it writes a value, so a
+	raw, frame := l.raw, l.rawFrame
+	l.raw, l.rawFrame = nil, nil
+	defer putBuf(frame)
+	// The decoders check the whole block before they write a value, so a
 	// rejected block leaves the previous iteration's intact.
-	ids, err := kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms, full)
+	var err error
+	if c.layout != nil {
+		_, err = kmeans.DecodeFlatCentroidLanes(raw, c.layout, c.cnorms, full)
+	} else {
+		_, err = kmeans.DecodeFlatCentroids(raw, c.cents, c.cnorms, full)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if c.layout != nil {
-		clear(c.rows)
-		for _, j := range ids {
-			c.rows[j] = true
-		}
-		for bi := 0; bi < c.layout.Blocks(); bi++ {
-			c.layout.FillRange(c.cents, c.rows, bi, 0, l.dim)
-		}
 	}
 	c.iter = iter
 	l.cur = c
@@ -685,12 +696,12 @@ func (l *kmLoop) centroids(iter int) (*kmCentroids, error) {
 // worker: the same kmeans.AssignRange the coordinator would run, over the
 // session's documents against the loop's decoded centroids. It misses
 // without the session or the iteration's centroids.
-func runKMAssignKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
-	a, err := DecodeFlatKMAssignTaskArgs(body)
+func runKMAssignKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatKMAssignTaskArgs(rq.args)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
-	s, err := loopShard(st, conn, a.Loop, a.Shard, a.Init)
+	s, err := loopShard(st, rq.conn, a.Loop, a.Shard, a.Init)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
 	}
@@ -808,12 +819,12 @@ const kmSeedReplyMagic uint32 = 0x48505344 // "HPSD"
 // min-updated distances as IEEE 754 bits) is bit-identical to a local
 // scan. The decoder only makes the seed's indices ascend: they are checked
 // against the loop's dimension before the scratch is sized or written.
-func runKMSeedKernel(st *workerStore, conn uint64, body, dst []byte) ([]byte, error) {
-	a, err := DecodeFlatKMSeedTaskArgs(body)
+func runKMSeedKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+	a, err := DecodeFlatKMSeedTaskArgs(rq.args)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
-	s, err := loopShard(st, conn, a.Loop, a.Shard, a.Init)
+	s, err := loopShard(st, rq.conn, a.Loop, a.Shard, a.Init)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}

@@ -130,7 +130,7 @@ func TestTransformKernelCacheProtocol(t *testing.T) {
 	st := newWorkerStore()
 	transform := func(args TransformTaskArgs) (*tfidf.VectorShard, error) {
 		t.Helper()
-		reply, err := runTransformKernel(st, 1, args.AppendFlat(nil), nil)
+		reply, err := runTransformKernel(st, &kernelCall{conn: 1, args: args.AppendFlat(nil)}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -530,7 +530,7 @@ func storeFrame(loop string, iter int, base uint64) []byte {
 // would never write.
 func appendRawCentroidBlock(b []byte, k int, ids []uint32, cnorms []float64, rows []sparse.Vector) []byte {
 	b = flatwire.AppendU32(b, 0x4850434e) // "HPCN"
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b = flatwire.AppendU8(b, flatwire.CodecRaw)
 	b = flatwire.AppendU32(b, uint32(k))
 	b = flatwire.AppendU32(b, uint32(len(ids)))
 	b = flatwire.AppendU32s(b, ids)
@@ -538,12 +538,43 @@ func appendRawCentroidBlock(b []byte, k int, ids []uint32, cnorms []float64, row
 	return sparse.AppendFlatVectors(b, rows)
 }
 
+// TestShardInitEncodeAllocatesOnce: a loop shard's init, the largest
+// request body, is sized before it is written.
+func TestShardInitEncodeAllocatesOnce(t *testing.T) {
+	docs := overlapMatrix().Vectors
+	norms := make([]float64, len(docs))
+	for i := range docs {
+		norms[i] = docs[i].NormSq()
+	}
+	in := &KMShardInit{Vectors: docs, Norms: norms, Dim: 48, K: 6, Block: 8}
+	if n := testing.AllocsPerRun(20, func() { _ = in.appendFlat(nil) }); n != 1 {
+		t.Errorf("a shard init's encode allocated %.0f times, want 1", n)
+	}
+}
+
+// layoutRows reads a block layout's k rows of dimension dim back through
+// DotsInto against unit vectors.
+func layoutRows(l *sparse.BlockLayout, k, dim int) [][]float64 {
+	rows := make([][]float64, k)
+	for j := range rows {
+		rows[j] = make([]float64, dim)
+	}
+	dots := kmeans.DotScratch(k)
+	for t := 0; t < dim; t++ {
+		l.DotsInto(&sparse.Vector{Idx: []uint32{uint32(t)}, Val: []float64{1}}, dots)
+		for j := range rows {
+			rows[j][t] = dots[j]
+		}
+	}
+	return rows
+}
+
 // TestCentroidBlockDecodesInPlace: a worker applies every iteration's
-// centroid block to the matrix and block layout its loop's first decode
-// allocated — a delta overwriting just its rows and refilling just their
+// centroid block to the block layout its loop's first decode allocated,
+// and keeps no dense matrix beside it — a delta overwriting just its rows'
 // lanes, so the layout's dots are the new centroids' — and a block the
 // decoder rejects leaves the installed iteration intact, as does a delta
-// against a matrix the worker does not hold, which it reports as a miss.
+// against centroids the worker does not hold, which it reports as a miss.
 func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	const loop = "decode-in-place"
 	st := newWorkerStore()
@@ -551,7 +582,7 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	st.put(0, loop, "", func() any { return l })
 	apply := func(iter int, base uint64, block []byte) (*kmCentroids, error) {
 		t.Helper()
-		if _, err := storeCentroidsKernel(st, 0, append(storeFrame(loop, iter, base), block...), nil); err != nil {
+		if _, err := storeCentroidsKernel(st, &kernelCall{args: append(storeFrame(loop, iter, base), block...)}, nil); err != nil {
 			t.Fatalf("storing iteration %d's block: %v", iter, err)
 		}
 		return l.centroids(iter)
@@ -561,7 +592,10 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	if err != nil || first == nil {
 		t.Fatalf("iteration 0's full block: %v, %v", first, err)
 	}
-	row, layout := &first.cents[0][0], first.layout
+	if first.cents != nil {
+		t.Fatal("a worker scanning with the blocked kernel keeps a dense matrix")
+	}
+	norm, layout := &first.cnorms[0], first.layout
 	// Iteration 1 rewrites centroids 0 and 1 and ships only those rows: the
 	// poisoned centroid 2 must not travel.
 	want := [][]float64{{0, 4, 0}, {1, 1, 1}, {4, 4, 4}}
@@ -571,14 +605,14 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	if err != nil || second == nil {
 		t.Fatalf("iteration 1's delta: %v, %v", second, err)
 	}
-	if &second.cents[0][0] != row || second.layout != layout {
+	if &second.cnorms[0] != norm || second.layout != layout {
 		t.Fatal("iteration 1's block was decoded into fresh arrays")
 	}
 	check := func(when string) {
 		t.Helper()
-		if l.cur.iter != 1 || !reflect.DeepEqual(l.cur.cents, want) || !reflect.DeepEqual(l.cur.cnorms, wantNorms) {
-			t.Fatalf("%s: installed matrix is iteration %d %v %v, want iteration 1 %v %v",
-				when, l.cur.iter, l.cur.cents, l.cur.cnorms, want, wantNorms)
+		if got := layoutRows(l.cur.layout, 3, 3); l.cur.iter != 1 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(l.cur.cnorms, wantNorms) {
+			t.Fatalf("%s: installed centroids are iteration %d %v %v, want iteration 1 %v %v",
+				when, l.cur.iter, got, l.cur.cnorms, want, wantNorms)
 		}
 		v := sparse.Vector{Idx: []uint32{0, 1, 2}, Val: []float64{2, 3, 5}}
 		dots := make([]float64, 8)
@@ -619,7 +653,7 @@ func TestCentroidBlockDecodesInPlace(t *testing.T) {
 	check("after a miss")
 	want = [][]float64{{9, 9, 9}, {1, 1, 1}, {4, 4, 4}}
 	full := kmeans.AppendFlatCentroids(nil, want, []float64{243, 3, 48}, nil)
-	if c, err := apply(2, noCentroidBase, full); c == nil || err != nil || !reflect.DeepEqual(c.cents, want) {
+	if c, err := apply(2, noCentroidBase, full); c == nil || err != nil || !reflect.DeepEqual(layoutRows(c.layout, 3, 3), want) {
 		t.Fatalf("the full resend after a miss: %v, %v; want %v", c, err, want)
 	}
 }
@@ -697,7 +731,7 @@ func TestSeedKernelKeepsItsScratch(t *testing.T) {
 	scan := func(body []byte) []float64 {
 		t.Helper()
 		var err error
-		if dst, err = runKMSeedKernel(st, 0, body, dst[:0]); err != nil {
+		if dst, err = runKMSeedKernel(st, &kernelCall{args: body}, dst[:0]); err != nil {
 			t.Fatal(err)
 		}
 		d2, err := DecodeFlatKMSeedReply(dst)

@@ -157,6 +157,7 @@ type kmLoopState struct {
 	norms   []float64
 	loopKey string
 	shipped []bool
+	lanes   int // the blocked-kernel width shard inits carry (kmeans.BlockSize)
 
 	// block is the current iteration's centroid block, shared by the
 	// wave's shard tasks: encoded once, shipped once per worker — only the
@@ -224,6 +225,13 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 	if opts.DocNorms == nil {
 		opts.DocNorms = norms
 	}
+	lanes := kmeans.BlockSize(opts.Block, opts.K)
+	if (lanes == 4 || lanes == 8) && ctx.Backend != nil && ctx.Backend.Workers() > 0 {
+		// The workers scan; the coordinator only updates. A local wave
+		// would scan on the scalar kernel, bit for bit what the blocked one
+		// computes, so the coordinator keeps no layout to refill.
+		opts.Block = -1
+	}
 	c, seeding, err := kmeans.NewDeferredSeed(docs, dim, ctx.Pool, opts)
 	if err != nil {
 		return nil, err
@@ -248,6 +256,7 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 		norms:   c.DocNorms(),
 		loopKey: fmt.Sprintf("km-%d-%d", os.Getpid(), kmLoopSeq.Add(1)),
 		shipped: make([]bool, shards),
+		lanes:   lanes,
 	}
 	for q := range st.accs {
 		st.accs[q] = c.NewAccum()
@@ -285,7 +294,7 @@ func (s *kmLoopState) shardInit(idx int, force bool) *KMShardInit {
 		Norms:   s.norms[lo:hi],
 		Dim:     s.dim,
 		K:       s.c.K(),
-		Block:   s.c.BlockWidth(),
+		Block:   s.lanes,
 	}
 }
 

@@ -63,10 +63,29 @@ const (
 	replyHeaderLen = 4 + 8 + 1 + 8
 )
 
-// readFrame reads one frame and returns its payload. A length over
-// maxFrameBytes fails, wrapping flatwire.ErrMalformed, before anything is
-// allocated; io.EOF is returned bare only at a frame boundary.
-func readFrame(r io.Reader) ([]byte, error) {
+// bufs recycles the wire's byte buffers: the request bodies RunTask
+// encodes, the frames both ends read and the reply frames a worker writes.
+// A buffer goes back once nothing holds a slice of it — a request body once
+// its reply is in, a worker's frame once its kernel returned (or, for a
+// stashed centroid block, once it is decoded), a reply frame once Absorb
+// returned.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte { return bufs.Get().(*[]byte) }
+
+// putBuf returns a buffer to bufs; nil is a no-op.
+func putBuf(bp *[]byte) {
+	if bp != nil {
+		*bp = (*bp)[:0]
+		bufs.Put(bp)
+	}
+}
+
+// readFrame reads one frame into buf's array, growing it as bytes arrive,
+// and returns its payload. A length over maxFrameBytes fails, wrapping
+// flatwire.ErrMalformed, before anything is allocated; io.EOF is returned
+// bare only at a frame boundary.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -76,7 +95,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte cap", flatwire.ErrMalformed, size, maxFrameBytes)
 	}
 	n := int(size)
-	buf := make([]byte, 0, min(n, frameChunk))
+	buf = buf[:0]
 	for len(buf) < n {
 		m := min(n-len(buf), frameChunk)
 		buf = slices.Grow(buf, m)[:len(buf)+m]
@@ -90,12 +109,22 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// kernelCall is one task frame as its kernel sees it.
+type kernelCall struct {
+	conn  uint64  // the connection that sent it, owner of what the kernel stores
+	args  []byte  // the kernel's argument body, a slice of frame
+	frame *[]byte // the recycled buffer holding the frame (nil in tests)
+	// kept is set by a kernel that holds on to args after it returns; it
+	// then puts frame back itself once done with them.
+	kept bool
+}
+
 // kernel is one registry entry.
 type kernel struct {
 	// fn appends the reply body to dst — the reply frame's recycled buffer,
 	// header already reserved — and returns the extended slice. What it
-	// puts in the store st, connection conn owns.
-	fn func(st *workerStore, conn uint64, args, dst []byte) ([]byte, error)
+	// puts in the store st, the request's connection owns.
+	fn func(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error)
 	// inline kernels run on the connection's read loop, not a goroutine of
 	// their own, so every later frame on the connection is served after
 	// their effect: how a keyed body is stored before the task naming it.
@@ -120,20 +149,14 @@ func registerKernel(name string, k kernel) {
 	kernels[name] = k
 }
 
-// replyBufs recycles reply frame buffers across requests and connections.
-var replyBufs = sync.Pool{New: func() any {
-	b := make([]byte, replyHeaderLen, 4096)
-	return &b
-}}
-
 // serveRequest runs one kernel and returns its reply frame in a pooled
 // buffer the caller puts back after writing it. A worker serves whatever
 // arrives on its socket: a body the kernel's decoder rejects, an unknown op
 // (both wrapping flatwire.ErrMalformed) and a kernel panic all come back
 // as error replies, never as a dead process.
-func serveRequest(st *workerStore, conn uint64, k kernel, known bool, id uint64, op string, body []byte) *[]byte {
-	bp := replyBufs.Get().(*[]byte)
-	hdr := (*bp)[:replyHeaderLen]
+func serveRequest(st *workerStore, k kernel, known bool, id uint64, op string, rq *kernelCall) *[]byte {
+	bp := getBuf()
+	hdr := slices.Grow(*bp, replyHeaderLen)[:replyHeaderLen]
 	start := time.Now()
 	out, err := func() (out []byte, err error) {
 		if !known {
@@ -144,7 +167,7 @@ func serveRequest(st *workerStore, conn uint64, k kernel, known bool, id uint64,
 				err = fmt.Errorf("workflow: kernel %s panicked: %v", op, p)
 			}
 		}()
-		return k.fn(st, conn, body, hdr)
+		return k.fn(st, rq, hdr)
 	}()
 	run := time.Since(start)
 	if err == nil && len(out)-4 > maxFrameBytes {
@@ -191,13 +214,15 @@ func serveConn(conn io.ReadWriteCloser, st *workerStore) {
 	defer wg.Wait()
 	br := bufio.NewReader(conn)
 	for {
-		frame, err := readFrame(br)
+		fp := getBuf()
+		frame, err := readFrame(br, *fp)
 		if err != nil {
 			return
 		}
+		*fp = frame
 		r := flatwire.NewReader(frame)
 		id, op := r.U64(), r.String()
-		body := r.Rest()
+		rq := &kernelCall{conn: tag, args: r.Rest(), frame: fp}
 		if r.Err() != nil {
 			return
 		}
@@ -205,12 +230,15 @@ func serveConn(conn io.ReadWriteCloser, st *workerStore) {
 		k, known := kernels[op]
 		kernelMu.RUnlock()
 		serve := func() {
-			bp := serveRequest(st, tag, k, known, id, op, body)
+			bp := serveRequest(st, k, known, id, op, rq)
+			if !rq.kept {
+				putBuf(fp)
+			}
 			wmu.Lock()
 			// A failed write means the peer is gone; the read loop finds out.
 			_, _ = conn.Write(*bp)
 			wmu.Unlock()
-			replyBufs.Put(bp)
+			putBuf(bp)
 		}
 		if k.inline {
 			serve()
@@ -265,10 +293,11 @@ func (e *remoteError) Is(target error) bool { return e.malformed && target == fl
 
 // wireReply is one decoded reply frame.
 type wireReply struct {
-	body []byte        // the kernel's reply body (nil when err is set)
-	run  time.Duration // the worker's kernel run time
-	n    int           // reply frame bytes, length prefix included
-	err  error
+	body  []byte        // the kernel's reply body (nil when err is set)
+	frame *[]byte       // the recycled buffer body lies in, for putBuf
+	run   time.Duration // the worker's kernel run time
+	n     int           // reply frame bytes, length prefix included
+	err   error
 }
 
 // wireClient is the coordinator's end of one worker connection: request
@@ -299,10 +328,12 @@ func (c *wireClient) readLoop() {
 	br := bufio.NewReader(c.conn)
 	var err error
 	for {
+		fp := getBuf()
 		var frame []byte
-		if frame, err = readFrame(br); err != nil {
+		if frame, err = readFrame(br, *fp); err != nil {
 			break
 		}
+		*fp = frame
 		r := flatwire.NewReader(frame)
 		id, status, run := r.U64(), r.U8(), time.Duration(r.U64())
 		body := r.Rest()
@@ -312,7 +343,7 @@ func (c *wireClient) readLoop() {
 		rep := wireReply{run: run, n: 4 + len(frame)}
 		switch {
 		case status == statusOK:
-			rep.body = body
+			rep.body, rep.frame = body, fp
 		case status == statusError, status == statusMalformed:
 			rep.err = &remoteError{msg: string(body), malformed: status == statusMalformed}
 		case status == statusMiss && len(body) == 0:
@@ -320,12 +351,17 @@ func (c *wireClient) readLoop() {
 		default:
 			rep.err = fmt.Errorf("%w: reply status %d with a %d-byte body", flatwire.ErrMalformed, status, len(body))
 		}
+		if rep.frame == nil {
+			putBuf(fp) // the error text is copied out
+		}
 		c.mu.Lock()
 		ch := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if ch != nil { // else a reply nobody waits for: dropped
+		if ch != nil {
 			ch <- rep
+		} else { // a reply nobody waits for: dropped
+			putBuf(rep.frame)
 		}
 	}
 	c.mu.Lock()
@@ -394,6 +430,7 @@ func (c *wireClient) roundTrip(op string, body []byte, kb *keyedBody, worker int
 		// Already answered: the worker serves store kernels on its read
 		// loop, before it reads the task frame.
 		st := <-store
+		putBuf(st.frame)
 		rep.run += st.run
 		rep.n += st.n
 		if st.err != nil {
@@ -539,7 +576,8 @@ func (b *RPCBackend) ReleaseAffinity(keys ...string) {
 	b.mu.Unlock()
 	for i, ks := range drops {
 		if len(ks) > 0 {
-			_, _, _ = b.clients[i].roundTrip("store.drop", appendStoreDrop(nil, ks), nil, 0, false)
+			rep, _, _ := b.clients[i].roundTrip("store.drop", appendStoreDrop(nil, ks), nil, 0, false)
+			putBuf(rep.frame)
 		}
 	}
 }
@@ -594,25 +632,20 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	i, pinned := b.pick(rt.Affinity, rt.Scope)
 	if span != nil {
 		span.Worker = b.labels[i]
-		// Attribute the XOR value-block traffic this call decodes (and,
-		// over a pipe worker, encodes) to the span as deltas of the
-		// process-wide counters.
-		vRaw0, vCoded0 := flatwire.ValueBytes()
-		defer func() {
-			raw, coded := flatwire.ValueBytes()
-			span.ValueRawBytes += raw - vRaw0
-			span.ValueCodedBytes += coded - vCoded0
-		}()
 		if pinned {
 			tracer.Emit("wire", "affinity-hit", rt.Affinity, int64(i))
 		}
 	}
-	ship := func(args func([]byte) []byte, force bool) ([]byte, error) {
-		body := args(nil)
+	// ship sends the task once and returns the reply, whose frame the
+	// caller puts back.
+	ship := func(args func([]byte) []byte, force bool) (wireReply, error) {
+		bp := getBuf()
+		*bp = args(*bp)
 		start := time.Now()
-		rep, sent, err := b.clients[i].roundTrip(rt.Op, body, rt.keyed, i, force)
+		rep, sent, err := b.clients[i].roundTrip(rt.Op, *bp, rt.keyed, i, force)
+		putBuf(bp)
 		if err != nil && err != errMiss {
-			return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
+			return rep, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
 		}
 		b.observeShip(float64(time.Since(start) - rep.run))
 		if span != nil {
@@ -620,9 +653,9 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 			span.BytesIn += int64(rep.n)
 			span.WorkerRun += rep.run
 		}
-		return rep.body, err // nil or a miss, bare
+		return rep, err // nil or a miss, bare
 	}
-	body, err := ship(rt.Args, false)
+	rep, err := ship(rt.Args, false)
 	if err == errMiss {
 		// Re-send to the same worker — affinity pins the shard there — with
 		// every keyed input inlined, behind the keyed body's full store
@@ -635,12 +668,13 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 		if rt.Inline != nil {
 			args = rt.Inline
 		}
-		if body, err = ship(args, true); err == errMiss {
+		if rep, err = ship(args, true); err == errMiss {
 			err = fmt.Errorf("workflow: rpc backend: worker %s: task %s: inputs still missing after an inlined resend", b.labels[i], rt.Op)
 		}
 	}
+	defer putBuf(rep.frame)
 	if err != nil {
 		return nil, err
 	}
-	return rt.Absorb(body)
+	return rt.Absorb(rep.body)
 }

@@ -21,15 +21,15 @@ import (
 )
 
 func init() {
-	registerKernel("test.echo", kernel{fn: func(_ *workerStore, _ uint64, args, dst []byte) ([]byte, error) {
-		return append(dst, args...), nil
+	registerKernel("test.echo", kernel{fn: func(_ *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
+		return append(dst, rq.args...), nil
 	}})
-	registerKernel("test.sleep", kernel{fn: func(_ *workerStore, _ uint64, args, dst []byte) ([]byte, error) {
+	registerKernel("test.sleep", kernel{fn: func(_ *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
 		time.Sleep(20 * time.Millisecond)
-		return append(dst, args...), nil
+		return append(dst, rq.args...), nil
 	}})
-	registerKernel("test.panic", kernel{fn: func(_ *workerStore, _ uint64, _, _ []byte) ([]byte, error) { panic("kernel bug") }})
-	registerKernel("test.miss", kernel{fn: func(_ *workerStore, _ uint64, _, _ []byte) ([]byte, error) {
+	registerKernel("test.panic", kernel{fn: func(*workerStore, *kernelCall, []byte) ([]byte, error) { panic("kernel bug") }})
+	registerKernel("test.miss", kernel{fn: func(*workerStore, *kernelCall, []byte) ([]byte, error) {
 		missCalls.Add(1)
 		return nil, errMiss
 	}})
@@ -215,7 +215,7 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 	} {
 		coord, work := net.Pipe()
 		go func() {
-			readFrame(work) // the request
+			readFrame(work, nil) // the request
 			work.Write(tc.raw)
 			work.Close()
 		}()
@@ -234,7 +234,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	hostile := append(flatwire.AppendU32(nil, maxFrameBytes), 1, 2, 3)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, err := readFrame(bytes.NewReader(hostile)); err == nil {
+	if _, err := readFrame(bytes.NewReader(hostile), nil); err == nil {
 		t.Fatal("truncated frame read without error")
 	}
 	runtime.ReadMemStats(&m1)
@@ -245,7 +245,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	got, err := readFrame(bytes.NewReader(append(flatwire.AppendU32(nil, uint32(len(big))), big...)))
+	got, err := readFrame(bytes.NewReader(append(flatwire.AppendU32(nil, uint32(len(big))), big...)), nil)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("multi-chunk frame: %d bytes, %v", len(got), err)
 	}

@@ -179,6 +179,84 @@ func TestWorkerRestartIsAMiss(t *testing.T) {
 	}
 }
 
+// waveEmptying is an RPCBackend whose workers lose the state of the loop
+// its tasks belong to whenever the loop's next wave starts: every wave's
+// first task misses and re-sends, while loops on other backends sharing
+// the workers keep theirs.
+type waveEmptying struct {
+	*RPCBackend
+	st *workerStore
+
+	mu      sync.Mutex
+	wave    int
+	emptied int
+}
+
+func (b *waveEmptying) RunTask(ctx *Context, t *Task) (Value, error) {
+	if rt := t.Remote; rt != nil {
+		b.mu.Lock()
+		if w := ctx.Span.Iter; w != b.wave {
+			b.wave = w
+			loop := rt.Affinity[:strings.LastIndexByte(rt.Affinity, '-')]
+			b.st.mu.Lock()
+			for k := range b.st.m {
+				if k == loop || strings.HasPrefix(k, loop+"-") {
+					delete(b.st.m, k)
+				}
+			}
+			b.st.mu.Unlock()
+			b.emptied++
+		}
+		b.mu.Unlock()
+	}
+	return b.RPCBackend.RunTask(ctx, t)
+}
+
+// TestConcurrentLoopsRecycleBuffers: two K-Means loops run at once on one
+// backend of two pipe workers, so their request bodies, frames and reply
+// frames pass through the same recycled buffers, and one loop's worker
+// state is emptied before each of its waves — its stashed centroid blocks
+// are dropped with their frames and every wave re-sends. Both loops must
+// give the local digest.
+func TestConcurrentLoopsRecycleBuffers(t *testing.T) {
+	m := overlapMatrix()
+	pool := par.NewPool(2)
+	defer pool.Close()
+	local, err := runKMPlan(NewContext(pool), m, LocalBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clusteringDigest(local)
+	rpc, st := pipeWorkers(t, 2, nil)
+	emptying := &waveEmptying{RPCBackend: rpc, st: st, wave: -1}
+	var wg sync.WaitGroup
+	for _, b := range []Backend{rpc, emptying} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pool := par.NewPool(2)
+			defer pool.Close()
+			ctx := NewContext(pool)
+			ctx.Tracer = obs.NewTracer()
+			res, err := runKMPlan(ctx, m, b)
+			if err != nil {
+				t.Errorf("%T: %v", b, err)
+				return
+			}
+			if d := clusteringDigest(res); d != want {
+				t.Errorf("%T: digest %#x, local %#x", b, d, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if emptying.emptied < 3 {
+		t.Errorf("the worker state was emptied before %d waves: the test tested little", emptying.emptied)
+	}
+	if n := st.entries(); n != 0 {
+		t.Errorf("%d store entries left after both loops", n)
+	}
+}
+
 // failAfter is an RPCBackend that fails the nth kmeans.assign task after
 // the worker ran it: a loop that fails mid-way, with sessions on both
 // workers.

@@ -308,9 +308,10 @@ func TestRecordingIsPassive(t *testing.T) {
 }
 
 // TestBreakdownIsTheSpanRollUp: the Breakdown is the spans rolled up, not a
-// second record. For every phase, Breakdown.Get equals the sum over nodes
-// of the node's extent (last span end − first span start) over its spans
-// in that phase, exactly; and the phases never sum past the run's wall.
+// second record. Each node's extent (first span start to last span end)
+// is swept: every instant is split evenly over the extents covering it.
+// For every phase, Breakdown.Get equals its nodes' shares, exactly; and the
+// phases never sum past the run's wall.
 func TestBreakdownIsTheSpanRollUp(t *testing.T) {
 	c := testCorpus()
 	for _, mode := range []Mode{Merged, Discrete} {
@@ -349,9 +350,27 @@ func TestBreakdownIsTheSpanRollUp(t *testing.T) {
 							e.last = s.End
 						}
 					}
+					// The sweep: every interval between two consecutive
+					// extent ends is split evenly over the extents covering it.
+					var cuts []time.Time
+					for _, e := range extents {
+						cuts = append(cuts, e.first, e.last)
+					}
+					slices.SortFunc(cuts, time.Time.Compare)
 					want := map[string]time.Duration{}
-					for k, e := range extents {
-						want[k[1]] += e.last.Sub(e.first)
+					for k := range extents {
+						want[k[1]] += 0
+					}
+					for c := 1; c < len(cuts); c++ {
+						var on [][2]string
+						for k, e := range extents {
+							if !e.first.After(cuts[c-1]) && !e.last.Before(cuts[c]) {
+								on = append(on, k)
+							}
+						}
+						for _, k := range on {
+							want[k[1]] += cuts[c].Sub(cuts[c-1]) / time.Duration(len(on))
+						}
 					}
 					bd := ctx.Breakdown
 					if got := bd.Phases(); len(got) != len(want) {

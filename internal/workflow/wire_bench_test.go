@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/sparse"
 	"hpa/internal/tfidf"
@@ -49,25 +48,6 @@ func benchAssignReply() *KMAssignReply {
 	return r
 }
 
-// benchVectorShardQuantized is benchVectorShard with quantized values:
-// runs of repeated products, the shape real TF/IDF vectors take when many
-// terms in a document share a term frequency. Equal neighbors XOR to zero,
-// so this is the corpus where the codec-3 value blocks earn their keep —
-// benchVectorShard's dense rationals are the near-incompressible floor.
-func benchVectorShardQuantized() *tfidf.VectorShard {
-	vs := benchVectorShard()
-	for i := range vs.Vectors {
-		val := vs.Vectors[i].Val
-		norm := 0.0
-		for e := range val {
-			val[e] = float64(1+e/16) / 4
-			norm += val[e] * val[e]
-		}
-		vs.Norms[i] = norm
-	}
-	return vs
-}
-
 // benchCentroids synthesizes a kmeans.centroids-block-sized matrix: 16
 // centroids over 6 368 terms, three in ten entries non-zero — the shape of
 // the benchmark's cluster workloads.
@@ -91,16 +71,11 @@ func benchCentroids() ([][]float64, []float64) {
 // transform reply (worker→coordinator, once per shard), the assignment
 // reply (worker→coordinator, per shard per iteration) and the centroid
 // block (coordinator→worker, per worker per iteration) — one encode+decode
-// round trip per op, with the encoded size reported. Each case
-// additionally reports val%: the XOR-coded f64 value blocks' size as a
-// percentage of their fixed-width form (flatwire.ValueBytes), on both the
-// adversarial dense-rational corpus and the quantized repeated-value
-// corpus. Run with
+// round trip per op, with the encoded size reported. Run with
 //
 //	go test ./internal/workflow -run '^$' -bench WirePayloads -benchtime 100x
 func BenchmarkWirePayloads(b *testing.B) {
 	vs := benchVectorShard()
-	qs := benchVectorShardQuantized()
 	ar := benchAssignReply()
 	cents, cnorms := benchCentroids()
 	dst := make([][]float64, len(cents))
@@ -109,26 +84,12 @@ func BenchmarkWirePayloads(b *testing.B) {
 	}
 	dstNorms := make([]float64, len(cnorms))
 
-	// valuePct measures one encode's value-block compression via the
-	// process-wide flatwire counters (encode-side delta only).
-	valuePct := func(encode func() []byte) float64 {
-		raw0, coded0 := flatwire.ValueBytes()
-		encode()
-		raw1, coded1 := flatwire.ValueBytes()
-		if raw1 == raw0 {
-			return 100
-		}
-		return 100 * float64(coded1-coded0) / float64(raw1-raw0)
-	}
-
 	for _, bc := range []struct {
 		name   string
 		encode func() []byte
 		decode func([]byte) error
 	}{
 		{"vectorshard", func() []byte { return vs.EncodeFlat(nil) },
-			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
-		{"vectorshard-quantized", func() []byte { return qs.EncodeFlat(nil) },
 			func(buf []byte) error { _, err := tfidf.DecodeFlatVectorShard(buf); return err }},
 		{"assign-reply", func() []byte { return ar.AppendFlat(nil) },
 			func(buf []byte) error { _, err := DecodeFlatKMAssignReply(buf); return err }},
@@ -146,7 +107,6 @@ func BenchmarkWirePayloads(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(size), "wire-bytes")
-			b.ReportMetric(valuePct(bc.encode), "val%")
 		})
 	}
 }

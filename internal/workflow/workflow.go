@@ -104,10 +104,10 @@
 // One body travels apart from the tasks that need it, as a keyed body
 // (backend.go): a K-Means iteration's centroids, keyed by (loop,
 // iteration) and new to every worker each iteration. The first task the
-// backend sends a worker in the wave carries the block — k sparse rows —
-// ahead of itself, its siblings only name the key, and every shard
-// session of the loop on that worker assigns against the one decoded
-// copy. A shard's term counts never leave the worker that counted them:
+// backend sends a worker in the wave carries the block — the sparse rows
+// the last update changed — ahead of itself, its siblings only name the
+// key, and every shard session of the loop on that worker assigns against
+// the one decoded copy, which lives only in the blocked kernel's lanes. A shard's term counts never leave the worker that counted them:
 // count tasks park their output in the worker store under a per-run scope
 // (count→transform affinity), and the paired transform task names its
 // key. A worker that lacks anything a task names by key — counts, a loop
@@ -115,9 +115,15 @@
 // it all inlined; the keys are dropped from the workers when the run ends
 // with them. Everything on the wire — frames, kernel arguments,
 // tfidf.VectorShard, centroid blocks, assignment replies — is a flat
-// buffer (internal/flatwire): fixed layouts, floats as IEEE 754 bits,
+// buffer (internal/flatwire): fixed layouts, sorted indices as varint
+// deltas, every float as its raw IEEE 754 bits (one value form: a value
+// coder saved a few percent of the bytes for a pass over each of them),
 // every decoder validating structurally and failing with
-// flatwire.ErrMalformed (BenchmarkWirePayloads prices the codecs).
+// flatwire.ErrMalformed (BenchmarkWirePayloads prices the codecs). Each
+// byte is handled once per side: encoders size a body before writing it,
+// into a recycled buffer; frames are read into recycled buffers that go
+// back once the kernel or Absorb that read them returns; decoders copy
+// what they keep.
 //
 // Fusion is a graph rewrite: a plan containing an explicit materialize/load
 // operator pair around an edge is rewritten by FuseRule into one without
@@ -187,7 +193,7 @@ type Context struct {
 	// recording site is a single nil compare.
 	Tracer *obs.Tracer
 	// Span is the in-flight span of the task this context was minted for;
-	// backends and kernels annotate it (worker lane, wire bytes, codec).
+	// backends and kernels annotate it (worker lane, wire bytes, resends).
 	// Nil outside task execution and on untraced runs.
 	Span *obs.Span
 }
