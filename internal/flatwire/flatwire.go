@@ -25,9 +25,9 @@
 // one binary and no payload is ever stored, so there is no older encoding
 // to stay compatible with.
 //
-//	payload                        version         index blocks          f64 value blocks
-//	VectorShard, centroid block    CodecRaw (5)    delta-coded varints   raw IEEE 754 bits
-//	WireShardCounts                CodecVocab (4)  — (raw u32 blocks)    —
+//	payload                         version         index blocks          f64 value blocks
+//	VectorShard, centroid block     CodecRaw (5)    delta-coded varints   raw IEEE 754 bits
+//	tfidf.ShardCounts (count reply) CodecCounts (6) — (raw u32 block)     —
 //
 // A centroid block lists the rows it carries by cluster ID — every
 // cluster in a full block, the changed ones in a delta — as one raw u32
@@ -43,16 +43,17 @@
 // value coder to shrink them by more than a few percent, so decoding is a
 // plain copy.
 //
-// CodecVocab is WireShardCounts' layout: the shard vocabulary once, then
-// every document as fixed-width (vocabulary index, count) u32 blocks — the
-// per-document entries are unsorted, so there is no index block to
-// delta-code. Signed and unsigned fixed-width scalar blocks (counts,
-// assignments, centroid-row IDs) are raw in every payload: they are small next to the
-// index/value payload and decode allocation-free. Versions 1 (raw blocks
-// throughout; WireShardCounts with every document's words as strings), 2
-// (delta-coded indexes, raw values, no value-block marker) and 3
-// (XOR-with-previous value blocks behind a form marker) are retired; their
-// numbers stay reserved so they are never reused.
+// CodecCounts is the count reply's layout: the shard vocabulary once, the
+// document names, and the shard DF as one raw u32 block; the documents'
+// own counts stay on the worker that counted them. Signed and unsigned
+// fixed-width scalar blocks (counts, assignments, centroid-row IDs) are raw
+// in every payload: they are small next to the index/value payload and
+// decode allocation-free. Versions 1 (raw blocks throughout; the count
+// reply with every document's words as strings), 2 (delta-coded indexes,
+// raw values, no value-block marker), 3 (XOR-with-previous value blocks
+// behind a form marker) and 4 (the count reply with every document's
+// (vocabulary index, count) blocks) are retired; their numbers stay
+// reserved so they are never reused.
 package flatwire
 
 import (
@@ -73,9 +74,9 @@ const (
 	// CodecRaw is layout version 5: delta-coded sorted u32 index arrays
 	// plus raw f64 value blocks.
 	CodecRaw byte = 5
-	// CodecVocab is layout version 4, WireShardCounts' only version: one
-	// vocabulary block plus per-document (vocabulary index, count) blocks.
-	CodecVocab byte = 4
+	// CodecCounts is layout version 6, the count reply's only version: the
+	// shard vocabulary, document names and DF, no documents.
+	CodecCounts byte = 6
 )
 
 // Reserve returns b with room for n more bytes: b itself when it has them,

@@ -63,9 +63,10 @@ import (
 // KMeansAssignNS and RPCShipNS to the spans of a traced serial run of the
 // workflow plan, local and on a pipe worker, where each had a synthetic
 // rehearsal of its own; v15 drops phase 2's dictionary term, the global
-// lookup table the transform no longer builds or reads. Earlier caches
-// self-invalidate and re-measure.
-const ModelVersion = 15
+// lookup table the transform no longer builds or reads; v16 re-fits
+// RPCShipNS to pipe-worker spans whose count replies carry no documents.
+// Earlier caches self-invalidate and re-measure.
+const ModelVersion = 16
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to

@@ -10,11 +10,12 @@ import (
 
 // This file is the flat wire codec of VectorShard — the hottest
 // worker→coordinator payload of the partitioned TF/IDF transform — and of
-// the count reply. The layout below writes one buffer and decodes into two
-// shared backing arrays (all Idx entries contiguous, all Val entries
-// contiguous), so a shard's score vectors cost a handful of allocations no
-// matter how many documents it carries. Floats travel as their IEEE 754 bit
-// patterns: the decoded shard is bit-identical to the encoded one.
+// the count reply (ShardCounts without its documents). The layout below
+// writes one buffer and decodes into two shared backing arrays (all Idx
+// entries contiguous, all Val entries contiguous), so a shard's score
+// vectors cost a handful of allocations no matter how many documents it
+// carries. Floats travel as their IEEE 754 bit patterns: the decoded shard
+// is bit-identical to the encoded one.
 //
 // Layout (little-endian):
 //
@@ -31,9 +32,9 @@ import (
 // vectorShardMagic identifies a flat VectorShard buffer.
 const vectorShardMagic uint32 = 0x48505653 // "HPVS"
 
-// wireShardCountsMagic identifies a flat WireShardCounts buffer — the
-// tfidf.count kernel reply.
-const wireShardCountsMagic uint32 = 0x48505743 // "HPWC"
+// shardCountsMagic identifies a flat ShardCounts buffer — the tfidf.count
+// kernel reply.
+const shardCountsMagic uint32 = 0x48505743 // "HPWC"
 
 // EncodeFlat returns the shard in flat wire form, appended to dst (pass nil
 // to allocate exactly). The receiver is not modified.
@@ -80,11 +81,14 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	}
 	vs.DictFootprint = r.I64()
 	n := r.Count(4)
+	switch {
+	case codec != flatwire.CodecRaw:
+		r.Fail("unknown codec version %d", codec)
+	case vs.Lo < 0 || vs.Hi < vs.Lo || vs.Hi-vs.Lo != n:
+		r.Fail("%d documents for [%d, %d)", n, vs.Lo, vs.Hi)
+	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
-	}
-	if codec != flatwire.CodecRaw {
-		return nil, fmt.Errorf("tfidf: decode vector shard: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	vs.Vectors = sparse.ConsumeFlatVectors(r, n)
 	vs.Norms = r.F64s(n)
@@ -98,139 +102,83 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	return vs, nil
 }
 
-// EncodeFlat returns the count reply in flat wire form, appended to dst
-// (pass nil). The receiver is not modified.
+// EncodeFlat returns the count reply — what the coordinator's DF merge
+// reads of a shard counted on a worker — in flat wire form, appended to dst
+// (pass nil to allocate exactly). The per-document dictionaries stay where
+// they were counted. The receiver is not modified.
 //
 // Layout (little-endian):
 //
 //	magic u32 | codec u8 | lo u64 | hi u64 | nWords u32 | nDocs u32
-//	words  (u32 len + bytes) × nWords   (shard vocabulary, strictly ascending)
-//	nTerms u32 × nDocs                  (per-document entry counts)
-//	locals u32 × Σ                      (all documents' vocabulary indexes)
-//	counts u32 × Σ                      (all documents' frequencies)
-//	names marker u32                    (0 = nil, 1 = present)
-//	[names (u32 len + bytes) × nDocs]
-//	df marker u32                       (0 = omitted, 1 = present)
-//	[df u32 × nWords | rehashes i64 | rotations i64 | capacity i64]
+//	words (u32 len + bytes) × nWords   (shard vocabulary, strictly ascending)
+//	names (u32 len + bytes) × nDocs    (nDocs = hi − lo)
+//	df u32 × nWords
+//	rehashes i64 | rotations i64 | capacity i64
 //
-// The codec byte is flatwire.CodecVocab, the only version: a word crosses
-// the wire once per shard, not once per document containing it.
-func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
-	b := flatwire.AppendU32(dst, wireShardCountsMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecVocab)
-	b = flatwire.AppendU64(b, uint64(w.Lo))
-	b = flatwire.AppendU64(b, uint64(w.Hi))
-	b = flatwire.AppendU32(b, uint32(len(w.Words)))
-	b = flatwire.AppendU32(b, uint32(len(w.Docs)))
-	for _, word := range w.Words {
+// The codec byte is flatwire.CodecCounts, the only version.
+func (sc *ShardCounts) EncodeFlat(dst []byte) []byte {
+	n := 4 + 1 + 2*8 + 2*4 + 4*len(sc.DF) + 3*8
+	for _, word := range sc.Words {
+		n += flatwire.SizeString(word)
+	}
+	for _, name := range sc.DocNames {
+		n += flatwire.SizeString(name)
+	}
+	b := flatwire.Reserve(dst, n)
+	b = flatwire.AppendU32(b, shardCountsMagic)
+	b = flatwire.AppendU8(b, flatwire.CodecCounts)
+	b = flatwire.AppendU64(b, uint64(sc.Lo))
+	b = flatwire.AppendU64(b, uint64(sc.Hi))
+	b = flatwire.AppendU32(b, uint32(len(sc.Words)))
+	b = flatwire.AppendU32(b, uint32(len(sc.DocNames)))
+	for _, word := range sc.Words {
 		b = flatwire.AppendString(b, word)
 	}
-	for i := range w.Docs {
-		b = flatwire.AppendU32(b, uint32(len(w.Docs[i].Locals)))
+	for _, name := range sc.DocNames {
+		b = flatwire.AppendString(b, name)
 	}
-	for i := range w.Docs {
-		b = flatwire.AppendU32s(b, w.Docs[i].Locals)
-	}
-	for i := range w.Docs {
-		b = flatwire.AppendU32s(b, w.Docs[i].Counts)
-	}
-	if w.DocNames == nil {
-		b = flatwire.AppendU32(b, 0)
-	} else {
-		b = flatwire.AppendU32(b, 1)
-		for _, name := range w.DocNames {
-			b = flatwire.AppendString(b, name)
-		}
-	}
-	if w.DF == nil {
-		b = flatwire.AppendU32(b, 0)
-	} else {
-		b = flatwire.AppendU32(b, 1)
-		b = flatwire.AppendU32s(b, w.DF)
-		st := w.VocabStats
-		b = flatwire.AppendI64s(b, []int64{int64(st.Rehashes), int64(st.Rotations), int64(st.Capacity)})
-	}
-	return b
+	b = flatwire.AppendU32s(b, sc.DF)
+	st := sc.VocabStats
+	return flatwire.AppendI64s(b, []int64{int64(st.Rehashes), int64(st.Rotations), int64(st.Capacity)})
 }
 
-// DecodeFlatWireShardCounts decodes a flat count reply, validating the
-// layout (magic, codec, counts, truncation, trailing bytes) and what
-// ShardCounts and the kernels rely on: the vocabulary strictly ascending
-// (so no word appears twice), every local inside it, and no local twice in
-// one document.
-func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
-	malformed := func(format string, args ...any) (*WireShardCounts, error) {
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w: %s", flatwire.ErrMalformed, fmt.Sprintf(format, args...))
-	}
+// DecodeFlatShardCounts decodes a flat count reply into a ShardCounts
+// without documents (DocDicts nil), validating the layout (magic, codec,
+// counts, truncation, trailing bytes), one name per document of [lo, hi),
+// and the vocabulary strictly ascending, so no word appears twice.
+func DecodeFlatShardCounts(b []byte) (*ShardCounts, error) {
 	r := flatwire.NewReader(b)
-	r.Magic(wireShardCountsMagic, "tfidf shard counts")
+	r.Magic(shardCountsMagic, "tfidf shard counts")
 	codec := r.U8()
-	w := &WireShardCounts{
-		Lo: int(r.U64()),
-		Hi: int(r.U64()),
-	}
-	nw := r.Count(4)
+	sc := &ShardCounts{Lo: int(r.U64()), Hi: int(r.U64())}
+	nw := r.Count(8) // ≥ 4 (name length) + 4 (DF) bytes per word
 	n := r.Count(4)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
+	switch {
+	case codec != flatwire.CodecCounts:
+		r.Fail("unknown codec version %d", codec)
+	case sc.Lo < 0 || sc.Hi < sc.Lo || sc.Hi-sc.Lo != n:
+		r.Fail("%d names for documents [%d, %d)", n, sc.Lo, sc.Hi)
 	}
-	if codec != flatwire.CodecVocab {
-		return malformed("unknown codec version %d", codec)
+	sc.Words = make([]string, nw)
+	for i := range sc.Words {
+		sc.Words[i] = r.String()
 	}
-	w.Words = make([]string, nw)
-	for i := range w.Words {
-		w.Words[i] = r.String()
+	sc.DocNames = make([]string, n)
+	for i := range sc.DocNames {
+		sc.DocNames[i] = r.String()
 	}
-	nterms := r.U32s(n)
-	w.Docs = make([]WireDocCounts, n)
-	for i := range nterms {
-		w.Docs[i].Locals = r.U32s(int(nterms[i]))
-	}
-	for i := range nterms {
-		w.Docs[i].Counts = r.U32s(int(nterms[i]))
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
+	sc.DF = r.U32s(nw)
+	if v := r.I64s(3); v != nil {
+		sc.VocabStats = dict.Stats{Rehashes: int(v[0]), Rotations: int(v[1]), Capacity: int(v[2])}
 	}
 	for i := 1; i < nw; i++ {
-		if w.Words[i] <= w.Words[i-1] {
-			return malformed("vocabulary not strictly ascending at word %d", i)
+		if sc.Words[i] <= sc.Words[i-1] {
+			r.Fail("vocabulary not strictly ascending at word %d", i)
+			break
 		}
-	}
-	seenIn := make([]int, nw) // 1 + the last document each word was seen in
-	for i := range w.Docs {
-		for _, local := range w.Docs[i].Locals {
-			if int(local) >= nw {
-				return malformed("document %d references word %d of %d", i, local, nw)
-			}
-			if seenIn[local] == i+1 {
-				return malformed("document %d lists word %d twice", i, local)
-			}
-			seenIn[local] = i + 1
-		}
-	}
-	switch r.U32() {
-	case 0:
-	case 1:
-		w.DocNames = make([]string, n)
-		for i := range w.DocNames {
-			w.DocNames[i] = r.String()
-		}
-	default:
-		return malformed("bad names marker")
-	}
-	switch r.U32() {
-	case 0:
-	case 1:
-		w.DF = r.U32s(nw)
-		if v := r.I64s(3); v != nil {
-			w.VocabStats = dict.Stats{Rehashes: int(v[0]), Rotations: int(v[1]), Capacity: int(v[2])}
-		}
-	default:
-		return malformed("bad DF marker")
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
 	}
-	return w, nil
+	return sc, nil
 }

@@ -111,7 +111,11 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 	}
 	// An entry total the buffer cannot hold must fail before the backing
 	// arrays are sized from it: 49 bytes that would otherwise ask for 12 GiB.
-	huge := append([]byte{}, good[:4+1+24+8]...)
+	huge := flatwire.AppendU32(nil, vectorShardMagic)
+	huge = flatwire.AppendU8(huge, flatwire.CodecRaw)
+	huge = flatwire.AppendU64(huge, 3) // lo
+	huge = flatwire.AppendU64(huge, 4) // hi
+	huge = append(huge, good[4+1+16:4+1+24+8]...)
 	huge = flatwire.AppendU32(huge, 1)     // n
 	huge = flatwire.AppendU32(huge, 1<<30) // nnz
 	huge = flatwire.AppendU32(huge, 1<<30) // total
@@ -120,6 +124,14 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 	dup := flatTestShard()
 	dup.Vectors[0].Idx[1] = dup.Vectors[0].Idx[0]
 	cases["duplicate index"] = dup.EncodeFlat(nil)
+	// A shard's range is its documents: a reply claiming more would land
+	// in another shard's slots, or past the corpus.
+	wide := flatTestShard()
+	wide.Hi++
+	cases["range past its documents"] = wide.EncodeFlat(nil)
+	backwards := flatTestShard()
+	backwards.Lo, backwards.Hi = 7, 3
+	cases["range backwards"] = backwards.EncodeFlat(nil)
 
 	for name, b := range cases {
 		vs, err := DecodeFlatVectorShard(b)
@@ -134,107 +146,83 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 }
 
 // flatTestCounts builds a count reply with the shapes its codec must
-// handle: an empty document, a word shared across documents, entries out
-// of vocabulary order, and the DF block a count reply carries.
-func flatTestCounts(withDF bool) *WireShardCounts {
-	w := &WireShardCounts{
+// handle: an empty document name, words sharing a prefix, and vocabulary
+// counters.
+func flatTestCounts() *ShardCounts {
+	return &ShardCounts{
 		Lo: 2, Hi: 5,
-		Words: []string{"alpha", "beta", "gamma"},
-		Docs: []WireDocCounts{
-			{Locals: []uint32{1, 0}, Counts: []uint32{3, 1}},
-			{},
-			{Locals: []uint32{1, 2}, Counts: []uint32{7, 2}},
-		},
-		DocNames: []string{"a.txt", "", "c.txt"},
+		Words:      []string{"alpha", "alphabet", "beta"},
+		DF:         []uint32{1, 2, 1},
+		DocNames:   []string{"a.txt", "", "c.txt"},
+		VocabStats: dict.Stats{Rehashes: 2, Rotations: 5, Capacity: 4096},
 	}
-	if withDF {
-		w.DF = []uint32{1, 2, 1}
-		w.VocabStats = dict.Stats{Rehashes: 2, Rotations: 5, Capacity: 4096}
-	}
-	return w
 }
 
-// TestWireShardCountsFlatRoundTrip: the flat count-reply codec must
-// reproduce the wire struct exactly and agree with what gob would have
-// carried, with and without the DF block.
+// docCountsReply encodes sc in the retired codec-4 layout of the count
+// reply, which carried every document's (vocabulary index, count) pairs
+// behind the vocabulary: one document per name, holding the first word.
+func docCountsReply(sc *ShardCounts) []byte {
+	b := flatwire.AppendU32(nil, shardCountsMagic)
+	b = flatwire.AppendU8(b, 4)
+	b = flatwire.AppendU64(b, uint64(sc.Lo))
+	b = flatwire.AppendU64(b, uint64(sc.Hi))
+	b = flatwire.AppendU32(b, uint32(len(sc.Words)))
+	b = flatwire.AppendU32(b, uint32(len(sc.DocNames)))
+	for _, word := range sc.Words {
+		b = flatwire.AppendString(b, word)
+	}
+	for range 3 { // nTerms, locals, counts
+		for range sc.DocNames {
+			b = flatwire.AppendU32(b, 1)
+		}
+	}
+	b = flatwire.AppendU32(b, 1) // names marker
+	for _, name := range sc.DocNames {
+		b = flatwire.AppendString(b, name)
+	}
+	b = flatwire.AppendU32(b, 1) // DF marker
+	b = flatwire.AppendU32s(b, sc.DF)
+	return flatwire.AppendI64s(b, []int64{2, 5, 4096})
+}
+
+// TestWireShardCountsFlatRoundTrip: the flat count reply must reproduce
+// every field the coordinator reads — range, vocabulary, DF, names and
+// vocabulary counters — and carry no documents.
 func TestWireShardCountsFlatRoundTrip(t *testing.T) {
-	for _, withDF := range []bool{true, false} {
-		w := flatTestCounts(withDF)
-		got, err := DecodeFlatWireShardCounts(w.EncodeFlat(nil))
+	for name, sc := range map[string]*ShardCounts{
+		"shard":       flatTestCounts(),
+		"empty shard": {Lo: 7, Hi: 7, Words: []string{}, DocNames: []string{}},
+	} {
+		b := sc.EncodeFlat(nil)
+		if len(b) != cap(b) {
+			t.Errorf("%s: encoded %d bytes into a buffer of %d", name, len(b), cap(b))
+		}
+		got, err := DecodeFlatShardCounts(b)
 		if err != nil {
-			t.Fatalf("withDF=%v: DecodeFlatWireShardCounts: %v", withDF, err)
+			t.Fatalf("%s: DecodeFlatShardCounts: %v", name, err)
 		}
-
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatalf("gob encode: %v", err)
+		if !reflect.DeepEqual(got, sc) {
+			t.Errorf("%s: decoded %+v, want %+v", name, got, sc)
 		}
-		var viaGob WireShardCounts
-		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-
-		for name, dec := range map[string]*WireShardCounts{"flat": got, "gob": &viaGob} {
-			if dec.Lo != w.Lo || dec.Hi != w.Hi {
-				t.Errorf("withDF=%v %s: range [%d,%d), want [%d,%d)", withDF, name, dec.Lo, dec.Hi, w.Lo, w.Hi)
-			}
-			if !reflect.DeepEqual(dec.Words, w.Words) {
-				t.Errorf("withDF=%v %s: vocabulary %v", withDF, name, dec.Words)
-			}
-			if len(dec.Docs) != len(w.Docs) {
-				t.Fatalf("withDF=%v %s: %d docs, want %d", withDF, name, len(dec.Docs), len(w.Docs))
-			}
-			for i := range w.Docs {
-				if !reflect.DeepEqual(dec.Docs[i].Locals, w.Docs[i].Locals) ||
-					!reflect.DeepEqual(dec.Docs[i].Counts, w.Docs[i].Counts) {
-					t.Errorf("withDF=%v %s: doc %d differs: %+v", withDF, name, i, dec.Docs[i])
-				}
-			}
-			if !reflect.DeepEqual(dec.DocNames, w.DocNames) {
-				t.Errorf("withDF=%v %s: names %v", withDF, name, dec.DocNames)
-			}
-			if !reflect.DeepEqual(dec.DF, w.DF) {
-				t.Errorf("withDF=%v %s: DF block differs", withDF, name)
-			}
-			if dec.VocabStats != w.VocabStats {
-				t.Errorf("withDF=%v %s: vocabulary counters %+v", withDF, name, dec.VocabStats)
-			}
-		}
-
-		// The rebuilt live shard must match the gob path's rebuild.
-		opts := Options{}
-		flatSC := got.ShardCounts(opts)
-		gobSC := viaGob.ShardCounts(opts)
-		if flatSC.Lo != gobSC.Lo || flatSC.Hi != gobSC.Hi || len(flatSC.DocDicts) != len(gobSC.DocDicts) {
-			t.Errorf("withDF=%v: rebuilt shards differ structurally", withDF)
-		}
-		if e, ok := flatSC.DocDicts[2].Get("gamma"); !ok || e != (DocTerm{TF: 2, Local: 2}) {
-			t.Errorf("withDF=%v: rebuilt dictionary holds %+v for gamma", withDF, e)
+		prefix := []byte{0xaa, 0xbb}
+		if b := sc.EncodeFlat(prefix); !bytes.Equal(b[:2], prefix) || !bytes.Equal(b[2:], sc.EncodeFlat(nil)) {
+			t.Errorf("%s: EncodeFlat does not append to dst", name)
 		}
 	}
 }
 
 // TestWireShardCountsFlatMalformed: structural corruption fails with an
-// error, never a panic or a silently wrong count set — including the
-// invariants the kernels index by: every local inside the vocabulary, no
-// local twice in a document, no word twice in the vocabulary.
+// error wrapping ErrMalformed, never a panic or a silently wrong shard —
+// including what the DF merge relies on: one name per document of the
+// range and no word twice in the vocabulary.
 func TestWireShardCountsFlatMalformed(t *testing.T) {
-	good := flatTestCounts(true).EncodeFlat(nil)
+	good := flatTestCounts().EncodeFlat(nil)
 	badCodec := append([]byte{}, good...)
 	badCodec[4] = 99
-	retiredCodec := append([]byte{}, good...)
-	retiredCodec[4] = 1 // retired codec version
-	// A bogus names marker: re-encode the nameless variant (marker 0 directly
-	// precedes the DF block) and flip its marker to an undefined value.
-	badMarker := flatTestCounts(true)
-	badMarker.DocNames = nil
-	badMarkerBuf := badMarker.EncodeFlat(nil)
-	dfLen := 4 + 3*4 + 3*8                      // marker, DF, vocabulary counters
-	badMarkerBuf[len(badMarkerBuf)-dfLen-4] = 9 // names marker, little-endian low byte
-	mutate := func(fn func(w *WireShardCounts)) []byte {
-		w := flatTestCounts(true)
-		fn(w)
-		return w.EncodeFlat(nil)
+	mutate := func(fn func(sc *ShardCounts)) []byte {
+		sc := flatTestCounts()
+		fn(sc)
+		return sc.EncodeFlat(nil)
 	}
 	cases := map[string][]byte{
 		"empty":           {},
@@ -243,17 +231,17 @@ func TestWireShardCountsFlatMalformed(t *testing.T) {
 		"trailing":        append(append([]byte{}, good...), 0),
 		"short header":    good[:9],
 		"unknown codec":   badCodec,
-		"retired codec":   retiredCodec,
-		"bad marker":      badMarkerBuf,
-		"local past end":  mutate(func(w *WireShardCounts) { w.Docs[2].Locals[1] = 3 }),
-		"duplicate local": mutate(func(w *WireShardCounts) { w.Docs[0].Locals[1] = 1 }),
-		"duplicate word":  mutate(func(w *WireShardCounts) { w.Words[2] = "beta" }),
-		"unsorted words":  mutate(func(w *WireShardCounts) { w.Words[0], w.Words[1] = w.Words[1], w.Words[0] }),
+		"documents block": docCountsReply(flatTestCounts()),
+		"extra name":      mutate(func(sc *ShardCounts) { sc.DocNames = append(sc.DocNames, "d.txt") }),
+		"range backwards": mutate(func(sc *ShardCounts) { sc.Lo, sc.Hi = 5, 2 }),
+		"short DF":        mutate(func(sc *ShardCounts) { sc.DF = sc.DF[:2] }),
+		"duplicate word":  mutate(func(sc *ShardCounts) { sc.Words[2] = "alphabet" }),
+		"unsorted words":  mutate(func(sc *ShardCounts) { sc.Words[0], sc.Words[1] = sc.Words[1], sc.Words[0] }),
 	}
 	for name, b := range cases {
-		w, err := DecodeFlatWireShardCounts(b)
+		sc, err := DecodeFlatShardCounts(b)
 		if err == nil {
-			t.Errorf("%s: decoded without error: %+v", name, w)
+			t.Errorf("%s: decoded without error: %+v", name, sc)
 			continue
 		}
 		if !errors.Is(err, flatwire.ErrMalformed) {

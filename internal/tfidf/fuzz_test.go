@@ -1,6 +1,9 @@
 package tfidf
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzDecodeFlatVectorShard: arbitrary input must error — never panic;
 // accepted inputs must survive a re-encode/re-decode cycle.
@@ -32,34 +35,38 @@ func FuzzDecodeFlatVectorShard(f *testing.F) {
 }
 
 // FuzzDecodeFlatWireShardCounts: arbitrary input must error — never panic;
-// an accepted payload must satisfy the invariants the kernels index by, so
-// rebuilding live dictionaries from it cannot panic either.
+// an accepted count reply must hold what the DF merge relies on (one name
+// per document of its range, one DF per word, a strictly ascending
+// vocabulary) and re-encode to itself.
 func FuzzDecodeFlatWireShardCounts(f *testing.F) {
-	w := flatTestCounts(true)
-	good := w.EncodeFlat(nil)
+	sc := flatTestCounts()
+	good := sc.EncodeFlat(nil)
 	f.Add(good)
 	f.Add(good[:len(good)-2])
 	f.Add([]byte{})
-	f.Add(flatTestCounts(false).EncodeFlat(nil))
-	retired := append([]byte{}, good...)
-	retired[4] = 1 // retired codec version
-	f.Add(retired)
-	w.Docs[0].Locals[1] = 1 // the same word twice in one document
-	f.Add(w.EncodeFlat(nil))
-	w.Docs[0].Locals[1] = 9 // a word outside the vocabulary
-	f.Add(w.EncodeFlat(nil))
+	f.Add((&ShardCounts{Lo: 7, Hi: 7}).EncodeFlat(nil))
+	f.Add(docCountsReply(sc)) // the retired layout with documents
+	sc.DocNames = append(sc.DocNames, "d.txt")
+	f.Add(sc.EncodeFlat(nil)) // a name past the range
+	sc = flatTestCounts()
+	sc.Words[2] = "alpha"
+	f.Add(sc.EncodeFlat(nil)) // a vocabulary out of order
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := DecodeFlatWireShardCounts(data)
+		dec, err := DecodeFlatShardCounts(data)
 		if err != nil {
 			return
 		}
-		for i, d := range dec.ShardCounts(Options{}).DocDicts {
-			if d.Len() != len(dec.Docs[i].Locals) {
-				t.Fatalf("document %d rebuilt with %d entries from %d", i, d.Len(), len(dec.Docs[i].Locals))
+		if len(dec.DocNames) != dec.Hi-dec.Lo || len(dec.DF) != len(dec.Words) || dec.DocDicts != nil {
+			t.Fatalf("accepted a reply of %d names for [%d, %d), %d DF for %d words",
+				len(dec.DocNames), dec.Lo, dec.Hi, len(dec.DF), len(dec.Words))
+		}
+		for i := 1; i < len(dec.Words); i++ {
+			if dec.Words[i] <= dec.Words[i-1] {
+				t.Fatalf("accepted a vocabulary out of order at word %d", i)
 			}
 		}
-		if _, err := DecodeFlatWireShardCounts(dec.EncodeFlat(nil)); err != nil {
-			t.Fatalf("re-encoding an accepted payload failed to decode: %v", err)
+		if re := dec.EncodeFlat(nil); !bytes.Equal(re, data) {
+			t.Fatalf("an accepted reply re-encodes to other bytes")
 		}
 	})
 }

@@ -98,10 +98,10 @@ func sameBits(t *testing.T, label string, want, got *sparse.Vector, norm float64
 
 // TestTransformMatchesStringOracle: the term-ID transform equals the
 // string-lookup kernel it replaced, bit for bit, for every dictionary kind
-// at shard counts that divide the corpus evenly and unevenly, from live
-// shard counts and from counts that crossed the wire, whether a shard was
-// counted by one reader (words interned as they are first seen) or by
-// several (documents counted privately, then folded in under the lock).
+// at shard counts that divide the corpus evenly and unevenly, whether a
+// shard was counted by one reader (words interned as they are first seen)
+// or by several (documents counted privately, then folded in under the
+// lock).
 func TestTransformMatchesStringOracle(t *testing.T) {
 	src := corpus.Generate(corpus.Mix().Scaled(0.002), nil).Source(nil)
 	pool := par.NewPool(2)
@@ -110,11 +110,7 @@ func TestTransformMatchesStringOracle(t *testing.T) {
 		opts := Options{DictKind: kind, Normalize: true}
 		want := oracleVectors(t, src, kind, opts)
 		for _, shards := range []int{1, 2, 4, 7} {
-			for _, wire := range []bool{false, true} {
-				readers := 1
-				if wire {
-					readers = 3
-				}
+			for _, readers := range []int{1, 3} {
 				counts := make([]*ShardCounts, shards)
 				for p := range counts {
 					sc, err := CountShard(pario.Partition(src, shards, p), readers, opts)
@@ -125,12 +121,9 @@ func TestTransformMatchesStringOracle(t *testing.T) {
 				}
 				g := MergeShards(counts, pool, opts)
 				for _, sc := range counts {
-					if wire {
-						sc = sc.Wire(false).ShardCounts(opts)
-					}
 					vs := TransformShard(g, sc, pool, opts)
 					for i := range vs.Vectors {
-						label := fmt.Sprintf("%v shards=%d wire=%v doc %d", kind, shards, wire, vs.Lo+i)
+						label := fmt.Sprintf("%v shards=%d readers=%d doc %d", kind, shards, readers, vs.Lo+i)
 						sameBits(t, label, &want[vs.Lo+i], &vs.Vectors[i], vs.Norms[i])
 					}
 				}

@@ -3,6 +3,7 @@ package tfidf
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
@@ -25,80 +26,37 @@ func wireTestSource() *pario.MemSource {
 	}
 }
 
-// TestShardCountsWireRoundTrip: counts flattened for the wire and rebuilt
-// with fresh dictionaries must merge and transform to bit-identical
-// output.
+// TestShardCountsWireRoundTrip: the count reply carries everything the DF
+// merge reads, so merging decoded replies gives the same term table, bit
+// for bit, as merging the live shards, for every dictionary kind.
 func TestShardCountsWireRoundTrip(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	for _, kind := range dict.Kinds() {
 		opts := Options{DictKind: kind, Normalize: true}
-		count := func() []*ShardCounts {
-			var shards []*ShardCounts
-			for p := 0; p < 2; p++ {
-				sc, err := CountShard(pario.Partition(wireTestSource(), 2, p), 1, opts)
-				if err != nil {
-					t.Fatalf("%v: CountShard: %v", kind, err)
-				}
-				shards = append(shards, sc)
+		var live, wire []*ShardCounts
+		for p := 0; p < 2; p++ {
+			sc, err := CountShard(pario.Partition(wireTestSource(), 2, p), 1, opts)
+			if err != nil {
+				t.Fatalf("%v: CountShard: %v", kind, err)
 			}
-			return shards
+			dec, err := DecodeFlatShardCounts(sc.EncodeFlat(nil))
+			if err != nil {
+				t.Fatalf("%v: decode shard %d: %v", kind, p, err)
+			}
+			if dec.DocDicts != nil {
+				t.Fatalf("%v: shard %d's reply carried documents", kind, p)
+			}
+			live, wire = append(live, sc), append(wire, dec)
 		}
-
-		// Reference path: everything local.
-		refShards := count()
-		refGlobal := MergeShards([]*ShardCounts{refShards[0], refShards[1]}, pool, opts)
-		refVS := []*VectorShard{
-			TransformShard(refGlobal, refShards[0], pool, opts),
-			TransformShard(refGlobal, refShards[1], pool, opts),
+		want, got := MergeShards(live, pool, opts), MergeShards(wire, pool, opts)
+		if !reflect.DeepEqual(got.Terms, want.Terms) || !reflect.DeepEqual(got.DF, want.DF) ||
+			got.NumDocs != want.NumDocs || got.Stats != want.Stats {
+			t.Fatalf("%v: merged term table differs after the wire", kind)
 		}
-
-		// Wire path: every shard's counts round-trip through gob (DF
-		// included, as a count task's reply), each shard's vocabulary is
-		// resolved against the merged table as the coordinator does for a
-		// shipped transform, and the transform runs over the rebuilt
-		// counts.
-		wireShards := count()
-		for i, sc := range wireShards {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(sc.Wire(true)); err != nil {
-				t.Fatalf("%v: encode shard %d: %v", kind, i, err)
-			}
-			var w WireShardCounts
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&w); err != nil {
-				t.Fatalf("%v: decode shard %d: %v", kind, i, err)
-			}
-			wireShards[i] = w.ShardCounts(opts)
-		}
-		gw := MergeShards([]*ShardCounts{wireShards[0], wireShards[1]}, pool, opts)
-		if !reflect.DeepEqual(gw.Terms, refGlobal.Terms) || !reflect.DeepEqual(gw.DF, refGlobal.DF) ||
-			gw.NumDocs != refGlobal.NumDocs {
-			t.Fatalf("%v: merged term table differs after wire round trip", kind)
-		}
-		for p, sc := range []*ShardCounts{wireShards[0], wireShards[1]} {
-			// The transform argument form omits DF; exercise that too.
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(sc.Wire(false)); err != nil {
-				t.Fatalf("%v: encode transform shard: %v", kind, err)
-			}
-			var w WireShardCounts
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&w); err != nil {
-				t.Fatalf("%v: decode transform shard: %v", kind, err)
-			}
-			vs := TransformTerms(gw.Resolve(w.Words), w.ShardCounts(opts), pool, opts)
-			if vs.Lo != refVS[p].Lo || vs.Hi != refVS[p].Hi || vs.Dim != refVS[p].Dim {
-				t.Fatalf("%v: shard %d shape differs: [%d,%d) dim %d", kind, p, vs.Lo, vs.Hi, vs.Dim)
-			}
-			for i := range vs.Vectors {
-				if !sparse.Equal(&vs.Vectors[i], &refVS[p].Vectors[i]) {
-					t.Fatalf("%v: shard %d vector %d differs after wire round trip", kind, p, i)
-				}
-			}
-			if !reflect.DeepEqual(vs.Norms, refVS[p].Norms) {
-				t.Fatalf("%v: shard %d norms differ after wire round trip", kind, p)
-			}
-			if !reflect.DeepEqual(vs.DocNames, refVS[p].DocNames) {
-				t.Fatalf("%v: shard %d doc names differ", kind, p)
+		for id := range want.IDF {
+			if math.Float64bits(got.IDF[id]) != math.Float64bits(want.IDF[id]) {
+				t.Fatalf("%v: IDF of term %d differs after the wire", kind, id)
 			}
 		}
 	}

@@ -63,8 +63,9 @@ type RemoteTask struct {
 	// backend cannot leak pins from runs that errored out mid-loop.
 	Scope string
 	// Inline, when non-nil, appends the arguments with every input Args
-	// names by store key inlined — what the backend sends once after the
-	// worker misses (statusMiss). A task without it re-sends Args.
+	// names by store key inlined, or the descriptor that re-derives it (a
+	// transform's count) — what the backend sends once after the worker
+	// misses (statusMiss). A task without it re-sends Args.
 	Inline func(dst []byte) []byte
 	// Absorb decodes the kernel's flat reply and integrates it into
 	// coordinator state, returning the task's output value. It runs on the
@@ -210,7 +211,11 @@ func AnnotateBackend(p *Plan, b Backend) *Plan {
 	for _, name := range p.Nodes() {
 		op := p.Node(name).Op()
 		if _, ok := op.(Remotable); ok {
-			p.Annotate(name, fmt.Sprintf("tasks: remote (%s) when the shard is serializable", b.Name()))
+			when := "the shard is serializable"
+			if _, ok := op.(*TransformOp); ok {
+				when = "the shard's count ran remotely"
+			}
+			p.Annotate(name, fmt.Sprintf("tasks: remote (%s) when %s", b.Name(), when))
 			continue
 		}
 		if _, ok := op.(remoteLoopOp); ok {

@@ -234,30 +234,17 @@ func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
 	if got, err := DecodeFlatCountTaskArgs(count.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, count) {
 		t.Errorf("CountTaskArgs round trip: got %+v (%v), want %+v", got, err, count)
 	}
-	tr := &TransformTaskArgs{
-		Counts: &tfidf.WireShardCounts{
-			Lo: 1, Hi: 3,
-			Words:    []string{"a", "b"},
-			Docs:     []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{2, 1}}, {}},
-			DocNames: []string{"d1", "d2"},
+	for _, tr := range []*TransformTaskArgs{
+		{
+			CountsSession: "tf-9-1-0",
+			Terms:         &tfidf.ShardTerms{Remap: []uint32{3, 700}, IDF: []float64{0.25, math.Log(7)}, Dim: 701},
+			Opts:          tfidf.WireOptions{DictKind: 2, GlobalPresize: 1 << 10, DocPresize: 8},
 		},
-		CountsSession: "tf-9-1-0",
-		Terms:         &tfidf.ShardTerms{Remap: []uint32{3, 700}, IDF: []float64{0.25, math.Log(7)}, Dim: 701},
-		Opts:          tfidf.WireOptions{DictKind: 2, GlobalPresize: 1 << 10, DocPresize: 8},
-	}
-	got, err := DecodeFlatTransformTaskArgs(tr.AppendFlat(nil))
-	if err != nil {
-		t.Fatalf("TransformTaskArgs round trip: %v", err)
-	}
-	if got.Counts.Lo != tr.Counts.Lo || got.Opts != tr.Opts ||
-		!reflect.DeepEqual(got.Counts.Words, tr.Counts.Words) ||
-		!reflect.DeepEqual(got.Counts.Docs[0], tr.Counts.Docs[0]) ||
-		got.CountsSession != tr.CountsSession || !reflect.DeepEqual(got.Terms, tr.Terms) {
-		t.Errorf("TransformTaskArgs round trip mismatch: %+v", got)
-	}
-	byRef := &TransformTaskArgs{CountsSession: "tf-9-1-0", Terms: &tfidf.ShardTerms{Dim: 7}}
-	if got, err := DecodeFlatTransformTaskArgs(byRef.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, byRef) {
-		t.Errorf("TransformTaskArgs (counts by session) round trip: got %+v (%v)", got, err)
+		{CountsSession: "tf-9-1-0", Recount: count, Terms: &tfidf.ShardTerms{Dim: 7}, Opts: count.Opts},
+	} {
+		if got, err := DecodeFlatTransformTaskArgs(tr.AppendFlat(nil)); err != nil || !reflect.DeepEqual(got, tr) {
+			t.Errorf("TransformTaskArgs round trip: got %+v (%v), want %+v", got, err, tr)
+		}
 	}
 	km := &KMAssignTaskArgs{
 		Loop:  "km-1-2",

@@ -78,16 +78,31 @@ func FuzzDecodeFlatKMSeedTaskArgs(f *testing.F) {
 	})
 }
 
-func FuzzDecodeFlatCountTaskArgs(f *testing.F) {
-	seedTruncations(f, (&CountTaskArgs{
+// fuzzCount is a well-formed count descriptor.
+func fuzzCount() *CountTaskArgs {
+	return &CountTaskArgs{
 		Shard:   pario.SourceSpec{Paths: []string{"/a/doc1.txt", "/a/doc2.txt"}, Lo: 4, Hi: 6},
 		Session: "tf-9-1-0",
 		Opts:    tfidf.WireOptions{DictKind: 1, MinWordLen: 2, Stem: true, Normalize: true},
-	}).AppendFlat(nil))
+	}
+}
+
+func FuzzDecodeFlatCountTaskArgs(f *testing.F) {
+	seedTruncations(f, fuzzCount().AppendFlat(nil))
+	// Ranges the decoder must reject: backwards, and not one document per
+	// path.
+	for _, lo := range []int{7, 3} {
+		a := fuzzCount()
+		a.Shard.Lo = lo
+		f.Add(a.AppendFlat(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeFlatCountTaskArgs(data)
 		if err != nil {
 			return
+		}
+		if s := a.Shard; s.Hi-s.Lo != len(s.Paths) {
+			t.Fatalf("accepted a shard [%d, %d) of %d paths", s.Lo, s.Hi, len(s.Paths))
 		}
 		enc := a.AppendFlat(nil)
 		if re, err := DecodeFlatCountTaskArgs(enc); err != nil || !bytes.Equal(re.AppendFlat(nil), enc) {
@@ -97,15 +112,12 @@ func FuzzDecodeFlatCountTaskArgs(f *testing.F) {
 }
 
 func FuzzDecodeFlatTransformTaskArgs(f *testing.F) {
+	// The resend after a miss: the count's descriptor rides behind the terms.
 	seedTruncations(f, (&TransformTaskArgs{
-		Counts: &tfidf.WireShardCounts{
-			Lo: 1, Hi: 3,
-			Words:    []string{"a", "b"},
-			Docs:     []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{2, 1}}, {}},
-			DocNames: []string{"d1", "d2"},
-		},
-		Terms: &tfidf.ShardTerms{Remap: []uint32{2, 9}, IDF: []float64{0.5, 0.5}, Dim: 10},
-		Opts:  tfidf.WireOptions{DictKind: 2, DocPresize: 8},
+		CountsSession: "tf-9-1-0",
+		Recount:       fuzzCount(),
+		Terms:         &tfidf.ShardTerms{Remap: []uint32{2, 9}, IDF: []float64{0.5, 0.5}, Dim: 10},
+		Opts:          tfidf.WireOptions{DictKind: 2, DocPresize: 8},
 	}).AppendFlat(nil))
 	seedTruncations(f, (&TransformTaskArgs{CountsSession: "tf-9-1-0", Terms: &tfidf.ShardTerms{Dim: 7}}).AppendFlat(nil))
 	// Terms the decoder must reject: a repeated global ID, a global ID past
@@ -117,6 +129,11 @@ func FuzzDecodeFlatTransformTaskArgs(f *testing.F) {
 	} {
 		f.Add((&TransformTaskArgs{CountsSession: "tf-9-1-1", Terms: terms}).AppendFlat(nil))
 	}
+	// A descriptor the decoder must reject: a range not one document per
+	// path.
+	bad := fuzzCount()
+	bad.Shard.Hi = 9
+	f.Add((&TransformTaskArgs{CountsSession: "tf-9-1-1", Recount: bad, Terms: &tfidf.ShardTerms{Dim: 7}}).AppendFlat(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeFlatTransformTaskArgs(data)
 		if err != nil {

@@ -22,8 +22,10 @@ import (
 // Remotable implementations of the operators that produce them:
 //
 //   - tfidf.count: a corpus shard described by pario.SourceSpec in, the
-//     shard's term counts (tfidf.WireShardCounts, DF included) back;
-//   - tfidf.transform: a shard's counts (or the store key holding them)
+//     shard's vocabulary, DF and document names back (a tfidf.ShardCounts
+//     without documents); the per-document counts stay in the worker store;
+//   - tfidf.transform: the store key of a shard's counts — or, in the
+//     resend after a miss, the count's descriptor to recount them from —
 //     plus the shard's slice of the term table (tfidf.ShardTerms: the
 //     local → global remap, the IDF of every local term, the dimension)
 //     in, the shard's score vectors (*tfidf.VectorShard) back;
@@ -45,7 +47,7 @@ import (
 // Kernels run the same functions the local path runs (tfidf.CountShard,
 // tfidf.TransformTerms, kmeans.AssignRange), so remote results are
 // bit-identical to local ones by construction; the wire forms only ever
-// flatten dictionaries, vectors and per-document results, never recompute
+// flatten vocabularies, vectors and per-document results, never recompute
 // scores.
 //
 // Every argument and every reply is a flat buffer (flatwire): scalars
@@ -96,14 +98,15 @@ func consumeWireOptions(r *flatwire.Reader) tfidf.WireOptions {
 	}
 }
 
-// CountTaskArgs are the tfidf.count kernel arguments.
+// CountTaskArgs are the tfidf.count kernel arguments, and the descriptor a
+// transform's resend after a miss recounts its shard from.
 type CountTaskArgs struct {
 	// Shard describes the corpus shard (paths + global [Lo, Hi) range).
 	Shard pario.SourceSpec
-	// Session, when non-empty, makes the worker keep the live ShardCounts
-	// in its store under this key after replying, so the matching transform
-	// task (routed here by the shared affinity key) can consume them without
-	// the coordinator re-serializing every document's term counts.
+	// Session is the store key under which the worker keeps the live
+	// ShardCounts after replying, for the matching transform task (routed
+	// here by the shared affinity key): the documents' counts never leave
+	// the worker.
 	Session string
 	// Opts is the serializable option subset of the TF/IDF operator.
 	Opts tfidf.WireOptions
@@ -123,7 +126,8 @@ func (a *CountTaskArgs) AppendFlat(b []byte) []byte {
 	return appendWireOptions(b, a.Opts)
 }
 
-// DecodeFlatCountTaskArgs is AppendFlat's inverse.
+// DecodeFlatCountTaskArgs is AppendFlat's inverse. It rejects a range that
+// is not one document per path.
 func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
 	r := flatwire.NewReader(body)
 	a := &CountTaskArgs{}
@@ -134,6 +138,9 @@ func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
 			a.Shard.Paths[i] = r.String()
 		}
 	}
+	if s := a.Shard; s.Lo < 0 || s.Hi < s.Lo || s.Hi-s.Lo != len(s.Paths) {
+		r.Fail("shard [%d, %d) of %d paths", s.Lo, s.Hi, len(s.Paths))
+	}
 	a.Session = r.String()
 	a.Opts = consumeWireOptions(r)
 	if err := r.Done(); err != nil {
@@ -142,43 +149,50 @@ func DecodeFlatCountTaskArgs(body []byte) (*CountTaskArgs, error) {
 	return a, nil
 }
 
-// runCountKernel executes phase 1 over the described shard on the worker;
-// the reply is the shard's full term counts, DF included, in flat form.
+// countShard runs phase 1 over the described shard on the worker's pool —
+// the count kernel's work, and a transform's after a miss.
+func countShard(a *CountTaskArgs) (*tfidf.ShardCounts, error) {
+	sc, err := tfidf.CountShard(a.Shard.Open(nil), workerPool().Workers(), a.Opts.Options())
+	if err != nil {
+		return nil, err
+	}
+	// CountShard derives [Lo, Hi) from SubSources; a spec-opened shard is a
+	// plain FileSource, so restore the global range from the descriptor.
+	sc.Lo, sc.Hi = a.Shard.Lo, a.Shard.Hi
+	return sc, nil
+}
+
+// runCountKernel executes phase 1 over the described shard on the worker
+// and keeps the live counts in the store under the task's session; the
+// reply is what the coordinator's DF merge reads, in flat form.
 func runCountKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, error) {
 	a, err := DecodeFlatCountTaskArgs(rq.args)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
 	}
-	opts := a.Opts.Options()
-	readers := workerPool().Workers()
-	sc, err := tfidf.CountShard(a.Shard.Open(nil), readers, opts)
+	sc, err := countShard(a)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
 	}
-	// CountShard derives [Lo, Hi) from SubSources; a spec-opened shard is a
-	// plain FileSource, so restore the global range from the descriptor.
-	sc.Lo, sc.Hi = a.Shard.Lo, a.Shard.Hi
-	w := sc.Wire(true)
-	if a.Session != "" {
-		// The reply carries everything the coordinator's DF merge needs;
-		// the live dictionaries stay here for the transform task.
-		st.put(rq.conn, a.Session, "", func() any { return sc })
-	}
-	return w.EncodeFlat(dst), nil
+	dst = sc.EncodeFlat(dst)
+	st.put(rq.conn, a.Session, "", func() any { return sc })
+	return dst, nil
 }
 
-// TransformTaskArgs are the tfidf.transform kernel arguments. The global
-// term table is never among them: the coordinator resolves the shard's
-// vocabulary against it (tfidf.Global.Resolve) and ships what the scoring
-// loop reads, indexed by shard-local term.
+// TransformTaskArgs are the tfidf.transform kernel arguments. The counts
+// are never among them: they stay on the worker that counted the shard,
+// or are recounted there. Neither is the global term table: the
+// coordinator resolves the shard's vocabulary against it
+// (tfidf.Global.Resolve) and ships what the scoring loop reads, indexed by
+// shard-local term.
 type TransformTaskArgs struct {
-	// Counts is the shard's phase-1 output inlined (DF omitted — only the
-	// global merge reads it). Nil when CountsSession names the live shard
-	// in the worker store instead; a resend after a miss inlines it.
-	Counts *tfidf.WireShardCounts
-	// CountsSession, when non-empty, is the store key of the count kernel's
-	// ShardCounts on the worker the shared affinity routed both tasks to.
+	// CountsSession is the store key of the count kernel's ShardCounts on
+	// the worker the shared affinity routed both tasks to.
 	CountsSession string
+	// Recount, set only in the resend after a miss, is the shard's count
+	// task: the worker recounts the shard from it instead of reading
+	// CountsSession.
+	Recount *CountTaskArgs
 	// Terms is the shard's slice of the term table. Always set.
 	Terms *tfidf.ShardTerms
 	// Opts is the serializable option subset.
@@ -187,7 +201,7 @@ type TransformTaskArgs struct {
 
 // AppendFlat appends the arguments in flat form:
 //
-//	session | opts | terms | hasCounts u8 | [counts (WireShardCounts flat, to the end)]
+//	session | opts | terms | [recount (CountTaskArgs flat, to the end)]
 //	terms = dim u64 | n u32 | remap (delta-coded varints) × n | nIDF u32 | idf f64 × nIDF
 func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 	b = flatwire.AppendString(b, a.CountsSession)
@@ -197,17 +211,17 @@ func (a *TransformTaskArgs) AppendFlat(b []byte) []byte {
 	b = flatwire.AppendDeltaU32s(b, a.Terms.Remap)
 	b = flatwire.AppendU32(b, uint32(len(a.Terms.IDF)))
 	b = flatwire.AppendF64s(b, a.Terms.IDF)
-	if a.Counts == nil {
-		return flatwire.AppendU8(b, 0)
+	if a.Recount == nil {
+		return b
 	}
-	return a.Counts.EncodeFlat(flatwire.AppendU8(b, 1))
+	return a.Recount.AppendFlat(b)
 }
 
 // DecodeFlatTransformTaskArgs is AppendFlat's inverse. It rejects terms
 // the scoring loop would misread: an IDF block of another length than the
 // remap, a remap that does not strictly ascend, a global ID at or past the
 // dimension. That the remap has one entry per shard word is the kernel's
-// check, since the counts may be in the worker store.
+// check, since the counts are in the worker store or recounted.
 func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 	r := flatwire.NewReader(body)
 	a := &TransformTaskArgs{CountsSession: r.String()}
@@ -233,18 +247,14 @@ func DecodeFlatTransformTaskArgs(body []byte) (*TransformTaskArgs, error) {
 			}
 		}
 	}
-	hasCounts := r.U8()
-	counts := r.Rest()
-	if hasCounts > 1 || hasCounts == 0 && len(counts) > 0 {
-		r.Fail("counts marker %d before %d bytes", hasCounts, len(counts))
-	}
+	recount := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode args: %w", err)
 	}
-	if hasCounts == 1 {
+	if len(recount) > 0 {
 		var err error
-		if a.Counts, err = tfidf.DecodeFlatWireShardCounts(counts); err != nil {
-			return nil, fmt.Errorf("decode args: %w", err)
+		if a.Recount, err = DecodeFlatCountTaskArgs(recount); err != nil {
+			return nil, fmt.Errorf("decode args: recount: %w", err)
 		}
 	}
 	return a, nil
@@ -257,12 +267,13 @@ func runTransformKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, er
 	if err != nil {
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w", err)
 	}
-	opts := a.Opts.Options()
-	// Resolve the counts: an inlined body wins; otherwise the count
-	// kernel's live shard, removed only once the transform ran.
+	// The counts: the count kernel's live shard, removed only once the
+	// transform ran — or, after a miss, the shard recounted.
 	var sc *tfidf.ShardCounts
-	if a.Counts != nil {
-		sc = a.Counts.ShardCounts(opts)
+	if a.Recount != nil {
+		if sc, err = countShard(a.Recount); err != nil {
+			return nil, fmt.Errorf("workflow: kernel tfidf.transform: recount: %w", err)
+		}
 	} else if sc, _ = st.get(a.CountsSession).(*tfidf.ShardCounts); sc == nil {
 		return nil, errMiss
 	}
@@ -270,8 +281,8 @@ func runTransformKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, er
 		return nil, fmt.Errorf("workflow: kernel tfidf.transform: %w: a remap of %d terms for a vocabulary of %d",
 			flatwire.ErrMalformed, len(a.Terms.Remap), len(sc.Words))
 	}
-	vs := tfidf.TransformTerms(a.Terms, sc, workerPool(), opts)
-	if a.Counts == nil {
+	vs := tfidf.TransformTerms(a.Terms, sc, workerPool(), a.Opts.Options())
+	if a.Recount == nil {
 		st.del(a.CountsSession) // TransformTerms consumed the dictionaries
 	}
 	return vs.EncodeFlat(dst), nil
@@ -279,7 +290,8 @@ func runTransformKernel(st *workerStore, rq *kernelCall, dst []byte) ([]byte, er
 
 // workerStore is a worker process's state between tasks, by key: count
 // sessions' *tfidf.ShardCounts, loop shards' *kmSession and their *kmLoop,
-// all rebuilt from what the coordinator holds, so an absent key is a miss.
+// all re-derivable from what the coordinator holds, so an absent key is a
+// miss.
 // An entry lives until the coordinator drops its key (store.drop) or the
 // connection that put it closes; an entry others depend on (a loop) until
 // the last of them goes. One store serves all of a process's connections,
@@ -861,12 +873,18 @@ func DecodeFlatKMSeedReply(body []byte) ([]float64, error) {
 	return d2, nil
 }
 
-// RemoteTask implements Remotable: a tf-map shard ships when the corpus
-// shard has an on-disk identity and the options serialize. With a linked
-// transform stage (pair), the task carries a store key for the counts plus
-// the matching affinity key, so the shard's transform lands on the same
-// worker and reuses the live dictionaries this task leaves behind.
+// RemoteTask implements Remotable: a tf-map shard ships when it is linked
+// to its transform stage (pair), the corpus shard has an on-disk identity
+// and the options serialize. The task names a store key for the counts
+// plus the matching affinity key, so the shard's transform lands on the
+// same worker and reads the live dictionaries this task leaves behind; the
+// reply is the shard without its documents, and the pair records the
+// task's descriptor for the transform to recount from after a miss.
 func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
+	pair := o.pair
+	if pair == nil {
+		return nil, false
+	}
 	src, ok := ins[0].(pario.Source)
 	if !ok {
 		return nil, false
@@ -879,55 +897,54 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	if !ok {
 		return nil, false
 	}
-	opts := o.Opts
-	pair := o.pair
-	args := &CountTaskArgs{Shard: *spec, Opts: wopts}
-	affinity := ""
-	if pair != nil {
-		args.Session = pair.countSession(idx)
-		affinity = args.Session
-	}
+	args := &CountTaskArgs{Shard: *spec, Session: pair.countSession(idx), Opts: wopts}
 	return &RemoteTask{
 		Op:       "tfidf.count",
 		Args:     args.AppendFlat,
-		Affinity: affinity,
+		Affinity: args.Session,
 		Absorb: func(body []byte) (Value, error) {
-			w, err := tfidf.DecodeFlatWireShardCounts(body)
+			sc, err := tfidf.DecodeFlatShardCounts(body)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.count reply: %w", err)
 			}
-			if pair != nil {
-				pair.markCounted(idx)
+			if sc.Lo != spec.Lo || sc.Hi != spec.Hi {
+				return nil, fmt.Errorf("workflow: tfidf.count reply: %w: documents [%d, %d) for shard [%d, %d)",
+					flatwire.ErrMalformed, sc.Lo, sc.Hi, spec.Lo, spec.Hi)
 			}
-			return w.ShardCounts(opts), nil
+			pair.recordCount(sc, args)
+			return sc, nil
 		},
 	}, true
 }
 
-// RemoteTask implements Remotable: a transform shard ships its vocabulary
-// resolved against the global table here, on the coordinator — the remap,
-// the IDF of every local term and the dimension — with its counts by store
-// key when the map stage left them on a worker (inlined otherwise, and in
-// the resend after a miss), and absorbs the flat VectorShard reply.
+// RemoteTask implements Remotable: a transform shard ships exactly when its
+// count shipped — its documents are on that worker, or re-derivable from
+// the count's descriptor; a shard counted here is transformed here. It
+// ships the shard's vocabulary resolved against the global table on the
+// coordinator — the remap, the IDF of every local term and the dimension —
+// with its counts by store key (the count's descriptor in the resend after
+// a miss), and absorbs the flat VectorShard reply.
 func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	sc, ok := ins[0].(*tfidf.ShardCounts)
-	if !ok {
+	if !ok || o.pair == nil {
 		return nil, false
 	}
 	g, ok := ins[1].(*tfidf.Global)
 	if !ok {
 		return nil, false
 	}
-	wopts, ok := o.Opts.Wire()
-	if !ok {
+	count := o.pair.takeCount(sc)
+	if count == nil {
 		return nil, false
 	}
-	args := &TransformTaskArgs{Terms: g.Resolve(sc.Words), Opts: wopts}
-	rt := &RemoteTask{
-		Op: "tfidf.transform",
+	args := &TransformTaskArgs{CountsSession: count.Session, Terms: g.Resolve(sc.Words), Opts: count.Opts}
+	return &RemoteTask{
+		Op:       "tfidf.transform",
+		Args:     args.AppendFlat,
+		Affinity: count.Session,
 		Inline: func(dst []byte) []byte {
 			a := *args
-			a.Counts, a.CountsSession = sc.Wire(false), ""
+			a.Recount = count
 			return a.AppendFlat(dst)
 		},
 		Absorb: func(body []byte) (Value, error) {
@@ -935,13 +952,11 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 			if err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w", err)
 			}
+			if vs.Lo != sc.Lo || vs.Hi != sc.Hi {
+				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w: documents [%d, %d) for shard [%d, %d)",
+					flatwire.ErrMalformed, vs.Lo, vs.Hi, sc.Lo, sc.Hi)
+			}
 			return vs, nil
 		},
-	}
-	rt.Args = rt.Inline
-	if pair := o.pair; pair != nil && pair.wasCounted(idx) {
-		args.CountsSession = pair.countSession(idx)
-		rt.Args, rt.Affinity = args.AppendFlat, args.CountsSession
-	}
-	return rt, true
+	}, true
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,81 +124,95 @@ func TestShardedAssignMatchesSerialDriver(t *testing.T) {
 	}
 }
 
+// shardFiles writes one file per document to a temp dir and returns the
+// descriptor of them as a shard at [lo, lo+len(docs)).
+func shardFiles(t *testing.T, lo int, docs ...string) pario.SourceSpec {
+	t.Helper()
+	dir := t.TempDir()
+	spec := pario.SourceSpec{Lo: lo, Hi: lo + len(docs)}
+	for i, doc := range docs {
+		path := filepath.Join(dir, fmt.Sprintf("d%d.txt", i))
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec.Paths = append(spec.Paths, path)
+	}
+	return spec
+}
+
 // TestTransformKernelCacheProtocol drives the worker side of the one
 // transform miss: counts named by a key the worker store does not hold.
 // The kernel answers errMiss and leaves every stored session in place; the
-// resend, with the counts inlined, scores them; and a task naming a stored
-// session scores those counts and removes them.
+// resend, carrying the count's descriptor, recounts the shard and scores
+// the same bytes as the session path, which consumes the stored counts;
+// and a descriptor whose recount has another vocabulary than the terms
+// is malformed.
 func TestTransformKernelCacheProtocol(t *testing.T) {
 	st := newWorkerStore()
-	transform := func(args TransformTaskArgs) (*tfidf.VectorShard, error) {
-		t.Helper()
-		reply, err := runTransformKernel(st, &kernelCall{conn: 1, args: args.AppendFlat(nil)}, nil)
-		if err != nil {
-			return nil, err
-		}
-		vs, err := tfidf.DecodeFlatVectorShard(reply)
-		if err != nil {
-			t.Fatalf("decode transform reply: %v", err)
-		}
-		return vs, nil
+	call := func(fn func(*workerStore, *kernelCall, []byte) ([]byte, error), args []byte) ([]byte, error) {
+		return fn(st, &kernelCall{conn: 1, args: args}, nil)
 	}
 	opts := tfidf.Options{Normalize: true}
 	wopts, ok := opts.Wire()
 	if !ok {
 		t.Fatalf("options do not serialize")
 	}
-	docs := [][]byte{
-		[]byte("alpha beta beta gamma"),
-		[]byte("beta gamma gamma"),
-		[]byte("alpha delta epsilon epsilon"),
+	count := &CountTaskArgs{
+		Shard:   shardFiles(t, 5, "alpha beta beta gamma", "beta gamma gamma", "alpha delta epsilon epsilon"),
+		Session: "sess-b",
+		Opts:    wopts,
+	}
+	reply, err := call(runCountKernel, count.AppendFlat(nil))
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	sc, err := tfidf.DecodeFlatShardCounts(reply)
+	if err != nil {
+		t.Fatalf("decode count reply: %v", err)
 	}
 	pool := par.NewPool(2)
 	defer pool.Close()
-	count := func() *tfidf.ShardCounts {
-		sc, err := tfidf.CountShard(&pario.MemSource{Docs: docs}, 1, opts)
-		if err != nil {
-			t.Fatalf("CountShard: %v", err)
-		}
-		return sc
-	}
-	sc := count()
-	g := tfidf.MergeShards([]*tfidf.ShardCounts{sc}, pool, opts)
-	terms := g.Resolve(sc.Words)
-	expected := tfidf.TransformShard(g, count(), pool, opts)
+	terms := tfidf.MergeShards([]*tfidf.ShardCounts{sc}, pool, opts).Resolve(sc.Words)
 
-	// 1. Empty store, counts by an unknown key: the one miss.
-	if _, err := transform(TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts}); !errors.Is(err, errMiss) {
-		t.Fatalf("empty store: error %v, want errMiss", err)
-	}
-
-	// 2. Another session stored (as the count kernel would): a miss on
-	// sess-a must not remove it.
-	st.put(1, "sess-b", "", func() any { return count() })
-	if _, err := transform(TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts}); !errors.Is(err, errMiss) {
-		t.Fatalf("another session stored: error %v, want errMiss", err)
+	// 1. Counts by a key the store does not hold: the one miss, and the
+	// stored session stays.
+	if _, err := call(runTransformKernel, (&TransformTaskArgs{CountsSession: "sess-a", Terms: terms, Opts: wopts}).AppendFlat(nil)); !errors.Is(err, errMiss) {
+		t.Fatalf("unknown session: error %v, want errMiss", err)
 	}
 	if st.get("sess-b") == nil {
 		t.Fatalf("a miss removed another session's counts")
 	}
 
-	// 3. The resend inlines the counts: full reply, store untouched.
-	vs, err := transform(TransformTaskArgs{Counts: count().Wire(false), Terms: terms, Opts: wopts})
+	// 2. The resend recounts from the descriptor: the store is untouched,
+	// and the reply is the session path's, byte for byte.
+	recounted, err := call(runTransformKernel, (&TransformTaskArgs{CountsSession: "sess-a", Recount: count, Terms: terms, Opts: wopts}).AppendFlat(nil))
 	if err != nil {
-		t.Fatalf("inlined resend: %v", err)
+		t.Fatalf("resend with the descriptor: %v", err)
 	}
-	assertShardEqual(t, "inlined resend", vs, expected)
 	if st.get("sess-b") == nil {
-		t.Fatalf("an inlined transform removed a stored session")
+		t.Fatalf("a recount removed a stored session")
 	}
-
-	// 4. Counts by a stored session: full reply, the session removed.
-	if vs, err = transform(TransformTaskArgs{CountsSession: "sess-b", Terms: terms, Opts: wopts}); err != nil {
+	stored, err := call(runTransformKernel, (&TransformTaskArgs{CountsSession: "sess-b", Terms: terms, Opts: wopts}).AppendFlat(nil))
+	if err != nil {
 		t.Fatalf("stored session: %v", err)
 	}
-	assertShardEqual(t, "stored session", vs, expected)
+	if !slices.Equal(recounted, stored) {
+		t.Errorf("the recount scored %d bytes unlike the stored counts' %d", len(recounted), len(stored))
+	}
+	vs, err := tfidf.DecodeFlatVectorShard(stored)
+	if err != nil || vs.Lo != 5 || vs.Hi != 8 || len(vs.Vectors) != 3 {
+		t.Fatalf("stored session: shard %+v, %v", vs, err)
+	}
 	if n := st.entries(); n != 0 {
 		t.Errorf("transform left %d entries, the consumed counts among them", n)
+	}
+
+	// 3. A descriptor whose recount has another vocabulary size than the
+	// terms resolved for the shard: malformed, not scored.
+	other := &CountTaskArgs{Shard: shardFiles(t, 5, "alpha beta"), Session: "sess-c", Opts: wopts}
+	_, err = call(runTransformKernel, (&TransformTaskArgs{CountsSession: "sess-c", Recount: other, Terms: terms, Opts: wopts}).AppendFlat(nil))
+	if !errors.Is(err, flatwire.ErrMalformed) || !strings.Contains(err.Error(), "a remap of 5 terms for a vocabulary of 2") {
+		t.Errorf("recount of another vocabulary: error %v, want a malformed remap", err)
 	}
 }
 

@@ -91,8 +91,8 @@ func (o *TFIDFOp) Output() reflect.Type { return tfidfResultType }
 // assembles the transformed shards into one result.
 func (o *TFIDFOp) partitionFragment() fragment {
 	// The map and transform stages share a tfShipPair, so a shard counted
-	// on a worker is transformed on that worker from the stored counts
-	// instead of round-tripping them through the coordinator.
+	// on a worker is transformed on that worker from the stored counts,
+	// which never cross the wire.
 	pair := newTFShipPair()
 	return fragment{
 		nodes: []fragNode{

@@ -205,26 +205,27 @@ var tfPairSeq atomic.Uint64
 
 // tfShipPair is coordinator-side state shared by the TFMapOp and
 // TransformOp of one partitioned TF/IDF expansion — the channel through
-// which the transform stage learns where a shard's phase-1 counts already
-// live. When a count task ships, the worker keeps the live ShardCounts in
-// its store under the pair's per-shard session key; the pair records the
-// shard as remotely counted, and the matching transform task then ships
-// the session key (plus the shared affinity key routing it to the same
-// worker) instead of re-serializing every document's term counts. Session
-// keys are a pure function of (pair id, shard index) and shard contents
-// are deterministic, so a worker that lost the counts is re-sent them.
+// which the transform stage learns where a shard's phase-1 counts live.
+// When a count task ships, the worker keeps the live ShardCounts in its
+// store under the pair's per-shard session key and replies with the shard
+// without its documents; the count's Absorb records the task's descriptor
+// against that reply, and the matching transform task then ships the
+// session key (plus the shared affinity key routing it to the same
+// worker). A shard is a pure function of its descriptor, so a worker that
+// lost the counts recounts them from it. A shard with no record was
+// counted on the coordinator and is transformed there.
 type tfShipPair struct {
 	id string
 
-	mu      sync.Mutex
-	counted map[int]bool
+	mu     sync.Mutex
+	counts map[*tfidf.ShardCounts]*CountTaskArgs
 }
 
 // newTFShipPair allocates the shared state of one map+transform pair.
 func newTFShipPair() *tfShipPair {
 	return &tfShipPair{
-		id:      fmt.Sprintf("tf-%d-%d", os.Getpid(), tfPairSeq.Add(1)),
-		counted: make(map[int]bool),
+		id:     fmt.Sprintf("tf-%d-%d", os.Getpid(), tfPairSeq.Add(1)),
+		counts: make(map[*tfidf.ShardCounts]*CountTaskArgs),
 	}
 }
 
@@ -233,18 +234,21 @@ func (p *tfShipPair) countSession(idx int) string {
 	return fmt.Sprintf("%s-%d", p.id, idx)
 }
 
-// markCounted records that shard idx's counts were stored by a worker.
-func (p *tfShipPair) markCounted(idx int) {
+// recordCount records that sc was counted on a worker by the given task.
+func (p *tfShipPair) recordCount(sc *tfidf.ShardCounts, count *CountTaskArgs) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.counted[idx] = true
+	p.counts[sc] = count
 }
 
-// wasCounted reports whether shard idx's counts live on a worker.
-func (p *tfShipPair) wasCounted(idx int) bool {
+// takeCount returns and forgets the task that counted sc on a worker, or
+// nil when sc was counted on the coordinator.
+func (p *tfShipPair) takeCount(sc *tfidf.ShardCounts) *CountTaskArgs {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.counted[idx]
+	count := p.counts[sc]
+	delete(p.counts, sc)
+	return count
 }
 
 // TFMapOp is the phase-1 map kernel of the partitioned TF/IDF operator:
@@ -255,9 +259,9 @@ func (p *tfShipPair) wasCounted(idx int) bool {
 type TFMapOp struct {
 	// Opts configures tokenization and dictionaries, as in TFIDFOp.
 	Opts tfidf.Options
-	// pair, when non-nil, links this map stage to its transform stage for
-	// count→transform shipping affinity (see tfShipPair). Standalone uses
-	// of the operator leave it nil and ship counts inline, as before.
+	// pair links this map stage to its transform stage (see tfShipPair).
+	// Only a paired shard ships: its counts stay on the worker for the
+	// transform. An operator without one counts on the coordinator.
 	pair *tfShipPair
 }
 
@@ -336,8 +340,9 @@ func (o *DFReduceOp) Run(ctx *Context, in Value) (Value, error) {
 type TransformOp struct {
 	// Opts carries Normalize.
 	Opts tfidf.Options
-	// pair, when non-nil, is the link to the map stage (see tfShipPair):
-	// shards it marked as remotely counted ship by session key.
+	// pair is the link to the map stage (see tfShipPair): a shard counted
+	// on a worker ships there by session key; every other shard is
+	// transformed on the coordinator.
 	pair *tfShipPair
 }
 

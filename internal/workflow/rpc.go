@@ -46,7 +46,8 @@ const (
 
 // errMiss is a kernel's answer when an input its task names by key — a
 // count or loop session, a centroid block or its delta base — is not in
-// the worker store. RPCBackend.RunTask re-sends the task with it inlined.
+// the worker store. RPCBackend.RunTask re-sends the task with it inlined,
+// or with the descriptor that re-derives it.
 var errMiss = errors.New("workflow: worker store lacks an input the task names by key")
 
 const (
@@ -451,8 +452,8 @@ func (c *wireClient) close() error {
 // frame protocol above and runs everything else in-process. Tasks without
 // an affinity key are spread round-robin; tasks sharing one stick to the
 // worker that first received the key. A worker that lacks a keyed input
-// misses, and the task is re-sent to it with everything inlined: a task's
-// result depends only on what it ships. A failed worker call fails the
+// misses, and the task is re-sent to it with everything inlined or
+// re-derivable: a task's result depends only on what it ships. A failed worker call fails the
 // task (and with it the plan run) with a wrapped error — a lost connection
 // is not re-dispatched.
 type RPCBackend struct {
@@ -658,7 +659,7 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	rep, err := ship(rt.Args, false)
 	if err == errMiss {
 		// Re-send to the same worker — affinity pins the shard there — with
-		// every keyed input inlined, behind the keyed body's full store
+		// every keyed input inlined or re-derivable, behind the keyed body's full store
 		// frame: nothing is missing after that, so a second miss is an error.
 		if span != nil {
 			span.Resend = true

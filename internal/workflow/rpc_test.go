@@ -16,6 +16,8 @@ import (
 
 	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
+	"hpa/internal/par"
+	"hpa/internal/pario"
 	"hpa/internal/sparse"
 	"hpa/internal/tfidf"
 )
@@ -80,18 +82,26 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		Last: sparse.Vector{Idx: []uint32{math.MaxUint32}, Val: []float64{1}},
 		D2:   []float64{math.Inf(1)},
 	}).AppendFlat(nil)
-	// Transform requests over a two-word vocabulary, inlined or cached on
-	// the worker, whose shard terms the scoring loop would misread.
-	counts := &tfidf.WireShardCounts{Lo: 0, Hi: 1, Words: []string{"a", "b"},
-		Docs: []tfidf.WireDocCounts{{Locals: []uint32{0, 1}, Counts: []uint32{1, 2}}}, DocNames: []string{"d"}}
+	// Transform requests over a two-word vocabulary, recounted from a
+	// descriptor or cached on the worker, whose shard terms the scoring loop
+	// would misread.
+	recount := &CountTaskArgs{Shard: shardFiles(t, 0, "alpha beta beta")}
 	const cached = "hostile-frames-counts"
-	st.put(0, cached, "", func() any { return counts.ShardCounts(tfidf.Options{}) })
+	counts, err := countShard(recount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.put(0, cached, "", func() any { return counts })
 	transform := func(session string, remap []uint32, idf []float64) []byte {
 		a := &TransformTaskArgs{CountsSession: session, Terms: &tfidf.ShardTerms{Remap: remap, IDF: idf, Dim: 3}}
 		if session == "" {
-			a.Counts = counts
+			a.Recount = recount
 		}
 		return a.AppendFlat(nil)
+	}
+	// Count descriptors whose range is not one document per path.
+	count := func(lo, hi int) []byte {
+		return (&CountTaskArgs{Shard: pario.SourceSpec{Paths: recount.Shard.Paths, Lo: lo, Hi: hi}}).AppendFlat(nil)
 	}
 	// A 60-byte assign request whose init asks for 2⁸⁰ accumulator floats.
 	hostileInit := (&KMAssignTaskArgs{
@@ -117,7 +127,7 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 		{name: "unknown op", raw: requestFrame(2, "no.such.kernel", nil), malformed: true, text: "no kernel"},
 		{name: "count args", raw: requestFrame(3, "tfidf.count", garbage), malformed: true},
 		{name: "transform args", raw: requestFrame(4, "tfidf.transform", garbage), malformed: true},
-		{name: "remap shorter than the inlined vocabulary", raw: requestFrame(5, "tfidf.transform", transform("", []uint32{0}, []float64{1})),
+		{name: "remap shorter than the recounted vocabulary", raw: requestFrame(5, "tfidf.transform", transform("", []uint32{0}, []float64{1})),
 			malformed: true, text: "a remap of 1 terms for a vocabulary of 2"},
 		{name: "remap longer than the cached vocabulary", raw: requestFrame(13, "tfidf.transform", transform(cached, []uint32{0, 1, 2}, []float64{1, 2, 3})),
 			malformed: true, text: "a remap of 3 terms for a vocabulary of 2"},
@@ -127,6 +137,12 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 			malformed: true, text: "remap not strictly ascending at local 1"},
 		{name: "remap past the dimension", raw: requestFrame(16, "tfidf.transform", transform("", []uint32{0, 5}, []float64{1, 2})),
 			malformed: true, text: "global ID 5 out of dimension 3"},
+		{name: "count range backwards", raw: requestFrame(20, "tfidf.count", count(1, 0)), malformed: true, text: "shard [1, 0) of 1 paths"},
+		{name: "count range past its paths", raw: requestFrame(21, "tfidf.count", count(0, 2)), malformed: true, text: "shard [0, 2) of 1 paths"},
+		{name: "recount range past its paths", raw: requestFrame(22, "tfidf.transform",
+			(&TransformTaskArgs{Recount: &CountTaskArgs{Shard: pario.SourceSpec{Paths: recount.Shard.Paths, Lo: 3, Hi: 5}},
+				Terms: &tfidf.ShardTerms{Remap: []uint32{0, 1}, IDF: []float64{1, 2}, Dim: 3}}).AppendFlat(nil)),
+			malformed: true, text: "shard [3, 5) of 1 paths"},
 		{name: "assign args", raw: requestFrame(6, "kmeans.assign", garbage), malformed: true},
 		{name: "seed args", raw: requestFrame(7, "kmeans.seed", garbage), malformed: true},
 		{name: "centroid store", raw: requestFrame(8, "kmeans.centroids", garbage[:3]), malformed: true},
@@ -225,6 +241,93 @@ func TestClientRejectsHostileReplies(t *testing.T) {
 			t.Errorf("%s: error %v, want one wrapping ErrMalformed = %v", name, err, tc.malformed)
 		}
 		c.close()
+	}
+}
+
+// lyingWorker is a one-worker backend whose worker answers every request
+// with status OK and the given body, whatever was asked.
+func lyingWorker(t *testing.T, body []byte) *RPCBackend {
+	coord, work := net.Pipe()
+	go func() {
+		defer work.Close()
+		for {
+			req, err := readFrame(work, nil)
+			if err != nil {
+				return
+			}
+			b := flatwire.AppendU32(nil, uint32(8+1+8+len(body)))
+			b = append(b, req[:8]...) // the request's id
+			b = flatwire.AppendU8(b, statusOK)
+			b = flatwire.AppendU64(b, 0)
+			if _, err := work.Write(append(b, body...)); err != nil {
+				return
+			}
+		}
+	}()
+	b := NewRPCBackendConns(coord)
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
+// TestCoordinatorRejectsLyingReplies: a worker's reply is input from
+// outside the process. A TF/IDF reply for other documents than its task's
+// shard — past the corpus, or another shard's window — or whose counts
+// disagree with its range fails the task with an error wrapping
+// flatwire.ErrMalformed: never a panic in the gather, never a silently
+// inflated document count or overwritten window.
+func TestCoordinatorRejectsLyingReplies(t *testing.T) {
+	paths := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
+	shard := pario.Partition(&pario.FileSource{Paths: paths}, 3, 2) // documents [4, 6)
+	pair := newTFShipPair()
+	pool := par.NewPool(1)
+	defer pool.Close()
+	countTask := func() *RemoteTask {
+		rt, ok := (&TFMapOp{pair: pair}).RemoteTask([]Value{shard}, 2, 3)
+		if !ok {
+			t.Fatal("the count task does not ship")
+		}
+		return rt
+	}
+	transformTask := func() *RemoteTask {
+		sc := &tfidf.ShardCounts{Lo: 4, Hi: 6, Words: []string{"w"}, DF: []uint32{1}, DocNames: paths[4:]}
+		pair.recordCount(sc, &CountTaskArgs{Shard: pario.SourceSpec{Paths: paths[4:], Lo: 4, Hi: 6}, Session: pair.countSession(2)})
+		g := tfidf.MergeShards([]*tfidf.ShardCounts{sc}, pool, tfidf.Options{})
+		rt, ok := (&TransformOp{pair: pair}).RemoteTask([]Value{sc, g}, 2, 3)
+		if !ok {
+			t.Fatal("the transform task does not ship")
+		}
+		return rt
+	}
+	counts := func(lo, hi int, names ...string) []byte {
+		return (&tfidf.ShardCounts{Lo: lo, Hi: hi, Words: []string{"w"}, DF: []uint32{1}, DocNames: names}).EncodeFlat(nil)
+	}
+	vectors := func(lo, hi, n int) []byte {
+		vs := &tfidf.VectorShard{Lo: lo, Hi: hi, Dim: 1, Vectors: make([]sparse.Vector, n), Norms: make([]float64, n), DocNames: make([]string, n)}
+		return vs.EncodeFlat(nil)
+	}
+	for _, tc := range []struct {
+		name string
+		task func() *RemoteTask
+		body []byte
+		text string
+	}{
+		{"count reply for other documents", countTask, counts(0, 2, "d0", "d1"), "documents [0, 2) for shard [4, 6)"},
+		{"count reply with an extra name", countTask, counts(4, 6, "d4", "d5", "d6"), "3 names for documents [4, 6)"},
+		{"transform reply past the corpus", transformTask, vectors(4, 9, 5), "documents [4, 9) for shard [4, 6)"},
+		{"transform reply for another shard's window", transformTask, vectors(0, 2, 2), "documents [0, 2) for shard [4, 6)"},
+		{"transform reply with an extra vector", transformTask, vectors(4, 6, 3), "3 documents for [4, 6)"},
+	} {
+		_, err := lyingWorker(t, tc.body).RunTask(nil, &Task{Remote: tc.task()})
+		if !errors.Is(err, flatwire.ErrMalformed) || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s: error %v, want one wrapping ErrMalformed with %q", tc.name, err, tc.text)
+		}
+	}
+	// Sanity: the honest replies are absorbed.
+	if v, err := lyingWorker(t, counts(4, 6, "d4", "d5")).RunTask(nil, &Task{Remote: countTask()}); err != nil || v.(*tfidf.ShardCounts).Hi != 6 {
+		t.Errorf("honest count reply: %v, %v", v, err)
+	}
+	if _, err := lyingWorker(t, vectors(4, 6, 2)).RunTask(nil, &Task{Remote: transformTask()}); err != nil {
+		t.Errorf("honest transform reply: %v", err)
 	}
 }
 

@@ -179,6 +179,85 @@ func TestWorkerRestartIsAMiss(t *testing.T) {
 	}
 }
 
+// countLosing is an RPCBackend whose workers lose every stored count just
+// before each transform task is sent: every transform misses.
+type countLosing struct {
+	*RPCBackend
+	st *workerStore
+}
+
+func (b *countLosing) RunTask(ctx *Context, t *Task) (Value, error) {
+	if rt := t.Remote; rt != nil && rt.Op == "tfidf.transform" {
+		b.st.mu.Lock()
+		clear(b.st.m)
+		b.st.mu.Unlock()
+	}
+	return b.RPCBackend.RunTask(ctx, t)
+}
+
+// TestTransformMissRecounts: a transform whose worker lost the shard's
+// counts between the count and the transform recounts the shard from the
+// count's descriptor, in one resend. Over two workers and 4 shards, with
+// every count lost, serial and concurrent runs give the local digest, each
+// transform is re-sent exactly once and nothing else is, and the store
+// ends empty.
+func TestTransformMissRecounts(t *testing.T) {
+	src := diskCorpus(t)
+	scratch := t.TempDir()
+	run := func(b Backend, serial bool) (*kmeans.Result, []obs.Span, error) {
+		pool := par.NewPool(2)
+		defer pool.Close()
+		ctx := NewContext(pool)
+		ctx.ScratchDir = scratch
+		ctx.Backend = b
+		ctx.Serial = serial
+		ctx.Tracer = obs.NewTracer()
+		rep, err := RunTFKM(src, ctx, TFKMConfig{
+			Mode:   Merged,
+			Shards: 4,
+			TFIDF:  tfidf.Options{Normalize: true},
+			KMeans: kmeans.Options{K: 4, Seed: 1},
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return rep.Clustering.Result, ctx.Tracer.Snapshot().Spans, nil
+	}
+	local, _, err := run(LocalBackend{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clusteringDigest(local)
+	for _, serial := range []bool{true, false} {
+		rpc, st := pipeWorkers(t, 2, nil)
+		res, spans, err := run(&countLosing{RPCBackend: rpc, st: st}, serial)
+		if err != nil {
+			t.Fatalf("serial=%v: %v", serial, err)
+		}
+		if d := clusteringDigest(res); d != want {
+			t.Errorf("serial=%v: digest %#x, local %#x", serial, d, want)
+		}
+		transforms, resent := 0, 0
+		for _, s := range spans {
+			if s.Op == "transform" && s.Backend == "rpc" {
+				transforms++
+				if !s.Resend {
+					t.Errorf("serial=%v: transform shard %d was not re-sent", serial, s.Shard)
+				}
+			}
+			if s.Resend {
+				resent++
+			}
+		}
+		if transforms != 4 || resent != 4 {
+			t.Errorf("serial=%v: %d remote transforms and %d resends, want 4 and 4", serial, transforms, resent)
+		}
+		if n := st.entries(); n != 0 {
+			t.Errorf("serial=%v: %d store entries left after the run", serial, n)
+		}
+	}
+}
+
 // waveEmptying is an RPCBackend whose workers lose the state of the loop
 // its tasks belong to whenever the loop's next wave starts: every wave's
 // first task misses and re-sends, while loops on other backends sharing

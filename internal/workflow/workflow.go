@@ -80,8 +80,9 @@
 // results are bit-identical across backends at any shard count.
 //
 // Remotable tasks are the TF/IDF count and transform shards — their
-// corpus shards travel as pario.SourceSpec path descriptors, their
-// dictionaries as flattened (word, count) wire forms — and the K-Means
+// corpus shards travel as pario.SourceSpec path descriptors and their
+// per-document counts stay on the worker that made them, which replies
+// with the shard's vocabulary, DF and names — and the K-Means
 // assignment loop's per-iteration shard tasks, whose documents ship once
 // into a worker-side session (pinned to one worker by backend affinity)
 // and whose per-iteration traffic is the centroids out — as one sparse
@@ -93,7 +94,8 @@
 // barrier and output always run on the
 // coordinator; tasks whose inputs cannot be described (in-memory
 // sources, disk-simulated sources, stopword-bearing options) quietly
-// fall back to the local path.
+// fall back to the local path, and a shard counted there is transformed
+// there.
 //
 // # The wire
 //
@@ -107,13 +109,16 @@
 // backend sends a worker in the wave carries the block — the sparse rows
 // the last update changed — ahead of itself, its siblings only name the
 // key, and every shard session of the loop on that worker assigns against
-// the one decoded copy, which lives only in the blocked kernel's lanes. A shard's term counts never leave the worker that counted them:
-// count tasks park their output in the worker store under a per-run scope
+// the one decoded copy, which lives only in the blocked kernel's lanes. A
+// shard's term counts never leave the worker that counted them: count
+// tasks park their output in the worker store under a per-run scope
 // (count→transform affinity), and the paired transform task names its
 // key. A worker that lacks anything a task names by key — counts, a loop
 // session, a centroid block — misses, and the task is re-sent once with
-// it all inlined; the keys are dropped from the workers when the run ends
-// with them. Everything on the wire — frames, kernel arguments,
+// it all inlined, or, for counts, with the count's descriptor: the worker
+// recounts the shard, a pure function of its files and options, and
+// transforms it (lineage, not payload). The keys are dropped from the
+// workers when the run ends with them. Everything on the wire — frames, kernel arguments,
 // tfidf.VectorShard, centroid blocks, assignment replies — is a flat
 // buffer (internal/flatwire): fixed layouts, sorted indices as varint
 // deltas, every float as its raw IEEE 754 bits (one value form: a value
